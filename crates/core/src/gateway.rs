@@ -150,6 +150,8 @@ pub struct GatewayQueueSnapshot {
     pub outstanding_copies: u64,
     /// Completed responses buffered for `take_responses`.
     pub buffered_responses: usize,
+    /// Filed hedge deadlines, stale ones included.
+    pub hedge_deadlines: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -192,8 +194,6 @@ struct InFlight {
     function: FunctionId,
     inference: InferenceRequest,
     attempt: u32,
-    /// Whether this copy already has (or is) a hedge sibling.
-    hedged: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -262,15 +262,21 @@ pub struct Gateway {
     /// In-flight tasks, indexed by `TaskId - 1` (the service assigns task ids
     /// densely from 1, and this gateway is the service's only client). A slab
     /// instead of a hash map: insertion and removal are a bounds-checked
-    /// index, and the hedge scan walks memory in task order. Entries are
-    /// boxed so a resolved slot costs one pointer, not an inline `InFlight`,
-    /// over the run's whole task history.
+    /// index. Entries are boxed so a resolved slot costs one pointer, not an
+    /// inline `InFlight`, over the run's whole task history.
     in_flight: Vec<Option<Box<InFlight>>>,
     in_flight_count: usize,
-    /// Index of the first possibly-live slab slot: tasks resolve roughly in
-    /// task order, so advancing this watermark keeps the hedge scans O(live)
-    /// instead of O(tasks ever issued).
-    in_flight_first_live: usize,
+    /// Hedge deadlines (`submitted_at + hedge_after`) of submitted copies,
+    /// bucketed on a timing wheel; empty unless hedging is on. Hedge copies
+    /// file none, and `hedge_due` consumes each deadline once, so a copy is
+    /// hedged at most once. A copy that resolves first leaves its entry
+    /// behind until `prune_hedge_deadlines` drops it at the head, which keeps
+    /// `peek_time` the earliest live deadline: `next_event_time` reads it in
+    /// O(1) and `hedge_due` drains only the due entries, where both used to
+    /// scan every in-flight copy on every event.
+    hedge_deadlines: TimingWheel<TaskId>,
+    /// Reusable drain buffer for `hedge_due`.
+    hedge_buf: Vec<ScheduledEvent<TaskId>>,
     responses: Vec<CompletedRequest>,
     /// Whether the endpoint (by dense id) has been connected to before —
     /// replaces a name-keyed `HashSet` that hashed an endpoint name per
@@ -359,7 +365,8 @@ impl Gateway {
             deliver_buf: Vec::new(),
             in_flight: Vec::new(),
             in_flight_count: 0,
-            in_flight_first_live: 0,
+            hedge_deadlines: TimingWheel::new(),
+            hedge_buf: Vec::new(),
             responses: Vec::new(),
             connected_endpoints: Vec::new(),
             connected_unresolved: HashSet::new(),
@@ -511,6 +518,7 @@ impl Gateway {
             awaiting_delivery: self.awaiting.len(),
             outstanding_copies: self.outstanding.iter().map(|&c| c as u64).sum(),
             buffered_responses: self.responses.len(),
+            hedge_deadlines: self.hedge_deadlines.len(),
         }
     }
 
@@ -527,35 +535,40 @@ impl Gateway {
 
     #[inline]
     fn in_flight_remove(&mut self, task: TaskId) -> Option<Box<InFlight>> {
-        let idx = (task.0 as usize).wrapping_sub(1);
-        let entry = self.in_flight.get_mut(idx).and_then(Option::take);
+        let entry = self
+            .in_flight
+            .get_mut((task.0 as usize).wrapping_sub(1))
+            .and_then(Option::take);
         if entry.is_some() {
             self.in_flight_count -= 1;
-            // Advance the live watermark past the resolved prefix (amortized
-            // O(1): each slot is skipped once over the gateway's lifetime).
-            if idx == self.in_flight_first_live {
-                while self
-                    .in_flight
-                    .get(self.in_flight_first_live)
-                    .is_some_and(Option::is_none)
-                {
-                    self.in_flight_first_live += 1;
-                }
-            }
         }
         entry
     }
 
-    /// Iterate live in-flight entries with their task ids, in task order,
-    /// skipping the fully resolved prefix.
-    fn in_flight_iter(&self) -> impl Iterator<Item = (TaskId, &InFlight)> {
-        self.in_flight[self.in_flight_first_live..]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, f)| {
-                f.as_deref()
-                    .map(|f| (TaskId((self.in_flight_first_live + i) as u64 + 1), f))
-            })
+    #[inline]
+    fn in_flight_get(&self, task: TaskId) -> Option<&InFlight> {
+        self.in_flight
+            .get((task.0 as usize).wrapping_sub(1))
+            .and_then(Option::as_deref)
+    }
+
+    /// How long a copy may stay unanswered before it is hedged; `None` when
+    /// the resilience layer is off or does not hedge.
+    fn hedge_after(&self) -> Option<SimDuration> {
+        let resilience = &self.config.resilience;
+        resilience.hedge_after.filter(|_| resilience.enabled)
+    }
+
+    /// Pop the deadlines of copies that resolved before their deadline off
+    /// the head of `hedge_deadlines`, so its earliest entry is live. Each
+    /// entry is popped once, so the cost is amortized O(1) per copy.
+    fn prune_hedge_deadlines(&mut self) {
+        while let Some((_, &task)) = self.hedge_deadlines.peek() {
+            if self.in_flight_get(task).is_some() {
+                break;
+            }
+            self.hedge_deadlines.pop();
+        }
     }
 
     /// One outstanding-copy counter slot per request id (dense from 1).
@@ -1021,6 +1034,9 @@ impl Gateway {
                 };
                 match submitted {
                     Ok(task) => {
+                        if let Some(hedge_after) = self.hedge_after() {
+                            self.hedge_deadlines.push(p.submit_at + hedge_after, task);
+                        }
                         self.in_flight_insert(
                             task,
                             InFlight {
@@ -1037,7 +1053,6 @@ impl Gateway {
                                 function: p.function,
                                 inference: p.inference,
                                 attempt: p.attempt,
-                                hedged: false,
                             },
                         );
                     }
@@ -1183,78 +1198,67 @@ impl Gateway {
     /// the first response win. The duplicate rides the original's worker
     /// slot, so no extra gateway-side admission cost is modelled.
     fn hedge_due(&mut self, now: SimTime) {
-        if !self.config.resilience.enabled {
-            return;
-        }
-        let Some(hedge_after) = self.config.resilience.hedge_after else {
-            return;
-        };
-        // Slab order is task order, so no sort is needed to keep hedging
-        // deterministic.
-        let candidates: Vec<TaskId> = self
-            .in_flight_iter()
-            .filter(|(_, f)| !f.hedged && now.saturating_since(f.submitted_at) >= hedge_after)
-            .filter(|(_, f)| !self.delivered.contains(&f.request_id))
-            .map(|(t, _)| t)
-            .collect();
-        for task in candidates {
-            let idx = (task.0 as usize).wrapping_sub(1);
-            let Some(f) = self.in_flight.get(idx).and_then(Option::as_deref) else {
-                continue;
-            };
-            let (request_id, model, endpoint_name) =
-                (f.request_id, f.model, Arc::clone(&f.endpoint_name));
-            // Whatever happens below, this copy's hedge decision is final:
-            // an unmarked candidate with an elapsed deadline would make
-            // `next_event_time` return the same past instant forever and
-            // livelock every event-loop driver.
-            if let Some(f) = self.in_flight.get_mut(idx).and_then(|s| s.as_deref_mut()) {
-                f.hedged = true;
-            }
-            let Some(target) = self.router.route_target_for_retry(
-                &self.registry,
-                &self.service,
-                model,
-                &self.health,
-                now,
-                &endpoint_name,
-            ) else {
-                continue;
-            };
-            if target.name == endpoint_name {
-                // No alternative site: duplicating onto the same stuck
-                // endpoint would only add load.
-                continue;
-            }
-            let f = self
-                .in_flight
-                .get(idx)
-                .and_then(Option::as_deref)
-                .expect("candidate exists")
-                .clone();
-            let submitted = match target.endpoint {
-                Some(endpoint) => {
-                    self.service
-                        .submit_to(f.function, endpoint, f.inference.clone(), now)
+        if self.hedge_deadlines.peek_time().is_some_and(|t| t <= now) {
+            let mut due = std::mem::take(&mut self.hedge_buf);
+            self.hedge_deadlines.drain_due_into(now, &mut due);
+            // A drained deadline is spent whatever happens below. Hedging in
+            // task order keeps the routing decisions and the new task ids
+            // deterministic.
+            let mut candidates: Vec<TaskId> = due
+                .drain(..)
+                .map(|e| e.payload)
+                .filter(|&task| {
+                    self.in_flight_get(task)
+                        .is_some_and(|f| !self.delivered.contains(&f.request_id))
+                })
+                .collect();
+            self.hedge_buf = due;
+            candidates.sort_unstable();
+            for task in candidates {
+                let f = self
+                    .in_flight_get(task)
+                    .expect("hedging never resolves an in-flight copy");
+                let Some(target) = self.router.route_target_for_retry(
+                    &self.registry,
+                    &self.service,
+                    f.model,
+                    &self.health,
+                    now,
+                    &f.endpoint_name,
+                ) else {
+                    continue;
+                };
+                if target.name == f.endpoint_name {
+                    // No alternative site: duplicating onto the same stuck
+                    // endpoint would only add load.
+                    continue;
                 }
-                None => Err(first_fabric::FabricError::UnknownEndpoint(
-                    target.name.to_string(),
-                )),
-            };
-            if let Ok(new_task) = submitted {
-                self.metrics.on_hedge();
-                *self.outstanding_slot(request_id) += 1;
-                self.in_flight_insert(
-                    new_task,
-                    InFlight {
-                        submitted_at: now,
-                        endpoint_name: target.name,
-                        hedged: true,
-                        ..f
-                    },
-                );
+                let f = f.clone();
+                let submitted = match target.endpoint {
+                    Some(endpoint) => {
+                        self.service
+                            .submit_to(f.function, endpoint, f.inference.clone(), now)
+                    }
+                    None => Err(first_fabric::FabricError::UnknownEndpoint(
+                        target.name.to_string(),
+                    )),
+                };
+                if let Ok(new_task) = submitted {
+                    self.metrics.on_hedge();
+                    *self.outstanding_slot(f.request_id) += 1;
+                    self.in_flight_insert(
+                        new_task,
+                        InFlight {
+                            submitted_at: now,
+                            endpoint_name: target.name,
+                            ..f
+                        },
+                    );
+                }
             }
         }
+        // Copies resolved during this advance may now head the wheel.
+        self.prune_hedge_deadlines();
     }
 
     fn collect_results(&mut self, now: SimTime) {
@@ -1451,32 +1455,17 @@ impl Gateway {
 
 impl SimProcess for Gateway {
     fn next_event_time(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            next = match (next, t) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            };
-        };
-        consider(self.pending.peek_time());
-        consider(self.awaiting.peek_time());
-        consider(SimProcess::next_event_time(&self.service));
-        if self.config.resilience.enabled {
-            if let Some(hedge_after) = self.config.resilience.hedge_after {
-                // A stuck request becomes an event when its hedge deadline
-                // expires, even if nothing else in the simulation moves.
-                consider(
-                    self.in_flight[self.in_flight_first_live..]
-                        .iter()
-                        .flatten()
-                        .filter(|f| !f.hedged)
-                        .map(|f| f.submitted_at + hedge_after)
-                        .min(),
-                );
-            }
-        }
-        next
+        // A stuck request becomes an event when its hedge deadline expires,
+        // even if nothing else in the simulation moves.
+        [
+            self.pending.peek_time(),
+            self.awaiting.peek_time(),
+            SimProcess::next_event_time(&self.service),
+            self.hedge_deadlines.peek_time(),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -1839,5 +1828,38 @@ mod tests {
         assert!(gw.metrics_mut().hedges >= 1);
         // Well under the hour the stall would have cost.
         assert!(responses[0].latency().as_secs_f64() < 120.0);
+    }
+
+    #[test]
+    fn a_drained_gateway_holds_no_hedge_deadlines() {
+        let (mut gw, tokens) = DeploymentBuilder::federated_sophia_polaris()
+            .prewarm(1)
+            .resilience(ResilienceConfig::production())
+            .build_with_tokens();
+        // Sophia's engine hangs for ten minutes: the requests routed there
+        // outlive their 60 s hedge deadline and get hedged, while the ones
+        // answered in time leave deadlines behind that must be dropped.
+        gw.service_mut()
+            .endpoint_mut("sophia-endpoint")
+            .unwrap()
+            .stall_engines(SimTime::from_secs(600));
+        for i in 0..30u64 {
+            let req = ChatCompletionRequest::simple(MODEL, &format!("hedge wheel {i}"), 80);
+            gw.chat_completions(&req, &tokens.alice, Some(80), SimTime::from_secs(i * 20))
+                .unwrap();
+        }
+        drive(&mut gw, SimTime::from_secs(3600));
+        let responses = gw.take_responses();
+        let mut ids: Vec<u64> = responses.iter().map(|r| r.request_id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(
+            (responses.len(), ids.len()),
+            (30, 30),
+            "every request answered exactly once"
+        );
+        assert!(gw.metrics().hedges >= 1);
+        assert!(gw.is_drained());
+        assert_eq!(gw.queue_snapshot().hedge_deadlines, 0);
     }
 }

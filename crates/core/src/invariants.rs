@@ -13,7 +13,8 @@
 //! 2. **Monotone simulation clock** — the driver never advanced the gateway
 //!    backwards.
 //! 3. **No leaked tasks** — a drained gateway holds nothing in its pending,
-//!    in-flight, awaiting-delivery or outstanding-copy slabs.
+//!    in-flight, awaiting-delivery, hedge-deadline or outstanding-copy
+//!    slabs.
 //!
 //! [`crate::ScenarioRun`] runs the check automatically in debug builds
 //! (`#[cfg(debug_assertions)]`), which covers every `cargo test` run;
@@ -147,6 +148,7 @@ pub fn check_run_invariants(gateway: &Gateway, ledger: &RunLedger) -> Result<(),
         if queues.pending_dispatches != 0
             || queues.in_flight_tasks != 0
             || queues.awaiting_delivery != 0
+            || queues.hedge_deadlines != 0
         {
             violations.push(format!("drained gateway leaks tasks: {queues:?}"));
         }

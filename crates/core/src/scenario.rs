@@ -33,15 +33,14 @@ use crate::shard::{FrontTierPolicy, ShardReport, ShardedGateway, ShardingConfig,
 use crate::sim::{run_webui_closed_loop, synthetic_chat_request, WebUiCell};
 use first_auth::{Identity, Scope, TokenString, UserId};
 use first_chaos::{FaultInjector, ResilienceConfig, ShardFaultKind};
-use first_desim::{Histogram, SimDuration, SimProcess, SimTime};
+use first_desim::{Histogram, SimDuration, SimProcess, SimTime, TimingWheel};
 use first_telemetry::{PhaseBreakdown, SpanTree, TraceConfig};
 use first_workload::{
     Cassette, CassetteError, ConversationSample, DeploymentRef, RequestOutcome, ScenarioRequest,
     ScenarioSpec,
 };
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Per-tenant metric partition of one scenario run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -701,9 +700,8 @@ pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell
 }
 
 /// Front-tier actions scheduled on the failover event queue. Ordering within
-/// one instant follows the queue's monotone sequence number, so the enum's
-/// own derived order only ever breaks exact duplicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// one instant follows the queue's insertion sequence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrontAction {
     /// Re-dispatch request `idx` after a crash lost its in-flight copy.
     Retry(usize),
@@ -731,10 +729,10 @@ struct FrontState {
     last_shard: Vec<usize>,
     /// Accepted-but-unresolved logical requests.
     unresolved: usize,
-    /// Event queue keyed by `(time, seq)`; the seq keeps ordering
-    /// deterministic within one instant.
-    queue: BinaryHeap<Reverse<(SimTime, u64, FrontAction)>>,
-    seq: u64,
+    /// Event queue popped in `(time, insertion sequence)` order, which keeps
+    /// ordering deterministic within one instant. The unmetered wheel, not
+    /// an `EventQueue`, so the kernel event counts stay the gateways' own.
+    queue: TimingWheel<FrontAction>,
     /// Cursor into the spec's shard fault plan.
     cursor: usize,
     /// Active fan-in latency spikes: `(expires, extra latency)`.
@@ -754,8 +752,7 @@ impl FrontState {
             outstanding: vec![0; requests],
             last_shard: vec![0; requests],
             unresolved: 0,
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: TimingWheel::new(),
             cursor: 0,
             spikes: Vec::new(),
             ever_crashed: vec![false; shards],
@@ -764,12 +761,11 @@ impl FrontState {
     }
 
     fn push(&mut self, at: SimTime, action: FrontAction) {
-        self.queue.push(Reverse((at, self.seq, action)));
-        self.seq += 1;
+        self.queue.push(at, action);
     }
 
     fn next_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse((at, _, _))| *at)
+        self.queue.peek_time()
     }
 
     /// Fan-in latency including any active spike at `now`. Expired spikes
@@ -1222,11 +1218,8 @@ fn run_scenario_impl(
                 }
             }
             // Front-tier events due now: retries, timeouts, hedges, heals.
-            while f.next_at().is_some_and(|at| at <= step) {
-                let Some(Reverse((_, _, action))) = f.queue.pop() else {
-                    break;
-                };
-                match action {
+            while let Some(event) = f.queue.pop_due(step) {
+                match event.payload {
                     FrontAction::Retry(idx) => {
                         if !f.resolved[idx] {
                             front_dispatch(

@@ -321,44 +321,58 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Remove and return the earliest pending event.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
+    /// Locate the earliest pending event as `(time, source, slot, node)`.
+    /// Three candidates — wheel head, overdue top, far top — are compared by
+    /// `(time, seq)`; sequence numbers are globally unique, so the minimum
+    /// is unambiguous. Source tags: 1 = wheel (`slot` is its level-0 slot),
+    /// 2 = overdue, 3 = far.
+    fn locate_min(&mut self) -> Option<(u64, u8, usize, u32)> {
         if self.len == 0 {
             return None;
         }
-        // Three candidates — wheel head, overdue top, far top — compared by
-        // `(time, seq)`. Sequence numbers are globally unique, so the
-        // minimum is unambiguous. Source tags: 1 = wheel, 2 = overdue,
-        // 3 = far.
-        let mut best: Option<(u64, u64, u8, usize)> =
-            self.expose_next().map(|(t, s, slot)| (t, s, 1, slot));
-        if let Some(&Reverse((t, s, _))) = self.overdue.peek() {
-            if best.is_none_or(|(bt, bs, _, _)| (t, s) < (bt, bs)) {
-                best = Some((t, s, 2, 0));
+        let mut best: Option<(u64, u64, u8, usize, u32)> = self
+            .expose_next()
+            .map(|(t, s, slot)| (t, s, 1, slot, self.levels[0].head[slot]));
+        for (heap, source) in [(&self.overdue, 2), (&self.far, 3)] {
+            if let Some(&Reverse((t, s, idx))) = heap.peek() {
+                if best.is_none_or(|(bt, bs, ..)| (t, s) < (bt, bs)) {
+                    best = Some((t, s, source, 0, idx));
+                }
             }
         }
-        if let Some(&Reverse((t, s, _))) = self.far.peek() {
-            if best.is_none_or(|(bt, bs, _, _)| (t, s) < (bt, bs)) {
-                best = Some((t, s, 3, 0));
-            }
-        }
-        let (time, _, source, slot) = best.expect("non-empty wheel yields a pop candidate");
-        let idx = match source {
+        best.map(|(t, _, source, slot, idx)| (t, source, slot, idx))
+    }
+
+    /// The earliest pending event's firing time and payload, left in place:
+    /// the next [`TimingWheel::pop`] returns exactly this event. Takes
+    /// `&mut self` because exposing the wheel head may cascade a coarse
+    /// slot, which moves the cursor but never the pop order.
+    pub fn peek(&mut self) -> Option<(SimTime, &T)> {
+        let (time, _, _, idx) = self.locate_min()?;
+        let payload = self.nodes[idx as usize]
+            .payload
+            .as_ref()
+            .expect("pending node holds a payload");
+        Some((SimTime(time), payload))
+    }
+
+    /// Remove and return the earliest pending event.
+    pub fn pop(&mut self) -> Option<ScheduledEvent<T>> {
+        let (time, source, slot, idx) = self.locate_min()?;
+        match source {
             1 => {
                 // The cursor lands exactly on the popped deadline; equal-time
                 // events share the slot, so no chain is left behind it.
                 self.elapsed = time;
-                self.pop_slot_head(slot)
+                self.pop_slot_head(slot);
             }
             2 => {
-                let Reverse(entry) = self.overdue.pop().expect("peeked overdue entry");
-                entry.2
+                self.overdue.pop();
             }
             _ => {
-                let Reverse(entry) = self.far.pop().expect("peeked far entry");
-                entry.2
+                self.far.pop();
             }
-        };
+        }
         self.len -= 1;
         let ev = self.release(idx);
         self.refresh_min();
@@ -466,6 +480,27 @@ mod tests {
         w.pop();
         w.pop();
         assert_eq!(w.peek_time(), None);
+    }
+
+    #[test]
+    fn peek_names_the_event_pop_returns() {
+        let mut w = TimingWheel::new();
+        assert!(w.peek().is_none());
+        // A level-0 event, a coarse-level one, a far-future one and (after
+        // the first pop moves the cursor) an overdue one.
+        w.push(SimTime(100), "near");
+        w.push(SimTime(5_000), "coarse");
+        w.push(SimTime((1u64 << 36) + 7), "far");
+        assert_eq!(w.peek().map(|(t, &p)| (t, p)), Some((SimTime(100), "near")));
+        assert_eq!(w.pop().unwrap().payload, "near");
+        w.push(SimTime(50), "overdue");
+        let mut order = Vec::new();
+        while let Some((t, &p)) = w.peek() {
+            let ev = w.pop().unwrap();
+            assert_eq!((ev.time, ev.payload), (t, p));
+            order.push(p);
+        }
+        assert_eq!(order, ["overdue", "coarse", "far"]);
     }
 
     #[test]

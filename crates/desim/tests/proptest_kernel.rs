@@ -204,22 +204,29 @@ proptest! {
                     heap.push(Reverse((t, seq, seq)));
                     seq += 1;
                 }
-                // Pop one from each; both must agree exactly.
-                _ => match (wheel.pop(), heap.pop()) {
-                    (None, None) => {}
-                    (Some(ev), Some(Reverse((t, s, p)))) => {
-                        prop_assert_eq!(ev.time, SimTime::from_micros(t));
-                        prop_assert_eq!(ev.seq, s);
-                        prop_assert_eq!(ev.payload, p);
-                        watermark = t;
+                // Peek, then pop one from each; both must agree exactly.
+                _ => {
+                    let peeked = wheel.peek().map(|(t, &p)| (t, p));
+                    let top = heap
+                        .peek()
+                        .map(|&Reverse((t, _, p))| (SimTime::from_micros(t), p));
+                    prop_assert_eq!(peeked, top);
+                    match (wheel.pop(), heap.pop()) {
+                        (None, None) => {}
+                        (Some(ev), Some(Reverse((t, s, p)))) => {
+                            prop_assert_eq!(ev.time, SimTime::from_micros(t));
+                            prop_assert_eq!(ev.seq, s);
+                            prop_assert_eq!(ev.payload, p);
+                            watermark = t;
+                        }
+                        (w, h) => prop_assert!(
+                            false,
+                            "wheel {:?} vs heap {:?} diverged on emptiness",
+                            w.map(|e| e.time),
+                            h.map(|Reverse((t, ..))| t)
+                        ),
                     }
-                    (w, h) => prop_assert!(
-                        false,
-                        "wheel {:?} vs heap {:?} diverged on emptiness",
-                        w.map(|e| e.time),
-                        h.map(|Reverse((t, ..))| t)
-                    ),
-                },
+                }
             }
         }
         // Drain the remainder in lockstep.
