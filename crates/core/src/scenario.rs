@@ -699,6 +699,11 @@ pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell
     }
 }
 
+/// One shard's in-flight index: shard-local request id → (position in the
+/// compiled stream, whether the copy is a hedged duplicate). Kept per shard
+/// so a crash drains only the dead shard's map.
+type InFlightIndex = HashMap<u64, (usize, bool)>;
+
 /// Front-tier actions scheduled on the failover event queue. Ordering within
 /// one instant follows the queue's insertion sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -808,7 +813,7 @@ fn front_dispatch(
     f: &mut FrontState,
     ledger: &mut RunLedger,
     shard_ledgers: &mut [RunLedger],
-    request_index: &mut HashMap<(usize, u64), (usize, bool)>,
+    request_index: &mut [InFlightIndex],
     requests: &[ScenarioRequest],
     spec: &ScenarioSpec,
     tokens: &[Vec<TokenString>],
@@ -861,7 +866,7 @@ fn front_dispatch(
     }
     match result {
         Ok(id) => {
-            request_index.insert((shard, id), (idx, hedge));
+            request_index[shard].insert(id, (idx, hedge));
             f.outstanding[idx] += 1;
             shard_ledgers[shard].on_submission(true);
             if !hedge {
@@ -904,7 +909,7 @@ fn collect_responses(
     shard_ledgers: &mut [RunLedger],
     last_delivery: &mut SimTime,
     outcomes: &mut [RequestOutcome],
-    request_index: &mut HashMap<(usize, u64), (usize, bool)>,
+    request_index: &mut [InFlightIndex],
     mut front: Option<&mut FrontState>,
     requests: &[ScenarioRequest],
     tenant_by_user: &HashMap<String, usize>,
@@ -917,11 +922,11 @@ fn collect_responses(
         if front.is_some() && (!fleet.is_live(shard) || !fleet.is_reachable(shard)) {
             continue;
         }
-        for r in fleet.shard_mut(shard).take_responses() {
+        for r in fleet.take_responses(shard) {
             *last_delivery = (*last_delivery).max(r.finished_at);
             if let Some(f) = front.as_deref_mut() {
                 shard_ledger.on_response(r.success);
-                let Some((idx, was_hedge)) = request_index.remove(&(shard, r.request_id)) else {
+                let Some((idx, was_hedge)) = request_index[shard].remove(&r.request_id) else {
                     continue;
                 };
                 f.outstanding[idx] = f.outstanding[idx].saturating_sub(1);
@@ -967,7 +972,7 @@ fn collect_responses(
             // Client-observed latency includes the fan-in hop (zero on
             // the transparent configuration, leaving values bit-exact).
             let observed = r.latency().as_secs_f64() + fanin_s;
-            if let Some(&(idx, _)) = request_index.get(&(shard, r.request_id)) {
+            if let Some(&(idx, _)) = request_index[shard].get(&r.request_id) {
                 let o = &mut outcomes[idx];
                 o.delivered = true;
                 o.success = r.success;
@@ -1092,10 +1097,9 @@ fn run_scenario_impl(
         .unwrap_or(SimTime::ZERO);
 
     // Per-request outcomes, aligned with `compiled.requests` by index; each
-    // shard's dense request ids map its responses back to stream positions
-    // (the flag marks hedged duplicates on the failover path).
+    // shard's dense request ids map its responses back to stream positions.
     let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(compiled.requests.len());
-    let mut request_index: HashMap<(usize, u64), (usize, bool)> = HashMap::new();
+    let mut request_index: Vec<InFlightIndex> = vec![InFlightIndex::new(); n_shards];
 
     // Pure closed-loop specs skip the open-loop drive entirely: advancing
     // the gateways through their prewarm events here would fast-forward the
@@ -1105,21 +1109,13 @@ fn run_scenario_impl(
         || front.is_some()
     {
         let next_arrival = compiled.requests.get(next).map(|r| r.at);
-        let mut internal: Option<SimTime> = None;
-        for (i, injector) in injectors.iter().enumerate() {
-            let candidate = if fleet.is_live(i) {
-                injector.next_event_merged(fleet.shard(i))
-            } else {
-                // A dead shard makes no progress of its own; only the
-                // injector's pending timeline still needs draining.
-                injector.next_event_time()
-            };
-            internal = match (internal, candidate) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            };
-        }
+        // A dead shard makes no progress of its own (the fleet counts no
+        // wake for it); only its injector's pending timeline still drains.
+        let internal = injectors
+            .iter()
+            .filter_map(FaultInjector::next_event_time)
+            .chain(fleet.next_event_time())
+            .min();
         let front_next = front.as_ref().and_then(|f| {
             let plan = spec.shard_faults.events().get(f.cursor).map(|e| e.at);
             match (plan, f.next_at()) {
@@ -1139,8 +1135,15 @@ fn run_scenario_impl(
             break;
         }
         ledger.clock.observe(step);
+        // Only due shards move: a shard whose wake and injector both lie
+        // after `step` has nothing to do, and advancing it would change
+        // nothing. Due shards apply faults, then advance, in shard order.
+        let due = |at: Option<SimTime>| at.is_some_and(|at| at <= step);
         for i in 0..n_shards {
             shard_ledgers[i].clock.observe(step);
+            if !due(fleet.shard_wake(i)) && !due(injectors[i].next_event_time()) {
+                continue;
+            }
             injectors[i].apply_due(fleet.shard_mut(i).service_mut(), step);
             if fleet.is_live(i) {
                 fleet.shard_mut(i).advance(step);
@@ -1162,16 +1165,14 @@ fn run_scenario_impl(
                         }
                         f.ever_crashed[shard] = true;
                         // Everything in flight on the shard dies with it.
-                        // Sort the purged keys so HashMap iteration order
+                        // Sort the purged ids so HashMap iteration order
                         // never leaks into the retry schedule.
-                        let mut lost: Vec<(usize, u64)> = request_index
-                            .keys()
-                            .filter(|&&(s, _)| s == shard)
-                            .copied()
-                            .collect();
+                        let mut lost: Vec<(u64, (usize, bool))> =
+                            std::mem::take(&mut request_index[shard])
+                                .into_iter()
+                                .collect();
                         lost.sort_unstable();
-                        for key in lost {
-                            let (idx, _) = request_index.remove(&key).expect("listed above");
+                        for (_, (idx, _)) in lost {
                             f.counters.lost_in_flight += 1;
                             f.outstanding[idx] = f.outstanding[idx].saturating_sub(1);
                             if f.resolved[idx] || f.outstanding[idx] > 0 {
@@ -1344,7 +1345,7 @@ fn run_scenario_impl(
                 shard_ledgers[shard].on_submission(accepted);
                 match result {
                     Ok(id) => {
-                        request_index.insert((shard, id), (idx, false));
+                        request_index[shard].insert(id, (idx, false));
                         f.attempts[idx] = 1;
                         f.outstanding[idx] = 1;
                         f.last_shard[idx] = shard;
@@ -1381,7 +1382,7 @@ fn run_scenario_impl(
             );
             let accepted = result.is_ok();
             if let Ok(id) = result {
-                request_index.insert((shard, id), (next, false));
+                request_index[shard].insert(id, (next, false));
             }
             outcomes.push(RequestOutcome {
                 accepted,

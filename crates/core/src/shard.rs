@@ -32,11 +32,12 @@
 //! property the sharding proptests pin.
 
 use crate::deploy::DeploymentBuilder;
-use crate::gateway::Gateway;
+use crate::gateway::{CompletedRequest, Gateway};
 use first_chaos::{CircuitBreakerConfig, HealthTracker, RetryPolicy};
 use first_desim::{fnv1a_64, SimDuration, SimProcess, SimTime};
 use first_telemetry::{DashboardSnapshot, LabelSet, MetricRegistry, ShardRow};
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Virtual nodes per shard on the [`ConsistentHashRing`]. 64 points per
 /// shard keeps the expected load imbalance across shards within a few
@@ -373,11 +374,26 @@ pub struct RouteDecision {
     pub spilled: bool,
 }
 
+/// One shard's cached [`SimProcess::next_event_time`].
+#[derive(Debug, Clone, Copy)]
+enum Wake {
+    /// The shard may have changed since the last read; the next read asks it.
+    Stale,
+    /// The shard's next event as of the last read (`None` for a dead or idle
+    /// shard).
+    At(Option<SimTime>),
+}
+
 /// The sharded front tier: N peer [`Gateway`] deployments behind consistent
 /// hashing, bounded spillover and a fan-in hop. See the module docs for the
 /// model.
 pub struct ShardedGateway {
     shards: Vec<Gateway>,
+    /// Per-shard wake-time cache. Every path that can change a shard marks
+    /// it stale ([`ShardedGateway::shard_mut`], [`ShardedGateway::shards_mut`],
+    /// kills, restores and advances); reads refresh only stale entries, so the
+    /// front tier asks only the shards that moved for their next event.
+    wake: Vec<Cell<Wake>>,
     ring: ConsistentHashRing,
     /// The ring restricted to routable (live *and* reachable) shards;
     /// identical to `ring` while the whole fleet is healthy.
@@ -410,6 +426,7 @@ impl ShardedGateway {
         let ring = ConsistentHashRing::new(n);
         ShardedGateway {
             shards,
+            wake: vec![Cell::new(Wake::Stale); n],
             live_ring: ring.clone(),
             ring,
             config: ShardingConfig {
@@ -460,8 +477,9 @@ impl ShardedGateway {
         &self.shards[index]
     }
 
-    /// Mutably borrow one shard.
+    /// Mutably borrow one shard. Marks its cached wake time stale.
     pub fn shard_mut(&mut self, index: usize) -> &mut Gateway {
+        self.wake[index].set(Wake::Stale);
         &mut self.shards[index]
     }
 
@@ -471,8 +489,21 @@ impl ShardedGateway {
     }
 
     /// Mutably borrow the whole fleet (enrollment loops, per-shard drains).
+    /// Marks every cached wake time stale.
     pub fn shards_mut(&mut self) -> &mut [Gateway] {
+        for wake in &self.wake {
+            wake.set(Wake::Stale);
+        }
         &mut self.shards
+    }
+
+    /// Drain shard `index`'s completed responses. Unlike
+    /// `shard_mut(index).take_responses()` this keeps the shard's cached wake
+    /// time: handing over buffered responses schedules nothing, so a
+    /// per-step collection pass over the fleet does not force every shard to
+    /// be asked for its next event again.
+    pub fn take_responses(&mut self, index: usize) -> Vec<CompletedRequest> {
+        self.shards[index].take_responses()
     }
 
     /// The consistent-hash home shard for `key` (no spillover considered).
@@ -524,6 +555,7 @@ impl ShardedGateway {
             return false;
         }
         self.live[index] = false;
+        self.wake[index].set(Wake::Stale);
         self.crashes += 1;
         // A dead shard is observed as consecutive probe failures until the
         // breaker trips.
@@ -545,6 +577,7 @@ impl ShardedGateway {
             return false;
         }
         self.shards[index] = gateway;
+        self.wake[index].set(Wake::Stale);
         self.live[index] = true;
         self.reachable[index] = true;
         self.restarts += 1;
@@ -646,24 +679,41 @@ impl ShardedGateway {
         }
     }
 
-    /// Earliest pending event across the live fleet (dead shards no longer
-    /// make progress).
+    /// Shard `index`'s next pending event, from the wake cache (refreshed
+    /// first if stale). A dead shard makes no progress of its own, so its
+    /// wake is `None`.
+    pub fn shard_wake(&self, index: usize) -> Option<SimTime> {
+        match self.wake[index].get() {
+            Wake::At(at) => at,
+            Wake::Stale => {
+                let at = if self.live[index] {
+                    SimProcess::next_event_time(&self.shards[index])
+                } else {
+                    None
+                };
+                self.wake[index].set(Wake::At(at));
+                at
+            }
+        }
+    }
+
+    /// Earliest pending event across the live fleet: the minimum of the
+    /// per-shard wake cache.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.shards
-            .iter()
-            .zip(&self.live)
-            .filter(|&(_, &live)| live)
-            .filter_map(|(shard, _)| SimProcess::next_event_time(shard))
+        (0..self.shards.len())
+            .filter_map(|i| self.shard_wake(i))
             .min()
     }
 
-    /// Advance every live shard to `now` (peer simulation entities share one
-    /// clock). Partitioned shards still advance — they are running, merely
-    /// unreachable from the front tier.
+    /// Advance every live shard with an event due at or before `now` (peer
+    /// simulation entities share one clock). A shard whose next event lies
+    /// after `now` is skipped: advancing it would change nothing. Partitioned
+    /// shards still advance — they are running, merely unreachable from the
+    /// front tier.
     pub fn advance_all(&mut self, now: SimTime) {
-        for (shard, &live) in self.shards.iter_mut().zip(&self.live) {
-            if live {
-                shard.advance(now);
+        for i in 0..self.shards.len() {
+            if self.shard_wake(i).is_some_and(|at| at <= now) {
+                self.shard_mut(i).advance(now);
             }
         }
     }
@@ -859,6 +909,7 @@ impl ShardedGateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use first_auth::TokenString;
     use std::collections::BTreeMap;
 
     #[test]
@@ -1124,5 +1175,240 @@ mod tests {
             assert!(!d.spilled);
         }
         assert_eq!(fleet.spilled_total(), 0);
+    }
+
+    const MODEL_70B: &str = "meta-llama/Llama-3.3-70B-Instruct";
+
+    /// A cold fleet (no prewarm, so an untouched shard has no pending
+    /// event) with `alice` enrolled on every shard.
+    fn cold_fleet(config: ShardingConfig) -> (ShardedGateway, Vec<TokenString>) {
+        let mut fleet =
+            ShardedGateway::from_builder(&DeploymentBuilder::single_cluster_test(), config);
+        let tokens = fleet
+            .shards_mut()
+            .iter_mut()
+            .map(|gw| crate::deploy::enroll_standard_users(gw).alice)
+            .collect();
+        (fleet, tokens)
+    }
+
+    fn admit(gw: &mut Gateway, token: &TokenString, tag: &str, at: SimTime) {
+        let req = crate::api::ChatCompletionRequest::simple(MODEL_70B, tag, 64);
+        gw.chat_completions(&req, token, Some(32), at)
+            .expect("accepted");
+    }
+
+    fn is_stale(fleet: &ShardedGateway, index: usize) -> bool {
+        matches!(fleet.wake[index].get(), Wake::Stale)
+    }
+
+    #[test]
+    fn admission_through_shard_mut_shows_in_the_fleet_wake() {
+        let (mut fleet, tokens) = cold_fleet(ShardingConfig::with_shards(2));
+        assert_eq!(fleet.next_event_time(), None, "a cold fleet is idle");
+        admit(
+            fleet.shard_mut(1),
+            &tokens[1],
+            "hello",
+            SimTime::from_secs(5),
+        );
+        let wake = SimProcess::next_event_time(fleet.shard(1));
+        assert!(wake.is_some());
+        assert_eq!(fleet.shard_wake(1), wake);
+        assert_eq!(fleet.shard_wake(0), None);
+        assert_eq!(fleet.next_event_time(), wake);
+    }
+
+    #[test]
+    fn take_responses_keeps_the_cached_wake() {
+        let (mut fleet, tokens) = cold_fleet(ShardingConfig::with_shards(2));
+        admit(
+            fleet.shard_mut(0),
+            &tokens[0],
+            "hello",
+            SimTime::from_secs(1),
+        );
+        let wake = fleet.next_event_time();
+        assert!((0..2).all(|i| !is_stale(&fleet, i)), "a read refreshes");
+        assert!(fleet.take_responses(0).is_empty());
+        assert!(fleet.take_responses(1).is_empty());
+        assert!(
+            (0..2).all(|i| !is_stale(&fleet, i)),
+            "collecting responses forces no refresh"
+        );
+        assert_eq!(fleet.next_event_time(), wake);
+        fleet.shard_mut(1);
+        assert!(is_stale(&fleet, 1), "mutable access invalidates");
+        assert!(!is_stale(&fleet, 0));
+    }
+
+    #[test]
+    fn killed_wake_leaves_the_minimum_and_restored_wake_rejoins() {
+        let builder = DeploymentBuilder::single_cluster_test();
+        let (mut fleet, tokens) = cold_fleet(ShardingConfig::with_shards(2));
+        admit(
+            fleet.shard_mut(0),
+            &tokens[0],
+            "late",
+            SimTime::from_secs(30),
+        );
+        admit(
+            fleet.shard_mut(1),
+            &tokens[1],
+            "early",
+            SimTime::from_secs(1),
+        );
+        let late = SimProcess::next_event_time(fleet.shard(0));
+        let early = SimProcess::next_event_time(fleet.shard(1));
+        assert!(early < late);
+        assert_eq!(fleet.next_event_time(), early);
+
+        assert!(fleet.kill_shard(1, SimTime::from_secs(2)));
+        assert_eq!(fleet.shard_wake(1), None, "a dead shard has no wake");
+        assert_eq!(fleet.next_event_time(), late);
+
+        let mut fresh = builder.build();
+        let token = crate::deploy::enroll_standard_users(&mut fresh).alice;
+        admit(&mut fresh, &token, "again", SimTime::from_secs(3));
+        let rejoined = SimProcess::next_event_time(&fresh);
+        assert!(rejoined < late);
+        assert!(fleet.restore_shard(1, fresh, SimTime::from_secs(3)));
+        assert_eq!(fleet.next_event_time(), rejoined);
+    }
+
+    #[test]
+    fn traffic_homed_on_one_shard_moves_only_that_shard() {
+        use first_desim::stats::kernel;
+        let samples = first_workload::ShareGptGenerator::new(3).samples(24);
+        let arrivals: Vec<SimTime> = (0..24).map(|i| SimTime::from_millis(250 * i)).collect();
+        let horizon = SimTime::from_secs(24 * 3600);
+        let run = |shards: usize| {
+            let (mut fleet, tokens) = cold_fleet(ShardingConfig::with_shards(shards));
+            kernel::reset();
+            let report = crate::sim::run_sharded_openloop(
+                &mut fleet, &tokens, MODEL_70B, &samples, &arrivals, 1, "r", horizon,
+            );
+            let home = fleet.home_shard("user-0");
+            assert_eq!(fleet.routed()[home], 24, "every request homes on one shard");
+            (kernel::events_processed(), report)
+        };
+        let (alone, mut single) = run(1);
+        let (fleet, mut sharded) = run(4);
+        assert!(alone > 0);
+        assert_eq!(
+            fleet, alone,
+            "three idle shards must record no kernel event"
+        );
+        single.label.clear();
+        sharded.label.clear();
+        assert_eq!(single, sharded);
+    }
+
+    /// One response as the differential test compares it.
+    type Seen = (usize, u64, SimTime, crate::api::Usage);
+
+    /// The pre-cache loop: every live shard advances at every step, and
+    /// the next step is read from every live shard directly.
+    #[allow(clippy::too_many_arguments)]
+    fn every_shard_openloop(
+        fleet: &mut ShardedGateway,
+        tokens: &[TokenString],
+        samples: &[first_workload::ConversationSample],
+        arrivals: &[SimTime],
+        users: usize,
+        horizon: SimTime,
+    ) -> Vec<Seen> {
+        let n = fleet.shard_count();
+        let homes: Vec<usize> = (0..users)
+            .map(|u| fleet.home_shard(&format!("user-{u}")))
+            .collect();
+        let mut seen = Vec::new();
+        let mut collect = |fleet: &mut ShardedGateway| {
+            for i in 0..n {
+                for r in fleet.shard_mut(i).take_responses() {
+                    seen.push((i, r.request_id, r.finished_at, r.usage));
+                }
+            }
+        };
+        let mut next = 0usize;
+        loop {
+            let internal = (0..n)
+                .filter(|&i| fleet.is_live(i))
+                .filter_map(|i| SimProcess::next_event_time(fleet.shard(i)))
+                .min();
+            let Some(step) = [arrivals.get(next).copied(), internal]
+                .into_iter()
+                .flatten()
+                .min()
+            else {
+                break;
+            };
+            if step > horizon {
+                break;
+            }
+            for i in 0..n {
+                if fleet.is_live(i) {
+                    fleet.shard_mut(i).advance(step);
+                }
+            }
+            while next < arrivals.len() && arrivals[next] <= step {
+                let req = crate::sim::synthetic_chat_request(MODEL_70B, next, &samples[next]);
+                let d = fleet.route_home(homes[next % users]);
+                let _ = fleet.shard_mut(d.shard).chat_completions(
+                    &req,
+                    &tokens[d.shard],
+                    Some(samples[next].output_tokens),
+                    arrivals[next],
+                );
+                next += 1;
+            }
+            collect(fleet);
+            if next >= arrivals.len() && fleet.is_drained() {
+                break;
+            }
+        }
+        collect(fleet);
+        seen
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Advancing only due shards answers every request exactly as
+        /// advancing the whole fleet at every step does: same shard, same
+        /// id, same finish instant, same usage.
+        #[test]
+        fn due_only_walk_matches_every_shard_walk(
+            requests in 1usize..40,
+            rate in 0.5f64..20.0,
+            users in 1usize..6,
+            threshold in 0usize..4,
+            fraction in 0.1f64..0.9,
+            seed in 0u64..1_000,
+        ) {
+            let samples = first_workload::ShareGptGenerator::new(seed).samples(requests);
+            let mut rng = first_desim::SimRng::seed_from_u64(seed ^ 0x5EED);
+            let arrivals = first_workload::ArrivalProcess::Poisson(rate)
+                .arrivals(requests, SimTime::ZERO, &mut rng);
+            let horizon = SimTime::from_secs(24 * 3600);
+            let config = ShardingConfig::with_shards(3)
+                .spill(SpilloverPolicy::bounded(threshold, fraction));
+
+            let (mut fleet, tokens) = cold_fleet(config.clone());
+            let mut due_only = Vec::new();
+            crate::sim::drive_sharded_openloop(
+                &mut fleet, &tokens, MODEL_70B, &samples, &arrivals, users, horizon,
+                |shard, r| due_only.push((shard, r.request_id, r.finished_at, r.usage)),
+            );
+            let (mut reference, ref_tokens) = cold_fleet(config);
+            let every = every_shard_openloop(
+                &mut reference, &ref_tokens, &samples, &arrivals, users, horizon,
+            );
+            prop_assert_eq!(due_only.len(), requests);
+            prop_assert_eq!(due_only, every);
+            prop_assert_eq!(fleet.spilled_out(), reference.spilled_out());
+        }
     }
 }

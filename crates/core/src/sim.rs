@@ -8,7 +8,7 @@
 //! runner drives concurrent WebUI sessions for Table 1.
 
 use crate::api::ChatCompletionRequest;
-use crate::gateway::Gateway;
+use crate::gateway::{CompletedRequest, Gateway};
 use crate::shard::ShardedGateway;
 use first_auth::TokenString;
 use first_chaos::FaultInjector;
@@ -261,6 +261,52 @@ pub fn run_sharded_openloop(
     rate_label: &str,
     horizon: SimTime,
 ) -> ScenarioReport {
+    let mut latencies = Histogram::with_capacity(samples.len());
+    let mut output_tokens = 0u64;
+    let mut last_completion = SimTime::ZERO;
+    drive_sharded_openloop(
+        fleet,
+        tokens,
+        model,
+        samples,
+        arrivals,
+        users,
+        horizon,
+        |_, r| {
+            if r.success {
+                latencies.record(r.latency().as_secs_f64());
+                output_tokens += r.usage.completion_tokens as u64;
+                last_completion = last_completion.max(r.finished_at);
+            }
+        },
+    );
+    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
+    let duration = (last_completion - first_arrival).as_secs_f64();
+    ScenarioReport::from_observations(
+        &format!("FIRST x{} shards", fleet.shard_count()),
+        rate_label,
+        samples.len(),
+        &mut latencies,
+        output_tokens,
+        duration,
+    )
+}
+
+/// The next-event loop behind [`run_sharded_openloop`]: hands every
+/// response to `sink` together with the index of the shard that answered
+/// it, shard by shard after each step (which keeps the order
+/// deterministic).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive_sharded_openloop(
+    fleet: &mut ShardedGateway,
+    tokens: &[TokenString],
+    model: &str,
+    samples: &[ConversationSample],
+    arrivals: &[SimTime],
+    users: usize,
+    horizon: SimTime,
+    mut sink: impl FnMut(usize, CompletedRequest),
+) {
     assert_eq!(samples.len(), arrivals.len());
     assert_eq!(
         tokens.len(),
@@ -273,13 +319,15 @@ pub fn run_sharded_openloop(
     let homes: Vec<usize> = (0..users)
         .map(|u| fleet.home_shard(&format!("user-{u}")))
         .collect();
+    let mut collect = |fleet: &mut ShardedGateway| {
+        for shard in 0..fleet.shard_count() {
+            for r in fleet.take_responses(shard) {
+                sink(shard, r);
+            }
+        }
+    };
 
-    let mut latencies = Histogram::with_capacity(samples.len());
-    let mut output_tokens = 0u64;
     let mut next = 0usize;
-    let mut last_completion = SimTime::ZERO;
-    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
-
     loop {
         let next_arrival = arrivals.get(next).copied();
         let step = match (next_arrival, fleet.next_event_time()) {
@@ -303,38 +351,12 @@ pub fn run_sharded_openloop(
             );
             next += 1;
         }
-        // Shard-ordered collection keeps the aggregate deterministic.
-        for shard in 0..fleet.shard_count() {
-            for r in fleet.shard_mut(shard).take_responses() {
-                if r.success {
-                    latencies.record(r.latency().as_secs_f64());
-                    output_tokens += r.usage.completion_tokens as u64;
-                    last_completion = last_completion.max(r.finished_at);
-                }
-            }
-        }
+        collect(fleet);
         if next >= arrivals.len() && fleet.is_drained() {
             break;
         }
     }
-    for shard in 0..fleet.shard_count() {
-        for r in fleet.shard_mut(shard).take_responses() {
-            if r.success {
-                latencies.record(r.latency().as_secs_f64());
-                output_tokens += r.usage.completion_tokens as u64;
-                last_completion = last_completion.max(r.finished_at);
-            }
-        }
-    }
-    let duration = (last_completion - first_arrival).as_secs_f64();
-    ScenarioReport::from_observations(
-        &format!("FIRST x{} shards", fleet.shard_count()),
-        rate_label,
-        samples.len(),
-        &mut latencies,
-        output_tokens,
-        duration,
-    )
+    collect(fleet);
 }
 
 /// Replay `samples` against a direct vLLM server (single-threaded frontend in
