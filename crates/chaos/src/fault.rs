@@ -547,7 +547,7 @@ impl FaultInjector {
             }
             FaultKind::EngineStall { endpoint, duration } => service
                 .endpoint_mut(endpoint)
-                .map(|ep| ep.stall_engines(now + *duration) > 0)
+                .map(|ep| ep.stall_engines(now, now + *duration) > 0)
                 .unwrap_or(false),
         }
     }

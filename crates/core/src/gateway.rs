@@ -1816,7 +1816,7 @@ mod tests {
         gw.service_mut()
             .endpoint_mut("sophia-endpoint")
             .unwrap()
-            .stall_engines(SimTime::from_secs(3600));
+            .stall_engines(SimTime::ZERO, SimTime::from_secs(3600));
         let req = ChatCompletionRequest::simple(MODEL, "hedge me", 100);
         gw.chat_completions(&req, &tokens.alice, Some(100), SimTime::ZERO)
             .unwrap();
@@ -1842,7 +1842,7 @@ mod tests {
         gw.service_mut()
             .endpoint_mut("sophia-endpoint")
             .unwrap()
-            .stall_engines(SimTime::from_secs(600));
+            .stall_engines(SimTime::ZERO, SimTime::from_secs(600));
         for i in 0..30u64 {
             let req = ChatCompletionRequest::simple(MODEL, &format!("hedge wheel {i}"), 80);
             gw.chat_completions(&req, &tokens.alice, Some(80), SimTime::from_secs(i * 20))

@@ -523,15 +523,15 @@ impl ComputeEndpoint {
     }
 
     /// Stall every autoregressive (vLLM) serving engine on the endpoint
-    /// until `until` (fault injection). Embedding backends are unaffected —
-    /// the modelled failure is a decode-loop hang. Returns the number of
-    /// engines affected.
-    pub fn stall_engines(&mut self, until: SimTime) -> usize {
+    /// from `now` until `until` (fault injection). Embedding backends are
+    /// unaffected — the modelled failure is a decode-loop hang. Returns the
+    /// number of engines affected.
+    pub fn stall_engines(&mut self, now: SimTime, until: SimTime) -> usize {
         self.dirty = true;
         let mut stalled = 0;
         for inst in self.instances.iter_mut() {
             if let Some(InstanceBackend::Vllm(engine)) = inst.backend.as_mut() {
-                engine.stall(until);
+                engine.stall(now, until);
                 stalled += 1;
             }
         }
@@ -1228,7 +1228,10 @@ mod tests {
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
         ep.receive_task(TaskId(1), chat_req(1), SimTime::ZERO);
         ep.advance(SimTime::from_millis(100));
-        assert_eq!(ep.stall_engines(SimTime::from_secs(200)), 1);
+        assert_eq!(
+            ep.stall_engines(SimTime::from_millis(100), SimTime::from_secs(200)),
+            1
+        );
         drive(&mut ep, SimTime::from_secs(600));
         let results = ep.take_results();
         assert_eq!(results.len(), 1);
@@ -1238,5 +1241,26 @@ mod tests {
             "completion at {:?} should wait out the stall",
             results[0].finished_at
         );
+    }
+
+    #[test]
+    fn decode_steps_without_batch_changes_do_not_wake_the_endpoint() {
+        let mut ep = endpoint();
+        ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
+        let req = InferenceRequest::chat(1, "meta-llama/Llama-3.3-70B-Instruct", 220, 200);
+        ep.receive_task(TaskId(1), req, SimTime::ZERO);
+        let mut wakes = 0;
+        let mut results = Vec::new();
+        while results.is_empty() {
+            let t = SimProcess::next_event_time(&ep).expect("the request is in flight");
+            ep.advance(t);
+            wakes += 1;
+            results = ep.take_results();
+        }
+        assert!(results[0].success);
+        assert_eq!(results[0].completion.as_ref().unwrap().output_tokens, 200);
+        // Admission and completion are the only batch changes, so the
+        // endpoint wakes at most for those two steps, not once per token.
+        assert!(wakes <= 2, "{wakes} wakes for one 200-token request");
     }
 }

@@ -6,6 +6,13 @@
 //! grows mildly with batch size (so aggregate throughput saturates), and a
 //! cold engine spends a model-size-dependent time loading weights before it
 //! serves anything (§4.3).
+//!
+//! The batch changes only when a sequence is admitted or finishes. When a
+//! step leaves admission blocked, the steps up to the next completion are
+//! pure decode steps that change nothing outside the engine, so the engine
+//! reports that completion's step as its next event and runs the pure steps
+//! inside [`SimProcess::advance`] — one kernel event per batch change
+//! instead of one per token step, with every step still executed.
 
 use crate::kvcache::{BlockPool, DEFAULT_BLOCK_TOKENS};
 use crate::model::ModelSpec;
@@ -80,7 +87,7 @@ pub enum EngineState {
 }
 
 /// Aggregate engine statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Requests accepted into the waiting queue.
     pub accepted: u64,
@@ -134,6 +141,9 @@ pub struct VllmEngine {
     running: Vec<RunningSeq>,
     progress: Vec<SeqProgress>,
     next_step_at: Option<SimTime>,
+    /// Start of the next step that can admit or complete a sequence, when
+    /// later than `next_step_at`; the steps before it are pure decode steps.
+    fused_wake: Option<SimTime>,
     stalled_until: Option<SimTime>,
     completions: Vec<InferenceCompletion>,
     stats: EngineStats,
@@ -153,6 +163,7 @@ impl VllmEngine {
             running: Vec::new(),
             progress: Vec::new(),
             next_step_at: None,
+            fused_wake: None,
             stalled_until: None,
             completions: Vec::new(),
             stats: EngineStats::default(),
@@ -188,10 +199,11 @@ impl VllmEngine {
             || (self.state == EngineState::Loading && now >= self.ready_at)
     }
 
-    /// Stall the engine until `until` (fault injection: NCCL hang, storage
-    /// stall). No decode step executes inside the window; queued and running
-    /// work resumes afterwards from where it stopped.
-    pub fn stall(&mut self, until: SimTime) {
+    /// Stall the engine from `now` until `until` (fault injection: NCCL
+    /// hang, storage stall). No decode step executes inside the window;
+    /// queued and running work resumes afterwards from where it stopped.
+    pub fn stall(&mut self, now: SimTime, until: SimTime) {
+        self.unfuse(now);
         if self
             .stalled_until
             .map(|current| until > current)
@@ -217,6 +229,19 @@ impl VllmEngine {
         }
     }
 
+    /// Run the pure decode steps that start before `now`, then drop the
+    /// fused wake: an outside change (a new request, a stall) can make the
+    /// very next step differ from what the wake assumed.
+    fn unfuse(&mut self, now: SimTime) {
+        let Some(wake) = self.fused_wake else {
+            return;
+        };
+        while let Some(t) = self.next_step_at.filter(|&t| t < now.min(wake)) {
+            self.execute_step(t);
+        }
+        self.fused_wake = None;
+    }
+
     /// Stop the engine (hot-node release). Outstanding work is dropped.
     pub fn stop(&mut self) {
         self.state = EngineState::Stopped;
@@ -224,6 +249,7 @@ impl VllmEngine {
         self.running.clear();
         self.progress.clear();
         self.next_step_at = None;
+        self.fused_wake = None;
     }
 
     /// Aggregate statistics.
@@ -263,12 +289,11 @@ impl VllmEngine {
             self.stats.rejected += 1;
             return false;
         }
-        if !BlockPool::new(self.kv.total_blocks(), self.kv.block_tokens)
-            .can_admit(req.total_tokens())
-        {
+        if self.kv.blocks_for_tokens(req.total_tokens()) > self.kv.total_blocks() {
             self.stats.rejected += 1;
             return false;
         }
+        self.unfuse(now);
         self.stats.accepted += 1;
         self.waiting.push_back(WaitingRequest {
             req,
@@ -282,7 +307,7 @@ impl VllmEngine {
 
     /// Admit waiting requests into the running batch. Returns the total
     /// prefill time consumed by newly admitted sequences.
-    fn admit(&mut self, now: SimTime) -> SimDuration {
+    fn admit(&mut self) -> SimDuration {
         let mut prefill = SimDuration::ZERO;
         while self.running.len() < self.config.max_num_seqs {
             let Some(front) = self.waiting.front() else {
@@ -310,25 +335,27 @@ impl VllmEngine {
                 req: w.req,
             });
         }
-        let _ = now;
         prefill
+    }
+
+    /// Whether the next step could admit the head of the waiting queue.
+    fn can_admit_head(&self) -> bool {
+        self.running.len() < self.config.max_num_seqs
+            && self
+                .waiting
+                .front()
+                .is_some_and(|w| self.kv.can_admit(w.req.total_tokens()))
     }
 
     /// Execute one continuous-batching step starting at `step_start`.
     fn execute_step(&mut self, step_start: SimTime) {
         let admitted_from = self.running.len();
-        let prefill_time = self.admit(step_start);
+        let prefill_time = self.admit();
         if self.running.is_empty() {
             // Nothing admitted (queue empty, or head larger than free KV while
             // others run elsewhere): go idle until the next enqueue.
-            self.next_step_at = if self.waiting.is_empty() {
-                None
-            } else {
-                // Head is blocked on KV space that only frees when running
-                // sequences elsewhere complete; with an empty running set this
-                // cannot progress, so drop to idle and rely on enqueue to wake.
-                None
-            };
+            self.next_step_at = None;
+            self.fused_wake = None;
             return;
         }
         let batch = self.running.len();
@@ -353,10 +380,13 @@ impl VllmEngine {
         // Per-token hot loop over the dense counters only; the heavy request
         // structs are touched exclusively on completion.
         let mut finished: Vec<usize> = Vec::new();
+        let mut steps_to_completion = u32::MAX;
         for (i, p) in self.progress.iter_mut().enumerate() {
             p.generated += 1;
             if p.generated >= p.target {
                 finished.push(i);
+            } else {
+                steps_to_completion = steps_to_completion.min(p.target - p.generated);
             }
         }
         self.stats.output_tokens += batch as u64;
@@ -382,22 +412,49 @@ impl VllmEngine {
         } else {
             Some(self.not_before_stall(step_end))
         };
+        // With admission blocked, nothing changes until the sequence closest
+        // to its target finishes: the steps before that one are pure decode
+        // steps of this batch size, with no prefill. `steps_to_completion`
+        // stays `u32::MAX` when no sequence is left running.
+        self.fused_wake = match self.next_step_at {
+            Some(next)
+                if steps_to_completion > 1
+                    && steps_to_completion < u32::MAX
+                    && !self.can_admit_head() =>
+            {
+                let decode = self.config.perf.decode_step_time(
+                    &self.config.model,
+                    self.config.gpu,
+                    self.config.tensor_parallel,
+                    self.running.len(),
+                );
+                Some(
+                    next + SimDuration::from_micros(
+                        decode.as_micros() * u64::from(steps_to_completion - 1),
+                    ),
+                )
+            }
+            _ => None,
+        };
     }
 
-    /// Next internal event: readiness transition or the next decode step.
+    /// Next internal event: readiness transition, or the next step that can
+    /// admit or complete a sequence.
     fn next_internal_time(&self) -> Option<SimTime> {
         match self.state {
             EngineState::Stopped => None,
-            EngineState::Loading => {
-                if self.waiting.is_empty() && self.running.is_empty() {
-                    // Still become ready so hot-node tracking sees the transition.
-                    Some(self.ready_at)
-                } else {
-                    Some(self.ready_at)
-                }
-            }
-            EngineState::Ready => self.next_step_at,
+            // A drained engine still becomes ready so hot-node tracking
+            // sees the transition.
+            EngineState::Loading => Some(self.ready_at),
+            EngineState::Ready => self.fused_wake.or(self.next_step_at),
         }
+    }
+
+    /// Start of the next decode step, pure or not (the differential tests
+    /// step a reference engine through every one of them).
+    #[cfg(test)]
+    fn next_step_at(&self) -> Option<SimTime> {
+        self.next_step_at
     }
 }
 
@@ -644,7 +701,7 @@ mod tests {
             SimTime::ZERO,
         );
         let stall_end = SimTime::from_secs(120);
-        engine.stall(stall_end);
+        engine.stall(SimTime::ZERO, stall_end);
         assert_eq!(engine.stalled_until(SimTime::ZERO), Some(stall_end));
         // No decode step is scheduled before the stall ends.
         assert_eq!(SimProcess::next_event_time(&engine), Some(stall_end));
@@ -665,11 +722,163 @@ mod tests {
         assert_eq!(engine.stalled_until(now), None);
         // A request enqueued during a stall also waits for it.
         let mut engine = VllmEngine::hot(config8(), SimTime::ZERO);
-        engine.stall(stall_end);
+        engine.stall(SimTime::ZERO, stall_end);
         engine.enqueue(
             InferenceRequest::chat(2, "llama-8b", 100, 20),
             SimTime::from_secs(10),
         );
         assert_eq!(SimProcess::next_event_time(&engine), Some(stall_end));
+    }
+
+    #[test]
+    fn blocked_admission_fuses_decode_steps_up_to_the_next_completion() {
+        let mut cfg = config8();
+        cfg.max_num_seqs = 2;
+        let mut engine = VllmEngine::hot(cfg, SimTime::ZERO);
+        for (id, output) in [(1, 30), (2, 12), (3, 5)] {
+            engine.enqueue(
+                InferenceRequest::chat(id, "llama-8b", 100, output),
+                SimTime::ZERO,
+            );
+        }
+        engine.advance(SimTime::ZERO);
+        // Both slots are taken, so request 2's twelfth token is the next
+        // batch change: eleven pure steps pass without a wake.
+        let next = engine.next_step_at().unwrap();
+        let decode = engine.config.perf.decode_step_time(
+            &engine.config.model,
+            engine.config.gpu,
+            engine.config.tensor_parallel,
+            2,
+        );
+        let wake = next + SimDuration::from_micros(decode.as_micros() * 10);
+        assert_eq!(SimProcess::next_event_time(&engine), Some(wake));
+        engine.advance(wake);
+        let done = engine.take_completions();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id.0, 2);
+        assert_eq!(done[0].finished_at, wake + decode);
+        // The freed slot admits request 3 on the very next step.
+        assert_eq!(SimProcess::next_event_time(&engine), engine.next_step_at());
+    }
+
+    /// A completion as handed out: the instant it was taken, then its id,
+    /// `accepted_at`, `first_token_at` and `finished_at`.
+    type Taken = (SimTime, u64, SimTime, SimTime, SimTime);
+
+    /// A hot 8B engine with a small batch cap and a KV pool of `kv_blocks`.
+    fn tight_engine(max_num_seqs: usize, kv_blocks: u64) -> VllmEngine {
+        let mut cfg = config8();
+        cfg.max_num_seqs = max_num_seqs;
+        let mut engine = VllmEngine::hot(cfg, SimTime::ZERO);
+        engine.kv = BlockPool::new(kv_blocks, DEFAULT_BLOCK_TOKENS);
+        engine
+    }
+
+    fn take(engine: &mut VllmEngine, at: SimTime, log: &mut Vec<Taken>) {
+        log.extend(
+            engine
+                .take_completions()
+                .into_iter()
+                .map(|c| (at, c.id.0, c.accepted_at, c.first_token_at, c.finished_at)),
+        );
+    }
+
+    /// Advance `engine` at every instant before `until` that it asks for:
+    /// every step boundary for the reference, every reported wake for the
+    /// engine under test.
+    fn run_before(
+        engine: &mut VllmEngine,
+        until: Option<SimTime>,
+        every_step: bool,
+        log: &mut Vec<Taken>,
+    ) {
+        for _ in 0..100_000 {
+            let next = if every_step {
+                engine.next_step_at()
+            } else {
+                SimProcess::next_event_time(engine)
+            };
+            match next {
+                Some(t) if until.is_none_or(|u| t < u) => {
+                    engine.advance(t);
+                    take(engine, t, log);
+                }
+                _ => return,
+            }
+        }
+        panic!("engine never stopped asking for events before {until:?}");
+    }
+
+    mod fused_steps {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Reporting only batch-changing steps as wakes hands out the
+            /// same completions, at the same instants, with the same
+            /// statistics, as stepping the engine at every step boundary —
+            /// whatever the outside calls and wherever they land.
+            #[test]
+            fn fused_engine_matches_every_step_reference(
+                max_num_seqs in 1usize..5,
+                kv_blocks in 8u64..40,
+                calls in collection::vec(
+                    ((0u8..4, 0u8..2), 0u64..2_000_000, 1u32..200, 1u32..=40),
+                    1..30,
+                ),
+            ) {
+                let mut fused = tight_engine(max_num_seqs, kv_blocks);
+                let mut reference = fused.clone();
+                let (mut fused_log, mut ref_log) = (Vec::new(), Vec::new());
+                let mut now = SimTime::ZERO;
+                for (id, ((kind, advance_first), gap, prompt, output)) in
+                    calls.into_iter().enumerate()
+                {
+                    // Odd kinds land exactly on a step boundary a few steps
+                    // ahead; even kinds land anywhere, mostly mid-window.
+                    let mid = now + SimDuration::from_micros(gap);
+                    now = if kind % 2 == 1 {
+                        let mut probe = reference.clone();
+                        for _ in 0..gap % 8 {
+                            let Some(t) = probe.next_step_at() else { break };
+                            probe.advance(t);
+                        }
+                        probe.next_step_at().unwrap_or(mid)
+                    } else {
+                        mid
+                    };
+                    run_before(&mut fused, Some(now), false, &mut fused_log);
+                    run_before(&mut reference, Some(now), true, &mut ref_log);
+                    if advance_first == 1 {
+                        // The endpoint advanced the engine for another reason.
+                        fused.advance(now);
+                        take(&mut fused, now, &mut fused_log);
+                        reference.advance(now);
+                        take(&mut reference, now, &mut ref_log);
+                    }
+                    // Kinds 0 and 1 enqueue; 2 and 3 stall for up to a second.
+                    if kind < 2 {
+                        let req = InferenceRequest::chat(id as u64, "llama-8b", prompt, output);
+                        let accepted = fused.enqueue(req.clone(), now);
+                        prop_assert_eq!(accepted, reference.enqueue(req, now));
+                    } else {
+                        let until = now + SimDuration::from_micros(u64::from(prompt) * 5_000);
+                        fused.stall(now, until);
+                        reference.stall(now, until);
+                    }
+                    prop_assert_eq!(fused.queue_depth(), reference.queue_depth());
+                    prop_assert_eq!(fused.running_count(), reference.running_count());
+                }
+                run_before(&mut fused, None, false, &mut fused_log);
+                run_before(&mut reference, None, true, &mut ref_log);
+                prop_assert!(fused.is_idle() && reference.is_idle());
+                prop_assert_eq!(&fused_log, &ref_log);
+                prop_assert_eq!(fused.stats(), reference.stats());
+                prop_assert_eq!(fused_log.len() as u64, fused.stats().completed);
+            }
+        }
     }
 }
