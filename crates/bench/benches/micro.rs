@@ -23,7 +23,7 @@ fn bench_engine_decode(c: &mut Criterion) {
                     let cfg =
                         EngineConfig::for_model(find_model("llama-8b").unwrap(), GpuModel::A100_40);
                     let requests: Vec<InferenceRequest> = (0..n as u64)
-                        .map(|i| InferenceRequest::chat(i, "llama-8b", 200, 100))
+                        .map(|i| InferenceRequest::chat(i, 200, 100))
                         .collect();
                     run_to_completion(cfg, requests, false)
                 });

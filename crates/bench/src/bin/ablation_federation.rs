@@ -46,8 +46,9 @@ fn run_policy(policy: RoutingPolicy, n: usize) -> PolicyOutcome {
 
     let mut per_endpoint: BTreeMap<String, u64> = BTreeMap::new();
     for entry in gateway.log().entries() {
-        if entry.success && !entry.endpoint.is_empty() {
-            *per_endpoint.entry(entry.endpoint.clone()).or_insert(0) += 1;
+        let name = gateway.endpoint_name(entry.endpoint);
+        if entry.success && !name.is_empty() {
+            *per_endpoint.entry(name.to_string()).or_insert(0) += 1;
         }
     }
     PolicyOutcome {

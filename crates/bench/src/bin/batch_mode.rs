@@ -11,12 +11,12 @@ use first_hpc::GpuModel;
 use first_serving::{find_model, run_offline_batch, EngineConfig, InferenceRequest};
 use first_workload::ShareGptGenerator;
 
-fn requests(n: usize, model: &str) -> Vec<InferenceRequest> {
+fn requests(n: usize) -> Vec<InferenceRequest> {
     ShareGptGenerator::new(first_bench::benchmark_seed())
         .samples(n)
         .into_iter()
         .enumerate()
-        .map(|(i, s)| InferenceRequest::chat(i as u64, model, s.prompt_tokens, s.output_tokens))
+        .map(|(i, s)| InferenceRequest::chat(i as u64, s.prompt_tokens, s.output_tokens))
         .collect()
 }
 
@@ -26,7 +26,7 @@ fn main() {
 
     let n = benchmark_request_count();
     let meter = SimMeter::start();
-    let report = run_offline_batch(cfg.clone(), requests(n, &model.name));
+    let report = run_offline_batch(cfg.clone(), requests(n));
     println!(
         "== Batch mode — {} requests, Llama 3.3 70B ==",
         report.requests
@@ -62,7 +62,7 @@ fn main() {
     );
     let mut sim_secs = report.total_duration.as_secs_f64();
     for size in [100usize, 500, 1000, 5000, 10_000] {
-        let r = run_offline_batch(cfg.clone(), requests(size, &model.name));
+        let r = run_offline_batch(cfg.clone(), requests(size));
         sim_secs += r.total_duration.as_secs_f64();
         println!(
             "{:>9} {:>12.1} {:>14.1} {:>16.1}",

@@ -4,8 +4,9 @@
 //! aggregates the paper reports.
 
 use first_bench::{print_comparisons, print_sim_stats, BenchArtifact, Comparison, GateMetric};
-use first_core::{RequestLog, RequestLogEntry, Usage};
-use first_desim::{SimDuration, SimMeter, SimTime};
+use first_core::{ApiOperation, RequestLog, RequestLogEntry, Usage, UserSym};
+use first_desim::{SimDuration, SimMeter, SimTime, SymbolId};
+use first_fabric::EndpointId;
 use first_serving::catalog;
 use first_workload::{generate_trace, DeploymentTraceConfig, TraceEntryKind};
 
@@ -25,15 +26,19 @@ fn main() {
     // Replay through the request-log/accounting layer.
     let models = catalog();
     let mut log = RequestLog::new();
+    let users: Vec<UserSym> = (0..config.users)
+        .map(|u| log.intern_user(&format!("user-{u:02}")))
+        .collect();
+    // One endpoint; a model's id is its catalog index.
     for (i, e) in trace.entries.iter().enumerate() {
-        let model = &models[e.model_index % models.len()];
+        let (user, model) = (users[e.user as usize], e.model_index % models.len());
         let usage = Usage::new(e.prompt_tokens, e.output_tokens);
         log.record(RequestLogEntry {
             request_id: i as u64,
-            user: format!("user-{:02}", e.user),
-            model: model.name.clone(),
-            endpoint: "sophia-endpoint".to_string(),
-            operation: "chat_completions".to_string(),
+            user,
+            model: SymbolId(model as u32),
+            endpoint: Some(EndpointId(0)),
+            operation: ApiOperation::ChatCompletions,
             arrived_at: e.at,
             finished_at: e.at + SimDuration::from_secs(8),
             prompt_tokens: usage.prompt_tokens,
@@ -79,7 +84,10 @@ fn main() {
     print_comparisons("Deployment totals", &totals);
 
     println!("\ntop models by requests:");
-    let mut by_model: Vec<_> = log.usage_by_model().into_iter().collect();
+    let mut by_model: Vec<_> = log
+        .usage_by_model(|m| &models[m.index()].name)
+        .into_iter()
+        .collect();
     by_model.sort_by_key(|(_, s)| std::cmp::Reverse(s.requests));
     for (model, summary) in by_model.into_iter().take(8) {
         println!(

@@ -256,11 +256,15 @@ impl HealthTracker {
         }
     }
 
+    /// The endpoint's record, created on first use; an endpoint already
+    /// tracked costs a lookup, not a name allocation.
     fn entry(&mut self, endpoint: &str) -> &mut EndpointHealth {
-        let config = self.config.clone();
-        self.endpoints
-            .entry(endpoint.to_string())
-            .or_insert_with(|| EndpointHealth::new(config))
+        if !self.endpoints.contains_key(endpoint) {
+            let config = self.config.clone();
+            self.endpoints
+                .insert(endpoint.to_string(), EndpointHealth::new(config));
+        }
+        self.endpoints.get_mut(endpoint).expect("inserted above")
     }
 
     /// Record a successful request served by `endpoint`.

@@ -52,8 +52,8 @@ fn event_log(seed: u64, submissions: &[u64]) -> String {
         // submission observes exactly the same world state on every run.
         injector.apply_due(&mut svc, at);
         svc.advance(at);
-        let req = InferenceRequest::chat(i as u64, MODEL, 200, 60);
-        let _ = svc.submit(function, "sophia-endpoint", req, at);
+        let req = InferenceRequest::chat(i as u64, 200, 60);
+        let _ = svc.submit(function, "sophia-endpoint", MODEL, req, at);
     }
     let mut log: Vec<TaskResult> = Vec::new();
     let horizon = SimTime::from_secs(3600);

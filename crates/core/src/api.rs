@@ -5,6 +5,7 @@
 //! modification. These types mirror the wire format (serde-serialisable JSON)
 //! and convert to the engine-level [`InferenceRequest`] used by the fabric.
 
+use crate::middleware::PromptKeyHasher;
 use first_serving::{InferenceRequest, RequestId, RequestKind};
 use first_workload::ChatMessage;
 use serde::{Deserialize, Serialize};
@@ -124,21 +125,37 @@ impl ChatCompletionRequest {
 
     /// Basic validation of the request body.
     pub fn validate(&self) -> Result<(), GatewayError> {
-        if self.model.trim().is_empty() {
-            return Err(GatewayError::InvalidRequest("model must be set".into()));
-        }
+        check_model(&self.model)?;
         if self.messages.is_empty() {
             return Err(GatewayError::InvalidRequest(
                 "messages must not be empty".into(),
             ));
         }
-        if self.max_tokens == 0 || self.max_tokens > 32_768 {
-            return Err(GatewayError::InvalidRequest(
-                "max_tokens must be between 1 and 32768".into(),
-            ));
-        }
-        Ok(())
+        check_max_tokens(self.max_tokens)
     }
+
+    /// The checks of [`ChatCompletionRequest::validate`] that do not need
+    /// the messages, for a request admitted by its [`PromptRef`].
+    pub(crate) fn validate_target(model: &str, max_tokens: u32) -> Result<(), GatewayError> {
+        check_model(model)?;
+        check_max_tokens(max_tokens)
+    }
+}
+
+fn check_model(model: &str) -> Result<(), GatewayError> {
+    if model.trim().is_empty() {
+        return Err(GatewayError::InvalidRequest("model must be set".into()));
+    }
+    Ok(())
+}
+
+fn check_max_tokens(max_tokens: u32) -> Result<(), GatewayError> {
+    if max_tokens == 0 || max_tokens > 32_768 {
+        return Err(GatewayError::InvalidRequest(
+            "max_tokens must be between 1 and 32768".into(),
+        ));
+    }
+    Ok(())
 }
 
 /// Whitespace-separated word count, equal to `s.split_whitespace().count()`.
@@ -161,6 +178,82 @@ fn count_words(s: &str) -> usize {
             .zip(&b[1..])
             .filter(|&(&a, &c)| ws(a) && !ws(c))
             .count()
+}
+
+/// A prompt as the request path carries it: its token count and, when the
+/// response cache may serve it, the cache key of its text. The gateway's one
+/// admit path takes this instead of text: [`crate::Gateway::chat_completions`]
+/// builds it from a request body, and simulated traffic builds it with
+/// [`PromptRef::synthetic`] from a stream index and a token count, so no
+/// prompt text is made, held or rescanned per request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PromptRef {
+    /// Prompt tokens, as [`ChatCompletionRequest::prompt_token_estimate`]
+    /// counts them.
+    pub(crate) tokens: u32,
+    /// [`crate::ResponseCache::key`] of (model, first message, `max_tokens`);
+    /// `None` when the prompt is not cacheable.
+    pub(crate) key: Option<u64>,
+}
+
+impl PromptRef {
+    /// The prompt of simulated request `index` of a stream: `prompt_tokens`
+    /// tokens for a request of `max_tokens` to `model`.
+    ///
+    /// Its token count and cache key are those of the one-message chat body
+    /// whose text is `q{index}` followed by filler words (` tok`, with every
+    /// seventh ` data`) up to `prompt_tokens - 4` words (one framing message
+    /// adds 4 tokens; at least one word, so 1–5 tokens all give 5). The
+    /// index keeps every prompt of a stream distinct, and re-sending an
+    /// index (a retry or a hedge) hits the response cache exactly as
+    /// re-sending that text would. The text itself is never built.
+    pub(crate) fn synthetic(
+        model: &str,
+        index: usize,
+        prompt_tokens: u32,
+        max_tokens: u32,
+    ) -> Self {
+        /// Eight periods of the filler (29 bytes each), so every prefix of
+        /// the block is a prefix of the endless filler.
+        const FILLER: [u8; 232] = {
+            let period = *b" tok tok tok tok tok tok data";
+            let mut block = [0u8; 232];
+            let mut i = 0;
+            while i < block.len() {
+                block[i] = period[i % period.len()];
+                i += 1;
+            }
+            block
+        };
+        let words = prompt_tokens.saturating_sub(4).max(1);
+        // n filler words take 4n + n/7 bytes.
+        let fill = (words - 1) as usize;
+        let mut fill_bytes = 4 * fill + fill / 7;
+        let mut key = PromptKeyHasher::new(model);
+        let mut digits = [0u8; 21];
+        let mut at = digits.len();
+        let mut n = index;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        at -= 1;
+        digits[at] = b'q';
+        key.write(&digits[at..]);
+        while fill_bytes > 0 {
+            let take = fill_bytes.min(FILLER.len());
+            key.write(&FILLER[..take]);
+            fill_bytes -= take;
+        }
+        PromptRef {
+            tokens: words + 4,
+            key: Some(key.finish(max_tokens)),
+        }
+    }
 }
 
 /// One choice in a chat completion response.
@@ -252,38 +345,133 @@ pub enum ApiOperation {
     Embeddings,
 }
 
-/// Build the engine-level request for a chat completion.
+impl ApiOperation {
+    /// The operation's name in logs and metrics (`"chat_completions"`, ...).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ApiOperation::ChatCompletions => "chat_completions",
+            ApiOperation::Completions => "completions",
+            ApiOperation::Embeddings => "embeddings",
+        }
+    }
+}
+
+/// Build the engine-level request for a chat completion of `prompt_tokens`
+/// tokens with at most `max_tokens` of output.
 pub fn chat_to_inference(
     id: u64,
-    req: &ChatCompletionRequest,
-    user: &str,
+    prompt_tokens: u32,
+    max_tokens: u32,
     expected_output_tokens: u32,
 ) -> InferenceRequest {
     InferenceRequest {
         id: RequestId(id),
-        model: req.model.clone(),
         kind: RequestKind::Chat,
-        prompt_tokens: req.prompt_token_estimate(),
-        output_tokens: expected_output_tokens.min(req.max_tokens).max(1),
-        user: user.to_string(),
+        prompt_tokens,
+        output_tokens: expected_output_tokens.min(max_tokens).max(1),
     }
 }
 
 /// Build the engine-level request for an embedding call.
-pub fn embedding_to_inference(id: u64, req: &EmbeddingRequest, user: &str) -> InferenceRequest {
+pub fn embedding_to_inference(id: u64, req: &EmbeddingRequest) -> InferenceRequest {
     InferenceRequest {
         id: RequestId(id),
-        model: req.model.clone(),
         kind: RequestKind::Embedding,
         prompt_tokens: req.token_estimate(),
         output_tokens: 0,
-        user: user.to_string(),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::middleware::ResponseCache;
+    use proptest::prelude::*;
+
+    /// The chat body the simulated client once built as text for stream
+    /// request `index`: `q{index}` and filler words (` tok`, every seventh
+    /// ` data`) for `prompt_tokens - 4` words, at least one. The reference
+    /// oracle for [`PromptRef::synthetic`], which must count and key it
+    /// exactly.
+    pub(crate) fn synthetic_chat_body(
+        model: &str,
+        index: usize,
+        prompt_tokens: u32,
+        max_tokens: u32,
+    ) -> ChatCompletionRequest {
+        let words = prompt_tokens.saturating_sub(4).max(1);
+        let mut content = format!("q{index}");
+        for word in 1..words {
+            content.push_str(if word % 7 == 0 { " data" } else { " tok" });
+        }
+        ChatCompletionRequest {
+            model: model.to_string(),
+            messages: vec![ChatMessage::user(content)],
+            max_tokens,
+            temperature: 0.7,
+            stream: false,
+        }
+    }
+
+    /// `PromptRef::synthetic` checked against the oracle body.
+    fn check_synthetic(model: &str, index: usize, prompt_tokens: u32, max_tokens: u32) {
+        let body = synthetic_chat_body(model, index, prompt_tokens, max_tokens);
+        let prompt = PromptRef::synthetic(model, index, prompt_tokens, max_tokens);
+        let text = &body.messages[0].content;
+        assert_eq!(prompt.tokens, body.prompt_token_estimate(), "{text:?}");
+        assert_eq!(
+            prompt.key,
+            Some(ResponseCache::key(model, text, max_tokens)),
+            "{text:?}"
+        );
+    }
+
+    #[test]
+    fn synthetic_prompts_count_and_key_like_their_text() {
+        const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
+        // Token counts 1-5 all make a one-word prompt of 5 tokens.
+        for tokens in 0..=5 {
+            assert_eq!(PromptRef::synthetic(MODEL, 3, tokens, 9).tokens, 5);
+            check_synthetic(MODEL, 3, tokens, 9);
+        }
+        // Filler lengths around the 29-byte period and the 232-byte block,
+        // at indices whose prefixes fall on every 8-byte alignment.
+        for index in [0, 7, 42, 999, 1_000_000, 10_000_000, usize::MAX] {
+            for tokens in [6, 11, 12, 13, 60, 61, 62, 63, 64, 2048] {
+                check_synthetic(MODEL, index, tokens, 256);
+            }
+        }
+        check_synthetic("", 1, 100, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// For random model names, stream indices, prompt lengths (the
+        /// one-word range 1-5 included) and output budgets, the handle's
+        /// token count and cache key equal the oracle text's bit for bit:
+        /// eviction ties break by key, so any other key would move goldens.
+        #[test]
+        fn synthetic_prompt_refs_match_their_text(
+            name in collection::vec(0usize..40, 0..48),
+            index in 0usize..10_000_001,
+            short in 1u32..=5,
+            long in 1u32..=4096,
+            pick_short in 0u32..4,
+            max_tokens in 1u32..=32_768,
+        ) {
+            const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789/-._";
+            let model: String = name.iter().map(|&i| ALPHABET[i] as char).collect();
+            let tokens = if pick_short == 0 { short } else { long };
+            let body = synthetic_chat_body(&model, index, tokens, max_tokens);
+            let prompt = PromptRef::synthetic(&model, index, tokens, max_tokens);
+            prop_assert_eq!(prompt.tokens, body.prompt_token_estimate());
+            prop_assert_eq!(
+                prompt.key,
+                Some(ResponseCache::key(&model, &body.messages[0].content, max_tokens))
+            );
+        }
+    }
 
     #[test]
     fn chat_request_validation() {
@@ -317,13 +505,13 @@ mod tests {
     #[test]
     fn conversions_preserve_fields() {
         let req = ChatCompletionRequest::simple("llama-70b", "describe the climate run", 300);
-        let inf = chat_to_inference(42, &req, "alice", 180);
+        let tokens = req.prompt_token_estimate();
+        let inf = chat_to_inference(42, tokens, req.max_tokens, 180);
         assert_eq!(inf.id, RequestId(42));
-        assert_eq!(inf.model, "llama-70b");
+        assert_eq!(inf.prompt_tokens, 8);
         assert_eq!(inf.output_tokens, 180);
-        assert_eq!(inf.user, "alice");
         // Expected output above max_tokens is clamped.
-        let clamped = chat_to_inference(43, &req, "alice", 900);
+        let clamped = chat_to_inference(43, tokens, req.max_tokens, 900);
         assert_eq!(clamped.output_tokens, 300);
     }
 

@@ -163,8 +163,7 @@ impl BatchManager {
                     .map(|m| m.content.split_whitespace().count() as u32)
                     .sum::<u32>()
                     .max(1);
-                InferenceRequest::chat(i as u64, model, prompt, line.body.max_tokens.max(1))
-                    .with_user(user)
+                InferenceRequest::chat(i as u64, prompt, line.body.max_tokens.max(1))
             })
             .collect();
         let report = run_offline_batch(engine_config.clone(), requests);

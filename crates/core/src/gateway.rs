@@ -8,12 +8,12 @@
 //! dashboard.
 
 use crate::api::{
-    chat_to_inference, embedding_to_inference, ChatCompletionRequest, EmbeddingRequest,
-    GatewayError, Usage,
+    chat_to_inference, embedding_to_inference, ApiOperation, ChatCompletionRequest,
+    EmbeddingRequest, GatewayError, PromptRef, Usage,
 };
 use crate::middleware::{AuthMiddleware, CachedResponse, RateLimiter, ResponseCache};
 use crate::registry::{FederationRouter, ModelId, ModelRegistry, RoutedTarget, RoutingPolicy};
-use crate::storage::{GatewayMetrics, RequestLog, RequestLogEntry};
+use crate::storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, UserSym};
 use crate::workers::{WorkerPool, WorkerPoolConfig};
 use first_auth::{AuthService, TokenString};
 use first_chaos::{HealthTracker, ResilienceConfig};
@@ -22,7 +22,7 @@ use first_fabric::{ClientConfig, ComputeService, EndpointId, FunctionId, TaskId}
 use first_serving::InferenceRequest;
 use first_telemetry::{FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, TraceConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Gateway configuration: the knobs the paper's optimization study varies.
@@ -84,17 +84,20 @@ impl GatewayConfig {
     }
 }
 
-/// A finished request as the client experienced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A finished request as the client experienced it. It carries ids; the
+/// gateway that answered resolves them ([`Gateway::user_name`],
+/// [`ModelRegistry::model_name`], [`Gateway::endpoint_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompletedRequest {
     /// Gateway request id.
     pub request_id: u64,
     /// Submitting user.
-    pub user: String,
+    pub user: UserSym,
     /// Target model.
-    pub model: String,
-    /// Endpoint that served it (empty for cache hits).
-    pub endpoint: String,
+    pub model: ModelId,
+    /// Endpoint that served it; `None` for cache hits and for endpoints the
+    /// compute service does not know.
+    pub endpoint: Option<EndpointId>,
     /// Arrival at the gateway.
     pub arrived_at: SimTime,
     /// Response delivered to the client.
@@ -154,24 +157,36 @@ pub struct GatewayQueueSnapshot {
     pub hedge_deadlines: usize,
 }
 
+/// An accepted copy waiting for its submission instant. The request carries
+/// the model and user ids; names are resolved only when a response, log row
+/// or trace is written.
+/// One admitted request as the gateway carries it: the engine-level request
+/// the fabric runs, plus the user and model ids the log, metrics and reports
+/// need and the fabric never sees.
+#[derive(Debug, Clone, Copy)]
+struct RequestHandle {
+    inference: InferenceRequest,
+    user: UserSym,
+    model: ModelId,
+}
+
 #[derive(Debug, Clone)]
 struct PendingDispatch {
     request_id: u64,
-    /// Interned model id (resolved once at the API boundary).
-    model: ModelId,
-    inference: InferenceRequest,
+    request: RequestHandle,
     /// Configured endpoint name (shared with the routing candidate list, so
     /// carrying it costs an `Arc` bump, not an allocation).
     endpoint_name: Arc<str>,
     /// Dense endpoint id; `None` when the registry named an endpoint the
     /// service does not know (submission then fails, as the string path did).
     endpoint: Option<EndpointId>,
+    /// The model's hosting-entry index on that endpoint, from the router.
+    hosting: Option<u32>,
     function: FunctionId,
     submit_at: SimTime,
     worker: usize,
     arrived_at: SimTime,
-    user: String,
-    operation: &'static str,
+    operation: ApiOperation,
     prompt_text_key: Option<u64>,
     /// 0 for the first try; incremented per retry.
     attempt: u32,
@@ -182,17 +197,13 @@ struct InFlight {
     request_id: u64,
     arrived_at: SimTime,
     submitted_at: SimTime,
-    user: String,
-    /// Interned model id; the name lives in `inference.model` for boundary
-    /// output (responses, logs, metrics keys).
-    model: ModelId,
     endpoint_name: Arc<str>,
+    endpoint: Option<EndpointId>,
     worker: usize,
-    operation: &'static str,
-    prompt_tokens: u32,
+    operation: ApiOperation,
     prompt_text_key: Option<u64>,
     function: FunctionId,
-    inference: InferenceRequest,
+    request: RequestHandle,
     attempt: u32,
 }
 
@@ -406,6 +417,29 @@ impl Gateway {
         &self.registry
     }
 
+    /// The name of a user this gateway has authorized (the `user` of its
+    /// responses and log rows).
+    ///
+    /// # Panics
+    /// Panics if no request of this gateway carried the id.
+    pub fn user_name(&self, user: UserSym) -> &str {
+        self.log.user_name(user)
+    }
+
+    /// The name of the endpoint a response or log row names; empty for
+    /// `None` (cache hits, and endpoints the compute service does not know).
+    pub fn endpoint_name(&self, endpoint: Option<EndpointId>) -> &str {
+        endpoint
+            .and_then(|id| self.service.endpoint_name(id))
+            .unwrap_or("")
+    }
+
+    /// The request log's per-model usage, keyed by registered model name.
+    pub fn usage_by_model(&self) -> BTreeMap<String, UsageSummary> {
+        self.log
+            .usage_by_model(|model| self.registry.model_name(model))
+    }
+
     /// Switch the federation router to a different endpoint-selection policy
     /// (§7 "improve scheduling"; the default is the paper's §4.5 algorithm).
     pub fn set_routing_policy(&mut self, policy: RoutingPolicy) {
@@ -586,27 +620,29 @@ impl Gateway {
         token: &TokenString,
         model: &str,
         now: SimTime,
-    ) -> Result<(String, SimDuration), GatewayError> {
+    ) -> Result<(UserSym, SimDuration), GatewayError> {
         let outcome = self.auth_mw.authenticate(&mut self.auth, token, now)?;
-        let user = outcome.identity.user.clone();
+        let user = &outcome.identity.user;
         self.auth
             .policy()
-            .check_model_access(&user, model, self.auth.groups())
+            .check_model_access(user, model, self.auth.groups())
             .map_err(|e| GatewayError::Forbidden(e.to_string()))?;
         if !self.rate_limiter.check(&user.0, now) {
             return Err(GatewayError::RateLimited);
         }
-        Ok((user.0, outcome.added_latency))
+        Ok((self.log.intern_user(&user.0), outcome.added_latency))
     }
 
-    /// Resolve a model name to its id and routing target — the API-boundary
-    /// step; everything downstream carries ids.
+    /// Route a model already resolved to its id (`None`: the name was never
+    /// registered) — the API-boundary step; everything downstream carries
+    /// ids.
     fn route_model(
         &self,
         model: &str,
+        id: Option<ModelId>,
         now: SimTime,
     ) -> Result<(ModelId, RoutedTarget), GatewayError> {
-        let Some(id) = self.registry.model_id(model) else {
+        let Some(id) = id else {
             return Err(GatewayError::ModelNotFound(model.to_string()));
         };
         let target = if self.config.resilience.enabled {
@@ -643,12 +679,10 @@ impl Gateway {
     #[allow(clippy::too_many_arguments)]
     fn accept(
         &mut self,
-        model: ModelId,
-        inference: InferenceRequest,
+        request: RequestHandle,
         target: RoutedTarget,
         function: FunctionId,
-        user: String,
-        operation: &'static str,
+        operation: ApiOperation,
         auth_latency: SimDuration,
         prompt_text_key: Option<u64>,
         now: SimTime,
@@ -674,15 +708,14 @@ impl Gateway {
             submit_at,
             PendingDispatch {
                 request_id,
-                model,
-                inference,
+                request,
                 endpoint_name: target.name,
                 endpoint: target.endpoint,
+                hosting: target.hosting,
                 function,
                 submit_at,
                 worker: admission.worker,
                 arrived_at: now,
-                user,
                 operation,
                 prompt_text_key,
                 attempt: 0,
@@ -694,6 +727,11 @@ impl Gateway {
     /// Handle a `/v1/chat/completions` call. `expected_output_tokens` is the
     /// workload's ground-truth response length (the simulation equivalent of
     /// "how long the model happened to answer"); `None` uses the default.
+    ///
+    /// A thin adapter over the gateway's one admit path, which simulated
+    /// traffic enters directly: it validates the body, counts its prompt
+    /// tokens and keys its text for the response cache, and admits the
+    /// request by those alone.
     pub fn chat_completions(
         &mut self,
         request: &ChatCompletionRequest,
@@ -701,90 +739,114 @@ impl Gateway {
         expected_output_tokens: Option<u32>,
         now: SimTime,
     ) -> Result<u64, GatewayError> {
-        self.metrics.on_received("chat_completions");
         if let Err(e) = request.validate() {
+            self.metrics
+                .on_received(ApiOperation::ChatCompletions.as_str());
             self.metrics.on_rejected();
             return Err(e);
         }
-        let (user, auth_latency) = match self.authorize(token, &request.model, now) {
+        // Response cache: only textual prompts are cacheable.
+        let key = match request.messages.first() {
+            Some(m) if self.config.response_cache && !m.content.is_empty() => Some(
+                ResponseCache::key(&request.model, &m.content, request.max_tokens),
+            ),
+            _ => None,
+        };
+        let prompt = PromptRef {
+            tokens: request.prompt_token_estimate(),
+            key,
+        };
+        self.admit_chat(
+            &request.model,
+            prompt,
+            request.max_tokens,
+            token,
+            expected_output_tokens,
+            now,
+        )
+    }
+
+    /// Admit one chat completion: the path every chat request takes, whether
+    /// it arrives as a body ([`Gateway::chat_completions`]) or as simulated
+    /// traffic with a [`PromptRef::synthetic`] prompt. Authorizes the caller,
+    /// answers from the response cache when the prompt's key hits, and
+    /// otherwise routes the request and queues its dispatch. From here on the
+    /// request carries ids only.
+    pub(crate) fn admit_chat(
+        &mut self,
+        model: &str,
+        prompt: PromptRef,
+        max_tokens: u32,
+        token: &TokenString,
+        expected_output_tokens: Option<u32>,
+        now: SimTime,
+    ) -> Result<u64, GatewayError> {
+        let operation = ApiOperation::ChatCompletions;
+        self.metrics.on_received(operation.as_str());
+        let admitted = ChatCompletionRequest::validate_target(model, max_tokens)
+            .and_then(|()| self.authorize(token, model, now));
+        let (user, auth_latency) = match admitted {
             Ok(v) => v,
             Err(e) => {
                 self.metrics.on_rejected();
                 return Err(e);
             }
         };
-        // Response cache: only textual prompts are cacheable.
-        let cache_key = request.messages.first().and_then(|m| {
-            if self.config.response_cache && !m.content.is_empty() {
-                Some(ResponseCache::key(
-                    &request.model,
-                    &m.content,
-                    request.max_tokens,
-                ))
-            } else {
-                None
-            }
-        });
-        if let Some(key) = cache_key {
-            if let Some(hit) = self.response_cache.get(key, now) {
-                let request_id = self.next_request_id;
-                self.next_request_id += 1;
-                let finished = now + self.config.response_cpu;
-                let usage = Usage::new(request.prompt_token_estimate(), hit.completion_tokens);
-                self.metrics
-                    .on_completed(&request.model, finished - now, hit.completion_tokens);
-                self.record_log(
+        let model_id = self.registry.model_id(model);
+        let cache_key = prompt.key.filter(|_| self.config.response_cache);
+        let hit = cache_key.and_then(|key| self.response_cache.get(key, now));
+        // A cached answer implies the model was routed before, so it has an
+        // id; a key collision with an unknown model falls through to routing.
+        if let (Some(hit), Some(model_id)) = (hit, model_id) {
+            let request_id = self.next_request_id;
+            self.next_request_id += 1;
+            let finished = now + self.config.response_cpu;
+            let usage = Usage::new(prompt.tokens, hit.completion_tokens);
+            self.metrics
+                .on_completed(model, finished - now, hit.completion_tokens);
+            self.record_log(
+                request_id, user, model_id, None, operation, now, finished, usage, true,
+            );
+            if self.recorder.should_sample() {
+                // Cache hits never leave the gateway: the tree is the root
+                // plus the response-marshalling span.
+                self.recorder.record(SpanTree {
                     request_id,
-                    &user,
-                    &request.model,
-                    "",
-                    "chat_completions",
-                    now,
-                    finished,
-                    usage,
-                    true,
-                );
-                if self.recorder.should_sample() {
-                    // Cache hits never leave the gateway: the tree is the
-                    // root plus the response-marshalling span.
-                    self.recorder.record(SpanTree {
-                        request_id,
-                        tenant: user.clone(),
-                        model: request.model.clone(),
-                        endpoint: String::new(),
-                        success: true,
-                        cached: true,
-                        spans: vec![
-                            Span {
-                                phase: Phase::Request,
-                                start: now,
-                                end: finished,
-                                parent: None,
-                            },
-                            Span {
-                                phase: Phase::Deliver,
-                                start: now,
-                                end: finished,
-                                parent: Some(0),
-                            },
-                        ],
-                    });
-                }
-                self.responses.push(CompletedRequest {
-                    request_id,
-                    user,
-                    model: request.model.clone(),
+                    tenant: self.log.user_name(user).to_string(),
+                    model: model.to_string(),
                     endpoint: String::new(),
-                    arrived_at: now,
-                    finished_at: finished,
-                    usage,
                     success: true,
                     cached: true,
+                    spans: vec![
+                        Span {
+                            phase: Phase::Request,
+                            start: now,
+                            end: finished,
+                            parent: None,
+                        },
+                        Span {
+                            phase: Phase::Deliver,
+                            start: now,
+                            end: finished,
+                            parent: Some(0),
+                        },
+                    ],
                 });
-                return Ok(request_id);
             }
+            self.responses.push(CompletedRequest {
+                request_id,
+                user,
+                model: model_id,
+                endpoint: None,
+                arrived_at: now,
+                finished_at: finished,
+                usage,
+                success: true,
+                cached: true,
+            });
+            return Ok(request_id);
         }
-        let (model, target) = match self.route_model(&request.model, now) {
+        let (model_id, target) = match self.route_model(model, model_id, now) {
             Ok(d) => d,
             Err(e) => {
                 self.metrics.on_rejected();
@@ -792,14 +854,16 @@ impl Gateway {
             }
         };
         let output = expected_output_tokens.unwrap_or(self.config.default_output_tokens);
-        let inference = chat_to_inference(self.next_request_id, request, &user, output);
+        let request = RequestHandle {
+            inference: chat_to_inference(self.next_request_id, prompt.tokens, max_tokens, output),
+            user,
+            model: model_id,
+        };
         Ok(self.accept(
-            model,
-            inference,
+            request,
             target,
             self.inference_fn,
-            user,
-            "chat_completions",
+            operation,
             auth_latency,
             cache_key,
             now,
@@ -813,7 +877,8 @@ impl Gateway {
         token: &TokenString,
         now: SimTime,
     ) -> Result<u64, GatewayError> {
-        self.metrics.on_received("embeddings");
+        let operation = ApiOperation::Embeddings;
+        self.metrics.on_received(operation.as_str());
         if request.input.is_empty() {
             self.metrics.on_rejected();
             return Err(GatewayError::InvalidRequest(
@@ -827,21 +892,24 @@ impl Gateway {
                 return Err(e);
             }
         };
-        let (model, target) = match self.route_model(&request.model, now) {
+        let model_id = self.registry.model_id(&request.model);
+        let (model_id, target) = match self.route_model(&request.model, model_id, now) {
             Ok(d) => d,
             Err(e) => {
                 self.metrics.on_rejected();
                 return Err(e);
             }
         };
-        let inference = embedding_to_inference(self.next_request_id, request, &user);
+        let handle = RequestHandle {
+            inference: embedding_to_inference(self.next_request_id, request),
+            user,
+            model: model_id,
+        };
         Ok(self.accept(
-            model,
-            inference,
+            handle,
             target,
             self.embedding_fn,
-            user,
-            "embeddings",
+            operation,
             auth_latency,
             None,
             now,
@@ -896,14 +964,15 @@ impl Gateway {
             .collect()
     }
 
+    /// Append a log row.
     #[allow(clippy::too_many_arguments)]
     fn record_log(
         &mut self,
         request_id: u64,
-        user: &str,
-        model: &str,
-        endpoint: &str,
-        operation: &str,
+        user: UserSym,
+        model: ModelId,
+        endpoint: Option<EndpointId>,
+        operation: ApiOperation,
         arrived_at: SimTime,
         finished_at: SimTime,
         usage: Usage,
@@ -911,10 +980,10 @@ impl Gateway {
     ) {
         self.log.record(RequestLogEntry {
             request_id,
-            user: user.to_string(),
-            model: model.to_string(),
-            endpoint: endpoint.to_string(),
-            operation: operation.to_string(),
+            user,
+            model,
+            endpoint,
+            operation,
             arrived_at,
             finished_at,
             prompt_tokens: usage.prompt_tokens,
@@ -932,8 +1001,8 @@ impl Gateway {
     fn record_trace(
         &mut self,
         request_id: u64,
-        tenant: &str,
-        model: &str,
+        user: UserSym,
+        model: ModelId,
         endpoint: &str,
         success: bool,
         fabric: Option<&FabricTimes>,
@@ -995,8 +1064,8 @@ impl Gateway {
         }
         self.recorder.record(SpanTree {
             request_id,
-            tenant: tenant.to_string(),
-            model: model.to_string(),
+            tenant: self.log.user_name(user).to_string(),
+            model: self.registry.model_name(model).to_string(),
             endpoint: endpoint.to_string(),
             success,
             cached: false,
@@ -1025,7 +1094,8 @@ impl Gateway {
                     Some(endpoint) => self.service.submit_to(
                         p.function,
                         endpoint,
-                        p.inference.clone(),
+                        p.hosting,
+                        p.request.inference,
                         p.submit_at,
                     ),
                     None => Err(first_fabric::FabricError::UnknownEndpoint(
@@ -1043,15 +1113,13 @@ impl Gateway {
                                 request_id: p.request_id,
                                 arrived_at: p.arrived_at,
                                 submitted_at: p.submit_at,
-                                user: p.user,
-                                model: p.model,
                                 endpoint_name: p.endpoint_name,
+                                endpoint: p.endpoint,
                                 worker: p.worker,
                                 operation: p.operation,
-                                prompt_tokens: p.inference.prompt_tokens,
                                 prompt_text_key: p.prompt_text_key,
                                 function: p.function,
-                                inference: p.inference,
+                                request: p.request,
                                 attempt: p.attempt,
                             },
                         );
@@ -1074,13 +1142,11 @@ impl Gateway {
                         {
                             if let Some(retry) = self.make_retry(
                                 p.request_id,
-                                p.model,
-                                &p.inference,
+                                p.request,
                                 p.function,
                                 &p.endpoint_name,
                                 p.worker,
                                 p.arrived_at,
-                                p.user.clone(),
                                 p.operation,
                                 p.prompt_text_key,
                                 p.attempt,
@@ -1096,8 +1162,8 @@ impl Gateway {
                             let endpoint_name = Arc::clone(&p.endpoint_name);
                             self.record_trace(
                                 p.request_id,
-                                &p.user,
-                                &p.inference.model,
+                                p.request.user,
+                                p.request.model,
                                 &endpoint_name,
                                 false,
                                 None,
@@ -1106,9 +1172,9 @@ impl Gateway {
                         }
                         self.responses.push(CompletedRequest {
                             request_id: p.request_id,
-                            user: p.user,
-                            model: p.inference.model.clone(),
-                            endpoint: p.endpoint_name.to_string(),
+                            user: p.request.user,
+                            model: p.request.model,
+                            endpoint: p.endpoint,
                             arrived_at: p.arrived_at,
                             finished_at: now,
                             usage: Usage::default(),
@@ -1150,14 +1216,12 @@ impl Gateway {
     fn make_retry(
         &mut self,
         request_id: u64,
-        model: ModelId,
-        inference: &InferenceRequest,
+        request: RequestHandle,
         function: FunctionId,
         failed_endpoint: &str,
         worker: usize,
         arrived_at: SimTime,
-        user: String,
-        operation: &'static str,
+        operation: ApiOperation,
         prompt_text_key: Option<u64>,
         attempt: u32,
         now: SimTime,
@@ -1165,7 +1229,7 @@ impl Gateway {
         let target = self.router.route_target_for_retry(
             &self.registry,
             &self.service,
-            model,
+            request.model,
             &self.health,
             now,
             failed_endpoint,
@@ -1178,15 +1242,14 @@ impl Gateway {
         *self.outstanding_slot(request_id) += 1;
         Some(PendingDispatch {
             request_id,
-            model,
-            inference: inference.clone(),
+            request,
             endpoint_name: target.name,
             endpoint: target.endpoint,
+            hosting: target.hosting,
             function,
             submit_at: now + backoff,
             worker,
             arrived_at,
-            user,
             operation,
             prompt_text_key,
             attempt: attempt + 1,
@@ -1221,7 +1284,7 @@ impl Gateway {
                 let Some(target) = self.router.route_target_for_retry(
                     &self.registry,
                     &self.service,
-                    f.model,
+                    f.request.model,
                     &self.health,
                     now,
                     &f.endpoint_name,
@@ -1235,10 +1298,13 @@ impl Gateway {
                 }
                 let f = f.clone();
                 let submitted = match target.endpoint {
-                    Some(endpoint) => {
-                        self.service
-                            .submit_to(f.function, endpoint, f.inference.clone(), now)
-                    }
+                    Some(endpoint) => self.service.submit_to(
+                        f.function,
+                        endpoint,
+                        target.hosting,
+                        f.request.inference,
+                        now,
+                    ),
                     None => Err(first_fabric::FabricError::UnknownEndpoint(
                         target.name.to_string(),
                     )),
@@ -1251,6 +1317,7 @@ impl Gateway {
                         InFlight {
                             submitted_at: now,
                             endpoint_name: target.name,
+                            endpoint: target.endpoint,
                             ..f
                         },
                     );
@@ -1355,13 +1422,11 @@ impl Gateway {
                     if a.in_flight.attempt < self.config.resilience.retry.max_retries {
                         if let Some(retry) = self.make_retry(
                             request_id,
-                            a.in_flight.model,
-                            &a.in_flight.inference,
+                            a.in_flight.request,
                             a.in_flight.function,
                             &endpoint_name,
                             a.in_flight.worker,
                             a.in_flight.arrived_at,
-                            a.in_flight.user.clone(),
                             a.in_flight.operation,
                             a.in_flight.prompt_text_key,
                             a.in_flight.attempt,
@@ -1372,7 +1437,8 @@ impl Gateway {
                         }
                     }
                 }
-                let usage = Usage::new(a.in_flight.prompt_tokens, a.completion_tokens);
+                let request = a.in_flight.request;
+                let usage = Usage::new(request.inference.prompt_tokens, a.completion_tokens);
                 if copies_left > 0 {
                     // Sibling copies are still racing; remember the answer so
                     // their eventual results are swallowed.
@@ -1381,7 +1447,7 @@ impl Gateway {
                 self.workers.release(a.in_flight.worker, a.deliver_at);
                 if a.success {
                     self.metrics.on_completed(
-                        &a.in_flight.inference.model,
+                        self.registry.model_name(request.model),
                         a.deliver_at - a.in_flight.arrived_at,
                         a.completion_tokens,
                     );
@@ -1400,9 +1466,9 @@ impl Gateway {
                 }
                 self.record_log(
                     a.in_flight.request_id,
-                    &a.in_flight.user,
-                    &a.in_flight.inference.model,
-                    &endpoint_name,
+                    request.user,
+                    request.model,
+                    a.in_flight.endpoint,
                     a.in_flight.operation,
                     a.in_flight.arrived_at,
                     a.deliver_at,
@@ -1412,8 +1478,8 @@ impl Gateway {
                 if !self.trace_pending.is_empty() {
                     self.record_trace(
                         request_id,
-                        &a.in_flight.user,
-                        &a.in_flight.inference.model,
+                        request.user,
+                        request.model,
                         &endpoint_name,
                         a.success,
                         a.trace.as_deref(),
@@ -1422,9 +1488,9 @@ impl Gateway {
                 }
                 self.responses.push(CompletedRequest {
                     request_id: a.in_flight.request_id,
-                    user: a.in_flight.user,
-                    model: a.in_flight.inference.model,
-                    endpoint: endpoint_name.to_string(),
+                    user: request.user,
+                    model: request.model,
+                    endpoint: a.in_flight.endpoint,
                     arrived_at: a.in_flight.arrived_at,
                     finished_at: a.deliver_at,
                     usage,
@@ -1618,6 +1684,45 @@ mod tests {
     }
 
     #[test]
+    fn a_redispatched_stream_index_hits_the_response_cache() {
+        // A front-tier retry or hedge re-sends a stream index. Its handle
+        // keys the entry that index's text keys, so whichever form answered
+        // first, the re-sent copy is served from the cache, as re-sending
+        // the text always was; another index misses.
+        use crate::api::tests::synthetic_chat_body;
+        let (mut gw, tokens) = deployment(true);
+        let admit_index = |gw: &mut Gateway, index: usize, at: SimTime| {
+            let prompt = PromptRef::synthetic(MODEL, index, 220, 150);
+            gw.admit_chat(MODEL, prompt, 150, &tokens.alice, Some(150), at)
+                .unwrap();
+        };
+        let body = synthetic_chat_body(MODEL, 17, 220, 150);
+        gw.chat_completions(&body, &tokens.alice, Some(150), SimTime::ZERO)
+            .unwrap();
+        admit_index(&mut gw, 18, SimTime::ZERO);
+        drive(&mut gw, SimTime::from_secs(600));
+        let first = gw.take_responses();
+        assert_eq!(first.len(), 2);
+        assert!(first.iter().all(|r| r.success && !r.cached));
+        let at = SimTime::from_secs(601);
+        admit_index(&mut gw, 17, at);
+        let body = synthetic_chat_body(MODEL, 18, 220, 150);
+        gw.chat_completions(&body, &tokens.alice, Some(150), at)
+            .unwrap();
+        let again = gw.take_responses();
+        assert_eq!(again.len(), 2);
+        for (hit, original) in again.iter().zip(&first) {
+            assert!(hit.cached && hit.success);
+            assert_eq!(hit.usage, original.usage);
+            assert_eq!((hit.user, hit.model), (original.user, original.model));
+            assert_eq!(gw.user_name(hit.user), "alice");
+            assert_eq!(gw.registry().model_name(hit.model), MODEL);
+        }
+        admit_index(&mut gw, 19, at);
+        assert!(gw.take_responses().is_empty(), "a new index is a miss");
+    }
+
+    #[test]
     fn embeddings_route_to_the_embedding_backend() {
         let (mut gw, tokens) = deployment(false);
         let req = EmbeddingRequest {
@@ -1740,7 +1845,10 @@ mod tests {
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].request_id, id);
         assert!(responses[0].success, "retry should rescue the request");
-        assert_eq!(responses[0].endpoint, "polaris-endpoint");
+        assert_eq!(
+            gw.service().endpoint_name(responses[0].endpoint.unwrap()),
+            Some("polaris-endpoint")
+        );
         assert!(gw.metrics_mut().retries >= 1);
         assert!(gw.metrics_mut().failovers >= 1);
         // The request log records the final (successful) outcome once.
@@ -1795,7 +1903,10 @@ mod tests {
         let responses = gw.take_responses();
         assert_eq!(responses.len(), 1);
         assert!(responses[0].success);
-        assert_eq!(responses[0].endpoint, "polaris-endpoint");
+        assert_eq!(
+            gw.service().endpoint_name(responses[0].endpoint.unwrap()),
+            Some("polaris-endpoint")
+        );
         assert_eq!(gw.metrics_mut().retries, before);
     }
 
@@ -1824,7 +1935,10 @@ mod tests {
         let responses = gw.take_responses();
         assert_eq!(responses.len(), 1);
         assert!(responses[0].success);
-        assert_eq!(responses[0].endpoint, "polaris-endpoint");
+        assert_eq!(
+            gw.service().endpoint_name(responses[0].endpoint.unwrap()),
+            Some("polaris-endpoint")
+        );
         assert!(gw.metrics_mut().hedges >= 1);
         // Well under the hour the stall would have cost.
         assert!(responses[0].latency().as_secs_f64() < 120.0);

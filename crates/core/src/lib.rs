@@ -84,7 +84,7 @@ pub use sim::{
     run_direct_openloop, run_gateway_openloop, run_openai_openloop, run_resilience_openloop,
     run_sharded_openloop, run_webui_closed_loop, ResilienceReport, ScenarioReport, WebUiCell,
 };
-pub use storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary};
+pub use storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, UserSym};
 pub use streaming::{stream_response, StreamChunk, StreamStats, StreamedResponse, StreamingConfig};
 pub use webui::{ChatSession, WebUiStore, DEFAULT_WEBUI_OVERHEAD};
 pub use workers::{WorkerMode, WorkerPool, WorkerPoolConfig};

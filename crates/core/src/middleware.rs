@@ -7,12 +7,14 @@ use first_desim::{IdHashBuilder, SimDuration, SimTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 /// Outcome of authenticating one request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuthOutcome {
-    /// The introspected identity.
-    pub identity: IntrospectionResult,
+    /// The introspected identity, shared with the cache entry: a cache hit
+    /// is one lookup and a reference-count bump, not a copy.
+    pub identity: Arc<IntrospectionResult>,
     /// Latency the auth step added to this request.
     pub added_latency: SimDuration,
     /// Whether the introspection cache satisfied the request.
@@ -30,7 +32,7 @@ pub struct AuthMiddleware {
     pub cache_enabled: bool,
     /// Cache entry time-to-live.
     pub cache_ttl: SimDuration,
-    cache: HashMap<String, (SimTime, IntrospectionResult)>,
+    cache: HashMap<String, (SimTime, Arc<IntrospectionResult>)>,
     stats_hits: u64,
     stats_misses: u64,
     stats_rejections: u64,
@@ -76,7 +78,7 @@ impl AuthMiddleware {
                 if fresh && unexpired {
                     self.stats_hits += 1;
                     return Ok(AuthOutcome {
-                        identity: identity.clone(),
+                        identity: Arc::clone(identity),
                         added_latency: SimDuration::ZERO,
                         cache_hit: true,
                     });
@@ -95,8 +97,10 @@ impl AuthMiddleware {
                         "token lacks the inference scope".into(),
                     ));
                 }
+                let identity = Arc::new(identity);
                 if self.cache_enabled {
-                    self.cache.insert(token.0.clone(), (now, identity.clone()));
+                    self.cache
+                        .insert(token.0.clone(), (now, Arc::clone(&identity)));
                 }
                 Ok(AuthOutcome {
                     identity,
@@ -186,6 +190,85 @@ pub struct CachedResponse {
     pub completion_tokens: u32,
 }
 
+const KEY_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One rotate-xor-multiply step of the response-cache key.
+#[inline]
+fn key_step(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// Fold `bytes` into `h` eight at a time: the zero-padded tail is one more
+/// word, and the length closes the field.
+fn key_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        h = key_step(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    }
+    let rem = chunks.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rem.len()].copy_from_slice(rem);
+    h = key_step(h, u64::from_le_bytes(tail));
+    key_step(h, bytes.len() as u64)
+}
+
+/// [`ResponseCache::key`] over a prompt written in pieces: the key of the
+/// pieces' concatenation, computed without ever holding that text.
+#[derive(Debug, Clone)]
+pub(crate) struct PromptKeyHasher {
+    h: u64,
+    /// Bytes written since the last full 8-byte word.
+    tail: [u8; 8],
+    tail_len: usize,
+    len: usize,
+}
+
+impl PromptKeyHasher {
+    /// Start the key of a prompt for `model`.
+    pub(crate) fn new(model: &str) -> Self {
+        PromptKeyHasher {
+            h: key_fold(KEY_SEED, model.as_bytes()),
+            tail: [0; 8],
+            tail_len: 0,
+            len: 0,
+        }
+    }
+
+    /// Append `bytes` to the prompt.
+    pub(crate) fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len();
+        if self.tail_len > 0 {
+            let take = bytes.len().min(8 - self.tail_len);
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < 8 {
+                return;
+            }
+            self.h = key_step(self.h, u64::from_le_bytes(self.tail));
+            self.tail_len = 0;
+        }
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.h = key_step(
+                self.h,
+                u64::from_le_bytes(c.try_into().expect("8-byte chunk")),
+            );
+        }
+        let rem = chunks.remainder();
+        self.tail[..rem.len()].copy_from_slice(rem);
+        self.tail_len = rem.len();
+    }
+
+    /// The key of the prompt written so far, for a request of `max_tokens`.
+    pub(crate) fn finish(&self, max_tokens: u32) -> u64 {
+        let mut tail = [0u8; 8];
+        tail[..self.tail_len].copy_from_slice(&self.tail[..self.tail_len]);
+        let h = key_step(self.h, u64::from_le_bytes(tail));
+        key_step(key_step(h, self.len as u64), u64::from(max_tokens))
+    }
+}
+
 /// Response cache keyed by (model, prompt) for idempotent repeated requests.
 ///
 /// Eviction keeps the entry set identical to a scan-the-map-for-the-oldest
@@ -241,23 +324,8 @@ impl ResponseCache {
     /// cryptographic hash; each field's length is folded in so field
     /// boundaries cannot alias.
     pub fn key(model: &str, prompt: &str, max_tokens: u32) -> u64 {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        fn fold(mut h: u64, bytes: &[u8]) -> u64 {
-            let mut chunks = bytes.chunks_exact(8);
-            for c in &mut chunks {
-                let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-                h = (h.rotate_left(5) ^ w).wrapping_mul(K);
-            }
-            let rem = chunks.remainder();
-            let mut tail = [0u8; 8];
-            tail[..rem.len()].copy_from_slice(rem);
-            let w = u64::from_le_bytes(tail);
-            h = (h.rotate_left(5) ^ w).wrapping_mul(K);
-            (h.rotate_left(5) ^ bytes.len() as u64).wrapping_mul(K)
-        }
-        let mut h = fold(0xcbf2_9ce4_8422_2325, model.as_bytes());
-        h = fold(h, prompt.as_bytes());
-        (h.rotate_left(5) ^ u64::from(max_tokens)).wrapping_mul(K)
+        let h = key_fold(key_fold(KEY_SEED, model.as_bytes()), prompt.as_bytes());
+        key_step(h, u64::from(max_tokens))
     }
 
     /// Look up a cached response.
@@ -340,10 +408,11 @@ mod tests {
         let a = legacy
             .authenticate(&mut svc, &token, SimTime::from_secs(3))
             .unwrap();
+        let a_hit = a.cache_hit;
         let b = legacy
             .authenticate(&mut svc, &token, SimTime::from_secs(4))
             .unwrap();
-        assert!(!a.cache_hit && !b.cache_hit);
+        assert!(!a_hit && !b.cache_hit);
         assert!(b.added_latency.as_secs_f64() > 0.5);
     }
 

@@ -34,7 +34,7 @@ impl Gateway {
     /// snapshots and never perturbs report equality.
     pub fn dashboard_snapshot(&self, now: SimTime) -> DashboardSnapshot {
         let jobs = self.jobs_status();
-        let usage = self.log().usage_by_model();
+        let usage = self.usage_by_model();
         let distinct_users = self.log().distinct_users() as u64;
 
         let mut models = Vec::with_capacity(jobs.len());
@@ -213,15 +213,16 @@ impl Gateway {
         // Per-request latency histogram, replayed from the request log so the
         // exported buckets match the canonical record of every request.
         for entry in self.log().entries() {
+            let model = self.registry().model_name(entry.model);
             registry.observe(
                 "first_request_latency_seconds",
-                LabelSet::single("model", entry.model.clone()),
+                LabelSet::single("model", model.to_string()),
                 entry.latency().as_secs_f64(),
             );
             registry.add_counter(
                 "first_request_tokens_total",
                 LabelSet::from_pairs([
-                    ("model", entry.model.clone()),
+                    ("model", model.to_string()),
                     ("kind", "completion".to_string()),
                 ]),
                 entry.completion_tokens as u64,
@@ -229,7 +230,7 @@ impl Gateway {
             registry.add_counter(
                 "first_request_tokens_total",
                 LabelSet::from_pairs([
-                    ("model", entry.model.clone()),
+                    ("model", model.to_string()),
                     ("kind", "prompt".to_string()),
                 ]),
                 entry.prompt_tokens as u64,

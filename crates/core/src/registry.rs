@@ -53,6 +53,10 @@ pub struct RoutedTarget {
     /// the service (submission will fail with `UnknownEndpoint`, matching the
     /// string-keyed behaviour).
     pub endpoint: Option<EndpointId>,
+    /// Hosting-entry index of the model on that endpoint (`None`: the
+    /// endpoint does not host it, and the task fails there); the endpoint
+    /// takes it with the task instead of looking the model up by name.
+    pub hosting: Option<u32>,
     /// Why it was chosen.
     pub reason: RoutingReason,
 }
@@ -593,6 +597,7 @@ impl FederationRouter {
         RoutedTarget {
             name: Arc::clone(&c.name),
             endpoint: c.endpoint,
+            hosting: c.hosting,
             reason,
         }
     }
@@ -749,9 +754,15 @@ mod tests {
             .map(|f| f.id)
             .unwrap();
         for i in 0..6 {
-            let req = first_serving::InferenceRequest::chat(i, MODEL, 256, 64);
+            let req = first_serving::InferenceRequest::chat(i, 256, 64);
             service
-                .submit(function, "sophia-endpoint", req, SimTime::from_secs(i))
+                .submit(
+                    function,
+                    "sophia-endpoint",
+                    MODEL,
+                    req,
+                    SimTime::from_secs(i),
+                )
                 .unwrap();
             // Push the dispatch through so the tasks land on the endpoint.
             first_desim::SimProcess::advance(&mut service, SimTime::from_secs(i + 1));

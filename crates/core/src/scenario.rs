@@ -30,14 +30,13 @@ use crate::invariants::{
 };
 use crate::invariants::{check_replay_invariants, RunLedger};
 use crate::shard::{FrontTierPolicy, ShardReport, ShardedGateway, ShardingConfig, SpilloverPolicy};
-use crate::sim::{run_webui_closed_loop, synthetic_chat_request, WebUiCell};
+use crate::sim::{admit_simulated, run_webui_closed_loop, WebUiCell};
 use first_auth::{Identity, Scope, TokenString, UserId};
 use first_chaos::{FaultInjector, ResilienceConfig, ShardFaultKind};
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime, TimingWheel};
 use first_telemetry::{PhaseBreakdown, SpanTree, TraceConfig};
 use first_workload::{
-    Cassette, CassetteError, ConversationSample, DeploymentRef, RequestOutcome, ScenarioRequest,
-    ScenarioSpec,
+    Cassette, CassetteError, DeploymentRef, RequestOutcome, ScenarioRequest, ScenarioSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -704,6 +703,13 @@ pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell
 /// so a crash drains only the dead shard's map.
 type InFlightIndex = HashMap<u64, (usize, bool)>;
 
+#[cfg(test)]
+thread_local! {
+    /// Entries each shard's in-flight index still held when the latest run
+    /// on this thread finished.
+    static LEFT_IN_INDEX: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Front-tier actions scheduled on the failover event queue. Ordering within
 /// one instant follows the queue's insertion sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -846,16 +852,13 @@ fn front_dispatch(
         }
         return;
     };
-    let sample = ConversationSample {
-        prompt_tokens: request.prompt_tokens,
-        output_tokens: request.output_tokens,
-        prompt_text: String::new(),
-    };
-    let body = synthetic_chat_request(&request.model, idx, &sample);
-    let result = fleet.shard_mut(shard).chat_completions(
-        &body,
+    let result = admit_simulated(
+        fleet.shard_mut(shard),
         &tokens[shard][tenant],
-        Some(request.output_tokens),
+        &request.model,
+        idx,
+        request.prompt_tokens,
+        request.output_tokens,
         now,
     );
     f.attempts[idx] += 1;
@@ -912,7 +915,6 @@ fn collect_responses(
     request_index: &mut [InFlightIndex],
     mut front: Option<&mut FrontState>,
     requests: &[ScenarioRequest],
-    tenant_by_user: &HashMap<String, usize>,
     fanin_s: f64,
     latencies: &mut [Histogram],
     output_tokens: &mut [u64],
@@ -956,9 +958,7 @@ fn collect_responses(
                         f.counters.retried_to_completion += 1;
                     }
                 }
-                let Some(&tenant) = tenant_by_user.get(&r.user) else {
-                    continue;
-                };
+                let tenant = requests[idx].tenant as usize;
                 if r.success {
                     latencies[tenant].record(observed);
                     output_tokens[tenant] += r.usage.completion_tokens as u64;
@@ -972,16 +972,17 @@ fn collect_responses(
             // Client-observed latency includes the fan-in hop (zero on
             // the transparent configuration, leaving values bit-exact).
             let observed = r.latency().as_secs_f64() + fanin_s;
-            if let Some(&(idx, _)) = request_index[shard].get(&r.request_id) {
-                let o = &mut outcomes[idx];
-                o.delivered = true;
-                o.success = r.success;
-                o.latency_s = observed;
-                o.completion_tokens = r.usage.completion_tokens;
-            }
-            let Some(&tenant) = tenant_by_user.get(&r.user) else {
+            // Each accepted id is answered exactly once, so its entry goes:
+            // the index holds the in-flight set, not the whole run.
+            let Some((idx, _)) = request_index[shard].remove(&r.request_id) else {
                 continue;
             };
+            let o = &mut outcomes[idx];
+            o.delivered = true;
+            o.success = r.success;
+            o.latency_s = observed;
+            o.completion_tokens = r.usage.completion_tokens;
+            let tenant = requests[idx].tenant as usize;
             if r.success {
                 latencies[tenant].record(observed);
                 output_tokens[tenant] += r.usage.completion_tokens as u64;
@@ -1043,12 +1044,6 @@ fn run_scenario_impl(
                 .map(|t| enroll_tenant_user(gw, &t.name))
                 .collect()
         })
-        .collect();
-    let tenant_by_user: HashMap<String, usize> = spec
-        .tenants
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.name.clone(), i))
         .collect();
     // Ring lookups cached per tenant: tenants are the routing key (API key).
     let home: Vec<usize> = spec
@@ -1321,19 +1316,16 @@ fn run_scenario_impl(
                 if cur_home != home[tenant] {
                     f.counters.rehomed_requests += 1;
                 }
-                let sample = ConversationSample {
-                    prompt_tokens: request.prompt_tokens,
-                    output_tokens: request.output_tokens,
-                    prompt_text: String::new(),
-                };
-                let body = synthetic_chat_request(&request.model, idx, &sample);
                 let decision = fleet.route_home(cur_home);
                 let shard = decision.shard;
                 let arrival = request.at + f.effective_fanin(fanin, request.at);
-                let result = fleet.shard_mut(shard).chat_completions(
-                    &body,
+                let result = admit_simulated(
+                    fleet.shard_mut(shard),
                     &tokens[shard][tenant],
-                    Some(request.output_tokens),
+                    &request.model,
+                    idx,
+                    request.prompt_tokens,
+                    request.output_tokens,
                     arrival,
                 );
                 let accepted = result.is_ok();
@@ -1364,20 +1356,15 @@ fn run_scenario_impl(
                 }
                 continue;
             }
-            let sample = ConversationSample {
-                prompt_tokens: request.prompt_tokens,
-                output_tokens: request.output_tokens,
-                prompt_text: String::new(),
-            };
-            // The global stream index keeps every prompt unique, so the
-            // response cache cannot collapse tenants into each other.
-            let body = synthetic_chat_request(&request.model, next, &sample);
             let decision = fleet.route_home(home[tenant]);
             let shard = decision.shard;
-            let result = fleet.shard_mut(shard).chat_completions(
-                &body,
+            let result = admit_simulated(
+                fleet.shard_mut(shard),
                 &tokens[shard][tenant],
-                Some(request.output_tokens),
+                &request.model,
+                next,
+                request.prompt_tokens,
+                request.output_tokens,
                 request.at + fanin,
             );
             let accepted = result.is_ok();
@@ -1405,7 +1392,6 @@ fn run_scenario_impl(
             &mut request_index,
             front.as_mut(),
             &compiled.requests,
-            &tenant_by_user,
             fanin_s,
             &mut latencies,
             &mut output_tokens,
@@ -1430,7 +1416,6 @@ fn run_scenario_impl(
         &mut request_index,
         front.as_mut(),
         &compiled.requests,
-        &tenant_by_user,
         fanin_s,
         &mut latencies,
         &mut output_tokens,
@@ -1439,6 +1424,9 @@ fn run_scenario_impl(
     let all_submitted = next >= compiled.requests.len();
     ledger.drained =
         all_submitted && fleet.is_drained() && front.as_ref().is_none_or(|f| f.unresolved == 0);
+    #[cfg(test)]
+    LEFT_IN_INDEX
+        .with(|left| *left.borrow_mut() = request_index.iter().map(HashMap::len).collect());
     for (i, shard_ledger) in shard_ledgers.iter_mut().enumerate() {
         // A shard that ever crashed can never report drained: the physical
         // copies it lost mid-flight are gone, not answered.
@@ -1717,6 +1705,22 @@ mod tests {
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&explicit).unwrap()
         );
+    }
+
+    #[test]
+    fn drained_transparent_runs_leave_every_in_flight_index_empty() {
+        for shards in [1, 3] {
+            let out = ScenarioRun::new(&small_spec())
+                .seed(7)
+                .shards(shards)
+                .execute()
+                .expect("transparent run");
+            let r = &out.report;
+            assert!(r.accepted > 0, "{shards} shard(s)");
+            assert_eq!(r.accepted, r.completed + r.failed, "the run drains");
+            let left = LEFT_IN_INDEX.with(|left| left.borrow().clone());
+            assert_eq!(left, vec![0; shards], "{shards} shard(s)");
+        }
     }
 
     #[test]

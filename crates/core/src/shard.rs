@@ -1352,12 +1352,14 @@ mod tests {
                 }
             }
             while next < arrivals.len() && arrivals[next] <= step {
-                let req = crate::sim::synthetic_chat_request(MODEL_70B, next, &samples[next]);
                 let d = fleet.route_home(homes[next % users]);
-                let _ = fleet.shard_mut(d.shard).chat_completions(
-                    &req,
+                let _ = crate::sim::admit_simulated(
+                    fleet.shard_mut(d.shard),
                     &tokens[d.shard],
-                    Some(samples[next].output_tokens),
+                    MODEL_70B,
+                    next,
+                    samples[next].prompt_tokens,
+                    samples[next].output_tokens,
                     arrivals[next],
                 );
                 next += 1;

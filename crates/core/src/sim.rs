@@ -7,7 +7,7 @@
 //! throughput, median end-to-end latency, benchmark duration). A closed-loop
 //! runner drives concurrent WebUI sessions for Table 1.
 
-use crate::api::ChatCompletionRequest;
+use crate::api::{GatewayError, PromptRef};
 use crate::gateway::{CompletedRequest, Gateway};
 use crate::shard::ShardedGateway;
 use first_auth::TokenString;
@@ -17,7 +17,7 @@ use first_serving::{
     CloudApi, CloudApiConfig, DirectServer, EngineConfig, FrontendConfig, InferenceRequest,
     VllmEngine,
 };
-use first_workload::{ChatMessage, ConversationSample, SessionWorkloadConfig};
+use first_workload::{ConversationSample, SessionWorkloadConfig};
 use serde::{Deserialize, Serialize};
 
 /// The §5.1 metrics for one benchmark run.
@@ -94,49 +94,24 @@ impl ScenarioReport {
     }
 }
 
-thread_local! {
-    /// Lazily grown " tok"/" data" filler shared by every synthetic prompt on
-    /// this thread. The filler after the unique `q{index}` prefix depends only
-    /// on the word count, so each request body is one `memcpy` of a template
-    /// prefix instead of a per-word `push_str` loop.
-    static CHAT_FILLER: std::cell::RefCell<(String, usize)> =
-        const { std::cell::RefCell::new((String::new(), 0)) };
-}
-
-/// Build a unique synthetic chat request body for one workload sample.
-pub(crate) fn synthetic_chat_request(
+/// Offer simulated request `index` of a stream (`prompt_tokens` in,
+/// `output_tokens` out) to `gateway` at `at`: the simulated client's one way
+/// into the gateway's admit path. The prompt travels as a [`PromptRef`] of
+/// the index and the token count. Distinct indices never share a
+/// response-cache entry, so tenants cannot collapse into each other, while a
+/// re-sent index (a retry or a hedge) keys the same entry.
+pub(crate) fn admit_simulated(
+    gateway: &mut Gateway,
+    token: &TokenString,
     model: &str,
     index: usize,
-    sample: &ConversationSample,
-) -> ChatCompletionRequest {
-    use std::fmt::Write as _;
-    // prompt_token_estimate = words + 4 framing tokens; build content so the
-    // estimate matches the sample's prompt length and every prompt is unique
-    // (so the response cache cannot short-circuit the benchmark).
-    let words = sample.prompt_tokens.saturating_sub(4).max(1) as usize;
-    // Filler words are " tok" (4 bytes) except every 7th, " data" (5 bytes),
-    // so n filler words occupy exactly 4n + n/7 bytes of the template.
-    let fill = words - 1;
-    let fill_bytes = 4 * fill + fill / 7;
-    CHAT_FILLER.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        let (template, built) = &mut *guard;
-        while *built < fill {
-            *built += 1;
-            template.push_str(if *built % 7 == 0 { " data" } else { " tok" });
-        }
-        let mut content = String::with_capacity(fill_bytes + 16);
-        write!(content, "q{index}").expect("write to String");
-        content.push_str(&template[..fill_bytes]);
-        // Moves `content` instead of `ChatCompletionRequest::simple`'s clone.
-        ChatCompletionRequest {
-            model: model.to_string(),
-            messages: vec![ChatMessage::user(content)],
-            max_tokens: sample.output_tokens.max(1),
-            temperature: 0.7,
-            stream: false,
-        }
-    })
+    prompt_tokens: u32,
+    output_tokens: u32,
+    at: SimTime,
+) -> Result<u64, GatewayError> {
+    let max_tokens = output_tokens.max(1);
+    let prompt = PromptRef::synthetic(model, index, prompt_tokens, max_tokens);
+    gateway.admit_chat(model, prompt, max_tokens, token, Some(output_tokens), at)
 }
 
 /// Replay `samples` against the FIRST gateway at the given arrival times.
@@ -202,11 +177,13 @@ pub fn run_gateway_openloop(
         }
         gateway.advance(step);
         while next < arrivals.len() && arrivals[next] <= step {
-            let req = synthetic_chat_request(model, next, &samples[next]);
-            let _ = gateway.chat_completions(
-                &req,
+            let _ = admit_simulated(
+                gateway,
                 token,
-                Some(samples[next].output_tokens),
+                model,
+                next,
+                samples[next].prompt_tokens,
+                samples[next].output_tokens,
                 arrivals[next],
             );
             next += 1;
@@ -341,12 +318,14 @@ pub(crate) fn drive_sharded_openloop(
         }
         fleet.advance_all(step);
         while next < arrivals.len() && arrivals[next] <= step {
-            let req = synthetic_chat_request(model, next, &samples[next]);
             let decision = fleet.route_home(homes[next % users]);
-            let _ = fleet.shard_mut(decision.shard).chat_completions(
-                &req,
+            let _ = admit_simulated(
+                fleet.shard_mut(decision.shard),
                 &tokens[decision.shard],
-                Some(samples[next].output_tokens),
+                model,
+                next,
+                samples[next].prompt_tokens,
+                samples[next].output_tokens,
                 arrivals[next],
             );
             next += 1;
@@ -369,7 +348,6 @@ pub fn run_direct_openloop(
     horizon: SimTime,
 ) -> ScenarioReport {
     assert_eq!(samples.len(), arrivals.len());
-    let model = engine_config.model.name.clone();
     let mut server = DirectServer::new(
         VllmEngine::hot(engine_config, SimTime::ZERO),
         FrontendConfig::default(),
@@ -399,7 +377,6 @@ pub fn run_direct_openloop(
             server.submit(
                 InferenceRequest::chat(
                     next as u64,
-                    &model,
                     samples[next].prompt_tokens,
                     samples[next].output_tokens,
                 ),
@@ -466,7 +443,6 @@ pub fn run_openai_openloop(
             api.submit(
                 InferenceRequest::chat(
                     next as u64,
-                    "gpt-4o-mini",
                     samples[next].prompt_tokens,
                     samples[next].output_tokens,
                 ),
@@ -628,15 +604,16 @@ pub fn run_resilience_openloop(
         injector.apply_due(gateway.service_mut(), step);
         gateway.advance(step);
         while next < arrivals.len() && arrivals[next] <= step {
-            let req = synthetic_chat_request(model, next, &samples[next]);
-            if gateway
-                .chat_completions(
-                    &req,
-                    token,
-                    Some(samples[next].output_tokens),
-                    arrivals[next],
-                )
-                .is_err()
+            if admit_simulated(
+                gateway,
+                token,
+                model,
+                next,
+                samples[next].prompt_tokens,
+                samples[next].output_tokens,
+                arrivals[next],
+            )
+            .is_err()
             {
                 rejected += 1;
             }
@@ -776,8 +753,16 @@ pub fn run_webui_closed_loop(
             // The WebUI backend spends webui_overhead before the gateway sees
             // the request; fold it into the submission time.
             let gateway_arrival = send_at + webui_overhead;
-            let req = synthetic_chat_request(&config.model, idx * 10_000 + state.next_turn, turn);
-            match gateway.chat_completions(&req, token, Some(turn.output_tokens), gateway_arrival) {
+            let index = idx * 10_000 + state.next_turn;
+            match admit_simulated(
+                gateway,
+                token,
+                &config.model,
+                index,
+                turn.prompt_tokens,
+                turn.output_tokens,
+                gateway_arrival,
+            ) {
                 Ok(request_id) => {
                     owner.insert(request_id, idx);
                     state.waiting_for = Some(request_id);

@@ -5,24 +5,38 @@
 //! in-memory append-only store with the query patterns the dashboard needs
 //! (per-user, per-model, deployment totals), and the metrics layer keeps the
 //! counters and latency histograms the benchmark reports read.
+//!
+//! A log row holds ids, not names. The log owns the user interner the
+//! gateway interns authenticated users into; model and endpoint names stay
+//! with the registry and the compute service, and the gateway resolves them
+//! when a report is read ([`crate::Gateway::usage_by_model`],
+//! [`crate::Gateway::endpoint_name`]).
 
-use first_desim::{Histogram, SimDuration, SimTime};
+use crate::api::ApiOperation;
+use crate::registry::ModelId;
+use first_desim::{Histogram, Interner, SimDuration, SimTime, SymbolId};
+use first_fabric::EndpointId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Dense id of a submitting user (a tenant, in scenario runs), interned by
+/// the gateway into its [`RequestLog`] when the request is authenticated.
+pub type UserSym = SymbolId;
+
 /// One logged request (the PostgreSQL row equivalent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestLogEntry {
     /// Gateway-assigned request id.
     pub request_id: u64,
-    /// Submitting user.
-    pub user: String,
-    /// Target model.
-    pub model: String,
-    /// Endpoint the request was routed to.
-    pub endpoint: String,
+    /// Submitting user ([`RequestLog::user_name`]).
+    pub user: UserSym,
+    /// Target model ([`crate::ModelRegistry::model_name`]).
+    pub model: ModelId,
+    /// Endpoint the request was routed to ([`crate::Gateway::endpoint_name`]);
+    /// `None` when it never reached one (cache hits).
+    pub endpoint: Option<EndpointId>,
     /// API operation.
-    pub operation: String,
+    pub operation: ApiOperation,
     /// Arrival time at the gateway.
     pub arrived_at: SimTime,
     /// Completion time (response returned to the user).
@@ -63,9 +77,11 @@ pub struct UsageSummary {
 }
 
 /// Append-only request log (PostgreSQL substitute).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RequestLog {
     entries: Vec<RequestLogEntry>,
+    /// Names of the users whose ids the rows carry.
+    users: Interner,
 }
 
 impl RequestLog {
@@ -74,9 +90,23 @@ impl RequestLog {
         Self::default()
     }
 
-    /// Append an entry.
+    /// Append an entry. Its user id should come from
+    /// [`RequestLog::intern_user`].
     pub fn record(&mut self, entry: RequestLogEntry) {
         self.entries.push(entry);
+    }
+
+    /// The id of a user name, interned on first use.
+    pub fn intern_user(&mut self, name: &str) -> UserSym {
+        self.users.intern(name)
+    }
+
+    /// The name of an interned user.
+    ///
+    /// # Panics
+    /// Panics if `id` was not returned by [`RequestLog::intern_user`].
+    pub fn user_name(&self, id: UserSym) -> &str {
+        self.users.resolve(id)
     }
 
     /// Number of logged requests.
@@ -96,7 +126,7 @@ impl RequestLog {
 
     /// Number of distinct users seen.
     pub fn distinct_users(&self) -> usize {
-        let mut users: Vec<&str> = self.entries.iter().map(|e| e.user.as_str()).collect();
+        let mut users: Vec<UserSym> = self.entries.iter().map(|e| e.user).collect();
         users.sort_unstable();
         users.dedup();
         users.len()
@@ -114,7 +144,7 @@ impl RequestLog {
     pub fn usage_by_user(&self) -> BTreeMap<String, UsageSummary> {
         let mut out: BTreeMap<String, UsageSummary> = BTreeMap::new();
         for e in &self.entries {
-            let s = out.entry(e.user.clone()).or_default();
+            let s = out.entry(self.user_name(e.user).to_string()).or_default();
             s.requests += 1;
             s.total_tokens += e.total_tokens();
             s.completion_tokens += e.completion_tokens as u64;
@@ -125,11 +155,15 @@ impl RequestLog {
         out
     }
 
-    /// Per-model usage aggregates.
-    pub fn usage_by_model(&self) -> BTreeMap<String, UsageSummary> {
-        let mut out: BTreeMap<String, UsageSummary> = BTreeMap::new();
+    /// Per-model usage aggregates, keyed by the name `model_name` gives each
+    /// model id (the registry's, for a gateway's log).
+    pub fn usage_by_model<'n>(
+        &self,
+        model_name: impl Fn(ModelId) -> &'n str,
+    ) -> BTreeMap<String, UsageSummary> {
+        let mut by_id: BTreeMap<ModelId, UsageSummary> = BTreeMap::new();
         for e in &self.entries {
-            let s = out.entry(e.model.clone()).or_default();
+            let s = by_id.entry(e.model).or_default();
             s.requests += 1;
             s.total_tokens += e.total_tokens();
             s.completion_tokens += e.completion_tokens as u64;
@@ -137,7 +171,10 @@ impl RequestLog {
                 s.failures += 1;
             }
         }
-        out
+        by_id
+            .into_iter()
+            .map(|(id, usage)| (model_name(id).to_string(), usage))
+            .collect()
     }
 
     /// Interactive vs batch request counts.
@@ -281,13 +318,19 @@ impl GatewayMetrics {
 mod tests {
     use super::*;
 
-    fn entry(user: &str, model: &str, tokens: u32, success: bool, batch: bool) -> RequestLogEntry {
+    fn entry(
+        user: UserSym,
+        model: ModelId,
+        tokens: u32,
+        success: bool,
+        batch: bool,
+    ) -> RequestLogEntry {
         RequestLogEntry {
             request_id: 0,
-            user: user.into(),
-            model: model.into(),
-            endpoint: "sophia-endpoint".into(),
-            operation: "chat".into(),
+            user,
+            model,
+            endpoint: Some(EndpointId(0)),
+            operation: ApiOperation::ChatCompletions,
             arrived_at: SimTime::from_secs(1),
             finished_at: SimTime::from_secs(4),
             prompt_tokens: 100,
@@ -299,10 +342,14 @@ mod tests {
 
     #[test]
     fn log_aggregates_by_user_and_model() {
+        const MODELS: [&str; 2] = ["llama-70b", "llama-8b"];
+        let (llama_70b, llama_8b) = (SymbolId(0), SymbolId(1));
         let mut log = RequestLog::new();
-        log.record(entry("alice", "llama-70b", 200, true, false));
-        log.record(entry("alice", "llama-8b", 100, true, false));
-        log.record(entry("bob", "llama-70b", 50, false, true));
+        let alice = log.intern_user("alice");
+        let bob = log.intern_user("bob");
+        log.record(entry(alice, llama_70b, 200, true, false));
+        log.record(entry(alice, llama_8b, 100, true, false));
+        log.record(entry(bob, llama_70b, 50, false, true));
         assert_eq!(log.len(), 3);
         assert_eq!(log.distinct_users(), 2);
         assert_eq!(log.total_completion_tokens(), 350);
@@ -310,14 +357,19 @@ mod tests {
         assert_eq!(by_user["alice"].requests, 2);
         assert_eq!(by_user["alice"].completion_tokens, 300);
         assert_eq!(by_user["bob"].failures, 1);
-        let by_model = log.usage_by_model();
+        let by_model = log.usage_by_model(|m| MODELS[m.index()]);
         assert_eq!(by_model["llama-70b"].requests, 2);
+        assert_eq!(by_model["llama-70b"].failures, 1);
+        assert_eq!(by_model["llama-8b"].requests, 1);
         assert_eq!(log.interactive_batch_split(), (2, 1));
+        // Interning is idempotent, and ids resolve back to their names.
+        assert_eq!(log.intern_user("alice"), alice);
+        assert_eq!(log.user_name(log.entries()[2].user), "bob");
     }
 
     #[test]
     fn log_entry_latency() {
-        let e = entry("alice", "m", 10, true, false);
+        let e = entry(SymbolId(0), SymbolId(0), 10, true, false);
         assert_eq!(e.latency(), SimDuration::from_secs(3));
         assert_eq!(e.total_tokens(), 110);
     }

@@ -167,7 +167,7 @@ pub fn stream_response(
 
     StreamedResponse {
         request_id: completed.request_id,
-        model: completed.model.clone(),
+        model: spec.name.clone(),
         arrived_at: completed.arrived_at,
         first_token_at,
         finished_at: completed.finished_at,
@@ -248,9 +248,9 @@ mod tests {
     fn completed(latency_s: u64, prompt: u32, output: u32) -> CompletedRequest {
         CompletedRequest {
             request_id: 7,
-            user: "alice".into(),
-            model: "meta-llama/Llama-3.3-70B-Instruct".into(),
-            endpoint: "sophia-endpoint".into(),
+            user: first_desim::SymbolId(0),
+            model: first_desim::SymbolId(0),
+            endpoint: Some(first_fabric::EndpointId(0)),
             arrived_at: SimTime::from_secs(100),
             finished_at: SimTime::from_secs(100 + latency_s),
             usage: Usage::new(prompt, output),

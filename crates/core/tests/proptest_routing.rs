@@ -183,7 +183,12 @@ proptest! {
                 .map(|e| {
                     format!(
                         "{}|{}|{}|{}|{}|{}",
-                        e.request_id, e.user, e.model, e.endpoint, e.finished_at, e.success
+                        e.request_id,
+                        gateway.user_name(e.user),
+                        gateway.registry().model_name(e.model),
+                        gateway.endpoint_name(e.endpoint),
+                        e.finished_at,
+                        e.success
                     )
                 })
                 .collect();

@@ -13,13 +13,14 @@
 //! by ids that are already well-distributed (task ids, request ids): SipHash
 //! on a `u64` costs more than the lookup it guards.
 
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A dense interned-name identifier. Ids are assigned sequentially from 0 in
 /// first-intern order, so they double as `Vec` indices for per-name state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct SymbolId(pub u32);
 
 impl SymbolId {

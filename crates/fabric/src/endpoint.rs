@@ -295,10 +295,18 @@ impl ComputeEndpoint {
             .any(|i| i.model == model && i.is_ready())
     }
 
-    /// Receive a task from the cloud service at `now`. Returns `false` if the
-    /// endpoint does not host the requested model (a failed result is
-    /// produced in that case).
-    pub fn receive_task(&mut self, task: TaskId, request: InferenceRequest, now: SimTime) -> bool {
+    /// Receive a task from the cloud service at `now`. `hosting` is the
+    /// hosting-entry index of the request's model, as the router resolved it
+    /// (see [`EndpointConfig::hosting_index`]). Returns `false` if the
+    /// endpoint does not host the model (`hosting` is `None` or out of
+    /// range) or cannot serve it; a failed result is produced in that case.
+    pub fn receive_task(
+        &mut self,
+        task: TaskId,
+        hosting: Option<u32>,
+        request: InferenceRequest,
+        now: SimTime,
+    ) -> bool {
         self.stats.tasks_received += 1;
         if self.is_offline(now) {
             // Network partition / endpoint flap: deliveries fail fast with a
@@ -313,15 +321,18 @@ impl ComputeEndpoint {
             });
             return false;
         }
-        let Some(hosting_idx) = self.config.hosting_index(&request.model) else {
+        let Some(hosting_idx) = hosting
+            .map(|h| h as usize)
+            .filter(|&h| h < self.config.models.len())
+        else {
             self.stats.tasks_failed += 1;
             self.results.push(TaskResult {
                 task,
                 success: false,
                 completion: None,
                 error: Some(format!(
-                    "endpoint {} does not host model {}",
-                    self.config.name, request.model
+                    "endpoint {} does not host the requested model",
+                    self.config.name
                 )),
                 finished_at: now,
             });
@@ -339,7 +350,7 @@ impl ComputeEndpoint {
                 completion: None,
                 error: Some(format!(
                     "model {} requires {} nodes x {} GPUs, which cluster {} cannot provide",
-                    request.model,
+                    hosting.model.name,
                     hosting.nodes_per_instance,
                     hosting.gpus_per_instance,
                     self.config.cluster
@@ -940,7 +951,7 @@ mod tests {
     }
 
     fn chat_req(id: u64) -> InferenceRequest {
-        InferenceRequest::chat(id, "meta-llama/Llama-3.3-70B-Instruct", 220, 150)
+        InferenceRequest::chat(id, 220, 150)
     }
 
     #[test]
@@ -962,7 +973,7 @@ mod tests {
             ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO),
             0
         );
-        assert!(!ep.receive_task(TaskId(1), chat_req(1), SimTime::ZERO));
+        assert!(!ep.receive_task(TaskId(1), Some(0), chat_req(1), SimTime::ZERO));
         let results = ep.take_results();
         assert_eq!(results.len(), 1);
         assert!(!results[0].success);
@@ -985,7 +996,7 @@ mod tests {
             ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO),
             1
         );
-        assert!(ep.receive_task(TaskId(2), chat_req(2), SimTime::ZERO));
+        assert!(ep.receive_task(TaskId(2), Some(0), chat_req(2), SimTime::ZERO));
         drive(&mut ep, SimTime::from_secs(300));
         let results = ep.take_results();
         assert_eq!(results.len(), 1);
@@ -995,7 +1006,7 @@ mod tests {
     #[test]
     fn first_request_triggers_cold_start_and_completes() {
         let mut ep = endpoint();
-        assert!(ep.receive_task(TaskId(1), chat_req(1), SimTime::ZERO));
+        assert!(ep.receive_task(TaskId(1), Some(0), chat_req(1), SimTime::ZERO));
         // The model is not hot: /jobs should say "starting" (node allocated
         // instantly on the empty cluster, weights loading).
         let status = ep.model_status("meta-llama/Llama-3.3-70B-Instruct");
@@ -1014,7 +1025,7 @@ mod tests {
         let mut ep = endpoint();
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
         assert!(ep.has_hot_instance("meta-llama/Llama-3.3-70B-Instruct"));
-        ep.receive_task(TaskId(1), chat_req(1), SimTime::from_secs(10));
+        ep.receive_task(TaskId(1), Some(0), chat_req(1), SimTime::from_secs(10));
         drive(&mut ep, SimTime::from_secs(120));
         let results = ep.take_results();
         assert_eq!(results.len(), 1);
@@ -1025,11 +1036,18 @@ mod tests {
     #[test]
     fn unknown_model_fails_immediately() {
         let mut ep = endpoint();
-        let req = InferenceRequest::chat(5, "not-hosted", 10, 10);
-        assert!(!ep.receive_task(TaskId(5), req, SimTime::ZERO));
+        let req = InferenceRequest::chat(5, 10, 10);
+        assert!(!ep.receive_task(TaskId(5), None, req, SimTime::ZERO));
+        // An index past the hosting entries is not hosted either.
+        assert!(!ep.receive_task(TaskId(6), Some(2), req, SimTime::ZERO));
         let results = ep.take_results();
-        assert_eq!(results.len(), 1);
-        assert!(!results[0].success);
+        assert_eq!(results.len(), 2);
+        assert!(results.iter().all(|r| !r.success));
+        assert!(results[0]
+            .error
+            .as_deref()
+            .unwrap_or("")
+            .contains("does not host the requested model"));
     }
 
     #[test]
@@ -1038,7 +1056,7 @@ mod tests {
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
         // Far more outstanding work than one instance's scale-up threshold.
         for i in 0..500 {
-            ep.receive_task(TaskId(i), chat_req(i), SimTime::ZERO);
+            ep.receive_task(TaskId(i), Some(0), chat_req(i), SimTime::ZERO);
         }
         ep.advance(SimTime::from_secs(1));
         let model = "meta-llama/Llama-3.3-70B-Instruct";
@@ -1055,7 +1073,7 @@ mod tests {
     fn idle_timeout_releases_warm_nodes() {
         let mut ep = endpoint();
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
-        ep.receive_task(TaskId(1), chat_req(1), SimTime::ZERO);
+        ep.receive_task(TaskId(1), Some(0), chat_req(1), SimTime::ZERO);
         drive(&mut ep, SimTime::from_secs(300));
         assert_eq!(ep.take_results().len(), 1);
         let busy_gpus_before = ep.cluster_status().total_gpus - ep.cluster_status().free_gpus;
@@ -1078,7 +1096,8 @@ mod tests {
         let mut ep = endpoint();
         ep.receive_task(
             TaskId(9),
-            InferenceRequest::embedding(9, "nvidia/NV-Embed-v2", 512),
+            Some(1),
+            InferenceRequest::embedding(9, 512),
             SimTime::ZERO,
         );
         drive(&mut ep, SimTime::from_secs(60));
@@ -1113,7 +1132,7 @@ mod tests {
         let mut ep = ComputeEndpoint::new(config, Cluster::tiny("c", 2, 8));
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
         for i in 0..20 {
-            ep.receive_task(TaskId(i), chat_req(i), SimTime::ZERO);
+            ep.receive_task(TaskId(i), Some(0), chat_req(i), SimTime::ZERO);
         }
         ep.advance(SimTime::from_millis(100));
         let inst = ep
@@ -1136,7 +1155,7 @@ mod tests {
         );
         let mut ep = ComputeEndpoint::new(config, Cluster::tiny("c", 1, 8));
         for i in 0..50 {
-            ep.receive_task(TaskId(i), chat_req(i), SimTime::ZERO);
+            ep.receive_task(TaskId(i), Some(0), chat_req(i), SimTime::ZERO);
         }
         ep.advance(SimTime::from_secs(1));
         let status = ep.model_status("meta-llama/Llama-3.3-70B-Instruct");
@@ -1152,7 +1171,7 @@ mod tests {
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
         ep.set_offline_until(SimTime::from_secs(60));
         assert!(ep.is_offline(SimTime::from_secs(30)));
-        assert!(!ep.receive_task(TaskId(1), chat_req(1), SimTime::from_secs(30)));
+        assert!(!ep.receive_task(TaskId(1), Some(0), chat_req(1), SimTime::from_secs(30)));
         let results = ep.take_results();
         assert_eq!(results.len(), 1);
         assert!(!results[0].success);
@@ -1163,7 +1182,7 @@ mod tests {
             .contains("unreachable"));
         // After the window the endpoint serves again.
         assert!(!ep.is_offline(SimTime::from_secs(60)));
-        assert!(ep.receive_task(TaskId(2), chat_req(2), SimTime::from_secs(60)));
+        assert!(ep.receive_task(TaskId(2), Some(0), chat_req(2), SimTime::from_secs(60)));
         drive(&mut ep, SimTime::from_secs(300));
         assert!(ep.take_results().iter().any(|r| r.success));
         // An earlier recovery instant never shortens an existing window.
@@ -1176,7 +1195,7 @@ mod tests {
     fn preemption_fails_in_flight_tasks_instead_of_hanging_them() {
         let mut ep = endpoint();
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
-        ep.receive_task(TaskId(1), chat_req(1), SimTime::ZERO);
+        ep.receive_task(TaskId(1), Some(0), chat_req(1), SimTime::ZERO);
         ep.advance(SimTime::from_millis(100));
         assert!(ep.take_results().is_empty(), "task still running");
         assert!(ep.preempt_instance(SimTime::from_secs(1)));
@@ -1226,7 +1245,7 @@ mod tests {
     fn engine_stall_delays_completions() {
         let mut ep = endpoint();
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
-        ep.receive_task(TaskId(1), chat_req(1), SimTime::ZERO);
+        ep.receive_task(TaskId(1), Some(0), chat_req(1), SimTime::ZERO);
         ep.advance(SimTime::from_millis(100));
         assert_eq!(
             ep.stall_engines(SimTime::from_millis(100), SimTime::from_secs(200)),
@@ -1247,8 +1266,8 @@ mod tests {
     fn decode_steps_without_batch_changes_do_not_wake_the_endpoint() {
         let mut ep = endpoint();
         ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
-        let req = InferenceRequest::chat(1, "meta-llama/Llama-3.3-70B-Instruct", 220, 200);
-        ep.receive_task(TaskId(1), req, SimTime::ZERO);
+        let req = InferenceRequest::chat(1, 220, 200);
+        ep.receive_task(TaskId(1), Some(0), req, SimTime::ZERO);
         let mut wakes = 0;
         let mut results = Vec::new();
         while results.is_empty() {

@@ -24,6 +24,6 @@ pub use endpoint::{
 };
 pub use service::{ComputeService, FabricError, ServiceStats};
 pub use task::{
-    EndpointId, FunctionId, FunctionRegistry, RegisteredFunction, TaskId, TaskPayload, TaskRecord,
-    TaskResult, TaskState,
+    EndpointId, FunctionId, FunctionRegistry, RegisteredFunction, TaskId, TaskRecord, TaskResult,
+    TaskState,
 };

@@ -38,6 +38,18 @@ impl std::fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
+/// A task between submission and delivery: the request plus where it goes.
+#[derive(Debug, Clone)]
+struct RoutedTask {
+    id: TaskId,
+    request: InferenceRequest,
+    /// Index of the target endpoint.
+    endpoint: u32,
+    /// Hosting-entry index of the request's model on that endpoint, as the
+    /// submitter resolved it; `None` when the endpoint does not host it.
+    hosting: Option<u32>,
+}
+
 /// Service-level statistics.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServiceStats {
@@ -73,11 +85,11 @@ pub struct ComputeService {
     /// identical by construction).
     instance_id: u64,
     topology_version: u64,
-    /// Tasks accepted, waiting for the serial dispatcher: `(arrival, task, request, endpoint idx)`.
-    dispatch_queue: VecDeque<(SimTime, TaskId, InferenceRequest, usize)>,
+    /// Tasks accepted, waiting for the serial dispatcher: `(arrival, task)`.
+    dispatch_queue: VecDeque<(SimTime, RoutedTask)>,
     dispatcher_free_at: SimTime,
-    /// Dispatched tasks in transit to their endpoint: `(deliver_at, task, request, endpoint idx)`.
-    in_transit: Vec<(SimTime, TaskId, InferenceRequest, usize)>,
+    /// Dispatched tasks in transit to their endpoint: `(deliver_at, task)`.
+    in_transit: Vec<(SimTime, RoutedTask)>,
     /// Earliest `deliver_at` across `in_transit`, kept exact on every push
     /// and removal so the per-event due checks and `next_event_time` are
     /// O(1) instead of rescanning the transit buffer.
@@ -245,12 +257,15 @@ impl ComputeService {
         }
     }
 
-    /// Submit a task invoking `function` on `endpoint` at `now` (the time the
-    /// client issued the call; service receipt adds the client→service hop).
+    /// Submit a task invoking `function` on `endpoint` for the named model at
+    /// `now` (the time the client issued the call; service receipt adds the
+    /// client→service hop). The by-name form: both names are resolved here,
+    /// once, and the task then travels as [`ComputeService::submit_to`]'s.
     pub fn submit(
         &mut self,
         function: FunctionId,
         endpoint: &str,
+        model: &str,
         request: InferenceRequest,
         now: SimTime,
     ) -> Result<TaskId, FabricError> {
@@ -260,15 +275,22 @@ impl ComputeService {
             }
             return Err(FabricError::UnknownEndpoint(endpoint.to_string()));
         };
-        self.submit_to(function, id, request, now)
+        let hosting = self.endpoints[id.index()]
+            .config()
+            .hosting_index(model)
+            .map(|h| h as u32);
+        self.submit_to(function, id, hosting, request, now)
     }
 
-    /// Submit a task to an endpoint already resolved to its dense id — the
-    /// per-request path the gateway uses (no name lookup, no name allocation).
+    /// Submit a task to an endpoint already resolved to its dense id, with
+    /// the model's hosting-entry index on it (`None`: not hosted, the task
+    /// fails at the endpoint) — the per-request path the gateway uses, which
+    /// looks up and allocates no name.
     pub fn submit_to(
         &mut self,
         function: FunctionId,
         endpoint: EndpointId,
+        hosting: Option<u32>,
         request: InferenceRequest,
         now: SimTime,
     ) -> Result<TaskId, FabricError> {
@@ -285,7 +307,7 @@ impl ComputeService {
         self.tasks.push(TaskRecord {
             id,
             function,
-            endpoint: self.endpoints[ep_idx].name().to_string(),
+            endpoint,
             submitted_at: now,
             state: TaskState::QueuedAtService,
             result: None,
@@ -293,8 +315,15 @@ impl ComputeService {
             delivered_at: None,
             result_available_at: None,
         });
-        self.dispatch_queue
-            .push_back((arrival, id, request, ep_idx));
+        self.dispatch_queue.push_back((
+            arrival,
+            RoutedTask {
+                id,
+                request,
+                endpoint: endpoint.0,
+                hosting,
+            },
+        ));
         self.unresolved_tasks += 1;
         self.stats.submitted += 1;
         self.stats.peak_queue_depth = self.stats.peak_queue_depth.max(self.dispatch_queue.len());
@@ -328,7 +357,7 @@ impl ComputeService {
 
     fn pump_dispatcher(&mut self, now: SimTime) {
         // Serial dispatcher: one task at a time, each costing dispatch_cost.
-        while let Some(&(arrival, _, _, _)) = self.dispatch_queue.front() {
+        while let Some(&(arrival, _)) = self.dispatch_queue.front() {
             let start = arrival.max(self.dispatcher_free_at);
             if start > now {
                 break;
@@ -339,10 +368,10 @@ impl ComputeService {
                 // the dispatcher and handling delivery on a later advance.
                 break;
             }
-            let (_, id, request, ep_idx) = self.dispatch_queue.pop_front().expect("front exists");
+            let (_, task) = self.dispatch_queue.pop_front().expect("front exists");
             self.dispatcher_free_at = done;
             let deliver_at = done + self.latency.service_to_endpoint;
-            if let Some(rec) = self.task_mut(id) {
+            if let Some(rec) = self.task_mut(task.id) {
                 rec.state = TaskState::AtEndpoint;
                 rec.dispatched_at = Some(done);
             }
@@ -350,7 +379,7 @@ impl ComputeService {
                 self.next_transit_at
                     .map_or(deliver_at, |t| t.min(deliver_at)),
             );
-            self.in_transit.push((deliver_at, id, request, ep_idx));
+            self.in_transit.push((deliver_at, task));
             self.stats.dispatched += 1;
         }
     }
@@ -374,13 +403,18 @@ impl ComputeService {
             }
         }
         self.next_transit_at = self.in_transit.iter().map(|&(t, ..)| t).min();
-        due.sort_by_key(|t| (t.0, t.1));
-        for (deliver_at, id, request, ep_idx) in due {
-            if let Some(rec) = self.task_mut(id) {
+        due.sort_by_key(|(at, task)| (*at, task.id));
+        for (deliver_at, task) in due {
+            if let Some(rec) = self.task_mut(task.id) {
                 rec.state = TaskState::Running;
                 rec.delivered_at = Some(deliver_at);
             }
-            self.endpoints[ep_idx].receive_task(id, request, deliver_at);
+            self.endpoints[task.endpoint as usize].receive_task(
+                task.id,
+                task.hosting,
+                task.request,
+                deliver_at,
+            );
         }
     }
 
@@ -427,7 +461,7 @@ impl ComputeService {
     }
 
     fn next_dispatch_time(&self) -> Option<SimTime> {
-        self.dispatch_queue.front().map(|&(arrival, _, _, _)| {
+        self.dispatch_queue.front().map(|&(arrival, _)| {
             arrival.max(self.dispatcher_free_at) + self.latency.service_dispatch_cost
         })
     }
@@ -569,7 +603,8 @@ mod tests {
             .submit(
                 f,
                 "sophia-endpoint",
-                InferenceRequest::chat(1, MODEL, 220, 150),
+                MODEL,
+                InferenceRequest::chat(1, 220, 150),
                 SimTime::ZERO,
             )
             .unwrap();
@@ -591,7 +626,8 @@ mod tests {
             .submit(
                 FunctionId(999),
                 "sophia-endpoint",
-                InferenceRequest::chat(1, MODEL, 10, 10),
+                MODEL,
+                InferenceRequest::chat(1, 10, 10),
                 SimTime::ZERO,
             )
             .unwrap_err();
@@ -606,7 +642,8 @@ mod tests {
             .submit(
                 f,
                 "nowhere",
-                InferenceRequest::chat(1, MODEL, 10, 10),
+                MODEL,
+                InferenceRequest::chat(1, 10, 10),
                 SimTime::ZERO,
             )
             .unwrap_err();
@@ -622,7 +659,8 @@ mod tests {
             svc.submit(
                 f,
                 "sophia-endpoint",
-                InferenceRequest::chat(i, MODEL, 100, 50),
+                MODEL,
+                InferenceRequest::chat(i, 100, 50),
                 SimTime::ZERO,
             )
             .unwrap();
@@ -651,7 +689,8 @@ mod tests {
             svc.submit(
                 f,
                 "sophia-endpoint",
-                InferenceRequest::chat(i, MODEL, 50, 20),
+                MODEL,
+                InferenceRequest::chat(i, 50, 20),
                 SimTime::ZERO,
             )
             .unwrap();
@@ -668,7 +707,8 @@ mod tests {
         svc.submit(
             f,
             "sophia-endpoint",
-            InferenceRequest::chat(1, MODEL, 100, 50),
+            MODEL,
+            InferenceRequest::chat(1, 100, 50),
             SimTime::ZERO,
         )
         .unwrap();
@@ -691,7 +731,8 @@ mod tests {
         svc.submit(
             f,
             "sophia-endpoint",
-            InferenceRequest::chat(1, MODEL, 100, 2000),
+            MODEL,
+            InferenceRequest::chat(1, 100, 2000),
             SimTime::ZERO,
         )
         .unwrap();
@@ -726,7 +767,8 @@ mod tests {
             svc.submit(
                 f,
                 "sophia-endpoint",
-                InferenceRequest::chat(1, MODEL, 100, 50),
+                MODEL,
+                InferenceRequest::chat(1, 100, 50),
                 SimTime::ZERO,
             )
             .unwrap();

@@ -5,7 +5,7 @@
 //! invoking one of those functions on a chosen endpoint.
 
 use first_desim::{SimDuration, SimTime};
-use first_serving::{InferenceCompletion, InferenceRequest};
+use first_serving::InferenceCompletion;
 use serde::{Deserialize, Serialize};
 
 /// Identifier of a registered function.
@@ -125,13 +125,6 @@ pub enum TaskState {
     Failed,
 }
 
-/// The payload carried by an inference task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TaskPayload {
-    /// The inference request to execute.
-    pub request: InferenceRequest,
-}
-
 /// Completed task outcome as relayed back through the service.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskResult {
@@ -154,8 +147,8 @@ pub struct TaskRecord {
     pub id: TaskId,
     /// Function being invoked.
     pub function: FunctionId,
-    /// Target endpoint name.
-    pub endpoint: String,
+    /// Target endpoint (its name is [`crate::ComputeService::endpoint_name`]).
+    pub endpoint: EndpointId,
     /// Submission time at the service.
     pub submitted_at: SimTime,
     /// Current state.
@@ -210,7 +203,7 @@ mod tests {
         let rec = TaskRecord {
             id: TaskId(1),
             function: FunctionId(0),
-            endpoint: "sophia".into(),
+            endpoint: EndpointId(0),
             submitted_at: SimTime::from_secs(10),
             state: TaskState::Completed,
             result: None,

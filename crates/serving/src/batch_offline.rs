@@ -81,13 +81,13 @@ mod tests {
     use crate::model::find_model;
     use first_hpc::GpuModel;
 
-    fn sharegpt_like(n: u64, model: &str) -> Vec<InferenceRequest> {
+    fn sharegpt_like(n: u64) -> Vec<InferenceRequest> {
         // Deterministic prompt/output mix approximating the ShareGPT profile.
         (0..n)
             .map(|i| {
                 let prompt = 120 + ((i * 37) % 300) as u32;
                 let output = 120 + ((i * 53) % 200) as u32;
-                InferenceRequest::chat(i, model, prompt, output)
+                InferenceRequest::chat(i, prompt, output)
             })
             .collect()
     }
@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn batch_of_1000_on_70b_matches_paper_scale() {
         let cfg = EngineConfig::for_model(find_model("llama-70b").unwrap(), GpuModel::A100_40);
-        let report = run_offline_batch(cfg, sharegpt_like(1000, "llama-70b"));
+        let report = run_offline_batch(cfg, sharegpt_like(1000));
         // Paper: 1000 requests, ≈2117 tok/s overall, ≈409 s total.
         assert!(
             report.overall_tokens_per_sec > 800.0 && report.overall_tokens_per_sec < 3000.0,
@@ -114,8 +114,8 @@ mod tests {
     #[test]
     fn cold_start_dominates_small_batches() {
         let cfg = EngineConfig::for_model(find_model("llama-70b").unwrap(), GpuModel::A100_40);
-        let small = run_offline_batch(cfg.clone(), sharegpt_like(20, "llama-70b"));
-        let large = run_offline_batch(cfg, sharegpt_like(2000, "llama-70b"));
+        let small = run_offline_batch(cfg.clone(), sharegpt_like(20));
+        let large = run_offline_batch(cfg, sharegpt_like(2000));
         assert!(
             small.load_fraction() > 0.5,
             "small load fraction {}",
@@ -139,7 +139,7 @@ mod tests {
         // frontend achieve lower throughput than the offline batch (no serving
         // overhead), mirroring §5.3.1's 2117 tok/s vs the online numbers.
         let cfg = EngineConfig::for_model(find_model("llama-70b").unwrap(), GpuModel::A100_40);
-        let report = run_offline_batch(cfg, sharegpt_like(1000, "llama-70b"));
+        let report = run_offline_batch(cfg, sharegpt_like(1000));
         assert!(report.steady_tokens_per_sec > 1000.0);
     }
 

@@ -127,7 +127,6 @@ impl EmbeddingEngine {
             self.stats.tokens += req.prompt_tokens as u64;
             self.completions.push(InferenceCompletion {
                 id: req.id,
-                model: req.model.clone(),
                 accepted_at: arrival,
                 first_token_at: finish,
                 finished_at: finish,
@@ -181,10 +180,7 @@ mod tests {
     #[test]
     fn single_embedding_is_fast() {
         let mut e = engine();
-        e.submit(
-            InferenceRequest::embedding(1, "nv-embed-v2", 512),
-            SimTime::ZERO,
-        );
+        e.submit(InferenceRequest::embedding(1, 512), SimTime::ZERO);
         drain(&mut e, SimTime::from_secs(10));
         let c = e.take_completions();
         assert_eq!(c.len(), 1);
@@ -196,10 +192,7 @@ mod tests {
     fn batches_respect_max_batch() {
         let mut e = engine();
         for i in 0..200 {
-            e.submit(
-                InferenceRequest::embedding(i, "nv-embed-v2", 256),
-                SimTime::ZERO,
-            );
+            e.submit(InferenceRequest::embedding(i, 256), SimTime::ZERO);
         }
         drain(&mut e, SimTime::from_secs(60));
         assert_eq!(e.stats().completed, 200);
@@ -211,10 +204,7 @@ mod tests {
     fn throughput_matches_configured_rate() {
         let mut e = engine();
         for i in 0..1000 {
-            e.submit(
-                InferenceRequest::embedding(i, "nv-embed-v2", 512),
-                SimTime::ZERO,
-            );
+            e.submit(InferenceRequest::embedding(i, 512), SimTime::ZERO);
         }
         drain(&mut e, SimTime::from_secs(600));
         let completions = e.take_completions();
@@ -231,13 +221,10 @@ mod tests {
     fn later_submissions_queue_behind_busy_engine() {
         let mut e = engine();
         for i in 0..64 {
-            e.submit(
-                InferenceRequest::embedding(i, "nv-embed-v2", 8192),
-                SimTime::ZERO,
-            );
+            e.submit(InferenceRequest::embedding(i, 8192), SimTime::ZERO);
         }
         e.submit(
-            InferenceRequest::embedding(99, "nv-embed-v2", 128),
+            InferenceRequest::embedding(99, 128),
             SimTime::from_millis(1),
         );
         drain(&mut e, SimTime::from_secs(600));

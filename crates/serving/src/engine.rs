@@ -398,7 +398,6 @@ impl VllmEngine {
             self.stats.completed += 1;
             self.completions.push(InferenceCompletion {
                 id: seq.req.id,
-                model: seq.req.model.clone(),
                 accepted_at: seq.accepted_at,
                 first_token_at: seq.first_token_at.unwrap_or(step_end),
                 finished_at: step_end,
@@ -541,7 +540,7 @@ mod tests {
 
     fn requests(n: u64, prompt: u32, output: u32) -> Vec<InferenceRequest> {
         (0..n)
-            .map(|i| InferenceRequest::chat(i, "llama-70b", prompt, output))
+            .map(|i| InferenceRequest::chat(i, prompt, output))
             .collect()
     }
 
@@ -600,7 +599,7 @@ mod tests {
         // Extremely long prompts: the block pool, not max_num_seqs, must bound
         // the batch.
         let long: Vec<InferenceRequest> = (0..600)
-            .map(|i| InferenceRequest::chat(i, "llama-70b", 6000, 200))
+            .map(|i| InferenceRequest::chat(i, 6000, 200))
             .collect();
         let (completions, _, stats) = run_to_completion(cfg.clone(), long, false);
         assert_eq!(completions.len(), 600);
@@ -625,10 +624,7 @@ mod tests {
     fn stopped_engine_rejects_requests() {
         let mut engine = VllmEngine::hot(config8(), SimTime::ZERO);
         engine.stop();
-        assert!(!engine.enqueue(
-            InferenceRequest::chat(1, "llama-8b", 100, 10),
-            SimTime::ZERO
-        ));
+        assert!(!engine.enqueue(InferenceRequest::chat(1, 100, 10), SimTime::ZERO));
         assert_eq!(engine.stats().rejected, 1);
     }
 
@@ -637,12 +633,9 @@ mod tests {
         let mut cfg = config8();
         cfg.gpu_memory_utilization = 0.5; // shrink the pool
         let mut engine = VllmEngine::hot(cfg, SimTime::ZERO);
-        let huge = InferenceRequest::chat(1, "llama-8b", 2_000_000, 1000);
+        let huge = InferenceRequest::chat(1, 2_000_000, 1000);
         assert!(!engine.enqueue(huge, SimTime::ZERO));
-        assert!(engine.enqueue(
-            InferenceRequest::chat(2, "llama-8b", 200, 50),
-            SimTime::ZERO
-        ));
+        assert!(engine.enqueue(InferenceRequest::chat(2, 200, 50), SimTime::ZERO));
     }
 
     #[test]
@@ -661,7 +654,7 @@ mod tests {
         let (_, span8, stats8) = run_to_completion(
             config8(),
             (0..200)
-                .map(|i| InferenceRequest::chat(i, "llama-8b", 220, 150))
+                .map(|i| InferenceRequest::chat(i, 220, 150))
                 .collect(),
             false,
         );
@@ -674,10 +667,7 @@ mod tests {
     #[test]
     fn engine_goes_idle_after_draining() {
         let mut engine = VllmEngine::hot(config8(), SimTime::ZERO);
-        engine.enqueue(
-            InferenceRequest::chat(1, "llama-8b", 100, 20),
-            SimTime::ZERO,
-        );
+        engine.enqueue(InferenceRequest::chat(1, 100, 20), SimTime::ZERO);
         let mut now = SimTime::ZERO;
         while let Some(t) = SimProcess::next_event_time(&engine) {
             now = t;
@@ -689,17 +679,14 @@ mod tests {
         assert!(engine.is_idle());
         assert_eq!(SimProcess::next_event_time(&engine), None);
         // A new request wakes it up again.
-        engine.enqueue(InferenceRequest::chat(2, "llama-8b", 100, 20), now);
+        engine.enqueue(InferenceRequest::chat(2, 100, 20), now);
         assert!(SimProcess::next_event_time(&engine).is_some());
     }
 
     #[test]
     fn stall_pauses_decode_and_resumes_afterwards() {
         let mut engine = VllmEngine::hot(config8(), SimTime::ZERO);
-        engine.enqueue(
-            InferenceRequest::chat(1, "llama-8b", 100, 50),
-            SimTime::ZERO,
-        );
+        engine.enqueue(InferenceRequest::chat(1, 100, 50), SimTime::ZERO);
         let stall_end = SimTime::from_secs(120);
         engine.stall(SimTime::ZERO, stall_end);
         assert_eq!(engine.stalled_until(SimTime::ZERO), Some(stall_end));
@@ -723,10 +710,7 @@ mod tests {
         // A request enqueued during a stall also waits for it.
         let mut engine = VllmEngine::hot(config8(), SimTime::ZERO);
         engine.stall(SimTime::ZERO, stall_end);
-        engine.enqueue(
-            InferenceRequest::chat(2, "llama-8b", 100, 20),
-            SimTime::from_secs(10),
-        );
+        engine.enqueue(InferenceRequest::chat(2, 100, 20), SimTime::from_secs(10));
         assert_eq!(SimProcess::next_event_time(&engine), Some(stall_end));
     }
 
@@ -736,10 +720,7 @@ mod tests {
         cfg.max_num_seqs = 2;
         let mut engine = VllmEngine::hot(cfg, SimTime::ZERO);
         for (id, output) in [(1, 30), (2, 12), (3, 5)] {
-            engine.enqueue(
-                InferenceRequest::chat(id, "llama-8b", 100, output),
-                SimTime::ZERO,
-            );
+            engine.enqueue(InferenceRequest::chat(id, 100, output), SimTime::ZERO);
         }
         engine.advance(SimTime::ZERO);
         // Both slots are taken, so request 2's twelfth token is the next
@@ -861,8 +842,8 @@ mod tests {
                     }
                     // Kinds 0 and 1 enqueue; 2 and 3 stall for up to a second.
                     if kind < 2 {
-                        let req = InferenceRequest::chat(id as u64, "llama-8b", prompt, output);
-                        let accepted = fused.enqueue(req.clone(), now);
+                        let req = InferenceRequest::chat(id as u64, prompt, output);
+                        let accepted = fused.enqueue(req, now);
                         prop_assert_eq!(accepted, reference.enqueue(req, now));
                     } else {
                         let until = now + SimDuration::from_micros(u64::from(prompt) * 5_000);

@@ -237,10 +237,7 @@ mod tests {
     #[test]
     fn low_load_adds_only_small_overhead() {
         let mut s = server();
-        s.submit(
-            InferenceRequest::chat(1, "llama-70b", 220, 180),
-            SimTime::ZERO,
-        );
+        s.submit(InferenceRequest::chat(1, 220, 180), SimTime::ZERO);
         drain(&mut s, SimTime::from_secs(3600));
         let served = s.take_served();
         assert_eq!(served.len(), 1);
@@ -255,10 +252,7 @@ mod tests {
         // 300 requests all at t=0: the serial frontend caps throughput near
         // 1/(ingest+respond) ≈ 5.9 req/s.
         for i in 0..300 {
-            s.submit(
-                InferenceRequest::chat(i, "llama-70b", 220, 180),
-                SimTime::ZERO,
-            );
+            s.submit(InferenceRequest::chat(i, 220, 180), SimTime::ZERO);
         }
         drain(&mut s, SimTime::from_secs(36000));
         let served = s.take_served();
@@ -280,10 +274,7 @@ mod tests {
     #[test]
     fn served_requests_preserve_token_counts() {
         let mut s = server();
-        s.submit(
-            InferenceRequest::chat(7, "llama-70b", 123, 45),
-            SimTime::from_secs(1),
-        );
+        s.submit(InferenceRequest::chat(7, 123, 45), SimTime::from_secs(1));
         drain(&mut s, SimTime::from_secs(3600));
         let served = s.take_served();
         assert_eq!(served[0].prompt_tokens, 123);
@@ -295,10 +286,7 @@ mod tests {
     fn frontend_busy_time_accumulates() {
         let mut s = server();
         for i in 0..10 {
-            s.submit(
-                InferenceRequest::chat(i, "llama-70b", 100, 20),
-                SimTime::ZERO,
-            );
+            s.submit(InferenceRequest::chat(i, 100, 20), SimTime::ZERO);
         }
         drain(&mut s, SimTime::from_secs(3600));
         // 10 ingests + 10 responds at 0.08/0.09 s each = 1.7 s of serial work.

@@ -136,7 +136,6 @@ impl CloudApi {
                 self.stats.output_tokens += req.output_tokens as u64;
                 self.completions.push(InferenceCompletion {
                     id: req.id,
-                    model: req.model.clone(),
                     accepted_at: arrival,
                     first_token_at: arrival + self.config.base_latency,
                     finished_at: finish,
@@ -195,10 +194,7 @@ mod tests {
     #[test]
     fn single_request_has_low_latency() {
         let mut api = CloudApi::new(CloudApiConfig::default());
-        api.submit(
-            InferenceRequest::chat(1, "gpt-4o-mini", 220, 180),
-            SimTime::ZERO,
-        );
+        api.submit(InferenceRequest::chat(1, 220, 180), SimTime::ZERO);
         run_all(&mut api, SimTime::from_secs(60));
         let c = api.take_completions();
         assert_eq!(c.len(), 1);
@@ -210,10 +206,7 @@ mod tests {
     fn sustained_throughput_is_rate_limited() {
         let mut api = CloudApi::new(CloudApiConfig::default());
         for i in 0..1000 {
-            api.submit(
-                InferenceRequest::chat(i, "gpt-4o-mini", 220, 180),
-                SimTime::ZERO,
-            );
+            api.submit(InferenceRequest::chat(i, 220, 180), SimTime::ZERO);
         }
         run_all(&mut api, SimTime::from_secs(3600));
         assert!(api.is_drained());
@@ -232,10 +225,7 @@ mod tests {
     fn token_throughput_tracks_rate_limit() {
         let mut api = CloudApi::new(CloudApiConfig::default());
         for i in 0..600 {
-            api.submit(
-                InferenceRequest::chat(i, "gpt-4o-mini", 220, 180),
-                SimTime::ZERO,
-            );
+            api.submit(InferenceRequest::chat(i, 220, 180), SimTime::ZERO);
         }
         run_all(&mut api, SimTime::from_secs(3600));
         let completions = api.take_completions();
@@ -255,10 +245,7 @@ mod tests {
     #[test]
     fn unthrottled_request_is_not_counted_as_throttled() {
         let mut api = CloudApi::new(CloudApiConfig::default());
-        api.submit(
-            InferenceRequest::chat(1, "gpt-4o-mini", 100, 50),
-            SimTime::from_secs(10),
-        );
+        api.submit(InferenceRequest::chat(1, 100, 50), SimTime::from_secs(10));
         run_all(&mut api, SimTime::from_secs(60));
         assert_eq!(api.stats().throttled, 0);
         assert_eq!(api.stats().completed, 1);

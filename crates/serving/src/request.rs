@@ -1,7 +1,9 @@
 //! Inference requests and completions as the serving layer sees them.
 //!
 //! These are the engine-level records; the gateway crate wraps them in
-//! OpenAI-compatible JSON types.
+//! OpenAI-compatible JSON types. They name neither the model nor the user:
+//! the engine serving a request already knows its model, and the gateway
+//! keeps the interned model and user ids beside the request it dispatched.
 
 use first_desim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -28,12 +30,10 @@ pub enum RequestKind {
 }
 
 /// An inference request at the serving layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InferenceRequest {
     /// Request identifier.
     pub id: RequestId,
-    /// Target model name (must match a catalog entry).
-    pub model: String,
     /// Kind of request.
     pub kind: RequestKind,
     /// Number of prompt (input) tokens.
@@ -42,39 +42,27 @@ pub struct InferenceRequest {
     /// generator fixes this per request (mirroring the benchmark methodology
     /// of replaying ShareGPT prompt/response length pairs).
     pub output_tokens: u32,
-    /// Submitting user (propagated for accounting).
-    pub user: String,
 }
 
 impl InferenceRequest {
     /// Convenience constructor for a chat request.
-    pub fn chat(id: u64, model: impl Into<String>, prompt_tokens: u32, output_tokens: u32) -> Self {
+    pub fn chat(id: u64, prompt_tokens: u32, output_tokens: u32) -> Self {
         InferenceRequest {
             id: RequestId(id),
-            model: model.into(),
             kind: RequestKind::Chat,
             prompt_tokens,
             output_tokens,
-            user: "user".to_string(),
         }
     }
 
     /// Convenience constructor for an embedding request.
-    pub fn embedding(id: u64, model: impl Into<String>, prompt_tokens: u32) -> Self {
+    pub fn embedding(id: u64, prompt_tokens: u32) -> Self {
         InferenceRequest {
             id: RequestId(id),
-            model: model.into(),
             kind: RequestKind::Embedding,
             prompt_tokens,
             output_tokens: 0,
-            user: "user".to_string(),
         }
-    }
-
-    /// Attach the submitting user.
-    pub fn with_user(mut self, user: impl Into<String>) -> Self {
-        self.user = user.into();
-        self
     }
 
     /// Total tokens processed for this request.
@@ -84,12 +72,10 @@ impl InferenceRequest {
 }
 
 /// The completed result of an inference request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InferenceCompletion {
     /// Request identifier.
     pub id: RequestId,
-    /// Model that served the request.
-    pub model: String,
     /// When the serving layer received the request.
     pub accepted_at: SimTime,
     /// When generation of the first output token finished (time to first token).
@@ -120,11 +106,10 @@ mod tests {
 
     #[test]
     fn request_constructors() {
-        let r = InferenceRequest::chat(1, "llama-70b", 220, 180).with_user("alice");
+        let r = InferenceRequest::chat(1, 220, 180);
         assert_eq!(r.kind, RequestKind::Chat);
         assert_eq!(r.total_tokens(), 400);
-        assert_eq!(r.user, "alice");
-        let e = InferenceRequest::embedding(2, "nv-embed-v2", 512);
+        let e = InferenceRequest::embedding(2, 512);
         assert_eq!(e.kind, RequestKind::Embedding);
         assert_eq!(e.output_tokens, 0);
     }
@@ -133,7 +118,6 @@ mod tests {
     fn completion_latency_accessors() {
         let c = InferenceCompletion {
             id: RequestId(1),
-            model: "m".into(),
             accepted_at: SimTime::from_secs(10),
             first_token_at: SimTime::from_secs(11),
             finished_at: SimTime::from_secs(15),

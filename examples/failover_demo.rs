@@ -91,7 +91,7 @@ fn main() {
         } else {
             &mut after
         };
-        match entry.endpoint.as_str() {
+        match gateway.endpoint_name(entry.endpoint) {
             "sophia-endpoint" => bucket.0 += 1,
             "polaris-endpoint" => bucket.1 += 1,
             _ => {}

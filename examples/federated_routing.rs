@@ -38,7 +38,10 @@ fn main() {
         .unwrap();
     drain(&mut gateway, SimTime::from_secs(1200));
     let r1 = gateway.take_responses().pop().unwrap();
-    println!("\nscenario 1 (cold everywhere): served by {}", r1.endpoint);
+    println!(
+        "\nscenario 1 (cold everywhere): served by {}",
+        gateway.endpoint_name(r1.endpoint)
+    );
 
     // Scenario 2: the model is now hot on Sophia, so subsequent requests stick
     // to the active instance for low latency.
@@ -55,7 +58,7 @@ fn main() {
     let r2 = gateway.take_responses().pop().unwrap();
     println!(
         "scenario 2 (hot on sophia): served by {} in {:.1} s",
-        r2.endpoint,
+        gateway.endpoint_name(r2.endpoint),
         r2.latency().as_secs_f64()
     );
 
@@ -93,7 +96,7 @@ fn main() {
     let r3 = gateway.take_responses().pop().unwrap();
     println!(
         "scenario 3 (sophia saturated): served by {} in {:.1} s",
-        r3.endpoint,
+        gateway.endpoint_name(r3.endpoint),
         r3.latency().as_secs_f64()
     );
 

@@ -91,7 +91,7 @@ fn main() {
     }
 
     println!("\n== per-model usage recorded by the gateway ==");
-    for (model, summary) in gateway.log().usage_by_model() {
+    for (model, summary) in gateway.usage_by_model() {
         println!(
             "  {:<46} {:>6} requests {:>10} tokens",
             model, summary.requests, summary.total_tokens

@@ -46,7 +46,7 @@ fn main() {
             response.usage.prompt_tokens,
             response.usage.completion_tokens,
             response.latency().as_secs_f64(),
-            response.endpoint,
+            gateway.endpoint_name(response.endpoint),
         );
     }
 

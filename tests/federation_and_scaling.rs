@@ -52,7 +52,7 @@ fn federated_deployment_fails_over_when_primary_cluster_is_full() {
     drain(&mut gateway, SimTime::from_secs(1800));
     let response = gateway.take_responses().pop().unwrap();
     assert!(response.success);
-    assert_eq!(response.endpoint, "polaris-endpoint");
+    assert_eq!(gateway.endpoint_name(response.endpoint), "polaris-endpoint");
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn requests_stick_to_the_endpoint_where_the_model_is_hot() {
         .unwrap();
     drain(&mut gateway, SimTime::from_secs(600));
     let response = gateway.take_responses().pop().unwrap();
-    assert_eq!(response.endpoint, "polaris-endpoint");
+    assert_eq!(gateway.endpoint_name(response.endpoint), "polaris-endpoint");
     assert!(
         response.latency().as_secs_f64() < 20.0,
         "hot-routed latency"

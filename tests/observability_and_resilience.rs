@@ -266,7 +266,7 @@ fn round_robin_policy_spreads_load_where_the_paper_policy_pins_it() {
         let mut sophia = 0;
         let mut polaris = 0;
         for entry in gateway.log().entries() {
-            match entry.endpoint.as_str() {
+            match gateway.endpoint_name(entry.endpoint) {
                 "sophia-endpoint" => sophia += 1,
                 "polaris-endpoint" => polaris += 1,
                 _ => {}

@@ -101,7 +101,7 @@ fn outage_traffic_lands_on_the_secondary_cluster() {
     let mut sophia = 0;
     let mut polaris = 0;
     for entry in gateway.log().entries().iter().filter(|e| e.success) {
-        match entry.endpoint.as_str() {
+        match gateway.endpoint_name(entry.endpoint) {
             "sophia-endpoint" => sophia += 1,
             "polaris-endpoint" => polaris += 1,
             _ => {}
