@@ -67,11 +67,6 @@ pub use registry::{
     FederationRouter, ModelId, ModelRegistry, RouteCandidate, RoutedTarget, RoutingDecision,
     RoutingPolicy, RoutingReason,
 };
-#[allow(deprecated)]
-pub use scenario::{
-    replay_cassette, replay_cassette_traced, run_scenario, run_scenario_recorded,
-    run_scenario_recorded_traced, run_scenario_traced,
-};
 pub use scenario::{
     replay_dashboard_cell, FailoverSection, GatewayReport, RunOutput, ScenarioRun, ShardSection,
     TenantReport,

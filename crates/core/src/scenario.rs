@@ -16,11 +16,10 @@
 //! [`crate::invariants`] check, so every `cargo test` that touches a
 //! scenario also proves request conservation and task-slab hygiene.
 //!
-//! The older free-function family (`run_scenario`, `run_scenario_traced`,
-//! `run_scenario_recorded`, `run_scenario_recorded_traced`,
-//! `replay_cassette`, `replay_cassette_traced`) survives as thin
-//! `#[deprecated]` delegations — each axis used to multiply the function
-//! count, and sharding would have doubled it again.
+//! Every open-loop request goes through one front tier: live-ring routing,
+//! the optional overload shed, fan-in, and first-response-wins delivery. A
+//! single unsharded gateway with the default [`FrontTierPolicy`] is just the
+//! front tier with one shard and nothing to retry, hedge or shed.
 
 use crate::deploy::DeploymentBuilder;
 use crate::gateway::Gateway;
@@ -489,8 +488,8 @@ impl<'c> ScenarioRun<'c> {
     /// lost to shard crashes, an optional per-request timeout re-dispatch,
     /// an optional hedge, and an optional lowest-priority shed under
     /// overload. Setting any non-default policy (or running a spec with a
-    /// shard fault plan) switches the run onto the failover driver and adds
-    /// a [`FailoverSection`] to the report.
+    /// shard fault plan) adds a [`FailoverSection`] to the report and checks
+    /// the run with the failover invariants.
     pub fn front_tier(mut self, policy: FrontTierPolicy) -> Self {
         self.sharding.front_tier = policy;
         self
@@ -597,96 +596,6 @@ fn enroll_tenant_user(gateway: &mut Gateway, name: &str) -> TokenString {
     token.token
 }
 
-/// Compile `spec` at `seed`, replay it against the spec's deployment and
-/// report per-tenant metrics and SLO attainment.
-#[deprecated(
-    note = "use `ScenarioRun::new(spec).seed(seed).execute()` — the builder composes seed, \
-            shards, tracing, recording and replay behind one `execute()`"
-)]
-pub fn run_scenario(spec: &ScenarioSpec, seed: u64) -> GatewayReport {
-    ScenarioRun::new(spec)
-        .seed(seed)
-        .execute()
-        .expect("unrecorded runs are infallible")
-        .report
-}
-
-/// Run `spec` with request-lifecycle tracing enabled.
-#[deprecated(
-    note = "use `ScenarioRun::new(spec).seed(seed).traced(trace).execute()`; the trees come \
-            back in `RunOutput::traces`"
-)]
-pub fn run_scenario_traced(
-    spec: &ScenarioSpec,
-    seed: u64,
-    trace: TraceConfig,
-) -> (GatewayReport, Vec<SpanTree>) {
-    let out = ScenarioRun::new(spec)
-        .seed(seed)
-        .traced(trace)
-        .execute()
-        .expect("unrecorded runs are infallible");
-    (out.report, out.traces.unwrap_or_default())
-}
-
-/// Run `spec` exactly as a plain run would and additionally record the run
-/// as a [`Cassette`].
-#[deprecated(
-    note = "use `ScenarioRun::new(spec).seed(seed).recorded().execute()`; the cassette comes \
-            back in `RunOutput::cassette`"
-)]
-pub fn run_scenario_recorded(
-    spec: &ScenarioSpec,
-    seed: u64,
-) -> Result<(GatewayReport, Cassette), CassetteError> {
-    let out = ScenarioRun::new(spec).seed(seed).recorded().execute()?;
-    Ok((out.report, out.cassette.expect("recorded run")))
-}
-
-/// Record the run as a cassette *and* sample span trees along the way.
-#[deprecated(
-    note = "use `ScenarioRun::new(spec).seed(seed).recorded().traced(trace).execute()` — \
-            recording and tracing compose on the builder"
-)]
-pub fn run_scenario_recorded_traced(
-    spec: &ScenarioSpec,
-    seed: u64,
-    trace: TraceConfig,
-) -> Result<(GatewayReport, Cassette, Vec<SpanTree>), CassetteError> {
-    let out = ScenarioRun::new(spec)
-        .seed(seed)
-        .recorded()
-        .traced(trace)
-        .execute()?;
-    Ok((
-        out.report,
-        out.cassette.expect("recorded run"),
-        out.traces.unwrap_or_default(),
-    ))
-}
-
-/// Replay a recorded cassette and enforce byte-level replay fidelity.
-#[deprecated(
-    note = "use `ScenarioRun::replay(cassette)?.execute()` — replay is a `ScenarioRun` \
-            configuration, not a separate entrypoint"
-)]
-pub fn replay_cassette(cassette: &Cassette) -> Result<GatewayReport, CassetteError> {
-    Ok(ScenarioRun::replay(cassette)?.execute()?.report)
-}
-
-/// Replay a recording while sampling span trees.
-#[deprecated(
-    note = "use `ScenarioRun::replay(cassette)?.traced(trace).execute()` — replay and tracing \
-            compose on the builder"
-)]
-pub fn replay_cassette_traced(
-    cassette: &Cassette,
-    trace: TraceConfig,
-) -> Result<(GatewayReport, Vec<SpanTree>), CassetteError> {
-    let out = ScenarioRun::replay(cassette)?.traced(trace).execute()?;
-    Ok((out.report, out.traces.unwrap_or_default()))
-}
-
 /// The replay-mode dashboard banner for a cassette: what an operator sees
 /// when the traffic on the dashboard is a recording, not live users.
 pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell {
@@ -724,10 +633,10 @@ enum FrontAction {
     Heal(usize),
 }
 
-/// Mutable front-tier failover state for one run. Only allocated when the
-/// run carries shard-scoped faults or a non-default [`FrontTierPolicy`]; the
-/// fault-free path never touches it, which is what keeps those reports
-/// byte-identical to the pre-failover driver.
+/// Mutable front-tier state for one run: per-request attempt bookkeeping,
+/// the retry/timeout/hedge/heal queue and the failover counters. Built on
+/// every run; without shard faults or a non-default [`FrontTierPolicy`] its
+/// queue stays empty and every request resolves on its first attempt.
 struct FrontState {
     policy: FrontTierPolicy,
     /// Per-request resolution flag, aligned with the compiled stream.
@@ -792,6 +701,28 @@ impl FrontState {
             .max()
             .unwrap_or(SimDuration::ZERO);
         base + extra
+    }
+
+    /// Whether the shed policy turns away an arrival of `priority` whose
+    /// home shard holds `depth` queued requests.
+    fn sheds(&self, priority: u8, depth: usize) -> bool {
+        self.policy
+            .shed
+            .is_some_and(|shed| priority < shed.priority_floor && depth > shed.queue_depth)
+    }
+
+    /// Book `shard` as the home of the latest non-hedge attempt of `idx`,
+    /// accepted at `now`, and arm the policy's timeout and hedge against the
+    /// current attempt count.
+    fn arm(&mut self, idx: usize, shard: usize, now: SimTime) {
+        self.last_shard[idx] = shard;
+        let snap = self.attempts[idx];
+        if let Some(timeout) = self.policy.request_timeout {
+            self.push(now + timeout, FrontAction::Timeout(idx, snap));
+        }
+        if let Some(after) = self.policy.hedge_after {
+            self.push(now + after, FrontAction::Hedge(idx, snap));
+        }
     }
 
     /// Resolve `idx` as failed-back-to-the-client when nothing is in flight
@@ -873,14 +804,7 @@ fn front_dispatch(
             f.outstanding[idx] += 1;
             shard_ledgers[shard].on_submission(true);
             if !hedge {
-                f.last_shard[idx] = shard;
-                let snap = f.attempts[idx];
-                if let Some(timeout) = f.policy.request_timeout {
-                    f.push(now + timeout, FrontAction::Timeout(idx, snap));
-                }
-                if let Some(after) = f.policy.hedge_after {
-                    f.push(now + after, FrontAction::Hedge(idx, snap));
-                }
+                f.arm(idx, shard, now);
             }
         }
         Err(_) => {
@@ -900,88 +824,63 @@ fn front_dispatch(
 }
 
 /// Drain every reachable shard's responses into the ledgers, outcomes and
-/// per-tenant accumulators. On the failover path (`front` present) the first
-/// response to a logical request wins — duplicates are counted stale and
-/// dropped at the front tier — and dead or partitioned shards deliver
-/// nothing: a crash loses its in-flight copies outright and a partition
-/// buffers responses until it heals.
+/// per-tenant accumulators. The first response to a logical request wins —
+/// duplicates are counted stale and dropped at the front tier — and dead or
+/// partitioned shards deliver nothing: a crash loses its in-flight copies
+/// outright and a partition buffers responses until it heals.
 #[allow(clippy::too_many_arguments)]
 fn collect_responses(
     fleet: &mut ShardedGateway,
+    f: &mut FrontState,
     ledger: &mut RunLedger,
     shard_ledgers: &mut [RunLedger],
     last_delivery: &mut SimTime,
     outcomes: &mut [RequestOutcome],
     request_index: &mut [InFlightIndex],
-    mut front: Option<&mut FrontState>,
     requests: &[ScenarioRequest],
-    fanin_s: f64,
     latencies: &mut [Histogram],
     output_tokens: &mut [u64],
     failed: &mut [usize],
 ) {
     for (shard, shard_ledger) in shard_ledgers.iter_mut().enumerate() {
-        if front.is_some() && (!fleet.is_live(shard) || !fleet.is_reachable(shard)) {
+        if !fleet.is_live(shard) || !fleet.is_reachable(shard) {
             continue;
         }
         for r in fleet.take_responses(shard) {
             *last_delivery = (*last_delivery).max(r.finished_at);
-            if let Some(f) = front.as_deref_mut() {
-                shard_ledger.on_response(r.success);
-                let Some((idx, was_hedge)) = request_index[shard].remove(&r.request_id) else {
-                    continue;
-                };
-                f.outstanding[idx] = f.outstanding[idx].saturating_sub(1);
-                if f.resolved[idx] {
-                    f.counters.stale_responses += 1;
-                    continue;
-                }
-                f.resolved[idx] = true;
-                f.unresolved -= 1;
-                ledger.on_response(r.success);
-                // Client-observed latency spans from the original arrival:
-                // backoff, re-dispatch and hedge delay all count against the
-                // SLO, as does any fan-in spike baked into the arrival time.
-                let observed = r
-                    .finished_at
-                    .saturating_since(requests[idx].at)
-                    .as_secs_f64();
-                let o = &mut outcomes[idx];
-                o.delivered = true;
-                o.success = r.success;
-                o.latency_s = observed;
-                o.completion_tokens = r.usage.completion_tokens;
-                if f.attempts[idx] > 1 {
-                    if was_hedge {
-                        f.counters.hedge_wins += 1;
-                    } else {
-                        f.counters.retried_to_completion += 1;
-                    }
-                }
-                let tenant = requests[idx].tenant as usize;
-                if r.success {
-                    latencies[tenant].record(observed);
-                    output_tokens[tenant] += r.usage.completion_tokens as u64;
-                } else {
-                    failed[tenant] += 1;
-                }
-                continue;
-            }
-            ledger.on_response(r.success);
             shard_ledger.on_response(r.success);
-            // Client-observed latency includes the fan-in hop (zero on
-            // the transparent configuration, leaving values bit-exact).
-            let observed = r.latency().as_secs_f64() + fanin_s;
-            // Each accepted id is answered exactly once, so its entry goes:
+            // Each physical copy is answered at most once, so its entry goes:
             // the index holds the in-flight set, not the whole run.
-            let Some((idx, _)) = request_index[shard].remove(&r.request_id) else {
+            let Some((idx, was_hedge)) = request_index[shard].remove(&r.request_id) else {
                 continue;
             };
+            f.outstanding[idx] = f.outstanding[idx].saturating_sub(1);
+            if f.resolved[idx] {
+                f.counters.stale_responses += 1;
+                continue;
+            }
+            f.resolved[idx] = true;
+            f.unresolved -= 1;
+            ledger.on_response(r.success);
+            // Client-observed latency spans from the original arrival, in
+            // exact integer microseconds: the fan-in hop, backoff,
+            // re-dispatch and hedge delay all count against the SLO.
+            let observed = r
+                .finished_at
+                .saturating_since(requests[idx].at)
+                .as_secs_f64();
             let o = &mut outcomes[idx];
             o.delivered = true;
             o.success = r.success;
             o.latency_s = observed;
             o.completion_tokens = r.usage.completion_tokens;
+            if f.attempts[idx] > 1 {
+                if was_hedge {
+                    f.counters.hedge_wins += 1;
+                } else {
+                    f.counters.retried_to_completion += 1;
+                }
+            }
             let tenant = requests[idx].tenant as usize;
             if r.success {
                 latencies[tenant].record(observed);
@@ -999,10 +898,11 @@ fn collect_responses(
 /// collected — it is two vector writes per request), and the sampled span
 /// trees (empty unless `trace` is enabled).
 ///
-/// With the transparent sharding configuration (1 shard, zero fan-in, no
-/// spillover) this loop degenerates exactly to the pre-federation
-/// single-gateway driver, which is what keeps unsharded reports
-/// byte-identical across the redesign.
+/// One next-event loop serves every configuration: arrivals, retries,
+/// timeouts and hedges all enter through the front tier, and responses leave
+/// through one first-response-wins collector. With one shard, zero fan-in
+/// and the default policy the front tier has nothing to add, so the run is
+/// the plain single-gateway replay.
 fn run_scenario_impl(
     spec: &ScenarioSpec,
     seed: u64,
@@ -1030,7 +930,6 @@ fn run_scenario_impl(
     let mut fleet = ShardedGateway::from_builder(&builder, sharding.clone());
     let n_shards = fleet.shard_count();
     let fanin = sharding.fanin_latency;
-    let fanin_s = fanin.as_secs_f64();
 
     // One auth user per tenant class, enrolled identically on every shard
     // (the shared control plane): a tenant's credential is valid wherever
@@ -1054,18 +953,15 @@ fn run_scenario_impl(
 
     let compiled = spec.compile(seed);
     let horizon = compiled.horizon;
-    // The failover driver only engages when the run can actually need it;
-    // otherwise `front` stays `None` and the fault-free path below is
-    // byte-identical to the pre-failover driver.
+    // The report's failover section and the failover invariant check are
+    // reserved for runs that can actually need the front tier's extra moves.
     let front_active =
         !spec.shard_faults.is_empty() || sharding.front_tier != FrontTierPolicy::default();
-    let mut front = front_active.then(|| {
-        FrontState::new(
-            sharding.front_tier.clone(),
-            compiled.requests.len(),
-            n_shards,
-        )
-    });
+    let mut front = FrontState::new(
+        sharding.front_tier.clone(),
+        compiled.requests.len(),
+        n_shards,
+    );
     // Every shard gets its own injector over the same plan: the spec's fault
     // timeline is facility-wide, hitting each shard's replica of the
     // affected endpoints at the same instants.
@@ -1101,7 +997,7 @@ fn run_scenario_impl(
     // clock past the session window before the session driver starts.
     while !compiled.requests.is_empty()
         || injectors.iter().any(FaultInjector::is_active)
-        || front.is_some()
+        || !spec.shard_faults.is_empty()
     {
         let next_arrival = compiled.requests.get(next).map(|r| r.at);
         // A dead shard makes no progress of its own (the fleet counts no
@@ -1111,15 +1007,8 @@ fn run_scenario_impl(
             .filter_map(FaultInjector::next_event_time)
             .chain(fleet.next_event_time())
             .min();
-        let front_next = front.as_ref().and_then(|f| {
-            let plan = spec.shard_faults.events().get(f.cursor).map(|e| e.at);
-            match (plan, f.next_at()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            }
-        });
-        let Some(step) = [next_arrival, internal, front_next]
+        let plan_next = spec.shard_faults.events().get(front.cursor).map(|e| e.at);
+        let Some(step) = [next_arrival, internal, plan_next, front.next_at()]
             .into_iter()
             .flatten()
             .min()
@@ -1144,255 +1033,178 @@ fn run_scenario_impl(
                 fleet.shard_mut(i).advance(step);
             }
         }
-        if let Some(f) = front.as_mut() {
-            // Shard-plan faults due at this step, applied before arrivals so
-            // routing at `step` already sees the new membership.
-            while let Some(event) = spec.shard_faults.events().get(f.cursor) {
-                if event.at > step {
-                    break;
-                }
-                f.cursor += 1;
-                match &event.kind {
-                    ShardFaultKind::ShardCrash { shard } => {
-                        let shard = *shard;
-                        if !fleet.kill_shard(shard, step) {
-                            continue;
-                        }
-                        f.ever_crashed[shard] = true;
-                        // Everything in flight on the shard dies with it.
-                        // Sort the purged ids so HashMap iteration order
-                        // never leaks into the retry schedule.
-                        let mut lost: Vec<(u64, (usize, bool))> =
-                            std::mem::take(&mut request_index[shard])
-                                .into_iter()
-                                .collect();
-                        lost.sort_unstable();
-                        for (_, (idx, _)) in lost {
-                            f.counters.lost_in_flight += 1;
-                            f.outstanding[idx] = f.outstanding[idx].saturating_sub(1);
-                            if f.resolved[idx] || f.outstanding[idx] > 0 {
-                                continue;
-                            }
-                            if f.attempts[idx] > f.policy.retry.max_retries {
-                                let tenant = compiled.requests[idx].tenant as usize;
-                                f.give_up(idx, tenant, &mut ledger, &mut failed);
-                            } else {
-                                let backoff =
-                                    f.policy.retry.backoff(f.attempts[idx].saturating_sub(1));
-                                f.push(step + backoff, FrontAction::Retry(idx));
-                            }
-                        }
-                    }
-                    ShardFaultKind::ShardRestart { shard } => {
-                        let shard = *shard;
-                        if shard >= n_shards || fleet.is_live(shard) {
-                            continue;
-                        }
-                        // A fresh replica from the same deployment builder:
-                        // cold caches, re-enrolled tenants, clock caught up
-                        // to the restart instant.
-                        let mut gw = builder.clone().build();
-                        let fresh: Vec<TokenString> = spec
-                            .tenants
-                            .iter()
-                            .map(|t| enroll_tenant_user(&mut gw, &t.name))
-                            .collect();
-                        gw.advance(step);
-                        fleet.restore_shard(shard, gw, step);
-                        tokens[shard] = fresh;
-                    }
-                    ShardFaultKind::FrontTierPartition { shard, duration } => {
-                        if fleet.partition_shard(*shard, step) {
-                            f.counters.partitions += 1;
-                            f.push(step + *duration, FrontAction::Heal(*shard));
-                        }
-                    }
-                    ShardFaultKind::FanInLatencySpike { extra, duration } => {
-                        f.counters.fanin_spikes += 1;
-                        f.spikes.push((step + *duration, *extra));
-                    }
-                }
+        // Shard-plan faults due at this step, applied before arrivals so
+        // routing at `step` already sees the new membership.
+        while let Some(event) = spec.shard_faults.events().get(front.cursor) {
+            if event.at > step {
+                break;
             }
-            // Front-tier events due now: retries, timeouts, hedges, heals.
-            while let Some(event) = f.queue.pop_due(step) {
-                match event.payload {
-                    FrontAction::Retry(idx) => {
-                        if !f.resolved[idx] {
-                            front_dispatch(
-                                &mut fleet,
-                                f,
-                                &mut ledger,
-                                &mut shard_ledgers,
-                                &mut request_index,
-                                &compiled.requests,
-                                spec,
-                                &tokens,
-                                &mut failed,
-                                idx,
-                                step,
-                                false,
-                            );
+            front.cursor += 1;
+            match &event.kind {
+                ShardFaultKind::ShardCrash { shard } => {
+                    let shard = *shard;
+                    if !fleet.kill_shard(shard, step) {
+                        continue;
+                    }
+                    front.ever_crashed[shard] = true;
+                    // Everything in flight on the shard dies with it. Sort
+                    // the purged ids so HashMap iteration order never leaks
+                    // into the retry schedule.
+                    let mut lost: Vec<(u64, (usize, bool))> =
+                        std::mem::take(&mut request_index[shard])
+                            .into_iter()
+                            .collect();
+                    lost.sort_unstable();
+                    for (_, (idx, _)) in lost {
+                        front.counters.lost_in_flight += 1;
+                        front.outstanding[idx] = front.outstanding[idx].saturating_sub(1);
+                        if front.resolved[idx] || front.outstanding[idx] > 0 {
+                            continue;
+                        }
+                        if front.attempts[idx] > front.policy.retry.max_retries {
+                            let tenant = compiled.requests[idx].tenant as usize;
+                            front.give_up(idx, tenant, &mut ledger, &mut failed);
+                        } else {
+                            let backoff = front
+                                .policy
+                                .retry
+                                .backoff(front.attempts[idx].saturating_sub(1));
+                            front.push(step + backoff, FrontAction::Retry(idx));
                         }
                     }
-                    FrontAction::Timeout(idx, snap) => {
-                        if !f.resolved[idx] && f.attempts[idx] == snap {
-                            front_dispatch(
-                                &mut fleet,
-                                f,
-                                &mut ledger,
-                                &mut shard_ledgers,
-                                &mut request_index,
-                                &compiled.requests,
-                                spec,
-                                &tokens,
-                                &mut failed,
-                                idx,
-                                step,
-                                false,
-                            );
-                        }
+                }
+                ShardFaultKind::ShardRestart { shard } => {
+                    let shard = *shard;
+                    if shard >= n_shards || fleet.is_live(shard) {
+                        continue;
                     }
-                    FrontAction::Hedge(idx, snap) => {
-                        if !f.resolved[idx] && f.attempts[idx] == snap {
-                            front_dispatch(
-                                &mut fleet,
-                                f,
-                                &mut ledger,
-                                &mut shard_ledgers,
-                                &mut request_index,
-                                &compiled.requests,
-                                spec,
-                                &tokens,
-                                &mut failed,
-                                idx,
-                                step,
-                                true,
-                            );
-                        }
+                    // A fresh replica from the same deployment builder: cold
+                    // caches, re-enrolled tenants, clock caught up to the
+                    // restart instant.
+                    let mut gw = builder.clone().build();
+                    let fresh: Vec<TokenString> = spec
+                        .tenants
+                        .iter()
+                        .map(|t| enroll_tenant_user(&mut gw, &t.name))
+                        .collect();
+                    gw.advance(step);
+                    fleet.restore_shard(shard, gw, step);
+                    tokens[shard] = fresh;
+                }
+                ShardFaultKind::FrontTierPartition { shard, duration } => {
+                    if fleet.partition_shard(*shard, step) {
+                        front.counters.partitions += 1;
+                        front.push(step + *duration, FrontAction::Heal(*shard));
                     }
-                    FrontAction::Heal(shard) => {
-                        fleet.heal_shard(shard, step);
-                    }
+                }
+                ShardFaultKind::FanInLatencySpike { extra, duration } => {
+                    front.counters.fanin_spikes += 1;
+                    front.spikes.push((step + *duration, *extra));
                 }
             }
         }
+        // Front-tier events due now: retries, timeouts, hedges, heals. A
+        // timeout or hedge only fires if no later attempt superseded it.
+        while let Some(event) = front.queue.pop_due(step) {
+            let (idx, hedge) = match event.payload {
+                FrontAction::Heal(shard) => {
+                    fleet.heal_shard(shard, step);
+                    continue;
+                }
+                FrontAction::Retry(idx) => (idx, false),
+                FrontAction::Timeout(idx, snap) if front.attempts[idx] == snap => (idx, false),
+                FrontAction::Hedge(idx, snap) if front.attempts[idx] == snap => (idx, true),
+                FrontAction::Timeout(..) | FrontAction::Hedge(..) => continue,
+            };
+            if !front.resolved[idx] {
+                front_dispatch(
+                    &mut fleet,
+                    &mut front,
+                    &mut ledger,
+                    &mut shard_ledgers,
+                    &mut request_index,
+                    &compiled.requests,
+                    spec,
+                    &tokens,
+                    &mut failed,
+                    idx,
+                    step,
+                    hedge,
+                );
+            }
+        }
         while next < compiled.requests.len() && compiled.requests[next].at <= step {
-            let request = &compiled.requests[next];
+            let idx = next;
+            next += 1;
+            let request = &compiled.requests[idx];
             let tenant = request.tenant as usize;
-            if let Some(f) = front.as_mut() {
-                let idx = next;
-                next += 1;
-                offered[tenant] += 1;
-                // Degraded-mode routing: home on the live ring (dead and
-                // partitioned shards carry no points), shed typed when the
-                // federation cannot take the request at all or the shed
-                // policy says this priority must yield.
-                let Some(cur_home) = fleet.routable_home(&spec.tenants[tenant].name) else {
-                    outcomes.push(RequestOutcome {
-                        accepted: false,
-                        ..RequestOutcome::default()
-                    });
+            offered[tenant] += 1;
+            // Degraded-mode routing: home on the live ring (dead and
+            // partitioned shards carry no points), shed typed when the
+            // federation cannot take the request at all or the shed policy
+            // says this priority must yield.
+            let routed = match fleet.routable_home(&spec.tenants[tenant].name) {
+                None => Err(&mut front.counters.shed_no_live_shard),
+                Some(home) if front.sheds(request.priority, fleet.shard(home).load_depth()) => {
+                    Err(&mut front.counters.shed_overload)
+                }
+                Some(home) => Ok(home),
+            };
+            let cur_home = match routed {
+                Ok(home) => home,
+                Err(shed_counter) => {
+                    *shed_counter += 1;
+                    outcomes.push(RequestOutcome::default());
                     ledger.on_submission(false);
                     rejected[tenant] += 1;
-                    f.resolved[idx] = true;
-                    f.counters.shed_no_live_shard += 1;
+                    front.resolved[idx] = true;
                     continue;
-                };
-                if let Some(shed) = f.policy.shed {
-                    if request.priority < shed.priority_floor
-                        && fleet.shard(cur_home).load_depth() > shed.queue_depth
-                    {
-                        outcomes.push(RequestOutcome {
-                            accepted: false,
-                            ..RequestOutcome::default()
-                        });
-                        ledger.on_submission(false);
-                        rejected[tenant] += 1;
-                        f.resolved[idx] = true;
-                        f.counters.shed_overload += 1;
-                        continue;
-                    }
                 }
-                if cur_home != home[tenant] {
-                    f.counters.rehomed_requests += 1;
-                }
-                let decision = fleet.route_home(cur_home);
-                let shard = decision.shard;
-                let arrival = request.at + f.effective_fanin(fanin, request.at);
-                let result = admit_simulated(
-                    fleet.shard_mut(shard),
-                    &tokens[shard][tenant],
-                    &request.model,
-                    idx,
-                    request.prompt_tokens,
-                    request.output_tokens,
-                    arrival,
-                );
-                let accepted = result.is_ok();
-                outcomes.push(RequestOutcome {
-                    accepted,
-                    ..RequestOutcome::default()
-                });
-                ledger.on_submission(accepted);
-                shard_ledgers[shard].on_submission(accepted);
-                match result {
-                    Ok(id) => {
-                        request_index[shard].insert(id, (idx, false));
-                        f.attempts[idx] = 1;
-                        f.outstanding[idx] = 1;
-                        f.last_shard[idx] = shard;
-                        f.unresolved += 1;
-                        if let Some(timeout) = f.policy.request_timeout {
-                            f.push(arrival + timeout, FrontAction::Timeout(idx, 1));
-                        }
-                        if let Some(after) = f.policy.hedge_after {
-                            f.push(arrival + after, FrontAction::Hedge(idx, 1));
-                        }
-                    }
-                    Err(_) => {
-                        rejected[tenant] += 1;
-                        f.resolved[idx] = true;
-                    }
-                }
-                continue;
+            };
+            if cur_home != home[tenant] {
+                front.counters.rehomed_requests += 1;
             }
-            let decision = fleet.route_home(home[tenant]);
-            let shard = decision.shard;
+            let shard = fleet.route_home(cur_home).shard;
+            let arrival = request.at + front.effective_fanin(fanin, request.at);
             let result = admit_simulated(
                 fleet.shard_mut(shard),
                 &tokens[shard][tenant],
                 &request.model,
-                next,
+                idx,
                 request.prompt_tokens,
                 request.output_tokens,
-                request.at + fanin,
+                arrival,
             );
             let accepted = result.is_ok();
-            if let Ok(id) = result {
-                request_index[shard].insert(id, (next, false));
-            }
             outcomes.push(RequestOutcome {
                 accepted,
                 ..RequestOutcome::default()
             });
             ledger.on_submission(accepted);
             shard_ledgers[shard].on_submission(accepted);
-            offered[tenant] += 1;
-            if !accepted {
-                rejected[tenant] += 1;
+            match result {
+                Ok(id) => {
+                    request_index[shard].insert(id, (idx, false));
+                    front.attempts[idx] = 1;
+                    front.outstanding[idx] = 1;
+                    front.unresolved += 1;
+                    front.arm(idx, shard, arrival);
+                }
+                Err(_) => {
+                    rejected[tenant] += 1;
+                    front.resolved[idx] = true;
+                }
             }
-            next += 1;
         }
         collect_responses(
             &mut fleet,
+            &mut front,
             &mut ledger,
             &mut shard_ledgers,
             &mut last_delivery,
             &mut outcomes,
             &mut request_index,
-            front.as_mut(),
             &compiled.requests,
-            fanin_s,
             &mut latencies,
             &mut output_tokens,
             &mut failed,
@@ -1400,39 +1212,36 @@ fn run_scenario_impl(
         if next >= compiled.requests.len()
             && fleet.is_drained()
             && injectors.iter().all(FaultInjector::is_exhausted)
-            && front.as_ref().is_none_or(|f| {
-                f.cursor >= spec.shard_faults.len() && f.queue.is_empty() && f.unresolved == 0
-            })
+            && front.cursor >= spec.shard_faults.len()
+            && front.queue.is_empty()
+            && front.unresolved == 0
         {
             break;
         }
     }
     collect_responses(
         &mut fleet,
+        &mut front,
         &mut ledger,
         &mut shard_ledgers,
         &mut last_delivery,
         &mut outcomes,
         &mut request_index,
-        front.as_mut(),
         &compiled.requests,
-        fanin_s,
         &mut latencies,
         &mut output_tokens,
         &mut failed,
     );
     let all_submitted = next >= compiled.requests.len();
-    ledger.drained =
-        all_submitted && fleet.is_drained() && front.as_ref().is_none_or(|f| f.unresolved == 0);
+    ledger.drained = all_submitted && fleet.is_drained() && front.unresolved == 0;
     #[cfg(test)]
     LEFT_IN_INDEX
         .with(|left| *left.borrow_mut() = request_index.iter().map(HashMap::len).collect());
     for (i, shard_ledger) in shard_ledgers.iter_mut().enumerate() {
         // A shard that ever crashed can never report drained: the physical
         // copies it lost mid-flight are gone, not answered.
-        shard_ledger.drained = all_submitted
-            && fleet.shard(i).is_drained()
-            && front.as_ref().is_none_or(|f| !f.ever_crashed[i]);
+        shard_ledger.drained =
+            all_submitted && fleet.shard(i).is_drained() && !front.ever_crashed[i];
     }
 
     // Closed-loop session rider (pure closed-loop specs only; the gateways
@@ -1453,13 +1262,13 @@ fn run_scenario_impl(
 
     #[cfg(debug_assertions)]
     if spec.sessions.is_none() {
-        let checked = if let Some(f) = front.as_ref() {
+        let checked = if front_active {
             check_failover_run_invariants(
                 fleet.shards(),
                 &shard_ledgers,
                 &ledger,
-                &f.ever_crashed,
-                &f.counters,
+                &front.ever_crashed,
+                &front.counters,
                 fleet.spilled_out(),
                 fleet.spilled_in(),
             )
@@ -1565,7 +1374,7 @@ fn run_scenario_impl(
             .collect();
         Some(ShardSection {
             count: n_shards,
-            fanin_latency_s: fanin_s,
+            fanin_latency_s: fanin.as_secs_f64(),
             spillover: sharding.spillover,
             spilled_requests: fleet.spilled_total(),
             shards,
@@ -1576,12 +1385,11 @@ fn run_scenario_impl(
 
     // Failover rollup: the driver's counters plus what the fleet itself
     // tracked (crashes, restarts, per-shard breaker trips).
-    let failover = front.as_ref().map(|f| {
-        let mut section = f.counters.clone();
-        section.crashes = fleet.crashes();
-        section.restarts = fleet.restarts();
-        section.breaker_trips = fleet.health().trips();
-        section
+    let failover = front_active.then(|| FailoverSection {
+        crashes: fleet.crashes(),
+        restarts: fleet.restarts(),
+        breaker_trips: fleet.health().trips(),
+        ..front.counters
     });
 
     let (retries, failovers, breaker_trips, hedges) = fleet
@@ -1708,18 +1516,29 @@ mod tests {
     }
 
     #[test]
-    fn drained_transparent_runs_leave_every_in_flight_index_empty() {
-        for shards in [1, 3] {
+    fn drained_runs_leave_every_in_flight_index_empty() {
+        // A 1 ms hedge puts a second copy of most requests in flight; the
+        // losing copies must leave the index too.
+        let hedged = FrontTierPolicy {
+            hedge_after: Some(SimDuration::from_millis(1)),
+            ..FrontTierPolicy::default()
+        };
+        for (shards, policy) in [
+            (1, FrontTierPolicy::default()),
+            (3, FrontTierPolicy::default()),
+            (3, hedged),
+        ] {
             let out = ScenarioRun::new(&small_spec())
                 .seed(7)
                 .shards(shards)
+                .front_tier(policy.clone())
                 .execute()
-                .expect("transparent run");
+                .expect("run");
             let r = &out.report;
-            assert!(r.accepted > 0, "{shards} shard(s)");
+            assert!(r.accepted > 0, "{shards} shard(s), {policy:?}");
             assert_eq!(r.accepted, r.completed + r.failed, "the run drains");
             let left = LEFT_IN_INDEX.with(|left| left.borrow().clone());
-            assert_eq!(left, vec![0; shards], "{shards} shard(s)");
+            assert_eq!(left, vec![0; shards], "{shards} shard(s), {policy:?}");
         }
     }
 
@@ -1983,6 +1802,37 @@ mod tests {
     }
 
     #[test]
+    fn session_rider_runs_the_same_under_a_front_tier_policy() {
+        let mut spec = ScenarioSpec::new(
+            "unit-sessions",
+            "",
+            DeploymentRef::SingleClusterTest,
+            Vec::new(),
+        );
+        spec.prewarm = 1;
+        spec.sessions = Some(first_workload::SessionClosedLoop {
+            config: first_workload::SessionWorkloadConfig::table1(models::LLAMA_8B, 4, 600),
+            webui_overhead_ms: 1200,
+        });
+        let plain = run(&spec, 1).webui.expect("session cell");
+        assert!(plain.completed > 0, "{plain:?}");
+        // The policy has no open-loop request to act on, so it must leave
+        // the closed-loop window exactly as the plain run drives it.
+        let fronted = ScenarioRun::new(&spec)
+            .seed(1)
+            .front_tier(FrontTierPolicy {
+                request_timeout: Some(SimDuration::from_secs(3600)),
+                ..FrontTierPolicy::default()
+            })
+            .execute()
+            .expect("fronted run")
+            .report
+            .webui
+            .expect("session cell");
+        assert_eq!(plain, fronted);
+    }
+
+    #[test]
     fn replay_invariants_catch_divergence() {
         let out = ScenarioRun::new(&small_spec())
             .seed(42)
@@ -2010,22 +1860,6 @@ mod tests {
             violations.iter().any(|v| v.contains("impostor")),
             "{violations:?}"
         );
-    }
-
-    /// The deprecated free functions must stay thin, faithful delegations
-    /// until they are removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_delegate_faithfully() {
-        let spec = small_spec();
-        let via_builder = run(&spec, 42);
-        assert_eq!(run_scenario(&spec, 42), via_builder);
-        let (traced, trees) = run_scenario_traced(&spec, 42, TraceConfig::default());
-        assert_eq!(traced, via_builder);
-        assert!(trees.is_empty(), "disabled tracing yields no trees");
-        let (recorded, cassette) = run_scenario_recorded(&spec, 42).expect("records");
-        assert_eq!(recorded, via_builder);
-        assert_eq!(replay_cassette(&cassette).expect("replays"), via_builder);
     }
 
     /// Three tenants across four shards, enough load that a mid-run crash
@@ -2115,39 +1949,46 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_front_tier_matches_transparent_sharded_run() {
+    fn fault_free_front_tier_policy_matches_the_plain_run() {
         let spec = failover_spec();
-        let plain = ScenarioRun::new(&spec)
-            .seed(42)
-            .shards(3)
-            .execute()
-            .expect("plain sharded run")
-            .report;
         // A timeout far beyond any real completion never fires, so the
-        // failover driver must reproduce the transparent path exactly.
+        // policy must leave the run exactly as the default front tier does.
         let policy = FrontTierPolicy {
             request_timeout: Some(SimDuration::from_secs(3600)),
             ..FrontTierPolicy::default()
         };
-        let fronted = ScenarioRun::new(&spec)
-            .seed(42)
-            .shards(3)
-            .front_tier(policy)
-            .execute()
-            .expect("fronted run")
-            .report;
-        let failover = fronted.failover.clone().expect("failover section");
-        assert_eq!(
-            failover,
-            FailoverSection::default(),
-            "no faults, no retries, nothing shed"
-        );
-        let mut stripped = fronted;
-        stripped.failover = None;
-        assert_eq!(
-            plain, stripped,
-            "fault-free failover driver must not perturb the run"
-        );
+        for shards in [1, 3] {
+            for fanin in [SimDuration::ZERO, SimDuration::from_millis(333)] {
+                let plain = ScenarioRun::new(&spec)
+                    .seed(42)
+                    .shards(shards)
+                    .fanin_latency(fanin)
+                    .execute()
+                    .expect("plain run")
+                    .report;
+                let fronted = ScenarioRun::new(&spec)
+                    .seed(42)
+                    .shards(shards)
+                    .fanin_latency(fanin)
+                    .front_tier(policy.clone())
+                    .execute()
+                    .expect("fronted run")
+                    .report;
+                let failover = fronted.failover.clone().expect("failover section");
+                assert_eq!(
+                    failover,
+                    FailoverSection::default(),
+                    "no faults, no retries, nothing shed"
+                );
+                let mut stripped = fronted;
+                stripped.failover = None;
+                assert_eq!(
+                    serde_json::to_string(&plain).unwrap(),
+                    serde_json::to_string(&stripped).unwrap(),
+                    "{shards} shard(s), fan-in {fanin:?}: the policy perturbed the run"
+                );
+            }
+        }
     }
 
     #[test]

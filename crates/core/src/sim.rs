@@ -11,7 +11,7 @@ use crate::api::{GatewayError, PromptRef};
 use crate::gateway::{CompletedRequest, Gateway};
 use crate::shard::ShardedGateway;
 use first_auth::TokenString;
-use first_chaos::FaultInjector;
+use first_chaos::{FaultInjector, FaultPlan};
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime};
 use first_serving::{
     CloudApi, CloudApiConfig, DirectServer, EngineConfig, FrontendConfig, InferenceRequest,
@@ -156,57 +156,26 @@ pub fn run_gateway_openloop(
     rate_label: &str,
     horizon: SimTime,
 ) -> ScenarioReport {
-    assert_eq!(samples.len(), arrivals.len());
     let mut latencies = Histogram::with_capacity(samples.len());
     let mut output_tokens = 0u64;
-    let mut next = 0usize;
     let mut last_completion = SimTime::ZERO;
-    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
-
-    loop {
-        let next_arrival = arrivals.get(next).copied();
-        let next_internal = SimProcess::next_event_time(gateway);
-        let step = match (next_arrival, next_internal) {
-            (Some(a), Some(i)) => a.min(i),
-            (Some(a), None) => a,
-            (None, Some(i)) => i,
-            (None, None) => break,
-        };
-        if step > horizon {
-            break;
-        }
-        gateway.advance(step);
-        while next < arrivals.len() && arrivals[next] <= step {
-            let _ = admit_simulated(
-                gateway,
-                token,
-                model,
-                next,
-                samples[next].prompt_tokens,
-                samples[next].output_tokens,
-                arrivals[next],
-            );
-            next += 1;
-        }
-        for r in gateway.take_responses() {
+    drive_gateway_openloop(
+        gateway,
+        &mut FaultInjector::new(FaultPlan::none()),
+        token,
+        model,
+        samples,
+        arrivals,
+        horizon,
+        |r| {
             if r.success {
                 latencies.record(r.latency().as_secs_f64());
                 output_tokens += r.usage.completion_tokens as u64;
                 last_completion = last_completion.max(r.finished_at);
             }
-        }
-        if next >= arrivals.len() && gateway.is_drained() {
-            break;
-        }
-    }
-    // Collect anything still buffered.
-    for r in gateway.take_responses() {
-        if r.success {
-            latencies.record(r.latency().as_secs_f64());
-            output_tokens += r.usage.completion_tokens as u64;
-            last_completion = last_completion.max(r.finished_at);
-        }
-    }
+        },
+    );
+    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
     let duration = (last_completion - first_arrival).as_secs_f64();
     ScenarioReport::from_observations(
         "FIRST",
@@ -216,6 +185,64 @@ pub fn run_gateway_openloop(
         output_tokens,
         duration,
     )
+}
+
+/// The single-gateway next-event loop behind [`run_gateway_openloop`] and
+/// [`run_resilience_openloop`]: replays `samples` at `arrivals` while
+/// `injector` applies its plan (fault and recovery instants take part in
+/// event selection), hands every response to `sink`, and returns how many
+/// requests the gateway rejected at admission.
+#[allow(clippy::too_many_arguments)]
+fn drive_gateway_openloop(
+    gateway: &mut Gateway,
+    injector: &mut FaultInjector,
+    token: &TokenString,
+    model: &str,
+    samples: &[ConversationSample],
+    arrivals: &[SimTime],
+    horizon: SimTime,
+    mut sink: impl FnMut(CompletedRequest),
+) -> usize {
+    assert_eq!(samples.len(), arrivals.len());
+    let mut rejected = 0usize;
+    let mut next = 0usize;
+    loop {
+        let next_arrival = arrivals.get(next).copied();
+        let step = match (next_arrival, injector.next_event_merged(gateway)) {
+            (Some(a), Some(b)) => a.min(b),
+            (Some(a), None) => a,
+            (None, Some(b)) => b,
+            (None, None) => break,
+        };
+        if step > horizon {
+            break;
+        }
+        injector.apply_due(gateway.service_mut(), step);
+        gateway.advance(step);
+        while next < arrivals.len() && arrivals[next] <= step {
+            if admit_simulated(
+                gateway,
+                token,
+                model,
+                next,
+                samples[next].prompt_tokens,
+                samples[next].output_tokens,
+                arrivals[next],
+            )
+            .is_err()
+            {
+                rejected += 1;
+            }
+            next += 1;
+        }
+        gateway.take_responses().into_iter().for_each(&mut sink);
+        if next >= arrivals.len() && gateway.is_drained() {
+            break;
+        }
+    }
+    // Collect anything still buffered.
+    gateway.take_responses().into_iter().for_each(sink);
+    rejected
 }
 
 /// Replay `samples` against a sharded gateway federation at the given
@@ -579,47 +606,19 @@ pub fn run_resilience_openloop(
     label: &str,
     horizon: SimTime,
 ) -> ResilienceReport {
-    assert_eq!(samples.len(), arrivals.len());
     let mut latencies = Histogram::with_capacity(samples.len());
     let mut output_tokens = 0u64;
     let mut failed = 0usize;
-    let mut rejected = 0usize;
-    let mut next = 0usize;
     let mut last_delivery = SimTime::ZERO;
-    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
-
-    loop {
-        let next_arrival = arrivals.get(next).copied();
-        let step = match (next_arrival, injector.next_event_merged(gateway)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, None) => a,
-            (None, b) => b,
-        };
-        let Some(step) = step else {
-            break;
-        };
-        if step > horizon {
-            break;
-        }
-        injector.apply_due(gateway.service_mut(), step);
-        gateway.advance(step);
-        while next < arrivals.len() && arrivals[next] <= step {
-            if admit_simulated(
-                gateway,
-                token,
-                model,
-                next,
-                samples[next].prompt_tokens,
-                samples[next].output_tokens,
-                arrivals[next],
-            )
-            .is_err()
-            {
-                rejected += 1;
-            }
-            next += 1;
-        }
-        for r in gateway.take_responses() {
+    let rejected = drive_gateway_openloop(
+        gateway,
+        injector,
+        token,
+        model,
+        samples,
+        arrivals,
+        horizon,
+        |r| {
             last_delivery = last_delivery.max(r.finished_at);
             if r.success {
                 latencies.record(r.latency().as_secs_f64());
@@ -627,21 +626,9 @@ pub fn run_resilience_openloop(
             } else {
                 failed += 1;
             }
-        }
-        if next >= arrivals.len() && gateway.is_drained() {
-            break;
-        }
-    }
-    for r in gateway.take_responses() {
-        last_delivery = last_delivery.max(r.finished_at);
-        if r.success {
-            latencies.record(r.latency().as_secs_f64());
-            output_tokens += r.usage.completion_tokens as u64;
-        } else {
-            failed += 1;
-        }
-    }
-
+        },
+    );
+    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
     let offered = samples.len();
     let completed = latencies.count();
     let duration = (last_delivery - first_arrival).as_secs_f64().max(1e-9);
@@ -857,6 +844,44 @@ mod tests {
         assert!(report.output_token_throughput > 50.0);
         assert!(report.median_latency_s > 5.0);
         assert!(report.duration_s > 10.0);
+    }
+
+    #[test]
+    fn fault_free_resilience_openloop_matches_the_plain_runner() {
+        let samples = samples(60);
+        let mut rng = SimRng::seed_from_u64(5);
+        let arrivals = ArrivalProcess::FixedRate(3.0).arrivals(60, SimTime::ZERO, &mut rng);
+        let horizon = SimTime::from_secs(3600);
+        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
+            .prewarm(1)
+            .build_with_tokens();
+        let plain = run_gateway_openloop(
+            &mut gw,
+            &tokens.alice,
+            MODEL,
+            &samples,
+            &arrivals,
+            "3",
+            horizon,
+        );
+        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
+            .prewarm(1)
+            .build_with_tokens();
+        let chaos = run_resilience_openloop(
+            &mut gw,
+            &mut FaultInjector::new(FaultPlan::none()),
+            &tokens.alice,
+            MODEL,
+            &samples,
+            &arrivals,
+            "fault-free",
+            horizon,
+        );
+        assert_eq!(chaos.completed, plain.completed);
+        assert_eq!((chaos.failed, chaos.faults_injected), (0, 0));
+        assert_eq!(chaos.median_latency_s, plain.median_latency_s);
+        assert_eq!(chaos.duration_s, plain.duration_s);
+        assert_eq!(chaos.goodput_tok_s, plain.output_token_throughput);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond virtual time.
 //! * [`EventQueue`] — a `(time, sequence)`-ordered future-event list backed
 //!   by the hierarchical [`TimingWheel`] (O(1) push, amortized-O(1) pop).
-//! * [`SimProcess`] / [`Driver`] — the cooperative component protocol used to
-//!   compose independently written substrates into one simulation.
+//! * [`SimProcess`] — the cooperative component protocol used to compose
+//!   independently written substrates into one simulation.
 //! * [`SimRng`] — seeded RNG with the distributions the workload and
 //!   performance models need (exponential, log-normal, Zipf, weighted choice).
 //! * [`OnlineStats`] / [`Histogram`] / [`CounterSet`] — the measurement
@@ -25,7 +25,7 @@ pub mod time;
 pub mod wheel;
 
 pub use intern::{fnv1a_64, IdHashBuilder, Interner, InternerSnapshot, SymbolId};
-pub use process::{Driver, RunOutcome, SimProcess};
+pub use process::SimProcess;
 pub use queue::{DrainDue, EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use stats::{CounterSet, Histogram, OnlineStats, SimMeter, SimRunStats};
@@ -34,7 +34,7 @@ pub use wheel::TimingWheel;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {
-    pub use crate::process::{Driver, RunOutcome, SimProcess};
+    pub use crate::process::SimProcess;
     pub use crate::queue::EventQueue;
     pub use crate::rng::SimRng;
     pub use crate::stats::{CounterSet, Histogram, OnlineStats, SimMeter, SimRunStats};

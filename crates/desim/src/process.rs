@@ -1,11 +1,11 @@
-//! The `SimProcess` trait and the cooperative driver that advances a set of
-//! processes through virtual time.
+//! The `SimProcess` trait: the time-explicit protocol every substrate
+//! speaks.
 //!
 //! Each substrate (scheduler, serving engine, compute fabric, gateway) exposes
-//! a time-explicit API: "tell me the next instant at which you have work" and
-//! "advance yourself to this instant". The [`Driver`] repeatedly finds the
-//! earliest such instant across all registered processes and advances them,
-//! which composes independently written components into one deterministic
+//! "tell me the next instant at which you have work" and "advance yourself to
+//! this instant". The run loops in `first-core` repeatedly find the earliest
+//! such instant across their components and advance the due ones, which
+//! composes independently written components into one deterministic
 //! discrete-event simulation without shared-world callbacks.
 
 use crate::time::SimTime;
@@ -18,199 +18,11 @@ pub trait SimProcess {
 
     /// Advance internal state to `now`. Implementations must be idempotent for
     /// repeated calls with the same `now` and must never be called with a
-    /// `now` earlier than a previously seen value by the driver.
+    /// `now` earlier than a previously seen value.
     fn advance(&mut self, now: SimTime);
 
     /// Short human-readable name used in traces.
     fn name(&self) -> &str {
         "process"
-    }
-}
-
-/// Outcome of a driver run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// All processes went idle before the horizon.
-    Idle(SimTime),
-    /// The horizon was reached while work was still pending.
-    HorizonReached(SimTime),
-    /// The step budget was exhausted (safety valve against livelock).
-    StepLimit(SimTime),
-}
-
-impl RunOutcome {
-    /// The virtual time at which the run stopped.
-    pub fn time(&self) -> SimTime {
-        match *self {
-            RunOutcome::Idle(t) | RunOutcome::HorizonReached(t) | RunOutcome::StepLimit(t) => t,
-        }
-    }
-}
-
-/// Cooperative driver over a set of boxed processes.
-///
-/// The higher-level system simulator in `first-core` composes its components
-/// directly (it needs typed access between steps); this driver is the generic
-/// utility used by tests and by smaller self-contained simulations.
-pub struct Driver<'a> {
-    processes: Vec<&'a mut dyn SimProcess>,
-    now: SimTime,
-    max_steps: u64,
-}
-
-impl<'a> Driver<'a> {
-    /// Create a driver starting at time zero.
-    pub fn new() -> Self {
-        Driver {
-            processes: Vec::new(),
-            now: SimTime::ZERO,
-            max_steps: 100_000_000,
-        }
-    }
-
-    /// Override the safety-valve step budget.
-    pub fn with_max_steps(mut self, max_steps: u64) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Register a process.
-    pub fn register(&mut self, p: &'a mut dyn SimProcess) {
-        self.processes.push(p);
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Earliest pending event time across all processes.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.processes
-            .iter()
-            .filter_map(|p| p.next_event_time())
-            .min()
-    }
-
-    /// Run until every process is idle or `horizon` is reached.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        let mut steps = 0u64;
-        loop {
-            let next = match self.next_event_time() {
-                Some(t) => t,
-                None => return RunOutcome::Idle(self.now),
-            };
-            if next > horizon {
-                self.now = horizon;
-                return RunOutcome::HorizonReached(horizon);
-            }
-            self.now = next.max(self.now);
-            for p in self.processes.iter_mut() {
-                p.advance(self.now);
-            }
-            crate::stats::kernel::record_event();
-            steps += 1;
-            if steps >= self.max_steps {
-                return RunOutcome::StepLimit(self.now);
-            }
-        }
-    }
-}
-
-impl<'a> Default for Driver<'a> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::queue::EventQueue;
-    use crate::time::SimDuration;
-
-    /// A process that fires `n` ticks spaced `period` apart and counts them.
-    struct Ticker {
-        queue: EventQueue<u32>,
-        fired: Vec<u32>,
-    }
-
-    impl Ticker {
-        fn new(n: u32, period: SimDuration) -> Self {
-            let mut queue = EventQueue::new();
-            let mut t = SimTime::ZERO;
-            for i in 0..n {
-                t += period;
-                queue.push(t, i);
-            }
-            Ticker {
-                queue,
-                fired: Vec::new(),
-            }
-        }
-    }
-
-    impl SimProcess for Ticker {
-        fn next_event_time(&self) -> Option<SimTime> {
-            self.queue.peek_time()
-        }
-        fn advance(&mut self, now: SimTime) {
-            for ev in self.queue.drain_due(now) {
-                self.fired.push(ev.payload);
-            }
-        }
-        fn name(&self) -> &str {
-            "ticker"
-        }
-    }
-
-    #[test]
-    fn driver_runs_single_process_to_idle() {
-        let mut t = Ticker::new(5, SimDuration::from_secs(1));
-        let mut d = Driver::new();
-        d.register(&mut t);
-        let outcome = d.run_until(SimTime::from_secs(100));
-        assert!(matches!(outcome, RunOutcome::Idle(_)));
-        assert_eq!(outcome.time(), SimTime::from_secs(5));
-        assert_eq!(t.fired, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn driver_respects_horizon() {
-        let mut t = Ticker::new(10, SimDuration::from_secs(10));
-        let mut d = Driver::new();
-        d.register(&mut t);
-        let outcome = d.run_until(SimTime::from_secs(35));
-        assert!(matches!(outcome, RunOutcome::HorizonReached(_)));
-        assert_eq!(t.fired, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn driver_interleaves_two_processes_in_time_order() {
-        let mut a = Ticker::new(3, SimDuration::from_secs(2)); // 2, 4, 6
-        let mut b = Ticker::new(3, SimDuration::from_secs(3)); // 3, 6, 9
-        let mut d = Driver::new();
-        d.register(&mut a);
-        d.register(&mut b);
-        let outcome = d.run_until(SimTime::from_secs(100));
-        assert_eq!(outcome.time(), SimTime::from_secs(9));
-        assert_eq!(a.fired.len(), 3);
-        assert_eq!(b.fired.len(), 3);
-    }
-
-    #[test]
-    fn step_limit_guards_against_livelock() {
-        struct Forever;
-        impl SimProcess for Forever {
-            fn next_event_time(&self) -> Option<SimTime> {
-                Some(SimTime::from_secs(1))
-            }
-            fn advance(&mut self, _now: SimTime) {}
-        }
-        let mut f = Forever;
-        let mut d = Driver::new().with_max_steps(10);
-        d.register(&mut f);
-        let outcome = d.run_until(SimTime::from_secs(100));
-        assert!(matches!(outcome, RunOutcome::StepLimit(_)));
     }
 }

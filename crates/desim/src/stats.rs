@@ -10,12 +10,11 @@ use std::time::Instant;
 ///
 /// The simulation kernel is distributed across components (each substrate
 /// drives its own event logic), so the counters live here as thread-local
-/// cells: any event loop — [`crate::EventQueue`] pops, the generic
-/// [`crate::Driver`], or the scenario runners in `first-core` — reports into
-/// the same per-thread tally with a single `Cell` increment, cheap enough for
-/// the hottest path. Thread-locals keep parallel test threads from polluting
-/// each other; benchmark binaries are single-threaded, so their readings are
-/// exact.
+/// cells: any event loop — [`crate::EventQueue`] pops or the scenario
+/// runners in `first-core` — reports into the same per-thread tally with a
+/// single `Cell` increment, cheap enough for the hottest path. Thread-locals
+/// keep parallel test threads from polluting each other; benchmark binaries
+/// are single-threaded, so their readings are exact.
 pub mod kernel {
     use std::cell::Cell;
 
