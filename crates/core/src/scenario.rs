@@ -19,7 +19,11 @@
 //! Every open-loop request goes through one front tier: live-ring routing,
 //! the optional overload shed, fan-in, and first-response-wins delivery. A
 //! single unsharded gateway with the default [`FrontTierPolicy`] is just the
-//! front tier with one shard and nothing to retry, hedge or shed.
+//! front tier with one shard and nothing to retry, hedge or shed. The front
+//! tier owns the fleet, one fault injector per shard, the shard fault plan
+//! and the retry/timeout/hedge/heal queue, and it is the process the run
+//! hands to `drive_openloop`, the same next-event loop every §5 runner in
+//! [`crate::sim`] steps through.
 
 use crate::deploy::DeploymentBuilder;
 use crate::gateway::Gateway;
@@ -29,7 +33,7 @@ use crate::invariants::{
 };
 use crate::invariants::{check_replay_invariants, RunLedger};
 use crate::shard::{FrontTierPolicy, ShardReport, ShardedGateway, ShardingConfig, SpilloverPolicy};
-use crate::sim::{admit_simulated, run_webui_closed_loop, WebUiCell};
+use crate::sim::{admit_simulated, drive_openloop, run_webui_closed_loop, WebUiCell};
 use first_auth::{Identity, Scope, TokenString, UserId};
 use first_chaos::{FaultInjector, ResilienceConfig, ShardFaultKind};
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime, TimingWheel};
@@ -596,6 +600,15 @@ fn enroll_tenant_user(gateway: &mut Gateway, name: &str) -> TokenString {
     token.token
 }
 
+/// Enroll every tenant class of `spec` on `gateway`, in spec order, and
+/// return their bearer tokens (indexed by tenant).
+fn enroll_tenants(gateway: &mut Gateway, spec: &ScenarioSpec) -> Vec<TokenString> {
+    spec.tenants
+        .iter()
+        .map(|t| enroll_tenant_user(gateway, &t.name))
+        .collect()
+}
+
 /// The replay-mode dashboard banner for a cassette: what an operator sees
 /// when the traffic on the dashboard is a recording, not live users.
 pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell {
@@ -633,12 +646,51 @@ enum FrontAction {
     Heal(usize),
 }
 
-/// Mutable front-tier state for one run: per-request attempt bookkeeping,
-/// the retry/timeout/hedge/heal queue and the failover counters. Built on
-/// every run; without shard faults or a non-default [`FrontTierPolicy`] its
-/// queue stays empty and every request resolves on its first attempt.
-struct FrontState {
+/// One tenant's share of a run, as the front tier tallies it.
+#[derive(Debug, Clone, Default)]
+struct TenantTally {
+    offered: usize,
+    rejected: usize,
+    failed: usize,
+    output_tokens: u64,
+    /// Client-observed latencies of successful requests, seconds.
+    latencies: Histogram,
+}
+
+/// The front tier of one open-loop run, and the simulation process
+/// [`drive_openloop`] steps: the fleet, one fault injector per shard, the
+/// shard fault plan, and the retry/timeout/hedge/heal queue. It routes every
+/// arrival (live-ring home, optional shed, fan-in) and collects every
+/// response first-response-wins, keeping the ledgers, outcomes and
+/// per-tenant tallies the report is built from. Without shard faults or a
+/// non-default [`FrontTierPolicy`] its queue stays empty and every request
+/// resolves on its first attempt.
+struct FrontTier<'a> {
+    spec: &'a ScenarioSpec,
+    /// The compiled stream, in arrival order.
+    requests: &'a [ScenarioRequest],
+    /// Builds the fresh replica a restarted shard gets.
+    builder: &'a DeploymentBuilder,
     policy: FrontTierPolicy,
+    fanin: SimDuration,
+    fleet: ShardedGateway,
+    /// One injector per shard over the same plan: the spec's fault timeline
+    /// is facility-wide, hitting each shard's replica of the affected
+    /// endpoints at the same instants.
+    injectors: Vec<FaultInjector>,
+    /// `tokens[shard][tenant]`: one auth user per tenant class, enrolled
+    /// identically on every shard (the shared control plane), so a tenant's
+    /// credential is valid wherever the ring or a spill sends the request.
+    tokens: Vec<Vec<TokenString>>,
+    /// Each tenant's ring home, cached: tenants are the routing key (API key).
+    home: Vec<usize>,
+    ledger: RunLedger,
+    shard_ledgers: Vec<RunLedger>,
+    request_index: Vec<InFlightIndex>,
+    /// Per-request outcomes, aligned with `requests` by index.
+    outcomes: Vec<RequestOutcome>,
+    tenants: Vec<TenantTally>,
+    last_delivery: SimTime,
     /// Per-request resolution flag, aligned with the compiled stream.
     resolved: Vec<bool>,
     /// Physical dispatch attempts per request (initial submit included).
@@ -663,14 +715,45 @@ struct FrontState {
     counters: FailoverSection,
 }
 
-impl FrontState {
-    fn new(policy: FrontTierPolicy, requests: usize, shards: usize) -> Self {
-        FrontState {
-            policy,
-            resolved: vec![false; requests],
-            attempts: vec![0; requests],
-            outstanding: vec![0; requests],
-            last_shard: vec![0; requests],
+impl<'a> FrontTier<'a> {
+    fn new(
+        spec: &'a ScenarioSpec,
+        requests: &'a [ScenarioRequest],
+        builder: &'a DeploymentBuilder,
+        sharding: &ShardingConfig,
+    ) -> Self {
+        let mut fleet = ShardedGateway::from_builder(builder, sharding.clone());
+        let shards = fleet.shard_count();
+        let tokens = fleet
+            .shards_mut()
+            .iter_mut()
+            .map(|gw| enroll_tenants(gw, spec))
+            .collect();
+        let home = spec
+            .tenants
+            .iter()
+            .map(|t| fleet.home_shard(&t.name))
+            .collect();
+        FrontTier {
+            spec,
+            requests,
+            builder,
+            policy: sharding.front_tier.clone(),
+            fanin: sharding.fanin_latency,
+            fleet,
+            injectors: vec![FaultInjector::new(spec.faults.clone()); shards],
+            tokens,
+            home,
+            ledger: RunLedger::new(),
+            shard_ledgers: vec![RunLedger::new(); shards],
+            request_index: vec![InFlightIndex::new(); shards],
+            outcomes: Vec::with_capacity(requests.len()),
+            tenants: vec![TenantTally::default(); spec.tenants.len()],
+            last_delivery: SimTime::ZERO,
+            resolved: vec![false; requests.len()],
+            attempts: vec![0; requests.len()],
+            outstanding: vec![0; requests.len()],
+            last_shard: vec![0; requests.len()],
             unresolved: 0,
             queue: TimingWheel::new(),
             cursor: 0,
@@ -680,19 +763,11 @@ impl FrontState {
         }
     }
 
-    fn push(&mut self, at: SimTime, action: FrontAction) {
-        self.queue.push(at, action);
-    }
-
-    fn next_at(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Fan-in latency including any active spike at `now`. Expired spikes
     /// are pruned here — arrivals are non-decreasing, so an entry that has
     /// lapsed can never contribute again and would otherwise accumulate for
     /// the whole run (one per injected spike, scanned on every request).
-    fn effective_fanin(&mut self, base: SimDuration, now: SimTime) -> SimDuration {
+    fn effective_fanin(&mut self, now: SimTime) -> SimDuration {
         self.spikes.retain(|&(until, _)| until > now);
         let extra = self
             .spikes
@@ -700,7 +775,7 @@ impl FrontState {
             .map(|&(_, extra)| extra)
             .max()
             .unwrap_or(SimDuration::ZERO);
-        base + extra
+        self.fanin + extra
     }
 
     /// Whether the shed policy turns away an arrival of `priority` whose
@@ -718,175 +793,322 @@ impl FrontState {
         self.last_shard[idx] = shard;
         let snap = self.attempts[idx];
         if let Some(timeout) = self.policy.request_timeout {
-            self.push(now + timeout, FrontAction::Timeout(idx, snap));
+            self.queue
+                .push(now + timeout, FrontAction::Timeout(idx, snap));
         }
         if let Some(after) = self.policy.hedge_after {
-            self.push(now + after, FrontAction::Hedge(idx, snap));
+            self.queue.push(now + after, FrontAction::Hedge(idx, snap));
         }
+    }
+
+    /// The retry policy's backoff before the next attempt of `idx`.
+    fn retry_backoff(&self, idx: usize) -> SimDuration {
+        self.policy
+            .retry
+            .backoff(self.attempts[idx].saturating_sub(1))
     }
 
     /// Resolve `idx` as failed-back-to-the-client when nothing is in flight
     /// for it any more and the front tier has no further move.
-    fn give_up(&mut self, idx: usize, tenant: usize, ledger: &mut RunLedger, failed: &mut [usize]) {
+    fn give_up(&mut self, idx: usize) {
         if self.outstanding[idx] > 0 || self.resolved[idx] {
             return;
         }
         self.resolved[idx] = true;
         self.unresolved -= 1;
-        ledger.on_response(false);
-        failed[tenant] += 1;
+        self.ledger.on_response(false);
+        self.tenants[self.requests[idx].tenant as usize].failed += 1;
         self.counters.shed_retries_exhausted += 1;
     }
-}
 
-/// One front-tier re-dispatch of request `idx` at `now`: a crash-loss or
-/// timeout retry (`hedge == false`, budgeted by the retry policy) or a
-/// hedged duplicate to a different shard (`hedge == true`). Resolves the
-/// request as failed when the budget is exhausted or no shard is routable
-/// and nothing is in flight.
-#[allow(clippy::too_many_arguments)]
-fn front_dispatch(
-    fleet: &mut ShardedGateway,
-    f: &mut FrontState,
-    ledger: &mut RunLedger,
-    shard_ledgers: &mut [RunLedger],
-    request_index: &mut [InFlightIndex],
-    requests: &[ScenarioRequest],
-    spec: &ScenarioSpec,
-    tokens: &[Vec<TokenString>],
-    failed: &mut [usize],
-    idx: usize,
-    now: SimTime,
-    hedge: bool,
-) {
-    let request = &requests[idx];
-    let tenant = request.tenant as usize;
-    let budget = 1 + f.policy.retry.max_retries;
-    if !hedge && f.attempts[idx] >= budget {
-        f.give_up(idx, tenant, ledger, failed);
-        return;
+    /// Route arrival `idx` of the compiled stream and submit it.
+    fn arrive(&mut self, idx: usize) {
+        let request = &self.requests[idx];
+        let tenant = request.tenant as usize;
+        self.tenants[tenant].offered += 1;
+        // Degraded-mode routing: home on the live ring (dead and
+        // partitioned shards carry no points), shed typed when the
+        // federation cannot take the request at all or the shed policy
+        // says this priority must yield.
+        let routed = match self.fleet.routable_home(&self.spec.tenants[tenant].name) {
+            None => Err(&mut self.counters.shed_no_live_shard),
+            Some(home) if self.sheds(request.priority, self.fleet.shard(home).load_depth()) => {
+                Err(&mut self.counters.shed_overload)
+            }
+            Some(home) => Ok(home),
+        };
+        let accepted = match routed {
+            Err(shed_counter) => {
+                *shed_counter += 1;
+                false
+            }
+            Ok(home) => {
+                if home != self.home[tenant] {
+                    self.counters.rehomed_requests += 1;
+                }
+                let shard = self.fleet.route_home(home).shard;
+                let arrival = request.at + self.effective_fanin(request.at);
+                self.attempt(idx, shard, arrival, false)
+            }
+        };
+        self.outcomes.push(RequestOutcome {
+            accepted,
+            ..RequestOutcome::default()
+        });
+        self.ledger.on_submission(accepted);
+        if accepted {
+            self.unresolved += 1;
+        } else {
+            self.tenants[tenant].rejected += 1;
+            self.resolved[idx] = true;
+        }
     }
-    let target = if hedge {
-        // Hedge to the least-loaded routable shard other than the one the
-        // primary attempt went to; with nowhere else to go, skip quietly —
-        // the primary is still in flight.
-        let exclude = f.last_shard[idx];
-        (0..fleet.shard_count())
-            .filter(|&i| i != exclude && fleet.routable(i))
-            .min_by_key(|&i| (fleet.shard(i).load_depth(), i))
-    } else {
-        fleet.routable_home(&spec.tenants[tenant].name)
-    };
-    let Some(shard) = target else {
+
+    /// Send one attempt of request `idx` to `shard`, reaching it at `at`:
+    /// count the attempt and, when the shard accepts, track the copy in
+    /// flight (a non-hedge attempt also re-arms the timeout and hedge).
+    /// Returns whether the shard accepted.
+    fn attempt(&mut self, idx: usize, shard: usize, at: SimTime, hedge: bool) -> bool {
+        let request = &self.requests[idx];
+        let token = &self.tokens[shard][request.tenant as usize];
+        let (prompt, output) = (request.prompt_tokens, request.output_tokens);
+        let gateway = self.fleet.shard_mut(shard);
+        let result = admit_simulated(gateway, token, &request.model, idx, prompt, output, at);
+        self.attempts[idx] += 1;
+        self.shard_ledgers[shard].on_submission(result.is_ok());
+        let Ok(id) = result else {
+            return false;
+        };
+        self.request_index[shard].insert(id, (idx, hedge));
+        self.outstanding[idx] += 1;
         if !hedge {
-            f.give_up(idx, tenant, ledger, failed);
+            self.arm(idx, shard, at);
         }
-        return;
-    };
-    let result = admit_simulated(
-        fleet.shard_mut(shard),
-        &tokens[shard][tenant],
-        &request.model,
-        idx,
-        request.prompt_tokens,
-        request.output_tokens,
-        now,
-    );
-    f.attempts[idx] += 1;
-    if hedge {
-        f.counters.hedges_dispatched += 1;
-    } else {
-        f.counters.retries_dispatched += 1;
+        true
     }
-    match result {
-        Ok(id) => {
-            request_index[shard].insert(id, (idx, hedge));
-            f.outstanding[idx] += 1;
-            shard_ledgers[shard].on_submission(true);
+
+    /// One front-tier re-dispatch of request `idx` at `now`: a crash-loss or
+    /// timeout retry (`hedge == false`, budgeted by the retry policy) or a
+    /// hedged duplicate to a different shard (`hedge == true`). Resolves the
+    /// request as failed when the budget is exhausted or no shard is routable
+    /// and nothing is in flight.
+    fn dispatch(&mut self, idx: usize, now: SimTime, hedge: bool) {
+        let budget = 1 + self.policy.retry.max_retries;
+        if !hedge && self.attempts[idx] >= budget {
+            self.give_up(idx);
+            return;
+        }
+        let target = if hedge {
+            // Hedge to the least-loaded routable shard other than the one the
+            // primary attempt went to; with nowhere else to go, skip quietly —
+            // the primary is still in flight.
+            let exclude = self.last_shard[idx];
+            (0..self.fleet.shard_count())
+                .filter(|&i| i != exclude && self.fleet.routable(i))
+                .min_by_key(|&i| (self.fleet.shard(i).load_depth(), i))
+        } else {
+            let tenant = self.requests[idx].tenant as usize;
+            self.fleet.routable_home(&self.spec.tenants[tenant].name)
+        };
+        let Some(shard) = target else {
             if !hedge {
-                f.arm(idx, shard, now);
+                self.give_up(idx);
+            }
+            return;
+        };
+        let accepted = self.attempt(idx, shard, now, hedge);
+        if hedge {
+            self.counters.hedges_dispatched += 1;
+            return;
+        }
+        self.counters.retries_dispatched += 1;
+        if accepted {
+            return;
+        }
+        if self.attempts[idx] >= budget {
+            self.give_up(idx);
+        } else {
+            // The shard refused the retry outright: burn one backoff step
+            // and try again within the same budget.
+            let backoff = self.retry_backoff(idx);
+            self.queue.push(now + backoff, FrontAction::Retry(idx));
+        }
+    }
+
+    /// Apply one shard-plan fault at `step`.
+    fn shard_fault(&mut self, kind: &ShardFaultKind, step: SimTime) {
+        match *kind {
+            ShardFaultKind::ShardCrash { shard } => {
+                if !self.fleet.kill_shard(shard, step) {
+                    return;
+                }
+                self.ever_crashed[shard] = true;
+                // Everything in flight on the shard dies with it. Sort the
+                // purged ids so HashMap iteration order never leaks into the
+                // retry schedule.
+                let mut lost: Vec<(u64, (usize, bool))> =
+                    std::mem::take(&mut self.request_index[shard])
+                        .into_iter()
+                        .collect();
+                lost.sort_unstable();
+                for (_, (idx, _)) in lost {
+                    self.counters.lost_in_flight += 1;
+                    self.outstanding[idx] = self.outstanding[idx].saturating_sub(1);
+                    if self.resolved[idx] || self.outstanding[idx] > 0 {
+                        continue;
+                    }
+                    if self.attempts[idx] > self.policy.retry.max_retries {
+                        self.give_up(idx);
+                    } else {
+                        let backoff = self.retry_backoff(idx);
+                        self.queue.push(step + backoff, FrontAction::Retry(idx));
+                    }
+                }
+            }
+            ShardFaultKind::ShardRestart { shard } => {
+                if shard >= self.fleet.shard_count() || self.fleet.is_live(shard) {
+                    return;
+                }
+                // A fresh replica from the same deployment builder: cold
+                // caches, re-enrolled tenants, clock caught up to the
+                // restart instant.
+                let mut gw = self.builder.clone().build();
+                let fresh = enroll_tenants(&mut gw, self.spec);
+                gw.advance(step);
+                self.fleet.restore_shard(shard, gw, step);
+                self.tokens[shard] = fresh;
+            }
+            ShardFaultKind::FrontTierPartition { shard, duration } => {
+                if self.fleet.partition_shard(shard, step) {
+                    self.counters.partitions += 1;
+                    self.queue.push(step + duration, FrontAction::Heal(shard));
+                }
+            }
+            ShardFaultKind::FanInLatencySpike { extra, duration } => {
+                self.counters.fanin_spikes += 1;
+                self.spikes.push((step + duration, extra));
             }
         }
-        Err(_) => {
-            shard_ledgers[shard].on_submission(false);
-            if !hedge {
-                if f.attempts[idx] >= budget {
-                    f.give_up(idx, tenant, ledger, failed);
+    }
+
+    /// Drain every reachable shard's responses into the ledgers, outcomes and
+    /// per-tenant tallies. The first response to a logical request wins —
+    /// duplicates are counted stale and dropped at the front tier — and dead
+    /// or partitioned shards deliver nothing: a crash loses its in-flight
+    /// copies outright and a partition buffers responses until it heals.
+    fn collect(&mut self) {
+        for shard in 0..self.fleet.shard_count() {
+            if !self.fleet.is_live(shard) || !self.fleet.is_reachable(shard) {
+                continue;
+            }
+            for r in self.fleet.take_responses(shard) {
+                self.last_delivery = self.last_delivery.max(r.finished_at);
+                self.shard_ledgers[shard].on_response(r.success);
+                // Each physical copy is answered at most once, so its entry
+                // goes: the index holds the in-flight set, not the whole run.
+                let Some((idx, was_hedge)) = self.request_index[shard].remove(&r.request_id) else {
+                    continue;
+                };
+                self.outstanding[idx] = self.outstanding[idx].saturating_sub(1);
+                if self.resolved[idx] {
+                    self.counters.stale_responses += 1;
+                    continue;
+                }
+                self.resolved[idx] = true;
+                self.unresolved -= 1;
+                self.ledger.on_response(r.success);
+                // Client-observed latency spans from the original arrival, in
+                // exact integer microseconds: the fan-in hop, backoff,
+                // re-dispatch and hedge delay all count against the SLO.
+                let request = &self.requests[idx];
+                let observed = r.finished_at.saturating_since(request.at).as_secs_f64();
+                let o = &mut self.outcomes[idx];
+                o.delivered = true;
+                o.success = r.success;
+                o.latency_s = observed;
+                o.completion_tokens = r.usage.completion_tokens;
+                if self.attempts[idx] > 1 {
+                    if was_hedge {
+                        self.counters.hedge_wins += 1;
+                    } else {
+                        self.counters.retried_to_completion += 1;
+                    }
+                }
+                let tally = &mut self.tenants[request.tenant as usize];
+                if r.success {
+                    tally.latencies.record(observed);
+                    tally.output_tokens += r.usage.completion_tokens as u64;
                 } else {
-                    // The shard refused the retry outright: burn one backoff
-                    // step and try again within the same budget.
-                    let backoff = f.policy.retry.backoff(f.attempts[idx].saturating_sub(1));
-                    f.push(now + backoff, FrontAction::Retry(idx));
+                    tally.failed += 1;
                 }
             }
         }
+    }
+
+    /// Whether the run is over once every arrival is in: the fleet, every
+    /// injector, the shard plan and the failover queue all spent, and every
+    /// accepted request resolved.
+    fn drained(&self) -> bool {
+        self.fleet.is_drained()
+            && self.injectors.iter().all(FaultInjector::is_exhausted)
+            && self.cursor >= self.spec.shard_faults.len()
+            && self.queue.is_empty()
+            && self.unresolved == 0
     }
 }
 
-/// Drain every reachable shard's responses into the ledgers, outcomes and
-/// per-tenant accumulators. The first response to a logical request wins —
-/// duplicates are counted stale and dropped at the front tier — and dead or
-/// partitioned shards deliver nothing: a crash loses its in-flight copies
-/// outright and a partition buffers responses until it heals.
-#[allow(clippy::too_many_arguments)]
-fn collect_responses(
-    fleet: &mut ShardedGateway,
-    f: &mut FrontState,
-    ledger: &mut RunLedger,
-    shard_ledgers: &mut [RunLedger],
-    last_delivery: &mut SimTime,
-    outcomes: &mut [RequestOutcome],
-    request_index: &mut [InFlightIndex],
-    requests: &[ScenarioRequest],
-    latencies: &mut [Histogram],
-    output_tokens: &mut [u64],
-    failed: &mut [usize],
-) {
-    for (shard, shard_ledger) in shard_ledgers.iter_mut().enumerate() {
-        if !fleet.is_live(shard) || !fleet.is_reachable(shard) {
-            continue;
+impl SimProcess for FrontTier<'_> {
+    fn next_event_time(&self) -> Option<SimTime> {
+        // A dead shard makes no progress of its own (the fleet counts no
+        // wake for it); only its injector's pending timeline still drains.
+        let plan_next = self.spec.shard_faults.events().get(self.cursor);
+        self.injectors
+            .iter()
+            .filter_map(FaultInjector::next_event_time)
+            .chain(self.fleet.next_event_time())
+            .chain(plan_next.map(|e| e.at))
+            .chain(self.queue.peek_time())
+            .min()
+    }
+
+    fn advance(&mut self, step: SimTime) {
+        self.ledger.clock.observe(step);
+        // Only due shards move: a shard whose wake and injector both lie
+        // after `step` has nothing to do, and advancing it would change
+        // nothing. Due shards apply faults, then advance, in shard order.
+        let due = |at: Option<SimTime>| at.is_some_and(|at| at <= step);
+        for i in 0..self.fleet.shard_count() {
+            self.shard_ledgers[i].clock.observe(step);
+            if !due(self.fleet.shard_wake(i)) && !due(self.injectors[i].next_event_time()) {
+                continue;
+            }
+            self.injectors[i].apply_due(self.fleet.shard_mut(i).service_mut(), step);
+            if self.fleet.is_live(i) {
+                self.fleet.shard_mut(i).advance(step);
+            }
         }
-        for r in fleet.take_responses(shard) {
-            *last_delivery = (*last_delivery).max(r.finished_at);
-            shard_ledger.on_response(r.success);
-            // Each physical copy is answered at most once, so its entry goes:
-            // the index holds the in-flight set, not the whole run.
-            let Some((idx, was_hedge)) = request_index[shard].remove(&r.request_id) else {
-                continue;
-            };
-            f.outstanding[idx] = f.outstanding[idx].saturating_sub(1);
-            if f.resolved[idx] {
-                f.counters.stale_responses += 1;
-                continue;
-            }
-            f.resolved[idx] = true;
-            f.unresolved -= 1;
-            ledger.on_response(r.success);
-            // Client-observed latency spans from the original arrival, in
-            // exact integer microseconds: the fan-in hop, backoff,
-            // re-dispatch and hedge delay all count against the SLO.
-            let observed = r
-                .finished_at
-                .saturating_since(requests[idx].at)
-                .as_secs_f64();
-            let o = &mut outcomes[idx];
-            o.delivered = true;
-            o.success = r.success;
-            o.latency_s = observed;
-            o.completion_tokens = r.usage.completion_tokens;
-            if f.attempts[idx] > 1 {
-                if was_hedge {
-                    f.counters.hedge_wins += 1;
-                } else {
-                    f.counters.retried_to_completion += 1;
+        // Shard-plan faults due at this step, applied before arrivals so
+        // routing at `step` already sees the new membership.
+        let plan = self.spec.shard_faults.events();
+        while let Some(event) = plan.get(self.cursor).filter(|e| e.at <= step) {
+            self.cursor += 1;
+            self.shard_fault(&event.kind, step);
+        }
+        // Front-tier events due now: retries, timeouts, hedges, heals. A
+        // timeout or hedge only fires if no later attempt superseded it.
+        while let Some(event) = self.queue.pop_due(step) {
+            let (idx, hedge) = match event.payload {
+                FrontAction::Heal(shard) => {
+                    self.fleet.heal_shard(shard, step);
+                    continue;
                 }
-            }
-            let tenant = requests[idx].tenant as usize;
-            if r.success {
-                latencies[tenant].record(observed);
-                output_tokens[tenant] += r.usage.completion_tokens as u64;
-            } else {
-                failed[tenant] += 1;
+                FrontAction::Retry(idx) => (idx, false),
+                FrontAction::Timeout(idx, snap) if self.attempts[idx] == snap => (idx, false),
+                FrontAction::Hedge(idx, snap) if self.attempts[idx] == snap => (idx, true),
+                FrontAction::Timeout(..) | FrontAction::Hedge(..) => continue,
+            };
+            if !self.resolved[idx] {
+                self.dispatch(idx, step, hedge);
             }
         }
     }
@@ -898,11 +1120,11 @@ fn collect_responses(
 /// collected — it is two vector writes per request), and the sampled span
 /// trees (empty unless `trace` is enabled).
 ///
-/// One next-event loop serves every configuration: arrivals, retries,
-/// timeouts and hedges all enter through the front tier, and responses leave
-/// through one first-response-wins collector. With one shard, zero fan-in
-/// and the default policy the front tier has nothing to add, so the run is
-/// the plain single-gateway replay.
+/// The run's [`FrontTier`] is the process [`drive_openloop`] steps, so
+/// arrivals, retries, timeouts and hedges all enter through the front tier,
+/// and responses leave through one first-response-wins collector. With one
+/// shard, zero fan-in and the default policy the front tier has nothing to
+/// add, so the run is the plain single-gateway replay.
 fn run_scenario_impl(
     spec: &ScenarioSpec,
     seed: u64,
@@ -927,321 +1149,54 @@ fn run_scenario_impl(
     if spec.resilience {
         builder = builder.resilience(ResilienceConfig::production());
     }
-    let mut fleet = ShardedGateway::from_builder(&builder, sharding.clone());
-    let n_shards = fleet.shard_count();
-    let fanin = sharding.fanin_latency;
-
-    // One auth user per tenant class, enrolled identically on every shard
-    // (the shared control plane): a tenant's credential is valid wherever
-    // the ring or a spill sends the request. tokens[shard][tenant].
-    let mut tokens: Vec<Vec<TokenString>> = fleet
-        .shards_mut()
-        .iter_mut()
-        .map(|gw| {
-            spec.tenants
-                .iter()
-                .map(|t| enroll_tenant_user(gw, &t.name))
-                .collect()
-        })
-        .collect();
-    // Ring lookups cached per tenant: tenants are the routing key (API key).
-    let home: Vec<usize> = spec
-        .tenants
-        .iter()
-        .map(|t| fleet.home_shard(&t.name))
-        .collect();
-
     let compiled = spec.compile(seed);
-    let horizon = compiled.horizon;
+    let requests = &compiled.requests[..];
+    let mut front = FrontTier::new(spec, requests, &builder, sharding);
     // The report's failover section and the failover invariant check are
     // reserved for runs that can actually need the front tier's extra moves.
     let front_active =
         !spec.shard_faults.is_empty() || sharding.front_tier != FrontTierPolicy::default();
-    let mut front = FrontState::new(
-        sharding.front_tier.clone(),
-        compiled.requests.len(),
-        n_shards,
-    );
-    // Every shard gets its own injector over the same plan: the spec's fault
-    // timeline is facility-wide, hitting each shard's replica of the
-    // affected endpoints at the same instants.
-    let mut injectors: Vec<FaultInjector> = (0..n_shards)
-        .map(|_| FaultInjector::new(spec.faults.clone()))
-        .collect();
-    let mut ledger = RunLedger::new();
-    let mut shard_ledgers: Vec<RunLedger> = vec![RunLedger::new(); n_shards];
-
-    // Per-tenant accumulators.
-    let n_tenants = spec.tenants.len();
-    let mut offered = vec![0usize; n_tenants];
-    let mut rejected = vec![0usize; n_tenants];
-    let mut failed = vec![0usize; n_tenants];
-    let mut output_tokens = vec![0u64; n_tenants];
-    let mut latencies: Vec<Histogram> = (0..n_tenants).map(|_| Histogram::new()).collect();
-
-    let mut next = 0usize;
-    let mut last_delivery = SimTime::ZERO;
-    let first_arrival = compiled
-        .requests
-        .first()
-        .map(|r| r.at)
-        .unwrap_or(SimTime::ZERO);
-
-    // Per-request outcomes, aligned with `compiled.requests` by index; each
-    // shard's dense request ids map its responses back to stream positions.
-    let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(compiled.requests.len());
-    let mut request_index: Vec<InFlightIndex> = vec![InFlightIndex::new(); n_shards];
 
     // Pure closed-loop specs skip the open-loop drive entirely: advancing
     // the gateways through their prewarm events here would fast-forward the
     // clock past the session window before the session driver starts.
-    while !compiled.requests.is_empty()
-        || injectors.iter().any(FaultInjector::is_active)
-        || !spec.shard_faults.is_empty()
-    {
-        let next_arrival = compiled.requests.get(next).map(|r| r.at);
-        // A dead shard makes no progress of its own (the fleet counts no
-        // wake for it); only its injector's pending timeline still drains.
-        let internal = injectors
-            .iter()
-            .filter_map(FaultInjector::next_event_time)
-            .chain(fleet.next_event_time())
-            .min();
-        let plan_next = spec.shard_faults.events().get(front.cursor).map(|e| e.at);
-        let Some(step) = [next_arrival, internal, plan_next, front.next_at()]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            break;
+    let submitted =
+        if !requests.is_empty() || !spec.faults.is_empty() || !spec.shard_faults.is_empty() {
+            drive_openloop(
+                &mut front,
+                requests,
+                |r| r.at,
+                compiled.horizon,
+                FrontTier::arrive,
+                FrontTier::collect,
+                FrontTier::drained,
+            )
+        } else {
+            0
         };
-        if step > horizon {
-            break;
-        }
-        ledger.clock.observe(step);
-        // Only due shards move: a shard whose wake and injector both lie
-        // after `step` has nothing to do, and advancing it would change
-        // nothing. Due shards apply faults, then advance, in shard order.
-        let due = |at: Option<SimTime>| at.is_some_and(|at| at <= step);
-        for i in 0..n_shards {
-            shard_ledgers[i].clock.observe(step);
-            if !due(fleet.shard_wake(i)) && !due(injectors[i].next_event_time()) {
-                continue;
-            }
-            injectors[i].apply_due(fleet.shard_mut(i).service_mut(), step);
-            if fleet.is_live(i) {
-                fleet.shard_mut(i).advance(step);
-            }
-        }
-        // Shard-plan faults due at this step, applied before arrivals so
-        // routing at `step` already sees the new membership.
-        while let Some(event) = spec.shard_faults.events().get(front.cursor) {
-            if event.at > step {
-                break;
-            }
-            front.cursor += 1;
-            match &event.kind {
-                ShardFaultKind::ShardCrash { shard } => {
-                    let shard = *shard;
-                    if !fleet.kill_shard(shard, step) {
-                        continue;
-                    }
-                    front.ever_crashed[shard] = true;
-                    // Everything in flight on the shard dies with it. Sort
-                    // the purged ids so HashMap iteration order never leaks
-                    // into the retry schedule.
-                    let mut lost: Vec<(u64, (usize, bool))> =
-                        std::mem::take(&mut request_index[shard])
-                            .into_iter()
-                            .collect();
-                    lost.sort_unstable();
-                    for (_, (idx, _)) in lost {
-                        front.counters.lost_in_flight += 1;
-                        front.outstanding[idx] = front.outstanding[idx].saturating_sub(1);
-                        if front.resolved[idx] || front.outstanding[idx] > 0 {
-                            continue;
-                        }
-                        if front.attempts[idx] > front.policy.retry.max_retries {
-                            let tenant = compiled.requests[idx].tenant as usize;
-                            front.give_up(idx, tenant, &mut ledger, &mut failed);
-                        } else {
-                            let backoff = front
-                                .policy
-                                .retry
-                                .backoff(front.attempts[idx].saturating_sub(1));
-                            front.push(step + backoff, FrontAction::Retry(idx));
-                        }
-                    }
-                }
-                ShardFaultKind::ShardRestart { shard } => {
-                    let shard = *shard;
-                    if shard >= n_shards || fleet.is_live(shard) {
-                        continue;
-                    }
-                    // A fresh replica from the same deployment builder: cold
-                    // caches, re-enrolled tenants, clock caught up to the
-                    // restart instant.
-                    let mut gw = builder.clone().build();
-                    let fresh: Vec<TokenString> = spec
-                        .tenants
-                        .iter()
-                        .map(|t| enroll_tenant_user(&mut gw, &t.name))
-                        .collect();
-                    gw.advance(step);
-                    fleet.restore_shard(shard, gw, step);
-                    tokens[shard] = fresh;
-                }
-                ShardFaultKind::FrontTierPartition { shard, duration } => {
-                    if fleet.partition_shard(*shard, step) {
-                        front.counters.partitions += 1;
-                        front.push(step + *duration, FrontAction::Heal(*shard));
-                    }
-                }
-                ShardFaultKind::FanInLatencySpike { extra, duration } => {
-                    front.counters.fanin_spikes += 1;
-                    front.spikes.push((step + *duration, *extra));
-                }
-            }
-        }
-        // Front-tier events due now: retries, timeouts, hedges, heals. A
-        // timeout or hedge only fires if no later attempt superseded it.
-        while let Some(event) = front.queue.pop_due(step) {
-            let (idx, hedge) = match event.payload {
-                FrontAction::Heal(shard) => {
-                    fleet.heal_shard(shard, step);
-                    continue;
-                }
-                FrontAction::Retry(idx) => (idx, false),
-                FrontAction::Timeout(idx, snap) if front.attempts[idx] == snap => (idx, false),
-                FrontAction::Hedge(idx, snap) if front.attempts[idx] == snap => (idx, true),
-                FrontAction::Timeout(..) | FrontAction::Hedge(..) => continue,
-            };
-            if !front.resolved[idx] {
-                front_dispatch(
-                    &mut fleet,
-                    &mut front,
-                    &mut ledger,
-                    &mut shard_ledgers,
-                    &mut request_index,
-                    &compiled.requests,
-                    spec,
-                    &tokens,
-                    &mut failed,
-                    idx,
-                    step,
-                    hedge,
-                );
-            }
-        }
-        while next < compiled.requests.len() && compiled.requests[next].at <= step {
-            let idx = next;
-            next += 1;
-            let request = &compiled.requests[idx];
-            let tenant = request.tenant as usize;
-            offered[tenant] += 1;
-            // Degraded-mode routing: home on the live ring (dead and
-            // partitioned shards carry no points), shed typed when the
-            // federation cannot take the request at all or the shed policy
-            // says this priority must yield.
-            let routed = match fleet.routable_home(&spec.tenants[tenant].name) {
-                None => Err(&mut front.counters.shed_no_live_shard),
-                Some(home) if front.sheds(request.priority, fleet.shard(home).load_depth()) => {
-                    Err(&mut front.counters.shed_overload)
-                }
-                Some(home) => Ok(home),
-            };
-            let cur_home = match routed {
-                Ok(home) => home,
-                Err(shed_counter) => {
-                    *shed_counter += 1;
-                    outcomes.push(RequestOutcome::default());
-                    ledger.on_submission(false);
-                    rejected[tenant] += 1;
-                    front.resolved[idx] = true;
-                    continue;
-                }
-            };
-            if cur_home != home[tenant] {
-                front.counters.rehomed_requests += 1;
-            }
-            let shard = fleet.route_home(cur_home).shard;
-            let arrival = request.at + front.effective_fanin(fanin, request.at);
-            let result = admit_simulated(
-                fleet.shard_mut(shard),
-                &tokens[shard][tenant],
-                &request.model,
-                idx,
-                request.prompt_tokens,
-                request.output_tokens,
-                arrival,
-            );
-            let accepted = result.is_ok();
-            outcomes.push(RequestOutcome {
-                accepted,
-                ..RequestOutcome::default()
-            });
-            ledger.on_submission(accepted);
-            shard_ledgers[shard].on_submission(accepted);
-            match result {
-                Ok(id) => {
-                    request_index[shard].insert(id, (idx, false));
-                    front.attempts[idx] = 1;
-                    front.outstanding[idx] = 1;
-                    front.unresolved += 1;
-                    front.arm(idx, shard, arrival);
-                }
-                Err(_) => {
-                    rejected[tenant] += 1;
-                    front.resolved[idx] = true;
-                }
-            }
-        }
-        collect_responses(
-            &mut fleet,
-            &mut front,
-            &mut ledger,
-            &mut shard_ledgers,
-            &mut last_delivery,
-            &mut outcomes,
-            &mut request_index,
-            &compiled.requests,
-            &mut latencies,
-            &mut output_tokens,
-            &mut failed,
-        );
-        if next >= compiled.requests.len()
-            && fleet.is_drained()
-            && injectors.iter().all(FaultInjector::is_exhausted)
-            && front.cursor >= spec.shard_faults.len()
-            && front.queue.is_empty()
-            && front.unresolved == 0
-        {
-            break;
-        }
-    }
-    collect_responses(
-        &mut fleet,
-        &mut front,
-        &mut ledger,
-        &mut shard_ledgers,
-        &mut last_delivery,
-        &mut outcomes,
-        &mut request_index,
-        &compiled.requests,
-        &mut latencies,
-        &mut output_tokens,
-        &mut failed,
-    );
-    let all_submitted = next >= compiled.requests.len();
-    ledger.drained = all_submitted && fleet.is_drained() && front.unresolved == 0;
     #[cfg(test)]
-    LEFT_IN_INDEX
-        .with(|left| *left.borrow_mut() = request_index.iter().map(HashMap::len).collect());
+    LEFT_IN_INDEX.with(|left| {
+        *left.borrow_mut() = front.request_index.iter().map(HashMap::len).collect();
+    });
+    let FrontTier {
+        mut fleet,
+        mut ledger,
+        mut shard_ledgers,
+        outcomes,
+        tenants: mut tallies,
+        injectors,
+        last_delivery,
+        unresolved,
+        ever_crashed,
+        counters,
+        ..
+    } = front;
+    let all_submitted = submitted >= requests.len();
+    ledger.drained = all_submitted && fleet.is_drained() && unresolved == 0;
     for (i, shard_ledger) in shard_ledgers.iter_mut().enumerate() {
         // A shard that ever crashed can never report drained: the physical
         // copies it lost mid-flight are gone, not answered.
-        shard_ledger.drained =
-            all_submitted && fleet.shard(i).is_drained() && !front.ever_crashed[i];
+        shard_ledger.drained = all_submitted && fleet.shard(i).is_drained() && !ever_crashed[i];
     }
 
     // Closed-loop session rider (pure closed-loop specs only; the gateways
@@ -1267,12 +1222,12 @@ fn run_scenario_impl(
                 fleet.shards(),
                 &shard_ledgers,
                 &ledger,
-                &front.ever_crashed,
-                &front.counters,
+                &ever_crashed,
+                &counters,
                 fleet.spilled_out(),
                 fleet.spilled_in(),
             )
-        } else if n_shards == 1 {
+        } else if fleet.shard_count() == 1 {
             check_run_invariants(fleet.shard(0), &ledger)
         } else {
             check_sharded_run_invariants(
@@ -1295,6 +1250,7 @@ fn run_scenario_impl(
     let duration_s = if let Some(cell) = &webui {
         cell.duration_s
     } else {
+        let first_arrival = requests.first().map_or(SimTime::ZERO, |r| r.at);
         (last_delivery.saturating_since(first_arrival))
             .as_secs_f64()
             .max(1e-9)
@@ -1303,29 +1259,30 @@ fn run_scenario_impl(
     let tenants: Vec<TenantReport> = spec
         .tenants
         .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let completed = latencies[i].count();
-            let availability = completed as f64 / offered[i].max(1) as f64;
-            let within_target = latencies[i]
+        .zip(&mut tallies)
+        .map(|(t, tally)| {
+            let completed = tally.latencies.count();
+            let availability = completed as f64 / tally.offered.max(1) as f64;
+            let within_target = tally
+                .latencies
                 .samples()
                 .iter()
                 .filter(|&&l| l <= t.slo.p95_latency_s)
                 .count();
-            let p95 = latencies[i].p95();
+            let p95 = tally.latencies.p95();
             TenantReport {
                 tenant: t.name.clone(),
                 priority: t.priority,
-                offered: offered[i],
+                offered: tally.offered,
                 completed,
-                failed: failed[i],
-                rejected: rejected[i],
+                failed: tally.failed,
+                rejected: tally.rejected,
                 availability,
-                median_latency_s: latencies[i].median(),
+                median_latency_s: tally.latencies.median(),
                 p95_latency_s: p95,
-                mean_latency_s: latencies[i].mean(),
-                output_tokens: output_tokens[i],
-                output_tok_per_s: output_tokens[i] as f64 / duration_s,
+                mean_latency_s: tally.latencies.mean(),
+                output_tokens: tally.output_tokens,
+                output_tok_per_s: tally.output_tokens as f64 / duration_s,
                 slo_p95_target_s: t.slo.p95_latency_s,
                 slo_availability_target: t.slo.availability,
                 slo_latency_attainment: within_target as f64 / completed.max(1) as f64,
@@ -1355,6 +1312,7 @@ fn run_scenario_impl(
 
     // Per-shard rollup, only reported for genuinely sharded runs so
     // single-shard reports serialize exactly as before the federation.
+    let n_shards = fleet.shard_count();
     let shard_section = if n_shards > 1 {
         let shards: Vec<ShardReport> = shard_ledgers
             .iter()
@@ -1374,7 +1332,7 @@ fn run_scenario_impl(
             .collect();
         Some(ShardSection {
             count: n_shards,
-            fanin_latency_s: fanin.as_secs_f64(),
+            fanin_latency_s: sharding.fanin_latency.as_secs_f64(),
             spillover: sharding.spillover,
             spilled_requests: fleet.spilled_total(),
             shards,
@@ -1389,7 +1347,7 @@ fn run_scenario_impl(
         crashes: fleet.crashes(),
         restarts: fleet.restarts(),
         breaker_trips: fleet.health().trips(),
-        ..front.counters
+        ..counters
     });
 
     let (retries, failovers, breaker_trips, hedges) = fleet
@@ -1415,7 +1373,7 @@ fn run_scenario_impl(
         failed: ledger.failed,
         duration_s,
         request_throughput: completed_total as f64 / duration_s,
-        output_token_throughput: (output_tokens.iter().sum::<u64>() as f64
+        output_token_throughput: (tallies.iter().map(|t| t.output_tokens).sum::<u64>() as f64
             + webui
                 .as_ref()
                 .map_or(0.0, |c| c.token_throughput * c.duration_s))
@@ -2081,15 +2039,18 @@ mod tests {
 
     #[test]
     fn expired_fanin_spikes_are_pruned_not_accumulated() {
-        let mut f = FrontState::new(FrontTierPolicy::default(), 1, 1);
+        let spec = small_spec();
+        let builder = builder_for(spec.deployment);
+        let base = SimDuration::from_millis(5);
+        let sharding = ShardingConfig::single().fanin(base);
+        let mut f = FrontTier::new(&spec, &[], &builder, &sharding);
         for i in 0..1_000u64 {
             f.spikes
                 .push((SimTime::from_secs(i + 1), SimDuration::from_millis(i)));
         }
         // Once every spike has lapsed, a single query drops the whole
         // backlog instead of rescanning it on every later request.
-        let base = SimDuration::from_millis(5);
-        assert_eq!(f.effective_fanin(base, SimTime::from_secs(2_000)), base);
+        assert_eq!(f.effective_fanin(SimTime::from_secs(2_000)), base);
         assert!(f.spikes.is_empty(), "lapsed spikes must not accumulate");
         // Active spikes survive the prune and the largest extra still wins.
         f.spikes
@@ -2099,7 +2060,7 @@ mod tests {
         f.spikes
             .push((SimTime::from_secs(2_100), SimDuration::from_millis(90)));
         assert_eq!(
-            f.effective_fanin(base, SimTime::from_secs(2_500)),
+            f.effective_fanin(SimTime::from_secs(2_500)),
             base + SimDuration::from_millis(70)
         );
         assert_eq!(f.spikes.len(), 2, "only the lapsed spike is dropped");

@@ -697,27 +697,6 @@ impl ShardedGateway {
         }
     }
 
-    /// Earliest pending event across the live fleet: the minimum of the
-    /// per-shard wake cache.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        (0..self.shards.len())
-            .filter_map(|i| self.shard_wake(i))
-            .min()
-    }
-
-    /// Advance every live shard with an event due at or before `now` (peer
-    /// simulation entities share one clock). A shard whose next event lies
-    /// after `now` is skipped: advancing it would change nothing. Partitioned
-    /// shards still advance — they are running, merely unreachable from the
-    /// front tier.
-    pub fn advance_all(&mut self, now: SimTime) {
-        for i in 0..self.shards.len() {
-            if self.shard_wake(i).is_some_and(|at| at <= now) {
-                self.shard_mut(i).advance(now);
-            }
-        }
-    }
-
     /// Whether every live shard has answered everything it accepted (a dead
     /// shard's in-flight work is lost, not awaited).
     pub fn is_drained(&self) -> bool {
@@ -903,6 +882,29 @@ impl ShardedGateway {
             now.as_secs_f64(),
         );
         registry
+    }
+}
+
+/// The fleet as one simulation process: peer shards share one clock.
+impl SimProcess for ShardedGateway {
+    /// Earliest pending event across the live fleet: the minimum of the
+    /// per-shard wake cache.
+    fn next_event_time(&self) -> Option<SimTime> {
+        (0..self.shards.len())
+            .filter_map(|i| self.shard_wake(i))
+            .min()
+    }
+
+    /// Advance every live shard with an event due at or before `now`. A
+    /// shard whose next event lies after `now` is skipped: advancing it
+    /// would change nothing. Partitioned shards still advance — they are
+    /// running, merely unreachable from the front tier.
+    fn advance(&mut self, now: SimTime) {
+        for i in 0..self.shards.len() {
+            if self.shard_wake(i).is_some_and(|at| at <= now) {
+                self.shard_mut(i).advance(now);
+            }
+        }
     }
 }
 
@@ -1386,6 +1388,7 @@ mod tests {
             requests in 1usize..40,
             rate in 0.5f64..20.0,
             users in 1usize..6,
+            shards in 1usize..=4,
             threshold in 0usize..4,
             fraction in 0.1f64..0.9,
             seed in 0u64..1_000,
@@ -1395,14 +1398,39 @@ mod tests {
             let arrivals = first_workload::ArrivalProcess::Poisson(rate)
                 .arrivals(requests, SimTime::ZERO, &mut rng);
             let horizon = SimTime::from_secs(24 * 3600);
-            let config = ShardingConfig::with_shards(3)
+            let config = ShardingConfig::with_shards(shards)
                 .spill(SpilloverPolicy::bounded(threshold, fraction));
 
             let (mut fleet, tokens) = cold_fleet(config.clone());
+            let homes: Vec<usize> = (0..users)
+                .map(|u| fleet.home_shard(&format!("user-{u}")))
+                .collect();
             let mut due_only = Vec::new();
-            crate::sim::drive_sharded_openloop(
-                &mut fleet, &tokens, MODEL_70B, &samples, &arrivals, users, horizon,
-                |shard, r| due_only.push((shard, r.request_id, r.finished_at, r.usage)),
+            crate::sim::drive_openloop(
+                &mut fleet,
+                &arrivals,
+                |&at| at,
+                horizon,
+                |fleet, i| {
+                    let d = fleet.route_home(homes[i % users]);
+                    let _ = crate::sim::admit_simulated(
+                        fleet.shard_mut(d.shard),
+                        &tokens[d.shard],
+                        MODEL_70B,
+                        i,
+                        samples[i].prompt_tokens,
+                        samples[i].output_tokens,
+                        arrivals[i],
+                    );
+                },
+                |fleet| {
+                    for shard in 0..fleet.shard_count() {
+                        for r in fleet.take_responses(shard) {
+                            due_only.push((shard, r.request_id, r.finished_at, r.usage));
+                        }
+                    }
+                },
+                ShardedGateway::is_drained,
             );
             let (mut reference, ref_tokens) = cold_fleet(config);
             let every = every_shard_openloop(

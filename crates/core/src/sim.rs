@@ -6,12 +6,26 @@
 //! reports the four metrics of §5.1 (request throughput, output token
 //! throughput, median end-to-end latency, benchmark duration). A closed-loop
 //! runner drives concurrent WebUI sessions for Table 1.
+//!
+//! Every open-loop runner steps through one next-event loop,
+//! `drive_openloop`, generic over [`SimProcess`]. Each hands it a different
+//! process:
+//!
+//! - [`run_gateway_openloop`]: the [`Gateway`] itself;
+//! - [`run_resilience_openloop`]: the gateway paired with its
+//!   [`FaultInjector`], whose due faults land before each advance;
+//! - [`run_sharded_openloop`]: the [`ShardedGateway`] fleet, which advances
+//!   only its due shards;
+//! - [`run_direct_openloop`]: a [`DirectServer`];
+//! - [`run_openai_openloop`]: a [`CloudApi`];
+//! - [`crate::ScenarioRun`]: the run's front tier (`scenario.rs`), which
+//!   owns the fleet, the per-shard injectors and the failover queue.
 
 use crate::api::{GatewayError, PromptRef};
 use crate::gateway::{CompletedRequest, Gateway};
 use crate::shard::ShardedGateway;
 use first_auth::TokenString;
-use first_chaos::{FaultInjector, FaultPlan};
+use first_chaos::FaultInjector;
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime};
 use first_serving::{
     CloudApi, CloudApiConfig, DirectServer, EngineConfig, FrontendConfig, InferenceRequest,
@@ -46,30 +60,6 @@ pub struct ScenarioReport {
 }
 
 impl ScenarioReport {
-    fn from_observations(
-        label: &str,
-        offered_rate: &str,
-        offered: usize,
-        latencies: &mut Histogram,
-        output_tokens: u64,
-        duration_s: f64,
-    ) -> Self {
-        let completed = latencies.count();
-        let duration = duration_s.max(1e-9);
-        ScenarioReport {
-            label: label.to_string(),
-            offered_rate: offered_rate.to_string(),
-            offered,
-            completed,
-            request_throughput: completed as f64 / duration,
-            output_token_throughput: output_tokens as f64 / duration,
-            median_latency_s: latencies.median(),
-            p95_latency_s: latencies.p95(),
-            mean_latency_s: latencies.mean(),
-            duration_s,
-        }
-    }
-
     /// One formatted table row (used by the bench binaries).
     pub fn table_row(&self) -> String {
         format!(
@@ -114,6 +104,113 @@ pub(crate) fn admit_simulated(
     gateway.admit_chat(model, prompt, max_tokens, token, Some(output_tokens), at)
 }
 
+/// The one open-loop next-event loop every §5 runner and every
+/// [`crate::ScenarioRun`] steps through. Each step is the earlier of the
+/// next arrival (`at` of `arrivals[next]`) and `process`'s next event; a
+/// step past `horizon` ends the run. At each step the process advances,
+/// `submit(process, index)` takes every arrival due by then, in order, and
+/// `collect` drains what came back. The loop ends once every arrival is in
+/// and `drained` holds, collects once more, and returns how many arrivals
+/// were submitted.
+pub(crate) fn drive_openloop<P: SimProcess, T>(
+    process: &mut P,
+    arrivals: &[T],
+    at: impl Fn(&T) -> SimTime,
+    horizon: SimTime,
+    mut submit: impl FnMut(&mut P, usize),
+    mut collect: impl FnMut(&mut P),
+    drained: impl Fn(&P) -> bool,
+) -> usize {
+    let mut next = 0usize;
+    loop {
+        let next_arrival = arrivals.get(next).map(&at);
+        let Some(step) = [next_arrival, process.next_event_time()]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            break;
+        };
+        if step > horizon {
+            break;
+        }
+        process.advance(step);
+        while next < arrivals.len() && at(&arrivals[next]) <= step {
+            submit(process, next);
+            next += 1;
+        }
+        collect(process);
+        if next >= arrivals.len() && drained(process) {
+            break;
+        }
+    }
+    collect(process);
+    next
+}
+
+/// What a §5 runner tallies over one replay: the latency and output tokens
+/// of every successful request, the last instant one finished, and the
+/// failures.
+struct Tally {
+    latencies: Histogram,
+    output_tokens: u64,
+    last: SimTime,
+    failed: usize,
+}
+
+impl Tally {
+    fn new(requests: usize) -> Self {
+        Tally {
+            latencies: Histogram::with_capacity(requests),
+            output_tokens: 0,
+            last: SimTime::ZERO,
+            failed: 0,
+        }
+    }
+
+    /// Count one successful request.
+    fn completed(&mut self, latency: SimDuration, output_tokens: u32, finished_at: SimTime) {
+        self.latencies.record(latency.as_secs_f64());
+        self.output_tokens += output_tokens as u64;
+        self.last = self.last.max(finished_at);
+    }
+
+    /// Count one gateway response: a success as [`Tally::completed`], a
+    /// failure only as a failure.
+    fn response(&mut self, r: &CompletedRequest) {
+        if r.success {
+            self.completed(r.latency(), r.usage.completion_tokens, r.finished_at);
+        } else {
+            self.failed += 1;
+        }
+    }
+
+    /// Seconds from the first arrival to the last counted instant.
+    fn duration_s(&self, arrivals: &[SimTime]) -> f64 {
+        let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
+        (self.last - first_arrival).as_secs_f64()
+    }
+
+    /// The §5.1 metrics of a replay of `arrivals`.
+    fn report(mut self, label: &str, rate_label: &str, arrivals: &[SimTime]) -> ScenarioReport {
+        let duration_s = self.duration_s(arrivals);
+        let duration = duration_s.max(1e-9);
+        let completed = self.latencies.count();
+        ScenarioReport {
+            label: label.to_string(),
+            offered_rate: rate_label.to_string(),
+            offered: arrivals.len(),
+            completed,
+            request_throughput: completed as f64 / duration,
+            output_token_throughput: self.output_tokens as f64 / duration,
+            median_latency_s: self.latencies.median(),
+            p95_latency_s: self.latencies.p95(),
+            mean_latency_s: self.latencies.mean(),
+            duration_s,
+        }
+    }
+}
+
 /// Replay `samples` against the FIRST gateway at the given arrival times.
 /// Returns the §5.1 metrics. The gateway is advanced in place, so callers can
 /// inspect its metrics/log afterwards.
@@ -156,93 +253,22 @@ pub fn run_gateway_openloop(
     rate_label: &str,
     horizon: SimTime,
 ) -> ScenarioReport {
-    let mut latencies = Histogram::with_capacity(samples.len());
-    let mut output_tokens = 0u64;
-    let mut last_completion = SimTime::ZERO;
-    drive_gateway_openloop(
-        gateway,
-        &mut FaultInjector::new(FaultPlan::none()),
-        token,
-        model,
-        samples,
-        arrivals,
-        horizon,
-        |r| {
-            if r.success {
-                latencies.record(r.latency().as_secs_f64());
-                output_tokens += r.usage.completion_tokens as u64;
-                last_completion = last_completion.max(r.finished_at);
-            }
-        },
-    );
-    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
-    let duration = (last_completion - first_arrival).as_secs_f64();
-    ScenarioReport::from_observations(
-        "FIRST",
-        rate_label,
-        samples.len(),
-        &mut latencies,
-        output_tokens,
-        duration,
-    )
-}
-
-/// The single-gateway next-event loop behind [`run_gateway_openloop`] and
-/// [`run_resilience_openloop`]: replays `samples` at `arrivals` while
-/// `injector` applies its plan (fault and recovery instants take part in
-/// event selection), hands every response to `sink`, and returns how many
-/// requests the gateway rejected at admission.
-#[allow(clippy::too_many_arguments)]
-fn drive_gateway_openloop(
-    gateway: &mut Gateway,
-    injector: &mut FaultInjector,
-    token: &TokenString,
-    model: &str,
-    samples: &[ConversationSample],
-    arrivals: &[SimTime],
-    horizon: SimTime,
-    mut sink: impl FnMut(CompletedRequest),
-) -> usize {
     assert_eq!(samples.len(), arrivals.len());
-    let mut rejected = 0usize;
-    let mut next = 0usize;
-    loop {
-        let next_arrival = arrivals.get(next).copied();
-        let step = match (next_arrival, injector.next_event_merged(gateway)) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => break,
-        };
-        if step > horizon {
-            break;
-        }
-        injector.apply_due(gateway.service_mut(), step);
-        gateway.advance(step);
-        while next < arrivals.len() && arrivals[next] <= step {
-            if admit_simulated(
-                gateway,
-                token,
-                model,
-                next,
-                samples[next].prompt_tokens,
-                samples[next].output_tokens,
-                arrivals[next],
-            )
-            .is_err()
-            {
-                rejected += 1;
-            }
-            next += 1;
-        }
-        gateway.take_responses().into_iter().for_each(&mut sink);
-        if next >= arrivals.len() && gateway.is_drained() {
-            break;
-        }
-    }
-    // Collect anything still buffered.
-    gateway.take_responses().into_iter().for_each(sink);
-    rejected
+    let mut tally = Tally::new(arrivals.len());
+    drive_openloop(
+        gateway,
+        arrivals,
+        |&at| at,
+        horizon,
+        |gw, i| {
+            let s = &samples[i];
+            let (prompt, output) = (s.prompt_tokens, s.output_tokens);
+            let _ = admit_simulated(gw, token, model, i, prompt, output, arrivals[i]);
+        },
+        |gw| gw.take_responses().iter().for_each(|r| tally.response(r)),
+        Gateway::is_drained,
+    );
+    tally.report("FIRST", rate_label, arrivals)
 }
 
 /// Replay `samples` against a sharded gateway federation at the given
@@ -265,52 +291,6 @@ pub fn run_sharded_openloop(
     rate_label: &str,
     horizon: SimTime,
 ) -> ScenarioReport {
-    let mut latencies = Histogram::with_capacity(samples.len());
-    let mut output_tokens = 0u64;
-    let mut last_completion = SimTime::ZERO;
-    drive_sharded_openloop(
-        fleet,
-        tokens,
-        model,
-        samples,
-        arrivals,
-        users,
-        horizon,
-        |_, r| {
-            if r.success {
-                latencies.record(r.latency().as_secs_f64());
-                output_tokens += r.usage.completion_tokens as u64;
-                last_completion = last_completion.max(r.finished_at);
-            }
-        },
-    );
-    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
-    let duration = (last_completion - first_arrival).as_secs_f64();
-    ScenarioReport::from_observations(
-        &format!("FIRST x{} shards", fleet.shard_count()),
-        rate_label,
-        samples.len(),
-        &mut latencies,
-        output_tokens,
-        duration,
-    )
-}
-
-/// The next-event loop behind [`run_sharded_openloop`]: hands every
-/// response to `sink` together with the index of the shard that answered
-/// it, shard by shard after each step (which keeps the order
-/// deterministic).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_sharded_openloop(
-    fleet: &mut ShardedGateway,
-    tokens: &[TokenString],
-    model: &str,
-    samples: &[ConversationSample],
-    arrivals: &[SimTime],
-    users: usize,
-    horizon: SimTime,
-    mut sink: impl FnMut(usize, CompletedRequest),
-) {
     assert_eq!(samples.len(), arrivals.len());
     assert_eq!(
         tokens.len(),
@@ -323,46 +303,38 @@ pub(crate) fn drive_sharded_openloop(
     let homes: Vec<usize> = (0..users)
         .map(|u| fleet.home_shard(&format!("user-{u}")))
         .collect();
-    let mut collect = |fleet: &mut ShardedGateway| {
-        for shard in 0..fleet.shard_count() {
-            for r in fleet.take_responses(shard) {
-                sink(shard, r);
-            }
-        }
-    };
-
-    let mut next = 0usize;
-    loop {
-        let next_arrival = arrivals.get(next).copied();
-        let step = match (next_arrival, fleet.next_event_time()) {
-            (Some(a), Some(i)) => a.min(i),
-            (Some(a), None) => a,
-            (None, Some(i)) => i,
-            (None, None) => break,
-        };
-        if step > horizon {
-            break;
-        }
-        fleet.advance_all(step);
-        while next < arrivals.len() && arrivals[next] <= step {
-            let decision = fleet.route_home(homes[next % users]);
+    let mut tally = Tally::new(arrivals.len());
+    drive_openloop(
+        fleet,
+        arrivals,
+        |&at| at,
+        horizon,
+        |fleet, i| {
+            let shard = fleet.route_home(homes[i % users]).shard;
+            let s = &samples[i];
             let _ = admit_simulated(
-                fleet.shard_mut(decision.shard),
-                &tokens[decision.shard],
+                fleet.shard_mut(shard),
+                &tokens[shard],
                 model,
-                next,
-                samples[next].prompt_tokens,
-                samples[next].output_tokens,
-                arrivals[next],
+                i,
+                s.prompt_tokens,
+                s.output_tokens,
+                arrivals[i],
             );
-            next += 1;
-        }
-        collect(fleet);
-        if next >= arrivals.len() && fleet.is_drained() {
-            break;
-        }
-    }
-    collect(fleet);
+        },
+        // Shard by shard, which keeps the order deterministic.
+        |fleet| {
+            for shard in 0..fleet.shard_count() {
+                fleet
+                    .take_responses(shard)
+                    .iter()
+                    .for_each(|r| tally.response(r));
+            }
+        },
+        ShardedGateway::is_drained,
+    );
+    let label = format!("FIRST x{} shards", fleet.shard_count());
+    tally.report(&label, rate_label, arrivals)
 }
 
 /// Replay `samples` against a direct vLLM server (single-threaded frontend in
@@ -379,61 +351,21 @@ pub fn run_direct_openloop(
         VllmEngine::hot(engine_config, SimTime::ZERO),
         FrontendConfig::default(),
     );
-    let mut latencies = Histogram::with_capacity(samples.len());
-    let mut output_tokens = 0u64;
-    let mut next = 0usize;
-    let mut last_completion = SimTime::ZERO;
-    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
-
-    loop {
-        let next_arrival = arrivals.get(next).copied();
-        let next_internal = SimProcess::next_event_time(&server);
-        let step = match (next_arrival, next_internal) {
-            (Some(a), Some(i)) => a.min(i),
-            (Some(a), None) => a,
-            (None, Some(i)) => i,
-            (None, None) => break,
-        };
-        if step > horizon {
-            break;
-        }
-        server.advance(step);
-        first_desim::stats::kernel::record_event();
-        first_desim::stats::kernel::record_queue_depth(server.frontend_backlog());
-        while next < arrivals.len() && arrivals[next] <= step {
-            server.submit(
-                InferenceRequest::chat(
-                    next as u64,
-                    samples[next].prompt_tokens,
-                    samples[next].output_tokens,
-                ),
-                arrivals[next],
-            );
-            next += 1;
-        }
-        for r in server.take_served() {
-            latencies.record(r.latency().as_secs_f64());
-            output_tokens += r.output_tokens as u64;
-            last_completion = last_completion.max(r.finished_at);
-        }
-        if next >= arrivals.len() && server.is_drained() {
-            break;
-        }
-    }
-    for r in server.take_served() {
-        latencies.record(r.latency().as_secs_f64());
-        output_tokens += r.output_tokens as u64;
-        last_completion = last_completion.max(r.finished_at);
-    }
-    let duration = (last_completion - first_arrival).as_secs_f64();
-    ScenarioReport::from_observations(
-        "vLLM Direct",
-        rate_label,
-        samples.len(),
-        &mut latencies,
-        output_tokens,
-        duration,
-    )
+    let mut tally = Tally::new(arrivals.len());
+    drive_openloop(
+        &mut server,
+        arrivals,
+        |&at| at,
+        horizon,
+        |server, i| server.submit(sample_request(samples, i), arrivals[i]),
+        |server| {
+            for r in server.take_served() {
+                tally.completed(r.latency(), r.output_tokens, r.finished_at);
+            }
+        },
+        DirectServer::is_drained,
+    );
+    tally.report("vLLM Direct", rate_label, arrivals)
 }
 
 /// Replay `samples` against the external cloud API (Figure 5 comparator).
@@ -445,61 +377,27 @@ pub fn run_openai_openloop(
     horizon: SimTime,
 ) -> ScenarioReport {
     assert_eq!(samples.len(), arrivals.len());
-    let mut api = CloudApi::new(config);
-    let mut latencies = Histogram::with_capacity(samples.len());
-    let mut output_tokens = 0u64;
-    let mut next = 0usize;
-    let mut last_completion = SimTime::ZERO;
-    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
+    let mut tally = Tally::new(arrivals.len());
+    drive_openloop(
+        &mut CloudApi::new(config),
+        arrivals,
+        |&at| at,
+        horizon,
+        |api, i| api.submit(sample_request(samples, i), arrivals[i]),
+        |api| {
+            for c in api.take_completions() {
+                tally.completed(c.engine_latency(), c.output_tokens, c.finished_at);
+            }
+        },
+        CloudApi::is_drained,
+    );
+    tally.report("OpenAI API", rate_label, arrivals)
+}
 
-    loop {
-        let next_arrival = arrivals.get(next).copied();
-        let next_internal = SimProcess::next_event_time(&api);
-        let step = match (next_arrival, next_internal) {
-            (Some(a), Some(i)) => a.min(i),
-            (Some(a), None) => a,
-            (None, Some(i)) => i,
-            (None, None) => break,
-        };
-        if step > horizon {
-            break;
-        }
-        api.advance(step);
-        first_desim::stats::kernel::record_event();
-        while next < arrivals.len() && arrivals[next] <= step {
-            api.submit(
-                InferenceRequest::chat(
-                    next as u64,
-                    samples[next].prompt_tokens,
-                    samples[next].output_tokens,
-                ),
-                arrivals[next],
-            );
-            next += 1;
-        }
-        for c in api.take_completions() {
-            latencies.record(c.engine_latency().as_secs_f64());
-            output_tokens += c.output_tokens as u64;
-            last_completion = last_completion.max(c.finished_at);
-        }
-        if next >= arrivals.len() && api.is_drained() {
-            break;
-        }
-    }
-    for c in api.take_completions() {
-        latencies.record(c.engine_latency().as_secs_f64());
-        output_tokens += c.output_tokens as u64;
-        last_completion = last_completion.max(c.finished_at);
-    }
-    let duration = (last_completion - first_arrival).as_secs_f64();
-    ScenarioReport::from_observations(
-        "OpenAI API",
-        rate_label,
-        samples.len(),
-        &mut latencies,
-        output_tokens,
-        duration,
-    )
+/// Sample `i` as a bare engine request (id `i`), for the servers that take
+/// no gateway path.
+fn sample_request(samples: &[ConversationSample], i: usize) -> InferenceRequest {
+    InferenceRequest::chat(i as u64, samples[i].prompt_tokens, samples[i].output_tokens)
 }
 
 /// Availability and tail-latency metrics for one resilience scenario.
@@ -606,49 +504,74 @@ pub fn run_resilience_openloop(
     label: &str,
     horizon: SimTime,
 ) -> ResilienceReport {
-    let mut latencies = Histogram::with_capacity(samples.len());
-    let mut output_tokens = 0u64;
-    let mut failed = 0usize;
-    let mut last_delivery = SimTime::ZERO;
-    let rejected = drive_gateway_openloop(
-        gateway,
-        injector,
-        token,
-        model,
-        samples,
+    assert_eq!(samples.len(), arrivals.len());
+    let mut tally = Tally::new(arrivals.len());
+    let mut rejected = 0usize;
+    drive_openloop(
+        &mut Faulted {
+            gateway: &mut *gateway,
+            injector: &mut *injector,
+        },
         arrivals,
+        |&at| at,
         horizon,
-        |r| {
-            last_delivery = last_delivery.max(r.finished_at);
-            if r.success {
-                latencies.record(r.latency().as_secs_f64());
-                output_tokens += r.usage.completion_tokens as u64;
-            } else {
-                failed += 1;
+        |f, i| {
+            let s = &samples[i];
+            let (prompt, output) = (s.prompt_tokens, s.output_tokens);
+            if admit_simulated(f.gateway, token, model, i, prompt, output, arrivals[i]).is_err() {
+                rejected += 1;
             }
         },
+        // Failures end a delivery too, so they count toward the duration.
+        |f| {
+            for r in f.gateway.take_responses() {
+                tally.last = tally.last.max(r.finished_at);
+                tally.response(&r);
+            }
+        },
+        // Only the gateway's work is awaited: a fault still pending after
+        // the last response never fires.
+        |f| f.gateway.is_drained(),
     );
-    let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
-    let offered = samples.len();
-    let completed = latencies.count();
-    let duration = (last_delivery - first_arrival).as_secs_f64().max(1e-9);
+    let offered = arrivals.len();
+    let duration = tally.duration_s(arrivals).max(1e-9);
+    let completed = tally.latencies.count();
     let metrics = gateway.metrics_mut();
     ResilienceReport {
         label: label.to_string(),
         offered,
         completed,
-        failed: failed + rejected,
+        failed: tally.failed + rejected,
         availability: completed as f64 / offered.max(1) as f64,
-        median_latency_s: latencies.median(),
-        p99_latency_s: latencies.p99(),
-        output_tokens,
-        goodput_tok_s: output_tokens as f64 / duration,
+        median_latency_s: tally.latencies.median(),
+        p99_latency_s: tally.latencies.p99(),
+        output_tokens: tally.output_tokens,
+        goodput_tok_s: tally.output_tokens as f64 / duration,
         duration_s: duration,
         retries: metrics.retries,
         failovers: metrics.failovers,
         breaker_trips: metrics.breaker_trips,
         hedges: metrics.hedges,
         faults_injected: injector.applied().len(),
+    }
+}
+
+/// One gateway under a fault plan, as [`drive_openloop`] steps it: fault
+/// and recovery instants take part in event selection, and the faults due
+/// at a step land before the gateway advances to it.
+struct Faulted<'a> {
+    gateway: &'a mut Gateway,
+    injector: &'a mut FaultInjector,
+}
+
+impl SimProcess for Faulted<'_> {
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.injector.next_event_merged(&*self.gateway)
+    }
+
+    fn advance(&mut self, now: SimTime) {
+        self.injector.apply_due(self.gateway.service_mut(), now);
+        self.gateway.advance(now);
     }
 }
 
@@ -764,7 +687,9 @@ pub fn run_webui_closed_loop(
 
         // Handle completions: count them and schedule the next turn.
         for r in gateway.take_responses() {
-            let Some(&session_idx) = owner.get(&r.request_id) else {
+            // At most one response arrives per id (the gateway swallows
+            // losing hedge copies), so the map holds only in-flight turns.
+            let Some(session_idx) = owner.remove(&r.request_id) else {
                 continue;
             };
             if r.success && r.finished_at <= window_end {
@@ -810,6 +735,7 @@ pub fn run_webui_closed_loop(
 mod tests {
     use super::*;
     use crate::deploy::DeploymentBuilder;
+    use first_chaos::FaultPlan;
     use first_desim::SimRng;
     use first_hpc::GpuModel;
     use first_serving::find_model;
@@ -947,6 +873,63 @@ mod tests {
         assert_eq!(report.completed, 100);
         assert!(report.request_throughput < 8.0);
         assert!(report.median_latency_s < 15.0);
+    }
+
+    /// The run stops once every arrival is answered, even while the fault
+    /// plan still holds an event: a fault due long after the last response
+    /// (and inside the horizon) is never applied.
+    #[test]
+    fn resilience_openloop_stops_before_a_fault_after_the_last_response() {
+        let samples = samples(20);
+        let mut rng = SimRng::seed_from_u64(9);
+        let arrivals = ArrivalProcess::FixedRate(2.0).arrivals(20, SimTime::ZERO, &mut rng);
+        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
+            .prewarm(1)
+            .build_with_tokens();
+        let mut injector = FaultInjector::new(FaultPlan::cluster_outage(
+            "sophia-endpoint",
+            SimTime::from_secs(1_000_000),
+            SimDuration::from_secs(60),
+        ));
+        let report = run_resilience_openloop(
+            &mut gw,
+            &mut injector,
+            &tokens.alice,
+            MODEL,
+            &samples,
+            &arrivals,
+            "late-outage",
+            SimTime::from_secs(2_000_000),
+        );
+        assert_eq!(report.completed, report.offered);
+        assert_eq!(report.faults_injected, 0);
+    }
+
+    /// The kernel counts a direct-server and a cloud-API run record, pinned
+    /// exactly: one event per advance of the process, plus whatever its
+    /// own queues record, and the direct frontend's backlog as the peak
+    /// depth. Nothing else gates these two runners' counts.
+    #[test]
+    fn direct_and_cloud_kernel_counts_are_pinned() {
+        use first_desim::stats::kernel;
+        let samples = samples(24);
+        let mut rng = SimRng::seed_from_u64(11);
+        let arrivals = ArrivalProcess::Poisson(6.0).arrivals(24, SimTime::ZERO, &mut rng);
+        let horizon = SimTime::from_secs(3600);
+        let cfg = EngineConfig::for_model(find_model("llama-70b").unwrap(), GpuModel::A100_40);
+        kernel::reset();
+        let direct = run_direct_openloop(cfg, &samples, &arrivals, "6", horizon);
+        assert_eq!(direct.completed, 24);
+        assert_eq!(
+            (kernel::events_processed(), kernel::peak_queue_depth()),
+            (118, 3),
+            "direct server"
+        );
+        kernel::reset();
+        let cloud =
+            run_openai_openloop(CloudApiConfig::default(), &samples, &arrivals, "6", horizon);
+        assert_eq!(cloud.completed, 24);
+        assert_eq!(kernel::events_processed(), 67, "cloud API");
     }
 
     #[test]

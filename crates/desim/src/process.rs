@@ -3,8 +3,12 @@
 //!
 //! Each substrate (scheduler, serving engine, compute fabric, gateway) exposes
 //! "tell me the next instant at which you have work" and "advance yourself to
-//! this instant". The run loops in `first-core` repeatedly find the earliest
-//! such instant across their components and advance the due ones, which
+//! this instant". `first-core` runs every open-loop replay through one
+//! next-event loop over a `SimProcess` — a gateway, a gateway with its fault
+//! injector, a sharded fleet, a direct vLLM server, the cloud API, or a
+//! scenario run's front tier — which steps to the earlier of the next
+//! arrival and the process's next event. A process built from components
+//! finds the earliest instant across them and advances the due ones, which
 //! composes independently written components into one deterministic
 //! discrete-event simulation without shared-world callbacks.
 

@@ -162,13 +162,7 @@ impl SimProcess for DirectServer {
     }
 
     fn advance(&mut self, now: SimTime) {
-        loop {
-            let Some(t) = self.next_internal() else {
-                return;
-            };
-            if t > now {
-                return;
-            }
+        while let Some(t) = self.next_internal().filter(|&t| t <= now) {
             // Let the engine catch up to t and surface finished generations.
             self.engine.advance(t);
             for c in self.engine.take_completions() {
@@ -197,6 +191,11 @@ impl SimProcess for DirectServer {
             }
             self.maybe_start_op(t);
         }
+        // Kernel instrumentation, as in the gateway's advance: every advance
+        // is one simulation event, and the frontend backlog is the depth
+        // the artifacts track.
+        first_desim::stats::kernel::record_event();
+        first_desim::stats::kernel::record_queue_depth(self.frontend_backlog());
     }
 
     fn name(&self) -> &str {

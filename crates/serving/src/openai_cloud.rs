@@ -168,6 +168,8 @@ impl SimProcess for CloudApi {
     fn advance(&mut self, now: SimTime) {
         self.pump(now);
         self.finish_due(now);
+        // Kernel instrumentation: every advance is one simulation event.
+        first_desim::stats::kernel::record_event();
     }
 
     fn name(&self) -> &str {
