@@ -90,19 +90,9 @@ impl AuthService {
         Self::new(AccessPolicy::default(), seed)
     }
 
-    /// Replace the latency model.
-    pub fn set_latency_model(&mut self, latency: AuthLatencyModel) {
-        self.latency = latency;
-    }
-
     /// Access the deployment policy.
     pub fn policy(&self) -> &AccessPolicy {
         &self.policy
-    }
-
-    /// Mutable access to the deployment policy.
-    pub fn policy_mut(&mut self) -> &mut AccessPolicy {
-        &mut self.policy
     }
 
     /// Access the group registry.

@@ -230,11 +230,6 @@ impl BatchManager {
             }
         }
     }
-
-    /// States of all jobs, for the `/v1/batches` status endpoint.
-    pub fn statuses(&self) -> Vec<(BatchId, BatchState)> {
-        self.jobs.iter().map(|j| (j.id, j.state)).collect()
-    }
 }
 
 #[cfg(test)]

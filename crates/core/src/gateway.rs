@@ -451,11 +451,6 @@ impl Gateway {
         self.router.policy()
     }
 
-    /// Mutable model registry (dashboard model registration).
-    pub fn registry_mut(&mut self) -> &mut ModelRegistry {
-        &mut self.registry
-    }
-
     /// The per-endpoint health tracker (breaker states, success/failure
     /// counts) the failover-aware router consults.
     pub fn health(&self) -> &HealthTracker {

@@ -16,11 +16,12 @@
 //!    in-flight, awaiting-delivery, hedge-deadline or outstanding-copy
 //!    slabs.
 //!
-//! [`crate::ScenarioRun`] runs the check automatically in debug builds
-//! (`#[cfg(debug_assertions)]`), which covers every `cargo test` run;
-//! integration tests call it directly on their own drivers. Sharded runs go
-//! through [`check_sharded_run_invariants`], which applies the same checks
-//! per shard and additionally reconciles cross-shard totals and spill flow.
+//! [`crate::ScenarioRun`] closes every open-loop run with
+//! [`check_front_tier_invariants`], in every build, and panics on a
+//! violation: each shard passes the single-gateway checks, and the per-shard
+//! ledgers reconcile with the whole-run ledger through the front tier's
+//! retries, hedges, sheds, crash losses and spills. Integration tests call
+//! [`check_run_invariants`] directly on their own single-gateway drivers.
 
 use crate::gateway::Gateway;
 use crate::scenario::{FailoverSection, GatewayReport};
@@ -111,11 +112,10 @@ impl RunLedger {
     }
 }
 
-/// Cross-check a finished run's ledger against the gateway's internal state.
-/// Returns every violated invariant (empty = all hold).
-pub fn check_run_invariants(gateway: &Gateway, ledger: &RunLedger) -> Result<(), Vec<String>> {
-    let mut violations = Vec::new();
-
+/// The checks a ledger supports on its own: a monotone clock, `offered ==
+/// accepted + rejected`, no more responses than acceptances, and `accepted
+/// == completed + failed` once drained.
+fn check_ledger(ledger: &RunLedger, violations: &mut Vec<String>) {
     if ledger.clock.violations() > 0 {
         violations.push(format!(
             "sim clock moved backwards {} time(s)",
@@ -134,13 +134,29 @@ pub fn check_run_invariants(gateway: &Gateway, ledger: &RunLedger) -> Result<(),
             ledger.completed, ledger.failed, ledger.accepted
         ));
     }
+    if ledger.drained && ledger.completed + ledger.failed != ledger.accepted {
+        violations.push(format!(
+            "drained run lost requests: accepted {} != completed {} + failed {}",
+            ledger.accepted, ledger.completed, ledger.failed
+        ));
+    }
+}
+
+/// `Ok` when no invariant was violated.
+fn verdict(violations: Vec<String>) -> Result<(), Vec<String>> {
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(violations)
+    }
+}
+
+/// Cross-check a finished run's ledger against the gateway's internal state.
+/// Returns every violated invariant (empty = all hold).
+pub fn check_run_invariants(gateway: &Gateway, ledger: &RunLedger) -> Result<(), Vec<String>> {
+    let mut violations = Vec::new();
+    check_ledger(ledger, &mut violations);
     if ledger.drained {
-        if ledger.completed + ledger.failed != ledger.accepted {
-            violations.push(format!(
-                "drained run lost requests: accepted {} != completed {} + failed {}",
-                ledger.accepted, ledger.completed, ledger.failed
-            ));
-        }
         if !gateway.is_drained() {
             violations.push("ledger says drained but the gateway disagrees".to_string());
         }
@@ -159,24 +175,31 @@ pub fn check_run_invariants(gateway: &Gateway, ledger: &RunLedger) -> Result<(),
             ));
         }
     }
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
+    verdict(violations)
 }
 
-/// Sharded-run conservation: every per-shard ledger must satisfy the
-/// single-gateway invariants against its own shard, and the cross-shard
-/// accounting must reconcile — whole-run totals equal the sums over shards
-/// (requests may cross shards but never leave the fleet), and every spill
-/// leaving one shard arrives at another. Returns every violated invariant
-/// (empty = all hold).
-pub fn check_sharded_run_invariants(
+/// Conservation across the front tier, checked at the end of every
+/// open-loop scenario run. The logical ledger (`total`) counts each client
+/// request once; the per-shard ledgers count physical submissions, and each
+/// must pass [`check_run_invariants`] against its own shard (a shard that
+/// crashed never reports drained, since the copies it lost were purged, not
+/// answered).
+///
+/// The two reconcile through the front tier's `counters`: retries and
+/// hedges add physical submissions, typed sheds resolve a client request
+/// without one, a give-up fails it without a physical answer, a crash loses
+/// copies in flight, and a duplicate answer is dropped as stale. So, with
+/// `R = retries + hedges`, `total.accepted ≤ Σ accepted ≤ total.accepted +
+/// R`, `total.completed ≤ Σ completed ≤ total.completed + stale`, and
+/// `total.failed − gave_up ≤ Σ failed ≤ total.failed − gave_up + stale`.
+/// When nothing was re-dispatched, shed or dropped, the bounds collapse to
+/// exact per-field sums. Every spill leaving one shard must also arrive at
+/// another. Returns every violated invariant (empty = all hold).
+pub fn check_front_tier_invariants(
     shards: &[Gateway],
     shard_ledgers: &[RunLedger],
     total: &RunLedger,
+    counters: &FailoverSection,
     spilled_out: &[usize],
     spilled_in: &[usize],
 ) -> Result<(), Vec<String>> {
@@ -197,159 +220,69 @@ pub fn check_sharded_run_invariants(
             }
         }
     }
+    check_ledger(total, &mut violations);
+
+    let c = counters;
     let sum = |f: fn(&RunLedger) -> usize| shard_ledgers.iter().map(f).sum::<usize>();
-    for (name, got, want) in [
-        ("offered", sum(|l| l.offered), total.offered),
-        ("accepted", sum(|l| l.accepted), total.accepted),
-        ("rejected", sum(|l| l.rejected), total.rejected),
-        ("completed", sum(|l| l.completed), total.completed),
-        ("failed", sum(|l| l.failed), total.failed),
+    let redispatched = c.retries_dispatched + c.hedges_dispatched;
+    let gave_up = c.shed_retries_exhausted;
+    let stale = c.stale_responses;
+    let phys_offered = sum(|l| l.offered);
+    let phys_accepted = sum(|l| l.accepted);
+    let phys_completed = sum(|l| l.completed);
+    let phys_failed = sum(|l| l.failed);
+    // Physical dispatch flow: every client request the front tier did not
+    // shed pre-submit, plus every retry and hedge, hit exactly one shard.
+    if phys_offered + c.shed_overload + c.shed_no_live_shard != total.offered + redispatched {
+        violations.push(format!(
+            "physical dispatch flow does not reconcile: shards saw {} submissions + shed \
+             ({} + {}) != offered {} + retries {} + hedges {}",
+            phys_offered,
+            c.shed_overload,
+            c.shed_no_live_shard,
+            total.offered,
+            c.retries_dispatched,
+            c.hedges_dispatched
+        ));
+    }
+    let failed_low = total.failed.saturating_sub(gave_up);
+    for (name, got, low, slack) in [
+        ("accepted", phys_accepted, total.accepted, redispatched),
+        ("completed", phys_completed, total.completed, stale),
+        ("failed", phys_failed, failed_low, stale),
     ] {
-        if got != want {
+        if got < low || got > low + slack {
             violations.push(format!(
-                "cross-shard conservation: per-shard {name} sums to {got} but the run ledger says {want}"
+                "cross-shard conservation: per-shard {name} sums to {got}, outside the run \
+                 ledger's [{low}, {}]",
+                low + slack
             ));
         }
     }
-    let out: usize = spilled_out.iter().sum();
-    let inn: usize = spilled_in.iter().sum();
-    if out != inn {
-        violations.push(format!(
-            "spill flow does not reconcile: {out} spilled out but {inn} spilled in"
-        ));
-    }
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
-/// Conservation under failover: with shard-scoped faults and a front tier
-/// retrying, hedging and shedding, the simple cross-shard sums of
-/// [`check_sharded_run_invariants`] no longer hold — retries and hedges
-/// multiply physical submissions, typed sheds resolve client requests
-/// without one, and a crash loses in-flight copies outright. This check
-/// reconciles the whole flow instead: every client request is accounted
-/// exactly once across home, re-home, retry and shed paths, and every
-/// physical copy is accounted as answered, lost to a crash, or still in
-/// flight on an undrained shard.
-///
-/// The logical ledger (`total`) counts each client request once; the
-/// per-shard ledgers count physical submissions (including retries and
-/// hedges). `ever_crashed[i]` marks shards whose ledgers can only satisfy
-/// weak conservation — the copies they lost were purged, not answered.
-pub fn check_failover_run_invariants(
-    shards: &[Gateway],
-    shard_ledgers: &[RunLedger],
-    total: &RunLedger,
-    ever_crashed: &[bool],
-    failover: &FailoverSection,
-    spilled_out: &[usize],
-    spilled_in: &[usize],
-) -> Result<(), Vec<String>> {
-    let mut violations = Vec::new();
-
-    if shards.len() != shard_ledgers.len() || shards.len() != ever_crashed.len() {
-        violations.push(format!(
-            "{} shards but {} shard ledgers and {} crash flags",
-            shards.len(),
-            shard_ledgers.len(),
-            ever_crashed.len()
-        ));
-        return Err(violations);
-    }
-    // Per-shard physical ledgers: strict when the shard never crashed (its
-    // driver-set drained flag engages the strict checks), weak otherwise.
-    for (i, (gateway, ledger)) in shards.iter().zip(shard_ledgers).enumerate() {
-        if let Err(shard_violations) = check_run_invariants(gateway, ledger) {
-            for v in shard_violations {
-                violations.push(format!("shard {i}: {v}"));
-            }
-        }
-    }
-    // Whole-run logical conservation.
-    if total.clock.violations() > 0 {
-        violations.push(format!(
-            "sim clock moved backwards {} time(s)",
-            total.clock.violations()
-        ));
-    }
-    if total.offered != total.accepted + total.rejected {
-        violations.push(format!(
-            "offered {} != accepted {} + rejected {}",
-            total.offered, total.accepted, total.rejected
-        ));
-    }
-    if total.completed + total.failed > total.accepted {
-        violations.push(format!(
-            "more responses ({} completed + {} failed) than accepted requests ({})",
-            total.completed, total.failed, total.accepted
-        ));
-    }
-    if total.drained && total.completed + total.failed != total.accepted {
-        violations.push(format!(
-            "drained run lost requests: accepted {} != completed {} + failed {}",
-            total.accepted, total.completed, total.failed
-        ));
-    }
-    // Physical dispatch flow: every client request the front tier did not
-    // shed pre-submit, plus every retry and hedge, hit exactly one shard.
-    let sum = |f: fn(&RunLedger) -> usize| shard_ledgers.iter().map(f).sum::<usize>();
-    let phys_offered = sum(|l| l.offered);
-    let expected_offered = total.offered - failover.shed_overload - failover.shed_no_live_shard
-        + failover.retries_dispatched
-        + failover.hedges_dispatched;
-    if phys_offered != expected_offered {
-        violations.push(format!(
-            "physical dispatch flow does not reconcile: shards saw {} submissions but \
-             offered {} - shed ({} + {}) + retries {} + hedges {} = {}",
-            phys_offered,
-            total.offered,
-            failover.shed_overload,
-            failover.shed_no_live_shard,
-            failover.retries_dispatched,
-            failover.hedges_dispatched,
-            expected_offered
-        ));
-    }
     if total.drained {
         // Every physically accepted copy was answered or died in a crash…
-        let phys_accepted = sum(|l| l.accepted);
-        let phys_answered = sum(|l| l.completed + l.failed);
-        if phys_accepted != phys_answered + failover.lost_in_flight {
+        let phys_answered = phys_completed + phys_failed;
+        if phys_accepted != phys_answered + c.lost_in_flight {
             violations.push(format!(
                 "physical copies leak: {} accepted != {} answered + {} lost in flight",
-                phys_accepted, phys_answered, failover.lost_in_flight
+                phys_accepted, phys_answered, c.lost_in_flight
             ));
         }
         // …and every physical answer either resolved a client request or
         // arrived stale; give-ups resolved a client request without one.
         let logical_answered = total.completed + total.failed;
-        let expected_answered =
-            logical_answered - failover.shed_retries_exhausted + failover.stale_responses;
-        if phys_answered != expected_answered {
+        if phys_answered + gave_up != logical_answered + stale {
             violations.push(format!(
-                "response flow does not reconcile: shards answered {} but logical ({}) - \
-                 gave up ({}) + stale ({}) = {}",
-                phys_answered,
-                logical_answered,
-                failover.shed_retries_exhausted,
-                failover.stale_responses,
-                expected_answered
+                "response flow does not reconcile: shards answered {} + gave up {} != \
+                 logical {} + stale {}",
+                phys_answered, gave_up, logical_answered, stale
             ));
         }
     }
-    if failover.retried_to_completion + failover.hedge_wins
-        > failover.retries_dispatched + failover.hedges_dispatched
-    {
+    if c.retried_to_completion + c.hedge_wins > redispatched {
         violations.push(format!(
             "more retry/hedge wins ({} + {}) than dispatches ({} + {})",
-            failover.retried_to_completion,
-            failover.hedge_wins,
-            failover.retries_dispatched,
-            failover.hedges_dispatched
+            c.retried_to_completion, c.hedge_wins, c.retries_dispatched, c.hedges_dispatched
         ));
     }
     let out: usize = spilled_out.iter().sum();
@@ -359,12 +292,7 @@ pub fn check_failover_run_invariants(
             "spill flow does not reconcile: {out} spilled out but {inn} spilled in"
         ));
     }
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
+    verdict(violations)
 }
 
 /// Replay-mode conservation: cross-check a replayed run's report against the
@@ -424,12 +352,7 @@ pub fn check_replay_invariants(
             }
         }
     }
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
+    verdict(violations)
 }
 
 #[cfg(test)]
@@ -579,16 +502,8 @@ mod tests {
     #[test]
     fn failover_flow_reconciles_across_home_retry_and_shed_paths() {
         let (shards, shard_ledgers, total, failover) = failover_fixture();
-        check_failover_run_invariants(
-            &shards,
-            &shard_ledgers,
-            &total,
-            &[false, true],
-            &failover,
-            &[0, 0],
-            &[0, 0],
-        )
-        .expect("every request is accounted exactly once");
+        check_front_tier_invariants(&shards, &shard_ledgers, &total, &failover, &[0, 0], &[0, 0])
+            .expect("every request is accounted exactly once");
     }
 
     #[test]
@@ -597,11 +512,10 @@ mod tests {
         // Claim three copies were lost when only two physically went missing:
         // the accepted-vs-answered reconciliation must catch the gap.
         failover.lost_in_flight = 3;
-        let violations = check_failover_run_invariants(
+        let violations = check_front_tier_invariants(
             &shards,
             &shard_ledgers,
             &total,
-            &[false, true],
             &failover,
             &[0, 0],
             &[0, 0],
@@ -619,11 +533,10 @@ mod tests {
     fn failover_unshed_dispatch_mismatch_is_reported() {
         let (shards, shard_ledgers, total, mut failover) = failover_fixture();
         failover.shed_overload = 0;
-        let violations = check_failover_run_invariants(
+        let violations = check_front_tier_invariants(
             &shards,
             &shard_ledgers,
             &total,
-            &[false, true],
             &failover,
             &[0, 0],
             &[0, 0],
@@ -635,5 +548,69 @@ mod tests {
                 .any(|v| v.contains("physical dispatch flow")),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn cross_shard_accepted_overcount_is_reported_without_redispatch() {
+        // Nothing retried, hedged, shed or stale, so the accepted bound is
+        // an exact sum. Shard 0 over-counts one acceptance while `offered`
+        // still reconciles and both shard ledgers balance on their own: only
+        // the cross-shard sum can see it.
+        let (shards, _, _, _) = failover_fixture();
+        let shard = |offered, accepted, completed| RunLedger {
+            offered,
+            accepted,
+            rejected: offered - accepted,
+            completed,
+            failed: 0,
+            clock: ClockMonitor::new(),
+            drained: false,
+        };
+        let shard_ledgers = vec![shard(5, 5, 3), shard(5, 4, 3)];
+        let total = RunLedger {
+            offered: 10,
+            accepted: 8,
+            rejected: 2,
+            completed: 6,
+            failed: 0,
+            clock: ClockMonitor::new(),
+            drained: false,
+        };
+        let violations = check_front_tier_invariants(
+            &shards,
+            &shard_ledgers,
+            &total,
+            &FailoverSection::default(),
+            &[0, 0],
+            &[0, 0],
+        )
+        .unwrap_err();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].contains("per-shard accepted sums to 9"),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn cross_shard_completions_beyond_stale_slack_are_reported() {
+        let (shards, mut shard_ledgers, mut total, mut failover) = failover_fixture();
+        // Undrained, so only the completed bound can catch one physical
+        // success too many: 9 shard completions against 8 logical ones.
+        total.drained = false;
+        shard_ledgers[1].completed = 3;
+        let check = |failover: &FailoverSection| {
+            check_front_tier_invariants(&shards, &shard_ledgers, &total, failover, &[0, 0], &[0, 0])
+        };
+        let violations = check(&failover).unwrap_err();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("per-shard completed sums to 9")),
+            "{violations:?}"
+        );
+        // One stale duplicate is exactly the slack the extra success needs.
+        failover.stale_responses = 1;
+        check(&failover).expect("a stale duplicate accounts for the extra completion");
     }
 }

@@ -30,8 +30,8 @@
 //! * [`shard`] — the sharded multi-gateway federation front tier:
 //!   consistent-hash routing, bounded spillover and per-shard telemetry.
 //! * [`invariants`] — post-run invariant checking (request conservation,
-//!   monotone clock, no leaked tasks, replay and cross-shard conservation)
-//!   shared by the runners and tests.
+//!   monotone clock, no leaked tasks, front-tier and replay conservation),
+//!   run after every scenario run in every build and shared with the tests.
 
 #![warn(missing_docs)]
 
@@ -59,8 +59,8 @@ pub use batch::{BatchId, BatchJob, BatchManager, BatchState};
 pub use deploy::{enroll_standard_users, ClusterSite, DeploymentBuilder, HostedModel, TestTokens};
 pub use gateway::{CompletedRequest, Gateway, GatewayConfig, GatewayQueueSnapshot, JobsEntry};
 pub use invariants::{
-    check_failover_run_invariants, check_replay_invariants, check_run_invariants,
-    check_sharded_run_invariants, ClockMonitor, RunLedger,
+    check_front_tier_invariants, check_replay_invariants, check_run_invariants, ClockMonitor,
+    RunLedger,
 };
 pub use middleware::{AuthMiddleware, RateLimiter, ResponseCache};
 pub use registry::{

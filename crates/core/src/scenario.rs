@@ -12,9 +12,9 @@
 //! open-loop with the spec's embedded fault plan applied along the way, and
 //! reports per-tenant metric partitions and SLO attainment in a
 //! [`GatewayReport`] — with a per-shard [`ShardSection`] rollup when the run
-//! was sharded. In debug builds the run finishes with the
-//! [`crate::invariants`] check, so every `cargo test` that touches a
-//! scenario also proves request conservation and task-slab hygiene.
+//! was sharded. Every open-loop run, in every build, finishes with the
+//! [`crate::invariants`] front-tier check, so every scenario run also proves
+//! request conservation and task-slab hygiene, or panics.
 //!
 //! Every open-loop request goes through one front tier: live-ring routing,
 //! the optional overload shed, fan-in, and first-response-wins delivery. A
@@ -27,11 +27,7 @@
 
 use crate::deploy::DeploymentBuilder;
 use crate::gateway::Gateway;
-#[cfg(debug_assertions)]
-use crate::invariants::{
-    check_failover_run_invariants, check_run_invariants, check_sharded_run_invariants,
-};
-use crate::invariants::{check_replay_invariants, RunLedger};
+use crate::invariants::{check_front_tier_invariants, check_replay_invariants, RunLedger};
 use crate::shard::{FrontTierPolicy, ShardReport, ShardedGateway, ShardingConfig, SpilloverPolicy};
 use crate::sim::{admit_simulated, drive_openloop, run_webui_closed_loop, WebUiCell};
 use first_auth::{Identity, Scope, TokenString, UserId};
@@ -406,7 +402,8 @@ pub struct RunOutput {
 ///
 /// The run is deterministic for a fixed configuration: the report carries no
 /// wall-clock measurement and every random draw derives from the seed.
-/// Debug builds finish with the [`crate::invariants`] check. A spec may
+/// Every open-loop run finishes with the [`crate::invariants`] front-tier
+/// check, in every build, and panics on a violation. A spec may
 /// carry either open-loop tenants or a closed-loop session rider, not both
 /// (the two drivers would fight over the same simulation clock).
 #[derive(Debug, Clone)]
@@ -492,8 +489,7 @@ impl<'c> ScenarioRun<'c> {
     /// lost to shard crashes, an optional per-request timeout re-dispatch,
     /// an optional hedge, and an optional lowest-priority shed under
     /// overload. Setting any non-default policy (or running a spec with a
-    /// shard fault plan) adds a [`FailoverSection`] to the report and checks
-    /// the run with the failover invariants.
+    /// shard fault plan) adds a [`FailoverSection`] to the report.
     pub fn front_tier(mut self, policy: FrontTierPolicy) -> Self {
         self.sharding.front_tier = policy;
         self
@@ -1078,7 +1074,6 @@ impl SimProcess for FrontTier<'_> {
         // nothing. Due shards apply faults, then advance, in shard order.
         let due = |at: Option<SimTime>| at.is_some_and(|at| at <= step);
         for i in 0..self.fleet.shard_count() {
-            self.shard_ledgers[i].clock.observe(step);
             if !due(self.fleet.shard_wake(i)) && !due(self.injectors[i].next_event_time()) {
                 continue;
             }
@@ -1152,8 +1147,8 @@ fn run_scenario_impl(
     let compiled = spec.compile(seed);
     let requests = &compiled.requests[..];
     let mut front = FrontTier::new(spec, requests, &builder, sharding);
-    // The report's failover section and the failover invariant check are
-    // reserved for runs that can actually need the front tier's extra moves.
+    // The report's failover section is reserved for runs that can actually
+    // need the front tier's extra moves.
     let front_active =
         !spec.shard_faults.is_empty() || sharding.front_tier != FrontTierPolicy::default();
 
@@ -1215,30 +1210,17 @@ fn run_scenario_impl(
         )
     });
 
-    #[cfg(debug_assertions)]
+    // Every open-loop run, one shard or many, failover or not, closes with
+    // the same conservation check.
     if spec.sessions.is_none() {
-        let checked = if front_active {
-            check_failover_run_invariants(
-                fleet.shards(),
-                &shard_ledgers,
-                &ledger,
-                &ever_crashed,
-                &counters,
-                fleet.spilled_out(),
-                fleet.spilled_in(),
-            )
-        } else if fleet.shard_count() == 1 {
-            check_run_invariants(fleet.shard(0), &ledger)
-        } else {
-            check_sharded_run_invariants(
-                fleet.shards(),
-                &shard_ledgers,
-                &ledger,
-                fleet.spilled_out(),
-                fleet.spilled_in(),
-            )
-        };
-        if let Err(violations) = checked {
+        if let Err(violations) = check_front_tier_invariants(
+            fleet.shards(),
+            &shard_ledgers,
+            &ledger,
+            &counters,
+            fleet.spilled_out(),
+            fleet.spilled_in(),
+        ) {
             panic!(
                 "scenario '{}' violated run invariants:\n  {}",
                 spec.name,

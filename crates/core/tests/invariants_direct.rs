@@ -1,8 +1,8 @@
 //! Direct exercises of the `first-core::invariants` public API: the clock
 //! monitor, the run ledger, the run-invariant checker over a hand-driven
 //! gateway, and replay-mode conservation against a real recorded cassette.
-//! These cover the checker *as a library* — independent of the automatic
-//! debug-build hook inside `ScenarioRun`.
+//! These cover the checker *as a library* — independent of the front-tier
+//! check every `ScenarioRun` closes with.
 
 use first_core::{
     check_replay_invariants, check_run_invariants, ChatCompletionRequest, ClockMonitor,

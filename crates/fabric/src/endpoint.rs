@@ -185,11 +185,6 @@ impl ComputeEndpoint {
         &self.config.name
     }
 
-    /// Cluster name this endpoint serves.
-    pub fn cluster_name(&self) -> &str {
-        &self.config.cluster
-    }
-
     /// The endpoint configuration.
     pub fn config(&self) -> &EndpointConfig {
         &self.config

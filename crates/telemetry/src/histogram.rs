@@ -69,11 +69,6 @@ impl BucketHistogram {
         Self::exponential(0.01, 2.0, 18)
     }
 
-    /// Default buckets for token counts per request: 1 up to ~65k tokens.
-    pub fn token_counts() -> Self {
-        Self::exponential(1.0, 2.0, 17)
-    }
-
     /// Record one observation.
     pub fn observe(&mut self, value: f64) {
         let idx = self

@@ -7,9 +7,10 @@
 //! allocations end to end: compile, admission, fabric, engine, delivery and
 //! report. Fixed costs (deployment build, interners, tables) cancel out.
 //!
-//! The budget holds in both builds: debug builds, where the scenario runner
-//! also checks its run invariants, and release builds, the ones the
-//! benchmark measures (CI runs this file under `--release` as well).
+//! The scenario runner's closing invariant check runs in both builds and is
+//! inside the measurement. The budget holds in debug builds and in release
+//! builds, the ones the benchmark measures (CI runs this file under
+//! `--release` as well).
 
 use first::core::ScenarioRun;
 use first::desim::SimTime;

@@ -13,9 +13,9 @@ const MODEL_8B: &str = "meta-llama/Meta-Llama-3.1-8B-Instruct";
 
 #[test]
 fn catalog_scenarios_run_end_to_end_with_per_tenant_partitions() {
-    // A debug-build `ScenarioRun` also executes the invariant checker
-    // after every scenario, so this doubles as the conservation proof for
-    // each exercised deployment shape.
+    // Every `ScenarioRun` also executes the invariant checker after the
+    // scenario, in every build, so this doubles as the conservation proof
+    // for each exercised deployment shape.
     let specs = catalog(48);
     for name in ["steady", "multi-tenant-contention", "chaos-under-load"] {
         let spec = specs.iter().find(|s| s.name == name).expect("in catalog");
