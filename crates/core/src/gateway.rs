@@ -23,7 +23,6 @@ use first_serving::InferenceRequest;
 use first_telemetry::{FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, TraceConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::Arc;
 
 /// Gateway configuration: the knobs the paper's optimization study varies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -95,8 +94,7 @@ pub struct CompletedRequest {
     pub user: UserSym,
     /// Target model.
     pub model: ModelId,
-    /// Endpoint that served it; `None` for cache hits and for endpoints the
-    /// compute service does not know.
+    /// Endpoint that served it; `None` only for cache hits.
     pub endpoint: Option<EndpointId>,
     /// Arrival at the gateway.
     pub arrived_at: SimTime,
@@ -174,12 +172,7 @@ struct RequestHandle {
 struct PendingDispatch {
     request_id: u64,
     request: RequestHandle,
-    /// Configured endpoint name (shared with the routing candidate list, so
-    /// carrying it costs an `Arc` bump, not an allocation).
-    endpoint_name: Arc<str>,
-    /// Dense endpoint id; `None` when the registry named an endpoint the
-    /// service does not know (submission then fails, as the string path did).
-    endpoint: Option<EndpointId>,
+    endpoint: EndpointId,
     /// The model's hosting-entry index on that endpoint, from the router.
     hosting: Option<u32>,
     function: FunctionId,
@@ -197,8 +190,7 @@ struct InFlight {
     request_id: u64,
     arrived_at: SimTime,
     submitted_at: SimTime,
-    endpoint_name: Arc<str>,
-    endpoint: Option<EndpointId>,
+    endpoint: EndpointId,
     worker: usize,
     operation: ApiOperation,
     prompt_text_key: Option<u64>,
@@ -289,16 +281,8 @@ pub struct Gateway {
     /// Reusable drain buffer for `hedge_due`.
     hedge_buf: Vec<ScheduledEvent<TaskId>>,
     responses: Vec<CompletedRequest>,
-    /// Whether the endpoint (by dense id) has been connected to before —
-    /// replaces a name-keyed `HashSet` that hashed an endpoint name per
-    /// request.
+    /// Whether each endpoint (by dense id) has been connected to before.
     connected_endpoints: Vec<bool>,
-    /// First-connection tracking for endpoints the service does not know
-    /// (requests to them fail at submission, but the connection-overhead
-    /// model still distinguishes first contact per configured name, exactly
-    /// as the name-keyed path did). Touched only in misconfigured
-    /// deployments.
-    connected_unresolved: HashSet<Arc<str>>,
     health: HealthTracker,
     /// Request ids answered while sibling copies were still racing (guards
     /// against a hedge sibling delivering twice). An id is dropped when its
@@ -380,7 +364,6 @@ impl Gateway {
             hedge_buf: Vec::new(),
             responses: Vec::new(),
             connected_endpoints: Vec::new(),
-            connected_unresolved: HashSet::new(),
             delivered: HashSet::default(),
             outstanding: Vec::new(),
             last_advance: SimTime::ZERO,
@@ -427,7 +410,7 @@ impl Gateway {
     }
 
     /// The name of the endpoint a response or log row names; empty for
-    /// `None` (cache hits, and endpoints the compute service does not know).
+    /// `None` (a cache hit).
     pub fn endpoint_name(&self, endpoint: Option<EndpointId>) -> &str {
         endpoint
             .and_then(|id| self.service.endpoint_name(id))
@@ -657,17 +640,12 @@ impl Gateway {
         }
     }
 
-    fn connection_overhead(&mut self, target: &RoutedTarget) -> SimDuration {
-        let connected = match target.endpoint {
-            Some(id) => {
-                let idx = id.index();
-                if idx >= self.connected_endpoints.len() {
-                    self.connected_endpoints.resize(idx + 1, false);
-                }
-                std::mem::replace(&mut self.connected_endpoints[idx], true)
-            }
-            None => !self.connected_unresolved.insert(Arc::clone(&target.name)),
-        };
+    fn connection_overhead(&mut self, endpoint: EndpointId) -> SimDuration {
+        let idx = endpoint.index();
+        if idx >= self.connected_endpoints.len() {
+            self.connected_endpoints.resize(idx + 1, false);
+        }
+        let connected = std::mem::replace(&mut self.connected_endpoints[idx], true);
         self.config.client.submit_overhead(!connected)
     }
 
@@ -685,7 +663,7 @@ impl Gateway {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
         let admission = self.workers.admit(now);
-        let connection = self.connection_overhead(&target);
+        let connection = self.connection_overhead(target.endpoint);
         let submit_at = admission.dispatch_ready_at + auth_latency + connection;
         if self.recorder.should_sample() {
             self.trace_pending.insert(
@@ -704,7 +682,6 @@ impl Gateway {
             PendingDispatch {
                 request_id,
                 request,
-                endpoint_name: target.name,
                 endpoint: target.endpoint,
                 hosting: target.hosting,
                 function,
@@ -998,7 +975,7 @@ impl Gateway {
         request_id: u64,
         user: UserSym,
         model: ModelId,
-        endpoint: &str,
+        endpoint: EndpointId,
         success: bool,
         fabric: Option<&FabricTimes>,
         finished_at: SimTime,
@@ -1061,7 +1038,7 @@ impl Gateway {
             request_id,
             tenant: self.log.user_name(user).to_string(),
             model: self.registry.model_name(model).to_string(),
-            endpoint: endpoint.to_string(),
+            endpoint: self.endpoint_name(Some(endpoint)).to_string(),
             success,
             cached: false,
             spans,
@@ -1085,19 +1062,13 @@ impl Gateway {
         for ev in due.drain(..) {
             let p = ev.payload;
             {
-                let submitted = match p.endpoint {
-                    Some(endpoint) => self.service.submit_to(
-                        p.function,
-                        endpoint,
-                        p.hosting,
-                        p.request.inference,
-                        p.submit_at,
-                    ),
-                    None => Err(first_fabric::FabricError::UnknownEndpoint(
-                        p.endpoint_name.to_string(),
-                    )),
-                };
-                match submitted {
+                match self.service.submit_to(
+                    p.function,
+                    p.endpoint,
+                    p.hosting,
+                    p.request.inference,
+                    p.submit_at,
+                ) {
                     Ok(task) => {
                         if let Some(hedge_after) = self.hedge_after() {
                             self.hedge_deadlines.push(p.submit_at + hedge_after, task);
@@ -1108,7 +1079,6 @@ impl Gateway {
                                 request_id: p.request_id,
                                 arrived_at: p.arrived_at,
                                 submitted_at: p.submit_at,
-                                endpoint_name: p.endpoint_name,
                                 endpoint: p.endpoint,
                                 worker: p.worker,
                                 operation: p.operation,
@@ -1119,7 +1089,7 @@ impl Gateway {
                             },
                         );
                     }
-                    Err(e) => {
+                    Err(_) => {
                         // This copy is resolved; decide between retry and a
                         // failed response.
                         let copies_left = self.resolve_copy(p.request_id);
@@ -1139,7 +1109,7 @@ impl Gateway {
                                 p.request_id,
                                 p.request,
                                 p.function,
-                                &p.endpoint_name,
+                                p.endpoint,
                                 p.worker,
                                 p.arrived_at,
                                 p.operation,
@@ -1154,12 +1124,11 @@ impl Gateway {
                         self.metrics.on_failed();
                         self.workers.release(p.worker, now);
                         if !self.trace_pending.is_empty() {
-                            let endpoint_name = Arc::clone(&p.endpoint_name);
                             self.record_trace(
                                 p.request_id,
                                 p.request.user,
                                 p.request.model,
-                                &endpoint_name,
+                                p.endpoint,
                                 false,
                                 None,
                                 now,
@@ -1169,14 +1138,13 @@ impl Gateway {
                             request_id: p.request_id,
                             user: p.request.user,
                             model: p.request.model,
-                            endpoint: p.endpoint,
+                            endpoint: Some(p.endpoint),
                             arrived_at: p.arrived_at,
                             finished_at: now,
                             usage: Usage::default(),
                             success: false,
                             cached: false,
                         });
-                        let _ = e;
                     }
                 }
             }
@@ -1213,7 +1181,7 @@ impl Gateway {
         request_id: u64,
         request: RequestHandle,
         function: FunctionId,
-        failed_endpoint: &str,
+        failed_endpoint: EndpointId,
         worker: usize,
         arrived_at: SimTime,
         operation: ApiOperation,
@@ -1230,7 +1198,7 @@ impl Gateway {
             failed_endpoint,
         )?;
         self.metrics.on_retry();
-        if target.name.as_ref() != failed_endpoint {
+        if target.endpoint != failed_endpoint {
             self.metrics.on_failover();
         }
         let backoff = self.config.resilience.retry.backoff(attempt);
@@ -1238,7 +1206,6 @@ impl Gateway {
         Some(PendingDispatch {
             request_id,
             request,
-            endpoint_name: target.name,
             endpoint: target.endpoint,
             hosting: target.hosting,
             function,
@@ -1282,36 +1249,29 @@ impl Gateway {
                     f.request.model,
                     &self.health,
                     now,
-                    &f.endpoint_name,
+                    f.endpoint,
                 ) else {
                     continue;
                 };
-                if target.name == f.endpoint_name {
+                if target.endpoint == f.endpoint {
                     // No alternative site: duplicating onto the same stuck
                     // endpoint would only add load.
                     continue;
                 }
                 let f = f.clone();
-                let submitted = match target.endpoint {
-                    Some(endpoint) => self.service.submit_to(
-                        f.function,
-                        endpoint,
-                        target.hosting,
-                        f.request.inference,
-                        now,
-                    ),
-                    None => Err(first_fabric::FabricError::UnknownEndpoint(
-                        target.name.to_string(),
-                    )),
-                };
-                if let Ok(new_task) = submitted {
+                if let Ok(new_task) = self.service.submit_to(
+                    f.function,
+                    target.endpoint,
+                    target.hosting,
+                    f.request.inference,
+                    now,
+                ) {
                     self.metrics.on_hedge();
                     *self.outstanding_slot(f.request_id) += 1;
                     self.in_flight_insert(
                         new_task,
                         InFlight {
                             submitted_at: now,
-                            endpoint_name: target.name,
                             endpoint: target.endpoint,
                             ..f
                         },
@@ -1396,8 +1356,8 @@ impl Gateway {
                 let request_id = a.in_flight.request_id;
                 let copies_left = self.resolve_copy(request_id);
                 // Every copy's outcome is real signal about its endpoint.
-                let endpoint_name = Arc::clone(&a.in_flight.endpoint_name);
-                self.observe_outcome(&endpoint_name, a.success, a.deliver_at);
+                let endpoint = a.in_flight.endpoint;
+                self.observe_outcome(endpoint, a.success, a.deliver_at);
                 // A hedge sibling already answered: swallow this copy. Once
                 // the last copy resolves, the id is no longer needed — the
                 // set stays bounded by the number of in-flight hedges rather
@@ -1419,7 +1379,7 @@ impl Gateway {
                             request_id,
                             a.in_flight.request,
                             a.in_flight.function,
-                            &endpoint_name,
+                            endpoint,
                             a.in_flight.worker,
                             a.in_flight.arrived_at,
                             a.in_flight.operation,
@@ -1463,7 +1423,7 @@ impl Gateway {
                     a.in_flight.request_id,
                     request.user,
                     request.model,
-                    a.in_flight.endpoint,
+                    Some(endpoint),
                     a.in_flight.operation,
                     a.in_flight.arrived_at,
                     a.deliver_at,
@@ -1475,7 +1435,7 @@ impl Gateway {
                         request_id,
                         request.user,
                         request.model,
-                        &endpoint_name,
+                        endpoint,
                         a.success,
                         a.trace.as_deref(),
                         a.deliver_at,
@@ -1485,7 +1445,7 @@ impl Gateway {
                     request_id: a.in_flight.request_id,
                     user: request.user,
                     model: request.model,
-                    endpoint: a.in_flight.endpoint,
+                    endpoint: Some(endpoint),
                     arrived_at: a.in_flight.arrived_at,
                     finished_at: a.deliver_at,
                     usage,
@@ -1502,13 +1462,13 @@ impl Gateway {
 
     /// Feed one request outcome into the health tracker, counting breaker
     /// trips in the gateway metrics.
-    fn observe_outcome(&mut self, endpoint: &str, success: bool, at: SimTime) {
-        if endpoint.is_empty() {
+    fn observe_outcome(&mut self, endpoint: EndpointId, success: bool, at: SimTime) {
+        let Some(name) = self.service.endpoint_name(endpoint) else {
             return;
-        }
+        };
         if success {
-            self.health.on_success(endpoint, at);
-        } else if self.health.on_failure(endpoint, at) {
+            self.health.on_success(name, at);
+        } else if self.health.on_failure(name, at) {
             self.metrics.on_breaker_trip();
         }
     }
@@ -1792,6 +1752,52 @@ mod tests {
         let b = legacy.take_responses()[0].latency().as_secs_f64();
         // Polling + uncached introspection + uncached connections add ≈2–4 s.
         assert!(b > a + 1.5, "legacy {b} vs optimized {a}");
+    }
+
+    /// A gateway over a copy of the test deployment's service whose registry
+    /// lists `ghost-endpoint`, an endpoint the service does not know, ahead
+    /// of the real endpoint for `MODEL`, and as the only endpoint of
+    /// `ghost-model`. It routes round-robin, so every candidate takes turns.
+    fn ghost_registry_gateway() -> (Gateway, TestTokens, String) {
+        let (gw, tokens) = deployment(true);
+        let service = gw.service().clone();
+        let known = service.endpoint_names().remove(0);
+        let mut registry = ModelRegistry::new();
+        registry.register(MODEL, "ghost-endpoint");
+        registry.register(MODEL, &known);
+        registry.register("ghost-model", "ghost-endpoint");
+        let mut ghost = Gateway::new(gw.config.clone(), gw.auth.clone(), service, registry);
+        ghost.set_routing_policy(RoutingPolicy::RoundRobin);
+        (ghost, tokens, known)
+    }
+
+    #[test]
+    fn an_unknown_registered_endpoint_is_never_routed_to() {
+        let (mut gw, tokens, known) = ghost_registry_gateway();
+        for i in 0..6u64 {
+            let req = ChatCompletionRequest::simple(MODEL, &format!("ghost {i}"), 80);
+            gw.chat_completions(&req, &tokens.alice, Some(80), SimTime::from_secs(i))
+                .unwrap();
+        }
+        drive(&mut gw, SimTime::from_secs(900));
+        let responses = gw.take_responses();
+        assert_eq!(responses.len(), 6);
+        for r in &responses {
+            assert!(r.success, "request {} failed", r.request_id);
+            assert_eq!(gw.endpoint_name(r.endpoint), known);
+        }
+    }
+
+    #[test]
+    fn a_model_registered_only_on_unknown_endpoints_is_not_found() {
+        let (mut gw, tokens, _) = ghost_registry_gateway();
+        let req = ChatCompletionRequest::simple("ghost-model", "anyone there?", 80);
+        let err = gw
+            .chat_completions(&req, &tokens.alice, Some(80), SimTime::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, GatewayError::ModelNotFound(_)), "{err:?}");
+        assert_eq!(gw.metrics().rejected, 1);
+        assert!(gw.is_drained());
     }
 
     fn no_hedge_resilience() -> ResilienceConfig {

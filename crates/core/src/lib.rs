@@ -64,8 +64,8 @@ pub use invariants::{
 };
 pub use middleware::{AuthMiddleware, RateLimiter, ResponseCache};
 pub use registry::{
-    FederationRouter, ModelId, ModelRegistry, RouteCandidate, RoutedTarget, RoutingDecision,
-    RoutingPolicy, RoutingReason,
+    FederationRouter, ModelId, ModelRegistry, RouteCandidate, RoutedTarget, RoutingPolicy,
+    RoutingReason,
 };
 pub use scenario::{
     replay_dashboard_cell, FailoverSection, GatewayReport, RunOutput, ScenarioRun, ShardSection,

@@ -11,6 +11,12 @@
 //! [`RoutingPolicy`] therefore also provides round-robin, least-outstanding
 //! and most-idle-nodes alternatives, which the federation ablation benchmark
 //! compares against the paper's priority scheme.
+//!
+//! Routing works on ids. Each model's registered endpoint names are resolved
+//! against the compute service once, into [`RouteCandidate`]s, and a decision
+//! is a [`RoutedTarget`] naming the endpoint by its [`EndpointId`]. A
+//! registered name the service does not know is no candidate: a request for
+//! a model whose every endpoint is unknown is not routable at all.
 
 use first_chaos::{HealthState, HealthTracker};
 use first_desim::{Interner, SimTime, SymbolId};
@@ -26,33 +32,24 @@ use std::sync::Arc;
 pub type ModelId = SymbolId;
 
 /// One routing candidate for a model, resolved against the compute service:
-/// the endpoint's dense id (or `None` when the registry names an endpoint the
-/// service does not know — the request then fails at submission exactly as
-/// the string-keyed path did) plus the hosting-entry index of the model on
-/// that endpoint. The configured name rides along as a shared `Arc<str>` for
-/// health lookups and reports — cloning it is an atomic bump, not an
-/// allocation.
+/// the endpoint's dense id plus the hosting-entry index of the model on that
+/// endpoint. The configured name rides along as a shared `Arc<str>` only
+/// because the health tracker is keyed by name.
 #[derive(Debug, Clone)]
 pub struct RouteCandidate {
-    /// Configured endpoint name.
+    /// Configured endpoint name (the health tracker's key).
     pub name: Arc<str>,
-    /// Dense id in the compute service, when the endpoint exists there.
-    pub endpoint: Option<EndpointId>,
+    /// Dense id in the compute service.
+    pub endpoint: EndpointId,
     /// Hosting-entry index of the model on that endpoint, when hosted.
     pub hosting: Option<u32>,
 }
 
-/// An id-based routing decision — the per-request form of
-/// [`RoutingDecision`], with the endpoint name as a shared `Arc<str>` and the
-/// dense id the gateway submits to.
-#[derive(Debug, Clone)]
+/// A routing decision: the endpoint the gateway submits to, by dense id.
+#[derive(Debug, Clone, Copy)]
 pub struct RoutedTarget {
-    /// Configured endpoint name (shared, not reallocated per request).
-    pub name: Arc<str>,
-    /// Dense endpoint id, `None` when the configured endpoint is unknown to
-    /// the service (submission will fail with `UnknownEndpoint`, matching the
-    /// string-keyed behaviour).
-    pub endpoint: Option<EndpointId>,
+    /// Dense endpoint id; [`ComputeService::endpoint_name`] resolves it.
+    pub endpoint: EndpointId,
     /// Hosting-entry index of the model on that endpoint (`None`: the
     /// endpoint does not host it, and the task fails there); the endpoint
     /// takes it with the task instead of looking the model up by name.
@@ -249,17 +246,17 @@ impl ModelRegistry {
             binding.per_model[id.index()] = reg
                 .endpoints
                 .iter()
-                .map(|name| {
-                    let endpoint = service.endpoint_id(name);
-                    let hosting = endpoint
-                        .and_then(|e| service.endpoint_by_id(e))
+                .filter_map(|name| {
+                    let endpoint = service.endpoint_id(name)?;
+                    let hosting = service
+                        .endpoint_by_id(endpoint)
                         .and_then(|ep| ep.config().hosting_index(&reg.model))
                         .map(|h| h as u32);
-                    RouteCandidate {
+                    Some(RouteCandidate {
                         name: Arc::from(name.as_str()),
                         endpoint,
                         hosting,
-                    }
+                    })
                 })
                 .collect();
         }
@@ -337,15 +334,6 @@ impl RoutingPolicy {
     }
 }
 
-/// A routing decision.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoutingDecision {
-    /// Chosen endpoint.
-    pub endpoint: String,
-    /// Why it was chosen.
-    pub reason: RoutingReason,
-}
-
 /// The federation router.
 #[derive(Debug, Clone, Default)]
 pub struct FederationRouter {
@@ -373,57 +361,9 @@ impl FederationRouter {
     }
 
     /// Pick an endpoint for `model` following the configured policy.
-    /// Returns `None` when the model is not registered on any endpoint.
-    pub fn route(
-        &self,
-        registry: &ModelRegistry,
-        service: &ComputeService,
-        model: &str,
-    ) -> Option<RoutingDecision> {
-        let id = registry.model_id(model)?;
-        self.route_target(registry, service, id)
-            .map(RoutedTarget::into_decision)
-    }
-
-    /// Failover-aware routing: apply the configured policy over the subset of
-    /// endpoints the health tracker allows at `now`, preferring fully healthy
-    /// endpoints over degraded ones. When the breaker has every endpoint open
-    /// the full registration list is used as a last resort (a request that
-    /// will likely fail beats a request that cannot be routed at all).
-    pub fn route_with_health(
-        &self,
-        registry: &ModelRegistry,
-        service: &ComputeService,
-        model: &str,
-        health: &HealthTracker,
-        now: SimTime,
-    ) -> Option<RoutingDecision> {
-        let id = registry.model_id(model)?;
-        self.route_target_with_health(registry, service, id, health, now)
-            .map(RoutedTarget::into_decision)
-    }
-
-    /// Routing for a retry of a request that just failed on `failed_endpoint`:
-    /// like [`FederationRouter::route_with_health`], but the failed endpoint
-    /// is excluded whenever any alternative is still allowed, so the retry
-    /// fails over instead of hammering the same site.
-    pub fn route_for_retry(
-        &self,
-        registry: &ModelRegistry,
-        service: &ComputeService,
-        model: &str,
-        health: &HealthTracker,
-        now: SimTime,
-        failed_endpoint: &str,
-    ) -> Option<RoutingDecision> {
-        let id = registry.model_id(model)?;
-        self.route_target_for_retry(registry, service, id, health, now, failed_endpoint)
-            .map(RoutedTarget::into_decision)
-    }
-
-    /// Id-based form of [`FederationRouter::route`]: the per-request path the
-    /// gateway uses. The candidate list comes from the registry's cached
-    /// binding, so no endpoint name is hashed, compared or cloned here.
+    /// Returns `None` when the model has no endpoint the service knows. The
+    /// candidate list comes from the registry's cached binding, so no
+    /// endpoint name is hashed, compared or cloned here.
     pub fn route_target(
         &self,
         registry: &ModelRegistry,
@@ -435,7 +375,11 @@ impl FederationRouter {
         })
     }
 
-    /// Id-based form of [`FederationRouter::route_with_health`].
+    /// Failover-aware routing: apply the configured policy over the subset of
+    /// endpoints the health tracker allows at `now`, preferring fully healthy
+    /// endpoints over degraded ones. When the breaker has every endpoint open
+    /// the full candidate list is used as a last resort (a request that will
+    /// likely fail beats a request that cannot be routed at all).
     pub fn route_target_with_health(
         &self,
         registry: &ModelRegistry,
@@ -467,7 +411,10 @@ impl FederationRouter {
         })
     }
 
-    /// Id-based form of [`FederationRouter::route_for_retry`].
+    /// Routing for a retry of a request that just failed on `failed_endpoint`:
+    /// like [`FederationRouter::route_target_with_health`], but the failed
+    /// endpoint is excluded whenever any alternative is still allowed, so the
+    /// retry fails over instead of hammering the same site.
     pub fn route_target_for_retry(
         &self,
         registry: &ModelRegistry,
@@ -475,13 +422,13 @@ impl FederationRouter {
         model: ModelId,
         health: &HealthTracker,
         now: SimTime,
-        failed_endpoint: &str,
+        failed_endpoint: EndpointId,
     ) -> Option<RoutedTarget> {
         let routed = registry.with_candidates(service, model, |cands| {
             let alternatives: Vec<usize> = cands
                 .iter()
                 .enumerate()
-                .filter(|(_, c)| c.name.as_ref() != failed_endpoint && health.allows(&c.name, now))
+                .filter(|(_, c)| c.endpoint != failed_endpoint && health.allows(&c.name, now))
                 .map(|(i, _)| i)
                 .collect();
             if alternatives.is_empty() {
@@ -513,9 +460,8 @@ impl FederationRouter {
                 None => &cands[k],
             }
         };
-        let resolve = |c: &RouteCandidate| -> Option<&ComputeEndpoint> {
-            c.endpoint.and_then(|e| service.endpoint_by_id(e))
-        };
+        let resolve =
+            |c: &RouteCandidate| -> Option<&ComputeEndpoint> { service.endpoint_by_id(c.endpoint) };
         let activity = |c: &RouteCandidate| -> first_fabric::ModelActivity {
             resolve(c)
                 .zip(c.hosting)
@@ -595,21 +541,9 @@ impl FederationRouter {
         };
         let c = cand(winner);
         RoutedTarget {
-            name: Arc::clone(&c.name),
             endpoint: c.endpoint,
             hosting: c.hosting,
             reason,
-        }
-    }
-}
-
-impl RoutedTarget {
-    /// The string-API form of this decision (allocates the endpoint name, as
-    /// the boundary requires an owned `String`).
-    pub fn into_decision(self) -> RoutingDecision {
-        RoutingDecision {
-            endpoint: self.name.to_string(),
-            reason: self.reason,
         }
     }
 }
@@ -644,6 +578,24 @@ mod tests {
         (registry, service)
     }
 
+    /// Route `MODEL` and name the chosen endpoint.
+    fn route<'s>(
+        router: &FederationRouter,
+        registry: &ModelRegistry,
+        service: &'s ComputeService,
+    ) -> (&'s str, RoutingReason) {
+        let model = registry.model_id(MODEL).unwrap();
+        named(service, router.route_target(registry, service, model))
+    }
+
+    fn named(service: &ComputeService, target: Option<RoutedTarget>) -> (&str, RoutingReason) {
+        let target = target.expect("the model is routable");
+        (
+            service.endpoint_name(target.endpoint).unwrap(),
+            target.reason,
+        )
+    }
+
     #[test]
     fn registry_preserves_configuration_order_and_dedups() {
         let mut reg = ModelRegistry::new();
@@ -667,11 +619,11 @@ mod tests {
             .endpoint_mut("polaris-endpoint")
             .unwrap()
             .prewarm(MODEL, 1, SimTime::ZERO);
-        let decision = FederationRouter::new()
-            .route(&registry, &service, MODEL)
-            .unwrap();
-        assert_eq!(decision.endpoint, "polaris-endpoint");
-        assert_eq!(decision.reason, RoutingReason::ActiveInstance);
+        let decision = route(&FederationRouter::new(), &registry, &service);
+        assert_eq!(
+            decision,
+            ("polaris-endpoint", RoutingReason::ActiveInstance)
+        );
     }
 
     #[test]
@@ -679,11 +631,8 @@ mod tests {
         let (registry, mut service) = two_cluster_service();
         // Nothing running anywhere: both clusters idle → free capacity on the
         // first configured endpoint wins.
-        let d = FederationRouter::new()
-            .route(&registry, &service, MODEL)
-            .unwrap();
-        assert_eq!(d.endpoint, "sophia-endpoint");
-        assert_eq!(d.reason, RoutingReason::FreeCapacity);
+        let d = route(&FederationRouter::new(), &registry, &service);
+        assert_eq!(d, ("sophia-endpoint", RoutingReason::FreeCapacity));
 
         // Fill both clusters with background jobs so no node is idle.
         for name in ["sophia-endpoint", "polaris-endpoint"] {
@@ -699,18 +648,19 @@ mod tests {
                 );
             }
         }
-        let d = FederationRouter::new()
-            .route(&registry, &service, MODEL)
-            .unwrap();
-        assert_eq!(d.endpoint, "sophia-endpoint");
-        assert_eq!(d.reason, RoutingReason::ConfigurationOrder);
+        let d = route(&FederationRouter::new(), &registry, &service);
+        assert_eq!(d, ("sophia-endpoint", RoutingReason::ConfigurationOrder));
     }
 
     #[test]
     fn unregistered_model_routes_nowhere() {
-        let (registry, service) = two_cluster_service();
+        let (mut registry, service) = two_cluster_service();
+        assert!(registry.model_id("unknown").is_none());
+        // A deregistered model keeps its id but has no candidates left.
+        let model = registry.model_id(MODEL).unwrap();
+        registry.deregister_model(MODEL);
         assert!(FederationRouter::new()
-            .route(&registry, &service, "unknown")
+            .route_target(&registry, &service, model)
             .is_none());
     }
 
@@ -718,20 +668,20 @@ mod tests {
     fn round_robin_rotates_over_registered_endpoints() {
         let (registry, service) = two_cluster_service();
         let router = FederationRouter::with_policy(RoutingPolicy::RoundRobin);
-        let picks: Vec<String> = (0..4)
-            .map(|_| router.route(&registry, &service, MODEL).unwrap().endpoint)
+        let picks: Vec<&str> = (0..4)
+            .map(|_| route(&router, &registry, &service).0)
             .collect();
         assert_eq!(
             picks,
             vec![
-                "sophia-endpoint".to_string(),
-                "polaris-endpoint".to_string(),
-                "sophia-endpoint".to_string(),
-                "polaris-endpoint".to_string(),
+                "sophia-endpoint",
+                "polaris-endpoint",
+                "sophia-endpoint",
+                "polaris-endpoint",
             ]
         );
         assert_eq!(
-            router.route(&registry, &service, MODEL).unwrap().reason,
+            route(&router, &registry, &service).1,
             RoutingReason::RoundRobinRotation
         );
         assert_eq!(router.policy(), RoutingPolicy::RoundRobin);
@@ -768,16 +718,13 @@ mod tests {
             first_desim::SimProcess::advance(&mut service, SimTime::from_secs(i + 1));
         }
         let router = FederationRouter::with_policy(RoutingPolicy::LeastOutstanding);
-        let d = router.route(&registry, &service, MODEL).unwrap();
-        assert_eq!(d.endpoint, "polaris-endpoint");
-        assert_eq!(d.reason, RoutingReason::LeastOutstanding);
+        let d = route(&router, &registry, &service);
+        assert_eq!(d, ("polaris-endpoint", RoutingReason::LeastOutstanding));
 
         // The paper's priority policy would have stuck with Sophia (active
         // instance, configuration order) — the contrast the ablation measures.
-        let paper = FederationRouter::new()
-            .route(&registry, &service, MODEL)
-            .unwrap();
-        assert_eq!(paper.endpoint, "sophia-endpoint");
+        let paper = route(&FederationRouter::new(), &registry, &service);
+        assert_eq!(paper.0, "sophia-endpoint");
     }
 
     #[test]
@@ -796,9 +743,8 @@ mod tests {
             );
         }
         let router = FederationRouter::with_policy(RoutingPolicy::MostIdleNodes);
-        let d = router.route(&registry, &service, MODEL).unwrap();
-        assert_eq!(d.endpoint, "polaris-endpoint");
-        assert_eq!(d.reason, RoutingReason::MostIdleNodes);
+        let d = route(&router, &registry, &service);
+        assert_eq!(d, ("polaris-endpoint", RoutingReason::MostIdleNodes));
     }
 
     #[test]
@@ -810,70 +756,63 @@ mod tests {
             .unwrap()
             .prewarm(MODEL, 1, SimTime::ZERO);
         let router = FederationRouter::new();
+        let model = registry.model_id(MODEL).unwrap();
         let mut health = first_chaos::HealthTracker::default();
         let now = SimTime::from_secs(10);
-        let d = router
-            .route_with_health(&registry, &service, MODEL, &health, now)
-            .unwrap();
-        assert_eq!(d.endpoint, "sophia-endpoint");
+        let routed = |health: &HealthTracker| {
+            router.route_target_with_health(&registry, &service, model, health, now)
+        };
+        assert_eq!(named(&service, routed(&health)).0, "sophia-endpoint");
 
         // Trip Sophia's breaker: routing fails over to Polaris.
         for _ in 0..3 {
             health.on_failure("sophia-endpoint", now);
         }
-        let d = router
-            .route_with_health(&registry, &service, MODEL, &health, now)
-            .unwrap();
-        assert_eq!(d.endpoint, "polaris-endpoint");
+        assert_eq!(named(&service, routed(&health)).0, "polaris-endpoint");
 
         // With every endpoint open the router still returns something.
         for _ in 0..3 {
             health.on_failure("polaris-endpoint", now);
         }
-        assert!(router
-            .route_with_health(&registry, &service, MODEL, &health, now)
-            .is_some());
+        assert!(routed(&health).is_some());
     }
 
     #[test]
     fn degraded_endpoints_lose_to_healthy_ones_but_stay_routable() {
         let (registry, service) = two_cluster_service();
         let router = FederationRouter::new();
+        let model = registry.model_id(MODEL).unwrap();
         let mut health = first_chaos::HealthTracker::default();
         let now = SimTime::from_secs(10);
+        let routed = |health: &HealthTracker| {
+            router.route_target_with_health(&registry, &service, model, health, now)
+        };
         // One failure on Sophia: degraded, so the healthy Polaris wins even
         // though Sophia comes first in configuration order.
         health.on_failure("sophia-endpoint", now);
-        let d = router
-            .route_with_health(&registry, &service, MODEL, &health, now)
-            .unwrap();
-        assert_eq!(d.endpoint, "polaris-endpoint");
+        assert_eq!(named(&service, routed(&health)).0, "polaris-endpoint");
         // If Polaris is degraded too, the allowed set is used as configured.
         health.on_failure("polaris-endpoint", now);
-        let d = router
-            .route_with_health(&registry, &service, MODEL, &health, now)
-            .unwrap();
-        assert_eq!(d.endpoint, "sophia-endpoint");
+        assert_eq!(named(&service, routed(&health)).0, "sophia-endpoint");
     }
 
     #[test]
     fn retry_routing_excludes_the_endpoint_that_just_failed() {
         let (registry, service) = two_cluster_service();
         let router = FederationRouter::new();
+        let model = registry.model_id(MODEL).unwrap();
         let health = first_chaos::HealthTracker::default();
         let now = SimTime::from_secs(5);
-        let d = router
-            .route_for_retry(&registry, &service, MODEL, &health, now, "sophia-endpoint")
-            .unwrap();
-        assert_eq!(d.endpoint, "polaris-endpoint");
+        let sophia = service.endpoint_id("sophia-endpoint").unwrap();
+        let d = router.route_target_for_retry(&registry, &service, model, &health, now, sophia);
+        assert_eq!(named(&service, d).0, "polaris-endpoint");
         // Single-endpoint registrations fall back to the failed endpoint
         // rather than refusing to route.
         let mut single = ModelRegistry::new();
         single.register(MODEL, "sophia-endpoint");
-        let d = router
-            .route_for_retry(&single, &service, MODEL, &health, now, "sophia-endpoint")
-            .unwrap();
-        assert_eq!(d.endpoint, "sophia-endpoint");
+        let model = single.model_id(MODEL).unwrap();
+        let d = router.route_target_for_retry(&single, &service, model, &health, now, sophia);
+        assert_eq!(named(&service, d).0, "sophia-endpoint");
     }
 
     #[test]

@@ -35,7 +35,8 @@ use first_chaos::{FaultInjector, ResilienceConfig, ShardFaultKind};
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime, TimingWheel};
 use first_telemetry::{PhaseBreakdown, SpanTree, TraceConfig};
 use first_workload::{
-    Cassette, CassetteError, DeploymentRef, RequestOutcome, ScenarioRequest, ScenarioSpec,
+    Cassette, CassetteError, CompiledScenario, DeploymentRef, RequestOutcome, ScenarioRequest,
+    ScenarioSpec,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -549,10 +550,10 @@ impl<'c> ScenarioRun<'c> {
                 )));
             }
         }
+        let compiled = self.spec.compile(self.seed);
         let (report, outcomes, trees) =
-            run_scenario_impl(&self.spec, self.seed, self.trace, &self.sharding);
+            run_scenario_impl(&self.spec, self.seed, &compiled, self.trace, &self.sharding);
         let cassette = if self.record {
-            let compiled = self.spec.compile(self.seed);
             Some(Cassette::from_run(
                 &self.spec, self.seed, &compiled, outcomes,
             )?)
@@ -1109,11 +1110,11 @@ impl SimProcess for FrontTier<'_> {
     }
 }
 
-/// The shared body of every [`ScenarioRun`]: drive the compiled stream over
-/// the (possibly single-shard) federation and return the report, the
-/// per-request outcomes aligned with the compiled stream by index (always
-/// collected — it is two vector writes per request), and the sampled span
-/// trees (empty unless `trace` is enabled).
+/// The shared body of every [`ScenarioRun`]: drive `compiled`, the spec's
+/// stream at `seed`, over the (possibly single-shard) federation and return
+/// the report, the per-request outcomes aligned with the compiled stream by
+/// index (always collected — it is two vector writes per request), and the
+/// sampled span trees (empty unless `trace` is enabled).
 ///
 /// The run's [`FrontTier`] is the process [`drive_openloop`] steps, so
 /// arrivals, retries, timeouts and hedges all enter through the front tier,
@@ -1123,6 +1124,7 @@ impl SimProcess for FrontTier<'_> {
 fn run_scenario_impl(
     spec: &ScenarioSpec,
     seed: u64,
+    compiled: &CompiledScenario,
     trace: TraceConfig,
     sharding: &ShardingConfig,
 ) -> (GatewayReport, Vec<RequestOutcome>, Vec<SpanTree>) {
@@ -1144,7 +1146,6 @@ fn run_scenario_impl(
     if spec.resilience {
         builder = builder.resilience(ResilienceConfig::production());
     }
-    let compiled = spec.compile(seed);
     let requests = &compiled.requests[..];
     let mut front = FrontTier::new(spec, requests, &builder, sharding);
     // The report's failover section is reserved for runs that can actually
@@ -1382,6 +1383,27 @@ mod tests {
     use first_workload::{
         scenario::models, ArrivalProcess, DeploymentRef, ScenarioSpec, SloTarget, TenantClass,
     };
+
+    #[test]
+    fn every_deployment_resolves_every_registered_endpoint() {
+        for deployment in [
+            DeploymentRef::SingleClusterTest,
+            DeploymentRef::SophiaSingleInstance,
+            DeploymentRef::Sophia,
+            DeploymentRef::FederatedSophiaPolaris,
+        ] {
+            let gateway = builder_for(deployment).build();
+            let registry = gateway.registry();
+            for model in registry.models() {
+                for name in registry.endpoints_for(&model).unwrap() {
+                    assert!(
+                        gateway.service().endpoint_id(name).is_some(),
+                        "{deployment:?} registers {model} on unknown endpoint {name}"
+                    );
+                }
+            }
+        }
+    }
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec::new(

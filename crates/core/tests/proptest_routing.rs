@@ -40,6 +40,18 @@ fn deployment(prewarms: &[(usize, usize, u32)]) -> (ModelRegistry, ComputeServic
     (registry, service)
 }
 
+/// Route `model` with the id-based router and name the chosen endpoint.
+fn route(
+    router: &FederationRouter,
+    registry: &ModelRegistry,
+    service: &ComputeService,
+    model: &str,
+) -> Option<(String, RoutingReason)> {
+    let target = router.route_target(registry, service, registry.model_id(model)?)?;
+    let name = service.endpoint_name(target.endpoint)?;
+    Some((name.to_string(), target.reason))
+}
+
 /// The string-keyed §4.5 reference algorithm, as it was before the
 /// interned-id refactor: active instance → free capacity → configuration
 /// order, reading only the public string APIs.
@@ -115,16 +127,9 @@ proptest! {
         let (registry, service) = deployment(&prewarms);
         let router = FederationRouter::new();
         for model in MODELS {
-            let id_decision = router.route(&registry, &service, model);
+            let id_decision = route(&router, &registry, &service, model);
             let reference = reference_paper_priority(&registry, &service, model);
-            match (id_decision, reference) {
-                (Some(d), Some((endpoint, reason))) => {
-                    prop_assert_eq!(&d.endpoint, &endpoint);
-                    prop_assert_eq!(d.reason, reason);
-                }
-                (None, None) => {}
-                (d, r) => prop_assert!(false, "id={d:?} reference={r:?}"),
-            }
+            prop_assert_eq!(id_decision, reference);
             // The interner round-trips the name that routing keys on.
             if let Some(mid) = registry.model_id(model) {
                 prop_assert_eq!(registry.model_name(mid), model);
@@ -142,7 +147,7 @@ proptest! {
         let (registry, service) = deployment(&prewarms);
         let router = FederationRouter::with_policy(RoutingPolicy::LeastOutstanding);
         for model in MODELS {
-            let id_decision = router.route(&registry, &service, model).map(|d| d.endpoint);
+            let id_decision = route(&router, &registry, &service, model).map(|d| d.0);
             let reference = reference_least_outstanding(&registry, &service, model);
             prop_assert_eq!(id_decision, reference);
         }

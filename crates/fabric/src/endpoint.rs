@@ -9,13 +9,16 @@
 
 use crate::config::{EndpointConfig, ModelHostingConfig};
 use crate::task::{TaskId, TaskResult};
-use first_desim::{IdHashBuilder, SimProcess, SimTime};
+use first_desim::{SimProcess, SimTime};
 use first_hpc::{
     BatchScheduler, Cluster, ClusterStatus, JobId, JobPriority, JobRequest, JobState, NodeId,
 };
-use first_serving::{EmbeddingConfig, EmbeddingEngine, EngineState, InferenceRequest, VllmEngine};
+use first_serving::{
+    EmbeddingConfig, EmbeddingEngine, EngineState, InferenceCompletion, InferenceRequest,
+    RequestId, VllmEngine,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Serving backend held by an instance.
 #[derive(Debug, Clone)]
@@ -26,6 +29,38 @@ enum InstanceBackend {
     Vllm(Box<VllmEngine>),
     /// Embedding model served by the Infinity-style engine.
     Embedding(EmbeddingEngine),
+}
+
+impl InstanceBackend {
+    fn advance(&mut self, now: SimTime) {
+        match self {
+            InstanceBackend::Vllm(engine) => engine.advance(now),
+            InstanceBackend::Embedding(engine) => engine.advance(now),
+        }
+    }
+
+    fn take_completions(&mut self) -> Vec<InferenceCompletion> {
+        match self {
+            InstanceBackend::Vllm(engine) => engine.take_completions(),
+            InstanceBackend::Embedding(engine) => engine.take_completions(),
+        }
+    }
+
+    fn submit(&mut self, request: InferenceRequest, now: SimTime) {
+        match self {
+            InstanceBackend::Vllm(engine) => {
+                engine.enqueue(request, now);
+            }
+            InstanceBackend::Embedding(engine) => engine.submit(request, now),
+        }
+    }
+
+    fn next_event_time(&self) -> Option<SimTime> {
+        match self {
+            InstanceBackend::Vllm(engine) => SimProcess::next_event_time(engine.as_ref()),
+            InstanceBackend::Embedding(engine) => SimProcess::next_event_time(engine),
+        }
+    }
 }
 
 /// Lifecycle of a model instance on the endpoint.
@@ -149,7 +184,6 @@ pub struct ComputeEndpoint {
     /// local model-id space). Replaces a `BTreeMap<String, _>` whose 40-byte
     /// model-name comparisons sat on every advance.
     waiting: Vec<VecDeque<(TaskId, InferenceRequest)>>,
-    task_of_request: HashMap<u64, TaskId, IdHashBuilder>,
     results: Vec<TaskResult>,
     next_instance_id: u32,
     offline_until: Option<SimTime>,
@@ -170,7 +204,6 @@ impl ComputeEndpoint {
             config,
             scheduler: BatchScheduler::new(cluster),
             instances: Vec::new(),
-            task_of_request: HashMap::default(),
             results: Vec::new(),
             next_instance_id: 0,
             offline_until: None,
@@ -295,11 +328,13 @@ impl ComputeEndpoint {
     /// (see [`EndpointConfig::hosting_index`]). Returns `false` if the
     /// endpoint does not host the model (`hosting` is `None` or out of
     /// range) or cannot serve it; a failed result is produced in that case.
+    /// The engine runs the request under the task's id, so each completion
+    /// names its task.
     pub fn receive_task(
         &mut self,
         task: TaskId,
         hosting: Option<u32>,
-        request: InferenceRequest,
+        mut request: InferenceRequest,
         now: SimTime,
     ) -> bool {
         self.stats.tasks_received += 1;
@@ -354,7 +389,7 @@ impl ComputeEndpoint {
             });
             return false;
         }
-        self.task_of_request.insert(request.id.0, task);
+        request.id = RequestId(task.0);
         self.waiting[hosting_idx].push_back((task, request));
         // React immediately: launch or assign without waiting for the next
         // global advance round.
@@ -388,8 +423,8 @@ impl ComputeEndpoint {
     }
 
     /// Simulate a crash of one hot instance of `model` (§3.2.2 fault
-    /// tolerance). In-flight tasks are re-queued; the process manager restarts
-    /// the instance if auto-restart is enabled.
+    /// tolerance). Its in-flight tasks fail with a retryable error; the
+    /// process manager restarts the instance if auto-restart is enabled.
     pub fn inject_instance_failure(&mut self, model: &str, now: SimTime) -> bool {
         let Some(idx) = self
             .instances
@@ -399,20 +434,17 @@ impl ComputeEndpoint {
             return false;
         };
         self.dirty = true;
-        // Re-queue whatever was running there.
         let inst = &mut self.instances[idx];
         inst.state = InstanceState::Failed;
         inst.backend = None;
         let in_flight = std::mem::take(&mut inst.in_flight);
         let job = inst.job;
         let hosting_idx = inst.hosting;
-        // The instance's tasks are retried from the endpoint queue. Their
-        // request payloads were consumed by the engine, so synthesise retries
-        // is not possible here; instead we fail them and count the restarts —
-        // the gateway retries idempotent requests.
+        // The engine that held the requests is gone, so the endpoint cannot
+        // re-queue them: it fails them, and the gateway retries idempotent
+        // requests.
         for task in in_flight {
             self.stats.tasks_failed += 1;
-            self.task_of_request.retain(|_, t| *t != task);
             self.results.push(TaskResult {
                 task,
                 success: false,
@@ -699,7 +731,6 @@ impl ComputeEndpoint {
                     // error instead of leaving the client hanging.
                     for task in in_flight {
                         self.stats.tasks_failed += 1;
-                        self.task_of_request.retain(|_, t| *t != task);
                         self.results.push(TaskResult {
                             task,
                             success: false,
@@ -718,50 +749,28 @@ impl ComputeEndpoint {
             let Some(backend) = inst.backend.as_mut() else {
                 continue;
             };
-            match backend {
-                InstanceBackend::Vllm(engine) => {
-                    engine.advance(now);
-                    if inst.state == InstanceState::Loading && engine.state() == EngineState::Ready
-                    {
-                        inst.state = InstanceState::Ready;
-                        inst.last_active = engine.ready_at();
-                        progress = true;
-                    }
-                    for c in engine.take_completions() {
-                        progress = true;
-                        if let Some(task) = self.task_of_request.remove(&c.id.0) {
-                            inst.in_flight.retain(|t| *t != task);
-                            inst.last_active = c.finished_at;
-                            self.stats.tasks_completed += 1;
-                            self.stats.output_tokens += c.output_tokens as u64;
-                            self.results.push(TaskResult {
-                                task,
-                                success: true,
-                                finished_at: c.finished_at,
-                                completion: Some(c),
-                                error: None,
-                            });
-                        }
-                    }
+            backend.advance(now);
+            if let InstanceBackend::Vllm(engine) = backend {
+                if inst.state == InstanceState::Loading && engine.state() == EngineState::Ready {
+                    inst.state = InstanceState::Ready;
+                    inst.last_active = engine.ready_at();
+                    progress = true;
                 }
-                InstanceBackend::Embedding(engine) => {
-                    engine.advance(now);
-                    for c in engine.take_completions() {
-                        progress = true;
-                        if let Some(task) = self.task_of_request.remove(&c.id.0) {
-                            inst.in_flight.retain(|t| *t != task);
-                            inst.last_active = c.finished_at;
-                            self.stats.tasks_completed += 1;
-                            self.results.push(TaskResult {
-                                task,
-                                success: true,
-                                finished_at: c.finished_at,
-                                completion: Some(c),
-                                error: None,
-                            });
-                        }
-                    }
-                }
+            }
+            for c in backend.take_completions() {
+                progress = true;
+                let task = TaskId(c.id.0);
+                inst.in_flight.retain(|t| *t != task);
+                inst.last_active = c.finished_at;
+                self.stats.tasks_completed += 1;
+                self.stats.output_tokens += c.output_tokens as u64;
+                self.results.push(TaskResult {
+                    task,
+                    success: true,
+                    finished_at: c.finished_at,
+                    completion: Some(c),
+                    error: None,
+                });
             }
         }
 
@@ -787,14 +796,10 @@ impl ComputeEndpoint {
                     let Some((task, request)) = queue.pop_front() else {
                         break;
                     };
-                    match inst.backend.as_mut().expect("backend present") {
-                        InstanceBackend::Vllm(engine) => {
-                            engine.enqueue(request, now);
-                        }
-                        InstanceBackend::Embedding(engine) => {
-                            engine.submit(request, now);
-                        }
-                    }
+                    inst.backend
+                        .as_mut()
+                        .expect("backend present")
+                        .submit(request, now);
                     inst.in_flight.push(task);
                     inst.last_active = now;
                     progress = true;
@@ -859,23 +864,15 @@ impl ComputeEndpoint {
     /// Full scan behind [`SimProcess::next_event_time`]: earliest scheduler
     /// event, engine event or idle-release deadline.
     fn compute_next_event_time(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = SimProcess::next_event_time(&self.scheduler);
-        for inst in &self.instances {
-            let t = match &inst.backend {
-                Some(InstanceBackend::Vllm(e)) => SimProcess::next_event_time(e.as_ref()),
-                Some(InstanceBackend::Embedding(e)) => SimProcess::next_event_time(e),
-                None => None,
-            };
-            next = match (next, t) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            };
-        }
-        if let Some(d) = self.idle_release_deadline() {
-            next = Some(next.map_or(d, |n| n.min(d)));
-        }
-        next
+        let engines = self
+            .instances
+            .iter()
+            .filter_map(|i| i.backend.as_ref()?.next_event_time());
+        SimProcess::next_event_time(&self.scheduler)
+            .into_iter()
+            .chain(engines)
+            .chain(self.idle_release_deadline())
+            .min()
     }
 
     fn idle_release_deadline(&self) -> Option<SimTime> {
