@@ -7,7 +7,7 @@ use first_chaos::{FaultInjector, FaultPlan};
 use first_desim::{SimDuration, SimProcess, SimTime};
 use first_fabric::{
     ComputeEndpoint, ComputeService, EndpointConfig, FabricLatencyModel, ModelHostingConfig,
-    TaskResult,
+    TaskRecord, TaskResult,
 };
 use first_hpc::{Cluster, GpuModel};
 use first_serving::{find_model, InferenceRequest};
@@ -28,7 +28,8 @@ fn service() -> ComputeService {
 }
 
 /// Drive a faulted service over a fixed workload and return the serialized
-/// event log (every task result, in delivery order).
+/// event log (every task result with the record released alongside it, in
+/// delivery order).
 fn event_log(seed: u64, submissions: &[u64]) -> String {
     let mut submissions = submissions.to_vec();
     submissions.sort_unstable();
@@ -55,7 +56,7 @@ fn event_log(seed: u64, submissions: &[u64]) -> String {
         let req = InferenceRequest::chat(i as u64, 200, 60);
         let _ = svc.submit(function, "sophia-endpoint", MODEL, req, at);
     }
-    let mut log: Vec<TaskResult> = Vec::new();
+    let mut log: Vec<(TaskResult, TaskRecord)> = Vec::new();
     let horizon = SimTime::from_secs(3600);
     // The service was already advanced to the last submission instant; never
     // step back before it (components assert monotone time).

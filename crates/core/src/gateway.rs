@@ -17,7 +17,9 @@ use crate::storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, 
 use crate::workers::{WorkerPool, WorkerPoolConfig};
 use first_auth::{AuthService, TokenString};
 use first_chaos::{HealthTracker, ResilienceConfig};
-use first_desim::{IdHashBuilder, ScheduledEvent, SimDuration, SimProcess, SimTime, TimingWheel};
+use first_desim::{
+    IdHashBuilder, IdWindow, ScheduledEvent, SimDuration, SimProcess, SimTime, TimingWheel,
+};
 use first_fabric::{ClientConfig, ComputeService, EndpointId, FunctionId, TaskId};
 use first_serving::InferenceRequest;
 use first_telemetry::{FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, TraceConfig};
@@ -144,11 +146,16 @@ pub struct GatewayQueueSnapshot {
     pub pending_dispatches: usize,
     /// Tasks submitted and not yet resolved (live slab entries).
     pub in_flight_tasks: usize,
+    /// Task records the fabric service still holds (submitted and not yet
+    /// polled).
+    pub tracked_tasks: usize,
     /// Results collected and waiting for client delivery.
     pub awaiting_delivery: usize,
     /// Total outstanding copies (originals + hedges + scheduled retries)
     /// across all unanswered request ids.
     pub outstanding_copies: u64,
+    /// Request ids holding an outstanding-copy counter.
+    pub outstanding_slots: usize,
     /// Completed responses buffered for `take_responses`.
     pub buffered_responses: usize,
     /// Filed hedge deadlines, stale ones included.
@@ -262,13 +269,11 @@ pub struct Gateway {
     submit_buf: Vec<ScheduledEvent<PendingDispatch>>,
     /// Reusable drain buffer for `deliver_due`.
     deliver_buf: Vec<ScheduledEvent<AwaitingDelivery>>,
-    /// In-flight tasks, indexed by `TaskId - 1` (the service assigns task ids
-    /// densely from 1, and this gateway is the service's only client). A slab
-    /// instead of a hash map: insertion and removal are a bounds-checked
-    /// index. Entries are boxed so a resolved slot costs one pointer, not an
-    /// inline `InFlight`, over the run's whole task history.
-    in_flight: Vec<Option<Box<InFlight>>>,
-    in_flight_count: usize,
+    /// In-flight tasks by task id (the service assigns task ids densely from
+    /// 1, and this gateway is the service's only client). A window instead
+    /// of a hash map: insertion and removal are a bounds-checked index, and
+    /// the window holds only the span of tasks still in flight.
+    in_flight: IdWindow<InFlight>,
     /// Hedge deadlines (`submitted_at + hedge_after`) of submitted copies,
     /// bucketed on a timing wheel; empty unless hedging is on. Hedge copies
     /// file none, and `hedge_due` consumes each deadline once, so a copy is
@@ -289,8 +294,9 @@ pub struct Gateway {
     /// last copy resolves, so the set stays bounded by concurrent hedges.
     delivered: HashSet<u64, IdHashBuilder>,
     /// Outstanding copies (original + hedges + scheduled retries) per
-    /// still-unanswered request id, indexed by `request_id` (dense from 1).
-    outstanding: Vec<u32>,
+    /// still-unanswered request id (dense from 1). An id leaves the window
+    /// when its last copy resolves.
+    outstanding: IdWindow<u32>,
     /// Latest instant the gateway has been advanced to (used for health
     /// staleness in `/jobs` and the dashboard).
     last_advance: SimTime,
@@ -358,14 +364,13 @@ impl Gateway {
             awaiting: TimingWheel::new(),
             submit_buf: Vec::new(),
             deliver_buf: Vec::new(),
-            in_flight: Vec::new(),
-            in_flight_count: 0,
+            in_flight: IdWindow::new(),
             hedge_deadlines: TimingWheel::new(),
             hedge_buf: Vec::new(),
             responses: Vec::new(),
             connected_endpoints: Vec::new(),
             delivered: HashSet::default(),
-            outstanding: Vec::new(),
+            outstanding: IdWindow::new(),
             last_advance: SimTime::ZERO,
             started_wall: std::time::Instant::now(),
             events_at_start: first_desim::stats::kernel::events_processed(),
@@ -506,7 +511,7 @@ impl Gateway {
     /// Whether all accepted requests have been answered.
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty()
-            && self.in_flight_count == 0
+            && self.in_flight.is_empty()
             && self.awaiting.is_empty()
             && self.service.is_drained()
     }
@@ -516,7 +521,7 @@ impl Gateway {
     /// consults this per submission for its spillover decision, so unlike
     /// [`Gateway::queue_snapshot`] it must not walk any slab.
     pub fn load_depth(&self) -> usize {
-        self.pending.len() + self.in_flight_count
+        self.pending.len() + self.in_flight.len()
     }
 
     /// Diagnostic counts of the gateway's internal queues and slabs — what
@@ -526,42 +531,14 @@ impl Gateway {
     pub fn queue_snapshot(&self) -> GatewayQueueSnapshot {
         GatewayQueueSnapshot {
             pending_dispatches: self.pending.len(),
-            in_flight_tasks: self.in_flight_count,
+            in_flight_tasks: self.in_flight.len(),
             awaiting_delivery: self.awaiting.len(),
-            outstanding_copies: self.outstanding.iter().map(|&c| c as u64).sum(),
+            outstanding_copies: self.outstanding.values().map(|&c| c as u64).sum(),
+            outstanding_slots: self.outstanding.len(),
+            tracked_tasks: self.service.tracked_tasks(),
             buffered_responses: self.responses.len(),
             hedge_deadlines: self.hedge_deadlines.len(),
         }
-    }
-
-    #[inline]
-    fn in_flight_insert(&mut self, task: TaskId, entry: InFlight) {
-        let idx = (task.0 as usize).saturating_sub(1);
-        if idx >= self.in_flight.len() {
-            self.in_flight.resize_with(idx + 1, || None);
-        }
-        if self.in_flight[idx].replace(Box::new(entry)).is_none() {
-            self.in_flight_count += 1;
-        }
-    }
-
-    #[inline]
-    fn in_flight_remove(&mut self, task: TaskId) -> Option<Box<InFlight>> {
-        let entry = self
-            .in_flight
-            .get_mut((task.0 as usize).wrapping_sub(1))
-            .and_then(Option::take);
-        if entry.is_some() {
-            self.in_flight_count -= 1;
-        }
-        entry
-    }
-
-    #[inline]
-    fn in_flight_get(&self, task: TaskId) -> Option<&InFlight> {
-        self.in_flight
-            .get((task.0 as usize).wrapping_sub(1))
-            .and_then(Option::as_deref)
     }
 
     /// How long a copy may stay unanswered before it is hedged; `None` when
@@ -576,21 +553,22 @@ impl Gateway {
     /// entry is popped once, so the cost is amortized O(1) per copy.
     fn prune_hedge_deadlines(&mut self) {
         while let Some((_, &task)) = self.hedge_deadlines.peek() {
-            if self.in_flight_get(task).is_some() {
+            if self.in_flight.get(task.0).is_some() {
                 break;
             }
             self.hedge_deadlines.pop();
         }
     }
 
-    /// One outstanding-copy counter slot per request id (dense from 1).
+    /// Count one more outstanding copy of `request_id`.
     #[inline]
-    fn outstanding_slot(&mut self, request_id: u64) -> &mut u32 {
-        let idx = (request_id as usize).saturating_sub(1);
-        if idx >= self.outstanding.len() {
-            self.outstanding.resize(idx + 1, 0);
+    fn add_copy(&mut self, request_id: u64) {
+        match self.outstanding.get_mut(request_id) {
+            Some(count) => *count += 1,
+            None => {
+                self.outstanding.insert(request_id, 1);
+            }
         }
-        &mut self.outstanding[idx]
     }
 
     fn authorize(
@@ -676,7 +654,7 @@ impl Gateway {
                 },
             );
         }
-        *self.outstanding_slot(request_id) = 1;
+        self.outstanding.insert(request_id, 1);
         self.pending.push(
             submit_at,
             PendingDispatch {
@@ -1073,8 +1051,8 @@ impl Gateway {
                         if let Some(hedge_after) = self.hedge_after() {
                             self.hedge_deadlines.push(p.submit_at + hedge_after, task);
                         }
-                        self.in_flight_insert(
-                            task,
+                        self.in_flight.insert(
+                            task.0,
                             InFlight {
                                 request_id: p.request_id,
                                 arrived_at: p.arrived_at,
@@ -1159,18 +1137,18 @@ impl Gateway {
     }
 
     /// Mark one outstanding copy of `request_id` as resolved; returns how
-    /// many copies remain in flight or pending.
+    /// many copies remain in flight or pending. The id's counter is dropped
+    /// when it reaches zero (a retry re-adds it).
     fn resolve_copy(&mut self, request_id: u64) -> u32 {
-        match self
-            .outstanding
-            .get_mut((request_id as usize).wrapping_sub(1))
-        {
-            Some(count) => {
-                *count = count.saturating_sub(1);
-                *count
-            }
-            None => 0,
+        let Some(count) = self.outstanding.get_mut(request_id) else {
+            return 0;
+        };
+        *count -= 1;
+        let left = *count;
+        if left == 0 {
+            self.outstanding.remove(request_id);
         }
+        left
     }
 
     /// Build the retry dispatch for a failed copy, routed away from the
@@ -1202,7 +1180,7 @@ impl Gateway {
             self.metrics.on_failover();
         }
         let backoff = self.config.resilience.retry.backoff(attempt);
-        *self.outstanding_slot(request_id) += 1;
+        self.add_copy(request_id);
         Some(PendingDispatch {
             request_id,
             request,
@@ -1233,7 +1211,8 @@ impl Gateway {
                 .drain(..)
                 .map(|e| e.payload)
                 .filter(|&task| {
-                    self.in_flight_get(task)
+                    self.in_flight
+                        .get(task.0)
                         .is_some_and(|f| !self.delivered.contains(&f.request_id))
                 })
                 .collect();
@@ -1241,7 +1220,8 @@ impl Gateway {
             candidates.sort_unstable();
             for task in candidates {
                 let f = self
-                    .in_flight_get(task)
+                    .in_flight
+                    .get(task.0)
                     .expect("hedging never resolves an in-flight copy");
                 let Some(target) = self.router.route_target_for_retry(
                     &self.registry,
@@ -1267,9 +1247,9 @@ impl Gateway {
                     now,
                 ) {
                     self.metrics.on_hedge();
-                    *self.outstanding_slot(f.request_id) += 1;
-                    self.in_flight_insert(
-                        new_task,
+                    self.add_copy(f.request_id);
+                    self.in_flight.insert(
+                        new_task.0,
                         InFlight {
                             submitted_at: now,
                             endpoint: target.endpoint,
@@ -1284,16 +1264,11 @@ impl Gateway {
     }
 
     fn collect_results(&mut self, now: SimTime) {
-        for result in self.service.poll_results(now) {
-            let Some(in_flight) = self.in_flight_remove(result.task) else {
+        for (result, record) in self.service.poll_results(now) {
+            let Some(in_flight) = self.in_flight.remove(result.task.0) else {
                 continue;
             };
-            let in_flight = *in_flight;
-            let available = self
-                .service
-                .task(result.task)
-                .and_then(|t| t.result_available_at)
-                .unwrap_or(result.finished_at);
+            let available = record.result_available_at.unwrap_or(result.finished_at);
             let observed = self
                 .config
                 .client
@@ -1304,18 +1279,16 @@ impl Gateway {
                 .as_ref()
                 .map(|c| c.output_tokens)
                 .unwrap_or(0);
-            // Sampled request: capture the fabric/engine timestamps while the
-            // task record is still at hand (the slab entry is gone by
-            // delivery time). `is_empty` keeps the untraced hot path to one
-            // branch.
+            // Sampled request: capture the fabric/engine timestamps from the
+            // task record the poll released (nothing keeps it past this
+            // point). `is_empty` keeps the untraced hot path to one branch.
             let trace = if !self.trace_pending.is_empty()
                 && self.trace_pending.contains_key(&in_flight.request_id)
             {
-                let record = self.service.task(result.task);
                 Some(Box::new(FabricTimes {
                     submitted_at: in_flight.submitted_at,
-                    dispatched_at: record.and_then(|t| t.dispatched_at),
-                    delivered_at: record.and_then(|t| t.delivered_at),
+                    dispatched_at: record.dispatched_at,
+                    delivered_at: record.delivered_at,
                     accepted_at: result.completion.as_ref().map(|c| c.accepted_at),
                     first_token_at: result.completion.as_ref().map(|c| c.first_token_at),
                     finished_at: result.finished_at,
@@ -1536,6 +1509,29 @@ mod tests {
             }
         }
         gw.advance(until);
+    }
+
+    #[test]
+    fn drained_gateway_holding_an_outstanding_slot_is_a_leak() {
+        let (mut gw, tokens) = deployment(true);
+        let req = ChatCompletionRequest::simple(MODEL, "leak check", 50);
+        gw.chat_completions(&req, &tokens.alice, Some(40), SimTime::ZERO)
+            .unwrap();
+        drive(&mut gw, SimTime::from_secs(300));
+        let mut ledger = crate::invariants::RunLedger::new();
+        ledger.on_submission(true);
+        for r in gw.take_responses() {
+            ledger.on_response(r.success);
+        }
+        ledger.drained = gw.is_drained();
+        crate::invariants::check_run_invariants(&gw, &ledger).expect("clean run");
+        // A counter left behind for an answered request, even at zero.
+        gw.outstanding.insert(1, 0);
+        let violations = crate::invariants::check_run_invariants(&gw, &ledger).unwrap_err();
+        assert_eq!(
+            violations,
+            vec!["drained gateway leaks 0 outstanding copies in 1 slots".to_string()]
+        );
     }
 
     #[test]

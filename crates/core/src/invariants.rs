@@ -14,7 +14,7 @@
 //!    backwards.
 //! 3. **No leaked tasks** — a drained gateway holds nothing in its pending,
 //!    in-flight, awaiting-delivery, hedge-deadline or outstanding-copy
-//!    slabs.
+//!    slabs, and its fabric service holds no task record.
 //!
 //! [`crate::ScenarioRun`] closes every open-loop run with
 //! [`check_front_tier_invariants`], in every build, and panics on a
@@ -163,15 +163,16 @@ pub fn check_run_invariants(gateway: &Gateway, ledger: &RunLedger) -> Result<(),
         let queues = gateway.queue_snapshot();
         if queues.pending_dispatches != 0
             || queues.in_flight_tasks != 0
+            || queues.tracked_tasks != 0
             || queues.awaiting_delivery != 0
             || queues.hedge_deadlines != 0
         {
             violations.push(format!("drained gateway leaks tasks: {queues:?}"));
         }
-        if queues.outstanding_copies != 0 {
+        if queues.outstanding_copies != 0 || queues.outstanding_slots != 0 {
             violations.push(format!(
-                "drained gateway leaks {} outstanding copies",
-                queues.outstanding_copies
+                "drained gateway leaks {} outstanding copies in {} slots",
+                queues.outstanding_copies, queues.outstanding_slots
             ));
         }
     }
@@ -403,6 +404,56 @@ mod tests {
         ledger.drained = gw.is_drained();
         assert!(ledger.drained);
         check_run_invariants(&gw, &ledger).expect("clean run holds all invariants");
+    }
+
+    #[test]
+    fn drained_gateway_holding_a_task_record_is_reported() {
+        let mut gw = DeploymentBuilder::single_cluster_test().prewarm(1).build();
+        // A task submitted behind the gateway's back resolves in the fabric
+        // but is never polled, so its record is never released.
+        let svc = gw.service_mut();
+        let function = svc
+            .registry()
+            .find_by_name("run_vllm_inference")
+            .unwrap()
+            .id;
+        let endpoint = svc.endpoint_names()[0].clone();
+        svc.submit(
+            function,
+            &endpoint,
+            MODEL,
+            first_serving::InferenceRequest::chat(1, 100, 20),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        while let Some(t) = SimProcess::next_event_time(gw.service()) {
+            gw.service_mut().advance(t);
+            if gw.service().is_drained() {
+                break;
+            }
+        }
+        assert!(gw.is_drained());
+        assert_eq!(gw.queue_snapshot().tracked_tasks, 1);
+        let ledger = RunLedger {
+            drained: true,
+            ..RunLedger::new()
+        };
+        let violations = check_front_tier_invariants(
+            std::slice::from_ref(&gw),
+            std::slice::from_ref(&ledger),
+            &ledger,
+            &FailoverSection::default(),
+            &[0],
+            &[0],
+        )
+        .unwrap_err();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.starts_with("shard 0: drained gateway leaks tasks")
+                    && v.contains("tracked_tasks: 1")),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   primitives behind every table and figure reproduction.
 //! * [`Interner`] / [`SymbolId`] — deterministic name → dense-id mapping so
 //!   per-request state is keyed by `u32` ids instead of heap `String`s.
+//! * [`IdWindow`] — a dense-id map holding only the span of live ids, so
+//!   per-task state is freed when the task retires.
 
 #![warn(missing_docs)]
 
@@ -23,6 +25,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod wheel;
+pub mod window;
 
 pub use intern::{fnv1a_64, IdHashBuilder, Interner, InternerSnapshot, SymbolId};
 pub use process::SimProcess;
@@ -31,6 +34,7 @@ pub use rng::SimRng;
 pub use stats::{CounterSet, Histogram, OnlineStats, SimMeter, SimRunStats};
 pub use time::{SimDuration, SimTime};
 pub use wheel::TimingWheel;
+pub use window::IdWindow;
 
 /// Commonly used items, re-exported for glob import.
 pub mod prelude {

@@ -1,10 +1,11 @@
 //! Property-based tests for the DES kernel invariants.
 
 use first_desim::prelude::*;
-use first_desim::TimingWheel;
+use first_desim::{IdWindow, TimingWheel};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 /// Counting allocator: lets the drain-due property assert its empty case is
 /// allocation-free (the per-tick hot path of every event loop). The count is
@@ -321,5 +322,52 @@ proptest! {
         for _ in 0..16 {
             prop_assert_eq!(ca.uniform01().to_bits(), cb.uniform01().to_bits());
         }
+    }
+
+    /// `IdWindow` agrees with a `BTreeMap` over random sequences of fresh
+    /// inserts (ids handed out in order, sometimes skipping a few),
+    /// re-inserts of old ids and out-of-order removes; after every step its
+    /// span covers exactly the live ids, and it is empty once every id is
+    /// removed.
+    #[test]
+    fn id_window_matches_a_btreemap(
+        ops in proptest::collection::vec((0u8..4, 0u64..1_000), 1..300),
+    ) {
+        let mut window = IdWindow::new();
+        let mut reference = BTreeMap::new();
+        let mut next_id = 1u64;
+        for (step, &(kind, pick)) in ops.iter().enumerate() {
+            match kind {
+                0 | 1 => {
+                    let id = next_id + pick % 3;
+                    next_id = id + 1;
+                    prop_assert_eq!(window.insert(id, step), reference.insert(id, step));
+                }
+                2 => {
+                    let id = pick % next_id;
+                    prop_assert_eq!(window.insert(id, step), reference.insert(id, step));
+                }
+                _ => {
+                    let id = pick % (next_id + 2);
+                    prop_assert_eq!(window.remove(id), reference.remove(&id));
+                }
+            }
+            for id in 0..next_id + 2 {
+                prop_assert_eq!(window.get(id), reference.get(&id));
+            }
+            prop_assert_eq!(window.len(), reference.len());
+            let live_span = match (reference.keys().next(), reference.keys().next_back()) {
+                (Some(&oldest), Some(&newest)) => (newest - oldest + 1) as usize,
+                _ => 0,
+            };
+            prop_assert!(window.span() <= live_span, "span {} > {live_span}", window.span());
+            prop_assert!(window.values().eq(reference.values()));
+        }
+        let ids: Vec<u64> = reference.keys().copied().collect();
+        for id in ids.into_iter().rev() {
+            prop_assert_eq!(window.remove(id), reference.remove(&id));
+        }
+        prop_assert!(window.is_empty());
+        prop_assert_eq!(window.span(), 0);
     }
 }

@@ -13,7 +13,7 @@ use crate::endpoint::ComputeEndpoint;
 use crate::task::{
     EndpointId, FunctionId, FunctionRegistry, TaskId, TaskRecord, TaskResult, TaskState,
 };
-use first_desim::{SimDuration, SimProcess, SimTime};
+use first_desim::{IdWindow, SimDuration, SimProcess, SimTime};
 use first_serving::InferenceRequest;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -75,10 +75,11 @@ pub struct ComputeService {
     /// The boundary lookup behind [`ComputeService::endpoint_id`]; the hot
     /// paths carry the resulting dense [`EndpointId`] instead of the name.
     endpoint_index: HashMap<String, usize>,
-    /// Task records, indexed by `TaskId - 1`: ids are assigned sequentially
-    /// from 1 by `submit`, so the slab lookup is a bounds check instead of
-    /// the tree walk a map would pay on every dispatch/result transition.
-    tasks: Vec<TaskRecord>,
+    /// Records of the tasks not yet handed out by `poll_results`, by task id.
+    /// Ids are assigned sequentially from 1 by `submit` and retire roughly in
+    /// order, so the window is a bounds-checked index that holds only the
+    /// span of live tasks instead of one record per task ever submitted.
+    tasks: IdWindow<TaskRecord>,
     /// Process-unique instance id plus a counter bumped on every endpoint
     /// registration; together the [`ComputeService::topology_stamp`] consumers
     /// cache routing state against. Clones share the id (their topology is
@@ -109,8 +110,8 @@ pub struct ComputeService {
     latency_spike: Option<(SimDuration, SimTime)>,
     next_task_id: u64,
     /// Tasks submitted but not yet resolved (completed or failed). Kept as a
-    /// counter so `is_drained` stays O(1) instead of walking the ever-growing
-    /// task map once per event-loop iteration.
+    /// counter so `is_drained` stays O(1) instead of walking the task window
+    /// once per event-loop iteration.
     unresolved_tasks: usize,
     stats: ServiceStats,
 }
@@ -125,7 +126,7 @@ impl ComputeService {
             latency,
             endpoints: Vec::new(),
             endpoint_index: HashMap::new(),
-            tasks: Vec::new(),
+            tasks: IdWindow::new(),
             dispatch_queue: VecDeque::new(),
             dispatcher_free_at: SimTime::ZERO,
             in_transit: Vec::new(),
@@ -215,15 +216,17 @@ impl ComputeService {
         &self.endpoints
     }
 
-    /// Look up a task record.
+    /// Look up the record of a task whose result has not been polled yet;
+    /// `poll_results` releases the record along with the result.
     #[inline]
     pub fn task(&self, id: TaskId) -> Option<&TaskRecord> {
-        self.tasks.get((id.0 as usize).wrapping_sub(1))
+        self.tasks.get(id.0)
     }
 
-    #[inline]
-    fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskRecord> {
-        self.tasks.get_mut((id.0 as usize).wrapping_sub(1))
+    /// Tasks the service still holds a record for: submitted and not yet
+    /// handed out by `poll_results`.
+    pub fn tracked_tasks(&self) -> usize {
+        self.tasks.len()
     }
 
     /// Number of tasks currently queued at the service (not yet dispatched).
@@ -304,17 +307,19 @@ impl ComputeService {
         let id = TaskId(self.next_task_id);
         self.next_task_id += 1;
         let arrival = now + self.latency.client_to_service + self.spike_extra(now);
-        self.tasks.push(TaskRecord {
-            id,
-            function,
-            endpoint,
-            submitted_at: now,
-            state: TaskState::QueuedAtService,
-            result: None,
-            dispatched_at: None,
-            delivered_at: None,
-            result_available_at: None,
-        });
+        self.tasks.insert(
+            id.0,
+            TaskRecord {
+                id,
+                function,
+                endpoint,
+                submitted_at: now,
+                state: TaskState::QueuedAtService,
+                dispatched_at: None,
+                delivered_at: None,
+                result_available_at: None,
+            },
+        );
         self.dispatch_queue.push_back((
             arrival,
             RoutedTask {
@@ -330,8 +335,11 @@ impl ComputeService {
         Ok(id)
     }
 
-    /// Drain results whose relay reached the client by `now`.
-    pub fn poll_results(&mut self, now: SimTime) -> Vec<TaskResult> {
+    /// Drain results whose relay reached the client by `now`, each with its
+    /// task's record, which the service releases here: once polled, a task
+    /// is no longer [`ComputeService::task`]-visible. A result whose record
+    /// was already released (a repeat result for the same task) is dropped.
+    pub fn poll_results(&mut self, now: SimTime) -> Vec<(TaskResult, TaskRecord)> {
         let mut out = Vec::new();
         // Cached-minimum early-out: polling is per-advance, readiness is per
         // request, so the common case must not scan the buffer.
@@ -341,7 +349,10 @@ impl ComputeService {
         let mut i = 0;
         while i < self.ready_results.len() {
             if self.ready_results[i].0 <= now {
-                out.push(self.ready_results.swap_remove(i).1);
+                let result = self.ready_results.swap_remove(i).1;
+                if let Some(record) = self.tasks.remove(result.task.0) {
+                    out.push((result, record));
+                }
             } else {
                 i += 1;
             }
@@ -371,7 +382,7 @@ impl ComputeService {
             let (_, task) = self.dispatch_queue.pop_front().expect("front exists");
             self.dispatcher_free_at = done;
             let deliver_at = done + self.latency.service_to_endpoint;
-            if let Some(rec) = self.task_mut(task.id) {
+            if let Some(rec) = self.tasks.get_mut(task.id.0) {
                 rec.state = TaskState::AtEndpoint;
                 rec.dispatched_at = Some(done);
             }
@@ -405,7 +416,7 @@ impl ComputeService {
         self.next_transit_at = self.in_transit.iter().map(|&(t, ..)| t).min();
         due.sort_by_key(|(at, task)| (*at, task.id));
         for (deliver_at, task) in due {
-            if let Some(rec) = self.task_mut(task.id) {
+            if let Some(rec) = self.tasks.get_mut(task.id.0) {
                 rec.state = TaskState::Running;
                 rec.delivered_at = Some(deliver_at);
             }
@@ -438,7 +449,7 @@ impl ComputeService {
         }
         for (relay_start, result) in collected {
             let available = relay_start + return_latency + self.spike_extra(relay_start);
-            if let Some(rec) = self.tasks.get_mut((result.task.0 as usize).wrapping_sub(1)) {
+            if let Some(rec) = self.tasks.get_mut(result.task.0) {
                 if !matches!(rec.state, TaskState::Completed | TaskState::Failed) {
                     self.unresolved_tasks = self.unresolved_tasks.saturating_sub(1);
                 }
@@ -447,7 +458,6 @@ impl ComputeService {
                 } else {
                     TaskState::Failed
                 };
-                rec.result = Some(result.clone());
                 rec.result_available_at = Some(available);
             }
             if result.success {
@@ -611,8 +621,9 @@ mod tests {
         drive(&mut svc, SimTime::from_secs(300));
         let results = svc.poll_results(SimTime::from_secs(300));
         assert_eq!(results.len(), 1);
-        assert!(results[0].success);
-        let rec = svc.task(id).unwrap();
+        let (result, rec) = &results[0];
+        assert!(result.success);
+        assert_eq!(rec.id, id);
         assert_eq!(rec.state, TaskState::Completed);
         // Latency includes the fabric overhead (~5–6 s) plus engine time.
         let latency = rec.service_latency().unwrap().as_secs_f64();
@@ -674,7 +685,7 @@ mod tests {
         // Last dispatch cannot have happened before 400/25 = 16 s.
         let makespan = results
             .iter()
-            .map(|r| r.finished_at.as_secs_f64())
+            .map(|(r, _)| r.finished_at.as_secs_f64())
             .fold(0.0, f64::max);
         assert!(makespan > 16.0);
     }
@@ -713,13 +724,43 @@ mod tests {
         )
         .unwrap();
         drive(&mut svc, SimTime::from_secs(120));
-        let rec = svc.task(TaskId(1)).unwrap();
-        let finished = rec.result.as_ref().unwrap().finished_at;
-        let available = rec.result_available_at.unwrap();
+        let available = svc.task(TaskId(1)).unwrap().result_available_at.unwrap();
+        // Polling before availability returns nothing (the instant before it
+        // is no earlier than the finish, asserted below).
+        let just_before = SimTime::from_micros(available.as_micros() - 1);
+        assert!(svc.poll_results(just_before).is_empty());
+        let results = svc.poll_results(available);
+        assert_eq!(results.len(), 1);
+        let (result, rec) = &results[0];
+        let finished = result.finished_at;
+        assert_eq!(rec.result_available_at, Some(available));
         assert!(available > finished);
-        // Polling before availability returns nothing.
-        assert!(svc.poll_results(finished).is_empty());
-        assert_eq!(svc.poll_results(available).len(), 1);
+    }
+
+    #[test]
+    fn polling_a_result_releases_its_task_record() {
+        let mut svc = service_with_endpoint(1);
+        let f = inference_fn(&svc);
+        let id = svc
+            .submit(
+                f,
+                "sophia-endpoint",
+                MODEL,
+                InferenceRequest::chat(1, 100, 50),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        assert_eq!(svc.task(id).unwrap().state, TaskState::QueuedAtService);
+        drive(&mut svc, SimTime::from_secs(120));
+        assert!(svc.is_drained());
+        // Resolved but not yet polled: the record is still there.
+        assert_eq!(svc.task(id).unwrap().state, TaskState::Completed);
+        assert_eq!(svc.tracked_tasks(), 1);
+        let results = svc.poll_results(SimTime::from_secs(120));
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].1.id, id);
+        assert!(svc.task(id).is_none());
+        assert_eq!(svc.tracked_tasks(), 0);
     }
 
     #[test]
@@ -744,8 +785,8 @@ mod tests {
             .unwrap()
             .set_offline_until(heal_at);
         drive(&mut svc, SimTime::from_secs(300));
-        let rec = svc.task(TaskId(1)).unwrap();
-        let result = rec.result.as_ref().unwrap();
+        let results = svc.poll_results(SimTime::from_secs(300));
+        let (result, rec) = &results[0];
         assert!(result.success);
         assert!(
             result.finished_at < heal_at,

@@ -140,7 +140,8 @@ pub struct TaskResult {
     pub finished_at: SimTime,
 }
 
-/// Full task record kept by the compute service.
+/// Task record the compute service keeps from submission until
+/// [`crate::ComputeService::poll_results`] hands it out with the result.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskRecord {
     /// Task identifier.
@@ -153,8 +154,6 @@ pub struct TaskRecord {
     pub submitted_at: SimTime,
     /// Current state.
     pub state: TaskState,
-    /// Result, once completed or failed.
-    pub result: Option<TaskResult>,
     /// When the dispatcher finished dispatching the task (client→service hop
     /// plus dispatcher queue and dispatch cost), feeding the trace `dispatch`
     /// phase.
@@ -206,7 +205,6 @@ mod tests {
             endpoint: EndpointId(0),
             submitted_at: SimTime::from_secs(10),
             state: TaskState::Completed,
-            result: None,
             dispatched_at: None,
             delivered_at: None,
             result_available_at: Some(SimTime::from_secs(25)),

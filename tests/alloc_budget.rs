@@ -54,7 +54,7 @@ static GLOBAL: Counting = Counting;
 const MODEL_70B: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
 /// Most heap allocations one more request may cost, end to end.
-const BUDGET_PER_REQUEST: f64 = 12.0;
+const BUDGET_PER_REQUEST: f64 = 8.0;
 
 /// `requests` 70B requests at t=0 with varied prompt and output lengths.
 fn flood_spec(requests: usize) -> ScenarioSpec {
