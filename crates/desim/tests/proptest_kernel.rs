@@ -360,7 +360,7 @@ proptest! {
                 (Some(&oldest), Some(&newest)) => (newest - oldest + 1) as usize,
                 _ => 0,
             };
-            prop_assert!(window.span() <= live_span, "span {} > {live_span}", window.span());
+            prop_assert_eq!(window.span(), live_span);
             prop_assert!(window.values().eq(reference.values()));
         }
         let ids: Vec<u64> = reference.keys().copied().collect();
