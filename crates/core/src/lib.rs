@@ -23,7 +23,7 @@
 //! * [`sim`] — open-loop and closed-loop scenario runners used by every
 //!   benchmark in `first-bench`.
 //! * [`scenario`] — the declarative scenario runner behind the
-//!   [`ScenarioRun`] builder: compiles a `first-workload`
+//!   [`ScenarioRun`] builder: streams a `first-workload`
 //!   [`ScenarioSpec`](first_workload::ScenarioSpec) and reports per-tenant
 //!   SLO attainment, with seed, sharding, tracing, recording and replay
 //!   composing on one `execute()`.

@@ -1,6 +1,6 @@
-//! The scenario runner: compiles a declarative [`ScenarioSpec`] into a
-//! request stream and replays it against a live deployment — one gateway or
-//! a sharded federation of peers.
+//! The scenario runner: streams the requests of a declarative
+//! [`ScenarioSpec`] against a live deployment — one gateway or a sharded
+//! federation of peers.
 //!
 //! [`ScenarioRun`] is the single seam every scenario-matrix consumer shares:
 //! a builder that composes the orthogonal run axes — seed, shard topology,
@@ -32,13 +32,13 @@ use crate::shard::{FrontTierPolicy, ShardReport, ShardedGateway, ShardingConfig,
 use crate::sim::{admit_simulated, drive_openloop, run_webui_closed_loop, WebUiCell};
 use first_auth::{Identity, Scope, TokenString, UserId};
 use first_chaos::{FaultInjector, ResilienceConfig, ShardFaultKind};
-use first_desim::{Histogram, SimDuration, SimProcess, SimTime, TimingWheel};
+use first_desim::{Histogram, IdWindow, SimDuration, SimProcess, SimTime, TimingWheel};
 use first_telemetry::{PhaseBreakdown, SpanTree, TraceConfig};
 use first_workload::{
-    Cassette, CassetteError, CompiledScenario, DeploymentRef, RequestOutcome, ScenarioRequest,
-    ScenarioSpec,
+    Cassette, CassetteError, DeploymentRef, RequestOutcome, ScenarioArrival, ScenarioSpec,
 };
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Per-tenant metric partition of one scenario run.
@@ -407,9 +407,13 @@ pub struct RunOutput {
 /// check, in every build, and panics on a violation. A spec may
 /// carry either open-loop tenants or a closed-loop session rider, not both
 /// (the two drivers would fight over the same simulation clock).
+///
+/// The run borrows the caller's spec and streams its requests from it
+/// ([`ScenarioSpec::arrivals`]); it owns a spec only when it replays a
+/// cassette, and it materialises the stream only to record one.
 #[derive(Debug, Clone)]
 pub struct ScenarioRun<'c> {
-    spec: ScenarioSpec,
+    spec: Cow<'c, ScenarioSpec>,
     seed: u64,
     sharding: ShardingConfig,
     trace: TraceConfig,
@@ -417,12 +421,12 @@ pub struct ScenarioRun<'c> {
     replay_of: Option<&'c Cassette>,
 }
 
-impl ScenarioRun<'static> {
+impl<'c> ScenarioRun<'c> {
     /// A run of `spec` with the default configuration: seed 0, one shard,
     /// no tracing, no recording.
-    pub fn new(spec: &ScenarioSpec) -> Self {
+    pub fn new(spec: &'c ScenarioSpec) -> Self {
         ScenarioRun {
-            spec: spec.clone(),
+            spec: Cow::Borrowed(spec),
             seed: 0,
             sharding: ShardingConfig::single(),
             trace: TraceConfig::default(),
@@ -430,9 +434,7 @@ impl ScenarioRun<'static> {
             replay_of: None,
         }
     }
-}
 
-impl<'c> ScenarioRun<'c> {
     /// A replay of a recorded cassette: validates it, compiles it back into
     /// a self-contained spec (outcomes stripped, tenants replaying their
     /// recorded tracks) and pins the recorded seed. `execute()` then runs it
@@ -442,7 +444,7 @@ impl<'c> ScenarioRun<'c> {
     pub fn replay(cassette: &'c Cassette) -> Result<ScenarioRun<'c>, CassetteError> {
         let spec = cassette.to_spec()?;
         Ok(ScenarioRun {
-            spec,
+            spec: Cow::Owned(spec),
             seed: cassette.seed,
             sharding: ShardingConfig::single(),
             trace: TraceConfig::default(),
@@ -550,15 +552,17 @@ impl<'c> ScenarioRun<'c> {
                 )));
             }
         }
-        let compiled = self.spec.compile(self.seed);
+        let spec = &*self.spec;
         let (report, outcomes, trees) =
-            run_scenario_impl(&self.spec, self.seed, &compiled, self.trace, &self.sharding);
-        let cassette = if self.record {
-            Some(Cassette::from_run(
-                &self.spec, self.seed, &compiled, outcomes,
-            )?)
-        } else {
-            None
+            run_scenario_impl(spec, self.seed, self.trace, &self.sharding, self.record);
+        let cassette = match outcomes {
+            Some(outcomes) => Some(Cassette::from_run(
+                spec,
+                self.seed,
+                &spec.compile(self.seed),
+                outcomes,
+            )?),
+            None => None,
         };
         if let Some(recording) = self.replay_of {
             check_replay_invariants(&report, recording)
@@ -618,7 +622,7 @@ pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell
 }
 
 /// One shard's in-flight index: shard-local request id → (position in the
-/// compiled stream, whether the copy is a hedged duplicate). Kept per shard
+/// request stream, whether the copy is a hedged duplicate). Kept per shard
 /// so a crash drains only the dead shard's map.
 type InFlightIndex = HashMap<u64, (usize, bool)>;
 
@@ -627,6 +631,9 @@ thread_local! {
     /// Entries each shard's in-flight index still held when the latest run
     /// on this thread finished.
     static LEFT_IN_INDEX: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Live requests and window slots the front tier still held when the
+    /// latest run on this thread finished.
+    static LEFT_LIVE: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// Front-tier actions scheduled on the failover event queue. Ordering within
@@ -641,6 +648,19 @@ enum FrontAction {
     Hedge(usize, u32),
     /// A front-tier partition of `shard` heals.
     Heal(usize),
+}
+
+/// One request the front tier has accepted and not yet resolved.
+#[derive(Debug, Clone, Copy)]
+struct LiveRequest<'a> {
+    /// The request as the stream yielded it.
+    request: ScenarioArrival<'a>,
+    /// Physical dispatch attempts (initial submit included).
+    attempts: u32,
+    /// Physical copies currently in flight.
+    outstanding: u32,
+    /// Shard the latest non-hedge attempt went to (hedges go elsewhere).
+    last_shard: usize,
 }
 
 /// One tenant's share of a run, as the front tier tallies it.
@@ -658,14 +678,14 @@ struct TenantTally {
 /// [`drive_openloop`] steps: the fleet, one fault injector per shard, the
 /// shard fault plan, and the retry/timeout/hedge/heal queue. It routes every
 /// arrival (live-ring home, optional shed, fan-in) and collects every
-/// response first-response-wins, keeping the ledgers, outcomes and
-/// per-tenant tallies the report is built from. Without shard faults or a
-/// non-default [`FrontTierPolicy`] its queue stays empty and every request
-/// resolves on its first attempt.
+/// response first-response-wins, keeping the ledgers and per-tenant
+/// tallies the report is built from. A request's own state lives in the
+/// front tier only from its acceptance to its resolution; per-request
+/// outcomes are kept only when the run is recorded. Without shard faults or
+/// a non-default [`FrontTierPolicy`] its queue stays empty and every
+/// request resolves on its first attempt.
 struct FrontTier<'a> {
     spec: &'a ScenarioSpec,
-    /// The compiled stream, in arrival order.
-    requests: &'a [ScenarioRequest],
     /// Builds the fresh replica a restarted shard gets.
     builder: &'a DeploymentBuilder,
     policy: FrontTierPolicy,
@@ -684,18 +704,16 @@ struct FrontTier<'a> {
     ledger: RunLedger,
     shard_ledgers: Vec<RunLedger>,
     request_index: Vec<InFlightIndex>,
-    /// Per-request outcomes, aligned with `requests` by index.
-    outcomes: Vec<RequestOutcome>,
+    /// Accepted, unresolved requests, keyed by position in the stream. A
+    /// request missing here is resolved (or was never accepted).
+    live: IdWindow<LiveRequest<'a>>,
+    /// Per-request outcomes in stream order; `Some` only when recording.
+    outcomes: Option<Vec<RequestOutcome>>,
     tenants: Vec<TenantTally>,
+    /// When the stream's first request arrived; the run's duration starts
+    /// there.
+    first_arrival: Option<SimTime>,
     last_delivery: SimTime,
-    /// Per-request resolution flag, aligned with the compiled stream.
-    resolved: Vec<bool>,
-    /// Physical dispatch attempts per request (initial submit included).
-    attempts: Vec<u32>,
-    /// Physical copies currently in flight per request.
-    outstanding: Vec<u32>,
-    /// Shard the latest non-hedge attempt went to (hedges go elsewhere).
-    last_shard: Vec<usize>,
     /// Accepted-but-unresolved logical requests.
     unresolved: usize,
     /// Event queue popped in `(time, insertion sequence)` order, which keeps
@@ -715,9 +733,9 @@ struct FrontTier<'a> {
 impl<'a> FrontTier<'a> {
     fn new(
         spec: &'a ScenarioSpec,
-        requests: &'a [ScenarioRequest],
         builder: &'a DeploymentBuilder,
         sharding: &ShardingConfig,
+        record: bool,
     ) -> Self {
         let mut fleet = ShardedGateway::from_builder(builder, sharding.clone());
         let shards = fleet.shard_count();
@@ -733,7 +751,6 @@ impl<'a> FrontTier<'a> {
             .collect();
         FrontTier {
             spec,
-            requests,
             builder,
             policy: sharding.front_tier.clone(),
             fanin: sharding.fanin_latency,
@@ -744,13 +761,11 @@ impl<'a> FrontTier<'a> {
             ledger: RunLedger::new(),
             shard_ledgers: vec![RunLedger::new(); shards],
             request_index: vec![InFlightIndex::new(); shards],
-            outcomes: Vec::with_capacity(requests.len()),
+            live: IdWindow::new(),
+            outcomes: record.then(Vec::new),
             tenants: vec![TenantTally::default(); spec.tenants.len()],
+            first_arrival: None,
             last_delivery: SimTime::ZERO,
-            resolved: vec![false; requests.len()],
-            attempts: vec![0; requests.len()],
-            outstanding: vec![0; requests.len()],
-            last_shard: vec![0; requests.len()],
             unresolved: 0,
             queue: TimingWheel::new(),
             cursor: 0,
@@ -783,12 +798,25 @@ impl<'a> FrontTier<'a> {
             .is_some_and(|shed| priority < shed.priority_floor && depth > shed.queue_depth)
     }
 
+    /// Attempts made for request `idx`; `None` once it is resolved.
+    fn attempts(&self, idx: usize) -> Option<u32> {
+        self.live.get(idx as u64).map(|live| live.attempts)
+    }
+
+    /// The live state of request `idx`, which the caller knows is live.
+    fn live_mut(&mut self, idx: usize) -> &mut LiveRequest<'a> {
+        self.live
+            .get_mut(idx as u64)
+            .expect("request is live until resolved")
+    }
+
     /// Book `shard` as the home of the latest non-hedge attempt of `idx`,
     /// accepted at `now`, and arm the policy's timeout and hedge against the
     /// current attempt count.
     fn arm(&mut self, idx: usize, shard: usize, now: SimTime) {
-        self.last_shard[idx] = shard;
-        let snap = self.attempts[idx];
+        let live = self.live_mut(idx);
+        live.last_shard = shard;
+        let snap = live.attempts;
         if let Some(timeout) = self.policy.request_timeout {
             self.queue
                 .push(now + timeout, FrontAction::Timeout(idx, snap));
@@ -798,29 +826,32 @@ impl<'a> FrontTier<'a> {
         }
     }
 
-    /// The retry policy's backoff before the next attempt of `idx`.
-    fn retry_backoff(&self, idx: usize) -> SimDuration {
-        self.policy
-            .retry
-            .backoff(self.attempts[idx].saturating_sub(1))
+    /// The retry policy's backoff before the next attempt of a request
+    /// that has made `attempts` attempts.
+    fn retry_backoff(&self, attempts: u32) -> SimDuration {
+        self.policy.retry.backoff(attempts.saturating_sub(1))
     }
 
     /// Resolve `idx` as failed-back-to-the-client when nothing is in flight
     /// for it any more and the front tier has no further move.
     fn give_up(&mut self, idx: usize) {
-        if self.outstanding[idx] > 0 || self.resolved[idx] {
+        if self
+            .live
+            .get(idx as u64)
+            .is_none_or(|live| live.outstanding > 0)
+        {
             return;
         }
-        self.resolved[idx] = true;
+        let live = self.live.remove(idx as u64).expect("checked live");
         self.unresolved -= 1;
         self.ledger.on_response(false);
-        self.tenants[self.requests[idx].tenant as usize].failed += 1;
+        self.tenants[live.request.tenant as usize].failed += 1;
         self.counters.shed_retries_exhausted += 1;
     }
 
-    /// Route arrival `idx` of the compiled stream and submit it.
-    fn arrive(&mut self, idx: usize) {
-        let request = &self.requests[idx];
+    /// Route arrival `idx` of the stream and submit it.
+    fn arrive(&mut self, idx: usize, request: ScenarioArrival<'a>) {
+        self.first_arrival.get_or_insert(request.at);
         let tenant = request.tenant as usize;
         self.tenants[tenant].offered += 1;
         // Degraded-mode routing: home on the live ring (dead and
@@ -845,53 +876,66 @@ impl<'a> FrontTier<'a> {
                 }
                 let shard = self.fleet.route_home(home).shard;
                 let arrival = request.at + self.effective_fanin(request.at);
+                self.live.insert(
+                    idx as u64,
+                    LiveRequest {
+                        request,
+                        attempts: 0,
+                        outstanding: 0,
+                        last_shard: 0,
+                    },
+                );
                 self.attempt(idx, shard, arrival, false)
             }
         };
-        self.outcomes.push(RequestOutcome {
-            accepted,
-            ..RequestOutcome::default()
-        });
+        if let Some(outcomes) = &mut self.outcomes {
+            outcomes.push(RequestOutcome {
+                accepted,
+                ..RequestOutcome::default()
+            });
+        }
         self.ledger.on_submission(accepted);
         if accepted {
             self.unresolved += 1;
         } else {
             self.tenants[tenant].rejected += 1;
-            self.resolved[idx] = true;
+            self.live.remove(idx as u64);
         }
     }
 
-    /// Send one attempt of request `idx` to `shard`, reaching it at `at`:
-    /// count the attempt and, when the shard accepts, track the copy in
-    /// flight (a non-hedge attempt also re-arms the timeout and hedge).
+    /// Send one attempt of live request `idx` to `shard`, reaching it at
+    /// `at`: count the attempt and, when the shard accepts, track the copy
+    /// in flight (a non-hedge attempt also re-arms the timeout and hedge).
     /// Returns whether the shard accepted.
     fn attempt(&mut self, idx: usize, shard: usize, at: SimTime, hedge: bool) -> bool {
-        let request = &self.requests[idx];
+        let live = self.live_mut(idx);
+        live.attempts += 1;
+        let request = live.request;
         let token = &self.tokens[shard][request.tenant as usize];
         let (prompt, output) = (request.prompt_tokens, request.output_tokens);
         let gateway = self.fleet.shard_mut(shard);
-        let result = admit_simulated(gateway, token, &request.model, idx, prompt, output, at);
-        self.attempts[idx] += 1;
+        let result = admit_simulated(gateway, token, request.model, idx, prompt, output, at);
         self.shard_ledgers[shard].on_submission(result.is_ok());
         let Ok(id) = result else {
             return false;
         };
         self.request_index[shard].insert(id, (idx, hedge));
-        self.outstanding[idx] += 1;
+        self.live_mut(idx).outstanding += 1;
         if !hedge {
             self.arm(idx, shard, at);
         }
         true
     }
 
-    /// One front-tier re-dispatch of request `idx` at `now`: a crash-loss or
-    /// timeout retry (`hedge == false`, budgeted by the retry policy) or a
-    /// hedged duplicate to a different shard (`hedge == true`). Resolves the
-    /// request as failed when the budget is exhausted or no shard is routable
-    /// and nothing is in flight.
+    /// One front-tier re-dispatch of live request `idx` at `now`: a
+    /// crash-loss or timeout retry (`hedge == false`, budgeted by the retry
+    /// policy) or a hedged duplicate to a different shard (`hedge == true`).
+    /// Resolves the request as failed when the budget is exhausted or no
+    /// shard is routable and nothing is in flight.
     fn dispatch(&mut self, idx: usize, now: SimTime, hedge: bool) {
         let budget = 1 + self.policy.retry.max_retries;
-        if !hedge && self.attempts[idx] >= budget {
+        let live = *self.live_mut(idx);
+        if !hedge && live.attempts >= budget {
             self.give_up(idx);
             return;
         }
@@ -899,12 +943,11 @@ impl<'a> FrontTier<'a> {
             // Hedge to the least-loaded routable shard other than the one the
             // primary attempt went to; with nowhere else to go, skip quietly —
             // the primary is still in flight.
-            let exclude = self.last_shard[idx];
             (0..self.fleet.shard_count())
-                .filter(|&i| i != exclude && self.fleet.routable(i))
+                .filter(|&i| i != live.last_shard && self.fleet.routable(i))
                 .min_by_key(|&i| (self.fleet.shard(i).load_depth(), i))
         } else {
-            let tenant = self.requests[idx].tenant as usize;
+            let tenant = live.request.tenant as usize;
             self.fleet.routable_home(&self.spec.tenants[tenant].name)
         };
         let Some(shard) = target else {
@@ -922,12 +965,13 @@ impl<'a> FrontTier<'a> {
         if accepted {
             return;
         }
-        if self.attempts[idx] >= budget {
+        let attempts = self.live_mut(idx).attempts;
+        if attempts >= budget {
             self.give_up(idx);
         } else {
             // The shard refused the retry outright: burn one backoff step
             // and try again within the same budget.
-            let backoff = self.retry_backoff(idx);
+            let backoff = self.retry_backoff(attempts);
             self.queue.push(now + backoff, FrontAction::Retry(idx));
         }
     }
@@ -950,14 +994,18 @@ impl<'a> FrontTier<'a> {
                 lost.sort_unstable();
                 for (_, (idx, _)) in lost {
                     self.counters.lost_in_flight += 1;
-                    self.outstanding[idx] = self.outstanding[idx].saturating_sub(1);
-                    if self.resolved[idx] || self.outstanding[idx] > 0 {
+                    let Some(live) = self.live.get_mut(idx as u64) else {
+                        continue;
+                    };
+                    live.outstanding = live.outstanding.saturating_sub(1);
+                    if live.outstanding > 0 {
                         continue;
                     }
-                    if self.attempts[idx] > self.policy.retry.max_retries {
+                    let attempts = live.attempts;
+                    if attempts > self.policy.retry.max_retries {
                         self.give_up(idx);
                     } else {
-                        let backoff = self.retry_backoff(idx);
+                        let backoff = self.retry_backoff(attempts);
                         self.queue.push(step + backoff, FrontAction::Retry(idx));
                     }
                 }
@@ -989,10 +1037,11 @@ impl<'a> FrontTier<'a> {
     }
 
     /// Drain every reachable shard's responses into the ledgers, outcomes and
-    /// per-tenant tallies. The first response to a logical request wins —
-    /// duplicates are counted stale and dropped at the front tier — and dead
-    /// or partitioned shards deliver nothing: a crash loses its in-flight
-    /// copies outright and a partition buffers responses until it heals.
+    /// per-tenant tallies. The first response to a logical request wins and
+    /// retires its live state — duplicates are counted stale and dropped at
+    /// the front tier — and dead or partitioned shards deliver nothing: a
+    /// crash loses its in-flight copies outright and a partition buffers
+    /// responses until it heals.
     fn collect(&mut self) {
         for shard in 0..self.fleet.shard_count() {
             if !self.fleet.is_live(shard) || !self.fleet.is_reachable(shard) {
@@ -1006,25 +1055,24 @@ impl<'a> FrontTier<'a> {
                 let Some((idx, was_hedge)) = self.request_index[shard].remove(&r.request_id) else {
                     continue;
                 };
-                self.outstanding[idx] = self.outstanding[idx].saturating_sub(1);
-                if self.resolved[idx] {
+                let Some(live) = self.live.remove(idx as u64) else {
                     self.counters.stale_responses += 1;
                     continue;
-                }
-                self.resolved[idx] = true;
+                };
                 self.unresolved -= 1;
                 self.ledger.on_response(r.success);
                 // Client-observed latency spans from the original arrival, in
                 // exact integer microseconds: the fan-in hop, backoff,
                 // re-dispatch and hedge delay all count against the SLO.
-                let request = &self.requests[idx];
+                let request = live.request;
                 let observed = r.finished_at.saturating_since(request.at).as_secs_f64();
-                let o = &mut self.outcomes[idx];
-                o.delivered = true;
-                o.success = r.success;
-                o.latency_s = observed;
-                o.completion_tokens = r.usage.completion_tokens;
-                if self.attempts[idx] > 1 {
+                if let Some(o) = self.outcomes.as_mut().map(|o| &mut o[idx]) {
+                    o.delivered = true;
+                    o.success = r.success;
+                    o.latency_s = observed;
+                    o.completion_tokens = r.usage.completion_tokens;
+                }
+                if live.attempts > 1 {
                     if was_hedge {
                         self.counters.hedge_wins += 1;
                     } else {
@@ -1093,28 +1141,27 @@ impl SimProcess for FrontTier<'_> {
         // Front-tier events due now: retries, timeouts, hedges, heals. A
         // timeout or hedge only fires if no later attempt superseded it.
         while let Some(event) = self.queue.pop_due(step) {
+            // A resolved request has nothing left to dispatch.
             let (idx, hedge) = match event.payload {
                 FrontAction::Heal(shard) => {
                     self.fleet.heal_shard(shard, step);
                     continue;
                 }
-                FrontAction::Retry(idx) => (idx, false),
-                FrontAction::Timeout(idx, snap) if self.attempts[idx] == snap => (idx, false),
-                FrontAction::Hedge(idx, snap) if self.attempts[idx] == snap => (idx, true),
-                FrontAction::Timeout(..) | FrontAction::Hedge(..) => continue,
+                FrontAction::Retry(idx) if self.attempts(idx).is_some() => (idx, false),
+                FrontAction::Timeout(idx, snap) if self.attempts(idx) == Some(snap) => (idx, false),
+                FrontAction::Hedge(idx, snap) if self.attempts(idx) == Some(snap) => (idx, true),
+                _ => continue,
             };
-            if !self.resolved[idx] {
-                self.dispatch(idx, step, hedge);
-            }
+            self.dispatch(idx, step, hedge);
         }
     }
 }
 
-/// The shared body of every [`ScenarioRun`]: drive `compiled`, the spec's
-/// stream at `seed`, over the (possibly single-shard) federation and return
-/// the report, the per-request outcomes aligned with the compiled stream by
-/// index (always collected — it is two vector writes per request), and the
-/// sampled span trees (empty unless `trace` is enabled).
+/// The shared body of every [`ScenarioRun`]: stream the spec's requests at
+/// `seed` ([`ScenarioSpec::arrivals`]) over the (possibly single-shard)
+/// federation and return the report, the per-request outcomes in stream
+/// order (`Some` only when `record` is set) and the sampled span trees
+/// (empty unless `trace` is enabled).
 ///
 /// The run's [`FrontTier`] is the process [`drive_openloop`] steps, so
 /// arrivals, retries, timeouts and hedges all enter through the front tier,
@@ -1124,10 +1171,10 @@ impl SimProcess for FrontTier<'_> {
 fn run_scenario_impl(
     spec: &ScenarioSpec,
     seed: u64,
-    compiled: &CompiledScenario,
     trace: TraceConfig,
     sharding: &ShardingConfig,
-) -> (GatewayReport, Vec<RequestOutcome>, Vec<SpanTree>) {
+    record: bool,
+) -> (GatewayReport, Option<Vec<RequestOutcome>>, Vec<SpanTree>) {
     assert!(
         spec.tenants.is_empty() || spec.sessions.is_none(),
         "scenario '{}': open-loop tenants and a session rider are mutually exclusive",
@@ -1146,8 +1193,8 @@ fn run_scenario_impl(
     if spec.resilience {
         builder = builder.resilience(ResilienceConfig::production());
     }
-    let requests = &compiled.requests[..];
-    let mut front = FrontTier::new(spec, requests, &builder, sharding);
+    let mut arrivals = spec.arrivals(seed).peekable();
+    let mut front = FrontTier::new(spec, &builder, sharding, record);
     // The report's failover section is reserved for runs that can actually
     // need the front tier's extra moves.
     let front_active =
@@ -1156,24 +1203,26 @@ fn run_scenario_impl(
     // Pure closed-loop specs skip the open-loop drive entirely: advancing
     // the gateways through their prewarm events here would fast-forward the
     // clock past the session window before the session driver starts.
-    let submitted =
-        if !requests.is_empty() || !spec.faults.is_empty() || !spec.shard_faults.is_empty() {
+    let all_submitted =
+        if arrivals.peek().is_some() || !spec.faults.is_empty() || !spec.shard_faults.is_empty() {
             drive_openloop(
                 &mut front,
-                requests,
+                arrivals,
                 |r| r.at,
-                compiled.horizon,
+                spec.horizon(),
                 FrontTier::arrive,
                 FrontTier::collect,
                 FrontTier::drained,
             )
         } else {
-            0
+            true
         };
     #[cfg(test)]
     LEFT_IN_INDEX.with(|left| {
         *left.borrow_mut() = front.request_index.iter().map(HashMap::len).collect();
     });
+    #[cfg(test)]
+    LEFT_LIVE.with(|left| left.set((front.live.len(), front.live.span())));
     let FrontTier {
         mut fleet,
         mut ledger,
@@ -1181,13 +1230,13 @@ fn run_scenario_impl(
         outcomes,
         tenants: mut tallies,
         injectors,
+        first_arrival,
         last_delivery,
         unresolved,
         ever_crashed,
         counters,
         ..
     } = front;
-    let all_submitted = submitted >= requests.len();
     ledger.drained = all_submitted && fleet.is_drained() && unresolved == 0;
     for (i, shard_ledger) in shard_ledgers.iter_mut().enumerate() {
         // A shard that ever crashed can never report drained: the physical
@@ -1233,7 +1282,7 @@ fn run_scenario_impl(
     let duration_s = if let Some(cell) = &webui {
         cell.duration_s
     } else {
-        let first_arrival = requests.first().map_or(SimTime::ZERO, |r| r.at);
+        let first_arrival = first_arrival.unwrap_or(SimTime::ZERO);
         (last_delivery.saturating_since(first_arrival))
             .as_secs_f64()
             .max(1e-9)
@@ -1501,6 +1550,9 @@ mod tests {
             assert_eq!(r.accepted, r.completed + r.failed, "the run drains");
             let left = LEFT_IN_INDEX.with(|left| left.borrow().clone());
             assert_eq!(left, vec![0; shards], "{shards} shard(s), {policy:?}");
+            // Every resolved request's front-tier state is gone too.
+            let live = LEFT_LIVE.with(std::cell::Cell::get);
+            assert_eq!(live, (0, 0), "{shards} shard(s), {policy:?}");
         }
     }
 
@@ -1911,6 +1963,33 @@ mod tests {
     }
 
     #[test]
+    fn exhausted_retries_fail_back_and_retire_front_tier_state() {
+        let mut spec = failover_spec();
+        let victim = home_of(&spec, 4, 0);
+        spec.shard_faults = first_chaos::ShardFaultPlan::kill_and_restart(
+            victim,
+            SimTime::from_secs(4),
+            SimDuration::from_secs(30),
+        );
+        // No retry budget: every copy the crash loses fails back at once.
+        let mut policy = FrontTierPolicy::default();
+        policy.retry.max_retries = 0;
+        let report = ScenarioRun::new(&spec)
+            .seed(42)
+            .shards(4)
+            .front_tier(policy)
+            .execute()
+            .expect("failover run")
+            .report;
+        let failover = report.failover.as_ref().expect("failover section");
+        assert!(failover.lost_in_flight > 0, "{failover:?}");
+        assert_eq!(failover.shed_retries_exhausted, failover.lost_in_flight);
+        assert_eq!(report.failed, failover.lost_in_flight);
+        assert_eq!(report.offered, report.completed + report.failed);
+        assert_eq!(LEFT_LIVE.with(std::cell::Cell::get), (0, 0));
+    }
+
+    #[test]
     fn fault_free_front_tier_policy_matches_the_plain_run() {
         let spec = failover_spec();
         // A timeout far beyond any real completion never fires, so the
@@ -2047,7 +2126,7 @@ mod tests {
         let builder = builder_for(spec.deployment);
         let base = SimDuration::from_millis(5);
         let sharding = ShardingConfig::single().fanin(base);
-        let mut f = FrontTier::new(&spec, &[], &builder, &sharding);
+        let mut f = FrontTier::new(&spec, &builder, &sharding, false);
         for i in 0..1_000u64 {
             f.spikes
                 .push((SimTime::from_secs(i + 1), SimDuration::from_millis(i)));

@@ -1408,10 +1408,10 @@ mod tests {
             let mut due_only = Vec::new();
             crate::sim::drive_openloop(
                 &mut fleet,
-                &arrivals,
+                arrivals.iter().copied(),
                 |&at| at,
                 horizon,
-                |fleet, i| {
+                |fleet, i, at| {
                     let d = fleet.route_home(homes[i % users]);
                     let _ = crate::sim::admit_simulated(
                         fleet.shard_mut(d.shard),
@@ -1420,7 +1420,7 @@ mod tests {
                         i,
                         samples[i].prompt_tokens,
                         samples[i].output_tokens,
-                        arrivals[i],
+                        at,
                     );
                 },
                 |fleet| {

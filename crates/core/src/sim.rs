@@ -105,25 +105,27 @@ pub(crate) fn admit_simulated(
 }
 
 /// The one open-loop next-event loop every §5 runner and every
-/// [`crate::ScenarioRun`] steps through. Each step is the earlier of the
-/// next arrival (`at` of `arrivals[next]`) and `process`'s next event; a
-/// step past `horizon` ends the run. At each step the process advances,
-/// `submit(process, index)` takes every arrival due by then, in order, and
-/// `collect` drains what came back. The loop ends once every arrival is in
-/// and `drained` holds, collects once more, and returns how many arrivals
-/// were submitted.
+/// [`crate::ScenarioRun`] steps through. `arrivals` is consumed lazily, one
+/// item ahead, so a scenario streams its requests instead of holding them.
+/// Each step is the earlier of the next arrival (its `at`) and `process`'s
+/// next event; a step past `horizon` ends the run. At each step the process
+/// advances, `submit(process, index, arrival)` takes every arrival due by
+/// then, in order, and `collect` drains what came back. The loop ends once
+/// every arrival is in and `drained` holds, collects once more, and returns
+/// whether every arrival was submitted.
 pub(crate) fn drive_openloop<P: SimProcess, T>(
     process: &mut P,
-    arrivals: &[T],
+    arrivals: impl IntoIterator<Item = T>,
     at: impl Fn(&T) -> SimTime,
     horizon: SimTime,
-    mut submit: impl FnMut(&mut P, usize),
+    mut submit: impl FnMut(&mut P, usize, T),
     mut collect: impl FnMut(&mut P),
     drained: impl Fn(&P) -> bool,
-) -> usize {
+) -> bool {
+    let mut arrivals = arrivals.into_iter().peekable();
     let mut next = 0usize;
     loop {
-        let next_arrival = arrivals.get(next).map(&at);
+        let next_arrival = arrivals.peek().map(&at);
         let Some(step) = [next_arrival, process.next_event_time()]
             .into_iter()
             .flatten()
@@ -135,17 +137,17 @@ pub(crate) fn drive_openloop<P: SimProcess, T>(
             break;
         }
         process.advance(step);
-        while next < arrivals.len() && at(&arrivals[next]) <= step {
-            submit(process, next);
+        while let Some(arrival) = arrivals.next_if(|a| at(a) <= step) {
+            submit(process, next, arrival);
             next += 1;
         }
         collect(process);
-        if next >= arrivals.len() && drained(process) {
+        if arrivals.peek().is_none() && drained(process) {
             break;
         }
     }
     collect(process);
-    next
+    arrivals.peek().is_none()
 }
 
 /// What a §5 runner tallies over one replay: the latency and output tokens
@@ -257,13 +259,13 @@ pub fn run_gateway_openloop(
     let mut tally = Tally::new(arrivals.len());
     drive_openloop(
         gateway,
-        arrivals,
+        arrivals.iter().copied(),
         |&at| at,
         horizon,
-        |gw, i| {
+        |gw, i, at| {
             let s = &samples[i];
             let (prompt, output) = (s.prompt_tokens, s.output_tokens);
-            let _ = admit_simulated(gw, token, model, i, prompt, output, arrivals[i]);
+            let _ = admit_simulated(gw, token, model, i, prompt, output, at);
         },
         |gw| gw.take_responses().iter().for_each(|r| tally.response(r)),
         Gateway::is_drained,
@@ -306,10 +308,10 @@ pub fn run_sharded_openloop(
     let mut tally = Tally::new(arrivals.len());
     drive_openloop(
         fleet,
-        arrivals,
+        arrivals.iter().copied(),
         |&at| at,
         horizon,
-        |fleet, i| {
+        |fleet, i, at| {
             let shard = fleet.route_home(homes[i % users]).shard;
             let s = &samples[i];
             let _ = admit_simulated(
@@ -319,7 +321,7 @@ pub fn run_sharded_openloop(
                 i,
                 s.prompt_tokens,
                 s.output_tokens,
-                arrivals[i],
+                at,
             );
         },
         // Shard by shard, which keeps the order deterministic.
@@ -354,10 +356,10 @@ pub fn run_direct_openloop(
     let mut tally = Tally::new(arrivals.len());
     drive_openloop(
         &mut server,
-        arrivals,
+        arrivals.iter().copied(),
         |&at| at,
         horizon,
-        |server, i| server.submit(sample_request(samples, i), arrivals[i]),
+        |server, i, at| server.submit(sample_request(samples, i), at),
         |server| {
             for r in server.take_served() {
                 tally.completed(r.latency(), r.output_tokens, r.finished_at);
@@ -380,10 +382,10 @@ pub fn run_openai_openloop(
     let mut tally = Tally::new(arrivals.len());
     drive_openloop(
         &mut CloudApi::new(config),
-        arrivals,
+        arrivals.iter().copied(),
         |&at| at,
         horizon,
-        |api, i| api.submit(sample_request(samples, i), arrivals[i]),
+        |api, i, at| api.submit(sample_request(samples, i), at),
         |api| {
             for c in api.take_completions() {
                 tally.completed(c.engine_latency(), c.output_tokens, c.finished_at);
@@ -512,13 +514,13 @@ pub fn run_resilience_openloop(
             gateway: &mut *gateway,
             injector: &mut *injector,
         },
-        arrivals,
+        arrivals.iter().copied(),
         |&at| at,
         horizon,
-        |f, i| {
+        |f, i, at| {
             let s = &samples[i];
             let (prompt, output) = (s.prompt_tokens, s.output_tokens);
-            if admit_simulated(f.gateway, token, model, i, prompt, output, arrivals[i]).is_err() {
+            if admit_simulated(f.gateway, token, model, i, prompt, output, at).is_err() {
                 rejected += 1;
             }
         },

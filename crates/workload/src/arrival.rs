@@ -25,11 +25,13 @@ pub struct ReplayEntry {
 }
 
 /// A recorded per-tenant request track, replayed verbatim by
-/// [`ArrivalProcess::Replay`]. Entries must be time-sorted (cassette
-/// validation enforces this before a track is ever constructed).
+/// [`ArrivalProcess::Replay`]. A track from a cassette is time-sorted
+/// (cassette validation checks the merge order), but a hand-built one need
+/// not be: a scenario replays any track in stable time order, keeping each
+/// entry's position as its sequence number.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayTrack {
-    /// Recorded requests in arrival order.
+    /// Recorded requests, normally in arrival order.
     pub entries: Vec<ReplayEntry>,
 }
 
@@ -96,97 +98,8 @@ impl ArrivalProcess {
     ///
     /// [`offered_rate`]: ArrivalProcess::offered_rate
     pub fn arrivals(&self, n: usize, start: SimTime, rng: &mut SimRng) -> Vec<SimTime> {
-        match *self {
-            ArrivalProcess::Infinite => vec![start; n],
-            ArrivalProcess::FixedRate(rps) => {
-                let gap = SimDuration::from_secs_f64(1.0 / rps.max(1e-9));
-                (0..n).map(|i| start + gap.mul_f64(i as f64)).collect()
-            }
-            ArrivalProcess::Poisson(rps) => {
-                let mean_gap = 1.0 / rps.max(1e-9);
-                let mut t = start;
-                let mut out = Vec::with_capacity(n);
-                for _ in 0..n {
-                    out.push(t);
-                    t += SimDuration::from_secs_f64(rng.exponential(mean_gap));
-                }
-                out
-            }
-            ArrivalProcess::Bursty {
-                base_rate,
-                burst_rate,
-                period_s,
-                burst_s,
-            } => {
-                // A spec whose time-average rate is zero (both phase rates
-                // zero, or a zero-length burst over a zero floor) offers no
-                // traffic: return the empty stream instead of spinning in
-                // the thinning loop waiting for an arrival that never comes.
-                if self.offered_rate().unwrap_or(0.0) <= 0.0 {
-                    return Vec::new();
-                }
-                let period = period_s.max(1e-6);
-                let burst_len = burst_s.clamp(0.0, period);
-                let peak = base_rate.max(burst_rate).max(1e-9);
-                thinned_arrivals(n, start, rng, peak, |t| {
-                    if t % period < burst_len {
-                        burst_rate
-                    } else {
-                        base_rate
-                    }
-                })
-            }
-            ArrivalProcess::Diurnal {
-                mean_rate,
-                amplitude,
-                period_s,
-            } => {
-                if self.offered_rate().unwrap_or(0.0) <= 0.0 {
-                    return Vec::new();
-                }
-                let amp = amplitude.clamp(0.0, 1.0);
-                let period = period_s.max(1e-6);
-                let peak = (mean_rate * (1.0 + amp)).max(1e-9);
-                thinned_arrivals(n, start, rng, peak, |t| {
-                    mean_rate * (1.0 + amp * (2.0 * std::f64::consts::PI * t / period).sin())
-                })
-            }
-            ArrivalProcess::Mmpp {
-                calm_rate,
-                surge_rate,
-                mean_calm_s,
-                mean_surge_s,
-            } => {
-                if self.offered_rate().unwrap_or(0.0) <= 0.0 {
-                    return Vec::new();
-                }
-                let rates = [calm_rate.max(1e-9), surge_rate.max(1e-9)];
-                let dwells = [mean_calm_s.max(1e-6), mean_surge_s.max(1e-6)];
-                let mut out = Vec::with_capacity(n);
-                let mut t = 0.0f64;
-                let mut state = 0usize;
-                while out.len() < n {
-                    // Dwell in the current state; arrivals within the dwell
-                    // window are a truncated Poisson stream (memorylessness
-                    // makes restarting at the phase boundary exact).
-                    let dwell = rng.exponential(dwells[state]).max(1e-6);
-                    let mut u = t + rng.exponential(1.0 / rates[state]);
-                    while u < t + dwell && out.len() < n {
-                        out.push(start + SimDuration::from_secs_f64(u));
-                        u += rng.exponential(1.0 / rates[state]);
-                    }
-                    t += dwell;
-                    state = 1 - state;
-                }
-                out
-            }
-            ArrivalProcess::Replay(ref track) => track
-                .entries
-                .iter()
-                .take(n)
-                .map(|e| start + (e.at - SimTime::ZERO))
-                .collect(),
-        }
+        let mut cursor = ArrivalCursor::new(n, start);
+        std::iter::from_fn(|| cursor.next(self, rng)).collect()
     }
 
     /// The nominal offered rate in requests/second (`None` for infinite).
@@ -252,26 +165,151 @@ impl ArrivalProcess {
     }
 }
 
-/// Lewis–Shedler thinning: draw candidate arrivals from a homogeneous Poisson
-/// process at `peak_rate` and accept each candidate at `rate(t) / peak_rate`.
-/// `t` is seconds since `start`. Exact for any rate function bounded by
-/// `peak_rate`, and deterministic for a fixed RNG stream.
-fn thinned_arrivals(
+/// The lazy form of [`ArrivalProcess::arrivals`]: the same `n` times, one
+/// per [`ArrivalCursor::next`] call, drawn from the caller's RNG in the same
+/// order as the whole vector would be, so a scenario can stream a tenant's
+/// arrivals instead of holding them.
+#[derive(Debug, Clone)]
+pub(crate) struct ArrivalCursor {
     n: usize,
+    emitted: usize,
     start: SimTime,
-    rng: &mut SimRng,
-    peak_rate: f64,
-    rate: impl Fn(f64) -> f64,
-) -> Vec<SimTime> {
-    let mut out = Vec::with_capacity(n);
-    let mut t = 0.0f64;
-    while out.len() < n {
-        t += rng.exponential(1.0 / peak_rate);
-        if rng.uniform01() < (rate(t) / peak_rate).clamp(0.0, 1.0) {
-            out.push(start + SimDuration::from_secs_f64(t));
+    /// Poisson: the next arrival instant.
+    next_at: SimTime,
+    /// Thinning: seconds since `start` of the last candidate. MMPP: start
+    /// of the current dwell.
+    t: f64,
+    /// MMPP: the current state (0 calm, 1 surge), the current dwell's
+    /// length (`None` before it is drawn) and the next candidate offset.
+    state: usize,
+    dwell: Option<f64>,
+    u: f64,
+}
+
+impl ArrivalCursor {
+    pub(crate) fn new(n: usize, start: SimTime) -> Self {
+        ArrivalCursor {
+            n,
+            emitted: 0,
+            start,
+            next_at: start,
+            t: 0.0,
+            state: 0,
+            dwell: None,
+            u: 0.0,
         }
     }
-    out
+
+    /// The next arrival of `process`, drawing from `rng`; `None` once `n`
+    /// are out. The caller passes the same process and RNG on every call.
+    pub(crate) fn next(&mut self, process: &ArrivalProcess, rng: &mut SimRng) -> Option<SimTime> {
+        if self.emitted >= self.n {
+            return None;
+        }
+        let i = self.emitted;
+        let at = match *process {
+            ArrivalProcess::Infinite => self.start,
+            ArrivalProcess::FixedRate(rps) => {
+                let gap = SimDuration::from_secs_f64(1.0 / rps.max(1e-9));
+                self.start + gap.mul_f64(i as f64)
+            }
+            ArrivalProcess::Poisson(rps) => {
+                let at = self.next_at;
+                self.next_at += SimDuration::from_secs_f64(rng.exponential(1.0 / rps.max(1e-9)));
+                at
+            }
+            // A spec whose time-average rate is zero (both phase rates zero,
+            // or a zero-length burst over a zero floor) offers no traffic:
+            // end the stream instead of spinning in the thinning loop
+            // waiting for an arrival that never comes.
+            ArrivalProcess::Bursty { .. }
+            | ArrivalProcess::Diurnal { .. }
+            | ArrivalProcess::Mmpp { .. }
+                if process.offered_rate().unwrap_or(0.0) <= 0.0 =>
+            {
+                return None
+            }
+            ArrivalProcess::Bursty {
+                base_rate,
+                burst_rate,
+                period_s,
+                burst_s,
+            } => {
+                let period = period_s.max(1e-6);
+                let burst_len = burst_s.clamp(0.0, period);
+                let peak = base_rate.max(burst_rate).max(1e-9);
+                self.thinned(rng, peak, |t| {
+                    if t % period < burst_len {
+                        burst_rate
+                    } else {
+                        base_rate
+                    }
+                })
+            }
+            ArrivalProcess::Diurnal {
+                mean_rate,
+                amplitude,
+                period_s,
+            } => {
+                let amp = amplitude.clamp(0.0, 1.0);
+                let period = period_s.max(1e-6);
+                let peak = (mean_rate * (1.0 + amp)).max(1e-9);
+                self.thinned(rng, peak, |t| {
+                    mean_rate * (1.0 + amp * (2.0 * std::f64::consts::PI * t / period).sin())
+                })
+            }
+            ArrivalProcess::Mmpp {
+                calm_rate,
+                surge_rate,
+                mean_calm_s,
+                mean_surge_s,
+            } => {
+                let rates = [calm_rate.max(1e-9), surge_rate.max(1e-9)];
+                let dwells = [mean_calm_s.max(1e-6), mean_surge_s.max(1e-6)];
+                loop {
+                    // Dwell in the current state; arrivals within the dwell
+                    // window are a truncated Poisson stream (memorylessness
+                    // makes restarting at the phase boundary exact).
+                    let dwell = match self.dwell {
+                        Some(dwell) => dwell,
+                        None => {
+                            let dwell = rng.exponential(dwells[self.state]).max(1e-6);
+                            self.u = self.t + rng.exponential(1.0 / rates[self.state]);
+                            *self.dwell.insert(dwell)
+                        }
+                    };
+                    if self.u < self.t + dwell {
+                        let at = self.start + SimDuration::from_secs_f64(self.u);
+                        self.u += rng.exponential(1.0 / rates[self.state]);
+                        break at;
+                    }
+                    self.t += dwell;
+                    self.state = 1 - self.state;
+                    self.dwell = None;
+                }
+            }
+            ArrivalProcess::Replay(ref track) => {
+                let entry = track.entries.get(i)?;
+                self.start + (entry.at - SimTime::ZERO)
+            }
+        };
+        self.emitted += 1;
+        Some(at)
+    }
+
+    /// Lewis–Shedler thinning: draw candidate arrivals from a homogeneous
+    /// Poisson process at `peak_rate` and accept each candidate at
+    /// `rate(t) / peak_rate`. `t` is seconds since `start`. Exact for any
+    /// rate function bounded by `peak_rate`, and deterministic for a fixed
+    /// RNG stream.
+    fn thinned(&mut self, rng: &mut SimRng, peak_rate: f64, rate: impl Fn(f64) -> f64) -> SimTime {
+        loop {
+            self.t += rng.exponential(1.0 / peak_rate);
+            if rng.uniform01() < (rate(self.t) / peak_rate).clamp(0.0, 1.0) {
+                return self.start + SimDuration::from_secs_f64(self.t);
+            }
+        }
+    }
 }
 
 /// A sustained open-loop load test: `rate` req/s for `duration` (the

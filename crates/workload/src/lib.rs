@@ -32,8 +32,8 @@ pub use cassette::{
     Cassette, CassetteEntry, CassetteError, CassetteTenant, RequestOutcome, CASSETTE_FORMAT_VERSION,
 };
 pub use scenario::{
-    catalog, CompiledScenario, DeploymentRef, ModelShare, ScenarioRequest, ScenarioSpec,
-    SessionClosedLoop, SloTarget, TenantClass, TenantWorkload,
+    catalog, CompiledScenario, DeploymentRef, ModelShare, ScenarioArrival, ScenarioArrivals,
+    ScenarioRequest, ScenarioSpec, SessionClosedLoop, SloTarget, TenantClass, TenantWorkload,
 };
 pub use sessions::{generate_sessions, SessionPlan, SessionWorkloadConfig};
 pub use sharegpt::{ConversationSample, ShareGptGenerator, ShareGptProfile};

@@ -3,17 +3,19 @@
 //! A [`ScenarioSpec`] is a serde-serializable description of one full run:
 //! named tenant classes (each with its own arrival shape, length profile,
 //! model mix, priority and SLO targets), an optional embedded
-//! [`FaultPlan`], a deployment reference and a horizon. Specs **compile**
-//! into a merged, deterministically-ordered request stream
-//! ([`ScenarioSpec::compile`]); `first-core`'s `ScenarioRun` builder replays
-//! that stream against a live gateway and reports per-tenant SLO attainment.
+//! [`FaultPlan`], a deployment reference and a horizon. A spec yields a
+//! merged, deterministically-ordered request stream
+//! ([`ScenarioSpec::arrivals`]), lazily and borrowed from the spec, or
+//! **compiles** it into owned requests ([`ScenarioSpec::compile`]);
+//! `first-core`'s `ScenarioRun` builder replays that stream against a live
+//! gateway and reports per-tenant SLO attainment.
 //! The committed [`catalog`] is the scenario matrix every benchmark sweep,
 //! golden test and CI smoke run shares.
 
-use crate::arrival::ArrivalProcess;
+use crate::arrival::{ArrivalCursor, ArrivalProcess, ReplayEntry};
 use crate::sessions::SessionWorkloadConfig;
 use crate::sharegpt::{ShareGptGenerator, ShareGptProfile};
-use crate::trace::{generate_trace, DeploymentTraceConfig, TraceEntryKind};
+use crate::trace::{generate_trace, DeploymentTraceConfig, TraceEntry, TraceEntryKind};
 use first_chaos::{FaultPlan, ShardFaultPlan};
 use first_desim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
@@ -193,8 +195,8 @@ pub struct ScenarioSpec {
     pub prewarm: u32,
     /// Whether the gateway runs the production resilience profile.
     pub resilience: bool,
-    /// Simulation horizon in seconds; arrivals past it are dropped at
-    /// compile time and the run stops there even if undrained.
+    /// Simulation horizon in seconds; arrivals past it are dropped from the
+    /// stream and the run stops there even if undrained.
     pub horizon_s: f64,
     /// Open-loop tenant classes (may be empty for pure closed-loop runs).
     pub tenants: Vec<TenantClass>,
@@ -237,107 +239,324 @@ impl ScenarioSpec {
         self.tenants.iter().map(|t| t.requests).sum()
     }
 
-    /// Compile the spec into the merged, deterministically-ordered request
-    /// stream. Each tenant's randomness derives from `seed` plus a stable
-    /// hash of the tenant name, so adding a tenant never perturbs the
-    /// streams of the others.
+    /// The simulation horizon as an instant.
+    pub fn horizon(&self) -> SimTime {
+        SimTime::from_secs_f64(self.horizon_s)
+    }
+
+    /// The merged, deterministically-ordered request stream at `seed`,
+    /// yielded lazily and borrowed from the spec: one cursor per tenant,
+    /// merged by `(at, priority desc, tenant, seq)`, with every arrival
+    /// past the horizon dropped. Each tenant's randomness derives from
+    /// `seed` plus a stable hash of the tenant name, so adding a tenant
+    /// never perturbs the streams of the others.
+    pub fn arrivals(&self, seed: u64) -> ScenarioArrivals<'_> {
+        let horizon = self.horizon();
+        let mut cursors: Vec<_> = self
+            .tenants
+            .iter()
+            .enumerate()
+            .map(|(idx, tenant)| TenantCursor::new(tenant, idx as u32, seed, horizon))
+            .collect();
+        // One tenant's cursor is the whole stream; only several need a
+        // merge.
+        let heads: Vec<_> = if cursors.len() > 1 {
+            cursors.iter_mut().map(TenantCursor::next).collect()
+        } else {
+            Vec::new()
+        };
+        let keys = heads.iter().map(merge_key).collect();
+        ScenarioArrivals {
+            cursors,
+            heads,
+            keys,
+        }
+    }
+
+    /// Compile the spec into the merged request stream: [`Self::arrivals`]
+    /// collected into owned requests.
     pub fn compile(&self, seed: u64) -> CompiledScenario {
-        let horizon = SimTime::from_secs_f64(self.horizon_s);
-        let mut requests: Vec<ScenarioRequest> = Vec::with_capacity(self.total_requests());
-        for (tenant_idx, tenant) in self.tenants.iter().enumerate() {
-            let tenant_seed = seed ^ stable_name_hash(&tenant.name);
-            let mut rng = SimRng::seed_from_u64(tenant_seed);
-            let mut arrival_rng = rng.derive(1);
-            let mut mix_rng = rng.derive(2);
-            let weights: Vec<f64> = tenant.models.iter().map(|m| m.weight).collect();
-            match &tenant.workload {
-                // Cassette playback: the track *is* the stream. Arrival
-                // times, models and token lengths come straight from the
-                // recording; the per-tenant RNGs are never consulted, so a
-                // replayed spec compiles identically under any seed.
-                TenantWorkload::Synthetic {
-                    arrival: ArrivalProcess::Replay(track),
-                    ..
-                } => {
-                    for (seq, entry) in track.entries.iter().take(tenant.requests).enumerate() {
-                        if entry.at > horizon {
-                            break;
-                        }
-                        requests.push(ScenarioRequest {
-                            at: entry.at,
-                            tenant: tenant_idx as u32,
-                            priority: tenant.priority,
-                            seq: seq as u32,
-                            model: entry.model.clone(),
-                            prompt_tokens: entry.prompt_tokens,
-                            output_tokens: entry.output_tokens,
-                        });
-                    }
-                }
-                TenantWorkload::Synthetic { arrival, profile } => {
-                    let mut lengths =
-                        ShareGptGenerator::with_profile(profile.clone(), tenant_seed ^ 0x1E46_7D5A);
-                    let arrivals =
-                        arrival.arrivals(tenant.requests, SimTime::ZERO, &mut arrival_rng);
-                    for (seq, at) in arrivals.into_iter().enumerate() {
-                        if at > horizon {
-                            break;
-                        }
-                        let sample = lengths.sample();
-                        let model_idx = mix_rng.weighted_index(&weights);
-                        requests.push(ScenarioRequest {
-                            at,
-                            tenant: tenant_idx as u32,
-                            priority: tenant.priority,
-                            seq: seq as u32,
-                            model: tenant.models[model_idx].model.clone(),
-                            prompt_tokens: sample.prompt_tokens,
-                            output_tokens: sample.output_tokens,
-                        });
-                    }
-                }
-                TenantWorkload::TraceReplay {
-                    config,
-                    time_compression,
-                } => {
-                    let compression = time_compression.max(1.0);
-                    let trace = generate_trace(config, tenant_seed);
-                    for (seq, entry) in trace
-                        .entries
-                        .iter()
-                        .filter(|e| e.kind == TraceEntryKind::Interactive)
-                        .take(tenant.requests)
-                        .enumerate()
-                    {
-                        let at = SimTime::from_secs_f64(entry.at.as_secs_f64() / compression);
-                        if at > horizon {
-                            break;
-                        }
-                        // The trace's model index maps onto the tenant's mix
-                        // by position, preserving the trace's popularity skew.
-                        let model_idx = entry.model_index % tenant.models.len().max(1);
-                        requests.push(ScenarioRequest {
-                            at,
-                            tenant: tenant_idx as u32,
-                            priority: tenant.priority,
-                            seq: seq as u32,
-                            model: tenant.models[model_idx].model.clone(),
-                            prompt_tokens: entry.prompt_tokens,
-                            output_tokens: entry.output_tokens,
-                        });
-                    }
-                }
+        let mut requests = Vec::with_capacity(self.total_requests());
+        requests.extend(self.arrivals(seed).map(ScenarioRequest::from));
+        CompiledScenario {
+            requests,
+            horizon: self.horizon(),
+        }
+    }
+}
+
+/// One request of a scenario's merged stream, borrowed from its spec: the
+/// model name points into the spec's replay track or model mix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScenarioArrival<'s> {
+    /// Arrival time at the gateway.
+    pub at: SimTime,
+    /// Index into the spec's tenant list.
+    pub tenant: u32,
+    /// The owning tenant's priority (merge tie-break, higher first).
+    pub priority: u8,
+    /// The request's sequence number within its tenant.
+    pub seq: u32,
+    /// Target model (full registry name).
+    pub model: &'s str,
+    /// Prompt length in tokens.
+    pub prompt_tokens: u32,
+    /// Expected output length in tokens.
+    pub output_tokens: u32,
+}
+
+/// Where a tenant's next arrival `head` sorts in the merged stream: by
+/// time, then priority (higher first), then tenant index, packed into one
+/// integer; a spent tenant sorts last. The heads being merged all belong to
+/// different tenants, and each tenant yields its own arrivals in sequence
+/// order, so the merge never needs the sequence number.
+fn merge_key(head: &Option<ScenarioArrival<'_>>) -> u128 {
+    head.map_or(u128::MAX, |a| {
+        (a.at.as_micros() as u128) << 64 | ((u8::MAX - a.priority) as u128) << 32 | a.tenant as u128
+    })
+}
+
+impl From<ScenarioArrival<'_>> for ScenarioRequest {
+    fn from(a: ScenarioArrival<'_>) -> Self {
+        ScenarioRequest {
+            at: a.at,
+            tenant: a.tenant,
+            priority: a.priority,
+            seq: a.seq,
+            model: a.model.to_string(),
+            prompt_tokens: a.prompt_tokens,
+            output_tokens: a.output_tokens,
+        }
+    }
+}
+
+/// The lazily merged request stream of [`ScenarioSpec::arrivals`].
+#[derive(Debug, Clone)]
+pub struct ScenarioArrivals<'s> {
+    /// One cursor per tenant, indexed by tenant.
+    cursors: Vec<TenantCursor<'s>>,
+    /// With several tenants, each tenant's next arrival (`None` once its
+    /// cursor is spent); empty with one tenant.
+    heads: Vec<Option<ScenarioArrival<'s>>>,
+    /// [`merge_key`] of each head.
+    keys: Vec<u128>,
+}
+
+impl<'s> Iterator for ScenarioArrivals<'s> {
+    type Item = ScenarioArrival<'s>;
+
+    #[inline]
+    fn next(&mut self) -> Option<ScenarioArrival<'s>> {
+        if self.heads.is_empty() {
+            return self.cursors.first_mut()?.next();
+        }
+        // A scan for the earliest head: specs carry a handful of tenants,
+        // where a scan is cheaper than a heap.
+        let mut first = 0;
+        for t in 1..self.keys.len() {
+            if self.keys[t] < self.keys[first] {
+                first = t;
             }
         }
-        // Deterministic merge order: time, then priority (higher first), then
-        // tenant index, then the tenant's own sequence number.
-        requests.sort_by(|a, b| {
-            a.at.cmp(&b.at)
-                .then(b.priority.cmp(&a.priority))
-                .then(a.tenant.cmp(&b.tenant))
-                .then(a.seq.cmp(&b.seq))
-        });
-        CompiledScenario { requests, horizon }
+        if self.keys[first] == u128::MAX {
+            return None;
+        }
+        let next = self.cursors[first].next();
+        self.keys[first] = merge_key(&next);
+        std::mem::replace(&mut self.heads[first], next)
+    }
+}
+
+/// One tenant's arrivals, in `(at, seq)` order.
+#[derive(Debug, Clone)]
+struct TenantCursor<'s> {
+    tenant: u32,
+    priority: u8,
+    horizon: SimTime,
+    /// Requests the tenant offers at most.
+    limit: usize,
+    models: &'s [ModelShare],
+    /// Sequence number of the next arrival of a source read in order.
+    seq: u32,
+    source: Source<'s>,
+}
+
+/// Where a tenant's arrivals come from.
+#[derive(Debug, Clone)]
+enum Source<'s> {
+    /// A time-sorted replay track, cut at the horizon and read in place.
+    Sorted(&'s [ReplayEntry]),
+    /// A replay track that is not time-sorted: the positions of its
+    /// in-horizon entries, in stable time order.
+    Unsorted(&'s [ReplayEntry], std::vec::IntoIter<u32>),
+    /// Arrival times, lengths and model mix drawn per request.
+    Synthetic(Box<Synthetic<'s>>),
+    /// The generated trace (sorted by time); only interactive entries are
+    /// replayed, with arrival times divided by the compression.
+    Trace {
+        entries: std::vec::IntoIter<TraceEntry>,
+        compression: f64,
+    },
+}
+
+/// A synthetic tenant's generators, each with its own RNG stream.
+#[derive(Debug, Clone)]
+struct Synthetic<'s> {
+    arrival: &'s ArrivalProcess,
+    cursor: ArrivalCursor,
+    arrival_rng: SimRng,
+    lengths: ShareGptGenerator,
+    mix_rng: SimRng,
+    weights: Vec<f64>,
+}
+
+impl<'s> TenantCursor<'s> {
+    fn new(tenant: &'s TenantClass, idx: u32, seed: u64, horizon: SimTime) -> Self {
+        let tenant_seed = seed ^ stable_name_hash(&tenant.name);
+        let source = match &tenant.workload {
+            // Cassette playback: the track *is* the stream. Arrival times,
+            // models and token lengths come straight from the recording; no
+            // RNG is consulted, so a replayed spec compiles identically
+            // under any seed. A track that is not time-sorted (hand-built)
+            // is walked in time order, with the horizon as a filter.
+            TenantWorkload::Synthetic {
+                arrival: ArrivalProcess::Replay(track),
+                ..
+            } => {
+                let entries = &track.entries[..tenant.requests.min(track.entries.len())];
+                let mut last = SimTime::ZERO;
+                let sorted = entries.iter().all(|e| {
+                    let in_order = last <= e.at;
+                    last = e.at;
+                    in_order
+                });
+                if sorted {
+                    Source::Sorted(&entries[..entries.partition_point(|e| e.at <= horizon)])
+                } else {
+                    let mut order: Vec<u32> = (0..entries.len() as u32)
+                        .filter(|&i| entries[i as usize].at <= horizon)
+                        .collect();
+                    order.sort_by_key(|&i| entries[i as usize].at);
+                    Source::Unsorted(entries, order.into_iter())
+                }
+            }
+            TenantWorkload::Synthetic { arrival, profile } => {
+                let mut rng = SimRng::seed_from_u64(tenant_seed);
+                let arrival_rng = rng.derive(1);
+                let mix_rng = rng.derive(2);
+                Source::Synthetic(Box::new(Synthetic {
+                    arrival,
+                    cursor: ArrivalCursor::new(tenant.requests, SimTime::ZERO),
+                    arrival_rng,
+                    lengths: ShareGptGenerator::with_profile(
+                        profile.clone(),
+                        tenant_seed ^ 0x1E46_7D5A,
+                    ),
+                    mix_rng,
+                    weights: tenant.models.iter().map(|m| m.weight).collect(),
+                }))
+            }
+            TenantWorkload::TraceReplay {
+                config,
+                time_compression,
+            } => Source::Trace {
+                entries: generate_trace(config, tenant_seed).entries.into_iter(),
+                compression: time_compression.max(1.0),
+            },
+        };
+        TenantCursor {
+            tenant: idx,
+            priority: tenant.priority,
+            horizon,
+            limit: tenant.requests,
+            models: &tenant.models,
+            seq: 0,
+            source,
+        }
+    }
+}
+
+impl<'s> Iterator for TenantCursor<'s> {
+    type Item = ScenarioArrival<'s>;
+
+    #[inline]
+    fn next(&mut self) -> Option<ScenarioArrival<'s>> {
+        let mut seq = self.seq;
+        let (at, model, prompt_tokens, output_tokens) = match &mut self.source {
+            // Replay tracks are read in place, in the loop that consumes
+            // the stream; generated sources draw out of line.
+            Source::Sorted(entries) => {
+                let e = entries.get(seq as usize)?;
+                (e.at, e.model.as_str(), e.prompt_tokens, e.output_tokens)
+            }
+            Source::Unsorted(entries, order) => {
+                seq = order.next()?;
+                let e = &entries[seq as usize];
+                (e.at, e.model.as_str(), e.prompt_tokens, e.output_tokens)
+            }
+            source => source.draw(seq, self.horizon, self.limit, self.models)?,
+        };
+        self.seq = seq + 1;
+        Some(ScenarioArrival {
+            at,
+            tenant: self.tenant,
+            priority: self.priority,
+            seq,
+            model,
+            prompt_tokens,
+            output_tokens,
+        })
+    }
+}
+
+impl<'s> Source<'s> {
+    /// The next arrival of a generated source (synthetic or trace): its
+    /// time, model and token lengths, or `None` once the tenant's `limit`
+    /// is reached or the next arrival falls past `horizon`.
+    #[inline(never)]
+    fn draw(
+        &mut self,
+        seq: u32,
+        horizon: SimTime,
+        limit: usize,
+        models: &'s [ModelShare],
+    ) -> Option<(SimTime, &'s str, u32, u32)> {
+        match self {
+            Source::Synthetic(synthetic) => {
+                let Synthetic {
+                    arrival,
+                    cursor,
+                    arrival_rng,
+                    lengths,
+                    mix_rng,
+                    weights,
+                } = &mut **synthetic;
+                let at = cursor
+                    .next(arrival, arrival_rng)
+                    .filter(|&at| at <= horizon)?;
+                let sample = lengths.sample();
+                let model = &models[mix_rng.weighted_index(weights)].model;
+                Some((at, model, sample.prompt_tokens, sample.output_tokens))
+            }
+            Source::Trace {
+                entries,
+                compression,
+            } => {
+                if seq as usize >= limit {
+                    return None;
+                }
+                let e = entries.find(|e| e.kind == TraceEntryKind::Interactive)?;
+                let at = SimTime::from_secs_f64(e.at.as_secs_f64() / *compression);
+                if at > horizon {
+                    return None;
+                }
+                // The trace's model index maps onto the tenant's mix by
+                // position, preserving the trace's popularity skew.
+                let model = &models[e.model_index % models.len().max(1)].model;
+                Some((at, model, e.prompt_tokens, e.output_tokens))
+            }
+            Source::Sorted(_) | Source::Unsorted(..) => None,
+        }
     }
 }
 
@@ -710,6 +929,7 @@ pub fn catalog(n: usize) -> Vec<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrival::ReplayTrack;
 
     #[test]
     fn catalog_names_are_unique_and_cover_the_matrix() {
@@ -786,6 +1006,38 @@ mod tests {
         // All arrivals at t=0: the high-priority tenant's requests come first.
         assert!(compiled.requests[..5].iter().all(|r| r.priority == 200));
         assert!(compiled.requests[5..].iter().all(|r| r.priority == 10));
+    }
+
+    #[test]
+    fn unsorted_replay_tracks_keep_every_in_horizon_entry() {
+        let entry = |at_s: u64, output_tokens: u32| ReplayEntry {
+            at: SimTime::from_secs(at_s),
+            model: models::LLAMA_8B.to_string(),
+            prompt_tokens: 10,
+            output_tokens,
+        };
+        // Out of time order, with an entry past the 100 s horizon in the
+        // middle: the entries after it are still inside the horizon.
+        let track = vec![entry(30, 0), entry(10, 1), entry(500, 2), entry(20, 3)];
+        let mut spec = ScenarioSpec::new(
+            "unsorted",
+            "hand-built replay track out of time order",
+            DeploymentRef::SingleClusterTest,
+            vec![TenantClass::synthetic(
+                "replay",
+                track.len(),
+                ArrivalProcess::Replay(ReplayTrack { entries: track }),
+                models::LLAMA_8B,
+            )],
+        );
+        spec.horizon_s = 100.0;
+        let stream: Vec<(u64, u32, u32)> = spec
+            .arrivals(1)
+            .map(|a| (a.at.as_secs_f64() as u64, a.seq, a.output_tokens))
+            .collect();
+        // Time order; each entry keeps its track position as `seq`.
+        assert_eq!(stream, vec![(10, 1, 1), (20, 3, 3), (30, 0, 0)]);
+        assert_eq!(spec.compile(1).requests.len(), 3);
     }
 
     #[test]
