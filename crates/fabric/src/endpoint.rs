@@ -72,7 +72,9 @@ pub enum InstanceState {
     Loading,
     /// Serving ("hot").
     Ready,
-    /// Released (idle timeout or shutdown).
+    /// Released (idle timeout, walltime or preemption). A released
+    /// instance leaves the endpoint's instance list at the end of the pass
+    /// that released it.
     Released,
     /// Crashed; awaiting restart.
     Failed,
@@ -244,7 +246,8 @@ impl ComputeEndpoint {
         &mut self.scheduler
     }
 
-    /// All instances (running and historical).
+    /// The instances not yet released — pending, loading, hot or failed —
+    /// in launch order.
     pub fn instances(&self) -> &[ModelInstance] {
         &self.instances
     }
@@ -691,6 +694,7 @@ impl ComputeEndpoint {
     /// One pass; returns whether any state changed (see `assign_and_scale`).
     fn assign_and_scale_pass(&mut self, now: SimTime) -> bool {
         let mut progress = false;
+        let mut released = false;
         // 1. Scheduler events → instance state transitions.
         self.scheduler.advance(now);
         for ev in self.scheduler.take_events() {
@@ -722,6 +726,7 @@ impl ComputeEndpoint {
                         Some(inst) if inst.state != InstanceState::Released => {
                             inst.state = InstanceState::Released;
                             inst.backend = None;
+                            released = true;
                             std::mem::take(&mut inst.in_flight)
                         }
                         _ => Vec::new(),
@@ -856,7 +861,14 @@ impl ComputeEndpoint {
                 self.scheduler.complete(job, now);
                 self.stats.instances_released += 1;
                 progress = true;
+                released = true;
             }
+        }
+        // Released instances are inert; dropping them keeps every later scan
+        // to live instances. The retain is stable, so assignment order holds.
+        if released {
+            self.instances
+                .retain(|i| i.state != InstanceState::Released);
         }
         progress
     }
@@ -1081,6 +1093,37 @@ mod tests {
             ep.cluster_status().total_gpus
         );
         assert!(ep.stats().instances_released >= 1);
+    }
+
+    #[test]
+    fn released_instances_leave_the_instance_list() {
+        let mut ep = endpoint();
+        let model = "meta-llama/Llama-3.3-70B-Instruct";
+        let live = |ep: &ComputeEndpoint| {
+            (ep.stats().instances_launched - ep.stats().instances_released) as usize
+        };
+        let mut now = SimTime::ZERO;
+        for round in 0..4 {
+            // Launch two hot instances, serve a request, then sit idle past
+            // the timeout so both are released.
+            assert_eq!(ep.prewarm(model, 2, now), 2);
+            ep.receive_task(TaskId(round), Some(0), chat_req(round), now);
+            assert_eq!(ep.instances().len(), live(&ep));
+            assert_eq!(ep.instances().len(), 2);
+            now += SimDuration::from_hours(3);
+            drive(&mut ep, now);
+            assert_eq!(ep.take_results().len(), 1);
+            assert_eq!(ep.instances().len(), live(&ep));
+            assert!(ep.instances().is_empty());
+        }
+        assert_eq!(ep.stats().instances_released, 8);
+        // Ids keep counting across the churn.
+        ep.prewarm(model, 1, now);
+        assert_eq!(ep.instances().len(), 1);
+        assert_eq!(ep.instances()[0].id, 8);
+        // A preempted instance leaves the list as well.
+        assert!(ep.preempt_instance(now));
+        assert!(ep.instances().is_empty());
     }
 
     #[test]

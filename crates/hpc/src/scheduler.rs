@@ -69,7 +69,12 @@ impl SchedulerStats {
 #[derive(Debug, Clone)]
 pub struct BatchScheduler {
     cluster: Cluster,
+    /// Every job ever submitted, for `/jobs` and the tests.
     jobs: BTreeMap<JobId, JobRecord>,
+    /// The running jobs with their walltime deadlines, in `JobId` order:
+    /// the per-advance walltime and next-event scans read only these, not
+    /// the whole history.
+    running: Vec<(JobId, SimTime)>,
     queue: Vec<JobId>,
     events: Vec<SchedulerEvent>,
     stats: SchedulerStats,
@@ -83,6 +88,7 @@ impl BatchScheduler {
         BatchScheduler {
             cluster,
             jobs: BTreeMap::new(),
+            running: Vec::new(),
             queue: Vec::new(),
             events: Vec::new(),
             stats: SchedulerStats::default(),
@@ -128,10 +134,19 @@ impl BatchScheduler {
 
     /// Number of currently running jobs.
     pub fn running_count(&self) -> usize {
-        self.jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .count()
+        self.running.len()
+    }
+
+    /// The earliest walltime deadline among running jobs.
+    fn earliest_deadline(&self) -> Option<SimTime> {
+        self.running.iter().map(|&(_, deadline)| deadline).min()
+    }
+
+    /// Drop a job from the running index (a no-op for one not running).
+    fn stop_running(&mut self, id: JobId) {
+        if let Ok(pos) = self.running.binary_search_by_key(&id, |&(job, _)| job) {
+            self.running.remove(pos);
+        }
     }
 
     /// Drain the accumulated state-transition events.
@@ -175,6 +190,7 @@ impl BatchScheduler {
         }
         rec.state = JobState::Cancelled;
         rec.ended_at = Some(now);
+        self.stop_running(id);
         self.queue.retain(|&q| q != id);
         self.stats.cancelled += 1;
         self.events.push(SchedulerEvent {
@@ -198,6 +214,7 @@ impl BatchScheduler {
         Self::release_allocation(&mut self.cluster, &alloc);
         rec.state = JobState::Completed;
         rec.ended_at = Some(now);
+        self.stop_running(id);
         self.stats.completed += 1;
         self.events.push(SchedulerEvent {
             time: now,
@@ -263,11 +280,7 @@ impl BatchScheduler {
         if self.would_fit_now(request) && self.queue.is_empty() {
             return SimDuration::ZERO;
         }
-        self.jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .filter_map(|j| j.deadline())
-            .min()
+        self.earliest_deadline()
             .map(|d| d.saturating_since(now))
             .unwrap_or(SimDuration::ZERO)
     }
@@ -316,6 +329,12 @@ impl BatchScheduler {
             rec.allocation = Allocation { placements };
             rec.state = JobState::Running;
             rec.started_at = Some(now);
+            let deadline = rec.deadline().expect("a running job has started");
+            let pos = self
+                .running
+                .binary_search_by_key(&id, |&(job, _)| job)
+                .expect_err("a queued job is not running");
+            self.running.insert(pos, (id, deadline));
             self.queue.retain(|&q| q != id);
             self.stats.started += 1;
             self.stats.total_queue_wait_secs += rec.queue_wait(now).as_secs_f64();
@@ -327,25 +346,21 @@ impl BatchScheduler {
         }
     }
 
-    /// Kill jobs whose walltime expired at or before `now`.
+    /// Kill jobs whose walltime expired at or before `now`, in `JobId`
+    /// order.
     fn enforce_walltime(&mut self, now: SimTime) {
-        let expired: Vec<JobId> = self
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .filter(|j| j.deadline().map(|d| d <= now).unwrap_or(false))
-            .map(|j| j.id)
-            .collect();
-        for id in expired {
+        let mut from = 0;
+        while let Some(offset) = self.running[from..].iter().position(|&(_, d)| d <= now) {
+            from += offset;
+            let (id, deadline) = self.running.remove(from);
             let rec = self.jobs.get_mut(&id).expect("job exists");
             let alloc = std::mem::take(&mut rec.allocation);
             Self::release_allocation(&mut self.cluster, &alloc);
-            let rec = self.jobs.get_mut(&id).expect("job exists");
             rec.state = JobState::TimedOut;
-            rec.ended_at = rec.deadline().or(Some(now));
+            rec.ended_at = Some(deadline);
             self.stats.timed_out += 1;
             self.events.push(SchedulerEvent {
-                time: rec.ended_at.unwrap_or(now),
+                time: deadline,
                 job: id,
                 kind: SchedulerEventKind::TimedOut,
             });
@@ -355,11 +370,7 @@ impl BatchScheduler {
 
 impl SimProcess for BatchScheduler {
     fn next_event_time(&self) -> Option<SimTime> {
-        self.jobs
-            .values()
-            .filter(|j| j.state == JobState::Running)
-            .filter_map(|j| j.deadline())
-            .min()
+        self.earliest_deadline()
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -599,5 +610,81 @@ mod tests {
         s.complete(a, SimTime::from_secs(100));
         assert_eq!(s.stats().started, 2);
         assert!((s.stats().mean_queue_wait_secs() - 50.0).abs() < 1e-9);
+    }
+
+    mod running_index {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Submit { gpus: u32, walltime_mins: u64 },
+            Complete(usize),
+            Cancel(usize),
+            Advance { mins: u64 },
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (1u32..=8, 10u64..240).prop_map(|(gpus, walltime_mins)| Op::Submit {
+                    gpus,
+                    walltime_mins
+                }),
+                (0usize..8).prop_map(Op::Complete),
+                (0usize..8).prop_map(Op::Cancel),
+                (1u64..120).prop_map(|mins| Op::Advance { mins }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// After any mix of submits, completions, cancellations and
+            /// walltime expiries, the running index holds exactly the jobs
+            /// a scan of the full history finds running, with their
+            /// deadlines, and the next event is the scan's earliest one.
+            #[test]
+            fn running_index_matches_a_scan_of_every_job(
+                ops in collection::vec(op(), 1..80),
+            ) {
+                let mut s = scheduler(3, 8);
+                let mut now = SimTime::ZERO;
+                for op in ops {
+                    let active: Vec<JobId> =
+                        s.jobs().filter(|j| j.state.is_active()).map(|j| j.id).collect();
+                    match op {
+                        Op::Submit { gpus, walltime_mins } => {
+                            let walltime = SimDuration::from_mins(walltime_mins);
+                            s.submit(JobRequest::single_node(gpus, walltime, "prop"), now);
+                        }
+                        Op::Complete(k) => {
+                            if let Some(&id) = active.get(k) {
+                                s.complete(id, now);
+                            }
+                        }
+                        Op::Cancel(k) => {
+                            if let Some(&id) = active.get(k) {
+                                s.cancel(id, now);
+                            }
+                        }
+                        Op::Advance { mins } => {
+                            now += SimDuration::from_mins(mins);
+                            s.advance(now);
+                        }
+                    }
+                    let scan: Vec<(JobId, SimTime)> = s
+                        .jobs()
+                        .filter(|j| j.state == JobState::Running)
+                        .map(|j| (j.id, j.deadline().expect("running jobs have started")))
+                        .collect();
+                    prop_assert_eq!(&s.running, &scan);
+                    prop_assert_eq!(s.running_count(), scan.len());
+                    prop_assert_eq!(
+                        SimProcess::next_event_time(&s),
+                        scan.iter().map(|&(_, d)| d).min()
+                    );
+                }
+            }
+        }
     }
 }

@@ -10,9 +10,10 @@
 //! The batch changes only when a sequence is admitted or finishes. When a
 //! step leaves admission blocked, the steps up to the next completion are
 //! pure decode steps that change nothing outside the engine, so the engine
-//! reports that completion's step as its next event and runs the pure steps
-//! inside [`SimProcess::advance`] — one kernel event per batch change
-//! instead of one per token step, with every step still executed.
+//! reports that completion's step as its next event — one kernel event per
+//! batch change instead of one per token step. The steps of such a window
+//! are executed as one block: every sequence gains the window's step count
+//! at once, with the same counters and instants as stepping each token.
 
 use crate::kvcache::{BlockPool, DEFAULT_BLOCK_TOKENS};
 use crate::model::ModelSpec;
@@ -101,8 +102,9 @@ pub struct EngineStats {
     pub prompt_tokens: u64,
     /// Decode steps executed.
     pub decode_steps: u64,
-    /// Total time the engine spent executing steps, in seconds.
-    pub busy_secs: f64,
+    /// Total time the engine spent executing steps (exact: summed in
+    /// integer microseconds, so a block of steps adds what its steps would).
+    pub busy: SimDuration,
     /// Maximum concurrent batch size observed.
     pub peak_batch: usize,
 }
@@ -130,6 +132,17 @@ struct SeqProgress {
     target: u32,
 }
 
+/// Decode steps of an unchanged batch, the first starting at
+/// `next_step_at` and each `decode` after the one before: every step but the
+/// last is a pure decode step, and the last completes a sequence. Nothing
+/// can be admitted inside it, and an outside change (a new request, a stall)
+/// ends it.
+#[derive(Debug, Clone, Copy)]
+struct DecodeWindow {
+    steps: u32,
+    decode: SimDuration,
+}
+
 /// A single serving-engine instance.
 #[derive(Debug, Clone)]
 pub struct VllmEngine {
@@ -141,9 +154,9 @@ pub struct VllmEngine {
     running: Vec<RunningSeq>,
     progress: Vec<SeqProgress>,
     next_step_at: Option<SimTime>,
-    /// Start of the next step that can admit or complete a sequence, when
-    /// later than `next_step_at`; the steps before it are pure decode steps.
-    fused_wake: Option<SimTime>,
+    /// The run of steps from `next_step_at` up to the next completion, when
+    /// admission is blocked and more than one step remains in it.
+    window: Option<DecodeWindow>,
     stalled_until: Option<SimTime>,
     completions: Vec<InferenceCompletion>,
     stats: EngineStats,
@@ -163,7 +176,7 @@ impl VllmEngine {
             running: Vec::new(),
             progress: Vec::new(),
             next_step_at: None,
-            fused_wake: None,
+            window: None,
             stalled_until: None,
             completions: Vec::new(),
             stats: EngineStats::default(),
@@ -229,17 +242,39 @@ impl VllmEngine {
         }
     }
 
+    /// Start of the window's last step, the one that completes a sequence.
+    fn fused_wake(&self) -> Option<SimTime> {
+        let (w, next) = (self.window?, self.next_step_at?);
+        Some(next + SimDuration::from_micros(w.decode.as_micros() * u64::from(w.steps - 1)))
+    }
+
+    /// How many steps, starting with the one at `start`, begin at or before
+    /// `last` (`start <= last`): one outside a window, else that many of
+    /// the window's steps.
+    fn steps_through(&self, start: SimTime, last: SimTime) -> u32 {
+        match self.window {
+            None => 1,
+            Some(w) if w.decode == SimDuration::ZERO => w.steps,
+            Some(w) => {
+                let fit = (last - start).as_micros() / w.decode.as_micros() + 1;
+                w.steps.min(u32::try_from(fit).unwrap_or(u32::MAX))
+            }
+        }
+    }
+
     /// Run the pure decode steps that start before `now`, then drop the
-    /// fused wake: an outside change (a new request, a stall) can make the
-    /// very next step differ from what the wake assumed.
+    /// window: an outside change (a new request, a stall) can make the very
+    /// next step differ from what the window assumed.
     fn unfuse(&mut self, now: SimTime) {
-        let Some(wake) = self.fused_wake else {
+        let Some(wake) = self.fused_wake() else {
             return;
         };
-        while let Some(t) = self.next_step_at.filter(|&t| t < now.min(wake)) {
-            self.execute_step(t);
+        let end = now.min(wake);
+        if let Some(t) = self.next_step_at.filter(|&t| t < end) {
+            let last = SimTime::from_micros(end.as_micros() - 1);
+            self.execute_steps(t, self.steps_through(t, last));
         }
-        self.fused_wake = None;
+        self.window = None;
     }
 
     /// Stop the engine (hot-node release). Outstanding work is dropped.
@@ -249,7 +284,7 @@ impl VllmEngine {
         self.running.clear();
         self.progress.clear();
         self.next_step_at = None;
-        self.fused_wake = None;
+        self.window = None;
     }
 
     /// Aggregate statistics.
@@ -347,18 +382,30 @@ impl VllmEngine {
                 .is_some_and(|w| self.kv.can_admit(w.req.total_tokens()))
     }
 
-    /// Execute one continuous-batching step starting at `step_start`.
-    fn execute_step(&mut self, step_start: SimTime) {
+    /// Execute `steps` continuous-batching steps of one batch, the first
+    /// starting at `step_start`. More than one step is a block of the
+    /// current window: nothing is admitted, no step but the last can finish
+    /// a sequence, and each step starts `decode` after the one before, so
+    /// the block adds up exactly what running its steps one by one would.
+    fn execute_steps(&mut self, step_start: SimTime, steps: u32) {
         let admitted_from = self.running.len();
         let prefill_time = self.admit();
         if self.running.is_empty() {
             // Nothing admitted (queue empty, or head larger than free KV while
             // others run elsewhere): go idle until the next enqueue.
             self.next_step_at = None;
-            self.fused_wake = None;
+            self.window = None;
             return;
         }
         let batch = self.running.len();
+        // A window's steps are evenly spaced only because the stall that
+        // could delay them ended before the window began (a later stall
+        // ends the window first), and none of them admits anything.
+        assert!(
+            steps == 1
+                || (batch == admitted_from && self.stalled_until.is_none_or(|s| s <= step_start)),
+            "a block of decode steps must admit nothing and start after any stall"
+        );
         self.stats.peak_batch = self.stats.peak_batch.max(batch);
         let decode_time = self.config.perf.decode_step_time(
             &self.config.model,
@@ -366,10 +413,11 @@ impl VllmEngine {
             self.config.tensor_parallel,
             batch,
         );
-        let step_time = prefill_time + decode_time;
-        let step_end = step_start + step_time;
-        self.stats.decode_steps += 1;
-        self.stats.busy_secs += step_time.as_secs_f64();
+        let busy =
+            prefill_time + SimDuration::from_micros(decode_time.as_micros() * u64::from(steps));
+        let step_end = step_start + busy;
+        self.stats.decode_steps += u64::from(steps);
+        self.stats.busy += busy;
 
         // First token of every sequence admitted this step lands at this
         // step's end; every earlier sequence got its first token at the end
@@ -382,14 +430,14 @@ impl VllmEngine {
         let mut finished: Vec<usize> = Vec::new();
         let mut steps_to_completion = u32::MAX;
         for (i, p) in self.progress.iter_mut().enumerate() {
-            p.generated += 1;
+            p.generated += steps;
             if p.generated >= p.target {
                 finished.push(i);
             } else {
                 steps_to_completion = steps_to_completion.min(p.target - p.generated);
             }
         }
-        self.stats.output_tokens += batch as u64;
+        self.stats.output_tokens += batch as u64 * u64::from(steps);
         // Remove finished sequences (highest index first to keep indices valid).
         for &i in finished.iter().rev() {
             let seq = self.running.swap_remove(i);
@@ -412,26 +460,29 @@ impl VllmEngine {
             Some(self.not_before_stall(step_end))
         };
         // With admission blocked, nothing changes until the sequence closest
-        // to its target finishes: the steps before that one are pure decode
-        // steps of this batch size, with no prefill. `steps_to_completion`
-        // stays `u32::MAX` when no sequence is left running.
-        self.fused_wake = match self.next_step_at {
-            Some(next)
+        // to its target finishes: the steps up to that one form a window of
+        // this batch size, with no prefill. `steps_to_completion` stays
+        // `u32::MAX` when no sequence is left running.
+        self.window = match self.next_step_at {
+            Some(_)
                 if steps_to_completion > 1
                     && steps_to_completion < u32::MAX
                     && !self.can_admit_head() =>
             {
-                let decode = self.config.perf.decode_step_time(
-                    &self.config.model,
-                    self.config.gpu,
-                    self.config.tensor_parallel,
-                    self.running.len(),
-                );
-                Some(
-                    next + SimDuration::from_micros(
-                        decode.as_micros() * u64::from(steps_to_completion - 1),
-                    ),
-                )
+                let decode = if self.running.len() == batch {
+                    decode_time
+                } else {
+                    self.config.perf.decode_step_time(
+                        &self.config.model,
+                        self.config.gpu,
+                        self.config.tensor_parallel,
+                        self.running.len(),
+                    )
+                };
+                Some(DecodeWindow {
+                    steps: steps_to_completion,
+                    decode,
+                })
             }
             _ => None,
         };
@@ -445,7 +496,7 @@ impl VllmEngine {
             // A drained engine still becomes ready so hot-node tracking
             // sees the transition.
             EngineState::Loading => Some(self.ready_at),
-            EngineState::Ready => self.fused_wake.or(self.next_step_at),
+            EngineState::Ready => self.fused_wake().or(self.next_step_at),
         }
     }
 
@@ -477,7 +528,10 @@ impl SimProcess for VllmEngine {
                     }
                 }
                 EngineState::Ready => match self.next_step_at {
-                    Some(t) if t <= now => self.execute_step(t),
+                    Some(t) if t <= now => {
+                        let steps = self.steps_through(t, now);
+                        self.execute_steps(t, steps);
+                    }
                     _ => return,
                 },
             }
@@ -743,6 +797,32 @@ mod tests {
         assert_eq!(SimProcess::next_event_time(&engine), engine.next_step_at());
     }
 
+    #[test]
+    fn zero_decode_time_runs_each_window_at_one_instant() {
+        let mut cfg = config8();
+        cfg.max_num_seqs = 2;
+        cfg.perf.decode_base_coeff = 0.0;
+        cfg.perf.decode_incr_coeff = 0.0;
+        let mut engine = VllmEngine::hot(cfg, SimTime::ZERO);
+        for (id, output) in [(1, 5), (2, 30)] {
+            engine.enqueue(InferenceRequest::chat(id, 100, output), SimTime::ZERO);
+        }
+        engine.advance(SimTime::ZERO);
+        // The admitting step ends after its prefill; every later step takes
+        // no time, so both windows run at that one instant.
+        let prefill_end = engine.next_step_at().unwrap();
+        assert!(prefill_end > SimTime::ZERO);
+        assert_eq!(SimProcess::next_event_time(&engine), Some(prefill_end));
+        engine.advance(prefill_end);
+        let done = engine.take_completions();
+        assert_eq!(done.len(), 2);
+        assert!(done.iter().all(|c| c.finished_at == prefill_end));
+        assert!(engine.is_idle());
+        assert_eq!(engine.stats().decode_steps, 30);
+        assert_eq!(engine.stats().output_tokens, 35);
+        assert_eq!(engine.stats().busy, prefill_end - SimTime::ZERO);
+    }
+
     /// A completion as handed out: the instant it was taken, then its id,
     /// `accepted_at`, `first_token_at` and `finished_at`.
     type Taken = (SimTime, u64, SimTime, SimTime, SimTime);
@@ -774,7 +854,7 @@ mod tests {
         every_step: bool,
         log: &mut Vec<Taken>,
     ) {
-        for _ in 0..100_000 {
+        for _ in 0..1_000_000 {
             let next = if every_step {
                 engine.next_step_at()
             } else {
@@ -791,6 +871,70 @@ mod tests {
         panic!("engine never stopped asking for events before {until:?}");
     }
 
+    /// One outside call: its kind and whether the endpoint advances the
+    /// engine first, the gap since the previous call in microseconds, and
+    /// a prompt and an output length.
+    type Call = ((u8, u8), u64, u32, u32);
+
+    /// Drive an engine that reports only batch-changing steps as wakes and
+    /// a reference stepped at every step boundary through the same outside
+    /// calls; both must hand out the same completions, at the same instants,
+    /// with the same statistics.
+    fn check_against_every_step_reference(
+        max_num_seqs: usize,
+        kv_blocks: u64,
+        calls: Vec<Call>,
+    ) -> Result<(), proptest::TestCaseError> {
+        use proptest::{prop_assert, prop_assert_eq};
+        let mut fused = tight_engine(max_num_seqs, kv_blocks);
+        let mut reference = fused.clone();
+        let (mut fused_log, mut ref_log) = (Vec::new(), Vec::new());
+        let mut now = SimTime::ZERO;
+        for (id, ((kind, advance_first), gap, prompt, output)) in calls.into_iter().enumerate() {
+            // Odd kinds land exactly on a step boundary a few steps ahead;
+            // even kinds land anywhere, mostly mid-window.
+            let mid = now + SimDuration::from_micros(gap);
+            now = if kind % 2 == 1 {
+                let mut probe = reference.clone();
+                for _ in 0..gap % 8 {
+                    let Some(t) = probe.next_step_at() else { break };
+                    probe.advance(t);
+                }
+                probe.next_step_at().unwrap_or(mid)
+            } else {
+                mid
+            };
+            run_before(&mut fused, Some(now), false, &mut fused_log);
+            run_before(&mut reference, Some(now), true, &mut ref_log);
+            if advance_first == 1 {
+                // The endpoint advanced the engine for another reason.
+                fused.advance(now);
+                take(&mut fused, now, &mut fused_log);
+                reference.advance(now);
+                take(&mut reference, now, &mut ref_log);
+            }
+            // Kinds 0 and 1 enqueue; 2 and 3 stall for up to a second.
+            if kind < 2 {
+                let req = InferenceRequest::chat(id as u64, prompt, output);
+                let accepted = fused.enqueue(req, now);
+                prop_assert_eq!(accepted, reference.enqueue(req, now));
+            } else {
+                let until = now + SimDuration::from_micros(u64::from(prompt) * 5_000);
+                fused.stall(now, until);
+                reference.stall(now, until);
+            }
+            prop_assert_eq!(fused.queue_depth(), reference.queue_depth());
+            prop_assert_eq!(fused.running_count(), reference.running_count());
+        }
+        run_before(&mut fused, None, false, &mut fused_log);
+        run_before(&mut reference, None, true, &mut ref_log);
+        prop_assert!(fused.is_idle() && reference.is_idle());
+        prop_assert_eq!(&fused_log, &ref_log);
+        prop_assert_eq!(fused.stats(), reference.stats());
+        prop_assert_eq!(fused_log.len() as u64, fused.stats().completed);
+        Ok(())
+    }
+
     mod fused_steps {
         use super::*;
         use proptest::prelude::*;
@@ -798,10 +942,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Reporting only batch-changing steps as wakes hands out the
-            /// same completions, at the same instants, with the same
-            /// statistics, as stepping the engine at every step boundary —
-            /// whatever the outside calls and wherever they land.
+            /// Small batches and short outputs: many batch changes, calls
+            /// landing on and between step boundaries.
             #[test]
             fn fused_engine_matches_every_step_reference(
                 max_num_seqs in 1usize..5,
@@ -811,54 +953,32 @@ mod tests {
                     1..30,
                 ),
             ) {
-                let mut fused = tight_engine(max_num_seqs, kv_blocks);
-                let mut reference = fused.clone();
-                let (mut fused_log, mut ref_log) = (Vec::new(), Vec::new());
-                let mut now = SimTime::ZERO;
-                for (id, ((kind, advance_first), gap, prompt, output)) in
-                    calls.into_iter().enumerate()
-                {
-                    // Odd kinds land exactly on a step boundary a few steps
-                    // ahead; even kinds land anywhere, mostly mid-window.
-                    let mid = now + SimDuration::from_micros(gap);
-                    now = if kind % 2 == 1 {
-                        let mut probe = reference.clone();
-                        for _ in 0..gap % 8 {
-                            let Some(t) = probe.next_step_at() else { break };
-                            probe.advance(t);
-                        }
-                        probe.next_step_at().unwrap_or(mid)
-                    } else {
-                        mid
-                    };
-                    run_before(&mut fused, Some(now), false, &mut fused_log);
-                    run_before(&mut reference, Some(now), true, &mut ref_log);
-                    if advance_first == 1 {
-                        // The endpoint advanced the engine for another reason.
-                        fused.advance(now);
-                        take(&mut fused, now, &mut fused_log);
-                        reference.advance(now);
-                        take(&mut reference, now, &mut ref_log);
-                    }
-                    // Kinds 0 and 1 enqueue; 2 and 3 stall for up to a second.
-                    if kind < 2 {
-                        let req = InferenceRequest::chat(id as u64, prompt, output);
-                        let accepted = fused.enqueue(req, now);
-                        prop_assert_eq!(accepted, reference.enqueue(req, now));
-                    } else {
-                        let until = now + SimDuration::from_micros(u64::from(prompt) * 5_000);
-                        fused.stall(now, until);
-                        reference.stall(now, until);
-                    }
-                    prop_assert_eq!(fused.queue_depth(), reference.queue_depth());
-                    prop_assert_eq!(fused.running_count(), reference.running_count());
-                }
-                run_before(&mut fused, None, false, &mut fused_log);
-                run_before(&mut reference, None, true, &mut ref_log);
-                prop_assert!(fused.is_idle() && reference.is_idle());
-                prop_assert_eq!(&fused_log, &ref_log);
-                prop_assert_eq!(fused.stats(), reference.stats());
-                prop_assert_eq!(fused_log.len() as u64, fused.stats().completed);
+                check_against_every_step_reference(max_num_seqs, kv_blocks, calls)?;
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Batches of up to 64 and outputs of up to 2,000 tokens: windows
+            /// hundreds of steps long, cut by enqueues, stalls and advances
+            /// that land inside them.
+            #[test]
+            fn long_windows_match_every_step_reference(
+                max_num_seqs in 1usize..=64,
+                kv_blocks in 64u64..12_000,
+                calls in collection::vec(
+                    (
+                        (0u8..4, 0u8..2),
+                        // Bursts fill the batch; long gaps let windows run.
+                        prop_oneof![0u64..20_000, 0u64..20_000, 0u64..20_000, 0u64..2_000_000],
+                        1u32..200,
+                        1u32..=2_000,
+                    ),
+                    1..160,
+                ),
+            ) {
+                check_against_every_step_reference(max_num_seqs, kv_blocks, calls)?;
             }
         }
     }
