@@ -12,9 +12,9 @@ use first_bench::{
     arrival_seed, arrivals, benchmark_request_count, benchmark_seed, print_reports,
     print_sim_stats, sharegpt_samples, BenchArtifact, GateMetric,
 };
-use first_core::{run_gateway_openloop, DeploymentBuilder, RoutingPolicy, ScenarioReport};
+use first_core::{DeploymentBuilder, RoutingPolicy, ScenarioReport, ScenarioRun};
 use first_desim::{SimMeter, SimTime};
-use first_workload::ArrivalProcess;
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec};
 use std::collections::BTreeMap;
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
@@ -29,21 +29,21 @@ fn run_policy(policy: RoutingPolicy, n: usize) -> PolicyOutcome {
     let arr = arrivals(ArrivalProcess::Infinite, n, arrival_seed());
     // One warm instance per site so the ablation isolates routing (not cold
     // starts); both sites may auto-scale up to their configured ceilings.
-    let (mut gateway, tokens) = DeploymentBuilder::federated_sophia_polaris()
-        .prewarm(1)
-        .routing_policy(policy)
-        .build_with_tokens();
-    let mut report = run_gateway_openloop(
-        &mut gateway,
-        &tokens.alice,
+    let spec = ScenarioSpec::one_tenant_replay(
+        "ablation-federation",
+        DeploymentRef::FederatedSophiaPolaris,
         MODEL,
-        &samples,
+        samples,
         &arr,
-        "inf",
-        SimTime::from_secs(24 * 3600),
     );
-    report.label = format!("FIRST [{}]", policy.label());
+    let out = ScenarioRun::new(&spec)
+        .deployment(DeploymentBuilder::federated_sophia_polaris().routing_policy(policy))
+        .execute()
+        .expect("unrecorded run");
+    let label = format!("FIRST [{}]", policy.label());
+    let report = ScenarioReport::from_one_tenant(&label, "inf", &out.report);
 
+    let gateway = out.fleet.shard(0);
     let mut per_endpoint: BTreeMap<String, u64> = BTreeMap::new();
     for entry in gateway.log().entries() {
         let name = gateway.endpoint_name(entry.endpoint);

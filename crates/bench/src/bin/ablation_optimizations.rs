@@ -8,12 +8,10 @@ use first_bench::{
     arrival_seed, arrivals, benchmark_seed, print_comparisons, print_reports, print_sim_stats,
     sharegpt_samples, BenchArtifact, Comparison, GateMetric,
 };
-use first_core::{
-    run_gateway_openloop, DeploymentBuilder, GatewayConfig, ScenarioReport, WorkerPoolConfig,
-};
+use first_core::{DeploymentBuilder, GatewayConfig, ScenarioReport, ScenarioRun, WorkerPoolConfig};
 use first_desim::{SimMeter, SimTime};
 use first_fabric::ClientConfig;
-use first_workload::{ArrivalProcess, SustainedLoad};
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec, SustainedLoad};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
@@ -25,21 +23,19 @@ fn run_config(
 ) -> ScenarioReport {
     let samples = sharegpt_samples(n, benchmark_seed());
     let arr = arrivals(rate.clone(), n, arrival_seed());
-    let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-        .prewarm(1)
-        .gateway_config(config)
-        .build_with_tokens();
-    let mut report = run_gateway_openloop(
-        &mut gateway,
-        &tokens.alice,
+    let mut spec = ScenarioSpec::one_tenant_replay(
+        "ablation-optimizations",
+        DeploymentRef::SophiaSingleInstance,
         MODEL,
-        &samples,
+        samples,
         &arr,
-        &rate.label(),
-        SimTime::from_secs(48 * 3600),
     );
-    report.label = label.to_string();
-    report
+    spec.horizon_s = 48.0 * 3600.0;
+    let out = ScenarioRun::new(&spec)
+        .deployment(DeploymentBuilder::sophia_single_instance().gateway_config(config))
+        .execute()
+        .expect("unrecorded run");
+    ScenarioReport::from_one_tenant(label, &rate.label(), &out.report)
 }
 
 fn main() {
@@ -109,22 +105,19 @@ fn main() {
         total,
         arrival_seed().wrapping_add(9),
     );
-    let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-        .prewarm(1)
-        .build_with_tokens();
     // Only drive the 300 s injection window (plus drain slack): we care
     // about queueing, not drain.
     let artillery_horizon = SimTime::from_secs(310);
-    let _ = run_gateway_openloop(
-        &mut gateway,
-        &tokens.alice,
+    let mut spec = ScenarioSpec::one_tenant_replay(
+        "artillery",
+        DeploymentRef::SophiaSingleInstance,
         MODEL,
-        &samples,
+        samples,
         &arr,
-        "100",
-        artillery_horizon,
     );
-    let peak_queue = gateway.service().stats().peak_queue_depth;
+    spec.horizon_s = artillery_horizon.as_secs_f64();
+    let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
+    let peak_queue = out.fleet.shard(0).service().stats().peak_queue_depth;
     println!("\n== Artillery sustained load (100 req/s x 300 s) ==");
     println!("requests offered: {total}");
     println!("peak tasks queued at the compute service: {peak_queue}");

@@ -12,11 +12,11 @@ use first_bench::{
     print_comparisons, print_reports, print_sim_stats, sharegpt_samples, BenchArtifact, Comparison,
     GateMetric, ScenarioExecutor,
 };
-use first_core::{run_direct_openloop, run_gateway_openloop, DeploymentBuilder, ScenarioReport};
+use first_core::{run_direct_openloop, ScenarioReport, ScenarioRun};
 use first_desim::SimTime;
 use first_hpc::GpuModel;
 use first_serving::{find_model, EngineConfig};
-use first_workload::ArrivalProcess;
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
@@ -51,20 +51,16 @@ fn main() {
             let label = rate.label();
             let arr = arrivals(rate, n, arrival_seed());
             // FIRST: gateway → Globus Compute → one hot 70B instance on Sophia.
-            let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-                .prewarm(1)
-                .build_with_tokens();
-            let mut report = run_gateway_openloop(
-                &mut gateway,
-                &tokens.alice,
+            let mut spec = ScenarioSpec::one_tenant_replay(
+                "fig3",
+                DeploymentRef::SophiaSingleInstance,
                 MODEL,
-                &samples,
+                samples.clone(),
                 &arr,
-                &label,
-                horizon,
             );
-            report.label = "FIRST".to_string();
-            report
+            spec.horizon_s = horizon.as_secs_f64();
+            let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
+            ScenarioReport::from_one_tenant("FIRST", &label, &out.report)
         }
         Point::Direct(rate) => {
             let label = rate.label();

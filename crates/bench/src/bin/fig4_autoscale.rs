@@ -5,37 +5,35 @@ use first_bench::{
     arrival_seed, arrivals, benchmark_request_count, benchmark_seed, print_comparisons,
     print_reports, print_sim_stats, sharegpt_samples, BenchArtifact, Comparison, GateMetric,
 };
-use first_core::{
-    run_gateway_openloop, ClusterSite, DeploymentBuilder, HostedModel, ScenarioReport,
-};
+use first_core::{ClusterSite, DeploymentBuilder, HostedModel, ScenarioReport, ScenarioRun};
 use first_desim::{SimMeter, SimTime};
 use first_hpc::{Cluster, GpuModel};
-use first_workload::ArrivalProcess;
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
 fn run_with_instances(instances: u32, n: usize) -> ScenarioReport {
     let samples = sharegpt_samples(n, benchmark_seed());
     let arr = arrivals(ArrivalProcess::Infinite, n, arrival_seed());
-    let builder = DeploymentBuilder::new(vec![ClusterSite {
+    let deployment = DeploymentBuilder::new(vec![ClusterSite {
         endpoint_name: "sophia-endpoint".to_string(),
         cluster: Cluster::sophia(),
         gpu: GpuModel::A100_40,
         models: vec![HostedModel::named("llama-70b").with_max_instances(instances)],
-    }])
-    .prewarm(instances);
-    let (mut gateway, tokens) = builder.build_with_tokens();
-    let mut report = run_gateway_openloop(
-        &mut gateway,
-        &tokens.alice,
+    }]);
+    let mut spec = ScenarioSpec::one_tenant_replay(
+        "fig4",
+        DeploymentRef::SophiaSingleInstance,
         MODEL,
-        &samples,
+        samples,
         &arr,
-        "inf",
-        SimTime::from_secs(24 * 3600),
     );
-    report.label = format!("FIRST x{instances}");
-    report
+    spec.prewarm = instances;
+    let out = ScenarioRun::new(&spec)
+        .deployment(deployment)
+        .execute()
+        .expect("unrecorded run");
+    ScenarioReport::from_one_tenant(&format!("FIRST x{instances}"), "inf", &out.report)
 }
 
 fn main() {

@@ -5,10 +5,10 @@ use first_bench::{
     arrival_seed, arrivals, benchmark_request_count, benchmark_seed, print_comparisons,
     print_reports, print_sim_stats, sharegpt_samples, BenchArtifact, Comparison, GateMetric,
 };
-use first_core::{run_gateway_openloop, run_openai_openloop, DeploymentBuilder};
+use first_core::{run_openai_openloop, ScenarioReport, ScenarioRun};
 use first_desim::{SimMeter, SimTime};
 use first_serving::CloudApiConfig;
-use first_workload::ArrivalProcess;
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec};
 
 const MODEL: &str = "meta-llama/Meta-Llama-3.1-8B-Instruct";
 
@@ -19,19 +19,16 @@ fn main() {
     let horizon = SimTime::from_secs(24 * 3600);
     let meter = SimMeter::start();
 
-    let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-        .prewarm(1)
-        .build_with_tokens();
-    let mut first = run_gateway_openloop(
-        &mut gateway,
-        &tokens.alice,
+    let mut spec = ScenarioSpec::one_tenant_replay(
+        "fig5",
+        DeploymentRef::SophiaSingleInstance,
         MODEL,
-        &samples,
+        samples.clone(),
         &arr,
-        "inf",
-        horizon,
     );
-    first.label = "FIRST (Llama 3.1 8B)".to_string();
+    spec.horizon_s = horizon.as_secs_f64();
+    let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
+    let first = ScenarioReport::from_one_tenant("FIRST (Llama 3.1 8B)", "inf", &out.report);
 
     let mut openai = run_openai_openloop(CloudApiConfig::default(), &samples, &arr, "inf", horizon);
     openai.label = "OpenAI (GPT-4o-mini)".to_string();

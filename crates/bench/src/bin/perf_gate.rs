@@ -22,11 +22,9 @@ use first_bench::{
     arrival_seed, arrivals, benchmark_request_count, gate_compare, print_sim_stats,
     sharegpt_samples, BenchArtifact, GateMetric,
 };
-use first_core::{
-    run_gateway_openloop, DeploymentBuilder, GatewayReport, ScenarioReport, ScenarioRun,
-};
+use first_core::{GatewayReport, ScenarioReport, ScenarioRun};
 use first_desim::{EventQueue, SimMeter, SimRunStats, SimTime};
-use first_workload::ArrivalProcess;
+use first_workload::{ArrivalProcess, ConversationSample, DeploymentRef, ScenarioSpec};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
@@ -43,26 +41,35 @@ const WALL: f64 = 4.0;
 /// regression blows well past it.
 const WALL_FLOOR: f64 = 0.25;
 
+/// A one-tenant FIRST run of `samples` at `arrivals` on `deployment` (one
+/// instance prewarmed), metered: its §5.1 row and kernel measurement.
+fn metered_first_run(
+    label: &str,
+    rate_label: &str,
+    deployment: DeploymentRef,
+    samples: Vec<ConversationSample>,
+    arrivals: &[SimTime],
+) -> (ScenarioReport, SimRunStats) {
+    let spec = ScenarioSpec::one_tenant_replay(label, deployment, MODEL, samples, arrivals);
+    let meter = SimMeter::start();
+    let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
+    let report = ScenarioReport::from_one_tenant(label, rate_label, &out.report);
+    let sim = meter.finish(SimTime::from_secs_f64(report.duration_s));
+    (report, sim)
+}
+
 /// Open-loop run against the single-instance Sophia deployment at 5 req/s:
 /// the gateway + engine hot path the figures exercise.
 fn gateway_rate5(n: usize) -> (ScenarioReport, SimRunStats, Vec<GateMetric>) {
     let samples = sharegpt_samples(n, first_bench::benchmark_seed());
     let arr = arrivals(ArrivalProcess::FixedRate(5.0), n, arrival_seed());
-    let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-        .prewarm(1)
-        .build_with_tokens();
-    let meter = SimMeter::start();
-    let mut report = run_gateway_openloop(
-        &mut gateway,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arr,
+    let (report, sim) = metered_first_run(
+        "gate: gateway@5",
         "5",
-        SimTime::from_secs(24 * 3600),
+        DeploymentRef::SophiaSingleInstance,
+        samples,
+        &arr,
     );
-    let sim = meter.finish(SimTime::from_secs_f64(report.duration_s));
-    report.label = "gate: gateway@5".to_string();
     let metrics = vec![
         GateMetric::higher("gateway_rate5/completed", report.completed as f64, 0.001),
         GateMetric::higher("gateway_rate5/req_per_s", report.request_throughput, DET),
@@ -87,21 +94,13 @@ fn gateway_rate5(n: usize) -> (ScenarioReport, SimRunStats, Vec<GateMetric>) {
 fn federated_inf(n: usize) -> (ScenarioReport, SimRunStats, Vec<GateMetric>) {
     let samples = sharegpt_samples(n, first_bench::benchmark_seed());
     let arr = arrivals(ArrivalProcess::Infinite, n, arrival_seed());
-    let (mut gateway, tokens) = DeploymentBuilder::federated_sophia_polaris()
-        .prewarm(1)
-        .build_with_tokens();
-    let meter = SimMeter::start();
-    let mut report = run_gateway_openloop(
-        &mut gateway,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arr,
+    let (report, sim) = metered_first_run(
+        "gate: federated@inf",
         "inf",
-        SimTime::from_secs(24 * 3600),
+        DeploymentRef::FederatedSophiaPolaris,
+        samples,
+        &arr,
     );
-    let sim = meter.finish(SimTime::from_secs_f64(report.duration_s));
-    report.label = "gate: federated@inf".to_string();
     let metrics = vec![
         GateMetric::higher("federated_inf/completed", report.completed as f64, 0.001),
         GateMetric::higher(
@@ -133,21 +132,13 @@ fn scale_inf(n: usize) -> (ScenarioReport, SimRunStats, Vec<GateMetric>) {
         n,
         seed.wrapping_mul(0x9E37_79B9).wrapping_add(7),
     );
-    let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-        .prewarm(1)
-        .build_with_tokens();
-    let meter = SimMeter::start();
-    let mut report = run_gateway_openloop(
-        &mut gateway,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arr,
+    let (report, sim) = metered_first_run(
+        "gate: scale@inf",
         "inf",
-        SimTime::from_secs(24 * 3600),
+        DeploymentRef::SophiaSingleInstance,
+        samples,
+        &arr,
     );
-    let sim = meter.finish(SimTime::from_secs_f64(report.duration_s));
-    report.label = "gate: scale@inf".to_string();
     let metrics = vec![
         GateMetric::higher("scale_inf/completed", report.completed as f64, 0.001),
         GateMetric::higher("scale_inf/req_per_s", report.request_throughput, DET),

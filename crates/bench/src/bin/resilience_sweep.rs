@@ -13,12 +13,12 @@
 
 use first_bench::{
     arrival_seed, arrivals, benchmark_request_count, benchmark_seed, print_sim_stats,
-    BenchArtifact, GateMetric,
+    BenchArtifact, GateMetric, ResilienceRow,
 };
-use first_chaos::{FaultInjector, FaultKind, FaultPlan, ResilienceConfig};
-use first_core::{run_resilience_openloop, DeploymentBuilder, ResilienceReport};
+use first_chaos::{FaultKind, FaultPlan};
+use first_core::ScenarioRun;
 use first_desim::{SimDuration, SimMeter, SimTime};
-use first_workload::ArrivalProcess;
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 const RATE: f64 = 4.0;
@@ -84,24 +84,20 @@ fn scenarios(seed: u64, run_secs: f64) -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-fn run_fault_scenario(label: &str, plan: FaultPlan, n: usize, seed: u64) -> ResilienceReport {
-    let (mut gateway, tokens) = DeploymentBuilder::federated_sophia_polaris()
-        .prewarm(1)
-        .resilience(ResilienceConfig::production())
-        .build_with_tokens();
+fn run_fault_scenario(label: &str, plan: FaultPlan, n: usize, seed: u64) -> ResilienceRow {
     let samples = first_bench::sharegpt_samples(n, seed);
     let arr = arrivals(ArrivalProcess::FixedRate(RATE), n, arrival_seed());
-    let mut injector = FaultInjector::new(plan);
-    run_resilience_openloop(
-        &mut gateway,
-        &mut injector,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arr,
+    let mut spec = ScenarioSpec::one_tenant_replay(
         label,
-        SimTime::from_secs(24 * 3600),
-    )
+        DeploymentRef::FederatedSophiaPolaris,
+        MODEL,
+        samples,
+        &arr,
+    );
+    spec.resilience = true;
+    spec.faults = plan;
+    let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
+    ResilienceRow::new(label, &out.report, out.fleet.shard(0))
 }
 
 fn main() {
@@ -110,7 +106,7 @@ fn main() {
     let run_secs = n as f64 / RATE;
     let meter = SimMeter::start();
 
-    let mut reports: Vec<ResilienceReport> = Vec::new();
+    let mut reports: Vec<ResilienceRow> = Vec::new();
     for (label, plan) in scenarios(seed, run_secs) {
         reports.push(run_fault_scenario(label, plan, n, seed));
     }
@@ -119,7 +115,7 @@ fn main() {
     println!(
         "\n== Resilience sweep — {MODEL} @ {RATE} req/s, n={n}, seed={seed} (FIRST_BENCH_SEED) =="
     );
-    println!("{}", ResilienceReport::table_header());
+    println!("{}", ResilienceRow::table_header());
     for report in &reports {
         println!("{}", report.table_row(&baseline));
     }

@@ -27,11 +27,11 @@ use first_bench::{
     BenchArtifact, GateMetric, PointStats, ScenarioExecutor,
 };
 use first_core::{
-    enroll_standard_users, run_gateway_openloop, run_sharded_openloop, DeploymentBuilder,
-    ScenarioReport, ShardReport, ShardedGateway, ShardingConfig,
+    enroll_standard_users, run_sharded_openloop, DeploymentBuilder, ScenarioReport, ScenarioRun,
+    ShardReport, ShardedGateway, ShardingConfig,
 };
 use first_desim::{SimMeter, SimTime};
-use first_workload::ArrivalProcess;
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
@@ -138,20 +138,16 @@ fn main() {
         let samples = sharegpt_samples(n, seed);
         let label = rate.label();
         let arr = arrivals(rate, n, seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
-        let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-            .prewarm(1)
-            .build_with_tokens();
-        let mut report = run_gateway_openloop(
-            &mut gateway,
-            &tokens.alice,
+        let mut spec = ScenarioSpec::one_tenant_replay(
+            "scale",
+            DeploymentRef::SophiaSingleInstance,
             MODEL,
-            &samples,
+            samples,
             &arr,
-            &label,
-            horizon,
         );
-        report.label = format!("scale seed={seed}");
-        report
+        spec.horizon_s = horizon.as_secs_f64();
+        let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
+        ScenarioReport::from_one_tenant(&format!("scale seed={seed}"), &label, &out.report)
     });
 
     let stats: Vec<PointStats> = runs.iter().map(|r| r.stats).collect();

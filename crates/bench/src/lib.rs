@@ -19,7 +19,8 @@ pub mod report;
 pub use executor::{aggregate_stats, PointRun, PointStats, ScenarioExecutor};
 pub use report::{
     artifact_out_dir, baseline_dir, gate_compare, print_sim_stats, BenchArtifact, CassetteAbRun,
-    GateCheck, GateMetric, GateResult, PhaseDiff, TenantSloDiff, TraceSection, SCHEMA_VERSION,
+    GateCheck, GateMetric, GateResult, PhaseDiff, ResilienceRow, TenantSloDiff, TraceSection,
+    SCHEMA_VERSION,
 };
 
 use first_core::ScenarioReport;

@@ -10,8 +10,8 @@
 //! `bench/baselines/`, failing the build on regression.
 
 use crate::Comparison;
-use first_core::{GatewayReport, ResilienceReport, ScenarioReport, WebUiCell};
-use first_desim::SimRunStats;
+use first_core::{Gateway, GatewayReport, ScenarioReport, WebUiCell};
+use first_desim::{Histogram, SimRunStats};
 use first_telemetry::PhaseBreakdown;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -229,6 +229,123 @@ pub struct CassetteAbRun {
     pub phase_diffs: Vec<PhaseDiff>,
 }
 
+/// Availability and tail-latency metrics of one resilience scenario: a
+/// one-tenant run under a fault plan, as `resilience_sweep` prints it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ResilienceRow {
+    /// Scenario label ("fault-free", "endpoint-flap", ...).
+    pub label: String,
+    /// Requests offered.
+    pub offered: usize,
+    /// Requests answered successfully.
+    pub completed: usize,
+    /// Requests that ultimately failed (after any retries) or were rejected.
+    pub failed: usize,
+    /// `completed / offered`.
+    pub availability: f64,
+    /// Median end-to-end latency of successful requests, in seconds.
+    pub median_latency_s: f64,
+    /// 99th-percentile end-to-end latency of successful requests, in seconds.
+    pub p99_latency_s: f64,
+    /// Output tokens delivered to clients.
+    pub output_tokens: u64,
+    /// Output tokens per second over the run (the goodput measure).
+    pub goodput_tok_s: f64,
+    /// Run duration in seconds (first arrival → last delivery).
+    pub duration_s: f64,
+    /// Retries issued by the gateway.
+    pub retries: u64,
+    /// Failovers to a different endpoint.
+    pub failovers: u64,
+    /// Circuit-breaker trips.
+    pub breaker_trips: u64,
+    /// Hedged requests issued.
+    pub hedges: u64,
+    /// Faults the injector actually applied.
+    pub faults_injected: usize,
+}
+
+impl ResilienceRow {
+    /// The row of a one-tenant run: `report` is the run's report and
+    /// `gateway` the gateway it drove, whose request log gives the p99 (the
+    /// report carries no p99).
+    pub fn new(label: &str, report: &GatewayReport, gateway: &Gateway) -> Self {
+        let row = ScenarioReport::from_one_tenant(label, "", report);
+        let mut latencies = Histogram::new();
+        for entry in gateway.log().entries().iter().filter(|e| e.success) {
+            latencies.record(entry.latency().as_secs_f64());
+        }
+        ResilienceRow {
+            label: row.label,
+            offered: row.offered,
+            completed: row.completed,
+            failed: report.failed + report.rejected,
+            availability: report.tenants[0].availability,
+            median_latency_s: row.median_latency_s,
+            p99_latency_s: latencies.p99(),
+            output_tokens: report.tenants[0].output_tokens,
+            goodput_tok_s: row.output_token_throughput,
+            duration_s: row.duration_s,
+            retries: report.retries,
+            failovers: report.failovers,
+            breaker_trips: report.breaker_trips,
+            hedges: report.hedges,
+            faults_injected: report.faults_injected,
+        }
+    }
+
+    /// Goodput retained versus a (fault-free) baseline, as a fraction.
+    pub fn goodput_retained(&self, baseline: &ResilienceRow) -> f64 {
+        if baseline.goodput_tok_s <= 0.0 {
+            0.0
+        } else {
+            self.goodput_tok_s / baseline.goodput_tok_s
+        }
+    }
+
+    /// One formatted table row.
+    pub fn table_row(&self, baseline: &ResilienceRow) -> String {
+        format!(
+            "{:<18} {:>7} {:>6} {:>6} {:>7.2}% {:>9.1} {:>9.1} {:>10.1} {:>8.1}% {:>7} {:>9} {:>6} {:>6} {:>6}",
+            self.label,
+            self.offered,
+            self.completed,
+            self.failed,
+            self.availability * 100.0,
+            self.median_latency_s,
+            self.p99_latency_s,
+            self.goodput_tok_s,
+            self.goodput_retained(baseline) * 100.0,
+            self.retries,
+            self.failovers,
+            self.breaker_trips,
+            self.hedges,
+            self.faults_injected,
+        )
+    }
+
+    /// The table header matching [`ResilienceRow::table_row`].
+    pub fn table_header() -> String {
+        format!(
+            "{:<18} {:>7} {:>6} {:>6} {:>8} {:>9} {:>9} {:>10} {:>9} {:>7} {:>9} {:>6} {:>6} {:>6}",
+            "scenario",
+            "offered",
+            "done",
+            "fail",
+            "avail",
+            "med (s)",
+            "p99 (s)",
+            "tok/s",
+            "goodput",
+            "retries",
+            "failovers",
+            "trips",
+            "hedges",
+            "faults"
+        )
+    }
+}
+
 /// The schema-versioned content of one `BENCH_<name>.json` file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchArtifact {
@@ -246,7 +363,7 @@ pub struct BenchArtifact {
     /// Open-loop scenario reports (empty when not applicable).
     pub scenarios: Vec<ScenarioReport>,
     /// Resilience-sweep reports (empty when not applicable).
-    pub resilience: Vec<ResilienceReport>,
+    pub resilience: Vec<ResilienceRow>,
     /// WebUI closed-loop cells (empty when not applicable).
     pub webui: Vec<WebUiCell>,
     /// Scenario-matrix runs with per-tenant SLO partitions (empty when not
@@ -307,7 +424,7 @@ impl BenchArtifact {
     }
 
     /// Attach resilience reports.
-    pub fn with_resilience(mut self, reports: &[ResilienceReport]) -> Self {
+    pub fn with_resilience(mut self, reports: &[ResilienceRow]) -> Self {
         self.resilience.extend_from_slice(reports);
         self
     }

@@ -3,9 +3,9 @@
 //! may differ is the wall clock, which is zeroed here before comparing.
 
 use first_bench::{aggregate_stats, BenchArtifact, GateMetric, ScenarioExecutor};
-use first_core::{run_gateway_openloop, DeploymentBuilder, ScenarioReport};
+use first_core::{ScenarioReport, ScenarioRun};
 use first_desim::{SimRng, SimTime};
-use first_workload::{ArrivalProcess, ShareGptGenerator};
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec, ShareGptGenerator};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
@@ -23,18 +23,15 @@ fn sweep_json(threads: usize) -> String {
     let runs = executor.run(rates.to_vec(), |idx, rate| {
         let mut rng = SimRng::seed_from_u64(idx as u64 + 1);
         let arrivals = rate.arrivals(n, SimTime::ZERO, &mut rng);
-        let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-            .prewarm(1)
-            .build_with_tokens();
-        run_gateway_openloop(
-            &mut gateway,
-            &tokens.alice,
+        let spec = ScenarioSpec::one_tenant_replay(
+            "executor-determinism",
+            DeploymentRef::SophiaSingleInstance,
             MODEL,
-            &samples,
+            samples.clone(),
             &arrivals,
-            &rate.label(),
-            SimTime::from_secs(24 * 3600),
-        )
+        );
+        let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
+        ScenarioReport::from_one_tenant("FIRST", &rate.label(), &out.report)
     });
     let stats: Vec<_> = runs.iter().map(|r| r.stats).collect();
     let reports: Vec<ScenarioReport> = runs.into_iter().map(|r| r.result).collect();

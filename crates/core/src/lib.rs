@@ -76,8 +76,8 @@ pub use shard::{
     ShardingConfig, ShedPolicy, SpilloverPolicy, RING_VNODES,
 };
 pub use sim::{
-    run_direct_openloop, run_gateway_openloop, run_openai_openloop, run_resilience_openloop,
-    run_sharded_openloop, run_webui_closed_loop, ResilienceReport, ScenarioReport, WebUiCell,
+    run_direct_openloop, run_openai_openloop, run_sharded_openloop, run_webui_closed_loop,
+    ScenarioReport, WebUiCell,
 };
 pub use storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, UserSym};
 pub use streaming::{stream_response, StreamChunk, StreamStats, StreamedResponse, StreamingConfig};
@@ -89,5 +89,6 @@ pub mod prelude {
     pub use crate::api::{ChatCompletionRequest, EmbeddingRequest, GatewayError};
     pub use crate::deploy::DeploymentBuilder;
     pub use crate::gateway::{CompletedRequest, Gateway, GatewayConfig};
-    pub use crate::sim::{run_gateway_openloop, ScenarioReport};
+    pub use crate::scenario::ScenarioRun;
+    pub use crate::sim::ScenarioReport;
 }

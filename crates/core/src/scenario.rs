@@ -2,17 +2,22 @@
 //! [`ScenarioSpec`] against a live deployment — one gateway or a sharded
 //! federation of peers.
 //!
-//! [`ScenarioRun`] is the single seam every scenario-matrix consumer shares:
-//! a builder that composes the orthogonal run axes — seed, shard topology,
-//! tracing, recording, replay — into one `execute()`. The run resolves the
-//! spec's deployment reference (once per shard), enrolls one auth user per
-//! tenant class on every shard (so the request log, dashboard and metric
-//! export partition per tenant for free, and a credential is valid wherever
-//! the ring or a spill sends the request), replays the merged stream
-//! open-loop with the spec's embedded fault plan applied along the way, and
-//! reports per-tenant metric partitions and SLO attainment in a
+//! [`ScenarioRun`] is the single seam every scenario-matrix consumer and
+//! every §5 replay through a FIRST gateway shares: a builder that composes
+//! the orthogonal run axes — seed, deployment, shard topology, tracing,
+//! recording, replay — into one `execute()`. A §5 figure is a one-tenant
+//! spec ([`first_workload::ScenarioSpec::one_tenant_replay`]) whose report
+//! [`crate::ScenarioReport::from_one_tenant`] turns into its row. The run
+//! resolves the spec's deployment reference, or takes the builder given to
+//! [`ScenarioRun::deployment`], and builds it once per shard. It enrolls one
+//! auth user per tenant class on every shard (so the request log, dashboard
+//! and metric export partition per tenant for free, and a credential is
+//! valid wherever the ring or a spill sends the request), replays the merged
+//! stream open-loop with the spec's embedded fault plan applied along the
+//! way, and reports per-tenant metric partitions and SLO attainment in a
 //! [`GatewayReport`] — with a per-shard [`ShardSection`] rollup when the run
-//! was sharded. Every open-loop run, in every build, finishes with the
+//! was sharded — and hands back the fleet it drove ([`RunOutput::fleet`]).
+//! Every open-loop run, in every build, finishes with the
 //! [`crate::invariants`] front-tier check, so every scenario run also proves
 //! request conservation and task-slab hygiene, or panics.
 //!
@@ -22,8 +27,8 @@
 //! front tier with one shard and nothing to retry, hedge or shed. The front
 //! tier owns the fleet, one fault injector per shard, the shard fault plan
 //! and the retry/timeout/hedge/heal queue, and it is the process the run
-//! hands to `drive_openloop`, the same next-event loop every §5 runner in
-//! [`crate::sim`] steps through.
+//! hands to `drive_openloop`, the same next-event loop the remaining
+//! runners in [`crate::sim`] step through.
 
 use crate::deploy::DeploymentBuilder;
 use crate::gateway::Gateway;
@@ -368,20 +373,34 @@ impl GatewayReport {
     }
 }
 
-/// Everything one [`ScenarioRun::execute`] yields: the report, plus the
-/// cassette when the run was [`ScenarioRun::recorded`] and the sampled span
-/// trees when it was [`ScenarioRun::traced`].
-#[derive(Debug)]
+/// Everything one [`ScenarioRun::execute`] yields: the report and the fleet
+/// the run drove, plus the cassette when the run was
+/// [`ScenarioRun::recorded`] and the sampled span trees when it was
+/// [`ScenarioRun::traced`].
 pub struct RunOutput {
     /// The scenario report (per-tenant partitions, SLO attainment, optional
     /// per-shard rollup).
     pub report: GatewayReport,
+    /// The gateways as the run left them, one per shard, so a caller can
+    /// read a gateway's request log, health, queues and service stats.
+    pub fleet: ShardedGateway,
     /// The recorded cassette; `Some` exactly when the run was
     /// [`ScenarioRun::recorded`].
     pub cassette: Option<Cassette>,
     /// The sampled span trees; `Some` exactly when the run was
     /// [`ScenarioRun::traced`] with tracing enabled.
     pub traces: Option<Vec<SpanTree>>,
+}
+
+impl std::fmt::Debug for RunOutput {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunOutput")
+            .field("report", &self.report)
+            .field("shards", &self.fleet.shard_count())
+            .field("cassette", &self.cassette)
+            .field("traces", &self.traces)
+            .finish()
+    }
 }
 
 /// A composable scenario run: the one entrypoint behind which seed, shard
@@ -414,6 +433,8 @@ pub struct RunOutput {
 #[derive(Debug, Clone)]
 pub struct ScenarioRun<'c> {
     spec: Cow<'c, ScenarioSpec>,
+    /// Replaces the deployment the spec names; `None` runs the spec's own.
+    deployment: Option<DeploymentBuilder>,
     seed: u64,
     sharding: ShardingConfig,
     trace: TraceConfig,
@@ -427,6 +448,7 @@ impl<'c> ScenarioRun<'c> {
     pub fn new(spec: &'c ScenarioSpec) -> Self {
         ScenarioRun {
             spec: Cow::Borrowed(spec),
+            deployment: None,
             seed: 0,
             sharding: ShardingConfig::single(),
             trace: TraceConfig::default(),
@@ -445,12 +467,23 @@ impl<'c> ScenarioRun<'c> {
         let spec = cassette.to_spec()?;
         Ok(ScenarioRun {
             spec: Cow::Owned(spec),
+            deployment: None,
             seed: cassette.seed,
             sharding: ShardingConfig::single(),
             trace: TraceConfig::default(),
             record: false,
             replay_of: Some(cassette),
         })
+    }
+
+    /// Run against `deployment` instead of the preset the spec names, for a
+    /// configuration no preset has (an instance ceiling, a routing policy, a
+    /// gateway configuration). The spec's `prewarm`, `resilience` and
+    /// `horizon_s` still apply. A cassette cannot name such a deployment, so
+    /// the run is not recordable.
+    pub fn deployment(mut self, deployment: DeploymentBuilder) -> Self {
+        self.deployment = Some(deployment);
+        self
     }
 
     /// Set the run seed (replays pin the recorded seed instead).
@@ -522,11 +555,18 @@ impl<'c> ScenarioRun<'c> {
     /// Execute the configured run.
     ///
     /// Infallible unless the run was [`ScenarioRun::recorded`] (closed-loop
-    /// session specs and sharded configurations are
+    /// session specs, sharded configurations and replaced deployments are
     /// [`CassetteError::Unrecordable`]) or is a [`ScenarioRun::replay`]
     /// (divergence is [`CassetteError::ReplayMismatch`]).
     pub fn execute(self) -> Result<RunOutput, CassetteError> {
         if self.record {
+            if self.deployment.is_some() {
+                return Err(CassetteError::Unrecordable(format!(
+                    "scenario '{}' runs on a replaced deployment; a cassette names only a \
+                     deployment preset",
+                    self.spec.name
+                )));
+            }
             if self.spec.sessions.is_some() {
                 return Err(CassetteError::Unrecordable(format!(
                     "scenario '{}' carries a closed-loop session rider",
@@ -553,8 +593,17 @@ impl<'c> ScenarioRun<'c> {
             }
         }
         let spec = &*self.spec;
-        let (report, outcomes, trees) =
-            run_scenario_impl(spec, self.seed, self.trace, &self.sharding, self.record);
+        let builder = self
+            .deployment
+            .unwrap_or_else(|| builder_for(spec.deployment));
+        let (report, fleet, outcomes, trees) = run_scenario_impl(
+            spec,
+            builder,
+            self.seed,
+            self.trace,
+            &self.sharding,
+            self.record,
+        );
         let cassette = match outcomes {
             Some(outcomes) => Some(Cassette::from_run(
                 spec,
@@ -571,6 +620,7 @@ impl<'c> ScenarioRun<'c> {
         let traces = self.trace.enabled().then_some(trees);
         Ok(RunOutput {
             report,
+            fleet,
             cassette,
             traces,
         })
@@ -1159,9 +1209,9 @@ impl SimProcess for FrontTier<'_> {
 
 /// The shared body of every [`ScenarioRun`]: stream the spec's requests at
 /// `seed` ([`ScenarioSpec::arrivals`]) over the (possibly single-shard)
-/// federation and return the report, the per-request outcomes in stream
-/// order (`Some` only when `record` is set) and the sampled span trees
-/// (empty unless `trace` is enabled).
+/// federation built from `builder` and return the report, the fleet, the
+/// per-request outcomes in stream order (`Some` only when `record` is set)
+/// and the sampled span trees (empty unless `trace` is enabled).
 ///
 /// The run's [`FrontTier`] is the process [`drive_openloop`] steps, so
 /// arrivals, retries, timeouts and hedges all enter through the front tier,
@@ -1170,11 +1220,17 @@ impl SimProcess for FrontTier<'_> {
 /// add, so the run is the plain single-gateway replay.
 fn run_scenario_impl(
     spec: &ScenarioSpec,
+    builder: DeploymentBuilder,
     seed: u64,
     trace: TraceConfig,
     sharding: &ShardingConfig,
     record: bool,
-) -> (GatewayReport, Option<Vec<RequestOutcome>>, Vec<SpanTree>) {
+) -> (
+    GatewayReport,
+    ShardedGateway,
+    Option<Vec<RequestOutcome>>,
+    Vec<SpanTree>,
+) {
     assert!(
         spec.tenants.is_empty() || spec.sessions.is_none(),
         "scenario '{}': open-loop tenants and a session rider are mutually exclusive",
@@ -1187,9 +1243,7 @@ fn run_scenario_impl(
         spec.name
     );
 
-    let mut builder = builder_for(spec.deployment)
-        .prewarm(spec.prewarm)
-        .trace(trace);
+    let mut builder = builder.prewarm(spec.prewarm).trace(trace);
     if spec.resilience {
         builder = builder.resilience(ResilienceConfig::production());
     }
@@ -1422,7 +1476,7 @@ fn run_scenario_impl(
         shards: shard_section,
         failover,
     };
-    (report, outcomes, trees)
+    (report, fleet, outcomes, trees)
 }
 
 #[cfg(test)]
@@ -1811,6 +1865,33 @@ mod tests {
             .execute()
         {
             Err(CassetteError::Unrecordable(msg)) => assert!(msg.contains("sharded")),
+            other => panic!("expected Unrecordable, got {other:?}"),
+        }
+    }
+
+    /// A replaced deployment runs in place of the spec's preset, with the
+    /// spec's prewarm still applied, and hands back the fleet it drove; a
+    /// cassette could not name it, so recording such a run is refused.
+    #[test]
+    fn replaced_deployments_run_but_are_unrecordable() {
+        let spec = small_spec();
+        let plain = ScenarioRun::new(&spec).seed(3).execute().unwrap();
+        let replaced = ScenarioRun::new(&spec)
+            .seed(3)
+            .deployment(DeploymentBuilder::single_cluster_test())
+            .execute()
+            .unwrap();
+        assert_eq!(plain.report, replaced.report);
+        let gateway = replaced.fleet.shard(0);
+        assert!(gateway.is_drained());
+        let logged = gateway.log().entries().iter().filter(|e| e.success);
+        assert_eq!(logged.count(), replaced.report.completed);
+        match ScenarioRun::new(&spec)
+            .deployment(DeploymentBuilder::single_cluster_test())
+            .recorded()
+            .execute()
+        {
+            Err(CassetteError::Unrecordable(msg)) => assert!(msg.contains("replaced deployment")),
             other => panic!("expected Unrecordable, got {other:?}"),
         }
     }

@@ -7,25 +7,26 @@
 //! throughput, median end-to-end latency, benchmark duration). A closed-loop
 //! runner drives concurrent WebUI sessions for Table 1.
 //!
-//! Every open-loop runner steps through one next-event loop,
-//! `drive_openloop`, generic over [`SimProcess`]. Each hands it a different
-//! process:
+//! A replay through one FIRST gateway, with or without a fault plan, is a
+//! [`crate::ScenarioRun`] of a one-tenant spec
+//! ([`first_workload::ScenarioSpec::one_tenant_replay`]), which checks
+//! request conservation when it ends; [`ScenarioReport::from_one_tenant`]
+//! turns its report into the §5.1 row. Every open-loop run steps through one
+//! next-event loop, `drive_openloop`, generic over [`SimProcess`]. Each
+//! caller hands it a different process:
 //!
-//! - [`run_gateway_openloop`]: the [`Gateway`] itself;
-//! - [`run_resilience_openloop`]: the gateway paired with its
-//!   [`FaultInjector`], whose due faults land before each advance;
-//! - [`run_sharded_openloop`]: the [`ShardedGateway`] fleet, which advances
-//!   only its due shards;
-//! - [`run_direct_openloop`]: a [`DirectServer`];
-//! - [`run_openai_openloop`]: a [`CloudApi`];
 //! - [`crate::ScenarioRun`]: the run's front tier (`scenario.rs`), which
-//!   owns the fleet, the per-shard injectors and the failover queue.
+//!   owns the fleet, the per-shard injectors and the failover queue;
+//! - [`run_sharded_openloop`]: the [`ShardedGateway`] fleet, which advances
+//!   only its due shards, with requests keyed by synthetic user;
+//! - [`run_direct_openloop`]: a [`DirectServer`];
+//! - [`run_openai_openloop`]: a [`CloudApi`].
 
 use crate::api::{GatewayError, PromptRef};
 use crate::gateway::{CompletedRequest, Gateway};
+use crate::scenario::GatewayReport;
 use crate::shard::ShardedGateway;
 use first_auth::TokenString;
-use first_chaos::FaultInjector;
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime};
 use first_serving::{
     CloudApi, CloudApiConfig, DirectServer, EngineConfig, FrontendConfig, InferenceRequest,
@@ -81,6 +82,60 @@ impl ScenarioReport {
             "{:<22} {:>5} {:>9} {:>9} {:>10} {:>12} {:>12} {:>10}",
             "scenario", "rate", "offered", "done", "req/s", "out tok/s", "med lat (s)", "dur (s)"
         )
+    }
+
+    /// The §5.1 row of a one-tenant run's report, labelled `label` at the
+    /// offered rate `rate_label`: the whole-run counts, throughputs and
+    /// duration, with the latency quantiles of the one tenant.
+    ///
+    /// # Example
+    ///
+    /// Replay ten ShareGPT-style conversations arriving at 2 req/s against
+    /// the single-cluster test deployment:
+    ///
+    /// ```
+    /// use first_core::{ScenarioReport, ScenarioRun};
+    /// use first_desim::{SimRng, SimTime};
+    /// use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec, ShareGptGenerator};
+    ///
+    /// let samples = ShareGptGenerator::new(42).samples(10);
+    /// let mut rng = SimRng::seed_from_u64(7);
+    /// let arrivals = ArrivalProcess::FixedRate(2.0).arrivals(10, SimTime::ZERO, &mut rng);
+    /// let spec = ScenarioSpec::one_tenant_replay(
+    ///     "doc",
+    ///     DeploymentRef::SingleClusterTest,
+    ///     "meta-llama/Llama-3.3-70B-Instruct",
+    ///     samples,
+    ///     &arrivals,
+    /// );
+    /// let out = ScenarioRun::new(&spec).execute().unwrap();
+    /// let row = ScenarioReport::from_one_tenant("FIRST", "2", &out.report);
+    /// assert_eq!(row.offered, 10);
+    /// assert_eq!(row.completed, 10);
+    /// ```
+    ///
+    /// # Panics
+    /// If the report does not have exactly one tenant.
+    pub fn from_one_tenant(label: &str, rate_label: &str, report: &GatewayReport) -> Self {
+        let [tenant] = report.tenants.as_slice() else {
+            panic!(
+                "scenario '{}' has {} tenants, not one",
+                report.scenario,
+                report.tenants.len()
+            );
+        };
+        ScenarioReport {
+            label: label.to_string(),
+            offered_rate: rate_label.to_string(),
+            offered: report.offered,
+            completed: report.completed,
+            request_throughput: report.request_throughput,
+            output_token_throughput: report.output_token_throughput,
+            median_latency_s: tenant.median_latency_s,
+            p95_latency_s: tenant.p95_latency_s,
+            mean_latency_s: tenant.mean_latency_s,
+            duration_s: report.duration_s,
+        }
     }
 }
 
@@ -151,13 +206,11 @@ pub(crate) fn drive_openloop<P: SimProcess, T>(
 }
 
 /// What a §5 runner tallies over one replay: the latency and output tokens
-/// of every successful request, the last instant one finished, and the
-/// failures.
+/// of every successful request, and the last instant one finished.
 struct Tally {
     latencies: Histogram,
     output_tokens: u64,
     last: SimTime,
-    failed: usize,
 }
 
 impl Tally {
@@ -166,7 +219,6 @@ impl Tally {
             latencies: Histogram::with_capacity(requests),
             output_tokens: 0,
             last: SimTime::ZERO,
-            failed: 0,
         }
     }
 
@@ -177,25 +229,19 @@ impl Tally {
         self.last = self.last.max(finished_at);
     }
 
-    /// Count one gateway response: a success as [`Tally::completed`], a
-    /// failure only as a failure.
+    /// Count one gateway response, if it succeeded, as
+    /// [`Tally::completed`].
     fn response(&mut self, r: &CompletedRequest) {
         if r.success {
             self.completed(r.latency(), r.usage.completion_tokens, r.finished_at);
-        } else {
-            self.failed += 1;
         }
     }
 
-    /// Seconds from the first arrival to the last counted instant.
-    fn duration_s(&self, arrivals: &[SimTime]) -> f64 {
-        let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
-        (self.last - first_arrival).as_secs_f64()
-    }
-
-    /// The §5.1 metrics of a replay of `arrivals`.
+    /// The §5.1 metrics of a replay of `arrivals`; the duration runs from
+    /// the first arrival to the last counted instant.
     fn report(mut self, label: &str, rate_label: &str, arrivals: &[SimTime]) -> ScenarioReport {
-        let duration_s = self.duration_s(arrivals);
+        let first_arrival = arrivals.first().copied().unwrap_or(SimTime::ZERO);
+        let duration_s = (self.last - first_arrival).as_secs_f64();
         let duration = duration_s.max(1e-9);
         let completed = self.latencies.count();
         ScenarioReport {
@@ -211,66 +257,6 @@ impl Tally {
             duration_s,
         }
     }
-}
-
-/// Replay `samples` against the FIRST gateway at the given arrival times.
-/// Returns the §5.1 metrics. The gateway is advanced in place, so callers can
-/// inspect its metrics/log afterwards.
-///
-/// # Example
-///
-/// Replay ten ShareGPT-style conversations arriving at 2 req/s against the
-/// single-cluster test deployment:
-///
-/// ```
-/// use first_core::{run_gateway_openloop, DeploymentBuilder};
-/// use first_desim::{SimRng, SimTime};
-/// use first_workload::{ArrivalProcess, ShareGptGenerator};
-///
-/// let (mut gateway, tokens) = DeploymentBuilder::single_cluster_test()
-///     .prewarm(1)
-///     .build_with_tokens();
-/// let samples = ShareGptGenerator::new(42).samples(10);
-/// let mut rng = SimRng::seed_from_u64(7);
-/// let arrivals = ArrivalProcess::FixedRate(2.0).arrivals(10, SimTime::ZERO, &mut rng);
-///
-/// let report = run_gateway_openloop(
-///     &mut gateway,
-///     &tokens.alice,
-///     "meta-llama/Llama-3.3-70B-Instruct",
-///     &samples,
-///     &arrivals,
-///     "2",
-///     SimTime::from_secs(3600),
-/// );
-/// assert_eq!(report.offered, 10);
-/// assert_eq!(report.completed, 10);
-/// ```
-pub fn run_gateway_openloop(
-    gateway: &mut Gateway,
-    token: &TokenString,
-    model: &str,
-    samples: &[ConversationSample],
-    arrivals: &[SimTime],
-    rate_label: &str,
-    horizon: SimTime,
-) -> ScenarioReport {
-    assert_eq!(samples.len(), arrivals.len());
-    let mut tally = Tally::new(arrivals.len());
-    drive_openloop(
-        gateway,
-        arrivals.iter().copied(),
-        |&at| at,
-        horizon,
-        |gw, i, at| {
-            let s = &samples[i];
-            let (prompt, output) = (s.prompt_tokens, s.output_tokens);
-            let _ = admit_simulated(gw, token, model, i, prompt, output, at);
-        },
-        |gw| gw.take_responses().iter().for_each(|r| tally.response(r)),
-        Gateway::is_drained,
-    );
-    tally.report("FIRST", rate_label, arrivals)
 }
 
 /// Replay `samples` against a sharded gateway federation at the given
@@ -400,181 +386,6 @@ pub fn run_openai_openloop(
 /// no gateway path.
 fn sample_request(samples: &[ConversationSample], i: usize) -> InferenceRequest {
     InferenceRequest::chat(i as u64, samples[i].prompt_tokens, samples[i].output_tokens)
-}
-
-/// Availability and tail-latency metrics for one resilience scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ResilienceReport {
-    /// Scenario label ("fault-free", "endpoint-flap", ...).
-    pub label: String,
-    /// Requests offered.
-    pub offered: usize,
-    /// Requests answered successfully.
-    pub completed: usize,
-    /// Requests that ultimately failed (after any retries).
-    pub failed: usize,
-    /// `completed / offered`.
-    pub availability: f64,
-    /// Median end-to-end latency of successful requests, in seconds.
-    pub median_latency_s: f64,
-    /// 99th-percentile end-to-end latency of successful requests, in seconds.
-    pub p99_latency_s: f64,
-    /// Output tokens delivered to clients.
-    pub output_tokens: u64,
-    /// Output tokens per second over the run (the goodput measure).
-    pub goodput_tok_s: f64,
-    /// Run duration in seconds (first arrival → last delivery).
-    pub duration_s: f64,
-    /// Retries issued by the gateway.
-    pub retries: u64,
-    /// Failovers to a different endpoint.
-    pub failovers: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Hedged requests issued.
-    pub hedges: u64,
-    /// Faults the injector actually applied.
-    pub faults_injected: usize,
-}
-
-impl ResilienceReport {
-    /// Goodput retained versus a (fault-free) baseline, as a fraction.
-    pub fn goodput_retained(&self, baseline: &ResilienceReport) -> f64 {
-        if baseline.goodput_tok_s <= 0.0 {
-            0.0
-        } else {
-            self.goodput_tok_s / baseline.goodput_tok_s
-        }
-    }
-
-    /// One formatted table row (used by `resilience_sweep`).
-    pub fn table_row(&self, baseline: &ResilienceReport) -> String {
-        format!(
-            "{:<18} {:>7} {:>6} {:>6} {:>7.2}% {:>9.1} {:>9.1} {:>10.1} {:>8.1}% {:>7} {:>9} {:>6} {:>6} {:>6}",
-            self.label,
-            self.offered,
-            self.completed,
-            self.failed,
-            self.availability * 100.0,
-            self.median_latency_s,
-            self.p99_latency_s,
-            self.goodput_tok_s,
-            self.goodput_retained(baseline) * 100.0,
-            self.retries,
-            self.failovers,
-            self.breaker_trips,
-            self.hedges,
-            self.faults_injected,
-        )
-    }
-
-    /// The table header matching [`ResilienceReport::table_row`].
-    pub fn table_header() -> String {
-        format!(
-            "{:<18} {:>7} {:>6} {:>6} {:>8} {:>9} {:>9} {:>10} {:>9} {:>7} {:>9} {:>6} {:>6} {:>6}",
-            "scenario",
-            "offered",
-            "done",
-            "fail",
-            "avail",
-            "med (s)",
-            "p99 (s)",
-            "tok/s",
-            "goodput",
-            "retries",
-            "failovers",
-            "trips",
-            "hedges",
-            "faults"
-        )
-    }
-}
-
-/// Replay `samples` against the gateway while the injector perturbs the
-/// deployment according to its fault plan. The chaos companion of
-/// [`run_gateway_openloop`]: identical open-loop methodology, but fault and
-/// recovery instants participate in event selection, failures are counted,
-/// and the report adds availability, p99 and the resilience counters.
-#[allow(clippy::too_many_arguments)]
-pub fn run_resilience_openloop(
-    gateway: &mut Gateway,
-    injector: &mut FaultInjector,
-    token: &TokenString,
-    model: &str,
-    samples: &[ConversationSample],
-    arrivals: &[SimTime],
-    label: &str,
-    horizon: SimTime,
-) -> ResilienceReport {
-    assert_eq!(samples.len(), arrivals.len());
-    let mut tally = Tally::new(arrivals.len());
-    let mut rejected = 0usize;
-    drive_openloop(
-        &mut Faulted {
-            gateway: &mut *gateway,
-            injector: &mut *injector,
-        },
-        arrivals.iter().copied(),
-        |&at| at,
-        horizon,
-        |f, i, at| {
-            let s = &samples[i];
-            let (prompt, output) = (s.prompt_tokens, s.output_tokens);
-            if admit_simulated(f.gateway, token, model, i, prompt, output, at).is_err() {
-                rejected += 1;
-            }
-        },
-        // Failures end a delivery too, so they count toward the duration.
-        |f| {
-            for r in f.gateway.take_responses() {
-                tally.last = tally.last.max(r.finished_at);
-                tally.response(&r);
-            }
-        },
-        // Only the gateway's work is awaited: a fault still pending after
-        // the last response never fires.
-        |f| f.gateway.is_drained(),
-    );
-    let offered = arrivals.len();
-    let duration = tally.duration_s(arrivals).max(1e-9);
-    let completed = tally.latencies.count();
-    let metrics = gateway.metrics_mut();
-    ResilienceReport {
-        label: label.to_string(),
-        offered,
-        completed,
-        failed: tally.failed + rejected,
-        availability: completed as f64 / offered.max(1) as f64,
-        median_latency_s: tally.latencies.median(),
-        p99_latency_s: tally.latencies.p99(),
-        output_tokens: tally.output_tokens,
-        goodput_tok_s: tally.output_tokens as f64 / duration,
-        duration_s: duration,
-        retries: metrics.retries,
-        failovers: metrics.failovers,
-        breaker_trips: metrics.breaker_trips,
-        hedges: metrics.hedges,
-        faults_injected: injector.applied().len(),
-    }
-}
-
-/// One gateway under a fault plan, as [`drive_openloop`] steps it: fault
-/// and recovery instants take part in event selection, and the faults due
-/// at a step land before the gateway advances to it.
-struct Faulted<'a> {
-    gateway: &'a mut Gateway,
-    injector: &'a mut FaultInjector,
-}
-
-impl SimProcess for Faulted<'_> {
-    fn next_event_time(&self) -> Option<SimTime> {
-        self.injector.next_event_merged(&*self.gateway)
-    }
-
-    fn advance(&mut self, now: SimTime) {
-        self.injector.apply_due(self.gateway.service_mut(), now);
-        self.gateway.advance(now);
-    }
 }
 
 /// One Table 1 cell: throughput measured over a fixed window of concurrent
@@ -737,11 +548,11 @@ pub fn run_webui_closed_loop(
 mod tests {
     use super::*;
     use crate::deploy::DeploymentBuilder;
-    use first_chaos::FaultPlan;
+    use crate::scenario::ScenarioRun;
     use first_desim::SimRng;
     use first_hpc::GpuModel;
     use first_serving::find_model;
-    use first_workload::{ArrivalProcess, ShareGptGenerator};
+    use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec, ShareGptGenerator};
 
     const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
@@ -749,67 +560,38 @@ mod tests {
         ShareGptGenerator::new(42).samples(n)
     }
 
+    /// The §5.1 row of `samples` replayed at `arrivals` on the one-instance
+    /// single-cluster test deployment, as a one-tenant `ScenarioRun`.
+    fn first_row(
+        samples: Vec<ConversationSample>,
+        arrivals: &[SimTime],
+        rate_label: &str,
+        horizon_s: f64,
+    ) -> ScenarioReport {
+        let mut spec = ScenarioSpec::one_tenant_replay(
+            "sim-test",
+            DeploymentRef::SingleClusterTest,
+            MODEL,
+            samples,
+            arrivals,
+        );
+        spec.horizon_s = horizon_s;
+        let out = ScenarioRun::new(&spec).execute().unwrap();
+        ScenarioReport::from_one_tenant("FIRST", rate_label, &out.report)
+    }
+
     #[test]
     fn gateway_openloop_produces_consistent_report() {
-        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
-            .prewarm(1)
-            .build_with_tokens();
         let samples = samples(40);
         let mut rng = SimRng::seed_from_u64(1);
         let arrivals = ArrivalProcess::FixedRate(2.0).arrivals(40, SimTime::ZERO, &mut rng);
-        let report = run_gateway_openloop(
-            &mut gw,
-            &tokens.alice,
-            MODEL,
-            &samples,
-            &arrivals,
-            "2",
-            SimTime::from_secs(3600),
-        );
+        let report = first_row(samples, &arrivals, "2", 3600.0);
         assert_eq!(report.offered, 40);
         assert_eq!(report.completed, 40);
         assert!(report.request_throughput > 0.5);
         assert!(report.output_token_throughput > 50.0);
         assert!(report.median_latency_s > 5.0);
         assert!(report.duration_s > 10.0);
-    }
-
-    #[test]
-    fn fault_free_resilience_openloop_matches_the_plain_runner() {
-        let samples = samples(60);
-        let mut rng = SimRng::seed_from_u64(5);
-        let arrivals = ArrivalProcess::FixedRate(3.0).arrivals(60, SimTime::ZERO, &mut rng);
-        let horizon = SimTime::from_secs(3600);
-        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
-            .prewarm(1)
-            .build_with_tokens();
-        let plain = run_gateway_openloop(
-            &mut gw,
-            &tokens.alice,
-            MODEL,
-            &samples,
-            &arrivals,
-            "3",
-            horizon,
-        );
-        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
-            .prewarm(1)
-            .build_with_tokens();
-        let chaos = run_resilience_openloop(
-            &mut gw,
-            &mut FaultInjector::new(FaultPlan::none()),
-            &tokens.alice,
-            MODEL,
-            &samples,
-            &arrivals,
-            "fault-free",
-            horizon,
-        );
-        assert_eq!(chaos.completed, plain.completed);
-        assert_eq!((chaos.failed, chaos.faults_injected), (0, 0));
-        assert_eq!(chaos.median_latency_s, plain.median_latency_s);
-        assert_eq!(chaos.duration_s, plain.duration_s);
-        assert_eq!(chaos.goodput_tok_s, plain.output_token_throughput);
     }
 
     #[test]
@@ -838,18 +620,7 @@ mod tests {
             EngineConfig::for_model(find_model("llama-70b").unwrap(), GpuModel::A100_40);
         let direct =
             run_direct_openloop(direct_cfg, &samples, &inf, "inf", SimTime::from_secs(7200));
-        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
-            .prewarm(1)
-            .build_with_tokens();
-        let first = run_gateway_openloop(
-            &mut gw,
-            &tokens.alice,
-            MODEL,
-            &samples,
-            &inf,
-            "inf",
-            SimTime::from_secs(7200),
-        );
+        let first = first_row(samples, &inf, "inf", 7200.0);
         // The saturation-regime ordering from Figure 3.
         assert!(
             first.output_token_throughput > direct.output_token_throughput,
@@ -875,36 +646,6 @@ mod tests {
         assert_eq!(report.completed, 100);
         assert!(report.request_throughput < 8.0);
         assert!(report.median_latency_s < 15.0);
-    }
-
-    /// The run stops once every arrival is answered, even while the fault
-    /// plan still holds an event: a fault due long after the last response
-    /// (and inside the horizon) is never applied.
-    #[test]
-    fn resilience_openloop_stops_before_a_fault_after_the_last_response() {
-        let samples = samples(20);
-        let mut rng = SimRng::seed_from_u64(9);
-        let arrivals = ArrivalProcess::FixedRate(2.0).arrivals(20, SimTime::ZERO, &mut rng);
-        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
-            .prewarm(1)
-            .build_with_tokens();
-        let mut injector = FaultInjector::new(FaultPlan::cluster_outage(
-            "sophia-endpoint",
-            SimTime::from_secs(1_000_000),
-            SimDuration::from_secs(60),
-        ));
-        let report = run_resilience_openloop(
-            &mut gw,
-            &mut injector,
-            &tokens.alice,
-            MODEL,
-            &samples,
-            &arrivals,
-            "late-outage",
-            SimTime::from_secs(2_000_000),
-        );
-        assert_eq!(report.completed, report.offered);
-        assert_eq!(report.faults_injected, 0);
     }
 
     /// The kernel counts a direct-server and a cloud-API run record, pinned

@@ -6,12 +6,12 @@
 //! boundary, resolved from the same ids.
 
 use first_core::{
-    run_gateway_openloop, DeploymentBuilder, FederationRouter, ModelRegistry, RoutingPolicy,
-    RoutingReason,
+    DeploymentBuilder, FederationRouter, ModelRegistry, RoutingPolicy, RoutingReason,
+    ScenarioReport, ScenarioRun,
 };
 use first_desim::{SimRng, SimTime};
 use first_fabric::{ComputeService, InstanceState};
-use first_workload::{ArrivalProcess, ShareGptGenerator};
+use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec, ShareGptGenerator};
 use proptest::prelude::*;
 
 const MODELS: [&str; 3] = [
@@ -165,22 +165,20 @@ proptest! {
         rate in prop_oneof![Just(2.0f64), Just(8.0), Just(25.0)],
     ) {
         let run = || {
-            let (mut gateway, tokens) = DeploymentBuilder::federated_sophia_polaris()
-                .prewarm(1)
-                .build_with_tokens();
             let samples = ShareGptGenerator::new(seed).samples(n);
             let mut rng = SimRng::seed_from_u64(seed ^ 0xABCD);
             let arrivals =
                 ArrivalProcess::FixedRate(rate).arrivals(n, SimTime::ZERO, &mut rng);
-            let report = run_gateway_openloop(
-                &mut gateway,
-                &tokens.alice,
+            let spec = ScenarioSpec::one_tenant_replay(
+                "routing-reproducibility",
+                DeploymentRef::FederatedSophiaPolaris,
                 MODELS[0],
-                &samples,
+                samples,
                 &arrivals,
-                "p",
-                SimTime::from_secs(24 * 3600),
             );
+            let mut out = ScenarioRun::new(&spec).execute().unwrap();
+            let report = ScenarioReport::from_one_tenant("FIRST", "p", &out.report);
+            let gateway = out.fleet.shard_mut(0);
             let log: Vec<String> = gateway
                 .log()
                 .entries()

@@ -3,17 +3,18 @@
 //! Two families of properties:
 //!
 //! 1. **Single-shard transparency** — a 1-shard [`ShardedGateway`] is the
-//!    unsharded gateway: for random workloads, driving both with the same
-//!    request stream yields identical §5.1 metrics, and a 1-shard
-//!    [`ScenarioRun`] serializes to the same bytes whether sharding was
-//!    requested explicitly or left at the default.
+//!    unsharded gateway: for random workloads, driving a 1-shard fleet with
+//!    the same request stream as a one-tenant [`ScenarioRun`] yields
+//!    identical §5.1 metrics, and a 1-shard [`ScenarioRun`] serializes to
+//!    the same bytes whether sharding was requested explicitly or left at
+//!    the default.
 //! 2. **Consistent-hash stability** — growing the ring from `n` to `n+1`
 //!    shards moves keys only *to* the new shard (never between old shards),
 //!    the moved fraction stays near the ideal `1/(n+1)`, and lookups are a
 //!    pure function of `(key, n)`.
 
 use first_core::{
-    run_gateway_openloop, run_sharded_openloop, ConsistentHashRing, DeploymentBuilder, ScenarioRun,
+    run_sharded_openloop, ConsistentHashRing, DeploymentBuilder, ScenarioReport, ScenarioRun,
     ShardedGateway, ShardingConfig,
 };
 use first_desim::{SimRng, SimTime};
@@ -28,8 +29,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Driving a 1-shard fleet open-loop produces exactly the §5.1 metrics
-    /// of the bare gateway on the same stream — the federation front tier
-    /// adds nothing at n = 1.
+    /// of a one-tenant `ScenarioRun` of the same stream on one gateway: the
+    /// federation tier adds nothing at n = 1.
     #[test]
     fn one_shard_openloop_matches_unsharded(
         requests in 5usize..60,
@@ -43,12 +44,16 @@ proptest! {
             ArrivalProcess::FixedRate(rate).arrivals(requests, SimTime::ZERO, &mut rng);
         let horizon = SimTime::from_secs(14 * 24 * 3600);
 
-        let (mut gateway, tokens) = DeploymentBuilder::sophia_single_instance()
-            .prewarm(1)
-            .build_with_tokens();
-        let mut plain = run_gateway_openloop(
-            &mut gateway, &tokens.alice, MODEL, &samples, &arrivals, "p", horizon,
+        let mut spec = ScenarioSpec::one_tenant_replay(
+            "one-shard",
+            DeploymentRef::SophiaSingleInstance,
+            MODEL,
+            samples.clone(),
+            &arrivals,
         );
+        spec.horizon_s = horizon.as_secs_f64();
+        let out = ScenarioRun::new(&spec).execute().unwrap();
+        let plain = ScenarioReport::from_one_tenant("", "p", &out.report);
 
         let mut fleet = ShardedGateway::from_builder(
             &DeploymentBuilder::sophia_single_instance().prewarm(1),
@@ -62,7 +67,6 @@ proptest! {
 
         // The label is the only intentional difference.
         prop_assert_eq!(&sharded.label, "FIRST x1 shards");
-        plain.label.clear();
         sharded.label.clear();
         prop_assert_eq!(plain, sharded);
         prop_assert_eq!(fleet.spilled_total(), 0);

@@ -12,9 +12,9 @@
 //! The committed [`catalog`] is the scenario matrix every benchmark sweep,
 //! golden test and CI smoke run shares.
 
-use crate::arrival::{ArrivalCursor, ArrivalProcess, ReplayEntry};
+use crate::arrival::{ArrivalCursor, ArrivalProcess, ReplayEntry, ReplayTrack};
 use crate::sessions::SessionWorkloadConfig;
-use crate::sharegpt::{ShareGptGenerator, ShareGptProfile};
+use crate::sharegpt::{ConversationSample, ShareGptGenerator, ShareGptProfile};
 use crate::trace::{generate_trace, DeploymentTraceConfig, TraceEntry, TraceEntryKind};
 use first_chaos::{FaultPlan, ShardFaultPlan};
 use first_desim::{SimDuration, SimRng, SimTime};
@@ -232,6 +232,41 @@ impl ScenarioSpec {
             shard_faults: ShardFaultPlan::none(),
             sessions: None,
         }
+    }
+
+    /// A fault-free spec with one tenant, `"client"`, that replays `samples`
+    /// against `model`: request `i` arrives at `arrivals[i]` with sample
+    /// `i`'s prompt and output lengths, in that order. This is the §5
+    /// open-loop replay as a spec. The samples are consumed, so the replay
+    /// track is the only copy of the input.
+    ///
+    /// # Panics
+    /// If `samples` and `arrivals` differ in length.
+    pub fn one_tenant_replay(
+        name: &str,
+        deployment: DeploymentRef,
+        model: &str,
+        samples: Vec<ConversationSample>,
+        arrivals: &[SimTime],
+    ) -> Self {
+        assert_eq!(samples.len(), arrivals.len(), "one arrival per sample");
+        let entries: Vec<ReplayEntry> = samples
+            .into_iter()
+            .zip(arrivals)
+            .map(|(s, &at)| ReplayEntry {
+                at,
+                model: model.to_string(),
+                prompt_tokens: s.prompt_tokens,
+                output_tokens: s.output_tokens,
+            })
+            .collect();
+        let client = TenantClass::synthetic(
+            "client",
+            entries.len(),
+            ArrivalProcess::Replay(ReplayTrack { entries }),
+            model,
+        );
+        ScenarioSpec::new(name, "one-tenant replay", deployment, vec![client])
     }
 
     /// Total requests offered across all tenants.
@@ -929,7 +964,6 @@ pub fn catalog(n: usize) -> Vec<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrival::ReplayTrack;
 
     #[test]
     fn catalog_names_are_unique_and_cover_the_matrix() {

@@ -2,22 +2,48 @@
 //! public façade, failover-aware federation routing, and the no-lost-requests
 //! guarantee under a single-cluster outage.
 
-use first::chaos::{FaultInjector, FaultKind, FaultPlan, HealthState, ResilienceConfig};
-use first::core::{run_resilience_openloop, DeploymentBuilder, Gateway, ResilienceReport};
-use first::desim::{SimDuration, SimRng, SimTime};
-use first::workload::{ArrivalProcess, ShareGptGenerator};
+use first::chaos::{FaultKind, FaultPlan, HealthState};
+use first::core::{Gateway, GatewayReport, RunOutput, ScenarioRun};
+use first::desim::{Histogram, SimDuration, SimRng, SimTime};
+use first::workload::{
+    ArrivalProcess, ConversationSample, DeploymentRef, ScenarioSpec, ShareGptGenerator,
+};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
-fn resilient_deployment() -> (Gateway, first::core::TestTokens) {
-    DeploymentBuilder::federated_sophia_polaris()
-        .prewarm(1)
-        .resilience(ResilienceConfig::production())
-        .build_with_tokens()
+/// Replay `samples` at `arrivals` under `plan` as a one-tenant run of the
+/// federated Sophia+Polaris deployment with the production resilience
+/// profile and one instance prewarmed per site.
+fn run_resilient(
+    samples: Vec<ConversationSample>,
+    arrivals: &[SimTime],
+    plan: FaultPlan,
+) -> RunOutput {
+    let mut spec = ScenarioSpec::one_tenant_replay(
+        "resilience",
+        DeploymentRef::FederatedSophiaPolaris,
+        MODEL,
+        samples,
+        arrivals,
+    );
+    spec.resilience = true;
+    spec.horizon_s = 7200.0;
+    spec.faults = plan;
+    ScenarioRun::new(&spec).execute().unwrap()
 }
 
-fn run_outage_scenario(seed: u64, n: usize) -> ResilienceReport {
-    let (mut gateway, tokens) = resilient_deployment();
+/// The 99th-percentile latency, in seconds, of the successful requests in
+/// `gateway`'s request log.
+fn p99_latency_s(gateway: &Gateway) -> f64 {
+    let mut latencies = Histogram::new();
+    for entry in gateway.log().entries().iter().filter(|e| e.success) {
+        latencies.record(entry.latency().as_secs_f64());
+    }
+    latencies.p99()
+}
+
+/// The cluster-outage run's report and its p99 latency.
+fn run_outage_scenario(seed: u64, n: usize) -> (GatewayReport, f64) {
     let samples = ShareGptGenerator::new(seed).samples(n);
     let mut rng = SimRng::seed_from_u64(seed ^ 0xA11CE);
     let arrivals = ArrivalProcess::FixedRate(4.0).arrivals(n, SimTime::ZERO, &mut rng);
@@ -29,17 +55,8 @@ fn run_outage_scenario(seed: u64, n: usize) -> ResilienceReport {
         SimTime::from_secs(10),
         SimDuration::from_secs(60),
     );
-    let mut injector = FaultInjector::new(plan);
-    let report = run_resilience_openloop(
-        &mut gateway,
-        &mut injector,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arrivals,
-        "cluster-outage",
-        SimTime::from_secs(7200),
-    );
+    let out = run_resilient(samples, &arrivals, plan);
+    let gateway = out.fleet.shard(0);
     // Task-leak half of the run invariants: retries, hedges and failovers
     // must not strand a single copy in the gateway's slabs once drained.
     assert!(gateway.is_drained(), "outage run drained");
@@ -48,19 +65,19 @@ fn run_outage_scenario(seed: u64, n: usize) -> ResilienceReport {
     assert_eq!(queues.in_flight_tasks, 0, "{queues:?}");
     assert_eq!(queues.awaiting_delivery, 0, "{queues:?}");
     assert_eq!(queues.outstanding_copies, 0, "{queues:?}");
-    report
+    (out.report, p99_latency_s(gateway))
 }
 
 #[test]
 fn single_cluster_outage_loses_no_accepted_requests() {
-    let report = run_outage_scenario(42, 120);
+    let (report, _) = run_outage_scenario(42, 120);
     assert_eq!(report.offered, 120);
     assert_eq!(
         report.completed, 120,
         "failover + retry must rescue every accepted request: {report:?}"
     );
-    assert_eq!(report.failed, 0);
-    assert!((report.availability - 1.0).abs() < 1e-12);
+    assert_eq!(report.failed + report.rejected, 0);
+    assert!((report.tenants[0].availability - 1.0).abs() < 1e-12);
     assert_eq!(report.faults_injected, 1);
     // The rescue machinery actually did something.
     assert!(report.retries >= 1, "retries: {}", report.retries);
@@ -74,7 +91,6 @@ fn single_cluster_outage_loses_no_accepted_requests() {
 
 #[test]
 fn outage_traffic_lands_on_the_secondary_cluster() {
-    let (mut gateway, tokens) = resilient_deployment();
     let n = 80;
     let samples = ShareGptGenerator::new(7).samples(n);
     let mut rng = SimRng::seed_from_u64(77);
@@ -84,18 +100,9 @@ fn outage_traffic_lands_on_the_secondary_cluster() {
         SimTime::from_secs(8),
         SimDuration::from_secs(120),
     );
-    let mut injector = FaultInjector::new(plan);
-    let report = run_resilience_openloop(
-        &mut gateway,
-        &mut injector,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arrivals,
-        "outage",
-        SimTime::from_secs(7200),
-    );
-    assert_eq!(report.completed, n);
+    let out = run_resilient(samples, &arrivals, plan);
+    assert_eq!(out.report.completed, n);
+    let gateway = out.fleet.shard(0);
     // The request log shows the federation actually failing over: Sophia
     // serves the pre-outage prefix, Polaris absorbs the outage window.
     let mut sophia = 0;
@@ -122,17 +129,17 @@ fn same_seed_reproduces_identical_resilience_reports() {
     let a = run_outage_scenario(1234, 60);
     let b = run_outage_scenario(1234, 60);
     assert_eq!(a, b, "same seed must reproduce identical numbers");
-    let c = run_outage_scenario(1235, 60);
+    let (c, c_p99) = run_outage_scenario(1235, 60);
+    let (a, a_p99) = a;
     assert_ne!(
-        (a.median_latency_s, a.p99_latency_s, a.duration_s),
-        (c.median_latency_s, c.p99_latency_s, c.duration_s),
+        (a.tenants[0].median_latency_s, a_p99, a.duration_s),
+        (c.tenants[0].median_latency_s, c_p99, c.duration_s),
         "a different seed should re-randomise the run"
     );
 }
 
 #[test]
 fn seeded_flap_plan_degrades_goodput_but_not_availability() {
-    let (mut gateway, tokens) = resilient_deployment();
     let n = 100;
     let samples = ShareGptGenerator::new(5).samples(n);
     let mut rng = SimRng::seed_from_u64(55);
@@ -147,17 +154,7 @@ fn seeded_flap_plan_degrades_goodput_but_not_availability() {
         SimDuration::from_secs(6),
     );
     assert!(!plan.is_empty());
-    let mut injector = FaultInjector::new(plan);
-    let report = run_resilience_openloop(
-        &mut gateway,
-        &mut injector,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arrivals,
-        "flaps",
-        SimTime::from_secs(7200),
-    );
+    let report = run_resilient(samples, &arrivals, plan).report;
     assert_eq!(report.completed, n, "flapping must not lose requests");
     assert!(report.faults_injected >= 1);
     assert!(report.retries >= 1);
@@ -165,7 +162,6 @@ fn seeded_flap_plan_degrades_goodput_but_not_availability() {
 
 #[test]
 fn breaker_recovers_after_the_outage_ends() {
-    let (mut gateway, tokens) = resilient_deployment();
     let n = 60;
     let samples = ShareGptGenerator::new(3).samples(n);
     let mut rng = SimRng::seed_from_u64(33);
@@ -176,18 +172,9 @@ fn breaker_recovers_after_the_outage_ends() {
         SimTime::from_secs(20),
         SimDuration::from_secs(60),
     );
-    let mut injector = FaultInjector::new(plan);
-    let report = run_resilience_openloop(
-        &mut gateway,
-        &mut injector,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arrivals,
-        "recovery",
-        SimTime::from_secs(7200),
-    );
-    assert_eq!(report.completed, n);
+    let out = run_resilient(samples, &arrivals, plan);
+    assert_eq!(out.report.completed, n);
+    let gateway = out.fleet.shard(0);
     // Long after the outage the breaker has aged out: Sophia is back in the
     // healthy rotation (the paper-priority router still prefers the hot
     // Polaris instance, but Sophia is eligible again), and `/jobs` agrees.
@@ -220,34 +207,18 @@ fn mixed_seeded_plan_applies_every_fault_kind_deterministically() {
     assert!(kinds.len() >= 3, "kinds drawn: {kinds:?}");
     // Applying the plan against a live deployment is itself deterministic.
     let run = || {
-        let (mut gateway, tokens) = resilient_deployment();
         let samples = ShareGptGenerator::new(11).samples(50);
         let mut rng = SimRng::seed_from_u64(111);
         let arrivals = ArrivalProcess::FixedRate(2.0).arrivals(50, SimTime::ZERO, &mut rng);
-        let mut injector = FaultInjector::new(FaultPlan::seeded(
-            99,
-            SimTime::ZERO,
-            SimTime::from_secs(500),
-            &endpoints,
-            20,
-        ));
-        run_resilience_openloop(
-            &mut gateway,
-            &mut injector,
-            &tokens.alice,
-            MODEL,
-            &samples,
-            &arrivals,
-            "mixed",
-            SimTime::from_secs(7200),
-        )
+        let plan = FaultPlan::seeded(99, SimTime::ZERO, SimTime::from_secs(500), &endpoints, 20);
+        let out = run_resilient(samples, &arrivals, plan);
+        (out.report, p99_latency_s(out.fleet.shard(0)))
     };
     assert_eq!(run(), run());
 }
 
 #[test]
 fn engine_stall_is_survived_via_hedging() {
-    let (mut gateway, tokens) = resilient_deployment();
     let n = 20;
     let samples = ShareGptGenerator::new(21).samples(n);
     let mut rng = SimRng::seed_from_u64(210);
@@ -261,23 +232,11 @@ fn engine_stall_is_survived_via_hedging() {
             duration: SimDuration::from_secs(1800),
         },
     );
-    let mut injector = FaultInjector::new(plan);
-    let report = run_resilience_openloop(
-        &mut gateway,
-        &mut injector,
-        &tokens.alice,
-        MODEL,
-        &samples,
-        &arrivals,
-        "stall",
-        SimTime::from_secs(7200),
-    );
+    let out = run_resilient(samples, &arrivals, plan);
+    let report = out.report;
     assert_eq!(report.completed, n);
     assert!(report.hedges >= 1, "hedges: {}", report.hedges);
     // Hedged requests finished far sooner than the stall would have allowed.
-    assert!(
-        report.p99_latency_s < 600.0,
-        "p99 {} should beat the 1800 s stall",
-        report.p99_latency_s
-    );
+    let p99 = p99_latency_s(out.fleet.shard(0));
+    assert!(p99 < 600.0, "p99 {p99} should beat the 1800 s stall");
 }
