@@ -14,7 +14,7 @@ use crate::api::{
 use crate::middleware::{AuthMiddleware, CachedResponse, RateLimiter, ResponseCache};
 use crate::registry::{FederationRouter, ModelId, ModelRegistry, RoutedTarget, RoutingPolicy};
 use crate::storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, UserSym};
-use crate::workers::{WorkerPool, WorkerPoolConfig};
+use crate::workers::{Admission, WorkerPool, WorkerPoolConfig};
 use first_auth::{AuthService, TokenString};
 use first_chaos::{HealthTracker, ResilienceConfig};
 use first_desim::{
@@ -24,7 +24,7 @@ use first_fabric::{ClientConfig, ComputeService, EndpointId, FunctionId, TaskId}
 use first_serving::InferenceRequest;
 use first_telemetry::{FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, TraceConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Gateway configuration: the knobs the paper's optimization study varies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -192,6 +192,17 @@ struct PendingDispatch {
     attempt: u32,
 }
 
+/// A dispatch whose request waits for a sync worker.
+#[derive(Debug, Clone)]
+struct WaitingDispatch {
+    dispatch: PendingDispatch,
+    /// Auth and connection overhead between the end of the worker's CPU
+    /// slice and the submit.
+    overhead: SimDuration,
+    /// Whether the request is traced.
+    sampled: bool,
+}
+
 #[derive(Debug, Clone)]
 struct InFlight {
     request_id: u64,
@@ -261,6 +272,11 @@ pub struct Gateway {
     /// The wheel's insertion sequence doubles as the arrival order the
     /// dispatch loop must preserve (see `submit_due`).
     pending: TimingWheel<PendingDispatch>,
+    /// Requests waiting for a sync worker, oldest first, in the order the
+    /// worker pool queued them: each starts when a release frees a worker.
+    /// Their `submit_at` and `worker` are set when they start. Always empty
+    /// with async workers.
+    waiting: VecDeque<WaitingDispatch>,
     /// Completed tasks waiting for their client-observed delivery instant,
     /// bucketed by `deliver_at` (same structure as `pending`).
     awaiting: TimingWheel<AwaitingDelivery>,
@@ -361,6 +377,7 @@ impl Gateway {
             log: RequestLog::new(),
             metrics: GatewayMetrics::new(),
             pending: TimingWheel::new(),
+            waiting: VecDeque::new(),
             awaiting: TimingWheel::new(),
             submit_buf: Vec::new(),
             deliver_buf: Vec::new(),
@@ -511,6 +528,7 @@ impl Gateway {
     /// Whether all accepted requests have been answered.
     pub fn is_drained(&self) -> bool {
         self.pending.is_empty()
+            && self.waiting.is_empty()
             && self.in_flight.is_empty()
             && self.awaiting.is_empty()
             && self.service.is_drained()
@@ -521,7 +539,7 @@ impl Gateway {
     /// consults this per submission for its spillover decision, so unlike
     /// [`Gateway::queue_snapshot`] it must not walk any slab.
     pub fn load_depth(&self) -> usize {
-        self.pending.len() + self.in_flight.len()
+        self.pending.len() + self.waiting.len() + self.in_flight.len()
     }
 
     /// Diagnostic counts of the gateway's internal queues and slabs — what
@@ -530,7 +548,7 @@ impl Gateway {
     /// `buffered_responses` (whatever the driver has not collected yet).
     pub fn queue_snapshot(&self) -> GatewayQueueSnapshot {
         GatewayQueueSnapshot {
-            pending_dispatches: self.pending.len(),
+            pending_dispatches: self.pending.len() + self.waiting.len(),
             in_flight_tasks: self.in_flight.len(),
             awaiting_delivery: self.awaiting.len(),
             outstanding_copies: self.outstanding.values().map(|&c| c as u64).sum(),
@@ -641,37 +659,68 @@ impl Gateway {
         let request_id = self.next_request_id;
         self.next_request_id += 1;
         let admission = self.workers.admit(now);
-        let connection = self.connection_overhead(target.endpoint);
-        let submit_at = admission.dispatch_ready_at + auth_latency + connection;
-        if self.recorder.should_sample() {
+        let overhead = auth_latency + self.connection_overhead(target.endpoint);
+        let sampled = self.recorder.should_sample();
+        self.outstanding.insert(request_id, 1);
+        let dispatch = PendingDispatch {
+            request_id,
+            request,
+            endpoint: target.endpoint,
+            hosting: target.hosting,
+            function,
+            submit_at: now,
+            worker: 0,
+            arrived_at: now,
+            operation,
+            prompt_text_key,
+            attempt: 0,
+        };
+        let waiting = WaitingDispatch {
+            dispatch,
+            overhead,
+            sampled,
+        };
+        match admission {
+            Some(admission) => self.start(waiting, admission),
+            None => self.waiting.push_back(waiting),
+        }
+        request_id
+    }
+
+    /// Start a request's dispatch on the worker `admission` gave it: it is
+    /// submitted once the worker's CPU slice and the overhead are spent.
+    fn start(&mut self, waiting: WaitingDispatch, admission: Admission) {
+        let WaitingDispatch {
+            mut dispatch,
+            overhead,
+            sampled,
+        } = waiting;
+        dispatch.submit_at = admission.dispatch_ready_at + overhead;
+        dispatch.worker = admission.worker;
+        if sampled {
             self.trace_pending.insert(
-                request_id,
+                dispatch.request_id,
                 GatewayTimes {
-                    arrived_at: now,
+                    arrived_at: dispatch.arrived_at,
                     started_at: admission.started_at,
                     dispatch_ready_at: admission.dispatch_ready_at,
-                    submit_at,
+                    submit_at: dispatch.submit_at,
                 },
             );
         }
-        self.outstanding.insert(request_id, 1);
-        self.pending.push(
-            submit_at,
-            PendingDispatch {
-                request_id,
-                request,
-                endpoint: target.endpoint,
-                hosting: target.hosting,
-                function,
-                submit_at,
-                worker: admission.worker,
-                arrived_at: now,
-                operation,
-                prompt_text_key,
-                attempt: 0,
-            },
-        );
-        request_id
+        self.pending.push(dispatch.submit_at, dispatch);
+    }
+
+    /// Free `worker` at `at`; with sync workers, the oldest request waiting
+    /// for one starts on it there.
+    fn release_worker(&mut self, worker: usize, at: SimTime) {
+        if let Some(admission) = self.workers.release(worker, at) {
+            let waiting = self
+                .waiting
+                .pop_front()
+                .expect("the pool starts only a request the gateway holds");
+            self.start(waiting, admission);
+        }
     }
 
     /// Handle a `/v1/chat/completions` call. `expected_output_tokens` is the
@@ -1100,7 +1149,7 @@ impl Gateway {
                             }
                         }
                         self.metrics.on_failed();
-                        self.workers.release(p.worker, now);
+                        self.release_worker(p.worker, now);
                         if !self.trace_pending.is_empty() {
                             self.record_trace(
                                 p.request_id,
@@ -1372,7 +1421,7 @@ impl Gateway {
                     // their eventual results are swallowed.
                     self.delivered.insert(request_id);
                 }
-                self.workers.release(a.in_flight.worker, a.deliver_at);
+                self.release_worker(a.in_flight.worker, a.deliver_at);
                 if a.success {
                     self.metrics.on_completed(
                         self.registry.model_name(request.model),
@@ -1972,5 +2021,35 @@ mod tests {
         assert!(gw.metrics().hedges >= 1);
         assert!(gw.is_drained());
         assert_eq!(gw.queue_snapshot().hedge_deadlines, 0);
+    }
+
+    /// The sync pool's nine workers serve a backlog far beyond nine: every
+    /// request that found them all held waits its turn and starts when a
+    /// response frees a worker, so an infinite-rate burst of 400 completes.
+    #[test]
+    fn sync_workers_serve_a_backlog_larger_than_the_pool() {
+        use crate::scenario::ScenarioRun;
+        use first_workload::{DeploymentRef, ScenarioSpec, ShareGptGenerator};
+        let n = 400;
+        let spec = ScenarioSpec::one_tenant_replay(
+            "sync-backlog",
+            DeploymentRef::SophiaSingleInstance,
+            MODEL,
+            ShareGptGenerator::new(42).samples(n),
+            &vec![SimTime::ZERO; n],
+        );
+        let config = GatewayConfig {
+            workers: WorkerPoolConfig::sync_legacy(),
+            ..GatewayConfig::default()
+        };
+        let out = ScenarioRun::new(&spec)
+            .deployment(DeploymentBuilder::sophia_single_instance().gateway_config(config))
+            .execute()
+            .unwrap();
+        assert_eq!(out.report.completed, n);
+        assert_eq!(out.report.failed + out.report.rejected, 0);
+        let gateway = out.fleet.shard(0);
+        assert!(gateway.is_drained());
+        assert_eq!(gateway.queue_snapshot().pending_dispatches, 0);
     }
 }

@@ -59,11 +59,16 @@ impl WorkerPoolConfig {
 /// Tracks worker occupancy over virtual time.
 ///
 /// Workers are modelled as a pool of slots that each become free at a known
-/// time; admission picks the earliest-free slot.
+/// time; admission picks the earliest-free slot. A sync request that finds
+/// every worker held waits in FIFO order, and the oldest waiting request
+/// starts on a worker at the instant [`WorkerPool::release`] frees it.
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     config: WorkerPoolConfig,
     free_at: Vec<SimTime>,
+    /// Arrival instants of the sync requests waiting for a worker, oldest
+    /// first; always empty in async mode.
+    waiting: std::collections::VecDeque<SimTime>,
     /// Async-mode accelerator: `(free_at, worker)` min-heap so admission is
     /// O(log workers) instead of scanning all 260 production slots per
     /// request. Ties pop in worker-index order, matching the scan's
@@ -99,6 +104,7 @@ impl WorkerPool {
         };
         WorkerPool {
             free_at: vec![SimTime::ZERO; workers],
+            waiting: std::collections::VecDeque::new(),
             free_heap,
             config,
             admitted: 0,
@@ -124,7 +130,10 @@ impl WorkerPool {
     /// Admit a request arriving at `now`: wait for the earliest free worker,
     /// spend the per-request CPU, and (for async mode) release the slot at
     /// dispatch time. Sync-mode slots stay held until [`WorkerPool::release`].
-    pub fn admit(&mut self, now: SimTime) -> Admission {
+    /// Returns `None` when every sync worker is held: the request then waits
+    /// in line, and the release that frees a worker for it returns its
+    /// admission.
+    pub fn admit(&mut self, now: SimTime) -> Option<Admission> {
         let (worker, slot_free) = match self.config.mode {
             WorkerMode::Async => {
                 let std::cmp::Reverse((t, w)) =
@@ -138,10 +147,19 @@ impl WorkerPool {
                     .enumerate()
                     .min_by_key(|(_, &t)| t)
                     .expect("pool has at least one worker");
+                if slot_free == SimTime::MAX {
+                    self.waiting.push_back(now);
+                    return None;
+                }
                 (worker, slot_free)
             }
         };
-        let started_at = now.max(slot_free);
+        Some(self.start(worker, now, now.max(slot_free)))
+    }
+
+    /// Start a request that arrived at `arrived` on `worker` at
+    /// `started_at`.
+    fn start(&mut self, worker: usize, arrived: SimTime, started_at: SimTime) -> Admission {
         let dispatch_ready_at = started_at + self.config.per_request_cpu;
         self.free_at[worker] = match self.config.mode {
             // Async workers free up as soon as the CPU slice is done.
@@ -155,7 +173,7 @@ impl WorkerPool {
             WorkerMode::Sync => SimTime::MAX,
         };
         self.admitted += 1;
-        let wait = started_at.saturating_since(now).as_secs_f64();
+        let wait = started_at.saturating_since(arrived).as_secs_f64();
         if wait > self.peak_wait_secs {
             self.peak_wait_secs = wait;
         }
@@ -166,14 +184,16 @@ impl WorkerPool {
         }
     }
 
-    /// Release a sync worker when its request's response has been delivered.
-    /// No-op in async mode.
-    pub fn release(&mut self, worker: usize, now: SimTime) {
-        if self.config.mode == WorkerMode::Sync {
-            if let Some(slot) = self.free_at.get_mut(worker) {
-                *slot = now;
-            }
+    /// Release a sync worker when its request's response has been delivered,
+    /// at `now`. The oldest request waiting for a worker starts on it at
+    /// once, and its admission is returned. No-op in async mode.
+    pub fn release(&mut self, worker: usize, now: SimTime) -> Option<Admission> {
+        if self.config.mode != WorkerMode::Sync || worker >= self.free_at.len() {
+            return None;
         }
+        self.free_at[worker] = now;
+        let arrived = self.waiting.pop_front()?;
+        Some(self.start(worker, arrived, now.max(arrived)))
     }
 
     /// Number of workers that are free at `now`.
@@ -191,7 +211,7 @@ mod tests {
         let mut pool = WorkerPool::new(WorkerPoolConfig::async_production());
         let mut worst = SimDuration::ZERO;
         for _ in 0..1000 {
-            let a = pool.admit(SimTime::ZERO);
+            let a = pool.admit(SimTime::ZERO).expect("async pools never queue");
             let delay = a.dispatch_ready_at - SimTime::ZERO;
             if delay > worst {
                 worst = delay;
@@ -206,26 +226,41 @@ mod tests {
     #[test]
     fn sync_pool_blocks_at_nine_in_flight() {
         let mut pool = WorkerPool::new(WorkerPoolConfig::sync_legacy());
-        let mut admissions = Vec::new();
-        for _ in 0..9 {
-            admissions.push(pool.admit(SimTime::ZERO));
-        }
+        let admissions: Vec<Admission> = (0..9)
+            .map(|_| pool.admit(SimTime::ZERO).expect("a worker is free"))
+            .collect();
         assert_eq!(pool.free_workers(SimTime::from_secs(1)), 0);
-        // The tenth request cannot start until a worker is released.
-        let tenth = pool.admit(SimTime::from_secs(1));
-        assert_eq!(tenth.started_at, SimTime::MAX);
-        // Release one worker at t=30 s (its response came back); a fresh
-        // admission then starts at 30 s.
-        pool.release(admissions[0].worker, SimTime::from_secs(30));
-        let eleventh = pool.admit(SimTime::from_secs(5));
-        assert_eq!(eleventh.started_at, SimTime::from_secs(30));
+        // The tenth and eleventh requests wait until a worker is released.
+        assert_eq!(pool.admit(SimTime::from_secs(1)), None);
+        assert_eq!(pool.admit(SimTime::from_secs(2)), None);
+        // Release one worker at t=30 s (its response came back): the tenth
+        // request starts on it at once, and has waited 29 s.
+        let tenth = pool
+            .release(admissions[0].worker, SimTime::from_secs(30))
+            .expect("the oldest waiting request starts");
+        assert_eq!(tenth.started_at, SimTime::from_secs(30));
+        assert_eq!(tenth.worker, admissions[0].worker);
+        assert_eq!(pool.peak_wait_secs(), 29.0);
+        // The next release starts the eleventh; a release with nobody
+        // waiting frees the worker for the next arrival.
+        let eleventh = pool.release(admissions[1].worker, SimTime::from_secs(31));
+        assert_eq!(eleventh.map(|a| a.started_at), Some(SimTime::from_secs(31)));
+        assert_eq!(
+            pool.release(admissions[2].worker, SimTime::from_secs(40)),
+            None
+        );
+        let twelfth = pool
+            .admit(SimTime::from_secs(45))
+            .expect("a worker is free");
+        assert_eq!(twelfth.started_at, SimTime::from_secs(45));
+        assert_eq!(pool.admitted(), 12);
     }
 
     #[test]
     fn sync_release_is_noop_for_async() {
         let mut pool = WorkerPool::new(WorkerPoolConfig::async_production());
-        let a = pool.admit(SimTime::ZERO);
-        pool.release(a.worker, SimTime::from_secs(100));
+        let a = pool.admit(SimTime::ZERO).expect("async pools never queue");
+        assert_eq!(pool.release(a.worker, SimTime::from_secs(100)), None);
         // Async slot already became free at dispatch time, far before 100 s.
         assert!(pool.free_workers(SimTime::from_secs(1)) >= 259);
     }
