@@ -74,10 +74,8 @@ pub enum InstanceState {
     Ready,
     /// Released (idle timeout, walltime or preemption). A released
     /// instance leaves the endpoint's instance list at the end of the pass
-    /// that released it.
+    /// that released it; a crashed one leaves it at the crash.
     Released,
-    /// Crashed; awaiting restart.
-    Failed,
 }
 
 /// One running (or starting) serving instance of a model.
@@ -246,8 +244,8 @@ impl ComputeEndpoint {
         &mut self.scheduler
     }
 
-    /// The instances not yet released — pending, loading, hot or failed —
-    /// in launch order.
+    /// The instances not yet released or crashed — pending, loading or
+    /// hot — in launch order.
     pub fn instances(&self) -> &[ModelInstance] {
         &self.instances
     }
@@ -426,8 +424,10 @@ impl ComputeEndpoint {
     }
 
     /// Simulate a crash of one hot instance of `model` (§3.2.2 fault
-    /// tolerance). Its in-flight tasks fail with a retryable error; the
-    /// process manager restarts the instance if auto-restart is enabled.
+    /// tolerance). The instance leaves the instance list (a stable removal,
+    /// so the others keep their assignment order) and its in-flight tasks
+    /// fail with a retryable error; the process manager restarts the
+    /// instance if auto-restart is enabled.
     pub fn inject_instance_failure(&mut self, model: &str, now: SimTime) -> bool {
         let Some(idx) = self
             .instances
@@ -437,12 +437,12 @@ impl ComputeEndpoint {
             return false;
         };
         self.dirty = true;
-        let inst = &mut self.instances[idx];
-        inst.state = InstanceState::Failed;
-        inst.backend = None;
-        let in_flight = std::mem::take(&mut inst.in_flight);
-        let job = inst.job;
-        let hosting_idx = inst.hosting;
+        let ModelInstance {
+            in_flight,
+            job,
+            hosting: hosting_idx,
+            ..
+        } = self.instances.remove(idx);
         // The engine that held the requests is gone, so the endpoint cannot
         // re-queue them: it fails them, and the gateway retries idempotent
         // requests.
@@ -1124,6 +1124,33 @@ mod tests {
         // A preempted instance leaves the list as well.
         assert!(ep.preempt_instance(now));
         assert!(ep.instances().is_empty());
+    }
+
+    #[test]
+    fn crashed_instances_leave_the_instance_list() {
+        let mut ep = endpoint();
+        let model = "meta-llama/Llama-3.3-70B-Instruct";
+        assert_eq!(ep.prewarm(model, 2, SimTime::ZERO), 2);
+        ep.receive_task(TaskId(0), Some(0), chat_req(0), SimTime::ZERO);
+        ep.advance(SimTime::from_millis(100));
+        assert_eq!(
+            ep.instances().iter().map(|i| i.in_flight()).sum::<usize>(),
+            1
+        );
+        // The first hot instance crashes: it leaves the list at once, the
+        // survivor keeps its place and the restart is appended after it.
+        assert!(ep.inject_instance_failure(model, SimTime::from_secs(1)));
+        let ids: Vec<u32> = ep.instances().iter().map(|i| i.id).collect();
+        assert_eq!(ids, [1, 2]);
+        assert_eq!(ep.stats().restarts, 1);
+        // The crash failed the task it held.
+        let results = ep.take_results();
+        assert_eq!(results.len(), 1);
+        assert!(!results[0].success);
+        // A second crash removes the survivor too; only restarts remain.
+        assert!(ep.inject_instance_failure(model, SimTime::from_secs(2)));
+        let ids: Vec<u32> = ep.instances().iter().map(|i| i.id).collect();
+        assert_eq!(ids, [2, 3]);
     }
 
     #[test]
