@@ -18,6 +18,10 @@
 //! (`FIRST_SCALE_SHARDS` shards, default 4), synthetic users
 //! consistent-hashed across the shards — the horizontal path past the
 //! single-gateway serial ceiling, reported per shard and in aggregate.
+//! Each single-gateway point is a one-tenant `ScenarioRun` and ends with its
+//! conservation check; the sharded point runs through `run_sharded_openloop`
+//! and is not checked, since its users interleave by request index at one
+//! instant, which a spec's tenant-major merge does not reproduce.
 //! `FIRST_SCALE_SHARD_REQUESTS` overrides the sharded point's budget
 //! independently (that is how the committed ≥10M-request artifact point is
 //! produced without rerunning the per-gateway sweep at 10M).

@@ -192,17 +192,6 @@ struct PendingDispatch {
     attempt: u32,
 }
 
-/// A dispatch whose request waits for a sync worker.
-#[derive(Debug, Clone)]
-struct WaitingDispatch {
-    dispatch: PendingDispatch,
-    /// Auth and connection overhead between the end of the worker's CPU
-    /// slice and the submit.
-    overhead: SimDuration,
-    /// Whether the request is traced.
-    sampled: bool,
-}
-
 #[derive(Debug, Clone)]
 struct InFlight {
     request_id: u64,
@@ -272,11 +261,10 @@ pub struct Gateway {
     /// The wheel's insertion sequence doubles as the arrival order the
     /// dispatch loop must preserve (see `submit_due`).
     pending: TimingWheel<PendingDispatch>,
-    /// Requests waiting for a sync worker, oldest first, in the order the
-    /// worker pool queued them: each starts when a release frees a worker.
-    /// Their `submit_at` and `worker` are set when they start. Always empty
-    /// with async workers.
-    waiting: VecDeque<WaitingDispatch>,
+    /// Dispatches waiting for a sync worker, in the pool's FIFO order, with
+    /// their submit overhead and whether they are traced; each starts when a
+    /// release frees a worker. Always empty with async workers.
+    waiting: VecDeque<(PendingDispatch, SimDuration, bool)>,
     /// Completed tasks waiting for their client-observed delivery instant,
     /// bucketed by `deliver_at` (same structure as `pending`).
     awaiting: TimingWheel<AwaitingDelivery>,
@@ -662,6 +650,7 @@ impl Gateway {
         let overhead = auth_latency + self.connection_overhead(target.endpoint);
         let sampled = self.recorder.should_sample();
         self.outstanding.insert(request_id, 1);
+        // `submit_at` and `worker` are set when a worker takes the request.
         let dispatch = PendingDispatch {
             request_id,
             request,
@@ -675,11 +664,7 @@ impl Gateway {
             prompt_text_key,
             attempt: 0,
         };
-        let waiting = WaitingDispatch {
-            dispatch,
-            overhead,
-            sampled,
-        };
+        let waiting = (dispatch, overhead, sampled);
         match admission {
             Some(admission) => self.start(waiting, admission),
             None => self.waiting.push_back(waiting),
@@ -687,14 +672,10 @@ impl Gateway {
         request_id
     }
 
-    /// Start a request's dispatch on the worker `admission` gave it: it is
-    /// submitted once the worker's CPU slice and the overhead are spent.
-    fn start(&mut self, waiting: WaitingDispatch, admission: Admission) {
-        let WaitingDispatch {
-            mut dispatch,
-            overhead,
-            sampled,
-        } = waiting;
+    /// Start a dispatch on the worker `admission` gave it: it is submitted
+    /// once the worker's CPU slice and the overhead are spent.
+    fn start(&mut self, waiting: (PendingDispatch, SimDuration, bool), admission: Admission) {
+        let (mut dispatch, overhead, sampled) = waiting;
         dispatch.submit_at = admission.dispatch_ready_at + overhead;
         dispatch.worker = admission.worker;
         if sampled {
@@ -711,14 +692,11 @@ impl Gateway {
         self.pending.push(dispatch.submit_at, dispatch);
     }
 
-    /// Free `worker` at `at`; with sync workers, the oldest request waiting
-    /// for one starts on it there.
+    /// Free `worker` at `at`; the oldest dispatch waiting for a sync
+    /// worker starts on it there.
     fn release_worker(&mut self, worker: usize, at: SimTime) {
         if let Some(admission) = self.workers.release(worker, at) {
-            let waiting = self
-                .waiting
-                .pop_front()
-                .expect("the pool starts only a request the gateway holds");
+            let waiting = self.waiting.pop_front().expect("pool queue in step");
             self.start(waiting, admission);
         }
     }

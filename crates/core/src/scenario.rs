@@ -3,16 +3,13 @@
 //! federation of peers.
 //!
 //! [`ScenarioRun`] is the single seam every scenario-matrix consumer and
-//! every §5 replay through a FIRST gateway shares: a builder that composes
-//! the orthogonal run axes — seed, deployment, shard topology, tracing,
-//! recording, replay — into one `execute()`. A §5 figure is a one-tenant
-//! spec ([`first_workload::ScenarioSpec::one_tenant_replay`]) whose report
-//! [`crate::ScenarioReport::from_one_tenant`] turns into its row. The run
-//! resolves the spec's deployment reference, or takes the builder given to
-//! [`ScenarioRun::deployment`], and builds it once per shard. It enrolls one
-//! auth user per tenant class on every shard (so the request log, dashboard
-//! and metric export partition per tenant for free, and a credential is
-//! valid wherever the ring or a spill sends the request), replays the merged
+//! every §5 gateway replay shares: a builder that composes the orthogonal
+//! run axes — seed, deployment, shard topology, tracing, recording, replay
+//! — into one `execute()`. The run builds the spec's deployment (or one
+//! given to [`ScenarioRun::deployment`]) once per shard, enrolls one auth
+//! user per tenant class on every shard (so the request log, dashboard and
+//! metric export partition per tenant for free, and a credential is valid
+//! wherever the ring or a spill sends the request), replays the merged
 //! stream open-loop with the spec's embedded fault plan applied along the
 //! way, and reports per-tenant metric partitions and SLO attainment in a
 //! [`GatewayReport`] — with a per-shard [`ShardSection`] rollup when the run
@@ -373,16 +370,14 @@ impl GatewayReport {
     }
 }
 
-/// Everything one [`ScenarioRun::execute`] yields: the report and the fleet
-/// the run drove, plus the cassette when the run was
-/// [`ScenarioRun::recorded`] and the sampled span trees when it was
-/// [`ScenarioRun::traced`].
+/// Everything one [`ScenarioRun::execute`] yields: the report and the fleet,
+/// plus the cassette when the run was [`ScenarioRun::recorded`] and the
+/// sampled span trees when it was [`ScenarioRun::traced`].
 pub struct RunOutput {
     /// The scenario report (per-tenant partitions, SLO attainment, optional
     /// per-shard rollup).
     pub report: GatewayReport,
-    /// The gateways as the run left them, one per shard, so a caller can
-    /// read a gateway's request log, health, queues and service stats.
+    /// The gateways as the run left them (request log, health, queues).
     pub fleet: ShardedGateway,
     /// The recorded cassette; `Some` exactly when the run was
     /// [`ScenarioRun::recorded`].
@@ -396,10 +391,7 @@ impl std::fmt::Debug for RunOutput {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOutput")
             .field("report", &self.report)
-            .field("shards", &self.fleet.shard_count())
-            .field("cassette", &self.cassette)
-            .field("traces", &self.traces)
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -476,11 +468,9 @@ impl<'c> ScenarioRun<'c> {
         })
     }
 
-    /// Run against `deployment` instead of the preset the spec names, for a
-    /// configuration no preset has (an instance ceiling, a routing policy, a
-    /// gateway configuration). The spec's `prewarm`, `resilience` and
-    /// `horizon_s` still apply. A cassette cannot name such a deployment, so
-    /// the run is not recordable.
+    /// Run on `deployment` instead of the spec's preset; the spec's
+    /// `prewarm`, `resilience` and `horizon_s` still apply. A cassette cannot
+    /// name such a deployment, so the run is not recordable.
     pub fn deployment(mut self, deployment: DeploymentBuilder) -> Self {
         self.deployment = Some(deployment);
         self
@@ -558,12 +548,11 @@ impl<'c> ScenarioRun<'c> {
     /// session specs, sharded configurations and replaced deployments are
     /// [`CassetteError::Unrecordable`]) or is a [`ScenarioRun::replay`]
     /// (divergence is [`CassetteError::ReplayMismatch`]).
-    pub fn execute(self) -> Result<RunOutput, CassetteError> {
+    pub fn execute(mut self) -> Result<RunOutput, CassetteError> {
         if self.record {
             if self.deployment.is_some() {
                 return Err(CassetteError::Unrecordable(format!(
-                    "scenario '{}' runs on a replaced deployment; a cassette names only a \
-                     deployment preset",
+                    "scenario '{}' runs on a replaced deployment",
                     self.spec.name
                 )));
             }
@@ -592,38 +581,19 @@ impl<'c> ScenarioRun<'c> {
                 )));
             }
         }
+        let builder = self.deployment.take();
+        let builder = builder.unwrap_or_else(|| builder_for(self.spec.deployment));
+        let (mut out, outcomes) = run_scenario_impl(&self, builder);
         let spec = &*self.spec;
-        let builder = self
-            .deployment
-            .unwrap_or_else(|| builder_for(spec.deployment));
-        let (report, fleet, outcomes, trees) = run_scenario_impl(
-            spec,
-            builder,
-            self.seed,
-            self.trace,
-            &self.sharding,
-            self.record,
-        );
-        let cassette = match outcomes {
-            Some(outcomes) => Some(Cassette::from_run(
-                spec,
-                self.seed,
-                &spec.compile(self.seed),
-                outcomes,
-            )?),
-            None => None,
-        };
+        if let Some(outcomes) = outcomes {
+            let compiled = spec.compile(self.seed);
+            out.cassette = Some(Cassette::from_run(spec, self.seed, &compiled, outcomes)?);
+        }
         if let Some(recording) = self.replay_of {
-            check_replay_invariants(&report, recording)
+            check_replay_invariants(&out.report, recording)
                 .map_err(|violations| CassetteError::ReplayMismatch(violations.join("; ")))?;
         }
-        let traces = self.trace.enabled().then_some(trees);
-        Ok(RunOutput {
-            report,
-            fleet,
-            cassette,
-            traces,
-        })
+        Ok(out)
     }
 }
 
@@ -1208,10 +1178,10 @@ impl SimProcess for FrontTier<'_> {
 }
 
 /// The shared body of every [`ScenarioRun`]: stream the spec's requests at
-/// `seed` ([`ScenarioSpec::arrivals`]) over the (possibly single-shard)
-/// federation built from `builder` and return the report, the fleet, the
-/// per-request outcomes in stream order (`Some` only when `record` is set)
-/// and the sampled span trees (empty unless `trace` is enabled).
+/// the run's seed ([`ScenarioSpec::arrivals`]) over the (possibly
+/// single-shard) federation built from `builder` and return the output,
+/// without a cassette, and the per-request outcomes in stream order (`Some`
+/// only when the run is recorded).
 ///
 /// The run's [`FrontTier`] is the process [`drive_openloop`] steps, so
 /// arrivals, retries, timeouts and hedges all enter through the front tier,
@@ -1219,18 +1189,10 @@ impl SimProcess for FrontTier<'_> {
 /// shard, zero fan-in and the default policy the front tier has nothing to
 /// add, so the run is the plain single-gateway replay.
 fn run_scenario_impl(
-    spec: &ScenarioSpec,
+    run: &ScenarioRun,
     builder: DeploymentBuilder,
-    seed: u64,
-    trace: TraceConfig,
-    sharding: &ShardingConfig,
-    record: bool,
-) -> (
-    GatewayReport,
-    ShardedGateway,
-    Option<Vec<RequestOutcome>>,
-    Vec<SpanTree>,
-) {
+) -> (RunOutput, Option<Vec<RequestOutcome>>) {
+    let (spec, seed, trace, sharding) = (&*run.spec, run.seed, run.trace, &run.sharding);
     assert!(
         spec.tenants.is_empty() || spec.sessions.is_none(),
         "scenario '{}': open-loop tenants and a session rider are mutually exclusive",
@@ -1248,7 +1210,7 @@ fn run_scenario_impl(
         builder = builder.resilience(ResilienceConfig::production());
     }
     let mut arrivals = spec.arrivals(seed).peekable();
-    let mut front = FrontTier::new(spec, &builder, sharding, record);
+    let mut front = FrontTier::new(spec, &builder, sharding, run.record);
     // The report's failover section is reserved for runs that can actually
     // need the front tier's extra moves.
     let front_active =
@@ -1476,7 +1438,14 @@ fn run_scenario_impl(
         shards: shard_section,
         failover,
     };
-    (report, fleet, outcomes, trees)
+    let traces = trace.enabled().then_some(trees);
+    let out = RunOutput {
+        report,
+        fleet,
+        cassette: None,
+        traces,
+    };
+    (out, outcomes)
 }
 
 #[cfg(test)]

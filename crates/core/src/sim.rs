@@ -7,23 +7,17 @@
 //! throughput, median end-to-end latency, benchmark duration). A closed-loop
 //! runner drives concurrent WebUI sessions for Table 1.
 //!
-//! A replay through one FIRST gateway, with or without a fault plan, is a
-//! [`crate::ScenarioRun`] of a one-tenant spec
-//! ([`first_workload::ScenarioSpec::one_tenant_replay`]), which checks
-//! request conservation when it ends; [`ScenarioReport::from_one_tenant`]
-//! turns its report into the §5.1 row. Every open-loop run steps through one
-//! next-event loop, `drive_openloop`, generic over [`SimProcess`]. Each
-//! caller hands it a different process:
-//!
-//! - [`crate::ScenarioRun`]: the run's front tier (`scenario.rs`), which
-//!   owns the fleet, the per-shard injectors and the failover queue;
-//! - [`run_sharded_openloop`]: the [`ShardedGateway`] fleet, which advances
-//!   only its due shards, with requests keyed by synthetic user;
-//! - [`run_direct_openloop`]: a [`DirectServer`];
-//! - [`run_openai_openloop`]: a [`CloudApi`].
+//! A replay through one FIRST gateway is a checked [`crate::ScenarioRun`] of
+//! a one-tenant spec ([`first_workload::ScenarioSpec::one_tenant_replay`]);
+//! [`ScenarioReport::from_one_tenant`] makes its row. Every open-loop run
+//! steps through one next-event loop, `drive_openloop`, generic over
+//! [`SimProcess`], with a different process each: the `ScenarioRun` front
+//! tier (`scenario.rs`), the [`ShardedGateway`] of
+//! [`run_sharded_openloop`], the [`DirectServer`] of [`run_direct_openloop`]
+//! and the [`CloudApi`] of [`run_openai_openloop`].
 
 use crate::api::{GatewayError, PromptRef};
-use crate::gateway::{CompletedRequest, Gateway};
+use crate::gateway::Gateway;
 use crate::scenario::GatewayReport;
 use crate::shard::ShardedGateway;
 use first_auth::TokenString;
@@ -85,45 +79,26 @@ impl ScenarioReport {
     }
 
     /// The §5.1 row of a one-tenant run's report, labelled `label` at the
-    /// offered rate `rate_label`: the whole-run counts, throughputs and
-    /// duration, with the latency quantiles of the one tenant.
-    ///
-    /// # Example
-    ///
-    /// Replay ten ShareGPT-style conversations arriving at 2 req/s against
-    /// the single-cluster test deployment:
+    /// offered rate `rate_label`: the run's totals with its tenant's
+    /// latencies.
     ///
     /// ```
     /// use first_core::{ScenarioReport, ScenarioRun};
-    /// use first_desim::{SimRng, SimTime};
-    /// use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec, ShareGptGenerator};
+    /// use first_desim::SimTime;
+    /// use first_workload::{DeploymentRef::SingleClusterTest, ScenarioSpec, ShareGptGenerator};
     ///
+    /// // Ten ShareGPT-style conversations at 2 req/s on the test deployment.
+    /// let arrivals: Vec<_> = (0..10).map(|i| SimTime::from_millis(500 * i)).collect();
     /// let samples = ShareGptGenerator::new(42).samples(10);
-    /// let mut rng = SimRng::seed_from_u64(7);
-    /// let arrivals = ArrivalProcess::FixedRate(2.0).arrivals(10, SimTime::ZERO, &mut rng);
-    /// let spec = ScenarioSpec::one_tenant_replay(
-    ///     "doc",
-    ///     DeploymentRef::SingleClusterTest,
-    ///     "meta-llama/Llama-3.3-70B-Instruct",
-    ///     samples,
-    ///     &arrivals,
-    /// );
-    /// let out = ScenarioRun::new(&spec).execute().unwrap();
-    /// let row = ScenarioReport::from_one_tenant("FIRST", "2", &out.report);
-    /// assert_eq!(row.offered, 10);
-    /// assert_eq!(row.completed, 10);
+    /// let model = "meta-llama/Llama-3.3-70B-Instruct";
+    /// let spec = ScenarioSpec::one_tenant_replay("doc", SingleClusterTest, model, samples, &arrivals);
+    /// let report = ScenarioRun::new(&spec).execute().unwrap().report;
+    /// let row = ScenarioReport::from_one_tenant("FIRST", "2", &report);
+    /// assert_eq!((row.offered, row.completed), (10, 10));
     /// ```
-    ///
-    /// # Panics
-    /// If the report does not have exactly one tenant.
     pub fn from_one_tenant(label: &str, rate_label: &str, report: &GatewayReport) -> Self {
-        let [tenant] = report.tenants.as_slice() else {
-            panic!(
-                "scenario '{}' has {} tenants, not one",
-                report.scenario,
-                report.tenants.len()
-            );
-        };
+        assert_eq!(report.tenants.len(), 1, "a one-tenant report");
+        let tenant = &report.tenants[0];
         ScenarioReport {
             label: label.to_string(),
             offered_rate: rate_label.to_string(),
@@ -229,14 +204,6 @@ impl Tally {
         self.last = self.last.max(finished_at);
     }
 
-    /// Count one gateway response, if it succeeded, as
-    /// [`Tally::completed`].
-    fn response(&mut self, r: &CompletedRequest) {
-        if r.success {
-            self.completed(r.latency(), r.usage.completion_tokens, r.finished_at);
-        }
-    }
-
     /// The §5.1 metrics of a replay of `arrivals`; the duration runs from
     /// the first arrival to the last counted instant.
     fn report(mut self, label: &str, rate_label: &str, arrivals: &[SimTime]) -> ScenarioReport {
@@ -313,10 +280,9 @@ pub fn run_sharded_openloop(
         // Shard by shard, which keeps the order deterministic.
         |fleet| {
             for shard in 0..fleet.shard_count() {
-                fleet
-                    .take_responses(shard)
-                    .iter()
-                    .for_each(|r| tally.response(r));
+                for r in fleet.take_responses(shard).iter().filter(|r| r.success) {
+                    tally.completed(r.latency(), r.usage.completion_tokens, r.finished_at);
+                }
             }
         },
         ShardedGateway::is_drained,

@@ -59,15 +59,13 @@ impl WorkerPoolConfig {
 /// Tracks worker occupancy over virtual time.
 ///
 /// Workers are modelled as a pool of slots that each become free at a known
-/// time; admission picks the earliest-free slot. A sync request that finds
-/// every worker held waits in FIFO order, and the oldest waiting request
-/// starts on a worker at the instant [`WorkerPool::release`] frees it.
+/// time; admission picks the earliest-free slot. Sync requests that find
+/// every worker held wait in FIFO order for [`WorkerPool::release`].
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     config: WorkerPoolConfig,
     free_at: Vec<SimTime>,
-    /// Arrival instants of the sync requests waiting for a worker, oldest
-    /// first; always empty in async mode.
+    /// Arrival instants of the sync requests waiting for a worker.
     waiting: std::collections::VecDeque<SimTime>,
     /// Async-mode accelerator: `(free_at, worker)` min-heap so admission is
     /// O(log workers) instead of scanning all 260 production slots per
@@ -130,9 +128,8 @@ impl WorkerPool {
     /// Admit a request arriving at `now`: wait for the earliest free worker,
     /// spend the per-request CPU, and (for async mode) release the slot at
     /// dispatch time. Sync-mode slots stay held until [`WorkerPool::release`].
-    /// Returns `None` when every sync worker is held: the request then waits
-    /// in line, and the release that frees a worker for it returns its
-    /// admission.
+    /// `None` when every sync worker is held: the request then waits, and
+    /// the release that frees a worker for it returns its admission.
     pub fn admit(&mut self, now: SimTime) -> Option<Admission> {
         let (worker, slot_free) = match self.config.mode {
             WorkerMode::Async => {
@@ -157,8 +154,7 @@ impl WorkerPool {
         Some(self.start(worker, now, now.max(slot_free)))
     }
 
-    /// Start a request that arrived at `arrived` on `worker` at
-    /// `started_at`.
+    /// Start a request that arrived at `arrived` on `worker` at `started_at`.
     fn start(&mut self, worker: usize, arrived: SimTime, started_at: SimTime) -> Admission {
         let dispatch_ready_at = started_at + self.config.per_request_cpu;
         self.free_at[worker] = match self.config.mode {
@@ -184,9 +180,9 @@ impl WorkerPool {
         }
     }
 
-    /// Release a sync worker when its request's response has been delivered,
-    /// at `now`. The oldest request waiting for a worker starts on it at
-    /// once, and its admission is returned. No-op in async mode.
+    /// Release a sync worker at `now`, when its request's response has been
+    /// delivered; the oldest waiting request starts on it, and its admission
+    /// is returned. No-op in async mode.
     pub fn release(&mut self, worker: usize, now: SimTime) -> Option<Admission> {
         if self.config.mode != WorkerMode::Sync || worker >= self.free_at.len() {
             return None;
