@@ -134,7 +134,7 @@ pub(crate) fn admit_simulated(
     gateway.admit_chat(model, prompt, max_tokens, token, Some(output_tokens), at)
 }
 
-/// The one open-loop next-event loop every §5 runner and every
+/// The one open-loop next-event loop every runner here and every
 /// [`crate::ScenarioRun`] steps through. `arrivals` is consumed lazily, one
 /// item ahead, so a scenario streams its requests instead of holding them.
 /// Each step is the earlier of the next arrival (its `at`) and `process`'s
