@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use first_core::{ChatCompletionRequest, DeploymentBuilder};
-use first_desim::{EventQueue, Interner, SimDuration, SimProcess, SimTime, SymbolId, TimingWheel};
+use first_desim::{Interner, SimDuration, SimProcess, SimTime, SymbolId, TimingWheel};
 use first_hpc::{BatchScheduler, Cluster, GpuModel, JobRequest};
 use first_serving::{find_model, run_to_completion, EngineConfig, InferenceRequest};
 use first_telemetry::{BucketHistogram, LabelSet, MetricRegistry};
@@ -152,15 +152,15 @@ fn bench_interner(c: &mut Criterion) {
 }
 
 fn bench_event_queue_100k(c: &mut Criterion) {
-    // Push/pop churn at 1e5 events: the desim future-event list under the
-    // load profile the scale sweep produces.
+    // Push/pop churn at 1e5 events: the desim future-event list (the
+    // timing wheel) under the load profile the scale sweep produces.
     const N: u64 = 100_000;
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(10);
     group.bench_function("push_pop_100k", |b| {
         b.iter(|| {
-            let mut q: EventQueue<u64> = EventQueue::with_capacity(N as usize);
-            // Interleaved times (reversed halves) so the heap actually works.
+            let mut q: TimingWheel<u64> = TimingWheel::with_capacity(N as usize);
+            // Interleaved times (reversed halves) so pops cross the levels.
             for i in 0..N {
                 let t = if i % 2 == 0 { i } else { N - i };
                 q.push(SimTime::from_micros(t), i);

@@ -23,7 +23,8 @@ use first_bench::{
     sharegpt_samples, BenchArtifact, GateMetric,
 };
 use first_core::{GatewayReport, ScenarioReport, ScenarioRun};
-use first_desim::{EventQueue, SimMeter, SimRunStats, SimTime};
+use first_desim::stats::kernel;
+use first_desim::{SimMeter, SimRunStats, SimTime, TimingWheel};
 use first_workload::{ArrivalProcess, ConversationSample, DeploymentRef, ScenarioSpec};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
@@ -249,26 +250,29 @@ fn trace_off(n: usize) -> (GatewayReport, SimRunStats, Vec<GateMetric>) {
 }
 
 /// Event-queue micro-benchmark: schedule-then-drain churn on the desim
-/// kernel's future-event list (the `drain_due` hot path).
+/// kernel's future-event list, the `TimingWheel` (the `pop_due` hot path).
+/// The wheel is unmetered, so the loop records each pop and each batch's
+/// depth into the kernel counters itself.
 fn queue_drain_micro() -> (SimRunStats, Vec<GateMetric>) {
     const EVENTS: u64 = 200_000;
     const BATCH: u64 = 50;
     let meter = SimMeter::start();
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(BATCH as usize * 2);
+    let mut q: TimingWheel<u64> = TimingWheel::with_capacity(BATCH as usize * 2);
     let mut fired = 0u64;
     let mut t = 0u64;
     while fired < EVENTS {
         for i in 0..BATCH {
             q.push(SimTime::from_micros(t + BATCH + i), i);
         }
+        kernel::record_queue_depth(q.len());
         // The first drain lands before anything is due — the empty case the
         // allocation-free fast path covers.
-        let mut early = 0u64;
-        for _ in q.drain_due(SimTime::from_micros(t)) {
-            early += 1;
-        }
-        assert_eq!(early, 0, "no event is due before its batch window");
-        for _ in q.drain_due(SimTime::from_micros(t + 2 * BATCH)) {
+        assert!(
+            q.pop_due(SimTime::from_micros(t)).is_none(),
+            "no event is due before its batch window"
+        );
+        while q.pop_due(SimTime::from_micros(t + 2 * BATCH)).is_some() {
+            kernel::record_event();
             fired += 1;
         }
         t += BATCH;

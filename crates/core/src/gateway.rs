@@ -1503,10 +1503,6 @@ impl SimProcess for Gateway {
         first_desim::stats::kernel::record_event();
         first_desim::stats::kernel::record_queue_depth(self.service.queue_depth());
     }
-
-    fn name(&self) -> &str {
-        "first-gateway"
-    }
 }
 
 #[cfg(test)]

@@ -737,8 +737,8 @@ struct FrontTier<'a> {
     /// Accepted-but-unresolved logical requests.
     unresolved: usize,
     /// Event queue popped in `(time, insertion sequence)` order, which keeps
-    /// ordering deterministic within one instant. The unmetered wheel, not
-    /// an `EventQueue`, so the kernel event counts stay the gateways' own.
+    /// ordering deterministic within one instant. Its pops record no kernel
+    /// event, so the kernel event counts stay the gateways' own.
     queue: TimingWheel<FrontAction>,
     /// Cursor into the spec's shard fault plan.
     cursor: usize,

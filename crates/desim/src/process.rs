@@ -4,13 +4,13 @@
 //! Each substrate (scheduler, serving engine, compute fabric, gateway) exposes
 //! "tell me the next instant at which you have work" and "advance yourself to
 //! this instant". `first-core` runs every open-loop replay through one
-//! next-event loop over a `SimProcess` — a gateway, a gateway with its fault
-//! injector, a sharded fleet, a direct vLLM server, the cloud API, or a
-//! scenario run's front tier — which steps to the earlier of the next
-//! arrival and the process's next event. A process built from components
-//! finds the earliest instant across them and advances the due ones, which
-//! composes independently written components into one deterministic
-//! discrete-event simulation without shared-world callbacks.
+//! next-event loop over a `SimProcess` — a scenario run's front tier, a
+//! sharded fleet, a direct vLLM server or the cloud API — which steps to
+//! the earlier of the next arrival and the process's next event. A process
+//! built from components finds the earliest instant across them and
+//! advances the due ones, which composes independently written components
+//! into one deterministic discrete-event simulation without shared-world
+//! callbacks.
 
 use crate::time::SimTime;
 
@@ -24,9 +24,4 @@ pub trait SimProcess {
     /// repeated calls with the same `now` and must never be called with a
     /// `now` earlier than a previously seen value.
     fn advance(&mut self, now: SimTime);
-
-    /// Short human-readable name used in traces.
-    fn name(&self) -> &str {
-        "process"
-    }
 }

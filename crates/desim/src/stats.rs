@@ -10,10 +10,10 @@ use std::time::Instant;
 ///
 /// The simulation kernel is distributed across components (each substrate
 /// drives its own event logic), so the counters live here as thread-local
-/// cells: any event source — [`crate::EventQueue`] pops, or the `advance`
-/// of the gateway, the direct vLLM server and the cloud API, one event
-/// each — reports into the same per-thread tally with a
-/// single `Cell` increment, cheap enough for the hottest path. Thread-locals
+/// cells: every event source — the `advance` of the gateway, the direct
+/// vLLM server and the cloud API, one event each — reports into the same
+/// per-thread tally with a single `Cell` increment, cheap enough for the
+/// hottest path. Thread-locals
 /// keep parallel test threads from polluting each other; benchmark binaries
 /// are single-threaded, so their readings are exact.
 pub mod kernel {
@@ -22,7 +22,6 @@ pub mod kernel {
     thread_local! {
         static EVENTS_PROCESSED: Cell<u64> = const { Cell::new(0) };
         static PEAK_QUEUE_DEPTH: Cell<usize> = const { Cell::new(0) };
-        static DEPTH_EPOCH: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Record one processed simulation event.
@@ -51,20 +50,10 @@ pub mod kernel {
         PEAK_QUEUE_DEPTH.with(|c| c.get())
     }
 
-    /// Current depth epoch: advances on every [`reset`]. Queues cache the
-    /// largest depth they have reported per epoch so repeat depths skip the
-    /// thread-local peak update entirely; comparing epochs tells them when
-    /// that cache went stale.
-    pub fn depth_epoch() -> u64 {
-        DEPTH_EPOCH.with(|c| c.get())
-    }
-
-    /// Reset both counters (called by [`super::SimMeter::start`]) and
-    /// advance the depth epoch so per-queue peak caches invalidate.
+    /// Reset both counters (called by [`super::SimMeter::start`]).
     pub fn reset() {
         EVENTS_PROCESSED.with(|c| c.set(0));
         PEAK_QUEUE_DEPTH.with(|c| c.set(0));
-        DEPTH_EPOCH.with(|c| c.set(c.get() + 1));
     }
 }
 
@@ -407,48 +396,6 @@ impl Histogram {
     }
 }
 
-/// A named counter set — the lightweight metrics primitive used by the
-/// gateway metrics layer and the benchmark reports.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CounterSet {
-    entries: Vec<(String, u64)>,
-}
-
-impl CounterSet {
-    /// Create an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `delta` to the named counter, creating it at zero if missing.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|(n, _)| n == name) {
-            e.1 += delta;
-        } else {
-            self.entries.push((name.to_string(), delta));
-        }
-    }
-
-    /// Increment the named counter by one.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of the named counter (0 if absent).
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    }
-
-    /// Iterate over `(name, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,17 +512,5 @@ mod tests {
         assert_eq!(h.median(), 0.0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.is_empty());
-    }
-
-    #[test]
-    fn counter_set_accumulates() {
-        let mut c = CounterSet::new();
-        c.incr("requests");
-        c.add("requests", 4);
-        c.incr("errors");
-        assert_eq!(c.get("requests"), 5);
-        assert_eq!(c.get("errors"), 1);
-        assert_eq!(c.get("missing"), 0);
-        assert_eq!(c.iter().count(), 2);
     }
 }

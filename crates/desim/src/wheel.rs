@@ -1,5 +1,4 @@
-//! Hierarchical timing wheel — the O(1) future-event list behind
-//! [`crate::EventQueue`].
+//! Hierarchical timing wheel — the kernel's future-event list.
 //!
 //! The classic binary-heap event list pays O(log n) per push and pop, and the
 //! scale sweeps drive it hundreds of thousands of events deep. This module
@@ -33,10 +32,20 @@
 //! are tiny in practice; a pop takes the smallest `(time, seq)` across the
 //! wheel head and the two heap tops.
 
-use crate::queue::ScheduledEvent;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// An event payload tagged with its firing time and a tie-breaking sequence.
+#[derive(Debug, Clone)]
+pub struct ScheduledEvent<T> {
+    /// Virtual time at which the event fires.
+    pub time: SimTime,
+    /// Monotonically increasing insertion sequence; breaks ties at equal times.
+    pub seq: u64,
+    /// The event payload.
+    pub payload: T,
+}
 
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
@@ -80,8 +89,8 @@ impl Level {
 
 /// A deterministic min-priority queue of future events with O(1) push and
 /// amortized-O(1) pop; see the module docs for the level layout and the
-/// ordering guarantees. This is the unmetered kernel structure —
-/// [`crate::EventQueue`] wraps it with the kernel stats hooks.
+/// ordering guarantees. It is unmetered: a caller that counts kernel events
+/// records them itself ([`crate::stats::kernel`]).
 #[derive(Debug, Clone)]
 pub struct TimingWheel<T> {
     levels: Vec<Level>,
@@ -380,6 +389,9 @@ impl<T> TimingWheel<T> {
     }
 
     /// Remove and return the earliest event only if it fires at or before `now`.
+    /// When nothing is due this reads only the cached minimum: no cascade
+    /// and no allocation, which is the per-tick fast path of every loop
+    /// that drains a wheel.
     pub fn pop_due(&mut self, now: SimTime) -> Option<ScheduledEvent<T>> {
         if self.cached_min.map(|t| t <= now).unwrap_or(false) {
             self.pop()
@@ -539,6 +551,34 @@ mod tests {
         w.push(SimTime(5), 2);
         assert!(w.overdue.is_empty());
         assert_eq!(w.pop().unwrap().payload, 2);
+    }
+
+    #[test]
+    fn pop_due_respects_now() {
+        let mut w = TimingWheel::new();
+        w.push(SimTime::from_secs(10), 1u32);
+        assert!(w.pop_due(SimTime::from_secs(9)).is_none());
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.pop_due(SimTime::from_secs(10)).unwrap().payload, 1);
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn drain_due_into_reuses_the_buffer() {
+        let mut w = TimingWheel::new();
+        let mut buf = Vec::with_capacity(8);
+        for s in [1u64, 2, 3] {
+            w.push(SimTime::from_secs(s), s);
+        }
+        w.drain_due_into(SimTime::from_secs(2), &mut buf);
+        assert_eq!(
+            buf.iter().map(|e| e.payload).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+        let cap = buf.capacity();
+        w.drain_due_into(SimTime::from_secs(5), &mut buf);
+        assert_eq!(buf.len(), 1);
+        assert_eq!(buf.capacity(), cap, "buffer allocation is reused");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the DES kernel invariants.
 
 use first_desim::prelude::*;
-use first_desim::{IdWindow, TimingWheel};
+use first_desim::IdWindow;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -36,11 +36,12 @@ fn allocation_count() -> u64 {
 }
 
 proptest! {
-    /// Popping the event queue always yields non-decreasing timestamps, and
-    /// events with equal timestamps come out in insertion order.
+    /// Popping the event queue (the timing wheel) always yields
+    /// non-decreasing timestamps, and events with equal timestamps come out
+    /// in insertion order.
     #[test]
     fn event_queue_pops_in_order(times in proptest::collection::vec(0u64..1_000_000, 1..300)) {
-        let mut q = EventQueue::new();
+        let mut q = TimingWheel::new();
         for (i, &t) in times.iter().enumerate() {
             q.push(SimTime::from_micros(t), i);
         }
@@ -61,19 +62,20 @@ proptest! {
         }
     }
 
-    /// drain_due never returns an event later than `now` and leaves only
-    /// later events in the queue.
+    /// Draining the due events of the timing wheel never returns an event
+    /// later than `now` and leaves only later events in the queue.
     #[test]
     fn drain_due_partitions_correctly(
         times in proptest::collection::vec(0u64..1_000_000, 0..200),
         cut in 0u64..1_000_000,
     ) {
-        let mut q = EventQueue::new();
+        let mut q = TimingWheel::new();
         for &t in &times {
             q.push(SimTime::from_micros(t), t);
         }
         let now = SimTime::from_micros(cut);
-        let due: Vec<_> = q.drain_due(now).collect();
+        let mut due = Vec::new();
+        q.drain_due_into(now, &mut due);
         for ev in &due {
             prop_assert!(ev.time <= now);
         }
@@ -84,8 +86,9 @@ proptest! {
         // Micro-assertion: draining when nothing is due must not allocate —
         // this is the per-tick fast path of every event loop.
         let before = allocation_count();
-        let drained_empty = q.drain_due(now).count();
-        prop_assert_eq!(drained_empty, 0);
+        prop_assert!(q.pop_due(now).is_none());
+        q.drain_due_into(now, &mut due);
+        prop_assert!(due.is_empty());
         prop_assert_eq!(allocation_count(), before);
     }
 
@@ -153,11 +156,12 @@ proptest! {
         count in 1usize..200,
     ) {
         let t = SimTime::from_micros(time);
-        let mut q = EventQueue::new();
+        let mut q = TimingWheel::new();
         for i in 0..count {
             q.push(t, i);
         }
-        let drained: Vec<_> = q.drain_due(t).collect();
+        let mut drained = Vec::new();
+        q.drain_due_into(t, &mut drained);
         prop_assert_eq!(drained.len(), count);
         for (expected, ev) in drained.iter().enumerate() {
             prop_assert_eq!(ev.payload, expected);
@@ -248,51 +252,6 @@ proptest! {
             }
         }
         prop_assert!(wheel.is_empty());
-    }
-
-    /// An early-dropped `drain_due` iterator consumes a prefix of the global
-    /// `(time, seq)` order and leaves everything else queued: the taken
-    /// prefix plus the remaining pops replays the reference sort exactly,
-    /// and `size_hint` brackets the true due count.
-    #[test]
-    fn drain_due_early_drop_matches_reference(
-        times in proptest::collection::vec(0u64..1_000_000, 1..200),
-        cut in 0u64..1_000_000,
-        take in 0usize..64,
-    ) {
-        let mut q = EventQueue::new();
-        let mut reference: Vec<(u64, usize)> = Vec::with_capacity(times.len());
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_micros(t), i);
-            reference.push((t, i));
-        }
-        // (time, insertion index) — the kernel's global firing order.
-        reference.sort_unstable();
-        let due_count = reference.iter().filter(|&&(t, _)| t <= cut).count();
-
-        let mut popped: Vec<(u64, usize)> = Vec::new();
-        // Scoped so the iterator is dropped early: undrained events must
-        // stay queued.
-        {
-            let mut it = q.drain_due(SimTime::from_micros(cut));
-            let (lo, hi) = it.size_hint();
-            prop_assert!(lo <= due_count, "size_hint lower {} > due {}", lo, due_count);
-            if let Some(hi) = hi {
-                prop_assert!(hi >= due_count, "size_hint upper {} < due {}", hi, due_count);
-            }
-            for _ in 0..take {
-                match it.next() {
-                    Some(ev) => popped.push((ev.time.as_micros(), ev.payload)),
-                    None => break,
-                }
-            }
-        }
-        prop_assert_eq!(popped.len(), take.min(due_count));
-        prop_assert_eq!(q.len(), times.len() - popped.len());
-        while let Some(ev) = q.pop() {
-            popped.push((ev.time.as_micros(), ev.payload));
-        }
-        prop_assert_eq!(popped, reference);
     }
 
     /// Two RNGs with the same seed emit bit-identical streams across every

@@ -915,10 +915,6 @@ impl SimProcess for ComputeEndpoint {
     fn advance(&mut self, now: SimTime) {
         self.assign_and_scale(now);
     }
-
-    fn name(&self) -> &str {
-        "compute-endpoint"
-    }
 }
 
 #[cfg(test)]

@@ -89,12 +89,12 @@ pub struct ComputeService {
     /// Tasks accepted, waiting for the serial dispatcher: `(arrival, task)`.
     dispatch_queue: VecDeque<(SimTime, RoutedTask)>,
     dispatcher_free_at: SimTime,
-    /// Dispatched tasks in transit to their endpoint: `(deliver_at, task)`.
-    in_transit: Vec<(SimTime, RoutedTask)>,
-    /// Earliest `deliver_at` across `in_transit`, kept exact on every push
-    /// and removal so the per-event due checks and `next_event_time` are
-    /// O(1) instead of rescanning the transit buffer.
-    next_transit_at: Option<SimTime>,
+    /// Dispatched tasks in transit to their endpoint: `(deliver_at, task)`,
+    /// in strictly increasing `(deliver_at, task id)` order. The serial
+    /// dispatcher appends in FIFO order, its finish times never decrease
+    /// and the service-to-endpoint hop is constant, so the front is always
+    /// the next delivery.
+    in_transit: VecDeque<(SimTime, RoutedTask)>,
     /// Results relayed back, ready for the client at the given instant.
     ready_results: Vec<(SimTime, TaskResult)>,
     /// Earliest availability across `ready_results` (same caching; note
@@ -129,8 +129,7 @@ impl ComputeService {
             tasks: IdWindow::new(),
             dispatch_queue: VecDeque::new(),
             dispatcher_free_at: SimTime::ZERO,
-            in_transit: Vec::new(),
-            next_transit_at: None,
+            in_transit: VecDeque::new(),
             ready_results: Vec::new(),
             next_ready_at: None,
             last_advanced: SimTime::ZERO,
@@ -386,36 +385,23 @@ impl ComputeService {
                 rec.state = TaskState::AtEndpoint;
                 rec.dispatched_at = Some(done);
             }
-            self.next_transit_at = Some(
-                self.next_transit_at
-                    .map_or(deliver_at, |t| t.min(deliver_at)),
+            debug_assert!(
+                self.in_transit
+                    .back()
+                    .is_none_or(|(t, last)| (*t, last.id) < (deliver_at, task.id)),
+                "in-transit deliveries are appended in (deliver_at, task id) order"
             );
-            self.in_transit.push((deliver_at, task));
+            self.in_transit.push_back((deliver_at, task));
             self.stats.dispatched += 1;
         }
     }
 
     fn deliver_due(&mut self, now: SimTime) {
-        // Cached-minimum early-out, as in `poll_results`.
-        if self.next_transit_at.is_none_or(|t| t > now) {
-            return;
-        }
-        // Split off everything due, then deliver in (time, task) order: a
-        // coarse advance can make several deliveries due at once, and the
-        // endpoint (whose scheduler asserts monotone time) must observe them
-        // in chronological order.
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < self.in_transit.len() {
-            if self.in_transit[i].0 <= now {
-                due.push(self.in_transit.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.next_transit_at = self.in_transit.iter().map(|&(t, ..)| t).min();
-        due.sort_by_key(|(at, task)| (*at, task.id));
-        for (deliver_at, task) in due {
+        // Deliver from the front while it is due. A coarse advance can make
+        // several deliveries due at once, and the endpoint (whose scheduler
+        // asserts monotone time) observes them in (time, task) order, the
+        // order `in_transit` keeps.
+        while let Some((deliver_at, task)) = self.in_transit.pop_front_if(|(t, _)| *t <= now) {
             if let Some(rec) = self.tasks.get_mut(task.id.0) {
                 rec.state = TaskState::Running;
                 rec.delivered_at = Some(deliver_at);
@@ -500,7 +486,6 @@ impl Clone for ComputeService {
             dispatch_queue: self.dispatch_queue.clone(),
             dispatcher_free_at: self.dispatcher_free_at,
             in_transit: self.in_transit.clone(),
-            next_transit_at: self.next_transit_at,
             ready_results: self.ready_results.clone(),
             next_ready_at: self.next_ready_at,
             last_advanced: self.last_advanced,
@@ -515,7 +500,7 @@ impl Clone for ComputeService {
 impl SimProcess for ComputeService {
     fn next_event_time(&self) -> Option<SimTime> {
         let mut next = self.next_dispatch_time();
-        if let Some(t) = self.next_transit_at {
+        if let Some(&(t, _)) = self.in_transit.front() {
             next = Some(next.map_or(t, |n| n.min(t)));
         }
         // Only announce availability instants that have not been reached
@@ -553,10 +538,6 @@ impl SimProcess for ComputeService {
         }
         self.collect_results(now);
         self.last_advanced = self.last_advanced.max(now);
-    }
-
-    fn name(&self) -> &str {
-        "globus-compute-service"
     }
 }
 
@@ -795,6 +776,54 @@ mod tests {
         // The success only reaches the client after the partition heals plus
         // the normal relay latency.
         assert!(rec.result_available_at.unwrap() > heal_at);
+    }
+
+    #[test]
+    fn deliveries_follow_task_order_across_latency_spikes() {
+        // The in-transit buffer is a FIFO: delivery times must never fall
+        // as task ids rise, even when a latency spike switching on and off
+        // makes later submissions reach the service before earlier ones.
+        for dispatch_cost in [SimDuration::ZERO, SimDuration::from_millis(40)] {
+            let mut svc = ComputeService::new(FabricLatencyModel {
+                service_dispatch_cost: dispatch_cost,
+                ..FabricLatencyModel::default()
+            });
+            for name in ["sophia-endpoint", "polaris-endpoint"] {
+                let config = EndpointConfig::new(name, "sophia", GpuModel::A100_40).host(
+                    ModelHostingConfig::new(find_model("llama-70b").unwrap(), GpuModel::A100_40),
+                );
+                let mut ep = ComputeEndpoint::new(config, Cluster::tiny("sophia", 8, 8));
+                ep.prewarm(MODEL, 1, SimTime::ZERO);
+                svc.add_endpoint(ep);
+            }
+            let f = inference_fn(&svc);
+            const TASKS: u64 = 40;
+            for k in 0..TASKS {
+                let now = SimTime::from_millis(150 * k);
+                drive(&mut svc, now);
+                if k % 10 == 3 {
+                    svc.inject_latency_spike(
+                        SimDuration::from_secs(3),
+                        now + SimDuration::from_millis(400),
+                    );
+                }
+                let endpoint = if k % 2 == 0 {
+                    "sophia-endpoint"
+                } else {
+                    "polaris-endpoint"
+                };
+                svc.submit(f, endpoint, MODEL, InferenceRequest::chat(k, 100, 20), now)
+                    .unwrap();
+            }
+            drive(&mut svc, SimTime::from_secs(600));
+            let delivered: Vec<SimTime> = (1..=TASKS)
+                .map(|id| svc.task(TaskId(id)).unwrap().delivered_at.unwrap())
+                .collect();
+            assert!(
+                delivered.windows(2).all(|w| w[0] <= w[1]),
+                "cost {dispatch_cost:?}: deliveries out of task order: {delivered:?}"
+            );
+        }
     }
 
     #[test]

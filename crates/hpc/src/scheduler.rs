@@ -379,10 +379,6 @@ impl SimProcess for BatchScheduler {
         self.enforce_walltime(now);
         self.try_schedule(now);
     }
-
-    fn name(&self) -> &str {
-        "batch-scheduler"
-    }
 }
 
 #[cfg(test)]

@@ -151,10 +151,6 @@ impl SimProcess for EmbeddingEngine {
             self.run_batch(now);
         }
     }
-
-    fn name(&self) -> &str {
-        "embedding-engine"
-    }
 }
 
 #[cfg(test)]

@@ -537,10 +537,6 @@ impl SimProcess for VllmEngine {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        "vllm-engine"
-    }
 }
 
 /// Drive a hot engine with all `requests` enqueued at time zero and run to

@@ -197,10 +197,6 @@ impl SimProcess for DirectServer {
         first_desim::stats::kernel::record_event();
         first_desim::stats::kernel::record_queue_depth(self.frontend_backlog());
     }
-
-    fn name(&self) -> &str {
-        "vllm-direct-server"
-    }
 }
 
 #[cfg(test)]

@@ -171,10 +171,6 @@ impl SimProcess for CloudApi {
         // Kernel instrumentation: every advance is one simulation event.
         first_desim::stats::kernel::record_event();
     }
-
-    fn name(&self) -> &str {
-        "openai-cloud-api"
-    }
 }
 
 #[cfg(test)]
