@@ -39,6 +39,15 @@ impl InstanceBackend {
         }
     }
 
+    /// Run what advancing at every pass would have run by `at` on a backend
+    /// that was not due: the vLLM engine's pure decode steps (see
+    /// [`VllmEngine::catch_up`]); an embedding engine owes nothing.
+    fn catch_up(&mut self, at: SimTime) {
+        if let InstanceBackend::Vllm(engine) = self {
+            engine.catch_up(at);
+        }
+    }
+
     fn take_completions(&mut self) -> Vec<InferenceCompletion> {
         match self {
             InstanceBackend::Vllm(engine) => engine.take_completions(),
@@ -107,6 +116,17 @@ impl ModelInstance {
     pub fn is_ready(&self) -> bool {
         self.state == InstanceState::Ready
     }
+}
+
+/// Live instances and in-flight tasks of one hosting entry, kept up to date
+/// at every launch, release, crash, preemption, submission and completion,
+/// so the auto-scaler and the router read them without a scan.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct HostingLoad {
+    /// Instances pending, loading or hot.
+    active: usize,
+    /// Tasks submitted to those instances and not yet finished.
+    in_flight: usize,
 }
 
 /// Endpoint statistics.
@@ -184,6 +204,8 @@ pub struct ComputeEndpoint {
     /// local model-id space). Replaces a `BTreeMap<String, _>` whose 40-byte
     /// model-name comparisons sat on every advance.
     waiting: Vec<VecDeque<(TaskId, InferenceRequest)>>,
+    /// Per-hosting-entry instance and task counts, indexed like `waiting`.
+    load: Vec<HostingLoad>,
     results: Vec<TaskResult>,
     next_instance_id: u32,
     offline_until: Option<SimTime>,
@@ -194,6 +216,9 @@ pub struct ComputeEndpoint {
     /// Forces the next `assign_and_scale` to run a full pass; set by every
     /// external mutation (task received, prewarm, fault injection, …).
     dirty: bool,
+    /// Instant of the latest pass: where advancing every backend at every
+    /// pass would have left each of them.
+    last_pass_at: SimTime,
 }
 
 impl ComputeEndpoint {
@@ -201,6 +226,7 @@ impl ComputeEndpoint {
     pub fn new(config: EndpointConfig, cluster: Cluster) -> Self {
         ComputeEndpoint {
             waiting: vec![VecDeque::new(); config.models.len()],
+            load: vec![HostingLoad::default(); config.models.len()],
             config,
             scheduler: BatchScheduler::new(cluster),
             instances: Vec::new(),
@@ -210,6 +236,7 @@ impl ComputeEndpoint {
             stats: EndpointStats::default(),
             next_wake: None,
             dirty: true,
+            last_pass_at: SimTime::ZERO,
         }
     }
 
@@ -289,11 +316,7 @@ impl ComputeEndpoint {
     /// In-flight tasks across this endpoint's instances of one hosting entry
     /// (the least-outstanding router policy's probe).
     pub fn model_in_flight_at(&self, hosting: usize) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| i.hosting == hosting)
-            .map(|i| i.in_flight())
-            .sum()
+        self.load.get(hosting).map_or(0, |l| l.in_flight)
     }
 
     /// Per-model status for the `/jobs` endpoint.
@@ -412,7 +435,7 @@ impl ComputeEndpoint {
         }
         let mut launched = 0;
         for _ in 0..count {
-            if self.active_instances_at(hosting_idx) >= hosting.max_instances as usize {
+            if self.load[hosting_idx].active >= hosting.max_instances as usize {
                 break;
             }
             if self.launch_instance(hosting_idx, &hosting, now, true) {
@@ -443,6 +466,9 @@ impl ComputeEndpoint {
             hosting: hosting_idx,
             ..
         } = self.instances.remove(idx);
+        let load = &mut self.load[hosting_idx];
+        load.active -= 1;
+        load.in_flight -= in_flight.len();
         // The engine that held the requests is gone, so the endpoint cannot
         // re-queue them: it fails them, and the gateway retries idempotent
         // requests.
@@ -572,6 +598,8 @@ impl ComputeEndpoint {
         let mut stalled = 0;
         for inst in self.instances.iter_mut() {
             if let Some(InstanceBackend::Vllm(engine)) = inst.backend.as_mut() {
+                // Where the last pass left the engine, had it advanced it.
+                engine.catch_up(self.last_pass_at);
                 engine.stall(now, until);
                 stalled += 1;
             }
@@ -585,19 +613,6 @@ impl ComputeEndpoint {
         let cluster = self.scheduler.cluster();
         hosting.gpus_per_instance <= cluster.max_gpus_per_node()
             && hosting.nodes_per_instance <= cluster.node_count()
-    }
-
-    fn active_instances_at(&self, hosting: usize) -> usize {
-        self.instances
-            .iter()
-            .filter(|i| {
-                i.hosting == hosting
-                    && matches!(
-                        i.state,
-                        InstanceState::PendingJob | InstanceState::Loading | InstanceState::Ready
-                    )
-            })
-            .count()
     }
 
     fn launch_instance(
@@ -639,6 +654,7 @@ impl ComputeEndpoint {
             Self::attach_backend(&self.config, hosting, &mut instance, now, hot);
         }
         self.instances.push(instance);
+        self.load[hosting_idx].active += 1;
         true
     }
 
@@ -671,19 +687,28 @@ impl ComputeEndpoint {
         instance.last_active = start;
     }
 
-    /// Core per-advance work: react to scheduler events, drive backends,
-    /// collect completions, hand out waiting tasks, auto-scale and enforce the
-    /// idle timeout. A second pass runs only when the first made progress
-    /// (instance launched, became ready, completions collected, tasks
-    /// assigned), so work enabled within one advance is picked up immediately
-    /// without paying the full walk twice on the — far more common — quiet
-    /// events.
+    /// Core per-advance work: react to scheduler events, drive the due
+    /// backends, collect completions, hand out waiting tasks, auto-scale and
+    /// enforce the idle timeout. A second pass runs only when the first made
+    /// progress (instance launched, became ready, completions collected,
+    /// tasks assigned), so work enabled within one advance is picked up
+    /// immediately without paying the full walk twice on the — far more
+    /// common — quiet events.
+    ///
+    /// The second pass stays because what it does is observable. It steps
+    /// the engines the first pass fed: an idle engine handed tasks at `now`
+    /// runs its admitting step at `now`, so the batch that step admits is
+    /// fixed before another delivery at the same instant can join it. And
+    /// its auto-scaling step sees the first pass's launches and assignments,
+    /// so it may launch a second instance at the same instant. With one pass
+    /// both would wait for the endpoint's next wake.
     fn assign_and_scale(&mut self, now: SimTime) {
         // Quiet advance: nothing external changed and no scheduler/engine/idle
         // event is due yet, so a pass could not make progress — skip the walk.
         if !self.dirty && self.next_wake.is_none_or(|t| t > now) {
             return;
         }
+        self.last_pass_at = now;
         if self.assign_and_scale_pass(now) {
             self.assign_and_scale_pass(now);
         }
@@ -727,6 +752,9 @@ impl ComputeEndpoint {
                             inst.state = InstanceState::Released;
                             inst.backend = None;
                             released = true;
+                            let load = &mut self.load[inst.hosting];
+                            load.active -= 1;
+                            load.in_flight -= inst.in_flight.len();
                             std::mem::take(&mut inst.in_flight)
                         }
                         _ => Vec::new(),
@@ -749,11 +777,17 @@ impl ComputeEndpoint {
             }
         }
 
-        // 2. Drive backends and collect completions.
+        // 2. Drive the backends that are due and collect their completions.
+        //    A backend that is not due would only run pure decode steps,
+        //    which change nothing outside it until its next event; it is
+        //    caught up before any outside change instead (`catch_up`).
         for inst in self.instances.iter_mut() {
             let Some(backend) = inst.backend.as_mut() else {
                 continue;
             };
+            if backend.next_event_time().is_none_or(|t| t > now) {
+                continue;
+            }
             backend.advance(now);
             if let InstanceBackend::Vllm(engine) = backend {
                 if inst.state == InstanceState::Loading && engine.state() == EngineState::Ready {
@@ -765,7 +799,9 @@ impl ComputeEndpoint {
             for c in backend.take_completions() {
                 progress = true;
                 let task = TaskId(c.id.0);
+                let held = inst.in_flight.len();
                 inst.in_flight.retain(|t| *t != task);
+                self.load[inst.hosting].in_flight -= held - inst.in_flight.len();
                 inst.last_active = c.finished_at;
                 self.stats.tasks_completed += 1;
                 self.stats.output_tokens += c.output_tokens as u64;
@@ -797,6 +833,16 @@ impl ComputeEndpoint {
                 .filter(|i| i.hosting == hosting_idx && i.backend.is_some())
                 .filter(|i| i.state == InstanceState::Ready)
             {
+                if inst.in_flight.len() >= hosting.max_parallel_tasks {
+                    continue;
+                }
+                // The first submission ends the engine's decode window, so
+                // the window's steps up to `now`, which step 2 skipped, run
+                // first (later submissions find no window left).
+                inst.backend
+                    .as_mut()
+                    .expect("backend present")
+                    .catch_up(now);
                 while inst.in_flight.len() < hosting.max_parallel_tasks {
                     let Some((task, request)) = queue.pop_front() else {
                         break;
@@ -806,6 +852,7 @@ impl ComputeEndpoint {
                         .expect("backend present")
                         .submit(request, now);
                     inst.in_flight.push(task);
+                    self.load[hosting_idx].in_flight += 1;
                     inst.last_active = now;
                     progress = true;
                 }
@@ -816,13 +863,12 @@ impl ComputeEndpoint {
         }
 
         // 4. Auto-scaling: launch instances when the backlog exceeds what the
-        //    active instances can absorb. The scan borrows the configs in
-        //    place; only an actual launch (rare) clones its hosting entry.
+        //    active instances can absorb. The counts come from `load`; only
+        //    an actual launch (rare) clones its hosting entry.
         for idx in 0..self.config.models.len() {
             let hosting = &self.config.models[idx];
             let backlog = self.waiting[idx].len();
-            let in_flight = self.model_in_flight_at(idx);
-            let active = self.active_instances_at(idx);
+            let HostingLoad { active, in_flight } = self.load[idx];
             let demand = backlog + in_flight;
             let need_first = active == 0 && demand > 0;
             let saturated =
@@ -858,6 +904,7 @@ impl ComputeEndpoint {
                 let inst = &mut self.instances[idx];
                 inst.state = InstanceState::Released;
                 inst.backend = None;
+                self.load[inst.hosting].active -= 1;
                 self.scheduler.complete(job, now);
                 self.stats.instances_released += 1;
                 progress = true;
@@ -1318,6 +1365,126 @@ mod tests {
             "completion at {:?} should wait out the stall",
             results[0].finished_at
         );
+    }
+
+    mod load_counters {
+        use super::*;
+        use proptest::prelude::*;
+
+        const LLAMA: &str = "meta-llama/Llama-3.3-70B-Instruct";
+        const EMBED: &str = "nvidia/NV-Embed-v2";
+
+        /// The per-hosting counters must equal a scan of the instance list.
+        /// Plain `assert!`, so optimized test builds check it too.
+        fn assert_load_matches_a_scan(ep: &ComputeEndpoint, op: &str) {
+            assert_eq!(ep.load.len(), ep.config.models.len());
+            for (hosting, load) in ep.load.iter().enumerate() {
+                let of_hosting = || ep.instances().iter().filter(|i| i.hosting == hosting);
+                let scan = HostingLoad {
+                    active: of_hosting()
+                        .filter(|i| i.state != InstanceState::Released)
+                        .count(),
+                    in_flight: of_hosting().map(|i| i.in_flight()).sum(),
+                };
+                assert_eq!(*load, scan, "hosting {hosting} after {op}");
+                assert_eq!(ep.model_in_flight_at(hosting), scan.in_flight);
+            }
+        }
+
+        /// Advance at every event up to `until`, checking after each pass.
+        fn drive_checked(ep: &mut ComputeEndpoint, now: &mut SimTime, until: SimTime) {
+            while let Some(t) = SimProcess::next_event_time(ep).filter(|&t| t <= until) {
+                *now = t.max(*now);
+                ep.advance(*now);
+                assert_load_matches_a_scan(ep, "a pass");
+            }
+            *now = until;
+            ep.advance(until);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Random task arrivals, advances, crashes, preemptions and
+            /// idle spells: after every operation the per-hosting counts of
+            /// active instances and in-flight tasks equal a scan.
+            #[test]
+            fn load_counters_match_a_scan_of_the_instances(
+                prewarm in 0u32..3,
+                ops in collection::vec((0u8..11, 0u64..20_000, 0u8..3), 1..60),
+            ) {
+                let config = EndpointConfig::new("e", "c", GpuModel::A100_40)
+                    .host(
+                        ModelHostingConfig::new(find_model("llama-70b").unwrap(), GpuModel::A100_40)
+                            .with_max_instances(3)
+                            .with_max_parallel_tasks(4),
+                    )
+                    .host(ModelHostingConfig::new(
+                        find_model("nv-embed-v2").unwrap(),
+                        GpuModel::A100_40,
+                    ));
+                let mut ep = ComputeEndpoint::new(config, Cluster::tiny("c", 4, 8));
+                assert_eq!(ep.config().hosting_index(EMBED), Some(1));
+                ep.prewarm(LLAMA, prewarm, SimTime::ZERO);
+                assert_load_matches_a_scan(&ep, "prewarm");
+                let (mut now, mut task) = (SimTime::ZERO, 0u64);
+                let mut crashed = Vec::new();
+                for (kind, gap_ms, arg) in ops {
+                    now += SimDuration::from_millis(gap_ms);
+                    let op = match kind {
+                        0..=3 => {
+                            task += 1;
+                            // Index 2 names no hosting entry: a fail-fast task.
+                            let req = if arg == 1 {
+                                InferenceRequest::embedding(task, 512)
+                            } else {
+                                InferenceRequest::chat(task, 220, 40 + 40 * u32::from(kind))
+                            };
+                            ep.receive_task(TaskId(task), Some(u32::from(arg)), req, now);
+                            "receive_task"
+                        }
+                        4 => {
+                            let until = now + SimDuration::from_secs(u64::from(arg) * 20);
+                            drive_checked(&mut ep, &mut now, until);
+                            "advance"
+                        }
+                        5 => {
+                            ep.inject_instance_failure(if arg == 1 { EMBED } else { LLAMA }, now);
+                            "inject_instance_failure"
+                        }
+                        6 => {
+                            crashed.extend(ep.inject_node_crash(now));
+                            "inject_node_crash"
+                        }
+                        7 => {
+                            ep.preempt_instance(now);
+                            "preempt_instance"
+                        }
+                        8 => {
+                            ep.preempt_all_instances(now);
+                            "preempt_all_instances"
+                        }
+                        9 => {
+                            for node in crashed.drain(..) {
+                                ep.restore_node(node);
+                            }
+                            "restore_node"
+                        }
+                        _ => {
+                            // Sit idle past the timeout: hot instances go.
+                            let until = now + SimDuration::from_hours(3);
+                            drive_checked(&mut ep, &mut now, until);
+                            "idle timeout"
+                        }
+                    };
+                    assert_load_matches_a_scan(&ep, op);
+                }
+                let until = now + SimDuration::from_hours(3);
+                drive_checked(&mut ep, &mut now, until);
+                assert_load_matches_a_scan(&ep, "the final drive");
+                prop_assert_eq!(ep.model_in_flight_at(0) + ep.model_in_flight_at(1), 0);
+            }
+        }
     }
 
     #[test]

@@ -303,6 +303,13 @@ impl ComputeService {
         if ep_idx >= self.endpoints.len() {
             return Err(FabricError::UnknownEndpoint(format!("#{}", endpoint.0)));
         }
+        // Hand-offs are not events, so one may have finished since the last
+        // advance: run the dispatcher up to just before `now`, so the queue
+        // depth sampled below counts only tasks still waiting to be handed
+        // off, as when every hand-off woke the service.
+        if let Some(before) = now.as_micros().checked_sub(1) {
+            self.pump_dispatcher(SimTime::from_micros(before));
+        }
         let id = TaskId(self.next_task_id);
         self.next_task_id += 1;
         let arrival = now + self.latency.client_to_service + self.spike_extra(now);
@@ -456,9 +463,15 @@ impl ComputeService {
         }
     }
 
-    fn next_dispatch_time(&self) -> Option<SimTime> {
+    /// Delivery instant of the dispatch queue's head: its hand-off plus the
+    /// service-to-endpoint hop. The hand-off itself changes nothing anyone
+    /// observes, so it is not an event: `pump_dispatcher` runs on every
+    /// advance and stamps each hand-off at its own instant, whenever it runs.
+    fn next_delivery_from_queue(&self) -> Option<SimTime> {
         self.dispatch_queue.front().map(|&(arrival, _)| {
-            arrival.max(self.dispatcher_free_at) + self.latency.service_dispatch_cost
+            arrival.max(self.dispatcher_free_at)
+                + self.latency.service_dispatch_cost
+                + self.latency.service_to_endpoint
         })
     }
 }
@@ -499,7 +512,7 @@ impl Clone for ComputeService {
 
 impl SimProcess for ComputeService {
     fn next_event_time(&self) -> Option<SimTime> {
-        let mut next = self.next_dispatch_time();
+        let mut next = self.next_delivery_from_queue();
         if let Some(&(t, _)) = self.in_transit.front() {
             next = Some(next.map_or(t, |n| n.min(t)));
         }
@@ -823,6 +836,62 @@ mod tests {
                 delivered.windows(2).all(|w| w[0] <= w[1]),
                 "cost {dispatch_cost:?}: deliveries out of task order: {delivered:?}"
             );
+        }
+    }
+
+    #[test]
+    fn hand_offs_are_not_events() {
+        // Ten tasks queue at t=0 for a serial dispatcher (40 ms each, then a
+        // 2.2 s hop). The endpoint does not host the model, so each task
+        // fails on delivery and the (cold) endpoint has no events of its
+        // own: the service must wake only for deliveries and results, never
+        // for a hand-off, and still stamp every hand-off at its own instant.
+        let mut svc = service_with_endpoint(0);
+        let latency = svc.latency().clone();
+        assert_eq!(latency.service_dispatch_cost, SimDuration::from_millis(40));
+        assert_eq!(latency.service_to_endpoint, SimDuration::from_millis(2200));
+        let f = inference_fn(&svc);
+        const TASKS: u64 = 10;
+        for k in 0..TASKS {
+            let req = InferenceRequest::chat(k, 100, 20);
+            svc.submit(f, "sophia-endpoint", "not-hosted", req, SimTime::ZERO)
+                .unwrap();
+        }
+        let mut announced = Vec::new();
+        while let Some(t) = SimProcess::next_event_time(&svc) {
+            assert!(announced.len() < 100, "the service keeps announcing {t:?}");
+            announced.push(t);
+            svc.advance(t);
+        }
+        assert!(svc.is_drained());
+        let mut deliveries_and_results = Vec::new();
+        for k in 0..TASKS {
+            let rec = svc.task(TaskId(k + 1)).unwrap();
+            assert_eq!(rec.state, TaskState::Failed);
+            // Serial dispatcher: the k-th hand-off ends k + 1 dispatch costs
+            // after the tasks reach the service.
+            let handed_off = SimTime::ZERO
+                + latency.client_to_service
+                + SimDuration::from_micros(latency.service_dispatch_cost.as_micros() * (k + 1));
+            assert_eq!(rec.dispatched_at, Some(handed_off));
+            assert_eq!(
+                rec.delivered_at,
+                Some(handed_off + latency.service_to_endpoint)
+            );
+            deliveries_and_results.push(rec.delivered_at.unwrap());
+            deliveries_and_results.push(rec.result_available_at.unwrap());
+        }
+        for t in &announced {
+            assert!(
+                deliveries_and_results.contains(t),
+                "{t:?} is neither a delivery nor a result instant"
+            );
+        }
+        // Every delivery was announced, so each reached the endpoint at its
+        // own instant.
+        for k in 0..TASKS {
+            let delivered = svc.task(TaskId(k + 1)).unwrap().delivered_at.unwrap();
+            assert!(announced.contains(&delivered));
         }
     }
 

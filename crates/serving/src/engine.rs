@@ -120,6 +120,8 @@ struct RunningSeq {
     req: InferenceRequest,
     accepted_at: SimTime,
     first_token_at: Option<SimTime>,
+    /// KV blocks reserved at admission, returned to the pool on completion.
+    kv_blocks: u64,
 }
 
 /// Per-sequence decode counters, kept in a dense parallel array so the
@@ -262,19 +264,36 @@ impl VllmEngine {
         }
     }
 
-    /// Run the pure decode steps that start before `now`, then drop the
-    /// window: an outside change (a new request, a stall) can make the very
-    /// next step differ from what the window assumed.
-    fn unfuse(&mut self, now: SimTime) {
+    /// Run the window's pure decode steps that start before `end` (never
+    /// its last step, which completes a sequence); the window stays.
+    fn run_window_before(&mut self, end: SimTime) {
         let Some(wake) = self.fused_wake() else {
             return;
         };
-        let end = now.min(wake);
+        let end = end.min(wake);
         if let Some(t) = self.next_step_at.filter(|&t| t < end) {
             let last = SimTime::from_micros(end.as_micros() - 1);
             self.execute_steps(t, self.steps_through(t, last));
         }
+    }
+
+    /// Run the pure decode steps that start before `now`, then drop the
+    /// window: an outside change (a new request, a stall) can make the very
+    /// next step differ from what the window assumed.
+    fn unfuse(&mut self, now: SimTime) {
+        self.run_window_before(now);
         self.window = None;
+    }
+
+    /// Run the window's pure decode steps that start at or before `at`,
+    /// and nothing else: what [`SimProcess::advance`] at `at` runs on an
+    /// engine that is not due there. A driver that advances the engine only
+    /// when due calls this before an outside change at `at` (an enqueue, a
+    /// stall), which ends the window and so would otherwise leave a step
+    /// starting exactly at `at` to see the change. The window stays, so the
+    /// next event is unchanged, and a step an enqueue scheduled is never run.
+    pub fn catch_up(&mut self, at: SimTime) {
+        self.run_window_before(at + SimDuration::from_micros(1));
     }
 
     /// Stop the engine (hot-node release). Outstanding work is dropped.
@@ -348,10 +367,9 @@ impl VllmEngine {
             let Some(front) = self.waiting.front() else {
                 break;
             };
-            let total = front.req.total_tokens();
-            if !self.kv.reserve(front.req.id.0, total) {
+            let Some(kv_blocks) = self.kv.reserve(front.req.total_tokens()) else {
                 break;
-            }
+            };
             let w = self.waiting.pop_front().expect("front exists");
             prefill += self.config.perf.prefill_time(
                 &self.config.model,
@@ -368,6 +386,7 @@ impl VllmEngine {
                 accepted_at: w.enqueued_at,
                 first_token_at: None,
                 req: w.req,
+                kv_blocks,
             });
         }
         prefill
@@ -442,7 +461,7 @@ impl VllmEngine {
         for &i in finished.iter().rev() {
             let seq = self.running.swap_remove(i);
             self.progress.swap_remove(i);
-            self.kv.release(seq.req.id.0);
+            self.kv.release(seq.kv_blocks);
             self.stats.completed += 1;
             self.completions.push(InferenceCompletion {
                 id: seq.req.id,
@@ -931,6 +950,78 @@ mod tests {
         Ok(())
     }
 
+    /// One touch of the engine from outside: its kind (0 and 1 enqueue a
+    /// burst, 2 stalls), how many of the dense engine's step starts ahead
+    /// it lands, the burst size, and a prompt and an output length.
+    type Touch = ((u8, u8, u8), u32, u32);
+
+    /// Drive one engine advanced at every instant of a `grid_us` grid and
+    /// at every touch, and a twin advanced only when due and caught up to
+    /// each touch instant before the touch (what the compute endpoint
+    /// does); both must hand out the same completions and statistics.
+    fn check_sparse_against_dense(
+        max_num_seqs: usize,
+        kv_blocks: u64,
+        grid_us: u64,
+        touches: Vec<Touch>,
+    ) -> Result<(), proptest::TestCaseError> {
+        use proptest::prop_assert_eq;
+        let grid = SimDuration::from_micros(grid_us);
+        let mut dense = tight_engine(max_num_seqs, kv_blocks);
+        let mut sparse = dense.clone();
+        let (mut dense_log, mut sparse_log) = (Vec::new(), Vec::new());
+        let (mut now, mut next_grid, mut id) = (SimTime::ZERO, SimTime::ZERO, 0u64);
+        for ((kind, ahead, burst), prompt, output) in touches {
+            // Land on one of the dense engine's own step starts: a touch
+            // exactly at a step start is where skipping a catch-up shows.
+            let mut probe = dense.clone();
+            for _ in 0..ahead {
+                let Some(t) = probe.next_step_at() else { break };
+                probe.advance(t);
+            }
+            let at = probe
+                .next_step_at()
+                .unwrap_or(now + SimDuration::from_micros(u64::from(prompt) * 1_000));
+            while next_grid < at {
+                dense.advance(next_grid);
+                take(&mut dense, next_grid, &mut dense_log);
+                next_grid += grid;
+            }
+            dense.advance(at);
+            take(&mut dense, at, &mut dense_log);
+            run_before(&mut sparse, Some(at), false, &mut sparse_log);
+            if SimProcess::next_event_time(&sparse).is_some_and(|t| t <= at) {
+                sparse.advance(at);
+                take(&mut sparse, at, &mut sparse_log);
+            }
+            sparse.catch_up(at);
+            if kind < 2 {
+                for _ in 0..=burst {
+                    let req = InferenceRequest::chat(id, prompt, output);
+                    id += 1;
+                    prop_assert_eq!(dense.enqueue(req, at), sparse.enqueue(req, at));
+                }
+            } else {
+                let until = at + SimDuration::from_micros(u64::from(prompt) * 5_000);
+                dense.stall(at, until);
+                sparse.stall(at, until);
+            }
+            prop_assert_eq!(dense.queue_depth(), sparse.queue_depth());
+            prop_assert_eq!(dense.running_count(), sparse.running_count());
+            now = at;
+        }
+        run_before(&mut dense, None, true, &mut dense_log);
+        run_before(&mut sparse, None, false, &mut sparse_log);
+        // The twins take completions at different instants; what they hand
+        // out, and in which order, must agree.
+        let handed_out =
+            |log: &[Taken]| log.iter().map(|t| (t.1, t.2, t.3, t.4)).collect::<Vec<_>>();
+        prop_assert_eq!(handed_out(&dense_log), handed_out(&sparse_log));
+        prop_assert_eq!(dense.stats(), sparse.stats());
+        prop_assert_eq!(sparse_log.len() as u64, sparse.stats().completed);
+        Ok(())
+    }
+
     mod fused_steps {
         use super::*;
         use proptest::prelude::*;
@@ -975,6 +1066,25 @@ mod tests {
                 ),
             ) {
                 check_against_every_step_reference(max_num_seqs, kv_blocks, calls)?;
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Advancing only when due, with a catch-up before each touch,
+            /// matches advancing on a fine grid and at every touch.
+            #[test]
+            fn sparse_advances_match_dense_advances(
+                max_num_seqs in 1usize..=24,
+                kv_blocks in 16u64..3_000,
+                grid_us in 500u64..40_000,
+                touches in collection::vec(
+                    ((0u8..3, 0u8..12, 0u8..3), 1u32..200, 1u32..=400),
+                    1..40,
+                ),
+            ) {
+                check_sparse_against_dense(max_num_seqs, kv_blocks, grid_us, touches)?;
             }
         }
     }

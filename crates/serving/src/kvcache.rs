@@ -7,19 +7,22 @@
 //! therefore throughput — for long-context workloads.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Tokens stored per KV block (vLLM default).
 pub const DEFAULT_BLOCK_TOKENS: u32 = 16;
 
 /// A pool of KV-cache blocks shared by all sequences on one engine instance.
+///
+/// The pool counts free blocks only: each running sequence keeps the block
+/// count [`BlockPool::reserve`] handed it and gives that count back through
+/// [`BlockPool::release`], so a reservation and a release each cost one
+/// subtraction and no lookup.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlockPool {
     /// Tokens per block.
     pub block_tokens: u32,
     total_blocks: u64,
     free_blocks: u64,
-    held: BTreeMap<u64, u64>,
 }
 
 impl BlockPool {
@@ -29,7 +32,6 @@ impl BlockPool {
             block_tokens: block_tokens.max(1),
             total_blocks,
             free_blocks: total_blocks,
-            held: BTreeMap::new(),
         }
     }
 
@@ -66,47 +68,27 @@ impl BlockPool {
         self.blocks_for_tokens(tokens) <= self.free_blocks
     }
 
-    /// Reserve blocks for sequence `seq_id` covering `tokens` tokens.
-    /// Returns false (and reserves nothing) if the pool lacks space or the
-    /// sequence already holds a reservation.
-    pub fn reserve(&mut self, seq_id: u64, tokens: u32) -> bool {
-        if self.held.contains_key(&seq_id) {
-            return false;
-        }
+    /// Reserve blocks covering `tokens` tokens for one sequence. Returns the
+    /// number of blocks reserved, which the sequence keeps and hands back to
+    /// [`BlockPool::release`], or `None` (reserving nothing) if the pool
+    /// lacks space.
+    pub fn reserve(&mut self, tokens: u32) -> Option<u64> {
         let need = self.blocks_for_tokens(tokens);
         if need > self.free_blocks {
-            return false;
+            return None;
         }
         self.free_blocks -= need;
-        self.held.insert(seq_id, need);
-        true
+        Some(need)
     }
 
-    /// Grow sequence `seq_id`'s reservation to cover `new_total_tokens`.
-    /// Returns false if the pool cannot satisfy the growth (preemption would
-    /// be needed); the existing reservation is left unchanged in that case.
-    pub fn grow(&mut self, seq_id: u64, new_total_tokens: u32) -> bool {
-        let Some(&current) = self.held.get(&seq_id) else {
-            return false;
-        };
-        let need = self.blocks_for_tokens(new_total_tokens);
-        if need <= current {
-            return true;
-        }
-        let extra = need - current;
-        if extra > self.free_blocks {
-            return false;
-        }
-        self.free_blocks -= extra;
-        self.held.insert(seq_id, need);
-        true
-    }
-
-    /// Release sequence `seq_id`'s blocks back to the pool.
-    pub fn release(&mut self, seq_id: u64) {
-        if let Some(blocks) = self.held.remove(&seq_id) {
-            self.free_blocks += blocks;
-        }
+    /// Return a finished sequence's `blocks` (its reservation) to the pool.
+    pub fn release(&mut self, blocks: u64) {
+        assert!(
+            blocks <= self.used_blocks(),
+            "released {blocks} blocks with only {} held",
+            self.used_blocks()
+        );
+        self.free_blocks += blocks;
     }
 
     /// Fraction of the pool currently in use (0.0–1.0).
@@ -126,46 +108,27 @@ mod tests {
     #[test]
     fn reserve_and_release_conserve_blocks() {
         let mut pool = BlockPool::new(100, 16);
-        assert!(pool.reserve(1, 160)); // 10 blocks
-        assert!(pool.reserve(2, 170)); // 11 blocks
+        let a = pool.reserve(160).expect("room for 10 blocks");
+        let b = pool.reserve(170).expect("room for 11 blocks");
+        assert_eq!((a, b), (10, 11));
         assert_eq!(pool.used_blocks(), 21);
         assert_eq!(pool.free_blocks(), 79);
-        pool.release(1);
+        pool.release(a);
         assert_eq!(pool.used_blocks(), 11);
-        pool.release(2);
+        pool.release(b);
         assert_eq!(pool.free_blocks(), 100);
     }
 
     #[test]
     fn reserve_fails_when_full_without_side_effects() {
         let mut pool = BlockPool::new(10, 16);
-        assert!(pool.reserve(1, 150)); // 10 blocks — pool now full
+        let held = pool.reserve(150).expect("10 blocks fit"); // pool now full
         assert!(!pool.can_admit(16));
-        assert!(!pool.reserve(2, 16));
+        assert_eq!(pool.reserve(16), None);
         assert_eq!(pool.used_blocks(), 10);
-        pool.release(1);
-        assert!(pool.reserve(2, 16));
-    }
-
-    #[test]
-    fn duplicate_reservation_rejected() {
-        let mut pool = BlockPool::new(10, 16);
-        assert!(pool.reserve(1, 16));
-        assert!(!pool.reserve(1, 16));
-        assert_eq!(pool.used_blocks(), 1);
-    }
-
-    #[test]
-    fn grow_allocates_only_the_delta() {
-        let mut pool = BlockPool::new(10, 16);
-        assert!(pool.reserve(1, 16)); // 1 block
-        assert!(pool.grow(1, 20)); // 2 blocks total
-        assert_eq!(pool.used_blocks(), 2);
-        assert!(pool.grow(1, 18)); // shrink request is a no-op
-        assert_eq!(pool.used_blocks(), 2);
-        assert!(!pool.grow(1, 16 * 11)); // too big
-        assert_eq!(pool.used_blocks(), 2);
-        assert!(!pool.grow(99, 32)); // unknown sequence
+        assert_eq!(pool.free_blocks(), 0);
+        pool.release(held);
+        assert_eq!(pool.reserve(16), Some(1));
     }
 
     #[test]
@@ -181,7 +144,9 @@ mod tests {
     fn utilization_tracks_usage() {
         let mut pool = BlockPool::new(100, 16);
         assert_eq!(pool.utilization(), 0.0);
-        pool.reserve(1, 16 * 50);
+        let held = pool.reserve(16 * 50).expect("half the pool fits");
         assert!((pool.utilization() - 0.5).abs() < 1e-12);
+        pool.release(held);
+        assert_eq!(pool.utilization(), 0.0);
     }
 }
