@@ -39,15 +39,6 @@ impl InstanceBackend {
         }
     }
 
-    /// Run what advancing at every pass would have run by `at` on a backend
-    /// that was not due: the vLLM engine's pure decode steps (see
-    /// [`VllmEngine::catch_up`]); an embedding engine owes nothing.
-    fn catch_up(&mut self, at: SimTime) {
-        if let InstanceBackend::Vllm(engine) = self {
-            engine.catch_up(at);
-        }
-    }
-
     fn take_completions(&mut self) -> Vec<InferenceCompletion> {
         match self {
             InstanceBackend::Vllm(engine) => engine.take_completions(),
@@ -836,13 +827,13 @@ impl ComputeEndpoint {
                 if inst.in_flight.len() >= hosting.max_parallel_tasks {
                     continue;
                 }
-                // The first submission ends the engine's decode window, so
-                // the window's steps up to `now`, which step 2 skipped, run
-                // first (later submissions find no window left).
-                inst.backend
-                    .as_mut()
-                    .expect("backend present")
-                    .catch_up(now);
+                // The first submission ends a vLLM engine's decode window,
+                // so the window's steps up to `now`, which step 2 skipped,
+                // run first (later submissions find no window left; an
+                // embedding engine owes nothing).
+                if let Some(InstanceBackend::Vllm(engine)) = inst.backend.as_mut() {
+                    engine.catch_up(now);
+                }
                 while inst.in_flight.len() < hosting.max_parallel_tasks {
                     let Some((task, request)) = queue.pop_front() else {
                         break;

@@ -864,7 +864,7 @@ mod tests {
             svc.advance(t);
         }
         assert!(svc.is_drained());
-        let mut deliveries_and_results = Vec::new();
+        let (mut deliveries, mut results) = (Vec::new(), Vec::new());
         for k in 0..TASKS {
             let rec = svc.task(TaskId(k + 1)).unwrap();
             assert_eq!(rec.state, TaskState::Failed);
@@ -878,21 +878,18 @@ mod tests {
                 rec.delivered_at,
                 Some(handed_off + latency.service_to_endpoint)
             );
-            deliveries_and_results.push(rec.delivered_at.unwrap());
-            deliveries_and_results.push(rec.result_available_at.unwrap());
+            deliveries.push(rec.delivered_at.unwrap());
+            results.push(rec.result_available_at.unwrap());
         }
         for t in &announced {
             assert!(
-                deliveries_and_results.contains(t),
+                deliveries.contains(t) || results.contains(t),
                 "{t:?} is neither a delivery nor a result instant"
             );
         }
         // Every delivery was announced, so each reached the endpoint at its
         // own instant.
-        for k in 0..TASKS {
-            let delivered = svc.task(TaskId(k + 1)).unwrap().delivered_at.unwrap();
-            assert!(announced.contains(&delivered));
-        }
+        assert!(deliveries.iter().all(|d| announced.contains(d)));
     }
 
     #[test]
