@@ -4,7 +4,8 @@
 //! study. The full table/figure regenerations live in `src/bin/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use first_core::{ChatCompletionRequest, DeploymentBuilder};
+use first_core::middleware::CachedResponse;
+use first_core::{ChatCompletionRequest, DeploymentBuilder, ResponseCache};
 use first_desim::{Interner, SimDuration, SimProcess, SimTime, SymbolId, TimingWheel};
 use first_hpc::{BatchScheduler, Cluster, GpuModel, JobRequest};
 use first_serving::{find_model, run_to_completion, EngineConfig, InferenceRequest};
@@ -236,6 +237,38 @@ fn bench_wheel_vs_heap(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_response_cache(c: &mut Criterion) {
+    // The gateway's cache insert once its 4,096-entry cache is full, where
+    // every put evicts the oldest entry. Puts come in batches of 8 whose
+    // instants are a shuffle of the batch's own (one delivery batch is
+    // collected in endpoint order, not time order), so an insert lands a
+    // few pairs before the back of the eviction index.
+    const CAPACITY: usize = 4096;
+    const SHUFFLE: [u64; 8] = [3, 0, 1, 5, 2, 7, 4, 6];
+    let mut cache = ResponseCache::new(SimDuration::from_mins(30), CAPACITY);
+    let mut n = 0u64;
+    let mut put_batch = |cache: &mut ResponseCache| {
+        for offset in SHUFFLE {
+            let at = SimTime::from_millis(n / SHUFFLE.len() as u64 * 10 + offset);
+            let key = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let response = CachedResponse {
+                text: String::new(),
+                completion_tokens: 64,
+            };
+            cache.put(key, response, at);
+            n += 1;
+        }
+    };
+    for _ in 0..2 * CAPACITY / SHUFFLE.len() {
+        put_batch(&mut cache);
+    }
+    let mut group = c.benchmark_group("response_cache");
+    group.bench_function("put_at_capacity_4096", |b| {
+        b.iter(|| put_batch(&mut cache));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_engine_decode,
@@ -245,6 +278,7 @@ criterion_group!(
     bench_telemetry,
     bench_interner,
     bench_event_queue_100k,
-    bench_wheel_vs_heap
+    bench_wheel_vs_heap,
+    bench_response_cache
 );
 criterion_main!(benches);

@@ -272,15 +272,21 @@ impl PromptKeyHasher {
 /// Response cache keyed by (model, prompt) for idempotent repeated requests.
 ///
 /// Eviction keeps the entry set identical to a scan-the-map-for-the-oldest
-/// implementation, but resolves the victim through a lazily pruned min-heap
-/// over `(time, key)`: the full-cache `put` — every delivery once a
-/// deployment has served `capacity` distinct prompts — costs one heap push
-/// and an amortized pop instead of an O(capacity) scan of the map (the
-/// single largest per-delivery cost in the rate-sweep benchmarks before it
-/// was indexed). Replaced entries leave stale heap pairs behind; they are
-/// discarded on pop by checking the map's current insertion time, so the
-/// surviving minimum is exactly the ordered index's. Ties on the insertion
-/// time break deterministically by key, where the scan inherited `HashMap`
+/// implementation: a full cache evicts the live entry with the smallest
+/// `(inserted_at, key)`. The victim comes from the front of `by_age`, a
+/// deque of `(time, key)` pairs kept sorted, so the full-cache `put` —
+/// every delivery once a deployment has served `capacity` distinct
+/// prompts — costs a `pop_front` and a short insert instead of an
+/// O(capacity) scan of the map.
+///
+/// The insert scans from the back and relies on `put` times arriving
+/// nearly in order: the gateway puts at each delivery's instant, and one
+/// delivery batch is collected in endpoint order rather than time order,
+/// so a pair may belong a few places before the back but not far.
+/// Replaced entries leave stale pairs behind; they are discarded at the
+/// front by checking the map's current insertion time, so the surviving
+/// front is exactly the oldest live entry. Ties on the insertion time
+/// break deterministically by key, where the scan inherited `HashMap`
 /// iteration order.
 #[derive(Debug)]
 pub struct ResponseCache {
@@ -292,9 +298,10 @@ pub struct ResponseCache {
     /// uses the identity hasher (order is never observed; eviction goes
     /// through `by_age`).
     entries: HashMap<u64, (SimTime, CachedResponse), IdHashBuilder>,
-    /// Min-heap eviction index over `(inserted_at, key)`; may hold stale
-    /// pairs for replaced entries (pruned on pop, rebuilt when oversized).
-    by_age: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u64)>>,
+    /// Eviction index: `(inserted_at, key)` pairs in ascending order; may
+    /// hold stale pairs for replaced entries (skipped at the front, dropped
+    /// when the index outgrows the map).
+    by_age: VecDeque<(SimTime, u64)>,
     hits: u64,
     misses: u64,
 }
@@ -306,7 +313,7 @@ impl ResponseCache {
             ttl,
             capacity,
             entries: HashMap::default(),
-            by_age: std::collections::BinaryHeap::new(),
+            by_age: VecDeque::new(),
             hits: 0,
             misses: 0,
         }
@@ -344,12 +351,10 @@ impl ResponseCache {
 
     /// Insert a response.
     pub fn put(&mut self, key: u64, response: CachedResponse, now: SimTime) {
-        use std::cmp::Reverse;
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
             // Evict the oldest entry (smallest insertion time, then key),
-            // discarding stale heap pairs whose key was since replaced.
-            while let Some(&Reverse((t, oldest))) = self.by_age.peek() {
-                self.by_age.pop();
+            // discarding stale pairs whose key was since replaced.
+            while let Some((t, oldest)) = self.by_age.pop_front() {
                 let live = self.entries.get(&oldest).is_some_and(|&(at, _)| at == t);
                 if live {
                     self.entries.remove(&oldest);
@@ -358,14 +363,15 @@ impl ResponseCache {
             }
         }
         self.entries.insert(key, (now, response));
-        self.by_age.push(Reverse((now, key)));
+        // After every pair that sorts at or before the new one.
+        let pair = (now, key);
+        let at = self.by_age.len() - self.by_age.iter().rev().take_while(|&&p| p > pair).count();
+        self.by_age.insert(at, pair);
         // Replacements leave stale pairs behind; rebuild before they dominate.
         if self.by_age.len() > self.entries.len() * 2 + 64 {
-            self.by_age = self
-                .entries
-                .iter()
-                .map(|(&k, &(t, _))| Reverse((t, k)))
-                .collect();
+            let mut live: Vec<_> = self.entries.iter().map(|(&k, &(t, _))| (t, k)).collect();
+            live.sort_unstable();
+            self.by_age = live.into();
         }
     }
 }
@@ -527,5 +533,89 @@ mod tests {
         assert!(cache.get(0, SimTime::from_secs(10)).is_none());
         assert!(cache.get(1, SimTime::from_secs(10)).is_some());
         assert!(cache.get(2, SimTime::from_secs(10)).is_some());
+    }
+
+    mod eviction {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        fn response(tokens: u32) -> CachedResponse {
+            CachedResponse {
+                text: String::new(),
+                completion_tokens: tokens,
+            }
+        }
+
+        /// The cache's live entries, `key → inserted_at`.
+        fn live(cache: &ResponseCache) -> BTreeMap<u64, SimTime> {
+            cache.entries.iter().map(|(&k, &(t, _))| (k, t)).collect()
+        }
+
+        /// The scan the eviction index stands in for: a full cache drops
+        /// the live entry with the smallest `(inserted_at, key)`.
+        fn reference_put(model: &mut BTreeMap<u64, SimTime>, cap: usize, key: u64, now: SimTime) {
+            if model.len() >= cap && !model.contains_key(&key) {
+                let oldest = model.iter().map(|(&k, &t)| (t, k)).min();
+                if let Some((_, k)) = oldest {
+                    model.remove(&k);
+                }
+            }
+            model.insert(key, now);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Random puts: a clock that moves forward with puts placed up
+            /// to 3 ms behind it (one delivery batch collected out of time
+            /// order), equal instants under different keys, and a key space
+            /// small enough that most puts replace a live key, so stale
+            /// pairs pile up past the rebuild threshold. After every put
+            /// the live key set equals the scan's.
+            #[test]
+            fn eviction_matches_a_scan_for_the_oldest_live_entry(
+                capacity in 1usize..7,
+                keys in 2u64..16,
+                puts in collection::vec((0u64..64, 0u64..3, 0u64..4), 1..400),
+            ) {
+                let mut cache = ResponseCache::new(SimDuration::from_hours(1), capacity);
+                let mut model = BTreeMap::new();
+                let mut clock = 10u64;
+                for (i, (key, step, behind)) in puts.into_iter().enumerate() {
+                    clock += step;
+                    let now = SimTime::from_millis(clock - behind);
+                    let key = key % keys;
+                    cache.put(key, response(i as u32), now);
+                    reference_put(&mut model, capacity, key, now);
+                    prop_assert_eq!(live(&cache), model.clone());
+                    prop_assert!(cache.by_age.len() <= 2 * cache.entries.len() + 64);
+                }
+            }
+        }
+
+        #[test]
+        fn re_puts_rebuild_the_index_without_losing_the_order() {
+            let mut cache = ResponseCache::new(SimDuration::from_hours(1), 3);
+            let mut model = BTreeMap::new();
+            let mut longest = 0;
+            // Three live keys re-put round-robin, one instant per pair of
+            // puts: every put leaves a stale pair behind.
+            for i in 0..300u64 {
+                let (key, now) = (i % 3, SimTime::from_millis(i / 2));
+                cache.put(key, response(0), now);
+                reference_put(&mut model, 3, key, now);
+                longest = longest.max(cache.by_age.len());
+            }
+            assert!(longest > 64, "stale pairs reached the rebuild threshold");
+            assert!(cache.by_age.len() < longest, "the index was rebuilt");
+            // New keys, each evicting the oldest live entry.
+            for key in 100..104 {
+                let now = SimTime::from_millis(149);
+                cache.put(key, response(0), now);
+                reference_put(&mut model, 3, key, now);
+                assert_eq!(live(&cache), model);
+            }
+        }
     }
 }

@@ -41,7 +41,6 @@ use first_workload::{
 };
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 /// Per-tenant metric partition of one scenario run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -643,8 +642,16 @@ pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell
 
 /// One shard's in-flight index: shard-local request id → (position in the
 /// request stream, whether the copy is a hedged duplicate). Kept per shard
-/// so a crash drains only the dead shard's map.
-type InFlightIndex = HashMap<u64, (usize, bool)>;
+/// so a crash drains only the dead shard's window.
+///
+/// A window, not a hash map, because of how the ids behave: each shard
+/// gateway hands out its request ids from one counter, so the ids a shard
+/// accepts are dense, and its copies answer roughly in arrival order, so
+/// the oldest entries leave first and the window stays about as wide as
+/// the shard's in-flight set. A restarted shard counts from 1 again, but
+/// its crash drained the window first. Iteration is in ascending id
+/// order, the order a crash retries the lost copies in.
+type InFlightIndex = IdWindow<(usize, bool)>;
 
 #[cfg(test)]
 thread_local! {
@@ -1004,15 +1011,10 @@ impl<'a> FrontTier<'a> {
                     return;
                 }
                 self.ever_crashed[shard] = true;
-                // Everything in flight on the shard dies with it. Sort the
-                // purged ids so HashMap iteration order never leaks into the
-                // retry schedule.
-                let mut lost: Vec<(u64, (usize, bool))> =
-                    std::mem::take(&mut self.request_index[shard])
-                        .into_iter()
-                        .collect();
-                lost.sort_unstable();
-                for (_, (idx, _)) in lost {
+                // Everything in flight on the shard dies with it, retried
+                // in ascending gateway-id order (the window's order).
+                let lost = std::mem::take(&mut self.request_index[shard]);
+                for &(idx, _) in lost.values() {
                     self.counters.lost_in_flight += 1;
                     let Some(live) = self.live.get_mut(idx as u64) else {
                         continue;
@@ -1072,7 +1074,7 @@ impl<'a> FrontTier<'a> {
                 self.shard_ledgers[shard].on_response(r.success);
                 // Each physical copy is answered at most once, so its entry
                 // goes: the index holds the in-flight set, not the whole run.
-                let Some((idx, was_hedge)) = self.request_index[shard].remove(&r.request_id) else {
+                let Some((idx, was_hedge)) = self.request_index[shard].remove(r.request_id) else {
                     continue;
                 };
                 let Some(live) = self.live.remove(idx as u64) else {
@@ -1235,7 +1237,7 @@ fn run_scenario_impl(
         };
     #[cfg(test)]
     LEFT_IN_INDEX.with(|left| {
-        *left.borrow_mut() = front.request_index.iter().map(HashMap::len).collect();
+        *left.borrow_mut() = front.request_index.iter().map(IdWindow::len).collect();
     });
     #[cfg(test)]
     LEFT_LIVE.with(|left| left.set((front.live.len(), front.live.span())));
@@ -1577,6 +1579,63 @@ mod tests {
             let live = LEFT_LIVE.with(std::cell::Cell::get);
             assert_eq!(live, (0, 0), "{shards} shard(s), {policy:?}");
         }
+    }
+
+    #[test]
+    fn a_crash_retries_lost_copies_in_ascending_gateway_id_order() {
+        // Constant backoff, so every retry lands at one instant and the
+        // queue pops them in the order the crash pushed them.
+        let mut sharding = ShardingConfig::with_shards(2);
+        sharding.front_tier.retry = first_chaos::RetryPolicy {
+            multiplier: 1.0,
+            ..first_chaos::RetryPolicy::default()
+        };
+        let spec = small_spec();
+        let builder = builder_for(spec.deployment);
+        let mut f = FrontTier::new(&spec, &builder, &sharding, false);
+        let home = f.home[0];
+        let first = spec.arrivals(1).next().expect("an arrival");
+        // Stream indices 0..=3 take gateway ids 1..=4 on the home shard;
+        // index 1 is short, so it answers first and leaves a hole at id 2.
+        for (idx, output_tokens) in [400, 8, 400, 400].into_iter().enumerate() {
+            let seq = idx as u32;
+            f.arrive(
+                idx,
+                ScenarioArrival {
+                    seq,
+                    output_tokens,
+                    ..first
+                },
+            );
+        }
+        let mut now = first.at;
+        while f.attempts(1).is_some() {
+            now = f.next_event_time().expect("copies in flight");
+            f.advance(now);
+            f.collect();
+        }
+        assert!([0, 2, 3].iter().all(|&idx| f.attempts(idx) == Some(1)));
+        // A timeout-style retry re-sends index 0 home as id 5: the ids now
+        // run out of stream order.
+        f.dispatch(0, now, false);
+        let index = &f.request_index[home];
+        assert_eq!((index.len(), index.span()), (4, 5));
+        assert_eq!(index.get(2), None);
+        assert_eq!(index.get(5), Some(&(0, false)));
+        f.shard_fault(&ShardFaultKind::ShardCrash { shard: home }, now);
+        assert_eq!(f.counters.lost_in_flight, 4);
+        assert!(f.request_index[home].is_empty());
+        // Id 1 leaves index 0 one copy still counted in flight; ids 3, 4
+        // and 5 each lose a request's last copy, in that order.
+        let mut retried = Vec::new();
+        while let Some(ev) = f.queue.pop() {
+            retried.push(ev.payload);
+        }
+        assert_eq!(
+            retried,
+            [2, 3, 0].map(FrontAction::Retry),
+            "lost copies retry in ascending gateway-id order"
+        );
     }
 
     #[test]

@@ -93,6 +93,11 @@ pub struct ModelInstance {
     /// of `model`, so the per-advance scans compare integers, not strings.
     hosting: usize,
     backend: Option<InstanceBackend>,
+    /// Tasks submitted to the backend and not yet finished, in strictly
+    /// ascending id order. The order holds because the service hands tasks
+    /// over in `(deliver_at, task id)` order from a FIFO dispatcher, so ids
+    /// reach a hosting's `waiting` queue ascending, and that queue is FIFO;
+    /// the push checks it, and a completion leaves by binary search.
     in_flight: Vec<TaskId>,
     last_active: SimTime,
 }
@@ -790,9 +795,10 @@ impl ComputeEndpoint {
             for c in backend.take_completions() {
                 progress = true;
                 let task = TaskId(c.id.0);
-                let held = inst.in_flight.len();
-                inst.in_flight.retain(|t| *t != task);
-                self.load[inst.hosting].in_flight -= held - inst.in_flight.len();
+                if let Ok(at) = inst.in_flight.binary_search(&task) {
+                    inst.in_flight.remove(at);
+                    self.load[inst.hosting].in_flight -= 1;
+                }
                 inst.last_active = c.finished_at;
                 self.stats.tasks_completed += 1;
                 self.stats.output_tokens += c.output_tokens as u64;
@@ -838,6 +844,10 @@ impl ComputeEndpoint {
                     let Some((task, request)) = queue.pop_front() else {
                         break;
                     };
+                    assert!(
+                        inst.in_flight.last().is_none_or(|&last| last < task),
+                        "tasks reach an instance in ascending id order"
+                    );
                     inst.backend
                         .as_mut()
                         .expect("backend present")
@@ -1358,6 +1368,130 @@ mod tests {
         );
     }
 
+    /// Deliveries and stalls at a decode-step start inside a fused window:
+    /// the step starting at that instant runs first, with the old batch, as
+    /// on an engine stepped every token. Each case is compared with the same
+    /// run shifted one microsecond later, where no catch-up is needed.
+    mod catch_up_call_sites {
+        use super::*;
+
+        fn engine(ep: &ComputeEndpoint) -> &VllmEngine {
+            ep.instances()
+                .iter()
+                .find_map(|i| match i.backend.as_ref() {
+                    Some(InstanceBackend::Vllm(engine)) => Some(engine.as_ref()),
+                    _ => None,
+                })
+                .expect("a vLLM instance")
+        }
+
+        /// Deliver a 40-token and a 400-token task at time zero and advance
+        /// at every event until the vLLM engine runs both; the batch is then
+        /// in a window that ends with the short task.
+        fn a_batch_of_two(ep: &mut ComputeEndpoint) {
+            for (id, output) in [(1, 40), (2, 400)] {
+                let req = InferenceRequest::chat(id, 220, output);
+                ep.receive_task(TaskId(id), Some(0), req, SimTime::ZERO);
+            }
+            while ep.instances().is_empty() || engine(ep).running_count() < 2 {
+                let now = SimProcess::next_event_time(ep).expect("work in flight");
+                ep.advance(now);
+            }
+        }
+
+        /// Start of the step before the engine's window wake: a decode-step
+        /// start strictly inside the window, with no pass since it began.
+        fn inside_the_window(ep: &ComputeEndpoint) -> SimTime {
+            let engine = engine(ep);
+            let c = engine.config();
+            let batch = engine.running_count();
+            let decode = c
+                .perf
+                .decode_step_time(&c.model, c.gpu, c.tensor_parallel, batch);
+            let wake = SimProcess::next_event_time(engine).expect("a window");
+            SimTime::from_micros(wake.as_micros() - decode.as_micros())
+        }
+
+        fn shifted(t: SimTime, micros: i64) -> SimTime {
+            SimTime::from_micros(t.as_micros().saturating_add_signed(micros))
+        }
+
+        /// Run the endpoint an hour in; `(task, first token, finish)` of
+        /// every completion, by task.
+        fn drain(mut ep: ComputeEndpoint) -> Vec<(TaskId, SimTime, SimTime)> {
+            drive(&mut ep, SimTime::from_secs(3_600));
+            let mut done: Vec<_> = ep
+                .take_results()
+                .into_iter()
+                .filter_map(|r| {
+                    r.completion
+                        .map(|c| (r.task, c.first_token_at, c.finished_at))
+                })
+                .collect();
+            done.sort_unstable();
+            done
+        }
+
+        /// Two tasks wait for a cold instance, then a third lands `offset`
+        /// microseconds after a step start inside their window.
+        fn delivery_run(offset: i64) -> Vec<(TaskId, SimTime, SimTime)> {
+            let mut ep = endpoint();
+            a_batch_of_two(&mut ep);
+            let at = shifted(inside_the_window(&ep), offset);
+            ep.receive_task(TaskId(3), Some(0), InferenceRequest::chat(3, 220, 40), at);
+            drain(ep)
+        }
+
+        #[test]
+        fn a_delivery_on_a_window_step_start_joins_the_next_step() {
+            let on_step = delivery_run(0);
+            assert_eq!(on_step.len(), 3);
+            // The two tasks the cold instance found waiting when it turned
+            // ready were handed over in one pass, so one step admitted both.
+            assert_eq!(on_step[0].1, on_step[1].1, "{on_step:?}");
+            assert_eq!(on_step, delivery_run(1));
+            // A microsecond earlier, the step at that instant admits it.
+            let before = delivery_run(-1);
+            assert!(before[2].1 < on_step[2].1, "{before:?} vs {on_step:?}");
+        }
+
+        /// A hot instance decodes two tasks; `offset` microseconds after a
+        /// step start inside their window an embedding task makes the
+        /// endpoint run a pass, and the engines stall from that instant to
+        /// a fixed one.
+        fn stall_run(offset: i64) -> Vec<(TaskId, SimTime, SimTime)> {
+            let mut ep = endpoint();
+            ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
+            a_batch_of_two(&mut ep);
+            let step = inside_the_window(&ep);
+            let at = shifted(step, offset);
+            // Hosting 1 serves embeddings: the pass leaves the vLLM engine,
+            // which is not due, where it is.
+            ep.receive_task(TaskId(3), Some(1), InferenceRequest::embedding(3, 512), at);
+            let until = step + SimDuration::from_secs(5);
+            assert_eq!(ep.stall_engines(at, until), 1);
+            let mut done = drain(ep);
+            done.retain(|&(task, ..)| task != TaskId(3));
+            done
+        }
+
+        #[test]
+        fn a_stall_on_a_window_step_start_after_a_pass_runs_that_step_first() {
+            let on_step = stall_run(0);
+            assert_eq!(on_step.len(), 2);
+            assert_eq!(on_step, stall_run(1));
+            // Without the pass the step waits out the stall: the short task
+            // finishes one step later.
+            let mut ep = endpoint();
+            ep.prewarm("meta-llama/Llama-3.3-70B-Instruct", 1, SimTime::ZERO);
+            a_batch_of_two(&mut ep);
+            let step = inside_the_window(&ep);
+            ep.stall_engines(step, step + SimDuration::from_secs(5));
+            let unpassed = drain(ep);
+            assert!(unpassed[0].2 > on_step[0].2, "{unpassed:?} vs {on_step:?}");
+        }
+    }
+
     mod load_counters {
         use super::*;
         use proptest::prelude::*;
@@ -1365,8 +1499,9 @@ mod tests {
         const LLAMA: &str = "meta-llama/Llama-3.3-70B-Instruct";
         const EMBED: &str = "nvidia/NV-Embed-v2";
 
-        /// The per-hosting counters must equal a scan of the instance list.
-        /// Plain `assert!`, so optimized test builds check it too.
+        /// The per-hosting counters must equal a scan of the instance list,
+        /// and every instance's in-flight ids must ascend strictly. Plain
+        /// `assert!`, so optimized test builds check it too.
         fn assert_load_matches_a_scan(ep: &ComputeEndpoint, op: &str) {
             assert_eq!(ep.load.len(), ep.config.models.len());
             for (hosting, load) in ep.load.iter().enumerate() {
@@ -1379,6 +1514,14 @@ mod tests {
                 };
                 assert_eq!(*load, scan, "hosting {hosting} after {op}");
                 assert_eq!(ep.model_in_flight_at(hosting), scan.in_flight);
+            }
+            for inst in ep.instances() {
+                assert!(
+                    inst.in_flight.windows(2).all(|w| w[0] < w[1]),
+                    "instance {} holds {:?} after {op}",
+                    inst.id,
+                    inst.in_flight
+                );
             }
         }
 
@@ -1398,7 +1541,8 @@ mod tests {
 
             /// Random task arrivals, advances, crashes, preemptions and
             /// idle spells: after every operation the per-hosting counts of
-            /// active instances and in-flight tasks equal a scan.
+            /// active instances and in-flight tasks equal a scan, and each
+            /// instance's in-flight ids ascend.
             #[test]
             fn load_counters_match_a_scan_of_the_instances(
                 prewarm in 0u32..3,

@@ -352,18 +352,24 @@ impl ComputeService {
         if self.next_ready_at.is_none_or(|t| t > now) {
             return out;
         }
+        // One pass: the swap-remove order decides same-instant ties in the
+        // gateway's delivery order, and the entries kept give the new
+        // minimum.
+        let mut next: Option<SimTime> = None;
         let mut i = 0;
         while i < self.ready_results.len() {
-            if self.ready_results[i].0 <= now {
+            let at = self.ready_results[i].0;
+            if at <= now {
                 let result = self.ready_results.swap_remove(i).1;
                 if let Some(record) = self.tasks.remove(result.task.0) {
                     out.push((result, record));
                 }
             } else {
+                next = Some(next.map_or(at, |t| t.min(at)));
                 i += 1;
             }
         }
-        self.next_ready_at = self.ready_results.iter().map(|&(t, _)| t).min();
+        self.next_ready_at = next;
         out
     }
 
