@@ -1,6 +1,6 @@
 //! Golden-artifact regression tests for the scenario matrix.
 //!
-//! Four small catalog scenarios run at a pinned seed and request budget;
+//! Five small catalog scenarios run at a pinned seed and request budget;
 //! their `GatewayReport`s must serialize **byte-identically** to the JSON
 //! committed under `bench/golden/`. A diff here means the simulation's
 //! observable behaviour changed — per-tenant latencies, SLO attainment,
@@ -19,20 +19,35 @@ use first_core::{GatewayReport, ScenarioRun};
 use first_workload::{catalog, ScenarioSpec};
 use std::path::PathBuf;
 
-/// Seed and budget are pinned: goldens are not reruns of the live bench
+/// Seed and budgets are pinned: goldens are not reruns of the live bench
 /// configuration, they are fixed probes of simulator behaviour.
 const GOLDEN_SEED: u64 = 42;
-const GOLDEN_BUDGET: usize = 120;
 
-/// The pinned scenarios: the runner's base case, the multi-tenant
-/// SLO-partition case, the priority/tie-break merge case, and the
-/// federation-tier failover case (shard crash + restart under load).
-const GOLDEN_SCENARIOS: &[&str] = &[
-    "steady",
-    "multi-tenant-contention",
-    "priority-inversion",
-    "shard-outage",
+/// The pinned scenarios with the catalog budget each runs at: the runner's
+/// base case, the multi-tenant SLO-partition case, the priority/tie-break
+/// merge case, the federation-tier failover case (shard crash + restart
+/// under load), and the gateway's resilience layer under faults. The last
+/// needs the larger budget to reach hedging: at 300 requests it retries,
+/// fails over, hedges and trips a breaker.
+const GOLDEN_SCENARIOS: &[(&str, usize)] = &[
+    ("steady", 120),
+    ("multi-tenant-contention", 120),
+    ("priority-inversion", 120),
+    ("shard-outage", 120),
+    ("chaos-under-load", 300),
 ];
+
+/// A pinned scenario as the catalog builds it at its golden budget.
+fn golden_spec(name: &str) -> ScenarioSpec {
+    let &(_, budget) = GOLDEN_SCENARIOS
+        .iter()
+        .find(|(pinned, _)| *pinned == name)
+        .unwrap_or_else(|| panic!("'{name}' is not a pinned scenario"));
+    catalog(budget)
+        .into_iter()
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("catalog scenario '{name}' missing"))
+}
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench/golden")
@@ -54,13 +69,8 @@ fn golden_catalog_scenarios_reproduce_byte_identically() {
     let write = std::env::var("FIRST_GOLDEN_WRITE")
         .map(|v| !v.is_empty() && v != "0")
         .unwrap_or(false);
-    let specs = catalog(GOLDEN_BUDGET);
-    for name in GOLDEN_SCENARIOS {
-        let spec = specs
-            .iter()
-            .find(|s| s.name == *name)
-            .unwrap_or_else(|| panic!("catalog scenario '{name}' missing"));
-        let report = run_golden(spec);
+    for &(name, _) in GOLDEN_SCENARIOS {
+        let report = run_golden(&golden_spec(name));
         let rendered = serde_json::to_string_pretty(&report).expect("report serializes") + "\n";
         let path = golden_dir().join(format!("GOLDEN_{name}.json"));
         if write {
@@ -93,7 +103,7 @@ fn golden_scenarios_exist_in_the_catalog_at_any_budget() {
     // Guard against a catalog refactor silently dropping a pinned scenario.
     for budget in [16, 120, 1000] {
         let specs = catalog(budget);
-        for name in GOLDEN_SCENARIOS {
+        for (name, _) in GOLDEN_SCENARIOS {
             assert!(
                 specs.iter().any(|s| s.name == *name),
                 "catalog({budget}) lost pinned scenario '{name}'"
@@ -108,12 +118,7 @@ fn golden_scenarios_exist_in_the_catalog_at_any_budget() {
 /// (none are shed here: surviving capacity is sufficient).
 #[test]
 fn shard_outage_golden_loses_zero_accepted_requests() {
-    let specs = catalog(GOLDEN_BUDGET);
-    let spec = specs
-        .iter()
-        .find(|s| s.name == "shard-outage")
-        .expect("shard-outage in catalog");
-    let report = run_golden(spec);
+    let report = run_golden(&golden_spec("shard-outage"));
     assert_eq!(report.offered, 120);
     assert_eq!(report.accepted, 120, "nothing rejected at the front tier");
     assert_eq!(report.completed, 120, "zero accepted requests lost");
