@@ -24,7 +24,7 @@ use first_fabric::{ClientConfig, ComputeService, EndpointId, FunctionId, TaskId}
 use first_serving::InferenceRequest;
 use first_telemetry::{FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, TraceConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Gateway configuration: the knobs the paper's optimization study varies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -162,12 +162,10 @@ pub struct GatewayQueueSnapshot {
     pub hedge_deadlines: usize,
 }
 
-/// An accepted copy waiting for its submission instant. The request carries
-/// the model and user ids; names are resolved only when a response, log row
-/// or trace is written.
 /// One admitted request as the gateway carries it: the engine-level request
 /// the fabric runs, plus the user and model ids the log, metrics and reports
-/// need and the fabric never sees.
+/// need and the fabric never sees. Names are resolved only when a response,
+/// log row or trace is written.
 #[derive(Debug, Clone, Copy)]
 struct RequestHandle {
     inference: InferenceRequest,
@@ -175,14 +173,18 @@ struct RequestHandle {
     model: ModelId,
 }
 
-#[derive(Debug, Clone)]
-struct PendingDispatch {
+/// One copy of an admitted request: the original, a retry or a hedge. The
+/// same record waits for its submission instant (or for a sync worker), sits
+/// in the in-flight window once submitted, and rides its result to delivery.
+#[derive(Debug, Clone, Copy)]
+struct Dispatch {
     request_id: u64,
     request: RequestHandle,
     endpoint: EndpointId,
     /// The model's hosting-entry index on that endpoint, from the router.
     hosting: Option<u32>,
     function: FunctionId,
+    /// When the copy is (or was) submitted to the fabric.
     submit_at: SimTime,
     worker: usize,
     arrived_at: SimTime,
@@ -192,23 +194,17 @@ struct PendingDispatch {
     attempt: u32,
 }
 
-#[derive(Debug, Clone)]
-struct InFlight {
-    request_id: u64,
-    arrived_at: SimTime,
-    submitted_at: SimTime,
-    endpoint: EndpointId,
-    worker: usize,
-    operation: ApiOperation,
-    prompt_text_key: Option<u64>,
-    function: FunctionId,
-    request: RequestHandle,
-    attempt: u32,
+/// The copies of one request still pending or in flight, and whether one of
+/// them has already answered the client.
+#[derive(Debug, Clone, Copy)]
+struct Outstanding {
+    copies: u32,
+    answered: bool,
 }
 
 #[derive(Debug, Clone)]
 struct AwaitingDelivery {
-    in_flight: InFlight,
+    copy: Dispatch,
     deliver_at: SimTime,
     success: bool,
     completion_tokens: u32,
@@ -260,24 +256,24 @@ pub struct Gateway {
     /// million-request scale the old `Vec` rebuild scan dominated the run.
     /// The wheel's insertion sequence doubles as the arrival order the
     /// dispatch loop must preserve (see `submit_due`).
-    pending: TimingWheel<PendingDispatch>,
+    pending: TimingWheel<Dispatch>,
     /// Dispatches waiting for a sync worker, in the pool's FIFO order, with
     /// their submit overhead and whether they are traced; each starts when a
     /// release frees a worker. Always empty with async workers.
-    waiting: VecDeque<(PendingDispatch, SimDuration, bool)>,
+    waiting: VecDeque<(Dispatch, SimDuration, bool)>,
     /// Completed tasks waiting for their client-observed delivery instant,
     /// bucketed by `deliver_at` (same structure as `pending`).
     awaiting: TimingWheel<AwaitingDelivery>,
     /// Reusable drain buffer for `submit_due` (batch capacity survives
     /// between advances, keeping the due path allocation-free).
-    submit_buf: Vec<ScheduledEvent<PendingDispatch>>,
+    submit_buf: Vec<ScheduledEvent<Dispatch>>,
     /// Reusable drain buffer for `deliver_due`.
     deliver_buf: Vec<ScheduledEvent<AwaitingDelivery>>,
     /// In-flight tasks by task id (the service assigns task ids densely from
     /// 1, and this gateway is the service's only client). A window instead
     /// of a hash map: insertion and removal are a bounds-checked index, and
     /// the window holds only the span of tasks still in flight.
-    in_flight: IdWindow<InFlight>,
+    in_flight: IdWindow<Dispatch>,
     /// Hedge deadlines (`submitted_at + hedge_after`) of submitted copies,
     /// bucketed on a timing wheel; empty unless hedging is on. Hedge copies
     /// file none, and `hedge_due` consumes each deadline once, so a copy is
@@ -293,14 +289,11 @@ pub struct Gateway {
     /// Whether each endpoint (by dense id) has been connected to before.
     connected_endpoints: Vec<bool>,
     health: HealthTracker,
-    /// Request ids answered while sibling copies were still racing (guards
-    /// against a hedge sibling delivering twice). An id is dropped when its
-    /// last copy resolves, so the set stays bounded by concurrent hedges.
-    delivered: HashSet<u64, IdHashBuilder>,
     /// Outstanding copies (original + hedges + scheduled retries) per
-    /// still-unanswered request id (dense from 1). An id leaves the window
+    /// request id (dense from 1), and whether one has answered while its
+    /// siblings still race, so theirs are swallowed. An id leaves the window
     /// when its last copy resolves.
-    outstanding: IdWindow<u32>,
+    outstanding: IdWindow<Outstanding>,
     /// Latest instant the gateway has been advanced to (used for health
     /// staleness in `/jobs` and the dashboard).
     last_advance: SimTime,
@@ -374,7 +367,6 @@ impl Gateway {
             hedge_buf: Vec::new(),
             responses: Vec::new(),
             connected_endpoints: Vec::new(),
-            delivered: HashSet::default(),
             outstanding: IdWindow::new(),
             last_advance: SimTime::ZERO,
             started_wall: std::time::Instant::now(),
@@ -539,7 +531,7 @@ impl Gateway {
             pending_dispatches: self.pending.len() + self.waiting.len(),
             in_flight_tasks: self.in_flight.len(),
             awaiting_delivery: self.awaiting.len(),
-            outstanding_copies: self.outstanding.values().map(|&c| c as u64).sum(),
+            outstanding_copies: self.outstanding.values().map(|o| o.copies as u64).sum(),
             outstanding_slots: self.outstanding.len(),
             tracked_tasks: self.service.tracked_tasks(),
             buffered_responses: self.responses.len(),
@@ -570,11 +562,31 @@ impl Gateway {
     #[inline]
     fn add_copy(&mut self, request_id: u64) {
         match self.outstanding.get_mut(request_id) {
-            Some(count) => *count += 1,
+            Some(entry) => entry.copies += 1,
             None => {
-                self.outstanding.insert(request_id, 1);
+                let first = Outstanding {
+                    copies: 1,
+                    answered: false,
+                };
+                self.outstanding.insert(request_id, first);
             }
         }
+    }
+
+    /// Mark one outstanding copy of `request_id` as resolved; returns how
+    /// many copies remain pending or in flight and whether a sibling has
+    /// already answered. The id's entry is dropped when no copy remains (a
+    /// retry re-adds it).
+    fn resolve_copy(&mut self, request_id: u64) -> (u32, bool) {
+        let Some(entry) = self.outstanding.get_mut(request_id) else {
+            return (0, false);
+        };
+        entry.copies -= 1;
+        let left = (entry.copies, entry.answered);
+        if entry.copies == 0 {
+            self.outstanding.remove(request_id);
+        }
+        left
     }
 
     fn authorize(
@@ -649,9 +661,9 @@ impl Gateway {
         let admission = self.workers.admit(now);
         let overhead = auth_latency + self.connection_overhead(target.endpoint);
         let sampled = self.recorder.should_sample();
-        self.outstanding.insert(request_id, 1);
+        self.add_copy(request_id);
         // `submit_at` and `worker` are set when a worker takes the request.
-        let dispatch = PendingDispatch {
+        let dispatch = Dispatch {
             request_id,
             request,
             endpoint: target.endpoint,
@@ -674,7 +686,7 @@ impl Gateway {
 
     /// Start a dispatch on the worker `admission` gave it: it is submitted
     /// once the worker's CPU slice and the overhead are spent.
-    fn start(&mut self, waiting: (PendingDispatch, SimDuration, bool), admission: Admission) {
+    fn start(&mut self, waiting: (Dispatch, SimDuration, bool), admission: Admission) {
         let (mut dispatch, overhead, sampled) = waiting;
         dispatch.submit_at = admission.dispatch_ready_at + overhead;
         dispatch.worker = admission.worker;
@@ -1063,163 +1075,156 @@ impl Gateway {
         let mut due = std::mem::take(&mut self.submit_buf);
         self.pending.drain_due_into(now, &mut due);
         due.sort_unstable_by_key(|e| e.seq);
-        let mut retries: Vec<PendingDispatch> = Vec::new();
+        let mut retries = Vec::new();
         for ev in due.drain(..) {
-            let p = ev.payload;
-            {
-                match self.service.submit_to(
-                    p.function,
-                    p.endpoint,
-                    p.hosting,
-                    p.request.inference,
-                    p.submit_at,
-                ) {
-                    Ok(task) => {
-                        if let Some(hedge_after) = self.hedge_after() {
-                            self.hedge_deadlines.push(p.submit_at + hedge_after, task);
-                        }
-                        self.in_flight.insert(
-                            task.0,
-                            InFlight {
-                                request_id: p.request_id,
-                                arrived_at: p.arrived_at,
-                                submitted_at: p.submit_at,
-                                endpoint: p.endpoint,
-                                worker: p.worker,
-                                operation: p.operation,
-                                prompt_text_key: p.prompt_text_key,
-                                function: p.function,
-                                request: p.request,
-                                attempt: p.attempt,
-                            },
-                        );
+            let copy = ev.payload;
+            match self.service.submit_to(
+                copy.function,
+                copy.endpoint,
+                copy.hosting,
+                copy.request.inference,
+                copy.submit_at,
+            ) {
+                Ok(task) => {
+                    if let Some(hedge_after) = self.hedge_after() {
+                        self.hedge_deadlines
+                            .push(copy.submit_at + hedge_after, task);
                     }
-                    Err(_) => {
-                        // This copy is resolved; decide between retry and a
-                        // failed response.
-                        let copies_left = self.resolve_copy(p.request_id);
-                        if self.delivered.contains(&p.request_id) {
-                            if copies_left == 0 {
-                                self.delivered.remove(&p.request_id);
-                            }
-                            continue;
-                        }
-                        if copies_left > 0 {
-                            continue;
-                        }
-                        if self.config.resilience.enabled
-                            && p.attempt < self.config.resilience.retry.max_retries
-                        {
-                            if let Some(retry) = self.make_retry(
-                                p.request_id,
-                                p.request,
-                                p.function,
-                                p.endpoint,
-                                p.worker,
-                                p.arrived_at,
-                                p.operation,
-                                p.prompt_text_key,
-                                p.attempt,
-                                now,
-                            ) {
-                                retries.push(retry);
-                                continue;
-                            }
-                        }
-                        self.metrics.on_failed();
-                        self.release_worker(p.worker, now);
-                        if !self.trace_pending.is_empty() {
-                            self.record_trace(
-                                p.request_id,
-                                p.request.user,
-                                p.request.model,
-                                p.endpoint,
-                                false,
-                                None,
-                                now,
-                            );
-                        }
-                        self.responses.push(CompletedRequest {
-                            request_id: p.request_id,
-                            user: p.request.user,
-                            model: p.request.model,
-                            endpoint: Some(p.endpoint),
-                            arrived_at: p.arrived_at,
-                            finished_at: now,
-                            usage: Usage::default(),
-                            success: false,
-                            cached: false,
-                        });
-                    }
+                    self.in_flight.insert(task.0, copy);
                 }
+                // A refused copy resolves as a failure with no fabric leg.
+                Err(_) => retries.extend(self.resolve(copy, false, 0, None, now)),
             }
         }
         self.submit_buf = due;
-        // Retries re-enter the wheel after the batch, so they order behind
-        // every already-pending dispatch — exactly where the old buffer
-        // appended them.
+        self.requeue(retries);
+    }
+
+    /// Queue the retries a batch produced. They re-enter the wheel after the
+    /// batch, so they order behind every already-pending dispatch; replay
+    /// determinism pins that order.
+    fn requeue(&mut self, retries: Vec<Dispatch>) {
         for r in retries {
             self.pending.push(r.submit_at, r);
         }
     }
 
-    /// Mark one outstanding copy of `request_id` as resolved; returns how
-    /// many copies remain in flight or pending. The id's counter is dropped
-    /// when it reaches zero (a retry re-adds it).
-    fn resolve_copy(&mut self, request_id: u64) -> u32 {
-        let Some(count) = self.outstanding.get_mut(request_id) else {
-            return 0;
-        };
-        *count -= 1;
-        let left = *count;
-        if left == 0 {
-            self.outstanding.remove(request_id);
+    /// Resolve one copy of a request with its outcome, known at `at`:
+    /// `fabric` is its traced fabric leg (`None` when untraced or refused at
+    /// submission). The one place that decides what a resolved copy does:
+    /// - a sibling copy already answered: the copy is swallowed;
+    /// - under the resilience layer, a failed copy waits for a sibling still
+    ///   racing, or else is retried within the budget (the retry is
+    ///   returned for the caller to queue);
+    /// - otherwise the copy answers the client.
+    fn resolve(
+        &mut self,
+        copy: Dispatch,
+        success: bool,
+        completion_tokens: u32,
+        fabric: Option<&FabricTimes>,
+        at: SimTime,
+    ) -> Option<Dispatch> {
+        let (copies_left, answered) = self.resolve_copy(copy.request_id);
+        if answered {
+            return None;
         }
-        left
+        if !success && self.config.resilience.enabled {
+            if copies_left > 0 {
+                return None;
+            }
+            if copy.attempt < self.config.resilience.retry.max_retries {
+                if let Some(retry) = self.make_retry(&copy, at) {
+                    return Some(retry);
+                }
+            }
+        }
+        // The id keeps an entry only while sibling copies still race:
+        // remember the answer so their eventual results are swallowed.
+        if let Some(entry) = self.outstanding.get_mut(copy.request_id) {
+            entry.answered = true;
+        }
+        self.release_worker(copy.worker, at);
+        let request = copy.request;
+        let usage = Usage::new(request.inference.prompt_tokens, completion_tokens);
+        if success {
+            self.metrics.on_completed(
+                self.registry.model_name(request.model),
+                at - copy.arrived_at,
+                completion_tokens,
+            );
+            if let Some(key) = copy.prompt_text_key {
+                self.response_cache.put(
+                    key,
+                    CachedResponse {
+                        text: String::new(),
+                        completion_tokens,
+                    },
+                    at,
+                );
+            }
+        } else {
+            self.metrics.on_failed();
+        }
+        self.record_log(
+            copy.request_id,
+            request.user,
+            request.model,
+            Some(copy.endpoint),
+            copy.operation,
+            copy.arrived_at,
+            at,
+            usage,
+            success,
+        );
+        if !self.trace_pending.is_empty() {
+            self.record_trace(
+                copy.request_id,
+                request.user,
+                request.model,
+                copy.endpoint,
+                success,
+                fabric,
+                at,
+            );
+        }
+        self.responses.push(CompletedRequest {
+            request_id: copy.request_id,
+            user: request.user,
+            model: request.model,
+            endpoint: Some(copy.endpoint),
+            arrived_at: copy.arrived_at,
+            finished_at: at,
+            usage,
+            success,
+            cached: false,
+        });
+        None
     }
 
-    /// Build the retry dispatch for a failed copy, routed away from the
-    /// endpoint that failed it and delayed by the exponential backoff.
-    #[allow(clippy::too_many_arguments)]
-    fn make_retry(
-        &mut self,
-        request_id: u64,
-        request: RequestHandle,
-        function: FunctionId,
-        failed_endpoint: EndpointId,
-        worker: usize,
-        arrived_at: SimTime,
-        operation: ApiOperation,
-        prompt_text_key: Option<u64>,
-        attempt: u32,
-        now: SimTime,
-    ) -> Option<PendingDispatch> {
+    /// Build the retry of a failed copy, routed away from the endpoint that
+    /// failed it and delayed by the exponential backoff.
+    fn make_retry(&mut self, failed: &Dispatch, now: SimTime) -> Option<Dispatch> {
         let target = self.router.route_target_for_retry(
             &self.registry,
             &self.service,
-            request.model,
+            failed.request.model,
             &self.health,
             now,
-            failed_endpoint,
+            failed.endpoint,
         )?;
         self.metrics.on_retry();
-        if target.endpoint != failed_endpoint {
+        if target.endpoint != failed.endpoint {
             self.metrics.on_failover();
         }
-        let backoff = self.config.resilience.retry.backoff(attempt);
-        self.add_copy(request_id);
-        Some(PendingDispatch {
-            request_id,
-            request,
+        let backoff = self.config.resilience.retry.backoff(failed.attempt);
+        self.add_copy(failed.request_id);
+        Some(Dispatch {
             endpoint: target.endpoint,
             hosting: target.hosting,
-            function,
             submit_at: now + backoff,
-            worker,
-            arrived_at,
-            operation,
-            prompt_text_key,
-            attempt: attempt + 1,
+            attempt: failed.attempt + 1,
+            ..*failed
         })
     }
 
@@ -1238,15 +1243,17 @@ impl Gateway {
                 .drain(..)
                 .map(|e| e.payload)
                 .filter(|&task| {
-                    self.in_flight
-                        .get(task.0)
-                        .is_some_and(|f| !self.delivered.contains(&f.request_id))
+                    self.in_flight.get(task.0).is_some_and(|f| {
+                        self.outstanding
+                            .get(f.request_id)
+                            .is_none_or(|o| !o.answered)
+                    })
                 })
                 .collect();
             self.hedge_buf = due;
             candidates.sort_unstable();
             for task in candidates {
-                let f = self
+                let f = *self
                     .in_flight
                     .get(task.0)
                     .expect("hedging never resolves an in-flight copy");
@@ -1265,24 +1272,22 @@ impl Gateway {
                     // endpoint would only add load.
                     continue;
                 }
-                let f = f.clone();
+                let hedge = Dispatch {
+                    endpoint: target.endpoint,
+                    hosting: target.hosting,
+                    submit_at: now,
+                    ..f
+                };
                 if let Ok(new_task) = self.service.submit_to(
-                    f.function,
-                    target.endpoint,
-                    target.hosting,
-                    f.request.inference,
+                    hedge.function,
+                    hedge.endpoint,
+                    hedge.hosting,
+                    hedge.request.inference,
                     now,
                 ) {
                     self.metrics.on_hedge();
-                    self.add_copy(f.request_id);
-                    self.in_flight.insert(
-                        new_task.0,
-                        InFlight {
-                            submitted_at: now,
-                            endpoint: target.endpoint,
-                            ..f
-                        },
-                    );
+                    self.add_copy(hedge.request_id);
+                    self.in_flight.insert(new_task.0, hedge);
                 }
             }
         }
@@ -1292,14 +1297,14 @@ impl Gateway {
 
     fn collect_results(&mut self, now: SimTime) {
         for (result, record) in self.service.poll_results(now) {
-            let Some(in_flight) = self.in_flight.remove(result.task.0) else {
+            let Some(copy) = self.in_flight.remove(result.task.0) else {
                 continue;
             };
             let available = record.result_available_at.unwrap_or(result.finished_at);
             let observed = self
                 .config
                 .client
-                .observe_result_at(in_flight.submitted_at, available);
+                .observe_result_at(copy.submit_at, available);
             let deliver_at = observed + self.config.response_cpu;
             let completion_tokens = result
                 .completion
@@ -1310,10 +1315,10 @@ impl Gateway {
             // task record the poll released (nothing keeps it past this
             // point). `is_empty` keeps the untraced hot path to one branch.
             let trace = if !self.trace_pending.is_empty()
-                && self.trace_pending.contains_key(&in_flight.request_id)
+                && self.trace_pending.contains_key(&copy.request_id)
             {
                 Some(Box::new(FabricTimes {
-                    submitted_at: in_flight.submitted_at,
+                    submitted_at: copy.submit_at,
                     dispatched_at: record.dispatched_at,
                     delivered_at: record.delivered_at,
                     accepted_at: result.completion.as_ref().map(|c| c.accepted_at),
@@ -1328,7 +1333,7 @@ impl Gateway {
             self.awaiting.push(
                 deliver_at,
                 AwaitingDelivery {
-                    in_flight,
+                    copy,
                     deliver_at,
                     success: result.success,
                     completion_tokens,
@@ -1349,115 +1354,21 @@ impl Gateway {
         let mut due = std::mem::take(&mut self.deliver_buf);
         self.awaiting.drain_due_into(now, &mut due);
         due.sort_unstable_by_key(|e| e.seq);
-        let mut retries: Vec<PendingDispatch> = Vec::new();
+        let mut retries = Vec::new();
         for ev in due.drain(..) {
             let a = ev.payload;
-            {
-                let request_id = a.in_flight.request_id;
-                let copies_left = self.resolve_copy(request_id);
-                // Every copy's outcome is real signal about its endpoint.
-                let endpoint = a.in_flight.endpoint;
-                self.observe_outcome(endpoint, a.success, a.deliver_at);
-                // A hedge sibling already answered: swallow this copy. Once
-                // the last copy resolves, the id is no longer needed — the
-                // set stays bounded by the number of in-flight hedges rather
-                // than growing with the deployment's lifetime.
-                if self.delivered.contains(&request_id) {
-                    if copies_left == 0 {
-                        self.delivered.remove(&request_id);
-                    }
-                    continue;
-                }
-                if !a.success && self.config.resilience.enabled {
-                    // Another copy (hedge or retry) is still racing: let it
-                    // answer instead of reporting a failure.
-                    if copies_left > 0 {
-                        continue;
-                    }
-                    if a.in_flight.attempt < self.config.resilience.retry.max_retries {
-                        if let Some(retry) = self.make_retry(
-                            request_id,
-                            a.in_flight.request,
-                            a.in_flight.function,
-                            endpoint,
-                            a.in_flight.worker,
-                            a.in_flight.arrived_at,
-                            a.in_flight.operation,
-                            a.in_flight.prompt_text_key,
-                            a.in_flight.attempt,
-                            a.deliver_at,
-                        ) {
-                            retries.push(retry);
-                            continue;
-                        }
-                    }
-                }
-                let request = a.in_flight.request;
-                let usage = Usage::new(request.inference.prompt_tokens, a.completion_tokens);
-                if copies_left > 0 {
-                    // Sibling copies are still racing; remember the answer so
-                    // their eventual results are swallowed.
-                    self.delivered.insert(request_id);
-                }
-                self.release_worker(a.in_flight.worker, a.deliver_at);
-                if a.success {
-                    self.metrics.on_completed(
-                        self.registry.model_name(request.model),
-                        a.deliver_at - a.in_flight.arrived_at,
-                        a.completion_tokens,
-                    );
-                    if let Some(key) = a.in_flight.prompt_text_key {
-                        self.response_cache.put(
-                            key,
-                            CachedResponse {
-                                text: String::new(),
-                                completion_tokens: a.completion_tokens,
-                            },
-                            a.deliver_at,
-                        );
-                    }
-                } else {
-                    self.metrics.on_failed();
-                }
-                self.record_log(
-                    a.in_flight.request_id,
-                    request.user,
-                    request.model,
-                    Some(endpoint),
-                    a.in_flight.operation,
-                    a.in_flight.arrived_at,
-                    a.deliver_at,
-                    usage,
-                    a.success,
-                );
-                if !self.trace_pending.is_empty() {
-                    self.record_trace(
-                        request_id,
-                        request.user,
-                        request.model,
-                        endpoint,
-                        a.success,
-                        a.trace.as_deref(),
-                        a.deliver_at,
-                    );
-                }
-                self.responses.push(CompletedRequest {
-                    request_id: a.in_flight.request_id,
-                    user: request.user,
-                    model: request.model,
-                    endpoint: Some(endpoint),
-                    arrived_at: a.in_flight.arrived_at,
-                    finished_at: a.deliver_at,
-                    usage,
-                    success: a.success,
-                    cached: false,
-                });
-            }
+            // Every copy's outcome is real signal about its endpoint.
+            self.observe_outcome(a.copy.endpoint, a.success, a.deliver_at);
+            retries.extend(self.resolve(
+                a.copy,
+                a.success,
+                a.completion_tokens,
+                a.trace.as_deref(),
+                a.deliver_at,
+            ));
         }
         self.deliver_buf = due;
-        for r in retries {
-            self.pending.push(r.submit_at, r);
-        }
+        self.requeue(retries);
     }
 
     /// Feed one request outcome into the health tracker, counting breaker
@@ -1549,7 +1460,13 @@ mod tests {
         ledger.drained = gw.is_drained();
         crate::invariants::check_run_invariants(&gw, &ledger).expect("clean run");
         // A counter left behind for an answered request, even at zero.
-        gw.outstanding.insert(1, 0);
+        gw.outstanding.insert(
+            1,
+            Outstanding {
+                copies: 0,
+                answered: false,
+            },
+        );
         let violations = crate::invariants::check_run_invariants(&gw, &ledger).unwrap_err();
         assert_eq!(
             violations,
@@ -1962,6 +1879,42 @@ mod tests {
         assert!(gw.metrics_mut().hedges >= 1);
         // Well under the hour the stall would have cost.
         assert!(responses[0].latency().as_secs_f64() < 120.0);
+    }
+
+    #[test]
+    fn a_failed_copy_waits_for_its_racing_hedge() {
+        let (mut gw, tokens) = DeploymentBuilder::federated_sophia_polaris()
+            .prewarm(1)
+            .resilience(ResilienceConfig::production())
+            .build_with_tokens();
+        // Sophia's engine hangs, so the request is hedged to Polaris at its
+        // 60 s deadline.
+        gw.service_mut()
+            .endpoint_mut("sophia-endpoint")
+            .unwrap()
+            .stall_engines(SimTime::ZERO, SimTime::from_secs(3600));
+        let req = ChatCompletionRequest::simple(MODEL, "fail while hedged", 100);
+        gw.chat_completions(&req, &tokens.alice, Some(100), SimTime::ZERO)
+            .unwrap();
+        let crash_at = SimTime::from_secs(65);
+        drive(&mut gw, crash_at);
+        assert_eq!(gw.metrics().hedges, 1);
+        assert_eq!(gw.queue_snapshot().in_flight_tasks, 2, "hedge in flight");
+        // The stalled instance dies while the hedge is still running: the
+        // original copy fails, and must wait for its sibling's answer.
+        assert!(gw
+            .service_mut()
+            .endpoint_mut("sophia-endpoint")
+            .unwrap()
+            .inject_instance_failure(MODEL, crash_at));
+        drive(&mut gw, SimTime::from_secs(1200));
+        let responses = gw.take_responses();
+        assert_eq!(responses.len(), 1, "{responses:?}");
+        assert!(responses[0].success);
+        assert_eq!(gw.endpoint_name(responses[0].endpoint), "polaris-endpoint");
+        assert_eq!(gw.metrics().retries, 0);
+        assert!(gw.is_drained());
+        assert_eq!(gw.queue_snapshot().outstanding_slots, 0);
     }
 
     #[test]

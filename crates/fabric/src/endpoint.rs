@@ -361,31 +361,19 @@ impl ComputeEndpoint {
         if self.is_offline(now) {
             // Network partition / endpoint flap: deliveries fail fast with a
             // retryable error instead of vanishing into a dead process.
-            self.stats.tasks_failed += 1;
-            self.results.push(TaskResult {
-                task,
-                success: false,
-                completion: None,
-                error: Some(format!("endpoint {} unreachable", self.config.name)),
-                finished_at: now,
-            });
+            let error = format!("endpoint {} unreachable", self.config.name);
+            self.fail_task(task, error, now);
             return false;
         }
         let Some(hosting_idx) = hosting
             .map(|h| h as usize)
             .filter(|&h| h < self.config.models.len())
         else {
-            self.stats.tasks_failed += 1;
-            self.results.push(TaskResult {
-                task,
-                success: false,
-                completion: None,
-                error: Some(format!(
-                    "endpoint {} does not host the requested model",
-                    self.config.name
-                )),
-                finished_at: now,
-            });
+            let error = format!(
+                "endpoint {} does not host the requested model",
+                self.config.name
+            );
+            self.fail_task(task, error, now);
             return false;
         };
         // Fail fast on misconfiguration: a hosting entry whose per-instance
@@ -393,20 +381,14 @@ impl ComputeEndpoint {
         // leave the task queued forever with no event to wake it.
         let hosting = &self.config.models[hosting_idx];
         if !self.hosting_is_schedulable(hosting) {
-            self.stats.tasks_failed += 1;
-            self.results.push(TaskResult {
-                task,
-                success: false,
-                completion: None,
-                error: Some(format!(
-                    "model {} requires {} nodes x {} GPUs, which cluster {} cannot provide",
-                    hosting.model.name,
-                    hosting.nodes_per_instance,
-                    hosting.gpus_per_instance,
-                    self.config.cluster
-                )),
-                finished_at: now,
-            });
+            let error = format!(
+                "model {} requires {} nodes x {} GPUs, which cluster {} cannot provide",
+                hosting.model.name,
+                hosting.nodes_per_instance,
+                hosting.gpus_per_instance,
+                self.config.cluster
+            );
+            self.fail_task(task, error, now);
             return false;
         }
         request.id = RequestId(task.0);
@@ -469,14 +451,7 @@ impl ComputeEndpoint {
         // re-queue them: it fails them, and the gateway retries idempotent
         // requests.
         for task in in_flight {
-            self.stats.tasks_failed += 1;
-            self.results.push(TaskResult {
-                task,
-                success: false,
-                completion: None,
-                error: Some("instance failure".to_string()),
-                finished_at: now,
-            });
+            self.fail_task(task, "instance failure", now);
         }
         self.scheduler.complete(job, now);
         if self.config.auto_restart {
@@ -601,6 +576,18 @@ impl ComputeEndpoint {
             }
         }
         stalled
+    }
+
+    /// Fail `task` at `at` with `error`, counting it in the endpoint stats.
+    fn fail_task(&mut self, task: TaskId, error: impl Into<String>, at: SimTime) {
+        self.stats.tasks_failed += 1;
+        self.results.push(TaskResult {
+            task,
+            success: false,
+            completion: None,
+            error: Some(error.into()),
+            finished_at: at,
+        });
     }
 
     /// Whether this cluster can ever satisfy one instance of the hosting
@@ -759,14 +746,7 @@ impl ComputeEndpoint {
                     // tasks can never complete, so fail them with a retryable
                     // error instead of leaving the client hanging.
                     for task in in_flight {
-                        self.stats.tasks_failed += 1;
-                        self.results.push(TaskResult {
-                            task,
-                            success: false,
-                            completion: None,
-                            error: Some("instance job preempted".to_string()),
-                            finished_at: ev.time,
-                        });
+                        self.fail_task(task, "instance job preempted", ev.time);
                     }
                 }
                 K::Completed => {}

@@ -12,7 +12,6 @@
 //! * [`counter`] — monotonic counters and point-in-time gauges.
 //! * [`histogram`] — exponential-bucket histograms with quantile estimation.
 //! * [`registry`] — the thread-safe metric registry and its snapshots.
-//! * [`timeseries`] — rolling windows and sampled resource timelines.
 //! * [`exposition`] — Prometheus-style text exposition of a snapshot.
 //! * [`dashboard`] — the operations dashboard model (per-model, per-cluster
 //!   and queue summaries) rendered as plain text.
@@ -35,7 +34,6 @@ pub mod exposition;
 pub mod histogram;
 pub mod metric;
 pub mod registry;
-pub mod timeseries;
 pub mod trace;
 
 pub use alerts::{AlertRule, AlertSeverity, AlertState, Alerting, FiredAlert};
@@ -48,7 +46,6 @@ pub use exposition::render_prometheus;
 pub use histogram::BucketHistogram;
 pub use metric::{LabelSet, MetricId, MetricKind};
 pub use registry::{MetricRegistry, MetricSnapshot, RegistrySnapshot};
-pub use timeseries::{ResourceTimeline, RollingWindow, TimePoint};
 pub use trace::{
     chrome_trace_json, CriticalPathEntry, FlightRecorder, GroupPhases, Phase, PhaseBreakdown,
     PhaseStats, Span, SpanTree, TraceConfig,
@@ -61,5 +58,4 @@ pub mod prelude {
     pub use crate::histogram::BucketHistogram;
     pub use crate::metric::LabelSet;
     pub use crate::registry::MetricRegistry;
-    pub use crate::timeseries::RollingWindow;
 }

@@ -1,7 +1,6 @@
 //! Property-based tests for the monitoring substrate's core invariants.
 
-use first_desim::{SimDuration, SimTime};
-use first_telemetry::{BucketHistogram, LabelSet, MetricRegistry, ResourceTimeline, RollingWindow};
+use first_telemetry::{BucketHistogram, LabelSet, MetricRegistry};
 use proptest::prelude::*;
 
 proptest! {
@@ -64,45 +63,6 @@ proptest! {
         prop_assert_eq!(ha.count(), hu.count());
         prop_assert!((ha.sum() - hu.sum()).abs() < 1e-6);
         prop_assert_eq!(ha.cumulative_buckets(), hu.cumulative_buckets());
-    }
-
-    /// A rolling window never retains a point older than its width, and its
-    /// sum equals the sum of the retained points.
-    #[test]
-    fn rolling_window_retains_only_recent_points(
-        offsets in proptest::collection::vec(0u64..10_000, 1..200),
-        width_s in 1u64..600,
-    ) {
-        let mut times = offsets.clone();
-        times.sort_unstable();
-        let width = SimDuration::from_secs(width_s);
-        let mut w = RollingWindow::new(width);
-        for &t in &times {
-            w.record(SimTime::from_secs(t), 1.0);
-        }
-        let now = *times.last().unwrap();
-        let retained = times.iter().filter(|&&t| now - t <= width_s).count();
-        prop_assert_eq!(w.len(), retained);
-        prop_assert!((w.sum() - retained as f64).abs() < 1e-9);
-    }
-
-    /// The time-weighted mean of a timeline lies between the minimum and
-    /// maximum sampled values.
-    #[test]
-    fn timeline_mean_is_bounded(samples in proptest::collection::vec((0u64..100_000, 0.0f64..500.0), 2..100)) {
-        let mut sorted = samples.clone();
-        sorted.sort_by_key(|(t, _)| *t);
-        let mut tl = ResourceTimeline::new();
-        for &(t, v) in &sorted {
-            tl.sample(SimTime::from_secs(t), v);
-        }
-        if tl.samples().last().unwrap().at == tl.samples()[0].at {
-            return Ok(()); // all samples at the same instant: mean is defined as 0
-        }
-        let mean = tl.time_weighted_mean();
-        let min = sorted.iter().map(|(_, v)| *v).fold(f64::INFINITY, f64::min);
-        let max = sorted.iter().map(|(_, v)| *v).fold(0.0f64, f64::max);
-        prop_assert!(mean >= min - 1e-9 && mean <= max + 1e-9, "{mean} not in [{min}, {max}]");
     }
 
     /// Counter totals in a snapshot equal the sum of all increments, however
