@@ -20,8 +20,6 @@ pub enum AuthError {
     MfaRequired,
     /// The user is not a member of any group granting the requested access.
     NotAuthorized(String),
-    /// The confidential client credentials are invalid.
-    InvalidClientCredentials,
     /// A refresh was attempted with an unknown or expired refresh token.
     InvalidRefreshToken,
     /// The requested scope is not grantable to this user.
@@ -40,7 +38,6 @@ impl fmt::Display for AuthError {
             }
             AuthError::MfaRequired => write!(f, "multi-factor authentication required"),
             AuthError::NotAuthorized(what) => write!(f, "not authorized for {what}"),
-            AuthError::InvalidClientCredentials => write!(f, "invalid client credentials"),
             AuthError::InvalidRefreshToken => write!(f, "invalid refresh token"),
             AuthError::ScopeNotAllowed(s) => write!(f, "scope '{s}' not allowed"),
         }

@@ -39,19 +39,9 @@ impl Group {
         self.members.insert(user, role);
     }
 
-    /// Remove a member; returns true if they were present.
-    pub fn remove_member(&mut self, user: &UserId) -> bool {
-        self.members.remove(user).is_some()
-    }
-
     /// Whether the user is a member (any role).
     pub fn contains(&self, user: &UserId) -> bool {
         self.members.contains_key(user)
-    }
-
-    /// Whether the user is a group admin.
-    pub fn is_admin(&self, user: &UserId) -> bool {
-        matches!(self.members.get(user), Some(GroupRole::Admin))
     }
 
     /// Number of members.
@@ -78,7 +68,7 @@ impl GroupRegistry {
     }
 
     /// Create a group if it does not already exist; returns whether it was created.
-    pub fn create_group(&mut self, name: impl Into<String>) -> bool {
+    fn create_group(&mut self, name: impl Into<String>) -> bool {
         let name = name.into();
         if self.groups.contains_key(&name) {
             return false;
@@ -149,11 +139,9 @@ mod tests {
         g.add_member(UserId::new("alice"), GroupRole::Admin);
         g.add_member(UserId::new("bob"), GroupRole::Member);
         assert!(g.contains(&UserId::new("alice")));
-        assert!(g.is_admin(&UserId::new("alice")));
-        assert!(!g.is_admin(&UserId::new("bob")));
+        assert!(g.contains(&UserId::new("bob")));
+        assert!(!g.contains(&UserId::new("carol")));
         assert_eq!(g.len(), 2);
-        assert!(g.remove_member(&UserId::new("bob")));
-        assert!(!g.contains(&UserId::new("bob")));
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Users, identity providers and confidential clients.
+//! Users and identity providers.
 //!
 //! Mirrors the roles Globus Auth plays in the paper (§3.1.2): users log in
-//! through institutional identity providers (possibly with MFA), while the
-//! FIRST administrators own a *confidential client* whose credentials gate all
-//! direct communication with the compute endpoints.
+//! through institutional identity providers (possibly with MFA).
 
 use serde::{Deserialize, Serialize};
 
@@ -42,15 +40,6 @@ impl IdentityProvider {
             name: name.into(),
             trusted: true,
             enforces_mfa: true,
-        }
-    }
-
-    /// A provider the deployment policy does not accept.
-    pub fn untrusted(name: impl Into<String>) -> Self {
-        IdentityProvider {
-            name: name.into(),
-            trusted: false,
-            enforces_mfa: false,
         }
     }
 }
@@ -92,26 +81,6 @@ impl Identity {
     }
 }
 
-/// Administrator-owned confidential client (§3.2.3): the only principal
-/// allowed to talk to compute endpoints directly.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConfidentialClient {
-    /// Public client identifier.
-    pub client_id: String,
-    /// Secret; never exposed to general users.
-    pub client_secret: String,
-}
-
-impl ConfidentialClient {
-    /// Create a client with the given id and secret.
-    pub fn new(client_id: impl Into<String>, client_secret: impl Into<String>) -> Self {
-        ConfidentialClient {
-            client_id: client_id.into(),
-            client_secret: client_secret.into(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,8 +99,6 @@ mod tests {
     fn identity_provider_flags() {
         let t = IdentityProvider::trusted("anl.gov");
         assert!(t.trusted && t.enforces_mfa);
-        let u = IdentityProvider::untrusted("example.com");
-        assert!(!u.trusted);
     }
 
     #[test]

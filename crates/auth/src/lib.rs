@@ -20,7 +20,7 @@ pub mod token;
 
 pub use error::{AuthError, AuthResult};
 pub use groups::{Group, GroupRegistry, GroupRole};
-pub use identity::{ConfidentialClient, Identity, IdentityProvider, UserId};
+pub use identity::{Identity, IdentityProvider, UserId};
 pub use policy::{AccessPolicy, ResourceRule};
 pub use service::{AuthLatencyModel, AuthService, AuthServiceStats};
 pub use token::{

@@ -1,6 +1,6 @@
 //! Access policies (§3.1.2): which identity providers are accepted, whether
-//! MFA is required, and which groups gate access to the platform, to specific
-//! models, and to specific clusters.
+//! MFA is required, and which groups gate access to the platform and to
+//! specific models.
 
 use crate::error::{AuthError, AuthResult};
 use crate::groups::GroupRegistry;
@@ -42,8 +42,6 @@ pub struct AccessPolicy {
     pub platform_groups: Vec<String>,
     /// Per-model access rules (model name → rule).
     pub model_rules: BTreeMap<String, ResourceRule>,
-    /// Per-cluster access rules (cluster name → rule).
-    pub cluster_rules: BTreeMap<String, ResourceRule>,
 }
 
 impl Default for AccessPolicy {
@@ -57,31 +55,14 @@ impl Default for AccessPolicy {
             require_mfa: true,
             platform_groups: vec!["first-users".to_string()],
             model_rules: BTreeMap::new(),
-            cluster_rules: BTreeMap::new(),
         }
     }
 }
 
 impl AccessPolicy {
-    /// A fully open policy (useful in unit tests of other components).
-    pub fn permissive() -> Self {
-        AccessPolicy {
-            trusted_providers: vec![IdentityProvider::trusted("any")],
-            require_mfa: false,
-            platform_groups: Vec::new(),
-            model_rules: BTreeMap::new(),
-            cluster_rules: BTreeMap::new(),
-        }
-    }
-
     /// Add or replace a model-specific rule.
     pub fn set_model_rule(&mut self, model: impl Into<String>, rule: ResourceRule) {
         self.model_rules.insert(model.into(), rule);
-    }
-
-    /// Add or replace a cluster-specific rule.
-    pub fn set_cluster_rule(&mut self, cluster: impl Into<String>, rule: ResourceRule) {
-        self.cluster_rules.insert(cluster.into(), rule);
     }
 
     /// Validate a login attempt: provider trust and MFA.
@@ -89,7 +70,7 @@ impl AccessPolicy {
         let provider = self
             .trusted_providers
             .iter()
-            .find(|p| p.name == identity.provider || p.name == "any");
+            .find(|p| p.name == identity.provider);
         match provider {
             Some(p) if p.trusted => {}
             _ => {
@@ -105,7 +86,7 @@ impl AccessPolicy {
     }
 
     /// Check baseline platform access for an already-authenticated user.
-    pub fn check_platform_access(&self, user: &UserId, groups: &GroupRegistry) -> AuthResult<()> {
+    fn check_platform_access(&self, user: &UserId, groups: &GroupRegistry) -> AuthResult<()> {
         if groups.member_of_any(user, &self.platform_groups) {
             Ok(())
         } else {
@@ -124,22 +105,6 @@ impl AccessPolicy {
         if let Some(rule) = self.model_rules.get(model) {
             if !groups.member_of_any(user, &rule.allowed_groups) {
                 return Err(AuthError::NotAuthorized(format!("model '{model}'")));
-            }
-        }
-        Ok(())
-    }
-
-    /// Check access to a specific cluster.
-    pub fn check_cluster_access(
-        &self,
-        user: &UserId,
-        cluster: &str,
-        groups: &GroupRegistry,
-    ) -> AuthResult<()> {
-        self.check_platform_access(user, groups)?;
-        if let Some(rule) = self.cluster_rules.get(cluster) {
-            if !groups.member_of_any(user, &rule.allowed_groups) {
-                return Err(AuthError::NotAuthorized(format!("cluster '{cluster}'")));
             }
         }
         Ok(())
@@ -176,9 +141,12 @@ mod tests {
             .validate_login(&Identity::new("alice", "anl.gov").without_mfa())
             .unwrap_err();
         assert_eq!(err, AuthError::MfaRequired);
-        let relaxed = AccessPolicy::permissive();
+        let relaxed = AccessPolicy {
+            require_mfa: false,
+            ..AccessPolicy::default()
+        };
         assert!(relaxed
-            .validate_login(&Identity::new("alice", "anywhere").without_mfa())
+            .validate_login(&Identity::new("alice", "anl.gov").without_mfa())
             .is_ok());
     }
 
@@ -212,18 +180,5 @@ mod tests {
         assert!(policy
             .check_model_access(&UserId::new("bob"), "llama-3.1-8b", &reg)
             .is_ok());
-    }
-
-    #[test]
-    fn cluster_rule_restricts_access() {
-        let mut policy = AccessPolicy::default();
-        policy.set_cluster_rule("polaris", ResourceRule::restricted(&["polaris-users"]));
-        let reg = registry_with_alice();
-        assert!(policy
-            .check_cluster_access(&UserId::new("alice"), "sophia", &reg)
-            .is_ok());
-        assert!(policy
-            .check_cluster_access(&UserId::new("alice"), "polaris", &reg)
-            .is_err());
     }
 }

@@ -1,8 +1,7 @@
 //! The Globus-Auth-style authorization server.
 //!
-//! Issues access/refresh tokens for authenticated identities, introspects
-//! bearer tokens for resource servers (the FIRST gateway), and validates the
-//! administrator-owned confidential client used by the compute fabric.
+//! Issues access/refresh tokens for authenticated identities and introspects
+//! bearer tokens for resource servers (the FIRST gateway).
 //!
 //! Introspection carries a modelled network/service latency: the paper's
 //! Optimization 2 found that introspecting the token and re-creating endpoint
@@ -12,7 +11,7 @@
 
 use crate::error::{AuthError, AuthResult};
 use crate::groups::{GroupRegistry, GroupRole};
-use crate::identity::{ConfidentialClient, Identity, UserId};
+use crate::identity::{Identity, UserId};
 use crate::policy::AccessPolicy;
 use crate::token::{
     AccessToken, IntrospectionResult, Scope, TokenString, DEFAULT_ACCESS_TOKEN_LIFETIME,
@@ -60,7 +59,6 @@ pub struct AuthServiceStats {
 pub struct AuthService {
     policy: AccessPolicy,
     groups: GroupRegistry,
-    clients: Vec<ConfidentialClient>,
     tokens: BTreeMap<String, AccessToken>,
     refresh_index: BTreeMap<String, String>,
     latency: AuthLatencyModel,
@@ -75,7 +73,6 @@ impl AuthService {
         AuthService {
             policy,
             groups: GroupRegistry::new(),
-            clients: Vec::new(),
             tokens: BTreeMap::new(),
             refresh_index: BTreeMap::new(),
             latency: AuthLatencyModel::default(),
@@ -83,11 +80,6 @@ impl AuthService {
             stats: AuthServiceStats::default(),
             next_token_id: 1,
         }
-    }
-
-    /// Service with the default ALCF-style policy.
-    pub fn with_default_policy(seed: u64) -> Self {
-        Self::new(AccessPolicy::default(), seed)
     }
 
     /// Access the deployment policy.
@@ -108,24 +100,6 @@ impl AuthService {
     /// Traffic statistics.
     pub fn stats(&self) -> &AuthServiceStats {
         &self.stats
-    }
-
-    /// Register the administrator confidential client.
-    pub fn register_confidential_client(&mut self, client: ConfidentialClient) {
-        self.clients.push(client);
-    }
-
-    /// Validate confidential-client credentials (used by fabric endpoints).
-    pub fn validate_client(&self, client: &ConfidentialClient) -> AuthResult<()> {
-        if self
-            .clients
-            .iter()
-            .any(|c| c.client_id == client.client_id && c.client_secret == client.client_secret)
-        {
-            Ok(())
-        } else {
-            Err(AuthError::InvalidClientCredentials)
-        }
     }
 
     /// Register a user in the platform group so they pass the baseline policy.
@@ -246,11 +220,6 @@ impl AuthService {
         };
         (result, latency)
     }
-
-    /// Number of live (non-revoked, non-expired) tokens at `now`.
-    pub fn live_token_count(&self, now: SimTime) -> usize {
-        self.tokens.values().filter(|t| t.is_valid_at(now)).count()
-    }
 }
 
 #[cfg(test)]
@@ -258,7 +227,7 @@ mod tests {
     use super::*;
 
     fn service() -> AuthService {
-        let mut svc = AuthService::with_default_policy(7);
+        let mut svc = AuthService::new(AccessPolicy::default(), 7);
         svc.enroll_user(&UserId::new("alice"));
         svc
     }
@@ -349,31 +318,5 @@ mod tests {
         assert_eq!(res.unwrap_err(), AuthError::TokenRevoked);
         assert!(svc.refresh(&refresh, SimTime::from_secs(1)).is_err());
         assert_eq!(svc.stats().tokens_refreshed, 1);
-    }
-
-    #[test]
-    fn confidential_client_validation() {
-        let mut svc = service();
-        let client = ConfidentialClient::new("first-admin", "s3cret");
-        svc.register_confidential_client(client.clone());
-        assert!(svc.validate_client(&client).is_ok());
-        assert!(svc
-            .validate_client(&ConfidentialClient::new("first-admin", "wrong"))
-            .is_err());
-    }
-
-    #[test]
-    fn live_token_count_tracks_expiry() {
-        let mut svc = service();
-        for _ in 0..3 {
-            svc.login(
-                &Identity::new("alice", "anl.gov"),
-                &[Scope::InferenceApi],
-                SimTime::ZERO,
-            )
-            .unwrap();
-        }
-        assert_eq!(svc.live_token_count(SimTime::from_secs(10)), 3);
-        assert_eq!(svc.live_token_count(SimTime::from_secs(50 * 3600)), 0);
     }
 }

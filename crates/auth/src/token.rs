@@ -59,16 +59,6 @@ impl AccessToken {
     pub fn is_valid_at(&self, now: SimTime) -> bool {
         !self.revoked && now < self.expires_at
     }
-
-    /// Whether the token carries the given scope.
-    pub fn has_scope(&self, scope: Scope) -> bool {
-        self.scopes.contains(&scope)
-    }
-
-    /// Remaining lifetime at `now` (zero if expired).
-    pub fn remaining_lifetime(&self, now: SimTime) -> SimDuration {
-        self.expires_at.saturating_since(now)
-    }
 }
 
 /// The result of a successful token introspection, as the gateway sees it.
@@ -113,25 +103,5 @@ mod tests {
         let mut t = sample(SimTime::ZERO);
         t.revoked = true;
         assert!(!t.is_valid_at(SimTime::from_secs(1)));
-    }
-
-    #[test]
-    fn scope_membership() {
-        let t = sample(SimTime::ZERO);
-        assert!(t.has_scope(Scope::InferenceApi));
-        assert!(!t.has_scope(Scope::Admin));
-    }
-
-    #[test]
-    fn remaining_lifetime_counts_down() {
-        let t = sample(SimTime::ZERO);
-        assert_eq!(
-            t.remaining_lifetime(SimTime::from_secs(3600)),
-            SimDuration::from_hours(47)
-        );
-        assert_eq!(
-            t.remaining_lifetime(SimTime::from_secs(100 * 3600)),
-            SimDuration::ZERO
-        );
     }
 }

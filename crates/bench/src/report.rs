@@ -79,7 +79,7 @@ impl GateMetric {
     /// Whether `current` regresses against this baseline value beyond the
     /// baseline's tolerance band (and, for lower-is-better metrics, above
     /// the baseline's absolute floor).
-    pub fn regressed_by(&self, current: f64) -> bool {
+    fn regressed_by(&self, current: f64) -> bool {
         if self.higher_is_better {
             current < self.value * (1.0 - self.tolerance)
         } else {
@@ -489,7 +489,7 @@ impl BenchArtifact {
     }
 
     /// The file name this artifact is written under.
-    pub fn file_name(&self) -> String {
+    fn file_name(&self) -> String {
         format!("BENCH_{}.json", self.name)
     }
 

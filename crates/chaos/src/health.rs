@@ -156,13 +156,8 @@ impl CircuitBreaker {
     }
 
     /// Whether the breaker is open (not yet probing) at `now`.
-    pub fn is_open(&self, now: SimTime) -> bool {
+    fn is_open(&self, now: SimTime) -> bool {
         matches!(self.state, BreakerState::Open(until) if now < until)
-    }
-
-    /// Whether the breaker is half-open (probing recovery) at `now`.
-    pub fn is_half_open(&self, now: SimTime) -> bool {
-        matches!(self.state, BreakerState::Open(until) if now >= until)
     }
 
     /// Times the breaker has transitioned to open.
@@ -395,7 +390,7 @@ mod tests {
         assert!(!b.allows(SimTime::from_secs(31)));
         // After open_for, a half-open probe is allowed.
         assert!(b.allows(SimTime::from_secs(61)));
-        assert!(b.is_half_open(SimTime::from_secs(61)));
+        assert!(!b.is_open(SimTime::from_secs(61)));
         // Successful probe closes the breaker.
         b.on_success(SimTime::from_secs(61));
         assert!(b.allows(SimTime::from_secs(62)));

@@ -33,9 +33,3 @@ pub use fault::{
 pub use health::{
     CircuitBreaker, CircuitBreakerConfig, HealthState, HealthTracker, ResilienceConfig, RetryPolicy,
 };
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::fault::{FaultInjector, FaultKind, FaultPlan, ShardFaultKind, ShardFaultPlan};
-    pub use crate::health::{HealthState, HealthTracker, ResilienceConfig, RetryPolicy};
-}

@@ -45,22 +45,6 @@ impl std::fmt::Display for GatewayError {
 
 impl std::error::Error for GatewayError {}
 
-/// HTTP status code the error maps to.
-impl GatewayError {
-    /// The OpenAI-style HTTP status for this error.
-    pub fn status_code(&self) -> u16 {
-        match self {
-            GatewayError::Unauthorized(_) => 401,
-            GatewayError::Forbidden(_) => 403,
-            GatewayError::ModelNotFound(_) => 404,
-            GatewayError::RateLimited => 429,
-            GatewayError::InvalidRequest(_) => 400,
-            GatewayError::UpstreamError(_) => 502,
-            GatewayError::ServiceUnavailable => 503,
-        }
-    }
-}
-
 /// Token usage accounting included in every response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Usage {
@@ -519,14 +503,6 @@ pub(crate) mod tests {
     fn usage_adds_up() {
         let u = Usage::new(120, 80);
         assert_eq!(u.total_tokens, 200);
-    }
-
-    #[test]
-    fn error_status_codes_follow_openai_conventions() {
-        assert_eq!(GatewayError::Unauthorized("x".into()).status_code(), 401);
-        assert_eq!(GatewayError::RateLimited.status_code(), 429);
-        assert_eq!(GatewayError::ModelNotFound("m".into()).status_code(), 404);
-        assert_eq!(GatewayError::ServiceUnavailable.status_code(), 503);
     }
 
     #[test]

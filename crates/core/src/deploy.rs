@@ -9,8 +9,7 @@
 use crate::gateway::{Gateway, GatewayConfig};
 use crate::registry::{ModelRegistry, RoutingPolicy};
 use first_auth::{
-    AccessPolicy, AuthService, ConfidentialClient, GroupRole, Identity, ResourceRule, Scope,
-    TokenString, UserId,
+    AccessPolicy, AuthService, GroupRole, Identity, ResourceRule, Scope, TokenString, UserId,
 };
 use first_desim::{SimDuration, SimTime};
 use first_fabric::{
@@ -114,7 +113,6 @@ pub struct ClusterSite {
 pub struct DeploymentBuilder {
     sites: Vec<ClusterSite>,
     gateway_config: GatewayConfig,
-    fabric_latency: FabricLatencyModel,
     prewarm_instances: u32,
     rate_limit: u32,
     routing_policy: RoutingPolicy,
@@ -127,7 +125,6 @@ impl DeploymentBuilder {
         DeploymentBuilder {
             sites,
             gateway_config: GatewayConfig::default(),
-            fabric_latency: FabricLatencyModel::default(),
             prewarm_instances: 0,
             rate_limit: u32::MAX,
             routing_policy: RoutingPolicy::default(),
@@ -208,12 +205,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Override the fabric latency model.
-    pub fn fabric_latency(mut self, latency: FabricLatencyModel) -> Self {
-        self.fabric_latency = latency;
-        self
-    }
-
     /// Pre-warm this many instances of every hosted chat model at time zero.
     pub fn prewarm(mut self, instances: u32) -> Self {
         self.prewarm_instances = instances;
@@ -264,12 +255,7 @@ impl DeploymentBuilder {
         ] {
             policy.set_model_rule(name, ResourceRule::restricted(&["aurora-early-access"]));
         }
-        let mut auth = AuthService::new(policy, self.seed);
-        auth.register_confidential_client(ConfidentialClient::new(
-            "first-admin-client",
-            "first-admin-secret",
-        ));
-        auth
+        AuthService::new(policy, self.seed)
     }
 
     /// Build the gateway (auth users must then be enrolled by the caller, or
@@ -278,7 +264,7 @@ impl DeploymentBuilder {
         let mut config = self.gateway_config.clone();
         config.rate_limit_per_minute = self.rate_limit;
         let auth = self.build_auth();
-        let mut service = ComputeService::new(self.fabric_latency.clone());
+        let mut service = ComputeService::new(FabricLatencyModel::default());
         let mut registry = ModelRegistry::new();
         for site in &self.sites {
             let mut ep_config =

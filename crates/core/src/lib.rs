@@ -3,8 +3,7 @@
 //! The paper's primary contribution: an OpenAI-compatible, Globus-Auth-gated
 //! gateway that turns API calls into Globus Compute tasks on federated HPC
 //! clusters and relays the results back, with rate limiting, caching,
-//! federation routing, a batch mode, a `/jobs` status endpoint, metrics and a
-//! WebUI session layer.
+//! federation routing, a batch mode, a `/jobs` status endpoint and metrics.
 //!
 //! * [`api`] — OpenAI-compatible request/response types and errors.
 //! * [`middleware`] — token validation + introspection cache, rate limiter,
@@ -13,7 +12,6 @@
 //! * [`workers`] — sync-vs-async worker-pool models (Optimization 3).
 //! * [`gateway`] — the gateway itself (request lifecycle, `/jobs`, logging).
 //! * [`batch`] — the `/v1/batches` dedicated-job batch mode (§4.4).
-//! * [`webui`] — chat-session store behind the web interface (§4.7).
 //! * [`streaming`] — per-token streaming reconstruction, TTFT/ITL metrics
 //!   (§4.7 "streaming responses").
 //! * [`storage`] — request log (PostgreSQL substitute) and the metrics layer.
@@ -48,7 +46,6 @@ pub mod shard;
 pub mod sim;
 pub mod storage;
 pub mod streaming;
-pub mod webui;
 pub mod workers;
 
 pub use api::{
@@ -77,18 +74,8 @@ pub use shard::{
 };
 pub use sim::{
     run_direct_openloop, run_openai_openloop, run_sharded_openloop, run_webui_closed_loop,
-    ScenarioReport, WebUiCell,
+    ScenarioReport, WebUiCell, DEFAULT_WEBUI_OVERHEAD,
 };
 pub use storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, UserSym};
 pub use streaming::{stream_response, StreamChunk, StreamStats, StreamedResponse, StreamingConfig};
-pub use webui::{ChatSession, WebUiStore, DEFAULT_WEBUI_OVERHEAD};
 pub use workers::{WorkerMode, WorkerPool, WorkerPoolConfig};
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::api::{ChatCompletionRequest, EmbeddingRequest, GatewayError};
-    pub use crate::deploy::DeploymentBuilder;
-    pub use crate::gateway::{CompletedRequest, Gateway, GatewayConfig};
-    pub use crate::scenario::ScenarioRun;
-    pub use crate::sim::ScenarioReport;
-}

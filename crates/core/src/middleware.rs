@@ -142,11 +142,6 @@ impl RateLimiter {
         }
     }
 
-    /// An effectively unlimited limiter (benchmarks).
-    pub fn unlimited() -> Self {
-        Self::per_minute(u32::MAX)
-    }
-
     /// Record an attempt by `user` at `now`; returns whether it is admitted.
     pub fn check(&self, user: &str, now: SimTime) -> bool {
         if self.limit == u32::MAX {
@@ -154,8 +149,6 @@ impl RateLimiter {
         }
         let mut history = self.history.lock();
         let entry = history.entry(user.to_string()).or_default();
-        let cutoff = now.saturating_since(SimTime::ZERO);
-        let _ = cutoff;
         while let Some(&front) = entry.front() {
             if now.saturating_since(front) >= self.window {
                 entry.pop_front();
@@ -169,15 +162,6 @@ impl RateLimiter {
             entry.push_back(now);
             true
         }
-    }
-
-    /// Requests currently counted in `user`'s window.
-    pub fn current_usage(&self, user: &str) -> u32 {
-        self.history
-            .lock()
-            .get(user)
-            .map(|q| q.len() as u32)
-            .unwrap_or(0)
     }
 }
 
@@ -459,12 +443,11 @@ mod tests {
         assert!(rl.check("bob", SimTime::from_secs(3)));
         // After the window slides, alice is admitted again.
         assert!(rl.check("alice", SimTime::from_secs(61)));
-        assert_eq!(rl.current_usage("bob"), 1);
     }
 
     #[test]
     fn unlimited_limiter_never_blocks() {
-        let rl = RateLimiter::unlimited();
+        let rl = RateLimiter::per_minute(u32::MAX);
         for i in 0..10_000 {
             assert!(rl.check("alice", SimTime::from_millis(i)));
         }

@@ -9,7 +9,6 @@
 //! (deep task backlogs, no hot capacity, rising failure rates).
 
 use crate::gateway::Gateway;
-use crate::shard::ShardedGateway;
 use first_desim::SimTime;
 use first_telemetry::{
     AlertRule, AlertSeverity, Alerting, ClusterRow, DashboardSnapshot, LabelSet, MetricRegistry,
@@ -396,7 +395,7 @@ impl Gateway {
     }
 
     /// The default alert pack administrators deploy alongside the gateway.
-    pub fn default_alert_rules() -> Vec<AlertRule> {
+    fn default_alert_rules() -> Vec<AlertRule> {
         use first_desim::SimDuration;
         vec![
             AlertRule::above(
@@ -441,7 +440,7 @@ impl Gateway {
     /// i.e. the circuit breaker stayed open past a transient flap. Silent on
     /// healthy deployments because the gauge only reaches 2 when a breaker
     /// actually opens.
-    pub fn resilience_alert_rules(&self) -> Vec<AlertRule> {
+    fn resilience_alert_rules(&self) -> Vec<AlertRule> {
         use first_desim::SimDuration;
         self.service()
             .endpoint_names()
@@ -464,39 +463,6 @@ impl Gateway {
     pub fn alerting(&self) -> Alerting {
         let mut alerting = Self::default_alerting();
         for rule in self.resilience_alert_rules() {
-            alerting.add_rule(rule);
-        }
-        alerting
-    }
-}
-
-impl ShardedGateway {
-    /// Failover alert rules for the federation tier: one sustained-
-    /// unavailability rule per shard, firing when the `first_shard_health`
-    /// gauge (exported by [`ShardedGateway::export_shard_metrics`]) sits at
-    /// "unavailable" (2) for 30 s — a crashed or partitioned shard that
-    /// stayed down past a transient blip. Silent on healthy fleets because
-    /// the gauge only reaches 2 when a shard breaker actually opens.
-    pub fn shard_failover_alert_rules(&self) -> Vec<AlertRule> {
-        use first_desim::SimDuration;
-        (0..self.shard_count())
-            .map(|shard| {
-                AlertRule::above(
-                    format!("shard_unavailable_sustained:{shard}"),
-                    "first_shard_health",
-                    LabelSet::single("shard", shard.to_string()),
-                    1.5,
-                    SimDuration::from_secs(30),
-                    AlertSeverity::Critical,
-                )
-            })
-            .collect()
-    }
-
-    /// Build an [`Alerting`] evaluator with the per-shard failover rules.
-    pub fn shard_alerting(&self) -> Alerting {
-        let mut alerting = Alerting::new();
-        for rule in self.shard_failover_alert_rules() {
             alerting.add_rule(rule);
         }
         alerting
@@ -692,37 +658,6 @@ mod tests {
         assert_eq!(sophia_row.health, "degraded");
         let text = snap.render_text();
         assert!(text.contains("-- resilience --"));
-    }
-
-    #[test]
-    fn shard_failover_alert_fires_when_a_shard_stays_dead() {
-        use crate::shard::{ShardedGateway, ShardingConfig};
-        let builder = DeploymentBuilder::single_cluster_test().prewarm(1);
-        let mut fleet = ShardedGateway::from_builder(&builder, ShardingConfig::with_shards(3));
-        let mut alerting = fleet.shard_alerting();
-        assert_eq!(alerting.rule_count(), 3, "one rule per shard");
-
-        // Healthy fleet: quiet.
-        let registry = fleet.export_shard_metrics(SimTime::from_secs(10));
-        assert!(alerting
-            .evaluate(&registry, SimTime::from_secs(10))
-            .is_empty());
-
-        // Kill shard 2 at t=20: the health gauge hits 2 immediately, the
-        // sustained rule fires only after the 30 s hold.
-        fleet.kill_shard(2, SimTime::from_secs(20));
-        let registry = fleet.export_shard_metrics(SimTime::from_secs(21));
-        assert!(alerting
-            .evaluate(&registry, SimTime::from_secs(21))
-            .is_empty());
-        let registry = fleet.export_shard_metrics(SimTime::from_secs(55));
-        let fired = alerting.evaluate(&registry, SimTime::from_secs(55));
-        assert!(
-            fired
-                .iter()
-                .any(|a| a.rule == "shard_unavailable_sustained:2"),
-            "expected shard-2 sustained alert, got {fired:?}"
-        );
     }
 
     #[test]

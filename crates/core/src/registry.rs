@@ -164,21 +164,6 @@ impl ModelRegistry {
         }
     }
 
-    /// Remove a model entirely (dashboard "deregister" action).
-    pub fn deregister_model(&mut self, model: &str) -> bool {
-        self.version += 1;
-        match self
-            .registrations
-            .binary_search_by(|r| r.model.as_str().cmp(model))
-        {
-            Ok(i) => {
-                self.registrations.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Endpoints registered for a model, in configuration order.
     pub fn endpoints_for(&self, model: &str) -> Option<&[String]> {
         self.registrations
@@ -214,7 +199,7 @@ impl ModelRegistry {
     /// Run `f` over the model's routing candidates resolved against
     /// `service`, rebuilding the cached binding when the registry or the
     /// service's endpoint set changed. Returns `None` when the model has no
-    /// candidates (never registered, or deregistered).
+    /// candidates.
     fn with_candidates<R>(
         &self,
         service: &ComputeService,
@@ -607,8 +592,7 @@ mod tests {
             &["b-endpoint".to_string(), "a-endpoint".to_string()]
         );
         assert!(reg.is_registered("m"));
-        assert!(reg.deregister_model("m"));
-        assert!(!reg.is_registered("m"));
+        assert!(!reg.is_registered("n"));
     }
 
     #[test]
@@ -654,14 +638,8 @@ mod tests {
 
     #[test]
     fn unregistered_model_routes_nowhere() {
-        let (mut registry, service) = two_cluster_service();
+        let (registry, _) = two_cluster_service();
         assert!(registry.model_id("unknown").is_none());
-        // A deregistered model keeps its id but has no candidates left.
-        let model = registry.model_id(MODEL).unwrap();
-        registry.deregister_model(MODEL);
-        assert!(FederationRouter::new()
-            .route_target(&registry, &service, model)
-            .is_none());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::deploy::DeploymentBuilder;
 use crate::gateway::{CompletedRequest, Gateway};
 use first_chaos::{CircuitBreakerConfig, HealthTracker, RetryPolicy};
 use first_desim::{fnv1a_64, SimDuration, SimProcess, SimTime};
-use first_telemetry::{DashboardSnapshot, LabelSet, MetricRegistry, ShardRow};
+use first_telemetry::{DashboardSnapshot, ShardRow};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
@@ -256,7 +256,7 @@ impl ConsistentHashRing {
 
     /// [`ConsistentHashRing::shard_for`] on rings that may have lost every
     /// point to membership removal: `None` means no shard is routable.
-    pub fn try_shard_for(&self, key: &str) -> Option<usize> {
+    fn try_shard_for(&self, key: &str) -> Option<usize> {
         if self.points.is_empty() {
             return None;
         }
@@ -286,7 +286,7 @@ impl ConsistentHashRing {
 
     /// A view keeping only the points of shards marked routable. An
     /// all-`true` mask is the identity; an all-`false` mask yields an empty
-    /// ring whose [`ConsistentHashRing::try_shard_for`] returns `None`.
+    /// ring whose `try_shard_for` returns `None`.
     pub fn restricted(&self, routable: &[bool]) -> Self {
         ConsistentHashRing {
             points: self
@@ -519,11 +519,6 @@ impl ShardedGateway {
         self.live_ring.try_shard_for(key)
     }
 
-    /// The ring restricted to routable shards.
-    pub fn live_ring(&self) -> &ConsistentHashRing {
-        &self.live_ring
-    }
-
     /// Whether the shard process is alive (not crashed).
     pub fn is_live(&self, index: usize) -> bool {
         self.live.get(index).copied().unwrap_or(false)
@@ -538,11 +533,6 @@ impl ShardedGateway {
     /// reachable).
     pub fn routable(&self, index: usize) -> bool {
         self.is_live(index) && self.is_reachable(index)
-    }
-
-    /// Number of shards the front tier may currently route to.
-    pub fn routable_count(&self) -> usize {
-        (0..self.shards.len()).filter(|&i| self.routable(i)).count()
     }
 
     /// Kill shard `index`: it stops advancing, its in-flight work is lost,
@@ -802,87 +792,6 @@ impl ShardedGateway {
             })
             .collect()
     }
-
-    /// Export the `first_shard_*` metric family: one sample per shard,
-    /// labelled `shard="<index>"`, covering routed/completed/failed
-    /// requests, spill flow, the live load depth, shard liveness and the
-    /// time-dependent breaker health at `now`, plus the fleet-level
-    /// `first_shard_failover_*` counters. Read-only, like
-    /// [`Gateway::export_metrics`].
-    pub fn export_shard_metrics(&self, now: SimTime) -> MetricRegistry {
-        let registry = MetricRegistry::new();
-        for (i, gw) in self.shards.iter().enumerate() {
-            let labels = LabelSet::single("shard", i.to_string());
-            let m = gw.metrics();
-            registry.add_counter(
-                "first_shard_requests_total",
-                labels.clone(),
-                m.total_received(),
-            );
-            registry.add_counter("first_shard_completed_total", labels.clone(), m.completed);
-            registry.add_counter(
-                "first_shard_failed_total",
-                labels.clone(),
-                m.failed + m.rejected,
-            );
-            registry.add_counter(
-                "first_shard_spilled_in_total",
-                labels.clone(),
-                self.spilled_in[i] as u64,
-            );
-            registry.add_counter(
-                "first_shard_spilled_out_total",
-                labels.clone(),
-                self.spilled_out[i] as u64,
-            );
-            registry.set_gauge(
-                "first_shard_load_depth",
-                labels.clone(),
-                gw.load_depth() as f64,
-            );
-            registry.set_gauge(
-                "first_shard_peak_load_depth",
-                labels.clone(),
-                self.peak_load[i] as f64,
-            );
-            registry.set_gauge(
-                "first_shard_live",
-                labels.clone(),
-                if self.live[i] { 1.0 } else { 0.0 },
-            );
-            registry.set_gauge(
-                "first_shard_health",
-                labels,
-                self.health.state(&Self::health_key(i), now).severity(),
-            );
-        }
-        registry.set_gauge(
-            "first_shard_count",
-            LabelSet::empty(),
-            self.shards.len() as f64,
-        );
-        registry.add_counter(
-            "first_shard_failover_crashes_total",
-            LabelSet::empty(),
-            self.crashes as u64,
-        );
-        registry.add_counter(
-            "first_shard_failover_restarts_total",
-            LabelSet::empty(),
-            self.restarts as u64,
-        );
-        registry.add_counter(
-            "first_shard_failover_breaker_trips_total",
-            LabelSet::empty(),
-            self.health.trips(),
-        );
-        registry.set_gauge(
-            "first_scrape_time_seconds",
-            LabelSet::empty(),
-            now.as_secs_f64(),
-        );
-        registry
-    }
 }
 
 /// The fleet as one simulation process: peer shards share one clock.
@@ -1082,7 +991,7 @@ mod tests {
             .find(|k| fleet.home_shard(k) == 1)
             .unwrap();
         assert_eq!(fleet.routable_home(&key), Some(1));
-        assert_eq!(fleet.routable_count(), 3);
+        assert_eq!((0..3).filter(|&i| fleet.routable(i)).count(), 3);
 
         // Crash shard 1: its keys re-home, it stops counting toward drain,
         // and its breaker trips.
@@ -1091,7 +1000,7 @@ mod tests {
         assert!(!fleet.kill_shard(1, t), "double-kill is vacuous");
         assert!(!fleet.kill_shard(9, t), "out-of-range kill is vacuous");
         assert!(!fleet.is_live(1));
-        assert_eq!(fleet.routable_count(), 2);
+        assert_eq!((0..3).filter(|&i| fleet.routable(i)).count(), 2);
         let rehomed = fleet.routable_home(&key).expect("survivors own the key");
         assert_ne!(rehomed, 1);
         assert_eq!(
@@ -1115,56 +1024,6 @@ mod tests {
         assert_ne!(fleet.routable_home(&key), Some(1));
         assert!(fleet.heal_shard(1, SimTime::from_secs(50)));
         assert_eq!(fleet.routable_home(&key), Some(1));
-    }
-
-    #[test]
-    fn exported_shard_metrics_cover_health_liveness_and_failover_counters() {
-        let builder = DeploymentBuilder::single_cluster_test().prewarm(1);
-        let mut fleet = ShardedGateway::from_builder(&builder, ShardingConfig::with_shards(2));
-        let t = SimTime::from_secs(30);
-        fleet.kill_shard(1, t);
-        let snap = fleet.export_shard_metrics(t).snapshot();
-        for name in [
-            "first_shard_requests_total",
-            "first_shard_completed_total",
-            "first_shard_failed_total",
-            "first_shard_spilled_in_total",
-            "first_shard_spilled_out_total",
-        ] {
-            for shard in 0..2 {
-                assert!(
-                    snap.find(name, &LabelSet::single("shard", shard.to_string()))
-                        .is_some(),
-                    "missing {name} for shard {shard}"
-                );
-            }
-        }
-        let gauge = |name: &str, shard: usize| {
-            snap.gauge_value(name, &LabelSet::single("shard", shard.to_string()))
-        };
-        assert_eq!(gauge("first_shard_live", 0), 1.0);
-        assert_eq!(gauge("first_shard_live", 1), 0.0);
-        assert_eq!(gauge("first_shard_health", 0), 0.0, "healthy severity");
-        assert_eq!(gauge("first_shard_health", 1), 2.0, "unavailable severity");
-        assert_eq!(
-            snap.counter_value("first_shard_failover_crashes_total", &LabelSet::empty()),
-            1
-        );
-        assert_eq!(
-            snap.counter_value("first_shard_failover_restarts_total", &LabelSet::empty()),
-            0
-        );
-        assert!(
-            snap.counter_value(
-                "first_shard_failover_breaker_trips_total",
-                &LabelSet::empty()
-            ) >= 1
-        );
-        // The scrape timestamp comes from `now`, no longer ignored.
-        assert_eq!(
-            snap.gauge_value("first_scrape_time_seconds", &LabelSet::empty()),
-            30.0
-        );
     }
 
     #[test]

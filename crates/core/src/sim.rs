@@ -372,6 +372,10 @@ pub struct WebUiCell {
     pub completed: usize,
 }
 
+/// Per-message WebUI backend overhead (session lookup, history persistence,
+/// markdown/LaTeX re-rendering) added on top of the gateway path.
+pub const DEFAULT_WEBUI_OVERHEAD: SimDuration = SimDuration(1_200_000);
+
 /// Drive `config.concurrency` closed-loop WebUI sessions through the gateway
 /// and measure throughput over `config.duration` (§5.3.4).
 ///

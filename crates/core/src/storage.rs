@@ -132,14 +132,6 @@ impl RequestLog {
         users.len()
     }
 
-    /// Total tokens generated (completion side), the paper's headline metric.
-    pub fn total_completion_tokens(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| e.completion_tokens as u64)
-            .sum()
-    }
-
     /// Per-user usage aggregates.
     pub fn usage_by_user(&self) -> BTreeMap<String, UsageSummary> {
         let mut out: BTreeMap<String, UsageSummary> = BTreeMap::new();
@@ -280,11 +272,6 @@ impl GatewayMetrics {
         self.received.values().sum()
     }
 
-    /// Median end-to-end latency for a model, in seconds.
-    pub fn median_latency(&mut self, model: &str) -> Option<f64> {
-        self.latency_by_model.get_mut(model).map(|h| h.median())
-    }
-
     /// Render the dashboard summary as a plain-text table.
     pub fn dashboard_summary(&mut self) -> String {
         let mut out =
@@ -352,7 +339,6 @@ mod tests {
         log.record(entry(bob, llama_70b, 50, false, true));
         assert_eq!(log.len(), 3);
         assert_eq!(log.distinct_users(), 2);
-        assert_eq!(log.total_completion_tokens(), 350);
         let by_user = log.usage_by_user();
         assert_eq!(by_user["alice"].requests, 2);
         assert_eq!(by_user["alice"].completion_tokens, 300);
@@ -387,9 +373,9 @@ mod tests {
         assert_eq!(m.total_received(), 3);
         assert_eq!(m.completed, 2);
         assert_eq!(m.output_tokens, 330);
-        let median = m.median_latency("llama-70b").unwrap();
+        let median = m.latency_by_model.get_mut("llama-70b").unwrap().median();
         assert!((5.0..=7.0).contains(&median));
-        assert!(m.median_latency("unknown").is_none());
+        assert!(!m.latency_by_model.contains_key("unknown"));
     }
 
     #[test]

@@ -53,13 +53,6 @@ impl StreamingConfig {
             tokens_per_chunk: 1,
         }
     }
-
-    /// Use a different chunk size (e.g. 8-token chunks for lower SSE
-    /// framing overhead on high-latency links).
-    pub fn with_tokens_per_chunk(mut self, tokens: u32) -> Self {
-        self.tokens_per_chunk = tokens.max(1);
-        self
-    }
 }
 
 /// A completed request re-expressed as a stream of chunks.
@@ -218,12 +211,12 @@ impl StreamStats {
     }
 
     /// 95th-percentile time to first token, seconds.
-    pub fn p95_ttft(&mut self) -> f64 {
+    fn p95_ttft(&mut self) -> f64 {
         self.ttft.p95()
     }
 
     /// Median mean-inter-token latency, seconds.
-    pub fn median_itl(&mut self) -> f64 {
+    fn median_itl(&mut self) -> f64 {
         self.itl.median()
     }
 
@@ -286,7 +279,10 @@ mod tests {
     #[test]
     fn chunking_groups_tokens_without_losing_any() {
         let req = completed(20, 300, 50);
-        let cfg = StreamingConfig::for_model(&spec()).with_tokens_per_chunk(8);
+        let cfg = StreamingConfig {
+            tokens_per_chunk: 8,
+            ..StreamingConfig::for_model(&spec())
+        };
         let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
         assert_eq!(stream.output_tokens(), 50);
         assert_eq!(stream.chunks.len(), 7); // 6×8 + 1×2

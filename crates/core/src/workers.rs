@@ -75,7 +75,6 @@ pub struct WorkerPool {
     /// nine-slot walk it would replace).
     free_heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
     admitted: u64,
-    peak_wait_secs: f64,
 }
 
 /// The admission decision for one request.
@@ -106,7 +105,6 @@ impl WorkerPool {
             free_heap,
             config,
             admitted: 0,
-            peak_wait_secs: 0.0,
         }
     }
 
@@ -118,11 +116,6 @@ impl WorkerPool {
     /// Requests admitted so far.
     pub fn admitted(&self) -> u64 {
         self.admitted
-    }
-
-    /// Largest admission wait observed, in seconds.
-    pub fn peak_wait_secs(&self) -> f64 {
-        self.peak_wait_secs
     }
 
     /// Admit a request arriving at `now`: wait for the earliest free worker,
@@ -151,11 +144,11 @@ impl WorkerPool {
                 (worker, slot_free)
             }
         };
-        Some(self.start(worker, now, now.max(slot_free)))
+        Some(self.start(worker, now.max(slot_free)))
     }
 
-    /// Start a request that arrived at `arrived` on `worker` at `started_at`.
-    fn start(&mut self, worker: usize, arrived: SimTime, started_at: SimTime) -> Admission {
+    /// Start a request on `worker` at `started_at`.
+    fn start(&mut self, worker: usize, started_at: SimTime) -> Admission {
         let dispatch_ready_at = started_at + self.config.per_request_cpu;
         self.free_at[worker] = match self.config.mode {
             // Async workers free up as soon as the CPU slice is done.
@@ -169,10 +162,6 @@ impl WorkerPool {
             WorkerMode::Sync => SimTime::MAX,
         };
         self.admitted += 1;
-        let wait = started_at.saturating_since(arrived).as_secs_f64();
-        if wait > self.peak_wait_secs {
-            self.peak_wait_secs = wait;
-        }
         Admission {
             started_at,
             dispatch_ready_at,
@@ -189,12 +178,7 @@ impl WorkerPool {
         }
         self.free_at[worker] = now;
         let arrived = self.waiting.pop_front()?;
-        Some(self.start(worker, arrived, now.max(arrived)))
-    }
-
-    /// Number of workers that are free at `now`.
-    pub fn free_workers(&self, now: SimTime) -> usize {
-        self.free_at.iter().filter(|&&t| t <= now).count()
+        Some(self.start(worker, now.max(arrived)))
     }
 }
 
@@ -225,7 +209,6 @@ mod tests {
         let admissions: Vec<Admission> = (0..9)
             .map(|_| pool.admit(SimTime::ZERO).expect("a worker is free"))
             .collect();
-        assert_eq!(pool.free_workers(SimTime::from_secs(1)), 0);
         // The tenth and eleventh requests wait until a worker is released.
         assert_eq!(pool.admit(SimTime::from_secs(1)), None);
         assert_eq!(pool.admit(SimTime::from_secs(2)), None);
@@ -236,7 +219,6 @@ mod tests {
             .expect("the oldest waiting request starts");
         assert_eq!(tenth.started_at, SimTime::from_secs(30));
         assert_eq!(tenth.worker, admissions[0].worker);
-        assert_eq!(pool.peak_wait_secs(), 29.0);
         // The next release starts the eleventh; a release with nobody
         // waiting frees the worker for the next arrival.
         let eleventh = pool.release(admissions[1].worker, SimTime::from_secs(31));
@@ -258,7 +240,8 @@ mod tests {
         let a = pool.admit(SimTime::ZERO).expect("async pools never queue");
         assert_eq!(pool.release(a.worker, SimTime::from_secs(100)), None);
         // Async slot already became free at dispatch time, far before 100 s.
-        assert!(pool.free_workers(SimTime::from_secs(1)) >= 259);
+        let free = pool.free_at.iter().filter(|&&t| t <= SimTime::from_secs(1));
+        assert!(free.count() >= 259);
     }
 
     #[test]
@@ -269,7 +252,8 @@ mod tests {
             per_request_cpu: SimDuration::from_millis(100),
         });
         pool.admit(SimTime::ZERO);
-        pool.admit(SimTime::ZERO);
-        assert!(pool.peak_wait_secs() >= 0.1);
+        let second = pool.admit(SimTime::ZERO).expect("async pools never queue");
+        // The second request waits for the one worker's 100 ms CPU slice.
+        assert_eq!(second.started_at, SimTime::from_millis(100));
     }
 }

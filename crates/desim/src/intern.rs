@@ -82,12 +82,6 @@ impl Interner {
         &self.names[id.index()]
     }
 
-    /// Resolve an id, returning `None` for foreign ids.
-    #[inline]
-    pub fn try_resolve(&self, id: SymbolId) -> Option<&str> {
-        self.names.get(id.index()).map(|s| s.as_ref())
-    }
-
     /// Number of interned names.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -215,7 +209,6 @@ mod tests {
         assert_eq!(a.resolve(SymbolId(0)), "sophia-endpoint");
         assert_eq!(a.get("polaris-endpoint"), Some(SymbolId(1)));
         assert_eq!(a.get("missing"), None);
-        assert!(a.try_resolve(SymbolId(99)).is_none());
     }
 
     #[test]

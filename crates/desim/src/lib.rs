@@ -33,12 +33,3 @@ pub use stats::{Histogram, OnlineStats, SimMeter, SimRunStats};
 pub use time::{SimDuration, SimTime};
 pub use wheel::{ScheduledEvent, TimingWheel};
 pub use window::IdWindow;
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::process::SimProcess;
-    pub use crate::rng::SimRng;
-    pub use crate::stats::{Histogram, OnlineStats, SimMeter, SimRunStats};
-    pub use crate::time::{SimDuration, SimTime};
-    pub use crate::wheel::TimingWheel;
-}

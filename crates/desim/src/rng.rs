@@ -51,11 +51,6 @@ impl SimRng {
         self.inner.gen_range(lo..=hi)
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.uniform01() < p.clamp(0.0, 1.0)
-    }
-
     /// Exponential variate with the given mean (`mean <= 0` returns 0).
     pub fn exponential(&mut self, mean: f64) -> f64 {
         if mean <= 0.0 {
@@ -208,13 +203,6 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(1);
         assert_eq!(rng.weighted_index(&[]), 0);
         assert_eq!(rng.weighted_index(&[0.0, 0.0]), 0);
-    }
-
-    #[test]
-    fn chance_clamps_probability() {
-        let mut rng = SimRng::seed_from_u64(3);
-        assert!(!rng.chance(-1.0));
-        assert!(rng.chance(2.0));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests for the DES kernel invariants.
 
-use first_desim::prelude::*;
-use first_desim::IdWindow;
+use first_desim::{Histogram, IdWindow, OnlineStats, SimRng, SimTime, TimingWheel};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -175,21 +175,6 @@ pub struct ModelStatus {
     pub backlog: usize,
 }
 
-impl ModelStatus {
-    /// The `/jobs` state string for this model.
-    pub fn state_label(&self) -> &'static str {
-        if self.running > 0 {
-            "running"
-        } else if self.starting > 0 {
-            "starting"
-        } else if self.queued > 0 {
-            "queued"
-        } else {
-            "stopped"
-        }
-    }
-}
-
 /// A Globus-Compute-style endpoint bound to one cluster.
 #[derive(Debug, Clone)]
 pub struct ComputeEndpoint {
@@ -471,7 +456,7 @@ impl ComputeEndpoint {
     }
 
     /// Whether the endpoint is unreachable at `now`.
-    pub fn is_offline(&self, now: SimTime) -> bool {
+    fn is_offline(&self, now: SimTime) -> bool {
         self.offline_until.map(|t| now < t).unwrap_or(false)
     }
 
@@ -1038,7 +1023,7 @@ mod tests {
         // The model is not hot: /jobs should say "starting" (node allocated
         // instantly on the empty cluster, weights loading).
         let status = ep.model_status("meta-llama/Llama-3.3-70B-Instruct");
-        assert_eq!(status.state_label(), "starting");
+        assert_eq!((status.running, status.starting), (0, 1));
         drive(&mut ep, SimTime::from_secs(600));
         let results = ep.take_results();
         assert_eq!(results.len(), 1);

@@ -33,13 +33,6 @@ pub struct ClusterStatus {
     pub offline_nodes: u32,
 }
 
-impl ClusterStatus {
-    /// Whether the cluster has any free capacity at all.
-    pub fn has_free_capacity(&self) -> bool {
-        self.free_gpus > 0
-    }
-}
-
 impl Cluster {
     /// Create a cluster of `node_count` identical nodes.
     pub fn homogeneous(
@@ -165,7 +158,6 @@ mod tests {
         let fresh = c.status();
         assert_eq!(fresh.idle_nodes, 4);
         assert_eq!(fresh.free_gpus, 32);
-        assert!(fresh.has_free_capacity());
 
         c.node_mut(NodeId(0)).unwrap().allocate_gpus(8).unwrap();
         c.node_mut(NodeId(1)).unwrap().allocate_gpus(3).unwrap();

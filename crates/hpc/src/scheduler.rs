@@ -9,7 +9,7 @@
 use crate::cluster::{Cluster, ClusterStatus};
 use crate::job::{Allocation, JobId, JobRecord, JobRequest, JobState};
 use crate::node::NodeId;
-use first_desim::{SimDuration, SimProcess, SimTime};
+use first_desim::{SimProcess, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -52,17 +52,6 @@ pub struct SchedulerStats {
     pub cancelled: u64,
     /// Sum of queue-wait seconds over started jobs (for mean wait).
     pub total_queue_wait_secs: f64,
-}
-
-impl SchedulerStats {
-    /// Mean queue wait over all started jobs, in seconds.
-    pub fn mean_queue_wait_secs(&self) -> f64 {
-        if self.started == 0 {
-            0.0
-        } else {
-            self.total_queue_wait_secs / self.started as f64
-        }
-    }
 }
 
 /// The batch scheduler for one cluster.
@@ -269,22 +258,6 @@ impl BatchScheduler {
         }
     }
 
-    /// Whether a request could start immediately given current occupancy.
-    pub fn would_fit_now(&self, request: &JobRequest) -> bool {
-        self.find_placement(request).is_some()
-    }
-
-    /// Rough wait estimate used by the `/jobs` endpoint: zero when the request
-    /// fits now, otherwise the time until the earliest running-job deadline.
-    pub fn estimate_queue_wait(&self, request: &JobRequest, now: SimTime) -> SimDuration {
-        if self.would_fit_now(request) && self.queue.is_empty() {
-            return SimDuration::ZERO;
-        }
-        self.earliest_deadline()
-            .map(|d| d.saturating_since(now))
-            .unwrap_or(SimDuration::ZERO)
-    }
-
     /// Scan the queue (priority order, then FIFO, with backfill) and start
     /// every job that fits.
     fn try_schedule(&mut self, now: SimTime) {
@@ -385,6 +358,7 @@ impl SimProcess for BatchScheduler {
 mod tests {
     use super::*;
     use crate::job::JobPriority;
+    use first_desim::SimDuration;
 
     fn scheduler(nodes: u32, gpus: u32) -> BatchScheduler {
         BatchScheduler::new(Cluster::tiny("test", nodes, gpus))
@@ -578,21 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_wait_estimate_is_zero_when_idle() {
-        let mut s = scheduler(2, 8);
-        let req = JobRequest::single_node(8, SimDuration::from_hours(1), "m");
-        assert_eq!(
-            s.estimate_queue_wait(&req, SimTime::ZERO),
-            SimDuration::ZERO
-        );
-        s.submit(req.clone(), SimTime::ZERO);
-        s.submit(req.clone(), SimTime::ZERO);
-        // Cluster now full: estimate points at the earliest deadline.
-        let est = s.estimate_queue_wait(&req, SimTime::from_secs(600));
-        assert_eq!(est, SimDuration::from_secs(3000));
-    }
-
-    #[test]
     fn stats_track_queue_waits() {
         let mut s = scheduler(1, 8);
         let a = s.submit(
@@ -605,7 +564,8 @@ mod tests {
         );
         s.complete(a, SimTime::from_secs(100));
         assert_eq!(s.stats().started, 2);
-        assert!((s.stats().mean_queue_wait_secs() - 50.0).abs() < 1e-9);
+        // Job b waited 100 s for a, job a none.
+        assert!((s.stats().total_queue_wait_secs - 100.0).abs() < 1e-9);
     }
 
     mod running_index {

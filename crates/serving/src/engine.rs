@@ -63,7 +63,7 @@ impl EngineConfig {
     }
 
     /// Size the KV block pool from the memory left after the weights.
-    pub fn kv_pool(&self) -> BlockPool {
+    fn kv_pool(&self) -> BlockPool {
         let total_vram = self.gpu.vram_gb() * self.gpus_total as f64;
         let free = (total_vram * self.gpu_memory_utilization - self.model.weight_gb()).max(2.0);
         BlockPool::from_memory(free, self.model.kv_mb_per_token(), DEFAULT_BLOCK_TOKENS)
@@ -229,11 +229,6 @@ impl VllmEngine {
         if let Some(t) = self.next_step_at {
             self.next_step_at = Some(t.max(until));
         }
-    }
-
-    /// Instant the current stall ends, if one is active at `now`.
-    pub fn stalled_until(&self, now: SimTime) -> Option<SimTime> {
-        self.stalled_until.filter(|&t| t > now)
     }
 
     /// Clamp a prospective step instant to the end of any active stall.
@@ -758,7 +753,7 @@ mod tests {
         engine.enqueue(InferenceRequest::chat(1, 100, 50), SimTime::ZERO);
         let stall_end = SimTime::from_secs(120);
         engine.stall(SimTime::ZERO, stall_end);
-        assert_eq!(engine.stalled_until(SimTime::ZERO), Some(stall_end));
+        assert_eq!(engine.stalled_until, Some(stall_end));
         // No decode step is scheduled before the stall ends.
         assert_eq!(SimProcess::next_event_time(&engine), Some(stall_end));
         engine.advance(SimTime::from_secs(60));
@@ -775,7 +770,7 @@ mod tests {
         let done = engine.take_completions();
         assert_eq!(done.len(), 1);
         assert!(done[0].finished_at > stall_end);
-        assert_eq!(engine.stalled_until(now), None);
+        assert!(engine.stalled_until.is_none_or(|t| t <= now));
         // A request enqueued during a stall also waits for it.
         let mut engine = VllmEngine::hot(config8(), SimTime::ZERO);
         engine.stall(SimTime::ZERO, stall_end);

@@ -74,7 +74,6 @@ pub struct DirectServer {
     current_op: Option<(SimTime, FrontendOp)>,
     arrivals: HashMap<u64, SimTime>,
     served: Vec<ServedRequest>,
-    frontend_busy_secs: f64,
 }
 
 impl DirectServer {
@@ -88,7 +87,6 @@ impl DirectServer {
             current_op: None,
             arrivals: HashMap::new(),
             served: Vec::new(),
-            frontend_busy_secs: 0.0,
         }
     }
 
@@ -105,13 +103,8 @@ impl DirectServer {
     }
 
     /// Requests waiting for the frontend to even look at them.
-    pub fn frontend_backlog(&self) -> usize {
+    fn frontend_backlog(&self) -> usize {
         self.ingest_queue.len() + self.respond_queue.len()
-    }
-
-    /// Total serial frontend busy time so far, in seconds.
-    pub fn frontend_busy_secs(&self) -> f64 {
-        self.frontend_busy_secs
     }
 
     /// Drain fully served requests.
@@ -135,11 +128,9 @@ impl DirectServer {
         // prioritises finishing in-flight work over accepting new work.
         if let Some(c) = self.respond_queue.pop_front() {
             let done = now + self.config.respond_cost;
-            self.frontend_busy_secs += self.config.respond_cost.as_secs_f64();
             self.current_op = Some((done, FrontendOp::Respond(c)));
         } else if let Some(r) = self.ingest_queue.pop_front() {
             let done = now + self.config.ingest_cost;
-            self.frontend_busy_secs += self.config.ingest_cost.as_secs_f64();
             self.current_op = Some((done, FrontendOp::Ingest(r)));
         }
     }
@@ -275,16 +266,5 @@ mod tests {
         assert_eq!(served[0].prompt_tokens, 123);
         assert_eq!(served[0].output_tokens, 45);
         assert_eq!(served[0].arrived_at, SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn frontend_busy_time_accumulates() {
-        let mut s = server();
-        for i in 0..10 {
-            s.submit(InferenceRequest::chat(i, 100, 20), SimTime::ZERO);
-        }
-        drain(&mut s, SimTime::from_secs(3600));
-        // 10 ingests + 10 responds at 0.08/0.09 s each = 1.7 s of serial work.
-        assert!((s.frontend_busy_secs() - 1.7).abs() < 1e-6);
     }
 }

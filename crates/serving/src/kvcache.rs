@@ -48,13 +48,8 @@ impl BlockPool {
         self.total_blocks
     }
 
-    /// Currently free blocks.
-    pub fn free_blocks(&self) -> u64 {
-        self.free_blocks
-    }
-
     /// Blocks currently held by sequences.
-    pub fn used_blocks(&self) -> u64 {
+    fn used_blocks(&self) -> u64 {
         self.total_blocks - self.free_blocks
     }
 
@@ -112,11 +107,11 @@ mod tests {
         let b = pool.reserve(170).expect("room for 11 blocks");
         assert_eq!((a, b), (10, 11));
         assert_eq!(pool.used_blocks(), 21);
-        assert_eq!(pool.free_blocks(), 79);
+        assert_eq!(pool.free_blocks, 79);
         pool.release(a);
         assert_eq!(pool.used_blocks(), 11);
         pool.release(b);
-        assert_eq!(pool.free_blocks(), 100);
+        assert_eq!(pool.free_blocks, 100);
     }
 
     #[test]
@@ -126,7 +121,7 @@ mod tests {
         assert!(!pool.can_admit(16));
         assert_eq!(pool.reserve(16), None);
         assert_eq!(pool.used_blocks(), 10);
-        assert_eq!(pool.free_blocks(), 0);
+        assert_eq!(pool.free_blocks, 0);
         pool.release(held);
         assert_eq!(pool.reserve(16), Some(1));
     }

@@ -52,7 +52,7 @@ impl ModelSpec {
     }
 
     /// Construct a vision-language model spec.
-    pub fn vision(name: &str, family: &str, params_b: f64, tp: u32) -> Self {
+    fn vision(name: &str, family: &str, params_b: f64, tp: u32) -> Self {
         ModelSpec {
             kind: ModelKind::VisionLanguage,
             ..Self::chat(name, family, params_b, tp)

@@ -78,12 +78,6 @@ impl PerfModel {
         SimDuration::from_secs_f64(prompt_tokens as f64 / tps.max(1.0))
     }
 
-    /// Saturated aggregate decode throughput in tokens/s (the 1/k asymptote).
-    pub fn peak_decode_throughput(&self, model: &ModelSpec, gpu: GpuModel, tp: u32) -> f64 {
-        let scale = model.params_b / self.effective_compute(gpu, tp);
-        1.0 / (self.decode_incr_coeff * scale)
-    }
-
     /// Single-stream decode rate in tokens/s (batch of one).
     pub fn single_stream_rate(&self, model: &ModelSpec, gpu: GpuModel, tp: u32) -> f64 {
         1.0 / self.decode_step_time(model, gpu, tp, 1).as_secs_f64()
@@ -123,9 +117,7 @@ mod tests {
     #[test]
     fn llama70b_peak_throughput_matches_paper_scale() {
         let perf = PerfModel::default();
-        let peak = perf.peak_decode_throughput(&model70(), GpuModel::A100_40, 8);
-        // Paper single-instance peaks: 1432–1757 tok/s; asymptote a bit above.
-        assert!(peak > 1500.0 && peak < 2500.0, "peak was {peak}");
+        // Paper single-instance peaks: 1432–1757 tok/s.
         let at_200 = 200.0
             / perf
                 .decode_step_time(&model70(), GpuModel::A100_40, 8, 200)
@@ -136,9 +128,13 @@ mod tests {
     #[test]
     fn llama8b_is_much_faster_than_70b() {
         let perf = PerfModel::default();
-        let r8 = perf.peak_decode_throughput(&model8(), GpuModel::A100_40, 4);
-        let r70 = perf.peak_decode_throughput(&model70(), GpuModel::A100_40, 8);
-        assert!(r8 > 2.0 * r70);
+        let step = |model: &ModelSpec, tp| {
+            200.0
+                / perf
+                    .decode_step_time(model, GpuModel::A100_40, tp, 200)
+                    .as_secs_f64()
+        };
+        assert!(step(&model8(), 4) > 2.0 * step(&model70(), 8));
     }
 
     #[test]

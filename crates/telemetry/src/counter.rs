@@ -1,6 +1,6 @@
 //! Counters and gauges.
 //!
-//! Counters are monotonically increasing (`inc`/`add` only); gauges move in
+//! Counters are monotonically increasing (`add` only); gauges move in
 //! both directions and additionally remember their high-water mark, which is
 //! what the dashboard reports for "peak concurrent requests" and "peak busy
 //! nodes".
@@ -17,11 +17,6 @@ impl Counter {
     /// A counter at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Increment by one.
-    pub fn inc(&mut self) {
-        self.value += 1;
     }
 
     /// Increment by `delta`.
@@ -66,18 +61,6 @@ impl Gauge {
         self.set(self.value + delta);
     }
 
-    /// Increment by one.
-    pub fn inc(&mut self) {
-        self.add(1.0);
-    }
-
-    /// Decrement by one. The gauge may legitimately go negative (e.g. a
-    /// balance), so no clamping is applied; callers that track occupancy
-    /// should never release more than they acquired.
-    pub fn dec(&mut self) {
-        self.add(-1.0);
-    }
-
     /// Current value.
     pub fn get(&self) -> f64 {
         self.value
@@ -96,7 +79,7 @@ mod tests {
     #[test]
     fn counter_accumulates() {
         let mut c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(41);
         assert_eq!(c.get(), 42);
         let mut other = Counter::new();
@@ -109,11 +92,10 @@ mod tests {
     fn gauge_tracks_value_and_peak() {
         let mut g = Gauge::new();
         g.set(3.0);
-        g.inc();
+        g.add(1.0);
         assert_eq!(g.get(), 4.0);
         assert_eq!(g.peak(), 4.0);
-        g.dec();
-        g.dec();
+        g.add(-2.0);
         assert_eq!(g.get(), 2.0);
         // Peak is sticky.
         assert_eq!(g.peak(), 4.0);

@@ -45,7 +45,7 @@ pub struct ClusterRow {
 
 impl ClusterRow {
     /// Fraction of nodes currently busy (0 when the cluster has no nodes).
-    pub fn utilisation(&self) -> f64 {
+    fn utilisation(&self) -> f64 {
         if self.total_nodes == 0 {
             0.0
         } else {

@@ -26,7 +26,7 @@ impl BucketHistogram {
     /// Build a histogram from explicit bucket upper bounds. Bounds must be
     /// finite and strictly increasing; invalid bounds panic because they are
     /// a configuration error, not a data error.
-    pub fn with_bounds(bounds: &[f64]) -> Self {
+    fn with_bounds(bounds: &[f64]) -> Self {
         assert!(
             !bounds.is_empty(),
             "histogram needs at least one bucket bound"

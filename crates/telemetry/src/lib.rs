@@ -50,12 +50,3 @@ pub use trace::{
     chrome_trace_json, CriticalPathEntry, FlightRecorder, GroupPhases, Phase, PhaseBreakdown,
     PhaseStats, Span, SpanTree, TraceConfig,
 };
-
-/// Commonly used items, re-exported for glob import.
-pub mod prelude {
-    pub use crate::counter::{Counter, Gauge};
-    pub use crate::dashboard::DashboardSnapshot;
-    pub use crate::histogram::BucketHistogram;
-    pub use crate::metric::LabelSet;
-    pub use crate::registry::MetricRegistry;
-}

@@ -91,14 +91,6 @@ impl RegistrySnapshot {
         }
     }
 
-    /// Gauge value by name/labels, or 0 when absent.
-    pub fn gauge_value(&self, name: &str, labels: &LabelSet) -> f64 {
-        match self.find(name, labels) {
-            Some(MetricSnapshot::Gauge { value, .. }) => *value,
-            _ => 0.0,
-        }
-    }
-
     /// Sum a counter family across all label sets.
     pub fn counter_family_total(&self, name: &str) -> u64 {
         self.samples
@@ -173,17 +165,6 @@ impl MetricRegistry {
             .set(value);
     }
 
-    /// Add to a labelled gauge (may be negative).
-    pub fn add_gauge(&self, name: &str, labels: LabelSet, delta: f64) {
-        let mut inner = self.inner.lock();
-        inner.check_kind(name, MetricKind::Gauge);
-        inner
-            .gauges
-            .entry(MetricId::new(name, labels))
-            .or_default()
-            .add(delta);
-    }
-
     /// Observe a value into a labelled histogram, creating it with
     /// [`BucketHistogram::latency_seconds`] buckets when absent.
     pub fn observe(&self, name: &str, labels: LabelSet, value: f64) {
@@ -191,7 +172,7 @@ impl MetricRegistry {
     }
 
     /// Observe a value, creating the histogram with custom buckets when absent.
-    pub fn observe_with<F>(&self, name: &str, labels: LabelSet, value: f64, make: F)
+    fn observe_with<F>(&self, name: &str, labels: LabelSet, value: f64, make: F)
     where
         F: FnOnce() -> BucketHistogram,
     {
@@ -212,32 +193,6 @@ impl MetricRegistry {
             .get(&MetricId::new(name, labels.clone()))
             .map(|c| c.get())
             .unwrap_or(0)
-    }
-
-    /// Current value of a gauge series (0 when absent).
-    pub fn gauge_value(&self, name: &str, labels: &LabelSet) -> f64 {
-        let inner = self.inner.lock();
-        inner
-            .gauges
-            .get(&MetricId::new(name, labels.clone()))
-            .map(|g| g.get())
-            .unwrap_or(0.0)
-    }
-
-    /// Median of a histogram series (0 when absent).
-    pub fn histogram_median(&self, name: &str, labels: &LabelSet) -> f64 {
-        let inner = self.inner.lock();
-        inner
-            .histograms
-            .get(&MetricId::new(name, labels.clone()))
-            .map(|h| h.median())
-            .unwrap_or(0.0)
-    }
-
-    /// Number of distinct series across all kinds.
-    pub fn series_count(&self) -> usize {
-        let inner = self.inner.lock();
-        inner.counters.len() + inner.gauges.len() + inner.histograms.len()
     }
 
     /// Take a point-in-time snapshot of every series.
@@ -311,24 +266,18 @@ mod tests {
             reg.counter_value("first_requests_total", &model_labels("llama-8b")),
             2
         );
-        assert_eq!(
-            reg.gauge_value("first_hot_nodes", &LabelSet::single("cluster", "sophia")),
-            3.0
-        );
-        let med = reg.histogram_median("first_latency_seconds", &model_labels("llama-70b"));
-        assert!(med > 0.0);
-        assert_eq!(reg.series_count(), 4);
 
         let snap = reg.snapshot();
+        assert_eq!(snap.samples.len(), 4);
         assert_eq!(snap.counter_family_total("first_requests_total"), 7);
         assert_eq!(
             snap.counter_value("first_requests_total", &model_labels("llama-8b")),
             2
         );
-        assert_eq!(
-            snap.gauge_value("first_hot_nodes", &LabelSet::single("cluster", "sophia")),
-            3.0
-        );
+        assert!(matches!(
+            snap.find("first_hot_nodes", &LabelSet::single("cluster", "sophia")),
+            Some(MetricSnapshot::Gauge { value, .. }) if *value == 3.0
+        ));
     }
 
     #[test]
@@ -361,8 +310,6 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..1000 {
                         reg.inc_counter("first_requests_total", LabelSet::single("op", "chat"));
-                        reg.add_gauge("first_inflight", LabelSet::empty(), 1.0);
-                        reg.add_gauge("first_inflight", LabelSet::empty(), -1.0);
                         reg.observe("first_latency_seconds", LabelSet::empty(), 0.5);
                     }
                 });
@@ -372,7 +319,6 @@ mod tests {
             reg.counter_value("first_requests_total", &LabelSet::single("op", "chat")),
             8000
         );
-        assert_eq!(reg.gauge_value("first_inflight", &LabelSet::empty()), 0.0);
         let snap = reg.snapshot();
         match snap.find("first_latency_seconds", &LabelSet::empty()) {
             Some(MetricSnapshot::Histogram { count, .. }) => assert_eq!(*count, 8000),
@@ -393,9 +339,12 @@ mod tests {
         let reg = MetricRegistry::new();
         reg.inc_counter("c", LabelSet::empty());
         reg.reset();
-        assert_eq!(reg.series_count(), 0);
+        assert!(reg.snapshot().samples.is_empty());
         // After reset the name can be reused with another kind.
         reg.set_gauge("c", LabelSet::empty(), 2.0);
-        assert_eq!(reg.gauge_value("c", &LabelSet::empty()), 2.0);
+        assert!(matches!(
+            reg.snapshot().find("c", &LabelSet::empty()),
+            Some(MetricSnapshot::Gauge { value, .. }) if *value == 2.0
+        ));
     }
 }

@@ -124,7 +124,7 @@ pub struct Span {
 
 impl Span {
     /// Span duration in integer microseconds (exact, deterministic).
-    pub fn duration_micros(&self) -> u64 {
+    fn duration_micros(&self) -> u64 {
         self.end.as_micros().saturating_sub(self.start.as_micros())
     }
 

@@ -34,14 +34,6 @@ impl Default for Embedder {
 }
 
 impl Embedder {
-    /// Create an embedder with a specific output dimension.
-    pub fn with_dim(dim: usize) -> Self {
-        Embedder {
-            dim: dim.max(8),
-            ..Self::default()
-        }
-    }
-
     /// Embed a text into a unit-norm vector.
     pub fn embed(&self, text: &str) -> Embedding {
         let mut v = vec![0.0f32; self.dim];
@@ -68,11 +60,6 @@ impl Embedder {
         }
         normalize(&mut v);
         v
-    }
-
-    /// Embed a batch of texts.
-    pub fn embed_batch<'a, I: IntoIterator<Item = &'a str>>(&self, texts: I) -> Vec<Embedding> {
-        texts.into_iter().map(|t| self.embed(t)).collect()
     }
 }
 
@@ -148,21 +135,5 @@ mod tests {
         let a = e.embed("climate model parameters");
         assert!((cosine(&a, &a) - 1.0).abs() < 1e-5);
         assert!(l2_sq(&a, &a) < 1e-9);
-    }
-
-    #[test]
-    fn custom_dimension_is_respected() {
-        let e = Embedder::with_dim(64);
-        assert_eq!(e.embed("test").len(), 64);
-        // Very small dims are clamped to a sane floor.
-        assert_eq!(Embedder::with_dim(2).embed("x").len(), 8);
-    }
-
-    #[test]
-    fn batch_embedding_matches_individual() {
-        let e = Embedder::default();
-        let batch = e.embed_batch(["alpha beta", "gamma delta"]);
-        assert_eq!(batch[0], e.embed("alpha beta"));
-        assert_eq!(batch[1], e.embed("gamma delta"));
     }
 }

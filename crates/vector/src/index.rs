@@ -1,14 +1,10 @@
-//! Vector indexes (FAISS substitute for the RAG case study, §6.2).
-//!
-//! Two index types, matching the FAISS usage pattern in the paper's HPC
-//! assistant: an exact flat index and an IVF (inverted-file) index that
-//! clusters vectors and probes only the nearest clusters at query time.
+//! Vector index (FAISS substitute for the RAG case study, §6.2): an exact
+//! flat index, the FAISS usage pattern in the paper's HPC assistant.
 
 use crate::embed::{cosine, l2_sq, Embedding};
-use first_desim::SimRng;
 use serde::{Deserialize, Serialize};
 
-/// Similarity metric used by the indexes.
+/// Similarity metric used by the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Metric {
     /// Cosine similarity (higher is closer).
@@ -91,140 +87,6 @@ impl FlatIndex {
     }
 }
 
-/// IVF index: vectors are assigned to `nlist` centroids (k-means on a sample)
-/// and queries probe the `nprobe` nearest lists.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct IvfIndex {
-    metric: Metric,
-    /// Number of clusters.
-    pub nlist: usize,
-    /// Clusters probed per query.
-    pub nprobe: usize,
-    centroids: Vec<Embedding>,
-    lists: Vec<Vec<(u64, Embedding)>>,
-    trained: bool,
-}
-
-impl IvfIndex {
-    /// Create an untrained IVF index.
-    pub fn new(metric: Metric, nlist: usize, nprobe: usize) -> Self {
-        IvfIndex {
-            metric,
-            nlist: nlist.max(1),
-            nprobe: nprobe.max(1),
-            centroids: Vec::new(),
-            lists: Vec::new(),
-            trained: false,
-        }
-    }
-
-    /// Whether `train` has been called.
-    pub fn is_trained(&self) -> bool {
-        self.trained
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
-    }
-
-    /// Whether the index holds no vectors.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Train centroids with a few rounds of k-means over the given sample.
-    pub fn train(&mut self, sample: &[Embedding], seed: u64) {
-        assert!(!sample.is_empty(), "cannot train IVF on an empty sample");
-        let mut rng = SimRng::seed_from_u64(seed ^ 0x19F);
-        let k = self.nlist.min(sample.len());
-        // Initialise centroids from distinct sample points.
-        let mut centroids: Vec<Embedding> = (0..k)
-            .map(|i| sample[(i * sample.len() / k).min(sample.len() - 1)].clone())
-            .collect();
-        let dims = sample[0].len();
-        for _round in 0..8 {
-            let mut sums = vec![vec![0.0f64; dims]; k];
-            let mut counts = vec![0usize; k];
-            for v in sample {
-                let best = Self::nearest_centroid(&centroids, v, self.metric);
-                counts[best] += 1;
-                for (s, x) in sums[best].iter_mut().zip(v.iter()) {
-                    *s += *x as f64;
-                }
-            }
-            for (c, (sum, count)) in centroids.iter_mut().zip(sums.iter().zip(counts.iter())) {
-                if *count > 0 {
-                    for (ci, si) in c.iter_mut().zip(sum.iter()) {
-                        *ci = (*si / *count as f64) as f32;
-                    }
-                } else {
-                    // Re-seed an empty cluster with a random sample point.
-                    *c = sample[rng.uniform_usize(0, sample.len() - 1)].clone();
-                }
-            }
-        }
-        self.nlist = k;
-        self.centroids = centroids;
-        self.lists = vec![Vec::new(); k];
-        self.trained = true;
-    }
-
-    fn nearest_centroid(centroids: &[Embedding], v: &[f32], metric: Metric) -> usize {
-        let mut best = 0;
-        let mut best_score = f32::NEG_INFINITY;
-        for (i, c) in centroids.iter().enumerate() {
-            let s = metric.score(v, c);
-            if s > best_score {
-                best_score = s;
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Add a vector (the index must be trained).
-    pub fn add(&mut self, id: u64, vector: Embedding) {
-        assert!(
-            self.trained,
-            "IVF index must be trained before adding vectors"
-        );
-        let list = Self::nearest_centroid(&self.centroids, &vector, self.metric);
-        self.lists[list].push((id, vector));
-    }
-
-    /// Approximate top-`k` search probing the `nprobe` nearest lists.
-    pub fn search(&self, query: &[f32], k: usize) -> Vec<SearchHit> {
-        if !self.trained {
-            return Vec::new();
-        }
-        // Rank centroids by proximity to the query.
-        let mut order: Vec<(usize, f32)> = self
-            .centroids
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, self.metric.score(query, c)))
-            .collect();
-        order.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        let mut hits: Vec<SearchHit> = Vec::new();
-        for &(list, _) in order.iter().take(self.nprobe) {
-            for (id, v) in &self.lists[list] {
-                hits.push(SearchHit {
-                    id: *id,
-                    score: self.metric.score(query, v),
-                });
-            }
-        }
-        hits.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        hits.truncate(k);
-        hits
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,55 +130,5 @@ mod tests {
         idx.add(1, e.embed("a"));
         idx.add(2, e.embed("b"));
         assert_eq!(idx.search(&e.embed("a"), 10).len(), 2);
-    }
-
-    #[test]
-    fn ivf_matches_flat_on_top_hit_with_full_probe() {
-        let e = Embedder::default();
-        let docs = corpus(200);
-        let vectors: Vec<Embedding> = docs.iter().map(|(_, t)| e.embed(t)).collect();
-        let mut flat = FlatIndex::new(Metric::Cosine);
-        let mut ivf = IvfIndex::new(Metric::Cosine, 8, 8); // probe all lists
-        ivf.train(&vectors, 7);
-        for ((id, _), v) in docs.iter().zip(vectors.iter()) {
-            flat.add(*id, v.clone());
-            ivf.add(*id, v.clone());
-        }
-        let q = e.embed("conda environment pytorch installation");
-        let f = flat.search(&q, 1);
-        let a = ivf.search(&q, 1);
-        assert_eq!(f[0].id, a[0].id);
-        assert!((f[0].score - a[0].score).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ivf_with_partial_probe_still_finds_relevant_results() {
-        let e = Embedder::default();
-        let docs = corpus(500);
-        let vectors: Vec<Embedding> = docs.iter().map(|(_, t)| e.embed(t)).collect();
-        let mut ivf = IvfIndex::new(Metric::Cosine, 16, 4);
-        ivf.train(&vectors, 3);
-        for ((id, _), v) in docs.iter().zip(vectors.iter()) {
-            ivf.add(*id, v.clone());
-        }
-        let hits = ivf.search(&e.embed("globus transfer dataset storage"), 10);
-        assert!(!hits.is_empty());
-        // Majority of hits from the globus topic (ids ≡ 3 mod 5).
-        let relevant = hits.iter().filter(|h| h.id % 5 == 3).count();
-        assert!(relevant * 2 >= hits.len(), "{relevant}/{}", hits.len());
-    }
-
-    #[test]
-    fn ivf_requires_training_before_add() {
-        let idx = IvfIndex::new(Metric::Cosine, 4, 1);
-        assert!(!idx.is_trained());
-        assert!(idx.search(&[0.0; 8], 3).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "trained")]
-    fn adding_to_untrained_ivf_panics() {
-        let mut idx = IvfIndex::new(Metric::Cosine, 4, 1);
-        idx.add(1, vec![0.0; 8]);
     }
 }

@@ -1,8 +1,8 @@
-//! # first-vector — embeddings, vector indexes and RAG
+//! # first-vector — embeddings, an exact vector index and RAG
 //!
 //! Substitute for the FAISS + NV-Embed-v2 stack in the paper's HPC-assistant
 //! case study (§6.2): a deterministic feature-hashing [`embed::Embedder`],
-//! exact and IVF vector indexes ([`index`]), and the document-chunking /
+//! an exact vector index ([`index`]), and the document-chunking /
 //! retrieval / prompt-assembly pipeline ([`rag`]) that feeds retrieved context
 //! into the FIRST gateway's chat API.
 
@@ -13,5 +13,5 @@ pub mod index;
 pub mod rag;
 
 pub use embed::{cosine, l2_sq, normalize, Embedder, Embedding, DEFAULT_DIM};
-pub use index::{FlatIndex, IvfIndex, Metric, SearchHit};
+pub use index::{FlatIndex, Metric, SearchHit};
 pub use rag::{chunk_document, Chunk, ChunkingConfig, Document, RagPipeline, RetrievedPassage};

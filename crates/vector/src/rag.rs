@@ -111,7 +111,7 @@ impl RagPipeline {
     }
 
     /// Create a pipeline with explicit embedder and chunking settings.
-    pub fn with_config(embedder: Embedder, chunking: ChunkingConfig) -> Self {
+    fn with_config(embedder: Embedder, chunking: ChunkingConfig) -> Self {
         RagPipeline {
             embedder,
             chunking,

@@ -95,7 +95,7 @@ impl BatchInputFile {
     }
 
     /// Append a single chat request.
-    pub fn push_chat(&mut self, model: &str, prompt: impl Into<String>, max_tokens: u32) {
+    fn push_chat(&mut self, model: &str, prompt: impl Into<String>, max_tokens: u32) {
         let id = format!("request-{}", self.lines.len() + 1);
         self.lines.push(BatchLine {
             custom_id: id,

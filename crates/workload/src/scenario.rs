@@ -623,43 +623,6 @@ pub struct CompiledScenario {
     pub horizon: SimTime,
 }
 
-impl CompiledScenario {
-    /// Split the merged stream into `shards` per-shard streams via `assign`
-    /// (tenant index → shard index; out-of-range results are clamped by
-    /// modulo). Each sub-stream preserves the global merge order restricted
-    /// to its own requests, and the sub-streams partition the original:
-    /// every request appears in exactly one shard.
-    ///
-    /// Because each tenant's randomness in [`ScenarioSpec::compile`] derives
-    /// only from `(seed, tenant name)`, a tenant's requests are the same
-    /// whatever shard it is assigned to — re-sharding a fleet reshuffles
-    /// streams between shards but never perturbs their contents. The
-    /// `tenant_stream` accessor plus the seed-isolation tests pin that.
-    pub fn split_by_shard(&self, shards: usize, assign: impl Fn(u32) -> usize) -> Vec<Self> {
-        let shards = shards.max(1);
-        let mut out: Vec<CompiledScenario> = (0..shards)
-            .map(|_| CompiledScenario {
-                requests: Vec::new(),
-                horizon: self.horizon,
-            })
-            .collect();
-        for request in &self.requests {
-            out[assign(request.tenant) % shards]
-                .requests
-                .push(request.clone());
-        }
-        out
-    }
-
-    /// One tenant's requests, in stream order.
-    pub fn tenant_stream(&self, tenant: u32) -> Vec<&ScenarioRequest> {
-        self.requests
-            .iter()
-            .filter(|r| r.tenant == tenant)
-            .collect()
-    }
-}
-
 /// Stable hash of a tenant name (the workspace-shared FNV-1a, independent
 /// of the std hasher, so compiled streams never change across Rust
 /// releases).
@@ -1120,85 +1083,5 @@ mod tests {
         assert!(slo.met(30.0, 1.0));
         assert!(!slo.met(90.0, 1.0));
         assert!(!slo.met(30.0, 0.5));
-    }
-
-    /// A three-tenant spec for the shard-splitting tests.
-    fn three_tenant_spec() -> ScenarioSpec {
-        ScenarioSpec::new(
-            "split",
-            "shard-splitting fixture",
-            DeploymentRef::SingleClusterTest,
-            vec![
-                TenantClass::synthetic(
-                    "alpha",
-                    40,
-                    ArrivalProcess::Poisson(3.0),
-                    models::LLAMA_70B,
-                ),
-                TenantClass::synthetic(
-                    "beta",
-                    30,
-                    ArrivalProcess::FixedRate(2.0),
-                    models::LLAMA_8B,
-                )
-                .with_priority(9),
-                TenantClass::synthetic("gamma", 20, ArrivalProcess::Poisson(1.0), models::LLAMA_8B),
-            ],
-        )
-    }
-
-    #[test]
-    fn split_by_shard_partitions_the_stream() {
-        let compiled = three_tenant_spec().compile(11);
-        let parts = compiled.split_by_shard(3, |tenant| tenant as usize);
-        assert_eq!(parts.len(), 3);
-        let total: usize = parts.iter().map(|p| p.requests.len()).sum();
-        assert_eq!(total, compiled.requests.len());
-        // Each part keeps the global merge order restricted to its requests,
-        // and holds exactly its tenant's stream under this assignment.
-        for (shard, part) in parts.iter().enumerate() {
-            assert_eq!(part.horizon, compiled.horizon);
-            let expected: Vec<_> = compiled
-                .requests
-                .iter()
-                .filter(|r| r.tenant as usize == shard)
-                .cloned()
-                .collect();
-            assert_eq!(part.requests, expected, "shard {shard}");
-        }
-    }
-
-    #[test]
-    fn tenant_streams_survive_resharding() {
-        // Per-tenant seed isolation: a tenant's stream is a function of
-        // (seed, tenant name) only, so re-assigning tenants to different
-        // shards moves streams wholesale without perturbing their contents.
-        let compiled = three_tenant_spec().compile(23);
-        let by_tenant = compiled.split_by_shard(3, |t| t as usize);
-        let swapped = compiled.split_by_shard(3, |t| (t as usize + 1) % 3);
-        let lumped = compiled.split_by_shard(2, |t| usize::from(t == 1));
-        for tenant in 0..3u32 {
-            let reference: Vec<_> = compiled
-                .tenant_stream(tenant)
-                .into_iter()
-                .cloned()
-                .collect();
-            for parts in [&by_tenant, &swapped, &lumped] {
-                let found: Vec<_> = parts
-                    .iter()
-                    .flat_map(|p| p.tenant_stream(tenant))
-                    .cloned()
-                    .collect();
-                assert_eq!(found, reference, "tenant {tenant}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_by_shard_clamps_out_of_range_assignments() {
-        let compiled = three_tenant_spec().compile(5);
-        let parts = compiled.split_by_shard(2, |t| t as usize * 7 + 5);
-        let total: usize = parts.iter().map(|p| p.requests.len()).sum();
-        assert_eq!(total, compiled.requests.len());
     }
 }

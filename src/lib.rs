@@ -29,9 +29,3 @@ pub use first_serving as serving;
 pub use first_telemetry as telemetry;
 pub use first_vector as vector;
 pub use first_workload as workload;
-
-/// Convenience prelude bringing the most common types into scope.
-pub mod prelude {
-    pub use first_core::prelude::*;
-    pub use first_desim::prelude::*;
-}

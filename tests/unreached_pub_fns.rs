@@ -1,0 +1,152 @@
+//! A name scan for public functions that nothing reaches.
+//!
+//! It lists every `pub fn` under `crates/*/src` whose name appears nowhere
+//! else: not in any other `.rs` file under `crates/`, `src/`, `tests/`,
+//! `examples/` or `perfbench/src`, and not elsewhere in its own file's text
+//! before the file's first `#[cfg(test)]`. A function that only its own unit
+//! tests call is therefore listed. Comments are not stripped, so a doc
+//! comment that names a function counts as a caller.
+//!
+//! The list must equal [`SURVIVORS`], each entry with a reason. A new
+//! unreached function fails the test, and so does a survivor that gains a
+//! caller or is deleted: either delete the function or give it a caller, or
+//! add it to the table with the reason it stays.
+//!
+//! The match is by name, not by resolved path. A common name such as `inc`
+//! or `new` that some other item also uses anywhere in the tree hides an
+//! unreached function, so the scan can miss code; it never lists code that
+//! has a caller. A function used only inside its own file should not be
+//! `pub`: rustc's `dead_code` lint guards private functions.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// `(file, function, why it stays)` for each listed function kept on purpose.
+const SURVIVORS: &[(&str, &str, &str)] = &[(
+    "crates/serving/src/engine.rs",
+    "kv_utilization",
+    "the planned sim-time KV-use timeline (ROADMAP item 8) reads it",
+)];
+
+/// Directories whose `.rs` files count as callers.
+const CALLER_DIRS: &[&str] = &["crates", "src", "tests", "examples", "perfbench/src"];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Every identifier-like word in `text`, in order.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii() && is_ident_byte(c as u8)))
+        .filter(|w| w.as_bytes().first().is_some_and(|b| !b.is_ascii_digit()))
+}
+
+/// The text before the first `#[cfg(test)]`: the file's own code.
+fn own_text(text: &str) -> &str {
+    text.find("#[cfg(test)]").map_or(text, |i| &text[..i])
+}
+
+/// `(line, name)` of each `pub fn` or `pub const fn` declared in `own`.
+fn pub_fns(own: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    for marker in ["pub fn ", "pub const fn "] {
+        let mut from = 0;
+        while let Some(at) = own[from..].find(marker).map(|i| from + i) {
+            from = at + marker.len();
+            if at > 0 && is_ident_byte(own.as_bytes()[at - 1]) {
+                continue;
+            }
+            let rest = &own[from..];
+            let end = rest
+                .bytes()
+                .position(|b| !is_ident_byte(b))
+                .unwrap_or(rest.len());
+            if end > 0 {
+                out.push((own[..at].matches('\n').count() + 1, &rest[..end]));
+            }
+        }
+    }
+    out.sort_unstable();
+    out
+}
+
+#[test]
+fn every_unreached_pub_fn_is_a_listed_survivor() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in CALLER_DIRS {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let texts: BTreeMap<String, String> = files
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).expect("under the root");
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            (rel, fs::read_to_string(path).expect("readable source"))
+        })
+        // The survivor table names its functions; it is not a caller.
+        .filter(|(rel, _)| rel != file!())
+        .collect();
+    // Which files mention each word anywhere.
+    let mut mentioned_in: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (file, text) in &texts {
+        for word in words(text) {
+            mentioned_in.entry(word).or_default().insert(file);
+        }
+    }
+
+    let mut unreached: BTreeMap<(String, String), usize> = BTreeMap::new();
+    for (file, text) in &texts {
+        let mut parts = file.split('/');
+        let in_crate_src = parts.next() == Some("crates") && parts.nth(1) == Some("src");
+        if !in_crate_src {
+            continue;
+        }
+        let own = own_text(text);
+        for (line, name) in pub_fns(own) {
+            let elsewhere = mentioned_in[name].iter().any(|f| f != file);
+            let own_uses = words(own).filter(|w| *w == name).count();
+            if !elsewhere && own_uses < 2 {
+                unreached.insert((file.clone(), name.to_string()), line);
+            }
+        }
+    }
+
+    let survivors: BTreeSet<(String, String)> = SURVIVORS
+        .iter()
+        .map(|(file, name, _)| (file.to_string(), name.to_string()))
+        .collect();
+    let new: Vec<String> = unreached
+        .iter()
+        .filter(|(key, _)| !survivors.contains(key))
+        .map(|((file, name), line)| format!("{file}:{line} {name}"))
+        .collect();
+    let reached: Vec<String> = survivors
+        .iter()
+        .filter(|key| !unreached.contains_key(key))
+        .map(|(file, name)| format!("{file} {name}"))
+        .collect();
+    assert!(
+        new.is_empty() && reached.is_empty(),
+        "unreached pub fns not in SURVIVORS (delete them, give them a caller, \
+         or list them with a reason): {new:#?}\n\
+         SURVIVORS entries that are reached or gone (drop them): {reached:#?}"
+    );
+}
