@@ -12,8 +12,6 @@ pub enum AuthError {
     TokenExpired,
     /// The token has been revoked.
     TokenRevoked,
-    /// The user is not registered with any accepted identity provider.
-    UnknownUser,
     /// The identity provider is not trusted by the deployment policy.
     UntrustedIdentityProvider(String),
     /// Multi-factor authentication is required but the identity lacks it.
@@ -32,7 +30,6 @@ impl fmt::Display for AuthError {
             AuthError::UnknownToken => write!(f, "unknown access token"),
             AuthError::TokenExpired => write!(f, "access token expired"),
             AuthError::TokenRevoked => write!(f, "access token revoked"),
-            AuthError::UnknownUser => write!(f, "unknown user"),
             AuthError::UntrustedIdentityProvider(idp) => {
                 write!(f, "identity provider '{idp}' is not trusted")
             }

@@ -1,28 +1,18 @@
-//! Globus-Groups-style role-based access control (§3.1.2).
+//! Globus-Groups-style group membership access control (§3.1.2).
 //!
 //! Groups gate which users may use the service at all, and which users may
 //! reach restricted models or resources ("researchers working on sensitive
 //! projects may be granted special access to specific models").
 
 use crate::identity::UserId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Role a member holds within a group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GroupRole {
-    /// Ordinary member.
-    Member,
-    /// Group administrator (may manage membership).
-    Admin,
-}
-
 /// A named access group.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Group {
     /// Group name, e.g. `"first-users"` or `"auroragpt-early-access"`.
     pub name: String,
-    members: BTreeMap<UserId, GroupRole>,
+    members: BTreeSet<UserId>,
 }
 
 impl Group {
@@ -30,18 +20,18 @@ impl Group {
     pub fn new(name: impl Into<String>) -> Self {
         Group {
             name: name.into(),
-            members: BTreeMap::new(),
+            members: BTreeSet::new(),
         }
     }
 
-    /// Add or update a member.
-    pub fn add_member(&mut self, user: UserId, role: GroupRole) {
-        self.members.insert(user, role);
+    /// Add a member (adding one twice is a no-op).
+    pub fn add_member(&mut self, user: UserId) {
+        self.members.insert(user);
     }
 
-    /// Whether the user is a member (any role).
+    /// Whether the user is a member.
     pub fn contains(&self, user: &UserId) -> bool {
-        self.members.contains_key(user)
+        self.members.contains(user)
     }
 
     /// Number of members.
@@ -56,7 +46,7 @@ impl Group {
 }
 
 /// Registry of all groups known to the deployment.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupRegistry {
     groups: BTreeMap<String, Group>,
 }
@@ -88,12 +78,12 @@ impl GroupRegistry {
     }
 
     /// Add a member to a group, creating the group if needed.
-    pub fn add_member(&mut self, group: &str, user: UserId, role: GroupRole) {
+    pub fn add_member(&mut self, group: &str, user: UserId) {
         self.create_group(group);
         self.groups
             .get_mut(group)
             .expect("group just created")
-            .add_member(user, role);
+            .add_member(user);
     }
 
     /// All group names the user belongs to, sorted.
@@ -134,10 +124,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn membership_and_roles() {
+    fn group_membership() {
         let mut g = Group::new("first-users");
-        g.add_member(UserId::new("alice"), GroupRole::Admin);
-        g.add_member(UserId::new("bob"), GroupRole::Member);
+        g.add_member(UserId::new("alice"));
+        g.add_member(UserId::new("bob"));
+        g.add_member(UserId::new("bob"));
         assert!(g.contains(&UserId::new("alice")));
         assert!(g.contains(&UserId::new("bob")));
         assert!(!g.contains(&UserId::new("carol")));
@@ -147,9 +138,9 @@ mod tests {
     #[test]
     fn registry_tracks_user_groups() {
         let mut reg = GroupRegistry::new();
-        reg.add_member("first-users", UserId::new("alice"), GroupRole::Member);
-        reg.add_member("sensitive-project", UserId::new("alice"), GroupRole::Member);
-        reg.add_member("first-users", UserId::new("bob"), GroupRole::Member);
+        reg.add_member("first-users", UserId::new("alice"));
+        reg.add_member("sensitive-project", UserId::new("alice"));
+        reg.add_member("first-users", UserId::new("bob"));
         assert_eq!(
             reg.groups_of(&UserId::new("alice")),
             vec!["first-users".to_string(), "sensitive-project".to_string()]
@@ -164,7 +155,7 @@ mod tests {
     #[test]
     fn member_of_any_semantics() {
         let mut reg = GroupRegistry::new();
-        reg.add_member("a", UserId::new("alice"), GroupRole::Member);
+        reg.add_member("a", UserId::new("alice"));
         assert!(reg.member_of_any(&UserId::new("alice"), &[]));
         assert!(reg.member_of_any(&UserId::new("alice"), &["a".into(), "b".into()]));
         assert!(!reg.member_of_any(&UserId::new("bob"), &["a".into()]));

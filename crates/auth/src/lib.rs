@@ -19,7 +19,7 @@ pub mod service;
 pub mod token;
 
 pub use error::{AuthError, AuthResult};
-pub use groups::{Group, GroupRegistry, GroupRole};
+pub use groups::{Group, GroupRegistry};
 pub use identity::{Identity, IdentityProvider, UserId};
 pub use policy::{AccessPolicy, ResourceRule};
 pub use service::{AuthLatencyModel, AuthService, AuthServiceStats};

@@ -114,11 +114,10 @@ impl AccessPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::groups::GroupRole;
 
     fn registry_with_alice() -> GroupRegistry {
         let mut reg = GroupRegistry::new();
-        reg.add_member("first-users", UserId::new("alice"), GroupRole::Member);
+        reg.add_member("first-users", UserId::new("alice"));
         reg
     }
 
@@ -167,8 +166,8 @@ mod tests {
         let mut policy = AccessPolicy::default();
         policy.set_model_rule("auroragpt-7b", ResourceRule::restricted(&["aurora-early"]));
         let mut reg = registry_with_alice();
-        reg.add_member("first-users", UserId::new("bob"), GroupRole::Member);
-        reg.add_member("aurora-early", UserId::new("alice"), GroupRole::Member);
+        reg.add_member("first-users", UserId::new("bob"));
+        reg.add_member("aurora-early", UserId::new("alice"));
         assert!(policy
             .check_model_access(&UserId::new("alice"), "auroragpt-7b", &reg)
             .is_ok());

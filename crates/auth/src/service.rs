@@ -10,7 +10,7 @@
 //! of this service.
 
 use crate::error::{AuthError, AuthResult};
-use crate::groups::{GroupRegistry, GroupRole};
+use crate::groups::GroupRegistry;
 use crate::identity::{Identity, UserId};
 use crate::policy::AccessPolicy;
 use crate::token::{
@@ -105,7 +105,7 @@ impl AuthService {
     /// Register a user in the platform group so they pass the baseline policy.
     pub fn enroll_user(&mut self, user: &UserId) {
         for g in self.policy.platform_groups.clone() {
-            self.groups.add_member(&g, user.clone(), GroupRole::Member);
+            self.groups.add_member(&g, user.clone());
         }
     }
 

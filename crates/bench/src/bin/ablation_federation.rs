@@ -41,7 +41,7 @@ fn run_policy(policy: RoutingPolicy, n: usize) -> PolicyOutcome {
         .execute()
         .expect("unrecorded run");
     let label = format!("FIRST [{}]", policy.label());
-    let report = ScenarioReport::from_one_tenant(&label, "inf", &out.report);
+    let report = ScenarioReport::from_run(&label, "inf", &out.report, out.latencies);
 
     let gateway = out.fleet.shard(0);
     let mut per_endpoint: BTreeMap<String, u64> = BTreeMap::new();

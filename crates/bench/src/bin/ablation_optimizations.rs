@@ -35,7 +35,7 @@ fn run_config(
         .deployment(DeploymentBuilder::sophia_single_instance().gateway_config(config))
         .execute()
         .expect("unrecorded run");
-    ScenarioReport::from_one_tenant(label, &rate.label(), &out.report)
+    ScenarioReport::from_run(label, &rate.label(), &out.report, out.latencies)
 }
 
 fn main() {

@@ -13,7 +13,7 @@ use first_bench::{
     benchmark_request_count, benchmark_seed, print_sim_stats, BenchArtifact, GateMetric,
 };
 use first_chaos::{ShardFaultKind, ShardFaultPlan};
-use first_core::{FrontTierPolicy, GatewayReport, ScenarioRun};
+use first_core::{FrontTierPolicy, GatewayReport, ScenarioRun, ShardingConfig};
 use first_desim::{SimMeter, SimTime};
 use first_workload::{scenario::models, ArrivalProcess, DeploymentRef, ScenarioSpec, TenantClass};
 
@@ -69,8 +69,7 @@ fn run_sweep_point(n: usize, killed: usize, seed: u64, run_secs: f64) -> Gateway
     };
     ScenarioRun::new(&sweep_spec(n, killed, run_secs))
         .seed(seed)
-        .shards(SHARDS)
-        .front_tier(policy)
+        .sharding(ShardingConfig::with_shards(SHARDS).front(policy))
         .execute()
         .expect("sweep point runs")
         .report

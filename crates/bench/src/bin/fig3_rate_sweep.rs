@@ -60,7 +60,7 @@ fn main() {
             );
             spec.horizon_s = horizon.as_secs_f64();
             let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
-            ScenarioReport::from_one_tenant("FIRST", &label, &out.report)
+            ScenarioReport::from_run("FIRST", &label, &out.report, out.latencies)
         }
         Point::Direct(rate) => {
             let label = rate.label();

@@ -33,7 +33,12 @@ fn run_with_instances(instances: u32, n: usize) -> ScenarioReport {
         .deployment(deployment)
         .execute()
         .expect("unrecorded run");
-    ScenarioReport::from_one_tenant(&format!("FIRST x{instances}"), "inf", &out.report)
+    ScenarioReport::from_run(
+        &format!("FIRST x{instances}"),
+        "inf",
+        &out.report,
+        out.latencies,
+    )
 }
 
 fn main() {

@@ -28,7 +28,7 @@ fn main() {
     );
     spec.horizon_s = horizon.as_secs_f64();
     let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
-    let first = ScenarioReport::from_one_tenant("FIRST (Llama 3.1 8B)", "inf", &out.report);
+    let first = ScenarioReport::from_run("FIRST (Llama 3.1 8B)", "inf", &out.report, out.latencies);
 
     let mut openai = run_openai_openloop(CloudApiConfig::default(), &samples, &arr, "inf", horizon);
     openai.label = "OpenAI (GPT-4o-mini)".to_string();

@@ -54,7 +54,7 @@ fn metered_first_run(
     let spec = ScenarioSpec::one_tenant_replay(label, deployment, MODEL, samples, arrivals);
     let meter = SimMeter::start();
     let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
-    let report = ScenarioReport::from_one_tenant(label, rate_label, &out.report);
+    let report = ScenarioReport::from_run(label, rate_label, &out.report, out.latencies);
     let sim = meter.finish(SimTime::from_secs_f64(report.duration_s));
     (report, sim)
 }

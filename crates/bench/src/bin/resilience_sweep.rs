@@ -97,7 +97,7 @@ fn run_fault_scenario(label: &str, plan: FaultPlan, n: usize, seed: u64) -> Resi
     spec.resilience = true;
     spec.faults = plan;
     let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
-    ResilienceRow::new(label, &out.report, out.fleet.shard(0))
+    ResilienceRow::new(label, out)
 }
 
 fn main() {

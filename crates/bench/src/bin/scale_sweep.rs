@@ -14,36 +14,37 @@
 //! `FIRST_BENCH_REQUESTS=1000000`.
 //!
 //! The sweep ends with a **sharded federation point**: the same total
-//! request budget replayed through a [`first_core::ShardedGateway`] fleet
-//! (`FIRST_SCALE_SHARDS` shards, default 4), synthetic users
-//! consistent-hashed across the shards — the horizontal path past the
-//! single-gateway serial ceiling, reported per shard and in aggregate.
-//! Each single-gateway point is a one-tenant `ScenarioRun` and ends with its
-//! conservation check; the sharded point runs through `run_sharded_openloop`
-//! and is not checked, since its users interleave by request index at one
-//! instant, which a spec's tenant-major merge does not reproduce.
-//! `FIRST_SCALE_SHARD_REQUESTS` overrides the sharded point's budget
-//! independently (that is how the committed ≥10M-request artifact point is
-//! produced without rerunning the per-gateway sweep at 10M).
+//! request budget replayed through `FIRST_SCALE_SHARDS` peer gateway shards
+//! (default 4) by [`SHARD_USERS`] tenants, `user-0` …, consistent-hashed
+//! across the shards — the horizontal path past the single-gateway serial
+//! ceiling, reported per shard (when there are at least two) and in
+//! aggregate. Every point, the sharded one too, is a `ScenarioRun` and ends
+//! with its conservation check. `FIRST_SCALE_SHARD_REQUESTS` overrides the
+//! sharded point's budget independently (that is how the committed
+//! ≥10M-request artifact point is produced without rerunning the
+//! per-gateway sweep at 10M).
 
 use first_bench::{
     aggregate_stats, arrivals, benchmark_seed, print_reports, print_sim_stats, sharegpt_samples,
     BenchArtifact, GateMetric, PointStats, ScenarioExecutor,
 };
-use first_core::{
-    enroll_standard_users, run_sharded_openloop, DeploymentBuilder, ScenarioReport, ScenarioRun,
-    ShardReport, ShardedGateway, ShardingConfig,
-};
+use first_core::{ScenarioReport, ScenarioRun, ShardReport, ShardingConfig};
 use first_desim::{SimMeter, SimTime};
-use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec};
+use first_workload::{
+    ArrivalProcess, DeploymentRef, ReplayEntry, ReplayTrack, ScenarioSpec, TenantClass,
+};
 
 const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
 /// Default request count (overridden by `FIRST_BENCH_REQUESTS`).
 const DEFAULT_REQUESTS: usize = 100_000;
 
-/// Synthetic routing keys for the sharded point: enough distinct users that
-/// the consistent-hash split stays statistically balanced.
+/// Horizon, seconds. A million requests at the dispatcher's ~25 req/s
+/// ceiling cover ~11 virtual hours; give the drain comfortable headroom.
+const HORIZON_S: f64 = 14.0 * 24.0 * 3600.0;
+
+/// Tenants of the sharded point, and so its routing keys: enough distinct
+/// users that the consistent-hash split stays statistically balanced.
 const SHARD_USERS: usize = 256;
 
 fn request_count() -> usize {
@@ -71,52 +72,69 @@ fn shard_request_count(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// The sharded federation point: `total` requests from [`SHARD_USERS`]
-/// synthetic users, consistent-hashed over `shards` peer gateways, driven
-/// open-loop at infinite rate (the deep-backlog regime every shard's
-/// dispatcher ceiling shapes). Returns the aggregate report and the
-/// per-shard rollups.
-fn sharded_point(
-    shards: usize,
-    total: usize,
-    seed: u64,
-    horizon: SimTime,
-) -> (ScenarioReport, Vec<ShardReport>, first_desim::SimRunStats) {
+/// The sharded point's spec: `total` requests at infinite rate (the
+/// deep-backlog regime every shard's dispatcher ceiling shapes) on the
+/// one-instance Sophia deployment, replayed by [`SHARD_USERS`] tenants,
+/// request `i` by `user-{i % SHARD_USERS}`.
+fn sharded_spec(total: usize, seed: u64) -> ScenarioSpec {
     let samples = sharegpt_samples(total, seed.wrapping_add(2));
     let arr = arrivals(
         ArrivalProcess::Infinite,
         total,
         seed.wrapping_mul(0x9E37_79B9).wrapping_add(11),
     );
-    let meter = SimMeter::start();
-    let mut fleet = ShardedGateway::from_builder(
-        &DeploymentBuilder::sophia_single_instance().prewarm(1),
-        ShardingConfig::with_shards(shards),
-    );
-    let tokens: Vec<_> = (0..fleet.shard_count())
-        .map(|i| enroll_standard_users(fleet.shard_mut(i)).alice)
+    let mut tracks: Vec<Vec<ReplayEntry>> = vec![Vec::new(); SHARD_USERS];
+    for (i, (s, at)) in samples.into_iter().zip(arr).enumerate() {
+        tracks[i % SHARD_USERS].push(ReplayEntry {
+            at,
+            model: MODEL.to_string(),
+            prompt_tokens: s.prompt_tokens,
+            output_tokens: s.output_tokens,
+        });
+    }
+    let tenants = tracks
+        .into_iter()
+        .enumerate()
+        .map(|(u, entries)| {
+            let n = entries.len();
+            let replay = ArrivalProcess::Replay(ReplayTrack { entries });
+            TenantClass::synthetic(&format!("user-{u}"), n, replay, MODEL)
+        })
         .collect();
-    let mut report = run_sharded_openloop(
-        &mut fleet,
-        &tokens,
-        MODEL,
-        &samples,
-        &arr,
-        SHARD_USERS,
-        "inf",
-        horizon,
+    let mut spec = ScenarioSpec::new(
+        "scale-sharded",
+        "sharded federation point",
+        DeploymentRef::SophiaSingleInstance,
+        tenants,
     );
-    report.label = format!("scale sharded x{shards}");
+    spec.horizon_s = HORIZON_S;
+    spec
+}
+
+/// The sharded federation point: [`sharded_spec`] run over `shards` peer
+/// gateways. Returns the aggregate report, the per-shard rows (none for one
+/// shard) and the kernel measurement.
+fn sharded_point(
+    shards: usize,
+    total: usize,
+    seed: u64,
+) -> (ScenarioReport, Vec<ShardReport>, first_desim::SimRunStats) {
+    let spec = sharded_spec(total, seed);
+    let meter = SimMeter::start();
+    let mut out = ScenarioRun::new(&spec)
+        .sharding(ShardingConfig::with_shards(shards))
+        .execute()
+        .expect("unrecorded run");
+    let rows = out.report.shards.take().map_or_else(Vec::new, |s| s.shards);
+    let label = format!("scale sharded x{shards}");
+    let report = ScenarioReport::from_run(&label, "inf", &out.report, out.latencies);
     let sim = meter.finish(SimTime::from_secs_f64(report.duration_s));
-    (report, fleet.shard_reports(&[]), sim)
+    (report, rows, sim)
 }
 
 fn main() {
     let n = request_count();
     let base_seed = benchmark_seed();
-    // Long horizon: a million requests at the dispatcher's ~25 req/s ceiling
-    // covers ~11 virtual hours; give the drain comfortable headroom.
-    let horizon = SimTime::from_secs(14 * 24 * 3600);
     // Multi-point sweep: two independent seeds per rate, so the executor has
     // parallel work and the artifact shows seed sensitivity at scale.
     let rates = [
@@ -149,9 +167,14 @@ fn main() {
             samples,
             &arr,
         );
-        spec.horizon_s = horizon.as_secs_f64();
+        spec.horizon_s = HORIZON_S;
         let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
-        ScenarioReport::from_one_tenant(&format!("scale seed={seed}"), &label, &out.report)
+        ScenarioReport::from_run(
+            &format!("scale seed={seed}"),
+            &label,
+            &out.report,
+            out.latencies,
+        )
     });
 
     let stats: Vec<PointStats> = runs.iter().map(|r| r.stats).collect();
@@ -171,7 +194,7 @@ fn main() {
     let k = shard_count();
     let shard_n = shard_request_count(n);
     println!("\nsharded point: {shard_n} requests over {k} shard(s)");
-    let (shard_report, shard_rows, shard_sim) = sharded_point(k, shard_n, base_seed, horizon);
+    let (shard_report, shard_rows, shard_sim) = sharded_point(k, shard_n, base_seed);
     print_reports(
         &format!("Sharded federation — {shard_n} requests, {k} shards"),
         std::slice::from_ref(&shard_report),
@@ -263,4 +286,25 @@ fn main() {
         events_per_sec
     );
     artifact.write().expect("artifact written");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sharded_point_completes_every_request_and_its_shards_sum_to_the_run() {
+        let (report, rows, _) = sharded_point(4, 2_000, 42);
+        assert_eq!(report.offered, 2_000);
+        assert_eq!(report.completed, report.offered);
+        assert_eq!(rows.len(), 4);
+        let sum = |field: fn(&ShardReport) -> usize| rows.iter().map(field).sum::<usize>();
+        // Every request completed, so the run ledger accepted all of them
+        // and failed or rejected none.
+        assert_eq!(sum(|r| r.offered), report.offered);
+        assert_eq!(sum(|r| r.accepted), report.offered);
+        assert_eq!(sum(|r| r.completed), report.completed);
+        assert_eq!(sum(|r| r.failed), 0);
+        assert_eq!(sum(|r| r.rejected), 0);
+    }
 }

@@ -21,7 +21,7 @@ use first_bench::{
     aggregate_stats, benchmark_request_count, benchmark_seed, print_sim_stats, BenchArtifact,
     GateMetric, ScenarioExecutor,
 };
-use first_core::{GatewayReport, ScenarioRun};
+use first_core::{GatewayReport, ScenarioRun, ShardingConfig};
 use first_desim::SimTime;
 use first_workload::catalog;
 
@@ -78,7 +78,7 @@ fn main() {
     let runs = executor.run(points, |_, (spec, shards)| {
         let report = ScenarioRun::new(&spec)
             .seed(seed)
-            .shards(shards)
+            .sharding(ShardingConfig::with_shards(shards))
             .execute()
             .expect("matrix point runs")
             .report;

@@ -10,7 +10,7 @@
 //! `bench/baselines/`, failing the build on regression.
 
 use crate::Comparison;
-use first_core::{Gateway, GatewayReport, ScenarioReport, WebUiCell};
+use first_core::{GatewayReport, RunOutput, ScenarioReport, WebUiCell};
 use first_desim::{Histogram, SimRunStats};
 use first_telemetry::PhaseBreakdown;
 use serde::{Deserialize, Serialize};
@@ -266,13 +266,18 @@ pub struct ResilienceRow {
 }
 
 impl ResilienceRow {
-    /// The row of a one-tenant run: `report` is the run's report and
-    /// `gateway` the gateway it drove, whose request log gives the p99 (the
-    /// report carries no p99).
-    pub fn new(label: &str, report: &GatewayReport, gateway: &Gateway) -> Self {
-        let row = ScenarioReport::from_one_tenant(label, "", report);
+    /// The row of a one-tenant, one-shard run; the gateway's request log
+    /// gives the p99 (the report carries no p99).
+    pub fn new(label: &str, out: RunOutput) -> Self {
+        let RunOutput {
+            report,
+            latencies: samples,
+            fleet,
+            ..
+        } = out;
+        let row = ScenarioReport::from_run(label, "", &report, samples);
         let mut latencies = Histogram::new();
-        for entry in gateway.log().entries().iter().filter(|e| e.success) {
+        for entry in fleet.shard(0).log().entries().iter().filter(|e| e.success) {
             latencies.record(entry.latency().as_secs_f64());
         }
         ResilienceRow {

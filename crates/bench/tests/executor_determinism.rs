@@ -31,7 +31,7 @@ fn sweep_json(threads: usize) -> String {
             &arrivals,
         );
         let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
-        ScenarioReport::from_one_tenant("FIRST", &rate.label(), &out.report)
+        ScenarioReport::from_run("FIRST", &rate.label(), &out.report, out.latencies)
     });
     let stats: Vec<_> = runs.iter().map(|r| r.stats).collect();
     let reports: Vec<ScenarioReport> = runs.into_iter().map(|r| r.result).collect();

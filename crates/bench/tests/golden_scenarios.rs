@@ -15,7 +15,7 @@
 //! then commit the regenerated `bench/golden/GOLDEN_*.json` files and
 //! justify the new numbers in the PR / CHANGES.md entry.
 
-use first_core::{GatewayReport, ScenarioRun};
+use first_core::{GatewayReport, ScenarioRun, ShardingConfig};
 use first_workload::{catalog, ScenarioSpec};
 use std::path::PathBuf;
 
@@ -59,7 +59,7 @@ fn golden_dir() -> PathBuf {
 fn run_golden(spec: &ScenarioSpec) -> GatewayReport {
     let mut run = ScenarioRun::new(spec).seed(GOLDEN_SEED);
     if spec.name == "shard-outage" {
-        run = run.shards(4);
+        run = run.sharding(ShardingConfig::with_shards(4));
     }
     run.execute().expect("golden scenario runs").report
 }

@@ -8,9 +8,7 @@
 
 use crate::gateway::{Gateway, GatewayConfig};
 use crate::registry::{ModelRegistry, RoutingPolicy};
-use first_auth::{
-    AccessPolicy, AuthService, GroupRole, Identity, ResourceRule, Scope, TokenString, UserId,
-};
+use first_auth::{AccessPolicy, AuthService, Identity, ResourceRule, Scope, TokenString, UserId};
 use first_desim::{SimDuration, SimTime};
 use first_fabric::{
     ComputeEndpoint, ComputeService, EndpointConfig, FabricLatencyModel, ModelHostingConfig,
@@ -311,11 +309,8 @@ pub fn enroll_standard_users(gateway: &mut Gateway) -> TestTokens {
     let auth = gateway.auth_mut();
     auth.enroll_user(&UserId::new("alice"));
     auth.enroll_user(&UserId::new("bob"));
-    auth.groups_mut().add_member(
-        "aurora-early-access",
-        UserId::new("alice"),
-        GroupRole::Member,
-    );
+    auth.groups_mut()
+        .add_member("aurora-early-access", UserId::new("alice"));
     let (alice_tok, _) = auth
         .login(
             &Identity::new("alice", "anl.gov").with_project("genomics"),

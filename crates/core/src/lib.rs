@@ -73,8 +73,8 @@ pub use shard::{
     ShardingConfig, ShedPolicy, SpilloverPolicy, RING_VNODES,
 };
 pub use sim::{
-    run_direct_openloop, run_openai_openloop, run_sharded_openloop, run_webui_closed_loop,
-    ScenarioReport, WebUiCell, DEFAULT_WEBUI_OVERHEAD,
+    run_direct_openloop, run_openai_openloop, run_webui_closed_loop, ScenarioReport, WebUiCell,
+    DEFAULT_WEBUI_OVERHEAD,
 };
 pub use storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, UserSym};
 pub use streaming::{stream_response, StreamChunk, StreamStats, StreamedResponse, StreamingConfig};

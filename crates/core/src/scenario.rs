@@ -376,6 +376,11 @@ pub struct RunOutput {
     /// The scenario report (per-tenant partitions, SLO attainment, optional
     /// per-shard rollup).
     pub report: GatewayReport,
+    /// Client-observed latencies of the successful requests, seconds: one
+    /// histogram per tenant, in spec order. The report's tenant rows are
+    /// summaries of these; [`crate::ScenarioReport::from_run`] summarises
+    /// them over the whole run.
+    pub latencies: Vec<Histogram>,
     /// The gateways as the run left them (request log, health, queues).
     pub fleet: ShardedGateway,
     /// The recorded cassette; `Some` exactly when the run was
@@ -399,14 +404,19 @@ impl std::fmt::Debug for RunOutput {
 /// the API.
 ///
 /// ```
-/// use first_core::ScenarioRun;
+/// use first_core::{ScenarioRun, ShardingConfig};
 /// use first_workload::{catalog, ScenarioSpec};
 ///
 /// let spec = &catalog(32)[0];
 /// // Plain run.
 /// let report = ScenarioRun::new(spec).seed(42).execute().unwrap().report;
 /// // The same traffic over a 3-shard federation.
-/// let sharded = ScenarioRun::new(spec).seed(42).shards(3).execute().unwrap().report;
+/// let sharded = ScenarioRun::new(spec)
+///     .seed(42)
+///     .sharding(ShardingConfig::with_shards(3))
+///     .execute()
+///     .unwrap()
+///     .report;
 /// assert_eq!(report.offered, sharded.offered);
 /// assert_eq!(sharded.shards.as_ref().unwrap().count, 3);
 /// ```
@@ -481,42 +491,15 @@ impl<'c> ScenarioRun<'c> {
         self
     }
 
-    /// Run the spec over `n` peer gateway shards (consistent-hash routed,
-    /// zero fan-in latency, no spillover unless configured separately).
-    /// `n = 1` is the transparent configuration, bit-identical to not
-    /// calling this at all.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.sharding.shards = n.max(1);
-        self
-    }
-
-    /// Model the DNS/LB fan-in hop: every request reaches its shard
-    /// `latency` after the client sent it, and client-observed latencies
-    /// include the hop.
-    pub fn fanin_latency(mut self, latency: SimDuration) -> Self {
-        self.sharding.fanin_latency = latency;
-        self
-    }
-
-    /// Allow bounded cross-shard spillover when a home shard is saturated.
-    pub fn spillover(mut self, policy: SpilloverPolicy) -> Self {
-        self.sharding.spillover = policy;
-        self
-    }
-
-    /// Replace the whole sharding configuration at once.
+    /// Run the spec on the front tier `config` describes: the shard count,
+    /// the fan-in hop, the spillover policy and the failover policy
+    /// ([`ShardingConfig::with_shards`], [`ShardingConfig::fanin`],
+    /// [`ShardingConfig::spill`], [`ShardingConfig::front`]). The default,
+    /// [`ShardingConfig::single`], is one transparent shard. A non-default
+    /// failover policy (or a spec with a shard fault plan) adds a
+    /// [`FailoverSection`] to the report.
     pub fn sharding(mut self, config: ShardingConfig) -> Self {
         self.sharding = config;
-        self
-    }
-
-    /// Configure the front-tier failover policy: retry/backoff for requests
-    /// lost to shard crashes, an optional per-request timeout re-dispatch,
-    /// an optional hedge, and an optional lowest-priority shed under
-    /// overload. Setting any non-default policy (or running a spec with a
-    /// shard fault plan) adds a [`FailoverSection`] to the report.
-    pub fn front_tier(mut self, policy: FrontTierPolicy) -> Self {
-        self.sharding.front_tier = policy;
         self
     }
 
@@ -1341,6 +1324,8 @@ fn run_scenario_impl(
         })
         .collect();
     let slo_attained_tenants = tenants.iter().filter(|t| t.slo_met).count();
+    let output_tokens: u64 = tallies.iter().map(|t| t.output_tokens).sum();
+    let latencies = tallies.into_iter().map(|t| t.latencies).collect();
 
     // Drain the sampled span trees and derive the phase breakdown before the
     // report is sealed; both are deterministic functions of `(spec, seed,
@@ -1423,7 +1408,7 @@ fn run_scenario_impl(
         failed: ledger.failed,
         duration_s,
         request_throughput: completed_total as f64 / duration_s,
-        output_token_throughput: (tallies.iter().map(|t| t.output_tokens).sum::<u64>() as f64
+        output_token_throughput: (output_tokens as f64
             + webui
                 .as_ref()
                 .map_or(0.0, |c| c.token_throughput * c.duration_s))
@@ -1443,6 +1428,7 @@ fn run_scenario_impl(
     let traces = trace.enabled().then_some(trees);
     let out = RunOutput {
         report,
+        latencies,
         fleet,
         cassette: None,
         traces,
@@ -1539,9 +1525,11 @@ mod tests {
         let plain = run(&spec, 42);
         let explicit = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(1)
-            .spillover(SpilloverPolicy::disabled())
-            .fanin_latency(SimDuration::ZERO)
+            .sharding(
+                ShardingConfig::with_shards(1)
+                    .spill(SpilloverPolicy::disabled())
+                    .fanin(SimDuration::ZERO),
+            )
             .execute()
             .expect("plain run")
             .report;
@@ -1566,8 +1554,7 @@ mod tests {
         ] {
             let out = ScenarioRun::new(&small_spec())
                 .seed(7)
-                .shards(shards)
-                .front_tier(policy.clone())
+                .sharding(ShardingConfig::with_shards(shards).front(policy.clone()))
                 .execute()
                 .expect("run");
             let r = &out.report;
@@ -1667,7 +1654,7 @@ mod tests {
         );
         let report = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(3)
+            .sharding(ShardingConfig::with_shards(3))
             .execute()
             .expect("sharded run")
             .report;
@@ -1688,7 +1675,7 @@ mod tests {
         // Sharded runs are deterministic too.
         let again = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(3)
+            .sharding(ShardingConfig::with_shards(3))
             .execute()
             .expect("sharded run")
             .report;
@@ -1704,7 +1691,7 @@ mod tests {
         let hop = SimDuration::from_millis(250);
         let delayed = ScenarioRun::new(&spec)
             .seed(42)
-            .fanin_latency(hop)
+            .sharding(ShardingConfig::default().fanin(hop))
             .execute()
             .expect("run")
             .report;
@@ -1888,7 +1875,7 @@ mod tests {
         // shard topology.
         match ScenarioRun::new(&small_spec())
             .seed(1)
-            .shards(2)
+            .sharding(ShardingConfig::with_shards(2))
             .recorded()
             .execute()
         {
@@ -1943,10 +1930,10 @@ mod tests {
         // the closed-loop window exactly as the plain run drives it.
         let fronted = ScenarioRun::new(&spec)
             .seed(1)
-            .front_tier(FrontTierPolicy {
+            .sharding(ShardingConfig::default().front(FrontTierPolicy {
                 request_timeout: Some(SimDuration::from_secs(3600)),
                 ..FrontTierPolicy::default()
-            })
+            }))
             .execute()
             .expect("fronted run")
             .report
@@ -2032,7 +2019,7 @@ mod tests {
         );
         let report = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(4)
+            .sharding(ShardingConfig::with_shards(4))
             .execute()
             .expect("failover run")
             .report;
@@ -2061,7 +2048,7 @@ mod tests {
         // Failover runs are byte-deterministic like everything else.
         let again = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(4)
+            .sharding(ShardingConfig::with_shards(4))
             .execute()
             .expect("failover run")
             .report;
@@ -2085,8 +2072,7 @@ mod tests {
         policy.retry.max_retries = 0;
         let report = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(4)
-            .front_tier(policy)
+            .sharding(ShardingConfig::with_shards(4).front(policy))
             .execute()
             .expect("failover run")
             .report;
@@ -2111,16 +2097,17 @@ mod tests {
             for fanin in [SimDuration::ZERO, SimDuration::from_millis(333)] {
                 let plain = ScenarioRun::new(&spec)
                     .seed(42)
-                    .shards(shards)
-                    .fanin_latency(fanin)
+                    .sharding(ShardingConfig::with_shards(shards).fanin(fanin))
                     .execute()
                     .expect("plain run")
                     .report;
                 let fronted = ScenarioRun::new(&spec)
                     .seed(42)
-                    .shards(shards)
-                    .fanin_latency(fanin)
-                    .front_tier(policy.clone())
+                    .sharding(
+                        ShardingConfig::with_shards(shards)
+                            .fanin(fanin)
+                            .front(policy.clone()),
+                    )
                     .execute()
                     .expect("fronted run")
                     .report;
@@ -2152,8 +2139,7 @@ mod tests {
         };
         let report = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(2)
-            .front_tier(policy)
+            .sharding(ShardingConfig::with_shards(2).front(policy))
             .execute()
             .expect("shedding run")
             .report;
@@ -2180,8 +2166,7 @@ mod tests {
         };
         let report = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(2)
-            .front_tier(policy)
+            .sharding(ShardingConfig::with_shards(2).front(policy))
             .execute()
             .expect("hedged run")
             .report;
@@ -2212,8 +2197,7 @@ mod tests {
         };
         let report = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(4)
-            .front_tier(policy)
+            .sharding(ShardingConfig::with_shards(4).front(policy))
             .execute()
             .expect("partitioned run")
             .report;
@@ -2270,7 +2254,7 @@ mod tests {
         );
         let report = ScenarioRun::new(&spec)
             .seed(42)
-            .shards(2)
+            .sharding(ShardingConfig::with_shards(2))
             .execute()
             .expect("spiked run")
             .report;
@@ -2281,11 +2265,10 @@ mod tests {
         let calm_spec = failover_spec();
         let calm = ScenarioRun::new(&calm_spec)
             .seed(42)
-            .shards(2)
-            .front_tier(FrontTierPolicy {
+            .sharding(ShardingConfig::with_shards(2).front(FrontTierPolicy {
                 request_timeout: Some(SimDuration::from_secs(3600)),
                 ..FrontTierPolicy::default()
-            })
+            }))
             .execute()
             .expect("calm run")
             .report;
@@ -2351,7 +2334,7 @@ mod tests {
         spec.shard_faults = first_chaos::ShardFaultPlan::kill(0, SimTime::from_secs(1));
         match ScenarioRun::new(&spec)
             .seed(1)
-            .shards(4)
+            .sharding(ShardingConfig::with_shards(4))
             .recorded()
             .execute()
         {

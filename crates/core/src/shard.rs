@@ -17,8 +17,9 @@
 //!   in at the receiver) and surface in telemetry.
 //! * [`ShardedGateway`] — the front tier itself: owns the shard fleet,
 //!   routes submissions, models the fan-in hop with a configurable latency,
-//!   and rolls shard-local queues and telemetry up into per-shard
-//!   [`ShardReport`] rows plus aggregate dashboard/metric views.
+//!   and rolls shard-local telemetry up into the aggregate dashboard. A
+//!   scenario run's per-shard [`ShardReport`] rows come from its own
+//!   ledgers ([`crate::ShardSection`]).
 //!
 //! Every shard is a full deployment replica built from the *same*
 //! [`DeploymentBuilder`] configuration, so
@@ -617,15 +618,9 @@ impl ShardedGateway {
         self.restarts
     }
 
-    /// Decide where the next submission keyed by `key` goes and account the
-    /// decision: the ring's home shard unless the spillover policy diverts
-    /// it to the least-loaded peer. Call exactly once per submission.
-    pub fn route(&mut self, key: &str) -> RouteDecision {
-        self.route_home(self.ring.shard_for(key))
-    }
-
-    /// [`ShardedGateway::route`] with a precomputed home shard (drivers that
-    /// cache ring lookups per tenant).
+    /// Decide where the next submission homed on shard `home` goes and
+    /// account the decision: `home` unless the spillover policy diverts it
+    /// to the least-loaded peer. Call exactly once per submission.
     pub fn route_home(&mut self, home: usize) -> RouteDecision {
         let depth = self.shards[home].load_depth();
         self.peak_load[home] = self.peak_load[home].max(depth);
@@ -696,12 +691,6 @@ impl ShardedGateway {
             .all(|(shard, &live)| !live || shard.is_drained())
     }
 
-    /// Requests the front tier routed per shard (spill-ins counted at the
-    /// receiving shard is tracked separately in [`ShardedGateway::spilled_in`]).
-    pub fn routed(&self) -> &[usize] {
-        &self.routed
-    }
-
     /// Per-shard spill-in counts.
     pub fn spilled_in(&self) -> &[usize] {
         &self.spilled_in
@@ -721,35 +710,6 @@ impl ShardedGateway {
     /// instants.
     pub fn peak_load(&self) -> &[usize] {
         &self.peak_load
-    }
-
-    /// Roll the fleet up into per-shard report rows. Acceptance and outcome
-    /// counts come from each shard's own metrics layer, routing and spill
-    /// counts from the front tier, fault counts from `faults_per_shard`
-    /// (pass `&[]` when no injector ran).
-    pub fn shard_reports(&self, faults_per_shard: &[usize]) -> Vec<ShardReport> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, gw)| {
-                let m = gw.metrics();
-                let completed = m.completed as usize;
-                let failed = m.failed as usize;
-                let rejected = m.rejected as usize;
-                ShardReport {
-                    shard: i,
-                    offered: self.routed[i] - self.spilled_out[i] + self.spilled_in[i],
-                    accepted: completed + failed,
-                    rejected,
-                    completed,
-                    failed,
-                    spilled_in: self.spilled_in[i],
-                    spilled_out: self.spilled_out[i],
-                    faults_injected: faults_per_shard.get(i).copied().unwrap_or(0),
-                    peak_load_depth: self.peak_load[i],
-                }
-            })
-            .collect()
     }
 
     /// The fleet dashboard: shard 0..n's snapshots folded into one aggregate
@@ -882,12 +842,11 @@ mod tests {
             ShardingConfig::single(),
         );
         for i in 0..10 {
-            let d = fleet.route(&format!("tenant-{i}"));
+            let d = fleet.route_home(fleet.home_shard(&format!("tenant-{i}")));
             assert_eq!(d.shard, 0);
             assert!(!d.spilled);
         }
         assert_eq!(fleet.spilled_total(), 0);
-        assert_eq!(fleet.routed()[0], 10);
     }
 
     #[test]
@@ -916,22 +875,18 @@ mod tests {
         }
         assert!(fleet.shard(0).load_depth() > 0);
         assert_eq!(fleet.shard(1).load_depth(), 0);
-        // A key homed on shard 0 now spills to shard 1 — but only within the
-        // 50% budget.
-        let key = (0..)
-            .map(|i| format!("probe-{i}"))
-            .find(|k| fleet.home_shard(k) == 0)
-            .unwrap();
-        let first = fleet.route(&key);
+        // Traffic homed on shard 0 now spills to shard 1 — but only within
+        // the 50% budget.
+        let first = fleet.route_home(0);
         assert_eq!(first.home, 0);
         assert_eq!(first.shard, 1, "saturated home spills to the idle peer");
         assert!(first.spilled);
         // Exhaust the budget: with max_fraction=0.5 the cumulative spill
         // count can never exceed half the routed count.
-        for _ in 0..20 {
-            fleet.route(&key);
+        let routed = 21;
+        for _ in 1..routed {
+            fleet.route_home(0);
         }
-        let routed = fleet.routed()[0];
         let spilled = fleet.spilled_out()[0];
         assert!(
             spilled as f64 <= 0.5 * routed as f64 + 1.0,
@@ -1031,7 +986,7 @@ mod tests {
         let builder = DeploymentBuilder::single_cluster_test().prewarm(1);
         let mut fleet = ShardedGateway::from_builder(&builder, ShardingConfig::with_shards(3));
         for i in 0..50 {
-            let d = fleet.route(&format!("tenant-{i}"));
+            let d = fleet.route_home(fleet.home_shard(&format!("tenant-{i}")));
             assert_eq!(d.shard, d.home);
             assert!(!d.spilled);
         }
@@ -1139,29 +1094,44 @@ mod tests {
 
     #[test]
     fn traffic_homed_on_one_shard_moves_only_that_shard() {
+        use crate::{ScenarioReport, ScenarioRun};
         use first_desim::stats::kernel;
-        let samples = first_workload::ShareGptGenerator::new(3).samples(24);
+        use first_workload::{DeploymentRef, ScenarioSpec, ShareGptGenerator};
+        let samples = ShareGptGenerator::new(3).samples(24);
         let arrivals: Vec<SimTime> = (0..24).map(|i| SimTime::from_millis(250 * i)).collect();
-        let horizon = SimTime::from_secs(24 * 3600);
+        let mut spec = ScenarioSpec::one_tenant_replay(
+            "one-home",
+            DeploymentRef::SingleClusterTest,
+            MODEL_70B,
+            samples,
+            &arrivals,
+        );
+        // Cold: an untouched shard has no pending event.
+        spec.prewarm = 0;
         let run = |shards: usize| {
-            let (mut fleet, tokens) = cold_fleet(ShardingConfig::with_shards(shards));
             kernel::reset();
-            let report = crate::sim::run_sharded_openloop(
-                &mut fleet, &tokens, MODEL_70B, &samples, &arrivals, 1, "r", horizon,
-            );
-            let home = fleet.home_shard("user-0");
-            assert_eq!(fleet.routed()[home], 24, "every request homes on one shard");
-            (kernel::events_processed(), report)
+            let out = ScenarioRun::new(&spec)
+                .sharding(ShardingConfig::with_shards(shards))
+                .execute()
+                .unwrap();
+            let events = kernel::events_processed();
+            if let Some(section) = &out.report.shards {
+                let home = out.fleet.home_shard("client");
+                let offered: Vec<usize> = section.shards.iter().map(|s| s.offered).collect();
+                let mut expected = vec![0; shards];
+                expected[home] = 24;
+                assert_eq!(offered, expected, "every request homes on one shard");
+            }
+            let row = ScenarioReport::from_run("", "r", &out.report, out.latencies);
+            (events, row)
         };
-        let (alone, mut single) = run(1);
-        let (fleet, mut sharded) = run(4);
+        let (alone, single) = run(1);
+        let (fleet, sharded) = run(4);
         assert!(alone > 0);
         assert_eq!(
             fleet, alone,
             "three idle shards must record no kernel event"
         );
-        single.label.clear();
-        sharded.label.clear();
         assert_eq!(single, sharded);
     }
 

@@ -7,19 +7,18 @@
 //! throughput, median end-to-end latency, benchmark duration). A closed-loop
 //! runner drives concurrent WebUI sessions for Table 1.
 //!
-//! A replay through one FIRST gateway is a checked [`crate::ScenarioRun`] of
-//! a one-tenant spec ([`first_workload::ScenarioSpec::one_tenant_replay`]);
-//! [`ScenarioReport::from_one_tenant`] makes its row. Every open-loop run
-//! steps through one next-event loop, `drive_openloop`, generic over
-//! [`SimProcess`], with a different process each: the `ScenarioRun` front
-//! tier (`scenario.rs`), the [`ShardedGateway`] of
-//! [`run_sharded_openloop`], the [`DirectServer`] of [`run_direct_openloop`]
-//! and the [`CloudApi`] of [`run_openai_openloop`].
+//! Every replay through FIRST gateways, one gateway or a sharded fleet, is
+//! a checked [`crate::ScenarioRun`]; [`ScenarioReport::from_run`] makes its
+//! row. Every open-loop run steps through one next-event loop,
+//! `drive_openloop`, generic over [`SimProcess`], with a different process
+//! each: the `ScenarioRun` front tier (`scenario.rs`), the [`DirectServer`]
+//! of [`run_direct_openloop`] and the [`CloudApi`] of
+//! [`run_openai_openloop`]. Only these two baselines, which drive no FIRST
+//! gateway, build their rows outside a `ScenarioRun`.
 
 use crate::api::{GatewayError, PromptRef};
 use crate::gateway::Gateway;
 use crate::scenario::GatewayReport;
-use crate::shard::ShardedGateway;
 use first_auth::TokenString;
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime};
 use first_serving::{
@@ -78,9 +77,11 @@ impl ScenarioReport {
         )
     }
 
-    /// The §5.1 row of a one-tenant run's report, labelled `label` at the
-    /// offered rate `rate_label`: the run's totals with its tenant's
-    /// latencies.
+    /// The §5.1 row of a run, labelled `label` at the offered rate
+    /// `rate_label`: the run's totals from `report`, and the median, p95
+    /// and mean of `latencies`, the run's per-tenant latency samples
+    /// ([`crate::RunOutput::latencies`]) taken as one population. A
+    /// one-tenant run's row carries its tenant's own latency figures.
     ///
     /// ```
     /// use first_core::{ScenarioReport, ScenarioRun};
@@ -92,13 +93,26 @@ impl ScenarioReport {
     /// let samples = ShareGptGenerator::new(42).samples(10);
     /// let model = "meta-llama/Llama-3.3-70B-Instruct";
     /// let spec = ScenarioSpec::one_tenant_replay("doc", SingleClusterTest, model, samples, &arrivals);
-    /// let report = ScenarioRun::new(&spec).execute().unwrap().report;
-    /// let row = ScenarioReport::from_one_tenant("FIRST", "2", &report);
+    /// let out = ScenarioRun::new(&spec).execute().unwrap();
+    /// let row = ScenarioReport::from_run("FIRST", "2", &out.report, out.latencies);
     /// assert_eq!((row.offered, row.completed), (10, 10));
+    /// assert_eq!(row.median_latency_s, out.report.tenants[0].median_latency_s);
     /// ```
-    pub fn from_one_tenant(label: &str, rate_label: &str, report: &GatewayReport) -> Self {
-        assert_eq!(report.tenants.len(), 1, "a one-tenant report");
-        let tenant = &report.tenants[0];
+    pub fn from_run(
+        label: &str,
+        rate_label: &str,
+        report: &GatewayReport,
+        latencies: Vec<Histogram>,
+    ) -> Self {
+        // A lone tenant's histogram is taken as it is, so its row repeats
+        // the tenant's figures bit for bit.
+        let mut all = latencies
+            .into_iter()
+            .reduce(|mut all, tenant| {
+                all.merge(&tenant);
+                all
+            })
+            .unwrap_or_default();
         ScenarioReport {
             label: label.to_string(),
             offered_rate: rate_label.to_string(),
@@ -106,9 +120,9 @@ impl ScenarioReport {
             completed: report.completed,
             request_throughput: report.request_throughput,
             output_token_throughput: report.output_token_throughput,
-            median_latency_s: tenant.median_latency_s,
-            p95_latency_s: tenant.p95_latency_s,
-            mean_latency_s: tenant.mean_latency_s,
+            median_latency_s: all.median(),
+            p95_latency_s: all.p95(),
+            mean_latency_s: all.mean(),
             duration_s: report.duration_s,
         }
     }
@@ -224,71 +238,6 @@ impl Tally {
             duration_s,
         }
     }
-}
-
-/// Replay `samples` against a sharded gateway federation at the given
-/// arrival times: request `i` is keyed by synthetic user `user-{i % users}`,
-/// consistent-hashed onto its home shard (and possibly spilled under the
-/// fleet's policy), and submitted with that shard's token. Returns the
-/// aggregate §5.1 metrics; per-shard rollups stay available on the fleet
-/// afterwards via [`ShardedGateway::shard_reports`].
-///
-/// `tokens` holds one valid bearer token per shard (the same user enrolled
-/// on every shard — the shared control plane).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_openloop(
-    fleet: &mut ShardedGateway,
-    tokens: &[TokenString],
-    model: &str,
-    samples: &[ConversationSample],
-    arrivals: &[SimTime],
-    users: usize,
-    rate_label: &str,
-    horizon: SimTime,
-) -> ScenarioReport {
-    assert_eq!(samples.len(), arrivals.len());
-    assert_eq!(
-        tokens.len(),
-        fleet.shard_count(),
-        "one token per shard required"
-    );
-    let users = users.max(1);
-    // Ring lookups cached per synthetic user; the ring is stable for the
-    // fleet's lifetime.
-    let homes: Vec<usize> = (0..users)
-        .map(|u| fleet.home_shard(&format!("user-{u}")))
-        .collect();
-    let mut tally = Tally::new(arrivals.len());
-    drive_openloop(
-        fleet,
-        arrivals.iter().copied(),
-        |&at| at,
-        horizon,
-        |fleet, i, at| {
-            let shard = fleet.route_home(homes[i % users]).shard;
-            let s = &samples[i];
-            let _ = admit_simulated(
-                fleet.shard_mut(shard),
-                &tokens[shard],
-                model,
-                i,
-                s.prompt_tokens,
-                s.output_tokens,
-                at,
-            );
-        },
-        // Shard by shard, which keeps the order deterministic.
-        |fleet| {
-            for shard in 0..fleet.shard_count() {
-                for r in fleet.take_responses(shard).iter().filter(|r| r.success) {
-                    tally.completed(r.latency(), r.usage.completion_tokens, r.finished_at);
-                }
-            }
-        },
-        ShardedGateway::is_drained,
-    );
-    let label = format!("FIRST x{} shards", fleet.shard_count());
-    tally.report(&label, rate_label, arrivals)
 }
 
 /// Replay `samples` against a direct vLLM server (single-threaded frontend in
@@ -547,7 +496,7 @@ mod tests {
         );
         spec.horizon_s = horizon_s;
         let out = ScenarioRun::new(&spec).execute().unwrap();
-        ScenarioReport::from_one_tenant("FIRST", rate_label, &out.report)
+        ScenarioReport::from_run("FIRST", rate_label, &out.report, out.latencies)
     }
 
     #[test]

@@ -177,7 +177,7 @@ proptest! {
                 &arrivals,
             );
             let mut out = ScenarioRun::new(&spec).execute().unwrap();
-            let report = ScenarioReport::from_one_tenant("FIRST", "p", &out.report);
+            let report = ScenarioReport::from_run("FIRST", "p", &out.report, out.latencies);
             let gateway = out.fleet.shard_mut(0);
             let log: Vec<String> = gateway
                 .log()

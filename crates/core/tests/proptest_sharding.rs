@@ -2,24 +2,25 @@
 //!
 //! Two families of properties:
 //!
-//! 1. **Single-shard transparency** — a 1-shard [`ShardedGateway`] is the
-//!    unsharded gateway: for random workloads, driving a 1-shard fleet with
-//!    the same request stream as a one-tenant [`ScenarioRun`] yields
-//!    identical §5.1 metrics, and a 1-shard [`ScenarioRun`] serializes to
-//!    the same bytes whether sharding was requested explicitly or left at
-//!    the default.
+//! 1. **Single-shard transparency** — a 1-shard federation is the
+//!    unsharded gateway: for random workloads, the same request stream
+//!    split over many tenants on one shard yields the §5.1 metrics of a
+//!    one-tenant [`ScenarioRun`], and a 1-shard [`ScenarioRun`] serializes
+//!    to the same bytes whether sharding was requested explicitly or left
+//!    at the default.
 //! 2. **Consistent-hash stability** — growing the ring from `n` to `n+1`
 //!    shards moves keys only *to* the new shard (never between old shards),
 //!    the moved fraction stays near the ideal `1/(n+1)`, and lookups are a
 //!    pure function of `(key, n)`.
 
 use first_core::{
-    run_sharded_openloop, ConsistentHashRing, DeploymentBuilder, ScenarioReport, ScenarioRun,
-    ShardedGateway, ShardingConfig,
+    ConsistentHashRing, DeploymentBuilder, GatewayConfig, ScenarioReport, ScenarioRun,
+    ShardingConfig,
 };
 use first_desim::{SimRng, SimTime};
 use first_workload::{
-    ArrivalProcess, DeploymentRef, ScenarioSpec, ShareGptGenerator, SloTarget, TenantClass,
+    ArrivalProcess, DeploymentRef, ReplayEntry, ReplayTrack, ScenarioSpec, ShareGptGenerator,
+    SloTarget, TenantClass,
 };
 use proptest::prelude::*;
 
@@ -28,9 +29,13 @@ const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Driving a 1-shard fleet open-loop produces exactly the §5.1 metrics
-    /// of a one-tenant `ScenarioRun` of the same stream on one gateway: the
-    /// federation tier adds nothing at n = 1.
+    /// The same stream split over `users` tenants, request `i` to tenant
+    /// `user-{i % users}`, produces on one shard exactly the §5.1 metrics of
+    /// the one-tenant replay: the federation tier adds nothing at n = 1,
+    /// and a run's row does not depend on how its requests split into
+    /// tenants. Both runs leave the token-introspection cache off, so every
+    /// request pays the same token check; with it on, each tenant's first
+    /// request pays one more introspection than a lone tenant's would.
     #[test]
     fn one_shard_openloop_matches_unsharded(
         requests in 5usize..60,
@@ -42,40 +47,63 @@ proptest! {
         let mut rng = SimRng::seed_from_u64(seed ^ 0xA5A5);
         let arrivals =
             ArrivalProcess::FixedRate(rate).arrivals(requests, SimTime::ZERO, &mut rng);
-        let horizon = SimTime::from_secs(14 * 24 * 3600);
+        let horizon_s = (14 * 24 * 3600) as f64;
+        let deployment = DeploymentBuilder::sophia_single_instance().gateway_config(GatewayConfig {
+            auth_cache: false,
+            ..GatewayConfig::default()
+        });
+
+        let mut tracks: Vec<Vec<ReplayEntry>> = vec![Vec::new(); users];
+        for (i, (s, &at)) in samples.iter().zip(&arrivals).enumerate() {
+            tracks[i % users].push(ReplayEntry {
+                at,
+                model: MODEL.to_string(),
+                prompt_tokens: s.prompt_tokens,
+                output_tokens: s.output_tokens,
+            });
+        }
+        let tenants = tracks
+            .into_iter()
+            .enumerate()
+            .map(|(u, entries)| {
+                let n = entries.len();
+                let replay = ArrivalProcess::Replay(ReplayTrack { entries });
+                TenantClass::synthetic(&format!("user-{u}"), n, replay, MODEL)
+            })
+            .collect();
+        let mut split = ScenarioSpec::new(
+            "n-users",
+            "one stream over many tenants",
+            DeploymentRef::SophiaSingleInstance,
+            tenants,
+        );
+        split.horizon_s = horizon_s;
+        let out = ScenarioRun::new(&split)
+            .deployment(deployment.clone())
+            .sharding(ShardingConfig::single())
+            .execute()
+            .unwrap();
+        prop_assert_eq!(out.fleet.spilled_total(), 0);
+        prop_assert_eq!(out.report.offered, requests);
+        let sharded = ScenarioReport::from_run("", "p", &out.report, out.latencies);
 
         let mut spec = ScenarioSpec::one_tenant_replay(
             "one-shard",
             DeploymentRef::SophiaSingleInstance,
             MODEL,
-            samples.clone(),
+            samples,
             &arrivals,
         );
-        spec.horizon_s = horizon.as_secs_f64();
-        let out = ScenarioRun::new(&spec).execute().unwrap();
-        let plain = ScenarioReport::from_one_tenant("", "p", &out.report);
-
-        let mut fleet = ShardedGateway::from_builder(
-            &DeploymentBuilder::sophia_single_instance().prewarm(1),
-            ShardingConfig::single(),
-        );
-        let shard_tokens =
-            vec![first_core::enroll_standard_users(fleet.shard_mut(0)).alice];
-        let mut sharded = run_sharded_openloop(
-            &mut fleet, &shard_tokens, MODEL, &samples, &arrivals, users, "p", horizon,
-        );
-
-        // The label is the only intentional difference.
-        prop_assert_eq!(&sharded.label, "FIRST x1 shards");
-        sharded.label.clear();
+        spec.horizon_s = horizon_s;
+        let out = ScenarioRun::new(&spec).deployment(deployment).execute().unwrap();
+        let plain = ScenarioReport::from_run("", "p", &out.report, out.latencies);
         prop_assert_eq!(plain, sharded);
-        prop_assert_eq!(fleet.spilled_total(), 0);
-        prop_assert_eq!(fleet.routed(), &[requests][..]);
     }
 
-    /// `ScenarioRun::new(spec).shards(1)` is byte-identical to the default
-    /// (unsharded) execution for random specs: explicit single-sharding is
-    /// a no-op all the way down to the serialized report.
+    /// `ScenarioRun::new(spec).sharding(ShardingConfig::with_shards(1))` is
+    /// byte-identical to the default (unsharded) execution for random specs:
+    /// explicit single-sharding is a no-op all the way down to the
+    /// serialized report.
     #[test]
     fn one_shard_scenario_run_byte_identical(
         requests_a in 3usize..40,
@@ -109,7 +137,7 @@ proptest! {
         let plain = ScenarioRun::new(&spec).seed(seed).execute().unwrap().report;
         let explicit = ScenarioRun::new(&spec)
             .seed(seed)
-            .shards(1)
+            .sharding(ShardingConfig::with_shards(1))
             .execute()
             .unwrap()
             .report;
