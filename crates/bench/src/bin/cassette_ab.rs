@@ -146,10 +146,6 @@ fn main() {
             eprintln!("unknown catalog scenario '{scenario}'");
             std::process::exit(2);
         });
-    if spec.sessions.is_some() {
-        eprintln!("scenario '{scenario}' is closed-loop and cannot be recorded");
-        std::process::exit(2);
-    }
 
     // Trace every request on both sides of the A/B: the recording and every
     // replay variant run under the same `TraceConfig`, so the byte-identity

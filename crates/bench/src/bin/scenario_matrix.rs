@@ -6,8 +6,9 @@
 //!
 //! The catalog covers the matrix the ROADMAP asks for: steady load, on/off
 //! bursts, diurnal load, multi-tenant contention, production trace replay,
-//! chaos under load, priority inversion, cold start and closed-loop WebUI
-//! sessions. `FIRST_BENCH_REQUESTS` scales every scenario's request budget,
+//! chaos under load, priority inversion, cold start and a shard outage.
+//! (Table 1's closed-loop WebUI sessions run in `table1_webui`, not here.)
+//! `FIRST_BENCH_REQUESTS` scales every scenario's request budget,
 //! `FIRST_BENCH_SEED` re-randomises the whole matrix,
 //! `FIRST_BENCH_THREADS` picks the worker count, and `FIRST_BENCH_SHARDS`
 //! (comma-separated, default `1,2`) adds gateway shard count as a matrix

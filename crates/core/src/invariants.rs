@@ -16,12 +16,16 @@
 //!    in-flight, awaiting-delivery, hedge-deadline or outstanding-copy
 //!    slabs, and its fabric service holds no task record.
 //!
-//! [`crate::ScenarioRun`] closes every open-loop run with
+//! [`crate::ScenarioRun`] closes every run with
 //! [`check_front_tier_invariants`], in every build, and panics on a
 //! violation: each shard passes the single-gateway checks, and the per-shard
 //! ledgers reconcile with the whole-run ledger through the front tier's
-//! retries, hedges, sheds, crash losses and spills. Integration tests call
-//! [`check_run_invariants`] directly on their own single-gateway drivers.
+//! retries, hedges, sheds, crash losses and spills. Table 1's closed loop,
+//! [`crate::run_webui_closed_loop`], closes its run with
+//! [`check_run_invariants`] and panics too; its window cuts turns off in
+//! flight, so its ledger never claims a drained gateway. Integration tests
+//! call [`check_run_invariants`] directly on their own single-gateway
+//! loops.
 
 use crate::gateway::Gateway;
 use crate::scenario::{FailoverSection, GatewayReport};

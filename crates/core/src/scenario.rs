@@ -14,11 +14,11 @@
 //! way, and reports per-tenant metric partitions and SLO attainment in a
 //! [`GatewayReport`] — with a per-shard [`ShardSection`] rollup when the run
 //! was sharded — and hands back the fleet it drove ([`RunOutput::fleet`]).
-//! Every open-loop run, in every build, finishes with the
-//! [`crate::invariants`] front-tier check, so every scenario run also proves
-//! request conservation and task-slab hygiene, or panics.
+//! Every run, in every build, finishes with the [`crate::invariants`]
+//! front-tier check, so every scenario run also proves request
+//! conservation and task-slab hygiene, or panics.
 //!
-//! Every open-loop request goes through one front tier: live-ring routing,
+//! Every request goes through one front tier: live-ring routing,
 //! the optional overload shed, fan-in, and first-response-wins delivery. A
 //! single unsharded gateway with the default [`FrontTierPolicy`] is just the
 //! front tier with one shard and nothing to retry, hedge or shed. The front
@@ -31,7 +31,7 @@ use crate::deploy::DeploymentBuilder;
 use crate::gateway::Gateway;
 use crate::invariants::{check_front_tier_invariants, check_replay_invariants, RunLedger};
 use crate::shard::{FrontTierPolicy, ShardReport, ShardedGateway, ShardingConfig, SpilloverPolicy};
-use crate::sim::{admit_simulated, drive_openloop, run_webui_closed_loop, WebUiCell};
+use crate::sim::{admit_simulated, drive_openloop};
 use first_auth::{Identity, Scope, TokenString, UserId};
 use first_chaos::{FaultInjector, ResilienceConfig, ShardFaultKind};
 use first_desim::{Histogram, IdWindow, SimDuration, SimProcess, SimTime, TimingWheel};
@@ -226,8 +226,6 @@ pub struct GatewayReport {
     pub tenants: Vec<TenantReport>,
     /// Tenants whose SLO was met.
     pub slo_attained_tenants: usize,
-    /// Closed-loop session cell, when the spec carried a session rider.
-    pub webui: Option<WebUiCell>,
     /// Phase-latency breakdown of the sampled span trees; `None` unless the
     /// run was traced ([`ScenarioRun::traced`]) and sampled at least one
     /// request.
@@ -321,17 +319,6 @@ impl GatewayReport {
                 fo.breaker_trips,
             );
         }
-        if let Some(cell) = &self.webui {
-            let _ = writeln!(
-                out,
-                "webui sessions: {} concurrent, {} turns in {:.0}s ({:.2} req/s, {:.1} tok/s)",
-                cell.concurrency,
-                cell.completed,
-                cell.duration_s,
-                cell.request_throughput,
-                cell.token_throughput,
-            );
-        }
         if let Some(phases) = &self.phases {
             let _ = writeln!(
                 out,
@@ -423,10 +410,8 @@ impl std::fmt::Debug for RunOutput {
 ///
 /// The run is deterministic for a fixed configuration: the report carries no
 /// wall-clock measurement and every random draw derives from the seed.
-/// Every open-loop run finishes with the [`crate::invariants`] front-tier
-/// check, in every build, and panics on a violation. A spec may
-/// carry either open-loop tenants or a closed-loop session rider, not both
-/// (the two drivers would fight over the same simulation clock).
+/// Every run finishes with the [`crate::invariants`] front-tier check, in
+/// every build, and panics on a violation.
 ///
 /// The run borrows the caller's spec and streams its requests from it
 /// ([`ScenarioSpec::arrivals`]); it owns a spec only when it replays a
@@ -526,8 +511,8 @@ impl<'c> ScenarioRun<'c> {
 
     /// Execute the configured run.
     ///
-    /// Infallible unless the run was [`ScenarioRun::recorded`] (closed-loop
-    /// session specs, sharded configurations and replaced deployments are
+    /// Infallible unless the run was [`ScenarioRun::recorded`] (sharded
+    /// configurations, shard fault plans and replaced deployments are
     /// [`CassetteError::Unrecordable`]) or is a [`ScenarioRun::replay`]
     /// (divergence is [`CassetteError::ReplayMismatch`]).
     pub fn execute(mut self) -> Result<RunOutput, CassetteError> {
@@ -535,12 +520,6 @@ impl<'c> ScenarioRun<'c> {
             if self.deployment.is_some() {
                 return Err(CassetteError::Unrecordable(format!(
                     "scenario '{}' runs on a replaced deployment",
-                    self.spec.name
-                )));
-            }
-            if self.spec.sessions.is_some() {
-                return Err(CassetteError::Unrecordable(format!(
-                    "scenario '{}' carries a closed-loop session rider",
                     self.spec.name
                 )));
             }
@@ -589,26 +568,24 @@ fn builder_for(deployment: DeploymentRef) -> DeploymentBuilder {
     }
 }
 
-/// Enroll one auth user for `name` and return their bearer token.
-fn enroll_tenant_user(gateway: &mut Gateway, name: &str) -> TokenString {
-    let auth = gateway.auth_mut();
-    auth.enroll_user(&UserId::new(name));
-    let (token, _) = auth
-        .login(
-            &Identity::new(name, "anl.gov").with_project("scenario-matrix"),
-            &[Scope::InferenceApi],
-            SimTime::ZERO,
-        )
-        .unwrap_or_else(|e| panic!("tenant '{name}' login failed: {e:?}"));
-    token.token
-}
-
-/// Enroll every tenant class of `spec` on `gateway`, in spec order, and
-/// return their bearer tokens (indexed by tenant).
+/// Enroll one auth user per tenant class of `spec` on `gateway`, in spec
+/// order, and return their bearer tokens (indexed by tenant).
 fn enroll_tenants(gateway: &mut Gateway, spec: &ScenarioSpec) -> Vec<TokenString> {
+    let auth = gateway.auth_mut();
     spec.tenants
         .iter()
-        .map(|t| enroll_tenant_user(gateway, &t.name))
+        .map(|t| {
+            let name = &t.name;
+            auth.enroll_user(&UserId::new(name));
+            let (token, _) = auth
+                .login(
+                    &Identity::new(name, "anl.gov").with_project("scenario-matrix"),
+                    &[Scope::InferenceApi],
+                    SimTime::ZERO,
+                )
+                .unwrap_or_else(|e| panic!("tenant '{name}' login failed: {e:?}"));
+            token.token
+        })
         .collect()
 }
 
@@ -808,6 +785,20 @@ impl<'a> FrontTier<'a> {
             .is_some_and(|shed| priority < shed.priority_floor && depth > shed.queue_depth)
     }
 
+    /// Tenant `tenant`'s home on the live ring: its cached full-ring home
+    /// while that shard is routable, else a live-ring lookup, `None` when no
+    /// shard is routable. The two agree: the live ring only deletes the
+    /// points of unroutable shards, so a key whose full-ring shard survives
+    /// keeps it.
+    fn routable_home(&self, tenant: usize) -> Option<usize> {
+        let home = self.home[tenant];
+        if self.fleet.routable(home) {
+            Some(home)
+        } else {
+            self.fleet.routable_home(&self.spec.tenants[tenant].name)
+        }
+    }
+
     /// Attempts made for request `idx`; `None` once it is resolved.
     fn attempts(&self, idx: usize) -> Option<u32> {
         self.live.get(idx as u64).map(|live| live.attempts)
@@ -868,7 +859,7 @@ impl<'a> FrontTier<'a> {
         // partitioned shards carry no points), shed typed when the
         // federation cannot take the request at all or the shed policy
         // says this priority must yield.
-        let routed = match self.fleet.routable_home(&self.spec.tenants[tenant].name) {
+        let routed = match self.routable_home(tenant) {
             None => Err(&mut self.counters.shed_no_live_shard),
             Some(home) if self.sheds(request.priority, self.fleet.shard(home).load_depth()) => {
                 Err(&mut self.counters.shed_overload)
@@ -957,8 +948,7 @@ impl<'a> FrontTier<'a> {
                 .filter(|&i| i != live.last_shard && self.fleet.routable(i))
                 .min_by_key(|&i| (self.fleet.shard(i).load_depth(), i))
         } else {
-            let tenant = live.request.tenant as usize;
-            self.fleet.routable_home(&self.spec.tenants[tenant].name)
+            self.routable_home(live.request.tenant as usize)
         };
         let Some(shard) = target else {
             if !hedge {
@@ -1178,46 +1168,26 @@ fn run_scenario_impl(
     builder: DeploymentBuilder,
 ) -> (RunOutput, Option<Vec<RequestOutcome>>) {
     let (spec, seed, trace, sharding) = (&*run.spec, run.seed, run.trace, &run.sharding);
-    assert!(
-        spec.tenants.is_empty() || spec.sessions.is_none(),
-        "scenario '{}': open-loop tenants and a session rider are mutually exclusive",
-        spec.name
-    );
-    assert!(
-        spec.shard_faults.is_empty() || spec.sessions.is_none(),
-        "scenario '{}': shard-scoped faults drive the open-loop front tier and cannot compose \
-         with a closed-loop session rider",
-        spec.name
-    );
 
     let mut builder = builder.prewarm(spec.prewarm).trace(trace);
     if spec.resilience {
         builder = builder.resilience(ResilienceConfig::production());
     }
-    let mut arrivals = spec.arrivals(seed).peekable();
     let mut front = FrontTier::new(spec, &builder, sharding, run.record);
     // The report's failover section is reserved for runs that can actually
     // need the front tier's extra moves.
     let front_active =
         !spec.shard_faults.is_empty() || sharding.front_tier != FrontTierPolicy::default();
 
-    // Pure closed-loop specs skip the open-loop drive entirely: advancing
-    // the gateways through their prewarm events here would fast-forward the
-    // clock past the session window before the session driver starts.
-    let all_submitted =
-        if arrivals.peek().is_some() || !spec.faults.is_empty() || !spec.shard_faults.is_empty() {
-            drive_openloop(
-                &mut front,
-                arrivals,
-                |r| r.at,
-                spec.horizon(),
-                FrontTier::arrive,
-                FrontTier::collect,
-                FrontTier::drained,
-            )
-        } else {
-            true
-        };
+    let all_submitted = drive_openloop(
+        &mut front,
+        spec.arrivals(seed),
+        |r| r.at,
+        spec.horizon(),
+        FrontTier::arrive,
+        FrontTier::collect,
+        FrontTier::drained,
+    );
     #[cfg(test)]
     LEFT_IN_INDEX.with(|left| {
         *left.borrow_mut() = front.request_index.iter().map(IdWindow::len).collect();
@@ -1245,49 +1215,27 @@ fn run_scenario_impl(
         shard_ledger.drained = all_submitted && fleet.shard(i).is_drained() && !ever_crashed[i];
     }
 
-    // Closed-loop session rider (pure closed-loop specs only; the gateways
-    // are untouched at this point, so the session window starts at t=0). On
-    // a sharded fleet the rider lands on its ring shard, like any tenant.
-    let webui = spec.sessions.as_ref().map(|rider| {
-        let shard = fleet.home_shard("webui-sessions");
-        let gateway = fleet.shard_mut(shard);
-        let token = enroll_tenant_user(gateway, "webui-sessions");
-        run_webui_closed_loop(
-            gateway,
-            &token,
-            &rider.config,
-            SimDuration::from_millis(rider.webui_overhead_ms),
-            seed ^ 0x5E55_10A5,
-        )
-    });
-
-    // Every open-loop run, one shard or many, failover or not, closes with
-    // the same conservation check.
-    if spec.sessions.is_none() {
-        if let Err(violations) = check_front_tier_invariants(
-            fleet.shards(),
-            &shard_ledgers,
-            &ledger,
-            &counters,
-            fleet.spilled_out(),
-            fleet.spilled_in(),
-        ) {
-            panic!(
-                "scenario '{}' violated run invariants:\n  {}",
-                spec.name,
-                violations.join("\n  ")
-            );
-        }
+    // Every run, one shard or many, failover or not, closes with the same
+    // conservation check.
+    if let Err(violations) = check_front_tier_invariants(
+        fleet.shards(),
+        &shard_ledgers,
+        &ledger,
+        &counters,
+        fleet.spilled_out(),
+        fleet.spilled_in(),
+    ) {
+        panic!(
+            "scenario '{}' violated run invariants:\n  {}",
+            spec.name,
+            violations.join("\n  ")
+        );
     }
 
-    let duration_s = if let Some(cell) = &webui {
-        cell.duration_s
-    } else {
-        let first_arrival = first_arrival.unwrap_or(SimTime::ZERO);
-        (last_delivery.saturating_since(first_arrival))
-            .as_secs_f64()
-            .max(1e-9)
-    };
+    let first_arrival = first_arrival.unwrap_or(SimTime::ZERO);
+    let duration_s = (last_delivery.saturating_since(first_arrival))
+        .as_secs_f64()
+        .max(1e-9);
 
     let tenants: Vec<TenantReport> = spec
         .tenants
@@ -1397,22 +1345,17 @@ fn run_scenario_impl(
                 acc.3 + m.hedges,
             )
         });
-    let completed_total = ledger.completed + webui.as_ref().map_or(0, |c| c.completed);
     let report = GatewayReport {
         scenario: spec.name.clone(),
         seed,
-        offered: ledger.offered + webui.as_ref().map_or(0, |c| c.completed),
-        accepted: ledger.accepted + webui.as_ref().map_or(0, |c| c.completed),
+        offered: ledger.offered,
+        accepted: ledger.accepted,
         rejected: ledger.rejected,
-        completed: completed_total,
+        completed: ledger.completed,
         failed: ledger.failed,
         duration_s,
-        request_throughput: completed_total as f64 / duration_s,
-        output_token_throughput: (output_tokens as f64
-            + webui
-                .as_ref()
-                .map_or(0.0, |c| c.token_throughput * c.duration_s))
-            / duration_s,
+        request_throughput: ledger.completed as f64 / duration_s,
+        output_token_throughput: output_tokens as f64 / duration_s,
         faults_injected: injectors[0].applied().len(),
         retries,
         failovers,
@@ -1420,7 +1363,6 @@ fn run_scenario_impl(
         hedges,
         tenants,
         slo_attained_tenants,
-        webui,
         phases,
         shards: shard_section,
         failover,
@@ -1856,23 +1798,8 @@ mod tests {
     }
 
     #[test]
-    fn session_and_sharded_specs_are_unrecordable_with_typed_errors() {
-        let mut spec = ScenarioSpec::new(
-            "unit-sessions",
-            "",
-            DeploymentRef::SingleClusterTest,
-            Vec::new(),
-        );
-        spec.sessions = Some(first_workload::SessionClosedLoop {
-            config: first_workload::SessionWorkloadConfig::table1(models::LLAMA_8B, 4, 60),
-            webui_overhead_ms: 1200,
-        });
-        match ScenarioRun::new(&spec).seed(1).recorded().execute() {
-            Err(CassetteError::Unrecordable(msg)) => assert!(msg.contains("unit-sessions")),
-            other => panic!("expected Unrecordable, got {other:?}"),
-        }
-        // Sharded runs are unrecordable too: the cassette format carries no
-        // shard topology.
+    fn sharded_specs_are_unrecordable_with_typed_errors() {
+        // The cassette format carries no shard topology.
         match ScenarioRun::new(&small_spec())
             .seed(1)
             .sharding(ShardingConfig::with_shards(2))
@@ -1909,37 +1836,6 @@ mod tests {
             Err(CassetteError::Unrecordable(msg)) => assert!(msg.contains("replaced deployment")),
             other => panic!("expected Unrecordable, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn session_rider_runs_the_same_under_a_front_tier_policy() {
-        let mut spec = ScenarioSpec::new(
-            "unit-sessions",
-            "",
-            DeploymentRef::SingleClusterTest,
-            Vec::new(),
-        );
-        spec.prewarm = 1;
-        spec.sessions = Some(first_workload::SessionClosedLoop {
-            config: first_workload::SessionWorkloadConfig::table1(models::LLAMA_8B, 4, 600),
-            webui_overhead_ms: 1200,
-        });
-        let plain = run(&spec, 1).webui.expect("session cell");
-        assert!(plain.completed > 0, "{plain:?}");
-        // The policy has no open-loop request to act on, so it must leave
-        // the closed-loop window exactly as the plain run drives it.
-        let fronted = ScenarioRun::new(&spec)
-            .seed(1)
-            .sharding(ShardingConfig::default().front(FrontTierPolicy {
-                request_timeout: Some(SimDuration::from_secs(3600)),
-                ..FrontTierPolicy::default()
-            }))
-            .execute()
-            .expect("fronted run")
-            .report
-            .webui
-            .expect("session cell");
-        assert_eq!(plain, fronted);
     }
 
     #[test]

@@ -1270,4 +1270,29 @@ mod tests {
             prop_assert_eq!(fleet.spilled_out(), reference.spilled_out());
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Restricting a ring to the routable shards keeps every key whose
+        /// full-ring shard is routable on that shard (restriction only
+        /// deletes points), which lets the front tier answer from its cached
+        /// full-ring homes while they stay routable.
+        #[test]
+        fn restriction_keeps_every_key_whose_home_is_routable(
+            shards in 1usize..=8,
+            mask_bits in 0u32..256,
+            keys in proptest::collection::vec(0u64..1_000_000, 1..40),
+        ) {
+            let ring = ConsistentHashRing::new(shards);
+            let mask: Vec<bool> = (0..shards).map(|i| mask_bits >> i & 1 == 1).collect();
+            let live = ring.restricted(&mask);
+            for key in keys.iter().map(|k| format!("tenant-{k}")) {
+                let home = ring.shard_for(&key);
+                if mask[home] {
+                    prop_assert_eq!(live.try_shard_for(&key), Some(home));
+                }
+            }
+        }
+    }
 }

@@ -5,7 +5,8 @@
 //! the FIRST gateway, a direct vLLM server, or the external cloud API, and
 //! reports the four metrics of §5.1 (request throughput, output token
 //! throughput, median end-to-end latency, benchmark duration). A closed-loop
-//! runner drives concurrent WebUI sessions for Table 1.
+//! runner, [`run_webui_closed_loop`], drives concurrent WebUI sessions for
+//! Table 1 and ends in the same [`crate::invariants`] check.
 //!
 //! Every replay through FIRST gateways, one gateway or a sharded fleet, is
 //! a checked [`crate::ScenarioRun`]; [`ScenarioReport::from_run`] makes its
@@ -18,6 +19,7 @@
 
 use crate::api::{GatewayError, PromptRef};
 use crate::gateway::Gateway;
+use crate::invariants::{check_run_invariants, RunLedger};
 use crate::scenario::GatewayReport;
 use first_auth::TokenString;
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime};
@@ -331,6 +333,11 @@ pub const DEFAULT_WEBUI_OVERHEAD: SimDuration = SimDuration(1_200_000);
 /// `webui_overhead` models the WebUI backend's per-message work (session
 /// lookup, history persistence, response re-formatting) added on top of the
 /// gateway path.
+///
+/// The run ends in [`check_run_invariants`] and panics on a violation. The
+/// window cuts turns off in flight, so the check never asks for a drained
+/// gateway: it holds the clock monotone, `offered == accepted + rejected`,
+/// and no more answers than acceptances.
 pub fn run_webui_closed_loop(
     gateway: &mut Gateway,
     token: &TokenString,
@@ -346,18 +353,18 @@ pub fn run_webui_closed_loop(
     struct SessionState {
         next_turn: usize,
         send_at: Option<SimTime>,
-        waiting_for: Option<u64>,
     }
     let mut states: Vec<SessionState> = sessions
         .iter()
         .map(|s| SessionState {
             next_turn: 0,
             send_at: Some(s.start_at),
-            waiting_for: None,
         })
         .collect();
-    // Map gateway request id → session index.
+    // Map gateway request id → session index. A session has at most one
+    // turn in flight, so this holds the one id each waiting session awaits.
     let mut owner: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+    let mut ledger = RunLedger::new();
     let mut completed = 0usize;
     let mut output_tokens = 0u64;
 
@@ -377,6 +384,7 @@ pub fn run_webui_closed_loop(
         if step > window_end {
             break;
         }
+        ledger.clock.observe(step);
         gateway.advance(step);
 
         // Send due messages.
@@ -396,7 +404,7 @@ pub fn run_webui_closed_loop(
             // the request; fold it into the submission time.
             let gateway_arrival = send_at + webui_overhead;
             let index = idx * 10_000 + state.next_turn;
-            match admit_simulated(
+            let admitted = admit_simulated(
                 gateway,
                 token,
                 &config.model,
@@ -404,10 +412,11 @@ pub fn run_webui_closed_loop(
                 turn.prompt_tokens,
                 turn.output_tokens,
                 gateway_arrival,
-            ) {
+            );
+            ledger.on_submission(admitted.is_ok());
+            match admitted {
                 Ok(request_id) => {
                     owner.insert(request_id, idx);
-                    state.waiting_for = Some(request_id);
                     state.send_at = None;
                 }
                 Err(_) => {
@@ -424,32 +433,33 @@ pub fn run_webui_closed_loop(
             let Some(session_idx) = owner.remove(&r.request_id) else {
                 continue;
             };
+            ledger.on_response(r.success);
             if r.success && r.finished_at <= window_end {
                 completed += 1;
                 output_tokens += r.usage.completion_tokens as u64;
             }
-            let plan = &sessions[session_idx];
             let state = &mut states[session_idx];
-            if state.waiting_for == Some(r.request_id) {
-                state.waiting_for = None;
-                state.next_turn += 1;
-                let think = plan.think_before(state.next_turn);
-                let next_send = r.finished_at + webui_overhead + think;
-                state.send_at = if next_send <= window_end {
-                    Some(next_send)
-                } else {
-                    None
-                };
-            }
+            state.next_turn += 1;
+            let think = sessions[session_idx].think_before(state.next_turn);
+            let next_send = r.finished_at + webui_overhead + think;
+            state.send_at = (next_send <= window_end).then_some(next_send);
         }
 
         let any_pending_send = states
             .iter()
-            .any(|s| s.send_at.map(|t| t <= window_end).unwrap_or(false));
-        let any_waiting = states.iter().any(|s| s.waiting_for.is_some());
-        if !any_pending_send && !any_waiting {
+            .any(|s| s.send_at.is_some_and(|t| t <= window_end));
+        if !any_pending_send && owner.is_empty() {
             break;
         }
+    }
+    // The window ends with turns still in flight, so `drained` stays false.
+    if let Err(violations) = check_run_invariants(gateway, &ledger) {
+        panic!(
+            "webui closed loop ({}, {} sessions) violated run invariants:\n  {}",
+            config.model,
+            config.concurrency,
+            violations.join("\n  ")
+        );
     }
 
     let duration_s = config.duration.as_secs_f64();
@@ -611,5 +621,26 @@ mod tests {
         assert!(cell.completed > 0, "at least some turns complete in 60 s");
         assert!(cell.request_throughput > 0.0);
         assert!(cell.token_throughput > 0.0);
+    }
+
+    /// One small Table 1 cell, pinned bit for bit, so any change in how the
+    /// closed loop drives its sessions shows.
+    #[test]
+    fn webui_closed_loop_cell_is_pinned() {
+        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
+            .prewarm(1)
+            .build_with_tokens();
+        let config = SessionWorkloadConfig::table1("meta-llama/Meta-Llama-3.1-8B-Instruct", 8, 60);
+        let cell =
+            run_webui_closed_loop(&mut gw, &tokens.alice, &config, DEFAULT_WEBUI_OVERHEAD, 7);
+        assert_eq!(cell.completed, 40);
+        assert_eq!(
+            cell.token_throughput.to_bits(),
+            (6_260.0f64 / 60.0).to_bits()
+        );
+        assert_eq!(
+            cell.request_throughput.to_bits(),
+            (40.0f64 / 60.0).to_bits()
+        );
     }
 }

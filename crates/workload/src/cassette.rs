@@ -53,8 +53,8 @@ pub enum CassetteError {
     /// index out of range, non-dense sequence numbers, arrivals past the
     /// horizon, outcome on a rejected request, ...).
     Corrupt(String),
-    /// The spec cannot be recorded as a cassette (closed-loop session specs
-    /// drive the gateway outside the compiled stream).
+    /// The run cannot be recorded as a cassette (a sharded front tier, a
+    /// shard-scoped fault plan or a replaced deployment).
     Unrecordable(String),
     /// A replay produced a run that disagrees with the cassette (offered
     /// count, scenario name or seed mismatch).
@@ -152,21 +152,12 @@ impl Cassette {
     /// Build a cassette from a finished run: the spec it ran, the compiled
     /// stream it offered, and the per-request outcomes observed (aligned
     /// with `compiled.requests` by index).
-    ///
-    /// Session specs are unrecordable: their closed-loop driver submits
-    /// outside the compiled stream, so a cassette could not reproduce them.
     pub fn from_run(
         spec: &ScenarioSpec,
         seed: u64,
         compiled: &CompiledScenario,
         outcomes: Vec<RequestOutcome>,
     ) -> Result<Cassette, CassetteError> {
-        if spec.sessions.is_some() {
-            return Err(CassetteError::Unrecordable(format!(
-                "scenario '{}' carries a closed-loop session rider",
-                spec.name
-            )));
-        }
         if outcomes.len() != compiled.requests.len() {
             return Err(CassetteError::Corrupt(format!(
                 "{} outcomes for {} requests",
@@ -334,7 +325,6 @@ impl Cassette {
             // Runs with shard-scoped faults are unrecordable, so a cassette
             // never carries a shard fault plan.
             shard_faults: first_chaos::ShardFaultPlan::none(),
-            sessions: None,
         })
     }
 
@@ -481,21 +471,6 @@ mod tests {
             future.validate(),
             Err(CassetteError::UnsupportedVersion { .. })
         ));
-    }
-
-    #[test]
-    fn session_specs_are_unrecordable() {
-        let mut spec =
-            ScenarioSpec::new("sessions", "", DeploymentRef::SingleClusterTest, Vec::new());
-        spec.sessions = Some(crate::scenario::SessionClosedLoop {
-            config: crate::sessions::SessionWorkloadConfig::table1(models::LLAMA_8B, 4, 60),
-            webui_overhead_ms: 1200,
-        });
-        let compiled = spec.compile(1);
-        match Cassette::from_run(&spec, 1, &compiled, Vec::new()) {
-            Err(CassetteError::Unrecordable(_)) => {}
-            other => panic!("expected Unrecordable, got {other:?}"),
-        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use cassette::{
 };
 pub use scenario::{
     catalog, CompiledScenario, DeploymentRef, ModelShare, ScenarioArrival, ScenarioArrivals,
-    ScenarioRequest, ScenarioSpec, SessionClosedLoop, SloTarget, TenantClass, TenantWorkload,
+    ScenarioRequest, ScenarioSpec, SloTarget, TenantClass, TenantWorkload,
 };
 pub use sessions::{generate_sessions, SessionPlan, SessionWorkloadConfig};
 pub use sharegpt::{ConversationSample, ShareGptGenerator, ShareGptProfile};

@@ -13,7 +13,6 @@
 //! golden test and CI smoke run shares.
 
 use crate::arrival::{ArrivalCursor, ArrivalProcess, ReplayEntry, ReplayTrack};
-use crate::sessions::SessionWorkloadConfig;
 use crate::sharegpt::{ConversationSample, ShareGptGenerator, ShareGptProfile};
 use crate::trace::{generate_trace, DeploymentTraceConfig, TraceEntry, TraceEntryKind};
 use first_chaos::{FaultPlan, ShardFaultPlan};
@@ -171,17 +170,6 @@ impl TenantClass {
     }
 }
 
-/// A closed-loop WebUI session rider: when present, the scenario runner
-/// drives these sessions through the gateway after the open-loop stream
-/// drains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionClosedLoop {
-    /// The session workload (model, concurrency, window, think times).
-    pub config: SessionWorkloadConfig,
-    /// WebUI backend overhead per message, milliseconds.
-    pub webui_overhead_ms: u64,
-}
-
 /// Declarative description of one full multi-tenant run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
@@ -198,7 +186,7 @@ pub struct ScenarioSpec {
     /// Simulation horizon in seconds; arrivals past it are dropped from the
     /// stream and the run stops there even if undrained.
     pub horizon_s: f64,
-    /// Open-loop tenant classes (may be empty for pure closed-loop runs).
+    /// Open-loop tenant classes.
     pub tenants: Vec<TenantClass>,
     /// Embedded fault schedule ([`FaultPlan::none`] for fault-free runs).
     pub faults: FaultPlan,
@@ -208,8 +196,6 @@ pub struct ScenarioSpec {
     /// deserialize.
     #[serde(default)]
     pub shard_faults: ShardFaultPlan,
-    /// Optional closed-loop session rider.
-    pub sessions: Option<SessionClosedLoop>,
 }
 
 impl ScenarioSpec {
@@ -230,7 +216,6 @@ impl ScenarioSpec {
             tenants,
             faults: FaultPlan::none(),
             shard_faults: ShardFaultPlan::none(),
-            sessions: None,
         }
     }
 
@@ -862,17 +847,6 @@ pub fn catalog(n: usize) -> Vec<ScenarioSpec> {
     );
     cold_start.prewarm = 0;
 
-    let mut sessions = ScenarioSpec::new(
-        "closed-loop-sessions",
-        "closed-loop WebUI sessions (think-time-driven) on the test cluster",
-        DeploymentRef::SingleClusterTest,
-        Vec::new(),
-    );
-    sessions.sessions = Some(SessionClosedLoop {
-        config: SessionWorkloadConfig::table1(LLAMA_8B, (n / 16).clamp(4, 32), 60),
-        webui_overhead_ms: 1200,
-    });
-
     // Tenant names are chosen so that on a 4-shard ring each shard hosts
     // exactly one tenant ("copilot" homes on shard 1, the one the plan
     // kills): the outage must re-home copilot's keys and nobody else's.
@@ -919,7 +893,6 @@ pub fn catalog(n: usize) -> Vec<ScenarioSpec> {
         chaos,
         inversion,
         cold_start,
-        sessions,
         shard_outage,
     ]
 }
@@ -940,10 +913,6 @@ mod tests {
         assert!(
             specs.iter().any(|s| !s.faults.is_empty()),
             "a chaos scenario"
-        );
-        assert!(
-            specs.iter().any(|s| s.sessions.is_some()),
-            "a session scenario"
         );
         assert!(
             specs.iter().any(|s| s

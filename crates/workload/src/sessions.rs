@@ -8,10 +8,9 @@
 
 use crate::sharegpt::{ConversationSample, ShareGptGenerator, ShareGptProfile};
 use first_desim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one WebUI concurrency benchmark cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionWorkloadConfig {
     /// Target model.
     pub model: String,
@@ -48,7 +47,7 @@ impl SessionWorkloadConfig {
 }
 
 /// One simulated WebUI session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionPlan {
     /// Session index.
     pub session_id: usize,

@@ -1,28 +1,32 @@
-//! A name scan for public functions that nothing reaches.
+//! A name scan for public items that nothing reaches.
 //!
-//! It lists every `pub fn` under `crates/*/src` whose name appears nowhere
-//! else: not in any other `.rs` file under `crates/`, `src/`, `tests/`,
-//! `examples/` or `perfbench/src`, and not elsewhere in its own file's text
-//! before the file's first `#[cfg(test)]`. A function that only its own unit
-//! tests call is therefore listed. Comments are not stripped, so a doc
-//! comment that names a function counts as a caller.
+//! It lists every `pub fn`, `pub const fn`, `pub struct`, `pub enum`,
+//! `pub type`, `pub trait`, `pub static` and `pub const` under
+//! `crates/*/src` whose name appears nowhere else: not in any other `.rs`
+//! file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`,
+//! and not elsewhere in its own file's text before the file's first
+//! `#[cfg(test)]`. An item that only its own unit tests use is therefore
+//! listed. Comments are not stripped, so a doc comment that names an item
+//! counts as a use.
 //!
 //! The list must equal [`SURVIVORS`], each entry with a reason. A new
-//! unreached function fails the test, and so does a survivor that gains a
-//! caller or is deleted: either delete the function or give it a caller, or
-//! add it to the table with the reason it stays.
+//! unreached item fails the test, and so does a survivor that gains a use
+//! or is deleted: either delete the item or give it a use, or add it to the
+//! table with the reason it stays.
 //!
 //! The match is by name, not by resolved path. A common name such as `inc`
 //! or `new` that some other item also uses anywhere in the tree hides an
-//! unreached function, so the scan can miss code; it never lists code that
-//! has a caller. A function used only inside its own file should not be
-//! `pub`: rustc's `dead_code` lint guards private functions.
+//! unreached item, and an `impl` block in the item's own file counts as a
+//! use of a type, so the scan can miss code; it never lists code that has a
+//! use. Enum variants and fields are not scanned. An item used only inside
+//! its own file should not be `pub`: rustc's `dead_code` lint guards
+//! private items.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// `(file, function, why it stays)` for each listed function kept on purpose.
+/// `(file, item, why it stays)` for each listed item kept on purpose.
 const SURVIVORS: &[(&str, &str, &str)] = &[(
     "crates/serving/src/engine.rs",
     "kv_utilization",
@@ -63,10 +67,21 @@ fn own_text(text: &str) -> &str {
     text.find("#[cfg(test)]").map_or(text, |i| &text[..i])
 }
 
-/// `(line, name)` of each `pub fn` or `pub const fn` declared in `own`.
-fn pub_fns(own: &str) -> Vec<(usize, &str)> {
+/// `(line, name)` of each public item declared in `own` (a `pub const fn`
+/// is found by `"pub const "`, as `fn`, and again by `"pub const fn "`; the
+/// `fn` hit is dropped).
+fn pub_items(own: &str) -> Vec<(usize, &str)> {
     let mut out = Vec::new();
-    for marker in ["pub fn ", "pub const fn "] {
+    for marker in [
+        "pub fn ",
+        "pub const fn ",
+        "pub struct ",
+        "pub enum ",
+        "pub type ",
+        "pub trait ",
+        "pub static ",
+        "pub const ",
+    ] {
         let mut from = 0;
         while let Some(at) = own[from..].find(marker).map(|i| from + i) {
             from = at + marker.len();
@@ -78,7 +93,7 @@ fn pub_fns(own: &str) -> Vec<(usize, &str)> {
                 .bytes()
                 .position(|b| !is_ident_byte(b))
                 .unwrap_or(rest.len());
-            if end > 0 {
+            if end > 0 && &rest[..end] != "fn" {
                 out.push((own[..at].matches('\n').count() + 1, &rest[..end]));
             }
         }
@@ -101,7 +116,7 @@ fn every_unreached_pub_fn_is_a_listed_survivor() {
             let rel = rel.to_string_lossy().replace('\\', "/");
             (rel, fs::read_to_string(path).expect("readable source"))
         })
-        // The survivor table names its functions; it is not a caller.
+        // The survivor table names its items; it is not a use.
         .filter(|(rel, _)| rel != file!())
         .collect();
     // Which files mention each word anywhere.
@@ -120,7 +135,7 @@ fn every_unreached_pub_fn_is_a_listed_survivor() {
             continue;
         }
         let own = own_text(text);
-        for (line, name) in pub_fns(own) {
+        for (line, name) in pub_items(own) {
             let elsewhere = mentioned_in[name].iter().any(|f| f != file);
             let own_uses = words(own).filter(|w| *w == name).count();
             if !elsewhere && own_uses < 2 {
@@ -145,7 +160,7 @@ fn every_unreached_pub_fn_is_a_listed_survivor() {
         .collect();
     assert!(
         new.is_empty() && reached.is_empty(),
-        "unreached pub fns not in SURVIVORS (delete them, give them a caller, \
+        "unreached pub items not in SURVIVORS (delete them, give them a use, \
          or list them with a reason): {new:#?}\n\
          SURVIVORS entries that are reached or gone (drop them): {reached:#?}"
     );
