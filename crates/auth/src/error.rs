@@ -1,10 +1,9 @@
 //! Error types for the authentication and authorization service.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors returned by the auth service and by policy evaluation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuthError {
     /// The presented token is not known to the service.
     UnknownToken,
@@ -44,4 +43,4 @@ impl fmt::Display for AuthError {
 impl std::error::Error for AuthError {}
 
 /// Convenient result alias.
-pub type AuthResult<T> = Result<T, AuthError>;
+pub(crate) type AuthResult<T> = Result<T, AuthError>;

@@ -7,41 +7,22 @@
 use crate::identity::UserId;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A named access group.
+/// An access group's members; the registry keys it by name, e.g.
+/// `"first-users"` or `"auroragpt-early-access"`.
 #[derive(Debug, Clone, Default)]
-pub struct Group {
-    /// Group name, e.g. `"first-users"` or `"auroragpt-early-access"`.
-    pub name: String,
+pub(crate) struct Group {
     members: BTreeSet<UserId>,
 }
 
 impl Group {
-    /// Create an empty group.
-    pub fn new(name: impl Into<String>) -> Self {
-        Group {
-            name: name.into(),
-            members: BTreeSet::new(),
-        }
-    }
-
     /// Add a member (adding one twice is a no-op).
-    pub fn add_member(&mut self, user: UserId) {
+    pub(crate) fn add_member(&mut self, user: UserId) {
         self.members.insert(user);
     }
 
     /// Whether the user is a member.
-    pub fn contains(&self, user: &UserId) -> bool {
+    pub(crate) fn contains(&self, user: &UserId) -> bool {
         self.members.contains(user)
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when the group has no members.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 }
 
@@ -53,7 +34,7 @@ pub struct GroupRegistry {
 
 impl GroupRegistry {
     /// Create an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -63,18 +44,13 @@ impl GroupRegistry {
         if self.groups.contains_key(&name) {
             return false;
         }
-        self.groups.insert(name.clone(), Group::new(name));
+        self.groups.insert(name.clone(), Group::default());
         true
     }
 
     /// Look up a group.
-    pub fn get(&self, name: &str) -> Option<&Group> {
+    pub(crate) fn get(&self, name: &str) -> Option<&Group> {
         self.groups.get(name)
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Group> {
-        self.groups.get_mut(name)
     }
 
     /// Add a member to a group, creating the group if needed.
@@ -87,7 +63,7 @@ impl GroupRegistry {
     }
 
     /// All group names the user belongs to, sorted.
-    pub fn groups_of(&self, user: &UserId) -> Vec<String> {
+    pub(crate) fn groups_of(&self, user: &UserId) -> Vec<String> {
         let mut out: BTreeSet<String> = BTreeSet::new();
         for (name, g) in &self.groups {
             if g.contains(user) {
@@ -99,23 +75,13 @@ impl GroupRegistry {
 
     /// Whether the user belongs to *any* of the listed groups. An empty list
     /// means "no group requirement" and always passes.
-    pub fn member_of_any(&self, user: &UserId, required: &[String]) -> bool {
+    pub(crate) fn member_of_any(&self, user: &UserId, required: &[String]) -> bool {
         if required.is_empty() {
             return true;
         }
         required
             .iter()
             .any(|g| self.get(g).map(|g| g.contains(user)).unwrap_or(false))
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when no groups exist.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
     }
 }
 
@@ -125,14 +91,14 @@ mod tests {
 
     #[test]
     fn group_membership() {
-        let mut g = Group::new("first-users");
+        let mut g = Group::default();
         g.add_member(UserId::new("alice"));
         g.add_member(UserId::new("bob"));
         g.add_member(UserId::new("bob"));
         assert!(g.contains(&UserId::new("alice")));
         assert!(g.contains(&UserId::new("bob")));
         assert!(!g.contains(&UserId::new("carol")));
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.members.len(), 2);
     }
 
     #[test]
@@ -167,6 +133,6 @@ mod tests {
         let mut reg = GroupRegistry::new();
         assert!(reg.create_group("g"));
         assert!(!reg.create_group("g"));
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.groups.len(), 1);
     }
 }

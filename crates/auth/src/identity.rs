@@ -3,10 +3,8 @@
 //! Mirrors the roles Globus Auth plays in the paper (§3.1.2): users log in
 //! through institutional identity providers (possibly with MFA).
 
-use serde::{Deserialize, Serialize};
-
 /// Opaque user identifier (`user@institution` style principal).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct UserId(pub String);
 
 impl UserId {
@@ -23,19 +21,19 @@ impl std::fmt::Display for UserId {
 }
 
 /// An institutional identity provider (university, laboratory, ORCID, ...).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IdentityProvider {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct IdentityProvider {
     /// Display name, e.g. `"anl.gov"` or `"uchicago.edu"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Whether the deployment's Globus policy accepts logins from this IdP.
-    pub trusted: bool,
+    pub(crate) trusted: bool,
     /// Whether this IdP enforces multi-factor authentication at login.
-    pub enforces_mfa: bool,
+    pub(crate) enforces_mfa: bool,
 }
 
 impl IdentityProvider {
     /// A trusted, MFA-enforcing institutional provider.
-    pub fn trusted(name: impl Into<String>) -> Self {
+    pub(crate) fn trusted(name: impl Into<String>) -> Self {
         IdentityProvider {
             name: name.into(),
             trusted: true,
@@ -45,16 +43,16 @@ impl IdentityProvider {
 }
 
 /// A registered user identity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Identity {
     /// The user's principal.
-    pub user: UserId,
+    pub(crate) user: UserId,
     /// Identity provider through which the user authenticates.
-    pub provider: String,
+    pub(crate) provider: String,
     /// Whether the user completed multi-factor authentication.
-    pub mfa_completed: bool,
+    pub(crate) mfa_completed: bool,
     /// Free-form project affiliation used in the request log.
-    pub project: String,
+    pub(crate) project: String,
 }
 
 impl Identity {
@@ -73,12 +71,6 @@ impl Identity {
         self.project = project.into();
         self
     }
-
-    /// Mark MFA as not completed (used to exercise policy rejections).
-    pub fn without_mfa(mut self) -> Self {
-        self.mfa_completed = false;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -91,8 +83,6 @@ mod tests {
         assert_eq!(id.user, UserId::new("alice"));
         assert!(id.mfa_completed);
         assert_eq!(id.project, "climate");
-        let no_mfa = Identity::new("bob", "anl.gov").without_mfa();
-        assert!(!no_mfa.mfa_completed);
     }
 
     #[test]

@@ -18,11 +18,7 @@ pub mod policy;
 pub mod service;
 pub mod token;
 
-pub use error::{AuthError, AuthResult};
-pub use groups::{Group, GroupRegistry};
-pub use identity::{Identity, IdentityProvider, UserId};
+pub use identity::{Identity, UserId};
 pub use policy::{AccessPolicy, ResourceRule};
-pub use service::{AuthLatencyModel, AuthService, AuthServiceStats};
-pub use token::{
-    AccessToken, IntrospectionResult, Scope, TokenString, DEFAULT_ACCESS_TOKEN_LIFETIME,
-};
+pub use service::AuthService;
+pub use token::{IntrospectionResult, Scope, TokenString};

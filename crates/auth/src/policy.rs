@@ -5,24 +5,16 @@
 use crate::error::{AuthError, AuthResult};
 use crate::groups::GroupRegistry;
 use crate::identity::{Identity, IdentityProvider, UserId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A group-gated resource rule: access requires membership in any listed group.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ResourceRule {
     /// Groups granting access; empty means "any platform user".
-    pub allowed_groups: Vec<String>,
+    pub(crate) allowed_groups: Vec<String>,
 }
 
 impl ResourceRule {
-    /// Rule open to every platform user.
-    pub fn open() -> Self {
-        ResourceRule {
-            allowed_groups: Vec::new(),
-        }
-    }
-
     /// Rule restricted to the listed groups.
     pub fn restricted(groups: &[&str]) -> Self {
         ResourceRule {
@@ -32,16 +24,16 @@ impl ResourceRule {
 }
 
 /// The deployment-wide access policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccessPolicy {
     /// Identity providers accepted at login.
-    pub trusted_providers: Vec<IdentityProvider>,
+    pub(crate) trusted_providers: Vec<IdentityProvider>,
     /// Whether MFA is mandatory (Globus high-assurance style policy).
-    pub require_mfa: bool,
+    pub(crate) require_mfa: bool,
     /// Groups granting baseline access to the platform; empty means open.
-    pub platform_groups: Vec<String>,
+    pub(crate) platform_groups: Vec<String>,
     /// Per-model access rules (model name → rule).
-    pub model_rules: BTreeMap<String, ResourceRule>,
+    pub(crate) model_rules: BTreeMap<String, ResourceRule>,
 }
 
 impl Default for AccessPolicy {
@@ -66,7 +58,7 @@ impl AccessPolicy {
     }
 
     /// Validate a login attempt: provider trust and MFA.
-    pub fn validate_login(&self, identity: &Identity) -> AuthResult<()> {
+    pub(crate) fn validate_login(&self, identity: &Identity) -> AuthResult<()> {
         let provider = self
             .trusted_providers
             .iter()
@@ -136,17 +128,17 @@ mod tests {
     #[test]
     fn login_requires_mfa_when_policy_says_so() {
         let policy = AccessPolicy::default();
-        let err = policy
-            .validate_login(&Identity::new("alice", "anl.gov").without_mfa())
-            .unwrap_err();
+        let no_mfa = Identity {
+            mfa_completed: false,
+            ..Identity::new("alice", "anl.gov")
+        };
+        let err = policy.validate_login(&no_mfa).unwrap_err();
         assert_eq!(err, AuthError::MfaRequired);
         let relaxed = AccessPolicy {
             require_mfa: false,
             ..AccessPolicy::default()
         };
-        assert!(relaxed
-            .validate_login(&Identity::new("alice", "anl.gov").without_mfa())
-            .is_ok());
+        assert!(relaxed.validate_login(&no_mfa).is_ok());
     }
 
     #[test]

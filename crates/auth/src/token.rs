@@ -6,13 +6,12 @@
 
 use crate::identity::UserId;
 use first_desim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Default access-token lifetime (48 hours, §4.6).
-pub const DEFAULT_ACCESS_TOKEN_LIFETIME: SimDuration = SimDuration(48 * 3600 * 1_000_000);
+pub(crate) const DEFAULT_ACCESS_TOKEN_LIFETIME: SimDuration = SimDuration(48 * 3600 * 1_000_000);
 
 /// Scopes a token may carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scope {
     /// Call the inference gateway API.
     InferenceApi,
@@ -25,7 +24,7 @@ pub enum Scope {
 }
 
 /// An opaque bearer token string.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TokenString(pub String);
 
 impl TokenString {
@@ -36,40 +35,31 @@ impl TokenString {
 }
 
 /// Server-side record of an issued access token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccessToken {
     /// The bearer value presented in request headers.
     pub token: TokenString,
     /// Principal the token was issued to.
-    pub user: UserId,
+    pub(crate) user: UserId,
     /// Scopes granted.
-    pub scopes: Vec<Scope>,
-    /// Issue time.
-    pub issued_at: SimTime,
+    pub(crate) scopes: Vec<Scope>,
     /// Expiry time.
-    pub expires_at: SimTime,
+    pub(crate) expires_at: SimTime,
     /// Whether the token has been revoked by an administrator.
-    pub revoked: bool,
+    pub(crate) revoked: bool,
     /// Paired refresh token, if offline refresh was requested.
     pub refresh_token: Option<TokenString>,
 }
 
-impl AccessToken {
-    /// Whether the token is valid (not expired, not revoked) at `now`.
-    pub fn is_valid_at(&self, now: SimTime) -> bool {
-        !self.revoked && now < self.expires_at
-    }
-}
-
 /// The result of a successful token introspection, as the gateway sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IntrospectionResult {
     /// Principal the token belongs to.
     pub user: UserId,
     /// Scopes attached to the token.
     pub scopes: Vec<Scope>,
     /// Groups the user belongs to, resolved at introspection time.
-    pub groups: Vec<String>,
+    pub(crate) groups: Vec<String>,
     /// Token expiry.
     pub expires_at: SimTime,
 }
@@ -77,31 +67,41 @@ pub struct IntrospectionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::AuthError;
+    use crate::identity::Identity;
+    use crate::policy::AccessPolicy;
+    use crate::service::AuthService;
 
-    fn sample(issued: SimTime) -> AccessToken {
-        AccessToken {
-            token: TokenString::new("tok"),
-            user: UserId::new("alice"),
-            scopes: vec![Scope::InferenceApi],
-            issued_at: issued,
-            expires_at: issued + DEFAULT_ACCESS_TOKEN_LIFETIME,
-            revoked: false,
-            refresh_token: None,
-        }
+    fn issue() -> (AuthService, AccessToken) {
+        let mut svc = AuthService::new(AccessPolicy::default(), 7);
+        svc.enroll_user(&UserId::new("alice"));
+        let (tok, _) = svc
+            .login(
+                &Identity::new("alice", "anl.gov"),
+                &[Scope::InferenceApi],
+                SimTime::ZERO,
+            )
+            .unwrap();
+        (svc, tok)
     }
 
     #[test]
     fn token_valid_until_expiry() {
-        let t = sample(SimTime::ZERO);
-        assert!(t.is_valid_at(SimTime::from_secs(3600)));
-        assert!(t.is_valid_at(SimTime::from_secs(48 * 3600 - 1)));
-        assert!(!t.is_valid_at(SimTime::from_secs(48 * 3600)));
+        let (mut svc, t) = issue();
+        assert!(svc.introspect(&t.token, SimTime::from_secs(3600)).0.is_ok());
+        assert!(svc
+            .introspect(&t.token, SimTime::from_secs(48 * 3600 - 1))
+            .0
+            .is_ok());
+        let (res, _) = svc.introspect(&t.token, SimTime::from_secs(48 * 3600));
+        assert_eq!(res.unwrap_err(), AuthError::TokenExpired);
     }
 
     #[test]
     fn revoked_token_is_invalid() {
-        let mut t = sample(SimTime::ZERO);
-        t.revoked = true;
-        assert!(!t.is_valid_at(SimTime::from_secs(1)));
+        let (mut svc, t) = issue();
+        svc.revoke(&t.token).unwrap();
+        let (res, _) = svc.introspect(&t.token, SimTime::from_secs(1));
+        assert_eq!(res.unwrap_err(), AuthError::TokenRevoked);
     }
 }

@@ -41,11 +41,7 @@ fn bench_scheduler(c: &mut Criterion) {
             let mut now = SimTime::ZERO;
             for i in 0..500u64 {
                 let id = sched.submit(
-                    JobRequest::single_node(
-                        (i % 8 + 1) as u32,
-                        SimDuration::from_hours(1),
-                        "bench",
-                    ),
+                    JobRequest::single_node((i % 8 + 1) as u32, SimDuration::from_hours(1)),
                     now,
                 );
                 now += SimDuration::from_secs(5);

@@ -26,9 +26,9 @@ pub struct PointStats {
     /// Wall-clock seconds this point took on its worker.
     pub wall_time_s: f64,
     /// Simulation events the point processed (seed-deterministic).
-    pub events_processed: u64,
+    pub(crate) events_processed: u64,
     /// Largest queue depth the point observed (seed-deterministic).
-    pub peak_queue_depth: usize,
+    pub(crate) peak_queue_depth: usize,
 }
 
 /// One sweep point's result plus its kernel measurement.

@@ -16,11 +16,10 @@
 pub mod executor;
 pub mod report;
 
-pub use executor::{aggregate_stats, PointRun, PointStats, ScenarioExecutor};
+pub use executor::{aggregate_stats, PointStats, ScenarioExecutor};
 pub use report::{
-    artifact_out_dir, baseline_dir, gate_compare, print_sim_stats, BenchArtifact, CassetteAbRun,
-    GateCheck, GateMetric, GateResult, PhaseDiff, ResilienceRow, TenantSloDiff, TraceSection,
-    SCHEMA_VERSION,
+    baseline_dir, gate_compare, print_sim_stats, BenchArtifact, CassetteAbRun, GateMetric,
+    PhaseDiff, ResilienceRow, TenantSloDiff, TraceSection,
 };
 
 use first_core::ScenarioReport;
@@ -70,11 +69,11 @@ pub fn arrivals(process: ArrivalProcess, n: usize, seed: u64) -> Vec<SimTime> {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Comparison {
     /// Metric name.
-    pub metric: String,
+    pub(crate) metric: String,
     /// Value reported in the paper.
-    pub paper: f64,
+    pub(crate) paper: f64,
     /// Value measured by this reproduction.
-    pub measured: f64,
+    pub(crate) measured: f64,
 }
 
 impl Comparison {
@@ -88,7 +87,7 @@ impl Comparison {
     }
 
     /// Ratio measured / paper (NaN-safe).
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         if self.paper.abs() < 1e-12 {
             0.0
         } else {

@@ -19,14 +19,14 @@ use std::path::{Path, PathBuf};
 
 /// Version stamp written into every artifact. Bump when a field changes
 /// meaning or is removed; adding fields is backward compatible.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// One gated metric: a named scalar plus the tolerance band the perf gate
 /// applies when comparing a fresh run against the committed baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GateMetric {
     /// Metric name, unique within an artifact.
-    pub name: String,
+    pub(crate) name: String,
     /// Measured value.
     pub value: f64,
     /// Fractional tolerance band: the gate fails when the current value is
@@ -34,7 +34,7 @@ pub struct GateMetric {
     /// Deterministic simulation metrics carry tight bands (~2%); wall-clock
     /// metrics carry wide ones so machine-to-machine noise passes while a
     /// genuine blow-up still trips.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Whether larger values are better (throughput) or worse (latency,
     /// wall-clock time, event counts).
     pub higher_is_better: bool,
@@ -44,7 +44,7 @@ pub struct GateMetric {
     /// machine — scheduling noise on a shared CI runner can multiply such a
     /// section several-fold, so the floor (e.g. 0.25 s) keeps the gate quiet
     /// until a slowdown is large in absolute terms too. 0 disables it.
-    pub floor: f64,
+    pub(crate) floor: f64,
 }
 
 impl GateMetric {
@@ -105,7 +105,7 @@ pub struct TenantSloDiff {
     /// Availability under the variant.
     pub variant_availability: f64,
     /// `variant_availability - baseline_availability`.
-    pub d_availability: f64,
+    pub(crate) d_availability: f64,
     /// Whether the tenant met its SLO in the baseline recording.
     pub slo_met_baseline: bool,
     /// Whether the tenant met its SLO under the variant.
@@ -154,7 +154,7 @@ pub struct PhaseDiff {
     /// p95 phase latency under the variant, seconds.
     pub variant_p95_s: f64,
     /// `variant_p95_s - baseline_p95_s`.
-    pub d_p95_s: f64,
+    pub(crate) d_p95_s: f64,
 }
 
 impl PhaseDiff {
@@ -236,21 +236,21 @@ pub struct ResilienceRow {
     /// Scenario label ("fault-free", "endpoint-flap", ...).
     pub label: String,
     /// Requests offered.
-    pub offered: usize,
+    pub(crate) offered: usize,
     /// Requests answered successfully.
-    pub completed: usize,
+    pub(crate) completed: usize,
     /// Requests that ultimately failed (after any retries) or were rejected.
-    pub failed: usize,
+    pub(crate) failed: usize,
     /// `completed / offered`.
     pub availability: f64,
     /// Median end-to-end latency of successful requests, in seconds.
-    pub median_latency_s: f64,
+    pub(crate) median_latency_s: f64,
     /// 99th-percentile end-to-end latency of successful requests, in seconds.
     pub p99_latency_s: f64,
     /// Output tokens delivered to clients.
-    pub output_tokens: u64,
+    pub(crate) output_tokens: u64,
     /// Output tokens per second over the run (the goodput measure).
-    pub goodput_tok_s: f64,
+    pub(crate) goodput_tok_s: f64,
     /// Run duration in seconds (first arrival → last delivery).
     pub duration_s: f64,
     /// Retries issued by the gateway.
@@ -262,7 +262,7 @@ pub struct ResilienceRow {
     /// Hedged requests issued.
     pub hedges: u64,
     /// Faults the injector actually applied.
-    pub faults_injected: usize,
+    pub(crate) faults_injected: usize,
 }
 
 impl ResilienceRow {
@@ -355,11 +355,11 @@ impl ResilienceRow {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchArtifact {
     /// Schema version ([`SCHEMA_VERSION`] at write time).
-    pub schema_version: u32,
+    pub(crate) schema_version: u32,
     /// Benchmark name (the binary name; the file is `BENCH_<name>.json`).
-    pub name: String,
+    pub(crate) name: String,
     /// Base RNG seed the run used (`FIRST_BENCH_SEED`).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Request count the run used (`FIRST_BENCH_REQUESTS`).
     pub requests: usize,
     /// Kernel measurement of the whole run: wall-clock seconds, virtual
@@ -368,26 +368,26 @@ pub struct BenchArtifact {
     /// Open-loop scenario reports (empty when not applicable).
     pub scenarios: Vec<ScenarioReport>,
     /// Resilience-sweep reports (empty when not applicable).
-    pub resilience: Vec<ResilienceRow>,
+    pub(crate) resilience: Vec<ResilienceRow>,
     /// WebUI closed-loop cells (empty when not applicable).
-    pub webui: Vec<WebUiCell>,
+    pub(crate) webui: Vec<WebUiCell>,
     /// Scenario-matrix runs with per-tenant SLO partitions (empty when not
     /// applicable; `default` so pre-scenario artifacts still parse).
     #[serde(default)]
-    pub scenario_runs: Vec<GatewayReport>,
+    pub(crate) scenario_runs: Vec<GatewayReport>,
     /// Cassette A/B replay variants with per-tenant SLO diffs against the
     /// baseline recording (empty when not applicable; `default` so
     /// pre-cassette artifacts still parse).
     #[serde(default)]
-    pub cassette_ab: Vec<CassetteAbRun>,
+    pub(crate) cassette_ab: Vec<CassetteAbRun>,
     /// Flight-recorder trace sections from traced runs (empty when the run
     /// was untraced; `default` so pre-tracing artifacts still parse).
     #[serde(default)]
-    pub trace: Vec<TraceSection>,
+    pub(crate) trace: Vec<TraceSection>,
     /// Paper-vs-measured comparison rows (empty when not applicable).
-    pub comparisons: Vec<Comparison>,
+    pub(crate) comparisons: Vec<Comparison>,
     /// Flat gate metrics derived from the run (what `perf_gate` compares).
-    pub metrics: Vec<GateMetric>,
+    pub(crate) metrics: Vec<GateMetric>,
 }
 
 impl BenchArtifact {
@@ -489,7 +489,7 @@ impl BenchArtifact {
     }
 
     /// Look up a gate metric by name.
-    pub fn metric(&self, name: &str) -> Option<&GateMetric> {
+    pub(crate) fn metric(&self, name: &str) -> Option<&GateMetric> {
         self.metrics.iter().find(|m| m.name == name)
     }
 
@@ -550,33 +550,33 @@ pub fn baseline_dir() -> PathBuf {
 }
 
 /// One per-metric comparison the gate performed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GateCheck {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct GateCheck {
     /// Metric name.
-    pub name: String,
+    pub(crate) name: String,
     /// Baseline value.
-    pub baseline: f64,
+    pub(crate) baseline: f64,
     /// Current value.
-    pub current: f64,
+    pub(crate) current: f64,
     /// `current / baseline` (0 when the baseline is 0).
-    pub ratio: f64,
+    pub(crate) ratio: f64,
     /// Tolerance band applied (from the baseline artifact).
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Whether the metric regressed beyond the band.
-    pub regressed: bool,
+    pub(crate) regressed: bool,
 }
 
 /// Outcome of gating one artifact against its baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GateResult {
     /// Per-metric checks, in baseline order.
-    pub checks: Vec<GateCheck>,
+    pub(crate) checks: Vec<GateCheck>,
     /// Baseline metrics absent from the current run (a hard failure: a
     /// silently dropped metric must not weaken the gate).
-    pub missing: Vec<String>,
+    pub(crate) missing: Vec<String>,
     /// Current metrics absent from the baseline (informational; they start
     /// being gated once the baseline is refreshed).
-    pub ungated: Vec<String>,
+    pub(crate) ungated: Vec<String>,
 }
 
 impl GateResult {

@@ -71,7 +71,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// The endpoint this fault targets, if any (latency spikes are global).
-    pub fn endpoint(&self) -> Option<&str> {
+    pub(crate) fn endpoint(&self) -> Option<&str> {
         match self {
             FaultKind::NodeCrash { endpoint, .. }
             | FaultKind::JobPreemption { endpoint }
@@ -99,7 +99,7 @@ impl FaultKind {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// When the fault strikes.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// What happens.
     pub kind: FaultKind,
 }
@@ -271,28 +271,6 @@ pub enum ShardFaultKind {
     },
 }
 
-impl ShardFaultKind {
-    /// The shard this fault targets, if any (fan-in spikes hit every shard).
-    pub fn shard(&self) -> Option<usize> {
-        match self {
-            ShardFaultKind::ShardCrash { shard }
-            | ShardFaultKind::ShardRestart { shard }
-            | ShardFaultKind::FrontTierPartition { shard, .. } => Some(*shard),
-            ShardFaultKind::FanInLatencySpike { .. } => None,
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShardFaultKind::ShardCrash { .. } => "shard-crash",
-            ShardFaultKind::ShardRestart { .. } => "shard-restart",
-            ShardFaultKind::FrontTierPartition { .. } => "front-tier-partition",
-            ShardFaultKind::FanInLatencySpike { .. } => "fanin-latency-spike",
-        }
-    }
-}
-
 /// A shard-scoped fault scheduled at an absolute virtual time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardFaultEvent {
@@ -362,7 +340,7 @@ impl ShardFaultPlan {
 }
 
 /// A fault the injector actually applied (for logs and assertions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppliedFault {
     /// Virtual time of application.
     pub at: SimTime,
@@ -372,7 +350,7 @@ pub struct AppliedFault {
     pub endpoint: Option<String>,
     /// Whether the fault found something to break (e.g. a preemption with no
     /// running instance applies vacuously).
-    pub effective: bool,
+    pub(crate) effective: bool,
 }
 
 /// Scheduled recovery action paired with an applied fault.
@@ -388,7 +366,6 @@ pub struct FaultInjector {
     pending: Vec<FaultEvent>,
     restores: Vec<(SimTime, RestoreAction)>,
     applied: Vec<AppliedFault>,
-    planned: usize,
 }
 
 impl FaultInjector {
@@ -397,17 +374,10 @@ impl FaultInjector {
         let mut pending = plan.events;
         pending.reverse();
         FaultInjector {
-            planned: pending.len(),
             pending,
             restores: Vec::new(),
             applied: Vec::new(),
         }
-    }
-
-    /// Whether the plan scheduled any fault at all (drives "chaos active"
-    /// gating in examples and alerts).
-    pub fn is_active(&self) -> bool {
-        self.planned > 0
     }
 
     /// Earliest pending fault or recovery instant, if any.
@@ -626,7 +596,6 @@ mod tests {
                 },
             );
         let mut injector = FaultInjector::new(plan);
-        assert!(injector.is_active());
         assert_eq!(injector.next_event_time(), Some(SimTime::from_secs(2)));
         let mut service = ComputeService::new(first_fabric::FabricLatencyModel::default());
         let applied = injector.apply_due(&mut service, SimTime::from_secs(3));
@@ -636,7 +605,6 @@ mod tests {
         injector.apply_due(&mut service, SimTime::from_secs(10));
         assert!(injector.is_exhausted());
         assert_eq!(injector.applied().len(), 2);
-        assert!(!FaultInjector::new(FaultPlan::none()).is_active());
     }
 
     #[test]
@@ -659,9 +627,14 @@ mod tests {
             );
         assert_eq!(plan.len(), 3);
         assert!(plan.events().windows(2).all(|w| w[0].at <= w[1].at));
-        assert_eq!(plan.events()[0].kind.label(), "shard-crash");
-        assert_eq!(plan.events()[0].kind.shard(), Some(1));
-        assert_eq!(plan.events()[1].kind.shard(), None);
+        assert_eq!(
+            plan.events()[0].kind,
+            ShardFaultKind::ShardCrash { shard: 1 }
+        );
+        assert!(matches!(
+            plan.events()[1].kind,
+            ShardFaultKind::FanInLatencySpike { .. }
+        ));
         let json = serde_json::to_string(&plan).unwrap();
         let back: ShardFaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
@@ -683,13 +656,12 @@ mod tests {
             ShardFaultKind::ShardRestart { shard: 2 }
         );
         assert_eq!(plan.events()[1].at, SimTime::from_secs(40));
-        assert_eq!(
+        assert!(matches!(
             ShardFaultPlan::partition(0, SimTime::from_secs(5), SimDuration::from_secs(9)).events()
                 [0]
-            .kind
-            .label(),
-            "front-tier-partition"
-        );
+            .kind,
+            ShardFaultKind::FrontTierPartition { shard: 0, .. }
+        ));
     }
 
     #[test]

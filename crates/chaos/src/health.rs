@@ -7,7 +7,7 @@
 //! to a dead one, and hedge requests that appear stuck. This module provides
 //! those primitives: per-endpoint [`HealthState`]s driven by observed
 //! successes/failures, an exponential-backoff [`RetryPolicy`], a
-//! [`CircuitBreaker`], and the [`ResilienceConfig`] bundle the gateway
+//! `CircuitBreaker`, and the [`ResilienceConfig`] bundle the gateway
 //! consumes.
 
 use first_desim::{SimDuration, SimTime};
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Coarse health of one federated endpoint, as seen from the gateway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
     /// Recent requests succeeded; route freely.
     Healthy,
@@ -98,15 +98,15 @@ impl RetryPolicy {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CircuitBreakerConfig {
     /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
+    pub(crate) failure_threshold: u32,
     /// How long the breaker stays open before allowing a half-open probe.
-    pub open_for: SimDuration,
+    pub(crate) open_for: SimDuration,
     /// How long past the breaker's open window an endpoint is still reported
     /// [`HealthState::Degraded`]: after its last failure an endpoint spends
     /// up to `open_for` unavailable, then stays degraded until
     /// `open_for + degraded_window` has elapsed since that failure, after
     /// which it optimistically returns to full rotation.
-    pub degraded_window: SimDuration,
+    pub(crate) degraded_window: SimDuration,
 }
 
 impl Default for CircuitBreakerConfig {
@@ -128,7 +128,7 @@ enum BreakerState {
 
 /// A per-endpoint circuit breaker (closed → open → half-open → closed).
 #[derive(Debug, Clone)]
-pub struct CircuitBreaker {
+pub(crate) struct CircuitBreaker {
     config: CircuitBreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
@@ -137,21 +137,12 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with the given tuning.
-    pub fn new(config: CircuitBreakerConfig) -> Self {
+    pub(crate) fn new(config: CircuitBreakerConfig) -> Self {
         CircuitBreaker {
             config,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             trips: 0,
-        }
-    }
-
-    /// Whether requests may be sent through the breaker at `now` (closed, or
-    /// open long enough that a half-open probe is due).
-    pub fn allows(&self, now: SimTime) -> bool {
-        match self.state {
-            BreakerState::Closed => true,
-            BreakerState::Open(until) => now >= until,
         }
     }
 
@@ -161,7 +152,7 @@ impl CircuitBreaker {
     }
 
     /// Times the breaker has transitioned to open.
-    pub fn trips(&self) -> u64 {
+    pub(crate) fn trips(&self) -> u64 {
         self.trips
     }
 
@@ -169,7 +160,7 @@ impl CircuitBreaker {
     /// half-open state: a stale success relayed for work that was already in
     /// flight before an outage must not reset a fully-open breaker while the
     /// endpoint is still unreachable.
-    pub fn on_success(&mut self, now: SimTime) {
+    pub(crate) fn on_success(&mut self, now: SimTime) {
         match self.state {
             BreakerState::Open(until) if now < until => {}
             _ => {
@@ -181,7 +172,7 @@ impl CircuitBreaker {
 
     /// Record a failure. Returns `true` when this failure (re-)tripped the
     /// breaker open — a failed half-open probe reopens immediately.
-    pub fn on_failure(&mut self, now: SimTime) -> bool {
+    pub(crate) fn on_failure(&mut self, now: SimTime) -> bool {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         match self.state {
             BreakerState::Open(until) if now >= until => {
@@ -318,14 +309,6 @@ impl HealthTracker {
             .map(|e| (e.successes, e.failures))
             .unwrap_or((0, 0))
     }
-
-    /// Health state of every tracked endpoint, in name order.
-    pub fn snapshot(&self, now: SimTime) -> Vec<(String, HealthState)> {
-        self.endpoints
-            .keys()
-            .map(|name| (name.clone(), self.state(name, now)))
-            .collect()
-    }
 }
 
 /// The resilience bundle the gateway consumes: failover-aware routing,
@@ -378,22 +361,19 @@ mod tests {
         let t0 = SimTime::ZERO;
         assert!(!b.on_failure(t0));
         assert!(!b.on_failure(t0));
-        assert!(b.allows(t0));
+        assert!(!b.is_open(t0));
         // Third consecutive failure trips it.
         assert!(b.on_failure(t0));
         assert_eq!(b.trips(), 1);
-        assert!(!b.allows(SimTime::from_secs(30)));
         assert!(b.is_open(SimTime::from_secs(30)));
         // A stale success arriving while the breaker is still open (work that
         // was in flight before the outage) must not reset it.
         b.on_success(SimTime::from_secs(30));
-        assert!(!b.allows(SimTime::from_secs(31)));
+        assert!(b.is_open(SimTime::from_secs(31)));
         // After open_for, a half-open probe is allowed.
-        assert!(b.allows(SimTime::from_secs(61)));
         assert!(!b.is_open(SimTime::from_secs(61)));
         // Successful probe closes the breaker.
         b.on_success(SimTime::from_secs(61));
-        assert!(b.allows(SimTime::from_secs(62)));
         assert!(!b.is_open(SimTime::from_secs(62)));
     }
 
@@ -406,8 +386,8 @@ mod tests {
         // Probe at t=61 fails: reopen until t=121.
         assert!(b.on_failure(SimTime::from_secs(61)));
         assert_eq!(b.trips(), 2);
-        assert!(!b.allows(SimTime::from_secs(100)));
-        assert!(b.allows(SimTime::from_secs(121)));
+        assert!(b.is_open(SimTime::from_secs(100)));
+        assert!(!b.is_open(SimTime::from_secs(121)));
     }
 
     #[test]
@@ -437,18 +417,6 @@ mod tests {
         let later = probe + SimDuration::from_secs(300);
         assert_eq!(h.state("sophia-endpoint", later), HealthState::Healthy);
         assert_eq!(h.counts("sophia-endpoint"), (1, 3));
-    }
-
-    #[test]
-    fn snapshot_lists_endpoints_in_name_order() {
-        let mut h = HealthTracker::default();
-        h.on_success("polaris-endpoint", SimTime::ZERO);
-        h.on_success("aurora-endpoint", SimTime::ZERO);
-        let snap = h.snapshot(SimTime::ZERO);
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, "aurora-endpoint");
-        assert_eq!(snap[1].0, "polaris-endpoint");
-        assert!(snap.iter().all(|(_, s)| *s == HealthState::Healthy));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   that the sharded scenario driver applies above the per-shard injectors.
 //! * [`health`] — the resilience machinery the gateway consumes: per-endpoint
 //!   [`HealthState`]s, an exponential-backoff [`RetryPolicy`], hedged-request
-//!   support, a [`CircuitBreaker`], and the [`ResilienceConfig`] bundle.
+//!   support, a `CircuitBreaker`, and the [`ResilienceConfig`] bundle.
 //!
 //! `first-core` wires these through the stack: the federation router routes
 //! around unavailable endpoints, the gateway retries and hedges idempotent
@@ -26,10 +26,5 @@
 pub mod fault;
 pub mod health;
 
-pub use fault::{
-    AppliedFault, FaultEvent, FaultInjector, FaultKind, FaultPlan, ShardFaultEvent, ShardFaultKind,
-    ShardFaultPlan,
-};
-pub use health::{
-    CircuitBreaker, CircuitBreakerConfig, HealthState, HealthTracker, ResilienceConfig, RetryPolicy,
-};
+pub use fault::{FaultInjector, FaultKind, FaultPlan, ShardFaultKind, ShardFaultPlan};
+pub use health::{CircuitBreakerConfig, HealthState, HealthTracker, ResilienceConfig, RetryPolicy};

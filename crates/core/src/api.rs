@@ -11,7 +11,7 @@ use first_workload::ChatMessage;
 use serde::{Deserialize, Serialize};
 
 /// Errors the gateway returns to API clients.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GatewayError {
     /// Missing or invalid bearer token.
     Unauthorized(String),
@@ -23,10 +23,6 @@ pub enum GatewayError {
     RateLimited,
     /// The request body failed validation.
     InvalidRequest(String),
-    /// The compute fabric rejected the request.
-    UpstreamError(String),
-    /// The gateway is overloaded (admission queue full).
-    ServiceUnavailable,
 }
 
 impl std::fmt::Display for GatewayError {
@@ -37,8 +33,6 @@ impl std::fmt::Display for GatewayError {
             GatewayError::ModelNotFound(m) => write!(f, "model not found: {m}"),
             GatewayError::RateLimited => write!(f, "rate limit exceeded"),
             GatewayError::InvalidRequest(m) => write!(f, "invalid request: {m}"),
-            GatewayError::UpstreamError(m) => write!(f, "upstream error: {m}"),
-            GatewayError::ServiceUnavailable => write!(f, "service unavailable"),
         }
     }
 }
@@ -46,14 +40,14 @@ impl std::fmt::Display for GatewayError {
 impl std::error::Error for GatewayError {}
 
 /// Token usage accounting included in every response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Usage {
     /// Prompt tokens consumed.
     pub prompt_tokens: u32,
     /// Completion tokens generated.
     pub completion_tokens: u32,
     /// Total tokens.
-    pub total_tokens: u32,
+    pub(crate) total_tokens: u32,
 }
 
 impl Usage {
@@ -102,13 +96,13 @@ impl ChatCompletionRequest {
     }
 
     /// Rough prompt-token estimate (≈1 token/word plus per-message framing).
-    pub fn prompt_token_estimate(&self) -> u32 {
+    pub(crate) fn prompt_token_estimate(&self) -> u32 {
         let words: usize = self.messages.iter().map(|m| count_words(&m.content)).sum();
         (words as u32 + 4 * self.messages.len() as u32).max(1)
     }
 
     /// Basic validation of the request body.
-    pub fn validate(&self) -> Result<(), GatewayError> {
+    pub(crate) fn validate(&self) -> Result<(), GatewayError> {
         check_model(&self.model)?;
         if self.messages.is_empty() {
             return Err(GatewayError::InvalidRequest(
@@ -240,53 +234,8 @@ impl PromptRef {
     }
 }
 
-/// One choice in a chat completion response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChatChoice {
-    /// Choice index.
-    pub index: u32,
-    /// Assistant message.
-    pub message: ChatMessage,
-    /// Why generation stopped.
-    pub finish_reason: String,
-}
-
-/// `/v1/chat/completions` response body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChatCompletionResponse {
-    /// Response identifier.
-    pub id: String,
-    /// Object type tag.
-    pub object: String,
-    /// Model that produced the completion.
-    pub model: String,
-    /// Choices (always one in FIRST).
-    pub choices: Vec<ChatChoice>,
-    /// Token accounting.
-    pub usage: Usage,
-}
-
-/// `/v1/completions` request body (plain text completion).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompletionRequest {
-    /// Target model.
-    pub model: String,
-    /// Prompt text.
-    pub prompt: String,
-    /// Maximum completion tokens.
-    #[serde(default = "default_max_tokens")]
-    pub max_tokens: u32,
-}
-
-impl CompletionRequest {
-    /// Rough prompt-token estimate.
-    pub fn prompt_token_estimate(&self) -> u32 {
-        (self.prompt.split_whitespace().count() as u32).max(1)
-    }
-}
-
 /// `/v1/embeddings` request body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingRequest {
     /// Target embedding model.
     pub model: String,
@@ -296,7 +245,7 @@ pub struct EmbeddingRequest {
 
 impl EmbeddingRequest {
     /// Rough token estimate over all inputs.
-    pub fn token_estimate(&self) -> u32 {
+    pub(crate) fn token_estimate(&self) -> u32 {
         self.input
             .iter()
             .map(|t| t.split_whitespace().count() as u32)
@@ -305,36 +254,20 @@ impl EmbeddingRequest {
     }
 }
 
-/// `/v1/embeddings` response body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EmbeddingResponse {
-    /// Response identifier.
-    pub id: String,
-    /// Model used.
-    pub model: String,
-    /// Number of vectors returned.
-    pub count: usize,
-    /// Token accounting.
-    pub usage: Usage,
-}
-
 /// The API operation kinds the gateway serves (used for routing and logging).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApiOperation {
     /// Chat completions.
     ChatCompletions,
-    /// Text completions.
-    Completions,
     /// Embeddings.
     Embeddings,
 }
 
 impl ApiOperation {
     /// The operation's name in logs and metrics (`"chat_completions"`, ...).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ApiOperation::ChatCompletions => "chat_completions",
-            ApiOperation::Completions => "completions",
             ApiOperation::Embeddings => "embeddings",
         }
     }
@@ -342,7 +275,7 @@ impl ApiOperation {
 
 /// Build the engine-level request for a chat completion of `prompt_tokens`
 /// tokens with at most `max_tokens` of output.
-pub fn chat_to_inference(
+pub(crate) fn chat_to_inference(
     id: u64,
     prompt_tokens: u32,
     max_tokens: u32,
@@ -357,7 +290,7 @@ pub fn chat_to_inference(
 }
 
 /// Build the engine-level request for an embedding call.
-pub fn embedding_to_inference(id: u64, req: &EmbeddingRequest) -> InferenceRequest {
+pub(crate) fn embedding_to_inference(id: u64, req: &EmbeddingRequest) -> InferenceRequest {
     InferenceRequest {
         id: RequestId(id),
         kind: RequestKind::Embedding,

@@ -13,14 +13,13 @@ use first_serving::{
     find_model, run_offline_batch, BatchRunReport, EngineConfig, InferenceRequest,
 };
 use first_workload::BatchInputFile;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a batch job at the gateway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct BatchId(pub u64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct BatchId(pub(crate) u64);
 
 /// Lifecycle of a batch job, mirroring the OpenAI batch states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchState {
     /// Input file accepted and validated.
     Validating,
@@ -35,32 +34,26 @@ pub enum BatchState {
 }
 
 /// A batch job record.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchJob {
     /// Batch identifier.
-    pub id: BatchId,
-    /// Submitting user.
-    pub user: String,
-    /// Target model.
-    pub model: String,
+    pub(crate) id: BatchId,
     /// Endpoint / cluster executing the job.
-    pub endpoint: String,
-    /// Number of requests in the input file.
-    pub requests: usize,
+    pub(crate) endpoint: String,
     /// Current state.
     pub state: BatchState,
     /// Submission time.
-    pub submitted_at: SimTime,
+    pub(crate) submitted_at: SimTime,
     /// When the dedicated HPC job started (resources allocated).
-    pub started_at: Option<SimTime>,
+    pub(crate) started_at: Option<SimTime>,
     /// When the batch finished.
-    pub completed_at: Option<SimTime>,
+    pub(crate) completed_at: Option<SimTime>,
     /// Execution report, once completed.
     pub report: Option<BatchRunReport>,
     /// Underlying scheduler job.
-    pub hpc_job: Option<JobId>,
+    pub(crate) hpc_job: Option<JobId>,
     /// Validation error, if any.
-    pub error: Option<String>,
+    pub(crate) error: Option<String>,
 }
 
 impl BatchJob {
@@ -80,11 +73,6 @@ impl BatchManager {
     /// Create an empty manager.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// All batch jobs.
-    pub fn jobs(&self) -> &[BatchJob] {
-        &self.jobs
     }
 
     /// Look up a batch job.
@@ -109,10 +97,7 @@ impl BatchManager {
         let id = BatchId(self.jobs.len() as u64 + 1);
         let mut job = BatchJob {
             id,
-            user: user.to_string(),
-            model: model.to_string(),
             endpoint: String::new(),
-            requests: input.len(),
             state: BatchState::Validating,
             submitted_at: now,
             started_at: None,
@@ -178,7 +163,6 @@ impl BatchManager {
                     walltime: report.total_duration + SimDuration::from_mins(30),
                     priority: first_hpc::JobPriority::Normal,
                     user: user.to_string(),
-                    tag: format!("batch:{model}"),
                 },
                 now,
             );
@@ -296,7 +280,7 @@ mod tests {
             let ep = gw.service_mut().endpoint_mut("sophia-endpoint").unwrap();
             for _ in 0..8 {
                 ep.scheduler_mut().submit(
-                    JobRequest::single_node(8, SimDuration::from_hours(1), "background"),
+                    JobRequest::single_node(8, SimDuration::from_hours(1)),
                     SimTime::ZERO,
                 );
             }

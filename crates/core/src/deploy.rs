@@ -29,11 +29,11 @@ pub struct TestTokens {
 #[derive(Debug, Clone)]
 pub struct HostedModel {
     /// Model specification.
-    pub spec: ModelSpec,
+    pub(crate) spec: ModelSpec,
     /// Auto-scaling ceiling.
-    pub max_instances: u32,
+    pub(crate) max_instances: u32,
     /// Per-instance parallel task limit.
-    pub max_parallel_tasks: usize,
+    pub(crate) max_parallel_tasks: usize,
 }
 
 impl HostedModel {
@@ -49,12 +49,6 @@ impl HostedModel {
     /// Set the auto-scaling ceiling.
     pub fn with_max_instances(mut self, n: u32) -> Self {
         self.max_instances = n;
-        self
-    }
-
-    /// Set the per-instance parallel task limit.
-    pub fn with_max_parallel_tasks(mut self, n: usize) -> Self {
-        self.max_parallel_tasks = n;
         self
     }
 }
@@ -112,7 +106,6 @@ pub struct DeploymentBuilder {
     sites: Vec<ClusterSite>,
     gateway_config: GatewayConfig,
     prewarm_instances: u32,
-    rate_limit: u32,
     routing_policy: RoutingPolicy,
     seed: u64,
 }
@@ -124,7 +117,6 @@ impl DeploymentBuilder {
             sites,
             gateway_config: GatewayConfig::default(),
             prewarm_instances: 0,
-            rate_limit: u32::MAX,
             routing_policy: RoutingPolicy::default(),
             seed: 20_250_613,
         }
@@ -209,12 +201,6 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Set the per-user rate limit (requests/minute).
-    pub fn rate_limit(mut self, limit: u32) -> Self {
-        self.rate_limit = limit;
-        self
-    }
-
     /// Set the federation routing policy (default: the paper's §4.5 scheme).
     pub fn routing_policy(mut self, policy: RoutingPolicy) -> Self {
         self.routing_policy = policy;
@@ -229,15 +215,9 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Set the deployment RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Enable request-lifecycle tracing with the given sampling and
     /// retention knobs (default: off, zero per-request cost).
-    pub fn trace(mut self, trace: first_telemetry::TraceConfig) -> Self {
+    pub(crate) fn trace(mut self, trace: first_telemetry::TraceConfig) -> Self {
         self.gateway_config.trace = trace;
         self
     }
@@ -259,8 +239,7 @@ impl DeploymentBuilder {
     /// Build the gateway (auth users must then be enrolled by the caller, or
     /// use [`DeploymentBuilder::build_with_tokens`]).
     pub fn build(self) -> Gateway {
-        let mut config = self.gateway_config.clone();
-        config.rate_limit_per_minute = self.rate_limit;
+        let config = self.gateway_config.clone();
         let auth = self.build_auth();
         let mut service = ComputeService::new(FabricLatencyModel::default());
         let mut registry = ModelRegistry::new();
@@ -305,7 +284,7 @@ impl DeploymentBuilder {
 
 /// Enroll the standard users used by tests and examples and return their
 /// tokens: `alice` (platform + aurora early access) and `bob` (platform only).
-pub fn enroll_standard_users(gateway: &mut Gateway) -> TestTokens {
+pub(crate) fn enroll_standard_users(gateway: &mut Gateway) -> TestTokens {
     let auth = gateway.auth_mut();
     auth.enroll_user(&UserId::new("alice"));
     auth.enroll_user(&UserId::new("bob"));
@@ -340,8 +319,9 @@ mod tests {
         let (gw, _tokens) = DeploymentBuilder::single_cluster_test().build_with_tokens();
         assert!(gw
             .registry()
-            .is_registered("meta-llama/Llama-3.3-70B-Instruct"));
-        assert!(gw.registry().is_registered("nvidia/NV-Embed-v2"));
+            .endpoints_for("meta-llama/Llama-3.3-70B-Instruct")
+            .is_some());
+        assert!(gw.registry().endpoints_for("nvidia/NV-Embed-v2").is_some());
         assert_eq!(
             gw.service().endpoint_names(),
             vec!["sophia-endpoint".to_string()]
@@ -354,7 +334,7 @@ mod tests {
         let ep = gw.service().endpoint("sophia-endpoint").unwrap();
         assert_eq!(ep.cluster_status().total_nodes, 24);
         assert_eq!(ep.cluster_status().total_gpus, 192);
-        assert!(gw.registry().len() >= 7);
+        assert!(gw.registry().models().len() >= 7);
     }
 
     #[test]

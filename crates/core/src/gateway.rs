@@ -88,14 +88,14 @@ impl GatewayConfig {
 /// A finished request as the client experienced it. It carries ids; the
 /// gateway that answered resolves them ([`Gateway::user_name`],
 /// [`ModelRegistry::model_name`], [`Gateway::endpoint_name`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletedRequest {
     /// Gateway request id.
     pub request_id: u64,
     /// Submitting user.
-    pub user: UserSym,
+    pub(crate) user: UserSym,
     /// Target model.
-    pub model: ModelId,
+    pub(crate) model: ModelId,
     /// Endpoint that served it; `None` only for cache hits.
     pub endpoint: Option<EndpointId>,
     /// Arrival at the gateway.
@@ -107,7 +107,7 @@ pub struct CompletedRequest {
     /// Whether it succeeded.
     pub success: bool,
     /// Whether it was served from the response cache.
-    pub cached: bool,
+    pub(crate) cached: bool,
 }
 
 impl CompletedRequest {
@@ -118,7 +118,7 @@ impl CompletedRequest {
 }
 
 /// Per-model status line returned by the `/jobs` endpoint (§4.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobsEntry {
     /// Model name.
     pub model: String,
@@ -140,7 +140,7 @@ pub struct JobsEntry {
 /// Counts of the gateway's internal queues and slabs, as reported by
 /// [`Gateway::queue_snapshot`]. Purely diagnostic: the invariant checker
 /// asserts everything except `buffered_responses` is zero once a run drains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayQueueSnapshot {
     /// Accepted dispatches not yet submitted to the fabric.
     pub pending_dispatches: usize,
@@ -148,18 +148,18 @@ pub struct GatewayQueueSnapshot {
     pub in_flight_tasks: usize,
     /// Task records the fabric service still holds (submitted and not yet
     /// polled).
-    pub tracked_tasks: usize,
+    pub(crate) tracked_tasks: usize,
     /// Results collected and waiting for client delivery.
     pub awaiting_delivery: usize,
     /// Total outstanding copies (originals + hedges + scheduled retries)
     /// across all unanswered request ids.
     pub outstanding_copies: u64,
     /// Request ids holding an outstanding-copy counter.
-    pub outstanding_slots: usize,
+    pub(crate) outstanding_slots: usize,
     /// Completed responses buffered for `take_responses`.
-    pub buffered_responses: usize,
+    pub(crate) buffered_responses: usize,
     /// Filed hedge deadlines, stale ones included.
-    pub hedge_deadlines: usize,
+    pub(crate) hedge_deadlines: usize,
 }
 
 /// One admitted request as the gateway carries it: the engine-level request
@@ -319,7 +319,7 @@ pub struct Gateway {
 impl Gateway {
     /// Build a gateway over an auth service, a compute service and a model
     /// registry.
-    pub fn new(
+    pub(crate) fn new(
         config: GatewayConfig,
         auth: AuthService,
         service: ComputeService,
@@ -377,11 +377,6 @@ impl Gateway {
         }
     }
 
-    /// The gateway configuration.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
     /// The auth service (e.g. to enroll users or issue tokens in tests).
     pub fn auth_mut(&mut self) -> &mut AuthService {
         &mut self.auth
@@ -427,13 +422,8 @@ impl Gateway {
 
     /// Switch the federation router to a different endpoint-selection policy
     /// (§7 "improve scheduling"; the default is the paper's §4.5 algorithm).
-    pub fn set_routing_policy(&mut self, policy: RoutingPolicy) {
+    pub(crate) fn set_routing_policy(&mut self, policy: RoutingPolicy) {
         self.router = FederationRouter::with_policy(policy);
-    }
-
-    /// The federation routing policy currently in effect.
-    pub fn routing_policy(&self) -> RoutingPolicy {
-        self.router.policy()
     }
 
     /// The per-endpoint health tracker (breaker states, success/failure
@@ -481,18 +471,18 @@ impl Gateway {
     }
 
     /// The flight recorder holding the sampled request span trees.
-    pub fn recorder(&self) -> &FlightRecorder {
+    pub(crate) fn recorder(&self) -> &FlightRecorder {
         &self.recorder
     }
 
     /// Mutable flight recorder (e.g. to drain the retained trees after a run).
-    pub fn recorder_mut(&mut self) -> &mut FlightRecorder {
+    pub(crate) fn recorder_mut(&mut self) -> &mut FlightRecorder {
         &mut self.recorder
     }
 
     /// Aggregate the retained span trees into a phase-latency breakdown.
     /// `None` when tracing is disabled or nothing has been sampled yet.
-    pub fn phase_breakdown(&self) -> Option<PhaseBreakdown> {
+    pub(crate) fn phase_breakdown(&self) -> Option<PhaseBreakdown> {
         if self.recorder.is_empty() {
             None
         } else {
@@ -518,7 +508,7 @@ impl Gateway {
     /// (pending dispatches plus in-flight tasks). The sharded front tier
     /// consults this per submission for its spillover decision, so unlike
     /// [`Gateway::queue_snapshot`] it must not walk any slab.
-    pub fn load_depth(&self) -> usize {
+    pub(crate) fn load_depth(&self) -> usize {
         self.pending.len() + self.waiting.len() + self.in_flight.len()
     }
 
@@ -1536,7 +1526,10 @@ mod tests {
     fn rate_limit_rejects_excess_requests() {
         let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
             .prewarm(1)
-            .rate_limit(2)
+            .gateway_config(GatewayConfig {
+                rate_limit_per_minute: 2,
+                ..GatewayConfig::default()
+            })
             .build_with_tokens();
         let req = ChatCompletionRequest::simple(MODEL, "hello", 20);
         assert!(gw

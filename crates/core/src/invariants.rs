@@ -17,7 +17,7 @@
 //!    slabs, and its fabric service holds no task record.
 //!
 //! [`crate::ScenarioRun`] closes every run with
-//! [`check_front_tier_invariants`], in every build, and panics on a
+//! `check_front_tier_invariants`, in every build, and panics on a
 //! violation: each shard passes the single-gateway checks, and the per-shard
 //! ledgers reconcile with the whole-run ledger through the front tier's
 //! retries, hedges, sheds, crash losses and spills. Table 1's closed loop,
@@ -200,7 +200,7 @@ pub fn check_run_invariants(gateway: &Gateway, ledger: &RunLedger) -> Result<(),
 /// When nothing was re-dispatched, shed or dropped, the bounds collapse to
 /// exact per-field sums. Every spill leaving one shard must also arrive at
 /// another. Returns every violated invariant (empty = all hold).
-pub fn check_front_tier_invariants(
+pub(crate) fn check_front_tier_invariants(
     shards: &[Gateway],
     shard_ledgers: &[RunLedger],
     total: &RunLedger,

@@ -48,34 +48,22 @@ pub mod storage;
 pub mod streaming;
 pub mod workers;
 
-pub use api::{
-    ApiOperation, ChatChoice, ChatCompletionRequest, ChatCompletionResponse, CompletionRequest,
-    EmbeddingRequest, EmbeddingResponse, GatewayError, Usage,
-};
-pub use batch::{BatchId, BatchJob, BatchManager, BatchState};
-pub use deploy::{enroll_standard_users, ClusterSite, DeploymentBuilder, HostedModel, TestTokens};
-pub use gateway::{CompletedRequest, Gateway, GatewayConfig, GatewayQueueSnapshot, JobsEntry};
-pub use invariants::{
-    check_front_tier_invariants, check_replay_invariants, check_run_invariants, ClockMonitor,
-    RunLedger,
-};
-pub use middleware::{AuthMiddleware, RateLimiter, ResponseCache};
-pub use registry::{
-    FederationRouter, ModelId, ModelRegistry, RouteCandidate, RoutedTarget, RoutingPolicy,
-    RoutingReason,
-};
-pub use scenario::{
-    replay_dashboard_cell, FailoverSection, GatewayReport, RunOutput, ScenarioRun, ShardSection,
-    TenantReport,
-};
+pub use api::{ApiOperation, ChatCompletionRequest, EmbeddingRequest, GatewayError, Usage};
+pub use batch::{BatchManager, BatchState};
+pub use deploy::{ClusterSite, DeploymentBuilder, HostedModel};
+pub use gateway::{CompletedRequest, Gateway, GatewayConfig};
+pub use invariants::{check_replay_invariants, check_run_invariants, ClockMonitor, RunLedger};
+pub use middleware::ResponseCache;
+pub use registry::{FederationRouter, ModelRegistry, RoutingPolicy, RoutingReason};
+pub use scenario::{replay_dashboard_cell, GatewayReport, RunOutput, ScenarioRun};
 pub use shard::{
-    ConsistentHashRing, FrontTierPolicy, RouteDecision, ShardReport, ShardedGateway,
-    ShardingConfig, ShedPolicy, SpilloverPolicy, RING_VNODES,
+    ConsistentHashRing, FrontTierPolicy, ShardReport, ShardedGateway, ShardingConfig,
+    SpilloverPolicy,
 };
 pub use sim::{
     run_direct_openloop, run_openai_openloop, run_webui_closed_loop, ScenarioReport, WebUiCell,
     DEFAULT_WEBUI_OVERHEAD,
 };
-pub use storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, UserSym};
-pub use streaming::{stream_response, StreamChunk, StreamStats, StreamedResponse, StreamingConfig};
-pub use workers::{WorkerMode, WorkerPool, WorkerPoolConfig};
+pub use storage::{RequestLog, RequestLogEntry, UserSym};
+pub use streaming::{stream_response, StreamStats, StreamingConfig};
+pub use workers::WorkerPoolConfig;

@@ -5,20 +5,19 @@ use crate::api::GatewayError;
 use first_auth::{AuthService, IntrospectionResult, Scope, TokenString};
 use first_desim::{IdHashBuilder, SimDuration, SimTime};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Outcome of authenticating one request.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AuthOutcome {
+pub(crate) struct AuthOutcome {
     /// The introspected identity, shared with the cache entry: a cache hit
     /// is one lookup and a reference-count bump, not a copy.
-    pub identity: Arc<IntrospectionResult>,
+    pub(crate) identity: Arc<IntrospectionResult>,
     /// Latency the auth step added to this request.
-    pub added_latency: SimDuration,
+    pub(crate) added_latency: SimDuration,
     /// Whether the introspection cache satisfied the request.
-    pub cache_hit: bool,
+    pub(crate) cache_hit: bool,
 }
 
 /// Token-validation middleware with an introspection cache.
@@ -27,45 +26,34 @@ pub struct AuthOutcome {
 /// (~1 s); the cache keeps recently validated tokens so repeated requests pay
 /// nothing.
 #[derive(Debug)]
-pub struct AuthMiddleware {
+pub(crate) struct AuthMiddleware {
     /// Whether the cache is enabled (ablation knob).
-    pub cache_enabled: bool,
+    pub(crate) cache_enabled: bool,
     /// Cache entry time-to-live.
-    pub cache_ttl: SimDuration,
+    pub(crate) cache_ttl: SimDuration,
     cache: HashMap<String, (SimTime, Arc<IntrospectionResult>)>,
-    stats_hits: u64,
-    stats_misses: u64,
-    stats_rejections: u64,
 }
 
 impl AuthMiddleware {
     /// Middleware with the cache enabled (production configuration).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AuthMiddleware {
             cache_enabled: true,
             cache_ttl: SimDuration::from_mins(10),
             cache: HashMap::new(),
-            stats_hits: 0,
-            stats_misses: 0,
-            stats_rejections: 0,
         }
     }
 
     /// Middleware with the cache disabled (pre-optimization configuration).
-    pub fn without_cache() -> Self {
+    pub(crate) fn without_cache() -> Self {
         AuthMiddleware {
             cache_enabled: false,
             ..Self::new()
         }
     }
 
-    /// `(hits, misses, rejections)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (self.stats_hits, self.stats_misses, self.stats_rejections)
-    }
-
     /// Validate a bearer token, consulting the cache first.
-    pub fn authenticate(
+    pub(crate) fn authenticate(
         &mut self,
         auth: &mut AuthService,
         token: &TokenString,
@@ -76,7 +64,6 @@ impl AuthMiddleware {
                 let fresh = now.saturating_since(*cached_at) < self.cache_ttl;
                 let unexpired = now < identity.expires_at;
                 if fresh && unexpired {
-                    self.stats_hits += 1;
                     return Ok(AuthOutcome {
                         identity: Arc::clone(identity),
                         added_latency: SimDuration::ZERO,
@@ -85,14 +72,12 @@ impl AuthMiddleware {
                 }
             }
         }
-        self.stats_misses += 1;
         let (result, latency) = auth.introspect(token, now);
         match result {
             Ok(identity) => {
                 if !identity.scopes.contains(&Scope::InferenceApi)
                     && !identity.scopes.contains(&Scope::Admin)
                 {
-                    self.stats_rejections += 1;
                     return Err(GatewayError::Forbidden(
                         "token lacks the inference scope".into(),
                     ));
@@ -108,10 +93,7 @@ impl AuthMiddleware {
                     cache_hit: false,
                 })
             }
-            Err(e) => {
-                self.stats_rejections += 1;
-                Err(GatewayError::Unauthorized(e.to_string()))
-            }
+            Err(e) => Err(GatewayError::Unauthorized(e.to_string())),
         }
     }
 }
@@ -124,17 +106,17 @@ impl Default for AuthMiddleware {
 
 /// Per-user sliding-window rate limiter (requests per minute).
 #[derive(Debug)]
-pub struct RateLimiter {
+pub(crate) struct RateLimiter {
     /// Requests allowed per window per user.
-    pub limit: u32,
+    pub(crate) limit: u32,
     /// Window length.
-    pub window: SimDuration,
+    pub(crate) window: SimDuration,
     history: Mutex<HashMap<String, VecDeque<SimTime>>>,
 }
 
 impl RateLimiter {
     /// A limiter allowing `limit` requests per minute per user.
-    pub fn per_minute(limit: u32) -> Self {
+    pub(crate) fn per_minute(limit: u32) -> Self {
         RateLimiter {
             limit,
             window: SimDuration::from_secs(60),
@@ -143,7 +125,7 @@ impl RateLimiter {
     }
 
     /// Record an attempt by `user` at `now`; returns whether it is admitted.
-    pub fn check(&self, user: &str, now: SimTime) -> bool {
+    pub(crate) fn check(&self, user: &str, now: SimTime) -> bool {
         if self.limit == u32::MAX {
             return true;
         }
@@ -166,7 +148,7 @@ impl RateLimiter {
 }
 
 /// A cached gateway response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CachedResponse {
     /// The response text.
     pub text: String,
@@ -275,9 +257,9 @@ impl PromptKeyHasher {
 #[derive(Debug)]
 pub struct ResponseCache {
     /// Entry time-to-live.
-    pub ttl: SimDuration,
+    pub(crate) ttl: SimDuration,
     /// Maximum entries retained.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Keys are already-mixed 64-bit hashes, so the map skips SipHash and
     /// uses the identity hasher (order is never observed; eviction goes
     /// through `by_age`).
@@ -286,8 +268,6 @@ pub struct ResponseCache {
     /// hold stale pairs for replaced entries (skipped at the front, dropped
     /// when the index outgrows the map).
     by_age: VecDeque<(SimTime, u64)>,
-    hits: u64,
-    misses: u64,
 }
 
 impl ResponseCache {
@@ -298,14 +278,7 @@ impl ResponseCache {
             capacity,
             entries: HashMap::default(),
             by_age: VecDeque::new(),
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// `(hits, misses)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Hash key for a (model, prompt, max_tokens) triple.
@@ -314,22 +287,16 @@ impl ResponseCache {
     /// step (FxHash-style rotate-xor-multiply) instead of a byte-wise
     /// cryptographic hash; each field's length is folded in so field
     /// boundaries cannot alias.
-    pub fn key(model: &str, prompt: &str, max_tokens: u32) -> u64 {
+    pub(crate) fn key(model: &str, prompt: &str, max_tokens: u32) -> u64 {
         let h = key_fold(key_fold(KEY_SEED, model.as_bytes()), prompt.as_bytes());
         key_step(h, u64::from(max_tokens))
     }
 
     /// Look up a cached response.
-    pub fn get(&mut self, key: u64, now: SimTime) -> Option<CachedResponse> {
+    pub(crate) fn get(&self, key: u64, now: SimTime) -> Option<CachedResponse> {
         match self.entries.get(&key) {
-            Some((at, resp)) if now.saturating_since(*at) < self.ttl => {
-                self.hits += 1;
-                Some(resp.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+            Some((at, resp)) if now.saturating_since(*at) < self.ttl => Some(resp.clone()),
+            _ => None,
         }
     }
 
@@ -392,7 +359,6 @@ mod tests {
             .unwrap();
         assert!(second.cache_hit);
         assert_eq!(second.added_latency, SimDuration::ZERO);
-        assert_eq!(mw.stats().0, 1);
         // Without the cache every request pays the introspection latency.
         let mut legacy = AuthMiddleware::without_cache();
         let a = legacy
@@ -429,7 +395,6 @@ mod tests {
             .authenticate(&mut svc, &TokenString::new("bogus"), SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, GatewayError::Unauthorized(_)));
-        assert_eq!(mw.stats().2, 1);
     }
 
     #[test]
@@ -496,7 +461,6 @@ mod tests {
             42
         );
         assert!(cache.get(key, SimTime::from_secs(120)).is_none());
-        assert_eq!(cache.stats(), (1, 2));
     }
 
     #[test]

@@ -129,7 +129,6 @@ impl Gateway {
             queues,
             tenants,
             phases,
-            shards: Vec::new(),
             replay: None,
             total_requests: metrics.total_received(),
             total_completed: metrics.completed,

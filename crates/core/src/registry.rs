@@ -13,7 +13,7 @@
 //! compares against the paper's priority scheme.
 //!
 //! Routing works on ids. Each model's registered endpoint names are resolved
-//! against the compute service once, into [`RouteCandidate`]s, and a decision
+//! against the compute service once, into `RouteCandidate`s, and a decision
 //! is a [`RoutedTarget`] naming the endpoint by its [`EndpointId`]. A
 //! registered name the service does not know is no candidate: a request for
 //! a model whose every endpoint is unknown is not routable at all.
@@ -29,20 +29,20 @@ use std::sync::Arc;
 /// first-registration order. The gateway resolves a request's model name to
 /// its `ModelId` once at the API boundary; every hot-path map and routing
 /// probe downstream carries the id.
-pub type ModelId = SymbolId;
+pub(crate) type ModelId = SymbolId;
 
 /// One routing candidate for a model, resolved against the compute service:
 /// the endpoint's dense id plus the hosting-entry index of the model on that
 /// endpoint. The configured name rides along as a shared `Arc<str>` only
 /// because the health tracker is keyed by name.
 #[derive(Debug, Clone)]
-pub struct RouteCandidate {
+pub(crate) struct RouteCandidate {
     /// Configured endpoint name (the health tracker's key).
-    pub name: Arc<str>,
+    pub(crate) name: Arc<str>,
     /// Dense id in the compute service.
-    pub endpoint: EndpointId,
+    pub(crate) endpoint: EndpointId,
     /// Hosting-entry index of the model on that endpoint, when hosted.
-    pub hosting: Option<u32>,
+    pub(crate) hosting: Option<u32>,
 }
 
 /// A routing decision: the endpoint the gateway submits to, by dense id.
@@ -53,7 +53,7 @@ pub struct RoutedTarget {
     /// Hosting-entry index of the model on that endpoint (`None`: the
     /// endpoint does not host it, and the task fails there); the endpoint
     /// takes it with the task instead of looking the model up by name.
-    pub hosting: Option<u32>,
+    pub(crate) hosting: Option<u32>,
     /// Why it was chosen.
     pub reason: RoutingReason,
 }
@@ -76,11 +76,11 @@ struct RouteBinding {
 
 /// A model's registration: the endpoints able to host it, in priority order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ModelRegistration {
+pub(crate) struct ModelRegistration {
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Endpoint names able to host the model, in configuration order.
-    pub endpoints: Vec<String>,
+    pub(crate) endpoints: Vec<String>,
 }
 
 /// The deployment's model registry.
@@ -135,13 +135,13 @@ impl serde::Deserialize for ModelRegistry {
 
 impl ModelRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Register a model on an endpoint (appended in configuration order).
     /// Registering the same pair twice is a no-op.
-    pub fn register(&mut self, model: &str, endpoint: &str) {
+    pub(crate) fn register(&mut self, model: &str, endpoint: &str) {
         self.models.intern(model);
         self.version += 1;
         match self
@@ -173,13 +173,8 @@ impl ModelRegistry {
     }
 
     /// All registered model names.
-    pub fn models(&self) -> Vec<String> {
+    pub(crate) fn models(&self) -> Vec<String> {
         self.registrations.iter().map(|r| r.model.clone()).collect()
-    }
-
-    /// Whether the model is registered anywhere.
-    pub fn is_registered(&self, model: &str) -> bool {
-        self.endpoints_for(model).is_some()
     }
 
     /// Resolve a model name to its dense id — the API-boundary step. Returns
@@ -246,21 +241,11 @@ impl ModelRegistry {
                 .collect();
         }
     }
-
-    /// Number of registered models.
-    pub fn len(&self) -> usize {
-        self.registrations.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.registrations.is_empty()
-    }
 }
 
 /// Why the router picked the endpoint it picked (exposed for observability
 /// and asserted on by the federation tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingReason {
     /// The model is already running (hot) or starting/queued on the endpoint.
     ActiveInstance,
@@ -281,7 +266,7 @@ pub enum RoutingReason {
 /// [`RoutingPolicy::PaperPriority`] is the algorithm described in §4.5 and is
 /// the default everywhere; the alternatives are the "improved scheduling"
 /// candidates from §7, evaluated by `ablation_federation` in `first-bench`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RoutingPolicy {
     /// §4.5: active instance → cluster with free nodes → configuration order.
     #[default]
@@ -340,11 +325,6 @@ impl FederationRouter {
         }
     }
 
-    /// The active routing policy.
-    pub fn policy(&self) -> RoutingPolicy {
-        self.policy
-    }
-
     /// Pick an endpoint for `model` following the configured policy.
     /// Returns `None` when the model has no endpoint the service knows. The
     /// candidate list comes from the registry's cached binding, so no
@@ -365,7 +345,7 @@ impl FederationRouter {
     /// endpoints over degraded ones. When the breaker has every endpoint open
     /// the full candidate list is used as a last resort (a request that will
     /// likely fail beats a request that cannot be routed at all).
-    pub fn route_target_with_health(
+    pub(crate) fn route_target_with_health(
         &self,
         registry: &ModelRegistry,
         service: &ComputeService,
@@ -400,7 +380,7 @@ impl FederationRouter {
     /// like [`FederationRouter::route_target_with_health`], but the failed
     /// endpoint is excluded whenever any alternative is still allowed, so the
     /// retry fails over instead of hammering the same site.
-    pub fn route_target_for_retry(
+    pub(crate) fn route_target_for_retry(
         &self,
         registry: &ModelRegistry,
         service: &ComputeService,
@@ -591,8 +571,7 @@ mod tests {
             reg.endpoints_for("m").unwrap(),
             &["b-endpoint".to_string(), "a-endpoint".to_string()]
         );
-        assert!(reg.is_registered("m"));
-        assert!(!reg.is_registered("n"));
+        assert!(reg.endpoints_for("n").is_none());
     }
 
     #[test]
@@ -623,11 +602,7 @@ mod tests {
             let ep = service.endpoint_mut(name).unwrap();
             for _ in 0..4 {
                 ep.scheduler_mut().submit(
-                    first_hpc::JobRequest::single_node(
-                        8,
-                        first_desim::SimDuration::from_hours(8),
-                        "background",
-                    ),
+                    first_hpc::JobRequest::single_node(8, first_desim::SimDuration::from_hours(8)),
                     SimTime::ZERO,
                 );
             }
@@ -662,7 +637,6 @@ mod tests {
             route(&router, &registry, &service).1,
             RoutingReason::RoundRobinRotation
         );
-        assert_eq!(router.policy(), RoutingPolicy::RoundRobin);
     }
 
     #[test]
@@ -712,11 +686,7 @@ mod tests {
         let ep = service.endpoint_mut("sophia-endpoint").unwrap();
         for _ in 0..3 {
             ep.scheduler_mut().submit(
-                first_hpc::JobRequest::single_node(
-                    8,
-                    first_desim::SimDuration::from_hours(8),
-                    "background",
-                ),
+                first_hpc::JobRequest::single_node(8, first_desim::SimDuration::from_hours(8)),
                 SimTime::ZERO,
             );
         }

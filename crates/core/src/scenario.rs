@@ -48,7 +48,7 @@ pub struct TenantReport {
     /// Tenant-class name.
     pub tenant: String,
     /// Tenant priority (from the spec).
-    pub priority: u8,
+    pub(crate) priority: u8,
     /// Requests the tenant offered.
     pub offered: usize,
     /// Requests answered successfully.
@@ -64,15 +64,15 @@ pub struct TenantReport {
     /// 95th-percentile end-to-end latency, seconds.
     pub p95_latency_s: f64,
     /// Mean end-to-end latency, seconds.
-    pub mean_latency_s: f64,
+    pub(crate) mean_latency_s: f64,
     /// Output tokens delivered to this tenant.
     pub output_tokens: u64,
     /// Output tokens per second over the run.
-    pub output_tok_per_s: f64,
+    pub(crate) output_tok_per_s: f64,
     /// SLO target: 95th-percentile latency, seconds.
-    pub slo_p95_target_s: f64,
+    pub(crate) slo_p95_target_s: f64,
     /// SLO target: availability.
-    pub slo_availability_target: f64,
+    pub(crate) slo_availability_target: f64,
     /// Fraction of completed requests inside the latency target.
     pub slo_latency_attainment: f64,
     /// Whether the tenant's measured p95 and availability met the target.
@@ -82,7 +82,7 @@ pub struct TenantReport {
 impl TenantReport {
     /// One formatted table row (used by `scenario_matrix` and the dashboard
     /// example).
-    pub fn table_row(&self) -> String {
+    pub(crate) fn table_row(&self) -> String {
         format!(
             "{:<18} {:>4} {:>7} {:>7} {:>5} {:>5} {:>7.2}% {:>9.1} {:>9.1} {:>10} {:>8.1}% {:>5}",
             self.tenant,
@@ -101,7 +101,7 @@ impl TenantReport {
     }
 
     /// The table header matching [`TenantReport::table_row`].
-    pub fn table_header() -> String {
+    pub(crate) fn table_header() -> String {
         format!(
             "{:<18} {:>4} {:>7} {:>7} {:>5} {:>5} {:>8} {:>9} {:>9} {:>10} {:>9} {:>5}",
             "tenant",
@@ -130,9 +130,9 @@ pub struct ShardSection {
     /// Number of peer gateway shards.
     pub count: usize,
     /// DNS/LB fan-in latency modelled between client and shard, seconds.
-    pub fanin_latency_s: f64,
+    pub(crate) fanin_latency_s: f64,
     /// The spillover policy the front tier ran under.
-    pub spillover: SpilloverPolicy,
+    pub(crate) spillover: SpilloverPolicy,
     /// Requests that crossed shards under the spillover policy.
     pub spilled_requests: usize,
     /// Per-shard rollups, in shard order.
@@ -152,9 +152,9 @@ pub struct FailoverSection {
     /// tenants).
     pub restarts: usize,
     /// Front-tier partitions applied (shard alive but unroutable).
-    pub partitions: usize,
+    pub(crate) partitions: usize,
     /// Fan-in latency spikes applied.
-    pub fanin_spikes: usize,
+    pub(crate) fanin_spikes: usize,
     /// Physical in-flight copies lost to shard crashes.
     pub lost_in_flight: usize,
     /// Arrivals routed to a surviving peer because their home shard was dead
@@ -167,12 +167,12 @@ pub struct FailoverSection {
     /// dispatch.
     pub retried_to_completion: usize,
     /// Hedged duplicate dispatches issued by the front tier.
-    pub hedges_dispatched: usize,
+    pub(crate) hedges_dispatched: usize,
     /// Requests whose hedged duplicate answered first.
-    pub hedge_wins: usize,
+    pub(crate) hedge_wins: usize,
     /// Responses that arrived after their request had already been resolved
     /// by a duplicate; dropped at the front tier, counted on the shard.
-    pub stale_responses: usize,
+    pub(crate) stale_responses: usize,
     /// Typed overload sheds: arrivals below the shed policy's priority floor
     /// rejected while their home shard's queue exceeded the depth bound.
     pub shed_overload: usize,
@@ -180,10 +180,10 @@ pub struct FailoverSection {
     pub shed_no_live_shard: usize,
     /// Accepted requests failed back to the client after the retry budget
     /// ran out, or with no routable shard left to retry on.
-    pub shed_retries_exhausted: usize,
+    pub(crate) shed_retries_exhausted: usize,
     /// Circuit-breaker trips recorded by the fleet's per-shard health
     /// tracker.
-    pub breaker_trips: u64,
+    pub(crate) breaker_trips: u64,
 }
 
 /// The full result of one scenario run: whole-run totals plus the per-tenant
@@ -209,7 +209,7 @@ pub struct GatewayReport {
     /// Run duration in seconds (first arrival → last delivery).
     pub duration_s: f64,
     /// Completed requests per second.
-    pub request_throughput: f64,
+    pub(crate) request_throughput: f64,
     /// Output tokens per second.
     pub output_token_throughput: f64,
     /// Faults the injector actually applied.
@@ -2030,7 +2030,10 @@ mod tests {
         // Every tenant sits below the floor and any queued work counts as
         // overload: most of the burst sheds instead of queueing.
         let policy = FrontTierPolicy {
-            shed: Some(ShedPolicy::new(0, 200)),
+            shed: Some(ShedPolicy {
+                queue_depth: 0,
+                priority_floor: 200,
+            }),
             ..FrontTierPolicy::default()
         };
         let report = ScenarioRun::new(&spec)

@@ -11,7 +11,7 @@
 //!   names (API keys) onto shards, so adding a shard remaps only ~`1/(n+1)`
 //!   of the key space and every remapped key moves *to the new shard*.
 //! * [`SpilloverPolicy`] — bounded cross-shard spillover: when a tenant's
-//!   home shard is saturated (its [`Gateway::load_depth`] exceeds the
+//!   home shard is saturated (its `Gateway::load_depth` exceeds the
 //!   threshold) a bounded fraction of its traffic may divert to the
 //!   least-loaded peer. Spills are accounted per shard (out at the home,
 //!   in at the receiver) and surface in telemetry.
@@ -19,7 +19,7 @@
 //!   routes submissions, models the fan-in hop with a configurable latency,
 //!   and rolls shard-local telemetry up into the aggregate dashboard. A
 //!   scenario run's per-shard [`ShardReport`] rows come from its own
-//!   ledgers ([`crate::ShardSection`]).
+//!   ledgers (`ShardSection`).
 //!
 //! Every shard is a full deployment replica built from the *same*
 //! [`DeploymentBuilder`] configuration, so
@@ -36,7 +36,6 @@ use crate::deploy::DeploymentBuilder;
 use crate::gateway::{CompletedRequest, Gateway};
 use first_chaos::{CircuitBreakerConfig, HealthTracker, RetryPolicy};
 use first_desim::{fnv1a_64, SimDuration, SimProcess, SimTime};
-use first_telemetry::{DashboardSnapshot, ShardRow};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
@@ -44,12 +43,12 @@ use std::cell::Cell;
 /// shard keeps the expected load imbalance across shards within a few
 /// percent while the ring stays small enough to rebuild on every topology
 /// change.
-pub const RING_VNODES: usize = 64;
+pub(crate) const RING_VNODES: usize = 64;
 
 /// Bounded cross-shard spillover policy for the front tier.
 ///
 /// Spillover fires per submission: when the home shard's
-/// [`Gateway::load_depth`] exceeds `queue_threshold` and a strictly
+/// `Gateway::load_depth` exceeds `queue_threshold` and a strictly
 /// less-loaded peer exists, the request diverts to the least-loaded peer —
 /// but never more than `max_fraction` of the home shard's routed traffic,
 /// so a melting shard cannot silently turn the whole fleet into one big
@@ -57,12 +56,12 @@ pub const RING_VNODES: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpilloverPolicy {
     /// Whether spillover is allowed at all.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// Home-shard [`Gateway::load_depth`] above which spillover may fire.
-    pub queue_threshold: usize,
+    pub(crate) queue_threshold: usize,
     /// Upper bound on the fraction of a home shard's routed requests that
     /// may spill away from it (evaluated cumulatively over the run).
-    pub max_fraction: f64,
+    pub(crate) max_fraction: f64,
 }
 
 impl Default for SpilloverPolicy {
@@ -77,7 +76,7 @@ impl Default for SpilloverPolicy {
 
 impl SpilloverPolicy {
     /// Spillover disabled: every request sticks to its ring shard.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Self::default()
     }
 
@@ -101,19 +100,9 @@ impl SpilloverPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShedPolicy {
     /// Home-shard [`Gateway::load_depth`] above which shedding starts.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Requests with priority strictly below this value may be shed.
-    pub priority_floor: u8,
-}
-
-impl ShedPolicy {
-    /// Shed sub-`priority_floor` work once the home queue exceeds `queue_depth`.
-    pub fn new(queue_depth: usize, priority_floor: u8) -> Self {
-        ShedPolicy {
-            queue_depth,
-            priority_floor,
-        }
-    }
+    pub(crate) priority_floor: u8,
 }
 
 /// How the front tier handles shard failure: the retry/backoff schedule for
@@ -151,10 +140,10 @@ pub struct ShardingConfig {
     /// bit-identical to the unsharded path.
     pub fanin_latency: SimDuration,
     /// Cross-shard spillover policy.
-    pub spillover: SpilloverPolicy,
+    pub(crate) spillover: SpilloverPolicy,
     /// Shard-failure handling policy (retry/timeout/hedge/shed).
     #[serde(default)]
-    pub front_tier: FrontTierPolicy,
+    pub(crate) front_tier: FrontTierPolicy,
 }
 
 impl Default for ShardingConfig {
@@ -202,7 +191,7 @@ impl ShardingConfig {
 }
 
 /// Consistent hashing of string keys (tenant names / API keys) onto shard
-/// indices via [`RING_VNODES`] virtual nodes per shard.
+/// indices via `RING_VNODES` virtual nodes per shard.
 ///
 /// The stability property the tests pin: growing the ring from `n` to `n+1`
 /// shards only *adds* points, so a key either keeps its shard or moves to
@@ -241,11 +230,6 @@ impl ConsistentHashRing {
         // deterministically.
         points.sort_unstable();
         ConsistentHashRing { points, shards }
-    }
-
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// The shard owning `key`: the first ring point at or clockwise of the
@@ -319,12 +303,12 @@ pub struct ShardReport {
     /// Requests that failed after acceptance.
     pub failed: usize,
     /// Requests this shard received because another shard was saturated.
-    pub spilled_in: usize,
+    pub(crate) spilled_in: usize,
     /// Requests routed away from this shard under the spillover policy.
-    pub spilled_out: usize,
+    pub(crate) spilled_out: usize,
     /// Faults the shard's injector applied.
-    pub faults_injected: usize,
-    /// Peak [`Gateway::load_depth`] observed at submission instants.
+    pub(crate) faults_injected: usize,
+    /// Peak `Gateway::load_depth` observed at submission instants.
     pub peak_load_depth: usize,
 }
 
@@ -370,9 +354,9 @@ pub struct RouteDecision {
     /// The shard that will receive the request.
     pub shard: usize,
     /// The consistent-hash home shard of the key.
-    pub home: usize,
+    pub(crate) home: usize,
     /// Whether this submission spilled away from its home shard.
-    pub spilled: bool,
+    pub(crate) spilled: bool,
 }
 
 /// One shard's cached [`SimProcess::next_event_time`].
@@ -463,16 +447,6 @@ impl ShardedGateway {
         self.shards.len()
     }
 
-    /// The front tier's configuration.
-    pub fn config(&self) -> &ShardingConfig {
-        &self.config
-    }
-
-    /// The consistent-hash ring.
-    pub fn ring(&self) -> &ConsistentHashRing {
-        &self.ring
-    }
-
     /// Borrow one shard.
     pub fn shard(&self, index: usize) -> &Gateway {
         &self.shards[index]
@@ -503,12 +477,12 @@ impl ShardedGateway {
     /// time: handing over buffered responses schedules nothing, so a
     /// per-step collection pass over the fleet does not force every shard to
     /// be asked for its next event again.
-    pub fn take_responses(&mut self, index: usize) -> Vec<CompletedRequest> {
+    pub(crate) fn take_responses(&mut self, index: usize) -> Vec<CompletedRequest> {
         self.shards[index].take_responses()
     }
 
     /// The consistent-hash home shard for `key` (no spillover considered).
-    pub fn home_shard(&self, key: &str) -> usize {
+    pub(crate) fn home_shard(&self, key: &str) -> usize {
         self.ring.shard_for(key)
     }
 
@@ -526,7 +500,7 @@ impl ShardedGateway {
     }
 
     /// Whether the front tier can reach the shard.
-    pub fn is_reachable(&self, index: usize) -> bool {
+    pub(crate) fn is_reachable(&self, index: usize) -> bool {
         self.reachable.get(index).copied().unwrap_or(false)
     }
 
@@ -580,7 +554,7 @@ impl ShardedGateway {
     /// Cut the front tier off from a (healthy) shard: it keeps draining its
     /// own queue but receives no new work until [`ShardedGateway::heal_shard`].
     /// Returns whether the partition was effective.
-    pub fn partition_shard(&mut self, index: usize, now: SimTime) -> bool {
+    pub(crate) fn partition_shard(&mut self, index: usize, now: SimTime) -> bool {
         if index >= self.shards.len() || !self.live[index] || !self.reachable[index] {
             return false;
         }
@@ -591,7 +565,7 @@ impl ShardedGateway {
     }
 
     /// Heal a front-tier partition. Returns whether anything changed.
-    pub fn heal_shard(&mut self, index: usize, now: SimTime) -> bool {
+    pub(crate) fn heal_shard(&mut self, index: usize, now: SimTime) -> bool {
         if index >= self.shards.len() || self.reachable[index] {
             return false;
         }
@@ -604,17 +578,17 @@ impl ShardedGateway {
     }
 
     /// Per-shard circuit-breaker health (keys are `shard-<index>`).
-    pub fn health(&self) -> &HealthTracker {
+    pub(crate) fn health(&self) -> &HealthTracker {
         &self.health
     }
 
     /// Shard crashes applied so far.
-    pub fn crashes(&self) -> usize {
+    pub(crate) fn crashes(&self) -> usize {
         self.crashes
     }
 
     /// Shard restarts applied so far.
-    pub fn restarts(&self) -> usize {
+    pub(crate) fn restarts(&self) -> usize {
         self.restarts
     }
 
@@ -667,7 +641,7 @@ impl ShardedGateway {
     /// Shard `index`'s next pending event, from the wake cache (refreshed
     /// first if stale). A dead shard makes no progress of its own, so its
     /// wake is `None`.
-    pub fn shard_wake(&self, index: usize) -> Option<SimTime> {
+    pub(crate) fn shard_wake(&self, index: usize) -> Option<SimTime> {
         match self.wake[index].get() {
             Wake::At(at) => at,
             Wake::Stale => {
@@ -692,12 +666,12 @@ impl ShardedGateway {
     }
 
     /// Per-shard spill-in counts.
-    pub fn spilled_in(&self) -> &[usize] {
+    pub(crate) fn spilled_in(&self) -> &[usize] {
         &self.spilled_in
     }
 
     /// Per-shard spill-out counts.
-    pub fn spilled_out(&self) -> &[usize] {
+    pub(crate) fn spilled_out(&self) -> &[usize] {
         &self.spilled_out
     }
 
@@ -708,49 +682,8 @@ impl ShardedGateway {
 
     /// Peak [`Gateway::load_depth`] per shard, observed at submission
     /// instants.
-    pub fn peak_load(&self) -> &[usize] {
+    pub(crate) fn peak_load(&self) -> &[usize] {
         &self.peak_load
-    }
-
-    /// The fleet dashboard: shard 0..n's snapshots folded into one aggregate
-    /// view (totals summed, per-model/cluster/queue/tenant rows merged by
-    /// key) plus the per-shard `-- shards --` section.
-    pub fn dashboard_snapshot(&self, now: SimTime) -> DashboardSnapshot {
-        let mut merged: Option<DashboardSnapshot> = None;
-        for gw in &self.shards {
-            let snap = gw.dashboard_snapshot(now);
-            merged = Some(match merged {
-                None => snap,
-                Some(mut acc) => {
-                    acc.absorb(&snap);
-                    acc
-                }
-            });
-        }
-        let mut snapshot = merged.unwrap_or_default();
-        snapshot.shards = self.shard_rows();
-        snapshot.normalise();
-        snapshot
-    }
-
-    /// The per-shard dashboard rows.
-    pub fn shard_rows(&self) -> Vec<ShardRow> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, gw)| {
-                let m = gw.metrics();
-                ShardRow {
-                    shard: i as u64,
-                    requests: m.total_received(),
-                    completed: m.completed,
-                    failed: m.failed + m.rejected,
-                    spilled_in: self.spilled_in[i] as u64,
-                    spilled_out: self.spilled_out[i] as u64,
-                    load_depth: gw.load_depth() as u64,
-                }
-            })
-            .collect()
     }
 }
 
@@ -901,7 +834,7 @@ mod tests {
             let full = ConsistentHashRing::new(n);
             for dead in 0..n {
                 let survivors = full.without(dead);
-                assert_eq!(survivors.shards(), n, "indices keep their meaning");
+                assert_eq!(survivors.shards, n, "indices keep their meaning");
                 for i in 0..2000 {
                     let key = format!("tenant-{i}");
                     let before = full.shard_for(&key);

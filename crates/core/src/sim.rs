@@ -48,9 +48,9 @@ pub struct ScenarioReport {
     /// Median end-to-end latency in seconds.
     pub median_latency_s: f64,
     /// 95th-percentile latency in seconds.
-    pub p95_latency_s: f64,
+    pub(crate) p95_latency_s: f64,
     /// Mean latency in seconds.
-    pub mean_latency_s: f64,
+    pub(crate) mean_latency_s: f64,
     /// Total benchmark duration in seconds (first arrival → last completion).
     pub duration_s: f64,
 }
@@ -310,9 +310,9 @@ fn sample_request(samples: &[ConversationSample], i: usize) -> InferenceRequest 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WebUiCell {
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Concurrency level.
-    pub concurrency: usize,
+    pub(crate) concurrency: usize,
     /// Measurement window in seconds.
     pub duration_s: f64,
     /// Output token throughput (tokens/s).

@@ -16,7 +16,6 @@ use crate::api::ApiOperation;
 use crate::registry::ModelId;
 use first_desim::{Histogram, Interner, SimDuration, SimTime, SymbolId};
 use first_fabric::EndpointId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Dense id of a submitting user (a tenant, in scenario runs), interned by
@@ -24,11 +23,11 @@ use std::collections::BTreeMap;
 pub type UserSym = SymbolId;
 
 /// One logged request (the PostgreSQL row equivalent).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestLogEntry {
     /// Gateway-assigned request id.
     pub request_id: u64,
-    /// Submitting user ([`RequestLog::user_name`]).
+    /// Submitting user (`RequestLog::user_name`).
     pub user: UserSym,
     /// Target model ([`crate::ModelRegistry::model_name`]).
     pub model: ModelId,
@@ -64,16 +63,16 @@ impl RequestLogEntry {
 }
 
 /// Aggregates the dashboard shows per user or per model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UsageSummary {
     /// Requests logged.
     pub requests: u64,
     /// Prompt + completion tokens.
     pub total_tokens: u64,
     /// Completion tokens only.
-    pub completion_tokens: u64,
+    pub(crate) completion_tokens: u64,
     /// Failed requests.
-    pub failures: u64,
+    pub(crate) failures: u64,
 }
 
 /// Append-only request log (PostgreSQL substitute).
@@ -105,7 +104,7 @@ impl RequestLog {
     ///
     /// # Panics
     /// Panics if `id` was not returned by [`RequestLog::intern_user`].
-    pub fn user_name(&self, id: UserSym) -> &str {
+    pub(crate) fn user_name(&self, id: UserSym) -> &str {
         self.users.resolve(id)
     }
 
@@ -180,15 +179,15 @@ impl RequestLog {
 #[derive(Debug, Clone, Default)]
 pub struct GatewayMetrics {
     /// Requests received, keyed by operation.
-    pub received: BTreeMap<String, u64>,
+    pub(crate) received: BTreeMap<String, u64>,
     /// Requests completed successfully.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Requests failed (any stage).
-    pub failed: u64,
+    pub(crate) failed: u64,
     /// Requests rejected before dispatch (auth, rate limit, validation).
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Output tokens returned to users.
-    pub output_tokens: u64,
+    pub(crate) output_tokens: u64,
     /// Retries of failed idempotent requests (resilience layer).
     pub retries: u64,
     /// Requests failed over to a different endpoint than the one that
@@ -204,7 +203,7 @@ pub struct GatewayMetrics {
 
 impl GatewayMetrics {
     /// Create empty metrics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -213,7 +212,7 @@ impl GatewayMetrics {
     /// Runs once per request on the gateway's hottest path: the existing-key
     /// fast path avoids allocating the operation name (the map only ever
     /// holds a handful of operations, all inserted on their first request).
-    pub fn on_received(&mut self, operation: &str) {
+    pub(crate) fn on_received(&mut self, operation: &str) {
         if let Some(count) = self.received.get_mut(operation) {
             *count += 1;
         } else {
@@ -222,7 +221,7 @@ impl GatewayMetrics {
     }
 
     /// Count a rejection.
-    pub fn on_rejected(&mut self) {
+    pub(crate) fn on_rejected(&mut self) {
         self.rejected += 1;
     }
 
@@ -230,7 +229,7 @@ impl GatewayMetrics {
     ///
     /// Same fast-path shape as [`GatewayMetrics::on_received`]: the model
     /// name is only allocated the first time a model completes a request.
-    pub fn on_completed(&mut self, model: &str, latency: SimDuration, output_tokens: u32) {
+    pub(crate) fn on_completed(&mut self, model: &str, latency: SimDuration, output_tokens: u32) {
         self.completed += 1;
         self.output_tokens += output_tokens as u64;
         if let Some(h) = self.latency_by_model.get_mut(model) {
@@ -243,32 +242,32 @@ impl GatewayMetrics {
     }
 
     /// Count a failure.
-    pub fn on_failed(&mut self) {
+    pub(crate) fn on_failed(&mut self) {
         self.failed += 1;
     }
 
     /// Count a retry of a failed idempotent request.
-    pub fn on_retry(&mut self) {
+    pub(crate) fn on_retry(&mut self) {
         self.retries += 1;
     }
 
     /// Count a failover to a different endpoint.
-    pub fn on_failover(&mut self) {
+    pub(crate) fn on_failover(&mut self) {
         self.failovers += 1;
     }
 
     /// Count a circuit-breaker trip.
-    pub fn on_breaker_trip(&mut self) {
+    pub(crate) fn on_breaker_trip(&mut self) {
         self.breaker_trips += 1;
     }
 
     /// Count a hedged (duplicated) request.
-    pub fn on_hedge(&mut self) {
+    pub(crate) fn on_hedge(&mut self) {
         self.hedges += 1;
     }
 
     /// Total requests received across operations.
-    pub fn total_received(&self) -> u64 {
+    pub(crate) fn total_received(&self) -> u64 {
         self.received.values().sum()
     }
 

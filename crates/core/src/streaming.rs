@@ -17,10 +17,9 @@ use crate::gateway::CompletedRequest;
 use first_desim::{Histogram, SimDuration, SimTime};
 use first_hpc::GpuModel;
 use first_serving::{ModelSpec, PerfModel};
-use serde::{Deserialize, Serialize};
 
 /// One server-sent chunk of a streamed response.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamChunk {
     /// Chunk sequence number (0-based).
     pub index: u32,
@@ -31,16 +30,16 @@ pub struct StreamChunk {
 }
 
 /// Configuration of the streaming reconstruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
     /// GPU backing the instance (sets the prefill estimate).
-    pub gpu: GpuModel,
+    pub(crate) gpu: GpuModel,
     /// Tensor-parallel degree of the instance.
-    pub tensor_parallel: u32,
+    pub(crate) tensor_parallel: u32,
     /// Gateway + fabric overhead before the prompt reaches the engine.
-    pub dispatch_overhead: SimDuration,
+    pub(crate) dispatch_overhead: SimDuration,
     /// Output tokens coalesced into one SSE chunk (Open WebUI uses 1).
-    pub tokens_per_chunk: u32,
+    pub(crate) tokens_per_chunk: u32,
 }
 
 impl StreamingConfig {
@@ -56,14 +55,14 @@ impl StreamingConfig {
 }
 
 /// A completed request re-expressed as a stream of chunks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamedResponse {
     /// Gateway request id.
     pub request_id: u64,
     /// Model that produced the response.
-    pub model: String,
+    pub(crate) model: String,
     /// Request arrival time at the gateway.
-    pub arrived_at: SimTime,
+    pub(crate) arrived_at: SimTime,
     /// Time the first token reached the client.
     pub first_token_at: SimTime,
     /// Time the final chunk reached the client (equals the DES completion).
@@ -200,11 +199,6 @@ impl StreamStats {
         self.responses
     }
 
-    /// Total streamed output tokens.
-    pub fn tokens(&self) -> u64 {
-        self.tokens
-    }
-
     /// Median time to first token, seconds.
     pub fn median_ttft(&mut self) -> f64 {
         self.ttft.median()
@@ -323,7 +317,7 @@ mod tests {
             stats.record(&stream_response(&req, &spec(), &perf, &cfg));
         }
         assert_eq!(stats.responses(), 5);
-        assert_eq!(stats.tokens(), 5 * 150);
+        assert_eq!(stats.tokens, 5 * 150);
         assert!(stats.median_ttft() > 0.0);
         assert!(stats.median_itl() > 0.0);
         let summary = stats.summary();

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// Worker-pool behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkerMode {
+pub(crate) enum WorkerMode {
     /// Synchronous workers: a worker is held from admission until the
     /// response is delivered back to the client.
     Sync,
@@ -26,12 +26,12 @@ pub enum WorkerMode {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkerPoolConfig {
     /// Behaviour mode.
-    pub mode: WorkerMode,
+    pub(crate) mode: WorkerMode,
     /// Number of worker slots.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// CPU time the gateway spends on each request (parse, validate, convert
     /// to a Compute task, log).
-    pub per_request_cpu: SimDuration,
+    pub(crate) per_request_cpu: SimDuration,
 }
 
 impl WorkerPoolConfig {
@@ -47,7 +47,7 @@ impl WorkerPoolConfig {
     /// The production configuration: asynchronous Gunicorn/Uvicorn deployment
     /// (`cpu_count()×2 + 1` workers × 4 threads ≈ 260 concurrent slots on the
     /// 32-core gateway VM; the precise number matters far less than the mode).
-    pub fn async_production() -> Self {
+    pub(crate) fn async_production() -> Self {
         WorkerPoolConfig {
             mode: WorkerMode::Async,
             workers: 260,
@@ -62,7 +62,7 @@ impl WorkerPoolConfig {
 /// time; admission picks the earliest-free slot. Sync requests that find
 /// every worker held wait in FIFO order for [`WorkerPool::release`].
 #[derive(Debug, Clone)]
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     config: WorkerPoolConfig,
     free_at: Vec<SimTime>,
     /// Arrival instants of the sync requests waiting for a worker.
@@ -79,18 +79,18 @@ pub struct WorkerPool {
 
 /// The admission decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Admission {
+pub(crate) struct Admission {
     /// When a worker became available and gateway CPU work started.
-    pub started_at: SimTime,
+    pub(crate) started_at: SimTime,
     /// When the request is ready to be forwarded to the compute fabric.
-    pub dispatch_ready_at: SimTime,
+    pub(crate) dispatch_ready_at: SimTime,
     /// Index of the worker slot used (needed to release sync workers).
-    pub worker: usize,
+    pub(crate) worker: usize,
 }
 
 impl WorkerPool {
     /// Create a pool with all workers free at time zero.
-    pub fn new(config: WorkerPoolConfig) -> Self {
+    pub(crate) fn new(config: WorkerPoolConfig) -> Self {
         let workers = config.workers.max(1);
         let free_heap = if config.mode == WorkerMode::Async {
             (0..workers)
@@ -108,22 +108,12 @@ impl WorkerPool {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &WorkerPoolConfig {
-        &self.config
-    }
-
-    /// Requests admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
     /// Admit a request arriving at `now`: wait for the earliest free worker,
     /// spend the per-request CPU, and (for async mode) release the slot at
     /// dispatch time. Sync-mode slots stay held until [`WorkerPool::release`].
     /// `None` when every sync worker is held: the request then waits, and
     /// the release that frees a worker for it returns its admission.
-    pub fn admit(&mut self, now: SimTime) -> Option<Admission> {
+    pub(crate) fn admit(&mut self, now: SimTime) -> Option<Admission> {
         let (worker, slot_free) = match self.config.mode {
             WorkerMode::Async => {
                 let std::cmp::Reverse((t, w)) =
@@ -172,7 +162,7 @@ impl WorkerPool {
     /// Release a sync worker at `now`, when its request's response has been
     /// delivered; the oldest waiting request starts on it, and its admission
     /// is returned. No-op in async mode.
-    pub fn release(&mut self, worker: usize, now: SimTime) -> Option<Admission> {
+    pub(crate) fn release(&mut self, worker: usize, now: SimTime) -> Option<Admission> {
         if self.config.mode != WorkerMode::Sync || worker >= self.free_at.len() {
             return None;
         }
@@ -200,7 +190,7 @@ mod tests {
         // 1000 requests over 260 async slots at 15 ms each: worst-case wait
         // stays well under a second.
         assert!(worst.as_secs_f64() < 0.2, "worst delay {worst}");
-        assert_eq!(pool.admitted(), 1000);
+        assert_eq!(pool.admitted, 1000);
     }
 
     #[test]
@@ -231,7 +221,7 @@ mod tests {
             .admit(SimTime::from_secs(45))
             .expect("a worker is free");
         assert_eq!(twelfth.started_at, SimTime::from_secs(45));
-        assert_eq!(pool.admitted(), 12);
+        assert_eq!(pool.admitted, 12);
     }
 
     #[test]

@@ -6,21 +6,19 @@
 //! deterministic first-intern order, so two runs that intern the same names in
 //! the same order assign the same ids — and the rest of the system carries the
 //! id. Strings reappear only at the API boundary (request parsing, reports,
-//! telemetry output), resolved through [`Interner::resolve`] or a read-only
-//! [`InternerSnapshot`] that can be handed to worker threads.
+//! telemetry output), resolved through [`Interner::resolve`].
 //!
 //! The module also provides [`IdHashBuilder`], a no-op hasher for maps keyed
 //! by ids that are already well-distributed (task ids, request ids): SipHash
 //! on a `u64` costs more than the lookup it guards.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A dense interned-name identifier. Ids are assigned sequentially from 0 in
 /// first-intern order, so they double as `Vec` indices for per-name state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SymbolId(pub u32);
 
 impl SymbolId {
@@ -88,50 +86,6 @@ impl Interner {
     }
 
     /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Iterate `(id, name)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (SymbolId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (SymbolId(i as u32), n.as_ref()))
-    }
-
-    /// A cheap read-only snapshot of the current id → name table. The
-    /// snapshot shares the underlying name storage (`Arc<str>`), so taking
-    /// one is O(n) pointer clones and resolving through it allocates nothing.
-    /// Names interned after the snapshot are not visible to it.
-    pub fn snapshot(&self) -> InternerSnapshot {
-        InternerSnapshot {
-            names: Arc::from(self.names.as_slice()),
-        }
-    }
-}
-
-/// Read-only id → name table captured from an [`Interner`]; `Send + Sync`,
-/// so consumers on other threads can resolve ids without sharing the
-/// mutable interner.
-#[derive(Debug, Clone)]
-pub struct InternerSnapshot {
-    names: Arc<[Arc<str>]>,
-}
-
-impl InternerSnapshot {
-    /// Resolve an id, returning `None` for ids interned after the snapshot.
-    #[inline]
-    pub fn resolve(&self, id: SymbolId) -> Option<&str> {
-        self.names.get(id.index()).map(|s| s.as_ref())
-    }
-
-    /// Number of names visible to this snapshot.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the snapshot is empty.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
     }
@@ -209,38 +163,6 @@ mod tests {
         assert_eq!(a.resolve(SymbolId(0)), "sophia-endpoint");
         assert_eq!(a.get("polaris-endpoint"), Some(SymbolId(1)));
         assert_eq!(a.get("missing"), None);
-    }
-
-    #[test]
-    fn snapshot_resolves_without_the_interner() {
-        let mut interner = Interner::new();
-        let id = interner.intern("meta-llama/Llama-3.3-70B-Instruct");
-        let snap = interner.snapshot();
-        let later = interner.intern("later-model");
-        assert_eq!(snap.resolve(id), Some("meta-llama/Llama-3.3-70B-Instruct"));
-        assert_eq!(snap.resolve(later), None, "post-snapshot ids are invisible");
-        assert_eq!(snap.len(), 1);
-        // Snapshots cross threads.
-        let handle = std::thread::spawn(move || snap.resolve(id).map(str::to_string));
-        assert_eq!(
-            handle.join().unwrap().as_deref(),
-            Some("meta-llama/Llama-3.3-70B-Instruct")
-        );
-    }
-
-    #[test]
-    fn iter_walks_ids_in_order() {
-        let mut i = Interner::new();
-        i.intern("a");
-        i.intern("b");
-        let pairs: Vec<(SymbolId, String)> = i.iter().map(|(id, n)| (id, n.to_string())).collect();
-        assert_eq!(
-            pairs,
-            vec![
-                (SymbolId(0), "a".to_string()),
-                (SymbolId(1), "b".to_string())
-            ]
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod time;
 pub mod wheel;
 pub mod window;
 
-pub use intern::{fnv1a_64, IdHashBuilder, Interner, InternerSnapshot, SymbolId};
+pub use intern::{fnv1a_64, IdHashBuilder, Interner, SymbolId};
 pub use process::SimProcess;
 pub use rng::SimRng;
 pub use stats::{Histogram, OnlineStats, SimMeter, SimRunStats};

@@ -68,12 +68,12 @@ impl SimRng {
     }
 
     /// Normal variate with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev.max(0.0) * self.standard_normal()
     }
 
     /// Log-normal variate parameterised by the underlying normal's `mu`/`sigma`.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
+    pub(crate) fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
     }
 
@@ -126,11 +126,6 @@ impl SimRng {
             }
         }
         weights.len() - 1
-    }
-
-    /// Raw access to the underlying RNG for callers needing other draws.
-    pub fn raw(&mut self) -> &mut StdRng {
-        &mut self.inner
     }
 }
 

@@ -133,15 +133,12 @@ impl SimMeter {
     }
 }
 
-/// Streaming mean / variance / min / max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Streaming mean / variance accumulator (Welford's algorithm).
+#[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
 }
 
 impl OnlineStats {
@@ -151,35 +148,20 @@ impl OnlineStats {
             count: 0,
             mean: 0.0,
             m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
         }
     }
 
     /// Record one observation.
     pub fn record(&mut self, x: f64) {
         self.count += 1;
-        self.sum += x;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
     }
 
     /// Number of observations recorded.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
     }
 
     /// Arithmetic mean, or 0 when empty.
@@ -200,29 +182,6 @@ impl OnlineStats {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation, or 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
     /// Merge another accumulator into this one.
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.count == 0 {
@@ -239,16 +198,13 @@ impl OnlineStats {
         self.mean = (n1 * self.mean + n2 * other.mean) / total;
         self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
 /// A sample reservoir that records every observation (latencies per request
 /// are at most a few hundred thousand per experiment, so exact percentiles
 /// are affordable and simpler than an approximate sketch).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples: Vec<f64>,
     sorted: bool,
@@ -282,13 +238,8 @@ impl Histogram {
         self.samples.len()
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.samples.iter().sum()
     }
 
@@ -409,9 +360,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-9);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-12);
     }
 
     #[test]
@@ -439,9 +387,7 @@ mod tests {
     fn empty_stats_are_zero() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
+        assert_eq!(s.variance(), 0.0);
     }
 
     #[test]
@@ -511,6 +457,6 @@ mod tests {
         let mut h = Histogram::new();
         assert_eq!(h.median(), 0.0);
         assert_eq!(h.mean(), 0.0);
-        assert!(h.is_empty());
+        assert_eq!(h.count(), 0);
     }
 }

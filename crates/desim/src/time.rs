@@ -13,7 +13,7 @@ use std::ops::{Add, AddAssign, Sub};
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
-pub struct SimTime(pub u64);
+pub struct SimTime(pub(crate) u64);
 
 /// A span of virtual time, measured in microseconds.
 #[derive(

@@ -408,23 +408,6 @@ impl<T> TimingWheel<T> {
             out.push(ev);
         }
     }
-
-    /// Remove all pending events. The sequence counter is preserved so
-    /// later pushes still order after everything scheduled before the clear.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.overdue.clear();
-        self.far.clear();
-        for lv in self.levels.iter_mut() {
-            lv.occupied = 0;
-            lv.head = [NIL; SLOTS];
-            lv.tail = [NIL; SLOTS];
-        }
-        self.len = 0;
-        self.elapsed = 0;
-        self.cached_min = None;
-    }
 }
 
 #[cfg(test)]
@@ -526,19 +509,6 @@ mod tests {
         assert_eq!(w.peek_time(), Some(far));
         let ev = w.pop().unwrap();
         assert_eq!((ev.time, ev.payload), (far, "far"));
-    }
-
-    #[test]
-    fn clear_keeps_the_sequence_counter_monotonic() {
-        let mut w = TimingWheel::new();
-        w.push(SimTime(1), ());
-        w.push(SimTime(2), ());
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.peek_time(), None);
-        w.push(SimTime(3), ());
-        let ev = w.pop().unwrap();
-        assert_eq!(ev.seq, 2, "sequence numbers continue after clear");
     }
 
     #[test]

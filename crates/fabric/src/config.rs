@@ -8,27 +8,26 @@
 use first_desim::SimDuration;
 use first_hpc::GpuModel;
 use first_serving::{EngineConfig, ModelKind, ModelSpec, PerfModel};
-use serde::{Deserialize, Serialize};
 
 /// Per-model serving configuration on one endpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelHostingConfig {
     /// The model served.
-    pub model: ModelSpec,
+    pub(crate) model: ModelSpec,
     /// GPUs per instance (tensor-parallel degree).
-    pub gpus_per_instance: u32,
+    pub(crate) gpus_per_instance: u32,
     /// Nodes per instance (>1 only for models that do not fit on one node).
-    pub nodes_per_instance: u32,
+    pub(crate) nodes_per_instance: u32,
     /// Maximum simultaneously running instances (auto-scaling ceiling).
-    pub max_instances: u32,
+    pub(crate) max_instances: u32,
     /// Maximum parallel inference tasks per instance (§3.2.2 "Auto-scaling").
-    pub max_parallel_tasks: usize,
+    pub(crate) max_parallel_tasks: usize,
     /// In-flight tasks per instance beyond which another instance is launched.
-    pub scale_up_threshold: usize,
+    pub(crate) scale_up_threshold: usize,
     /// Walltime requested for each instance's batch job.
-    pub job_walltime: SimDuration,
+    pub(crate) job_walltime: SimDuration,
     /// Idle period after which a warm instance is released (§3.2.2: 2 hours).
-    pub idle_timeout: SimDuration,
+    pub(crate) idle_timeout: SimDuration,
 }
 
 impl ModelHostingConfig {
@@ -82,12 +81,12 @@ impl ModelHostingConfig {
     }
 
     /// Whether this hosting entry serves an embedding model.
-    pub fn is_embedding(&self) -> bool {
+    pub(crate) fn is_embedding(&self) -> bool {
         self.model.kind == ModelKind::Embedding
     }
 
     /// Build the engine configuration for one instance on the given GPU type.
-    pub fn engine_config(&self, gpu: GpuModel) -> EngineConfig {
+    pub(crate) fn engine_config(&self, gpu: GpuModel) -> EngineConfig {
         EngineConfig {
             model: self.model.clone(),
             gpu,
@@ -102,21 +101,21 @@ impl ModelHostingConfig {
 }
 
 /// Latency/overhead model of the Globus Compute service path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FabricLatencyModel {
     /// Client → cloud-service submission latency.
-    pub client_to_service: SimDuration,
+    pub(crate) client_to_service: SimDuration,
     /// Serial per-task dispatch cost inside the cloud service. This is the
     /// routing capacity the paper identifies as the scaling limiter ("limited
     /// by the ability of Globus Compute to scale and route requests"):
     /// 1 / cost ≈ 25–26 tasks/s.
-    pub service_dispatch_cost: SimDuration,
+    pub(crate) service_dispatch_cost: SimDuration,
     /// Cloud service → endpoint delivery latency.
-    pub service_to_endpoint: SimDuration,
+    pub(crate) service_to_endpoint: SimDuration,
     /// Endpoint → cloud service result relay latency.
-    pub endpoint_to_service: SimDuration,
+    pub(crate) endpoint_to_service: SimDuration,
     /// Cloud service → client result delivery latency (futures mode).
-    pub service_to_client: SimDuration,
+    pub(crate) service_to_client: SimDuration,
 }
 
 impl Default for FabricLatencyModel {
@@ -132,19 +131,19 @@ impl Default for FabricLatencyModel {
 }
 
 /// Configuration of one compute endpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EndpointConfig {
     /// Endpoint name (unique within the deployment), e.g. `"sophia-endpoint"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Cluster the endpoint runs on.
-    pub cluster: String,
+    pub(crate) cluster: String,
     /// GPU type of the cluster's nodes.
     pub gpu: GpuModel,
     /// Models hosted by this endpoint.
-    pub models: Vec<ModelHostingConfig>,
+    pub(crate) models: Vec<ModelHostingConfig>,
     /// Whether failed instances are automatically restarted (§3.2.2 "Fault
     /// Tolerance").
-    pub auto_restart: bool,
+    pub(crate) auto_restart: bool,
 }
 
 impl EndpointConfig {
@@ -165,21 +164,11 @@ impl EndpointConfig {
         self
     }
 
-    /// Find the hosting entry for a model name.
-    fn hosting_for(&self, model: &str) -> Option<&ModelHostingConfig> {
-        self.models.iter().find(|m| m.model.name == model)
-    }
-
     /// Resolve a model name to its hosting-entry index — the endpoint-local
     /// interned id the hot paths carry instead of the name. Stable for the
     /// lifetime of the endpoint (hosting sets are fixed at deployment build).
     pub fn hosting_index(&self, model: &str) -> Option<usize> {
         self.models.iter().position(|m| m.model.name == model)
-    }
-
-    /// Whether the endpoint hosts the named model.
-    pub fn hosts(&self, model: &str) -> bool {
-        self.hosting_for(model).is_some()
     }
 }
 
@@ -274,11 +263,11 @@ mod tests {
                 find_model("nv-embed-v2").unwrap(),
                 GpuModel::A100_40,
             ));
-        assert!(ep.hosts("meta-llama/Llama-3.3-70B-Instruct"));
-        assert!(!ep.hosts("missing"));
         assert!(ep
-            .hosting_for("nvidia/NV-Embed-v2")
-            .map(|h| h.is_embedding())
-            .unwrap_or(false));
+            .hosting_index("meta-llama/Llama-3.3-70B-Instruct")
+            .is_some());
+        assert!(ep.hosting_index("missing").is_none());
+        let embed = ep.hosting_index("nvidia/NV-Embed-v2").unwrap();
+        assert!(ep.models[embed].is_embedding());
     }
 }

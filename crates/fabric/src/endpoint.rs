@@ -17,7 +17,6 @@ use first_serving::{
     EmbeddingConfig, EmbeddingEngine, EngineState, InferenceCompletion, InferenceRequest,
     RequestId, VllmEngine,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Serving backend held by an instance.
@@ -64,7 +63,7 @@ impl InstanceBackend {
 }
 
 /// Lifecycle of a model instance on the endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstanceState {
     /// Batch job submitted, waiting for node allocation.
     PendingJob,
@@ -81,12 +80,10 @@ pub enum InstanceState {
 /// One running (or starting) serving instance of a model.
 #[derive(Debug, Clone)]
 pub struct ModelInstance {
-    /// Instance identifier within the endpoint.
-    pub id: u32,
     /// Model served.
     pub model: String,
     /// Scheduler job backing the instance.
-    pub job: JobId,
+    pub(crate) job: JobId,
     /// Current lifecycle state.
     pub state: InstanceState,
     /// Index of the hosting entry in the endpoint config — the interned form
@@ -109,7 +106,7 @@ impl ModelInstance {
     }
 
     /// Whether the instance is hot and serving.
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         self.state == InstanceState::Ready
     }
 }
@@ -126,7 +123,7 @@ struct HostingLoad {
 }
 
 /// Endpoint statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EndpointStats {
     /// Tasks received from the service.
     pub tasks_received: u64,
@@ -161,10 +158,10 @@ pub struct ModelActivity {
 
 /// Hosted-model status summary exposed to the gateway's `/jobs` endpoint
 /// (§4.3: "running", "starting" or "queued").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelStatus {
     /// Model name.
-    pub model: String,
+    pub(crate) model: String,
     /// Instances hot and serving.
     pub running: u32,
     /// Instances loading weights.
@@ -188,7 +185,6 @@ pub struct ComputeEndpoint {
     /// Per-hosting-entry instance and task counts, indexed like `waiting`.
     load: Vec<HostingLoad>,
     results: Vec<TaskResult>,
-    next_instance_id: u32,
     offline_until: Option<SimTime>,
     stats: EndpointStats,
     /// Next instant `assign_and_scale` can make progress without new external
@@ -212,7 +208,6 @@ impl ComputeEndpoint {
             scheduler: BatchScheduler::new(cluster),
             instances: Vec::new(),
             results: Vec::new(),
-            next_instance_id: 0,
             offline_until: None,
             stats: EndpointStats::default(),
             next_wake: None,
@@ -259,7 +254,7 @@ impl ComputeEndpoint {
     }
 
     /// Drain completed task results.
-    pub fn take_results(&mut self) -> Vec<TaskResult> {
+    pub(crate) fn take_results(&mut self) -> Vec<TaskResult> {
         std::mem::take(&mut self.results)
     }
 
@@ -335,7 +330,7 @@ impl ComputeEndpoint {
     /// range) or cannot serve it; a failed result is produced in that case.
     /// The engine runs the request under the task's id, so each completion
     /// names its task.
-    pub fn receive_task(
+    pub(crate) fn receive_task(
         &mut self,
         task: TaskId,
         hosting: Option<u32>,
@@ -461,7 +456,7 @@ impl ComputeEndpoint {
     }
 
     /// The instant the current (or last) offline window ends, if one was set.
-    pub fn offline_until(&self) -> Option<SimTime> {
+    pub(crate) fn offline_until(&self) -> Option<SimTime> {
         self.offline_until
     }
 
@@ -596,7 +591,6 @@ impl ComputeEndpoint {
             walltime: hosting.job_walltime,
             priority: JobPriority::High,
             user: "first-service".to_string(),
-            tag: hosting.model.name.clone(),
         }
         .with_user(format!("endpoint:{}", self.config.name));
         let job = self.scheduler.submit(request, now);
@@ -605,11 +599,8 @@ impl ComputeEndpoint {
             .job(job)
             .map(|j| j.state == JobState::Running)
             .unwrap_or(false);
-        let id = self.next_instance_id;
-        self.next_instance_id += 1;
         self.stats.instances_launched += 1;
         let mut instance = ModelInstance {
-            id,
             model: hosting.model.name.clone(),
             job,
             state: InstanceState::PendingJob,
@@ -635,7 +626,7 @@ impl ComputeEndpoint {
     ) {
         if hosting.is_embedding() {
             instance.backend = Some(InstanceBackend::Embedding(EmbeddingEngine::new(
-                EmbeddingConfig::nv_embed(hosting.model.clone()),
+                EmbeddingConfig::nv_embed(),
             )));
             instance.state = InstanceState::Ready;
         } else {
@@ -1126,10 +1117,10 @@ mod tests {
             assert!(ep.instances().is_empty());
         }
         assert_eq!(ep.stats().instances_released, 8);
-        // Ids keep counting across the churn.
+        // Job ids keep counting across the churn.
         ep.prewarm(model, 1, now);
         assert_eq!(ep.instances().len(), 1);
-        assert_eq!(ep.instances()[0].id, 8);
+        assert_eq!(ep.instances()[0].job.to_string(), "job-9");
         // A preempted instance leaves the list as well.
         assert!(ep.preempt_instance(now));
         assert!(ep.instances().is_empty());
@@ -1149,8 +1140,8 @@ mod tests {
         // The first hot instance crashes: it leaves the list at once, the
         // survivor keeps its place and the restart is appended after it.
         assert!(ep.inject_instance_failure(model, SimTime::from_secs(1)));
-        let ids: Vec<u32> = ep.instances().iter().map(|i| i.id).collect();
-        assert_eq!(ids, [1, 2]);
+        let jobs: Vec<String> = ep.instances().iter().map(|i| i.job.to_string()).collect();
+        assert_eq!(jobs, ["job-2", "job-3"]);
         assert_eq!(ep.stats().restarts, 1);
         // The crash failed the task it held.
         let results = ep.take_results();
@@ -1158,8 +1149,8 @@ mod tests {
         assert!(!results[0].success);
         // A second crash removes the survivor too; only restarts remain.
         assert!(ep.inject_instance_failure(model, SimTime::from_secs(2)));
-        let ids: Vec<u32> = ep.instances().iter().map(|i| i.id).collect();
-        assert_eq!(ids, [2, 3]);
+        let jobs: Vec<String> = ep.instances().iter().map(|i| i.job.to_string()).collect();
+        assert_eq!(jobs, ["job-3", "job-4"]);
     }
 
     #[test]
@@ -1484,7 +1475,7 @@ mod tests {
                 assert!(
                     inst.in_flight.windows(2).all(|w| w[0] < w[1]),
                     "instance {} holds {:?} after {op}",
-                    inst.id,
+                    inst.job,
                     inst.in_flight
                 );
             }

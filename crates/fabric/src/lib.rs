@@ -19,11 +19,6 @@ pub mod task;
 
 pub use client::{ClientConfig, ResultMode};
 pub use config::{EndpointConfig, FabricLatencyModel, ModelHostingConfig};
-pub use endpoint::{
-    ComputeEndpoint, EndpointStats, InstanceState, ModelActivity, ModelInstance, ModelStatus,
-};
-pub use service::{ComputeService, FabricError, ServiceStats};
-pub use task::{
-    EndpointId, FunctionId, FunctionRegistry, RegisteredFunction, TaskId, TaskRecord, TaskResult,
-    TaskState,
-};
+pub use endpoint::{ComputeEndpoint, InstanceState, ModelActivity};
+pub use service::ComputeService;
+pub use task::{EndpointId, FunctionId, TaskId, TaskRecord, TaskResult};

@@ -15,11 +15,10 @@ use crate::task::{
 };
 use first_desim::{IdWindow, SimDuration, SimProcess, SimTime};
 use first_serving::InferenceRequest;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Errors returned when a submission is rejected outright.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricError {
     /// The function id was never registered by the administrators.
     UnregisteredFunction,
@@ -51,7 +50,7 @@ struct RoutedTask {
 }
 
 /// Service-level statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Tasks submitted.
     pub submitted: u64,
@@ -145,11 +144,6 @@ impl ComputeService {
         &self.registry
     }
 
-    /// The latency model in force.
-    pub fn latency(&self) -> &FabricLatencyModel {
-        &self.latency
-    }
-
     /// Service statistics.
     pub fn stats(&self) -> &ServiceStats {
         &self.stats
@@ -213,13 +207,6 @@ impl ComputeService {
     /// All endpoints.
     pub fn endpoints(&self) -> &[ComputeEndpoint] {
         &self.endpoints
-    }
-
-    /// Look up the record of a task whose result has not been polled yet;
-    /// `poll_results` releases the record along with the result.
-    #[inline]
-    pub fn task(&self, id: TaskId) -> Option<&TaskRecord> {
-        self.tasks.get(id.0)
     }
 
     /// Tasks the service still holds a record for: submitted and not yet
@@ -343,7 +330,7 @@ impl ComputeService {
 
     /// Drain results whose relay reached the client by `now`, each with its
     /// task's record, which the service releases here: once polled, a task
-    /// is no longer [`ComputeService::task`]-visible. A result whose record
+    /// is no longer `ComputeService::task`-visible. A result whose record
     /// was already released (a repeat result for the same task) is dropped.
     pub fn poll_results(&mut self, now: SimTime) -> Vec<(TaskResult, TaskRecord)> {
         let mut out = Vec::new();
@@ -567,6 +554,13 @@ mod tests {
     use first_hpc::{Cluster, GpuModel};
     use first_serving::find_model;
 
+    impl ComputeService {
+        /// A task's record while the service still holds it.
+        fn task(&self, id: TaskId) -> Option<&TaskRecord> {
+            self.tasks.get(id.0)
+        }
+    }
+
     const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
     fn service_with_endpoint(prewarm: u32) -> ComputeService {
@@ -626,7 +620,7 @@ mod tests {
         assert_eq!(rec.id, id);
         assert_eq!(rec.state, TaskState::Completed);
         // Latency includes the fabric overhead (~5–6 s) plus engine time.
-        let latency = rec.service_latency().unwrap().as_secs_f64();
+        let latency = (rec.result_available_at.unwrap() - rec.submitted_at).as_secs_f64();
         assert!(latency > 5.0 && latency < 20.0, "latency {latency}");
     }
 
@@ -853,7 +847,7 @@ mod tests {
         // own: the service must wake only for deliveries and results, never
         // for a hand-off, and still stamp every hand-off at its own instant.
         let mut svc = service_with_endpoint(0);
-        let latency = svc.latency().clone();
+        let latency = svc.latency.clone();
         assert_eq!(latency.service_dispatch_cost, SimDuration::from_millis(40));
         assert_eq!(latency.service_to_endpoint, SimDuration::from_millis(2200));
         let f = inference_fn(&svc);

@@ -4,7 +4,7 @@
 //! administrators (§3.2.2 "Security"); every inference request becomes a task
 //! invoking one of those functions on a chosen endpoint.
 
-use first_desim::{SimDuration, SimTime};
+use first_desim::SimTime;
 use first_serving::InferenceCompletion;
 use serde::{Deserialize, Serialize};
 
@@ -13,31 +13,31 @@ use serde::{Deserialize, Serialize};
 pub struct FunctionId(pub u32);
 
 /// A function administrators registered on the endpoints.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisteredFunction {
     /// Function identifier.
     pub id: FunctionId,
     /// Human-readable name (e.g. `"run_vllm_inference"`).
-    pub name: String,
+    pub(crate) name: String,
     /// What the function does.
-    pub description: String,
+    pub(crate) description: String,
 }
 
 /// Registry of pre-registered functions. Only these may execute on endpoints.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FunctionRegistry {
     functions: Vec<RegisteredFunction>,
 }
 
 impl FunctionRegistry {
     /// Empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// The standard FIRST function set: interactive inference, batch
     /// inference, and embedding generation.
-    pub fn standard() -> Self {
+    pub(crate) fn standard() -> Self {
         let mut reg = Self::new();
         reg.register(
             "run_vllm_inference",
@@ -49,7 +49,7 @@ impl FunctionRegistry {
     }
 
     /// Register a function; returns its id.
-    pub fn register(&mut self, name: &str, description: &str) -> FunctionId {
+    pub(crate) fn register(&mut self, name: &str, description: &str) -> FunctionId {
         let id = FunctionId(self.functions.len() as u32);
         self.functions.push(RegisteredFunction {
             id,
@@ -60,7 +60,7 @@ impl FunctionRegistry {
     }
 
     /// Look up a function by id.
-    pub fn get(&self, id: FunctionId) -> Option<&RegisteredFunction> {
+    pub(crate) fn get(&self, id: FunctionId) -> Option<&RegisteredFunction> {
         self.functions.iter().find(|f| f.id == id)
     }
 
@@ -70,18 +70,8 @@ impl FunctionRegistry {
     }
 
     /// Whether the id refers to a registered function.
-    pub fn is_registered(&self, id: FunctionId) -> bool {
+    pub(crate) fn is_registered(&self, id: FunctionId) -> bool {
         self.get(id).is_some()
-    }
-
-    /// Number of registered functions.
-    pub fn len(&self) -> usize {
-        self.functions.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.functions.is_empty()
     }
 }
 
@@ -112,7 +102,7 @@ impl std::fmt::Display for TaskId {
 
 /// Lifecycle of a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TaskState {
+pub(crate) enum TaskState {
     /// Accepted by the cloud service, waiting to be dispatched.
     QueuedAtService,
     /// Dispatched; travelling to / waiting at the endpoint.
@@ -135,7 +125,7 @@ pub struct TaskResult {
     /// The engine completion when successful.
     pub completion: Option<InferenceCompletion>,
     /// Error description when failed.
-    pub error: Option<String>,
+    pub(crate) error: Option<String>,
     /// When the endpoint finished executing.
     pub finished_at: SimTime,
 }
@@ -145,15 +135,15 @@ pub struct TaskResult {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskRecord {
     /// Task identifier.
-    pub id: TaskId,
+    pub(crate) id: TaskId,
     /// Function being invoked.
-    pub function: FunctionId,
+    pub(crate) function: FunctionId,
     /// Target endpoint (its name is [`crate::ComputeService::endpoint_name`]).
-    pub endpoint: EndpointId,
+    pub(crate) endpoint: EndpointId,
     /// Submission time at the service.
-    pub submitted_at: SimTime,
+    pub(crate) submitted_at: SimTime,
     /// Current state.
-    pub state: TaskState,
+    pub(crate) state: TaskState,
     /// When the dispatcher finished dispatching the task (client→service hop
     /// plus dispatcher queue and dispatch cost), feeding the trace `dispatch`
     /// phase.
@@ -167,13 +157,6 @@ pub struct TaskRecord {
     pub result_available_at: Option<SimTime>,
 }
 
-impl TaskRecord {
-    /// Service-side latency: submission until the result became available.
-    pub fn service_latency(&self) -> Option<SimDuration> {
-        self.result_available_at.map(|t| t - self.submitted_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,7 +164,7 @@ mod tests {
     #[test]
     fn standard_registry_has_the_three_first_functions() {
         let reg = FunctionRegistry::standard();
-        assert_eq!(reg.len(), 3);
+        assert_eq!(reg.functions.len(), 3);
         assert!(reg.find_by_name("run_vllm_inference").is_some());
         assert!(reg.find_by_name("run_vllm_batch").is_some());
         assert!(reg.find_by_name("run_embedding").is_some());
@@ -195,20 +178,5 @@ mod tests {
         assert!(reg.is_registered(id));
         assert!(!reg.is_registered(FunctionId(99)));
         assert_eq!(reg.get(id).unwrap().name, "f");
-    }
-
-    #[test]
-    fn task_record_latency() {
-        let rec = TaskRecord {
-            id: TaskId(1),
-            function: FunctionId(0),
-            endpoint: EndpointId(0),
-            submitted_at: SimTime::from_secs(10),
-            state: TaskState::Completed,
-            dispatched_at: None,
-            delivered_at: None,
-            result_available_at: Some(SimTime::from_secs(25)),
-        };
-        assert_eq!(rec.service_latency(), Some(SimDuration::from_secs(15)));
     }
 }

@@ -3,10 +3,9 @@
 //! cluster ... decides which cluster to use based on node availability").
 
 use crate::node::{GpuModel, Node, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A named collection of compute nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cluster {
     /// Facility-visible cluster name ("sophia", "polaris", ...).
     pub name: String,
@@ -15,7 +14,7 @@ pub struct Cluster {
 }
 
 /// Snapshot of cluster occupancy, in the shape a facility status page exposes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterStatus {
     /// Cluster name.
     pub cluster: String,
@@ -24,7 +23,7 @@ pub struct ClusterStatus {
     /// Nodes with every GPU free.
     pub idle_nodes: u32,
     /// Nodes with at least one free GPU.
-    pub nodes_with_free_gpus: u32,
+    pub(crate) nodes_with_free_gpus: u32,
     /// Total GPUs.
     pub total_gpus: u32,
     /// Free GPUs.
@@ -35,7 +34,7 @@ pub struct ClusterStatus {
 
 impl Cluster {
     /// Create a cluster of `node_count` identical nodes.
-    pub fn homogeneous(
+    pub(crate) fn homogeneous(
         name: impl Into<String>,
         node_count: u32,
         gpus_per_node: u32,
@@ -43,14 +42,7 @@ impl Cluster {
     ) -> Self {
         let name = name.into();
         let nodes = (0..node_count)
-            .map(|i| {
-                Node::new(
-                    NodeId(i),
-                    format!("{name}-gpu-{i:02}"),
-                    model,
-                    gpus_per_node,
-                )
-            })
+            .map(|i| Node::new(NodeId(i), model, gpus_per_node))
             .collect();
         Cluster { name, nodes }
     }
@@ -83,26 +75,11 @@ impl Cluster {
         self.nodes.len() as u32
     }
 
-    /// Total GPUs across the cluster.
-    pub fn total_gpus(&self) -> u32 {
-        self.nodes.iter().map(|n| n.gpu_count()).sum()
-    }
-
-    /// Total VRAM across the cluster in gigabytes.
-    pub fn total_vram_gb(&self) -> f64 {
-        self.nodes.iter().map(|n| n.total_vram_gb()).sum()
-    }
-
     /// The largest per-node GPU count in the cluster — the ceiling on how many
     /// GPUs a single-node allocation can ever obtain here (8 on Sophia's DGX
     /// nodes, 4 on Polaris).
     pub fn max_gpus_per_node(&self) -> u32 {
         self.nodes.iter().map(|n| n.gpu_count()).max().unwrap_or(0)
-    }
-
-    /// Borrow a node by id.
-    pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.iter().find(|n| n.id == id)
     }
 
     /// Mutably borrow a node by id.
@@ -111,7 +88,7 @@ impl Cluster {
     }
 
     /// Publicly visible status snapshot.
-    pub fn status(&self) -> ClusterStatus {
+    pub(crate) fn status(&self) -> ClusterStatus {
         let online: Vec<&Node> = self.nodes.iter().filter(|n| !n.offline).collect();
         ClusterStatus {
             cluster: self.name.clone(),
@@ -133,16 +110,22 @@ mod tests {
     fn sophia_matches_paper_description() {
         let sophia = Cluster::sophia();
         assert_eq!(sophia.node_count(), 24);
-        assert_eq!(sophia.total_gpus(), 24 * 8);
+        assert_eq!(sophia.status().total_gpus, 24 * 8);
         // 22 nodes × 8 × 40 GB + 2 nodes × 8 × 80 GB = 8320 GB, as in §5.2.1.
-        assert_eq!(sophia.total_vram_gb(), 8320.0);
+        let vram_gb: f64 = sophia
+            .nodes
+            .iter()
+            .flat_map(|n| &n.gpus)
+            .map(|g| g.model.vram_gb())
+            .sum();
+        assert_eq!(vram_gb, 8320.0);
     }
 
     #[test]
     fn polaris_preset_exists() {
         let polaris = Cluster::polaris();
         assert_eq!(polaris.node_count(), 40);
-        assert_eq!(polaris.total_gpus(), 160);
+        assert_eq!(polaris.status().total_gpus, 160);
     }
 
     #[test]
@@ -179,8 +162,8 @@ mod tests {
 
     #[test]
     fn node_lookup() {
-        let c = Cluster::tiny("t", 2, 4);
-        assert!(c.node(NodeId(1)).is_some());
-        assert!(c.node(NodeId(9)).is_none());
+        let mut c = Cluster::tiny("t", 2, 4);
+        assert!(c.node_mut(NodeId(1)).is_some());
+        assert!(c.node_mut(NodeId(9)).is_none());
     }
 }

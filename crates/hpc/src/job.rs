@@ -2,11 +2,10 @@
 
 use crate::node::NodeId;
 use first_desim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Unique job identifier assigned by the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct JobId(pub u64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct JobId(pub(crate) u64);
 
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -15,10 +14,8 @@ impl std::fmt::Display for JobId {
 }
 
 /// Scheduling priority class (PBS-style queue priority).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum JobPriority {
-    /// Backfill / preemptible priority.
-    Low = 0,
     /// Default priority.
     Normal = 1,
     /// Interactive / demand priority (used for hot-node acquisitions).
@@ -26,7 +23,7 @@ pub enum JobPriority {
 }
 
 /// What the job asks the scheduler for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// Number of nodes requested.
     pub nodes: u32,
@@ -38,44 +35,18 @@ pub struct JobRequest {
     pub priority: JobPriority,
     /// Submitting user (free-form; the scheduler does not enforce auth).
     pub user: String,
-    /// Human-readable tag, e.g. the model being served.
-    pub tag: String,
 }
 
 impl JobRequest {
     /// A single-node GPU job (the common case for model serving).
-    pub fn single_node(gpus: u32, walltime: SimDuration, tag: impl Into<String>) -> Self {
+    pub fn single_node(gpus: u32, walltime: SimDuration) -> Self {
         JobRequest {
             nodes: 1,
             gpus_per_node: gpus,
             walltime,
             priority: JobPriority::Normal,
             user: "first-service".to_string(),
-            tag: tag.into(),
         }
-    }
-
-    /// A multi-node job (e.g. 405B-class models spanning several nodes).
-    pub fn multi_node(
-        nodes: u32,
-        gpus_per_node: u32,
-        walltime: SimDuration,
-        tag: impl Into<String>,
-    ) -> Self {
-        JobRequest {
-            nodes,
-            gpus_per_node,
-            walltime,
-            priority: JobPriority::Normal,
-            user: "first-service".to_string(),
-            tag: tag.into(),
-        }
-    }
-
-    /// Override the priority class.
-    pub fn with_priority(mut self, priority: JobPriority) -> Self {
-        self.priority = priority;
-        self
     }
 
     /// Override the submitting user.
@@ -91,10 +62,10 @@ impl JobRequest {
 }
 
 /// Where a running job's resources live.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Allocation {
     /// `(node, gpu indices)` pairs granted to the job.
-    pub placements: Vec<(NodeId, Vec<u32>)>,
+    pub(crate) placements: Vec<(NodeId, Vec<u32>)>,
 }
 
 impl Allocation {
@@ -110,7 +81,7 @@ impl Allocation {
 }
 
 /// Lifecycle state of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Waiting in the scheduler queue for resources.
     Queued,
@@ -126,13 +97,13 @@ pub enum JobState {
 
 impl JobState {
     /// Whether the job still holds or may hold resources.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         matches!(self, JobState::Queued | JobState::Running)
     }
 }
 
 /// Full record the scheduler keeps per job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobRecord {
     /// Job identifier.
     pub id: JobId,
@@ -141,18 +112,18 @@ pub struct JobRecord {
     /// Current state.
     pub state: JobState,
     /// Submission time.
-    pub submitted_at: SimTime,
+    pub(crate) submitted_at: SimTime,
     /// Start time (when resources were granted).
     pub started_at: Option<SimTime>,
     /// End time (completion, timeout or cancellation).
-    pub ended_at: Option<SimTime>,
+    pub(crate) ended_at: Option<SimTime>,
     /// Granted resources while running.
     pub allocation: Allocation,
 }
 
 impl JobRecord {
     /// Queue wait so far (or total queue wait once started).
-    pub fn queue_wait(&self, now: SimTime) -> SimDuration {
+    pub(crate) fn queue_wait(&self, now: SimTime) -> SimDuration {
         match self.started_at {
             Some(s) => s - self.submitted_at,
             None => now - self.submitted_at,
@@ -160,7 +131,7 @@ impl JobRecord {
     }
 
     /// Walltime deadline, if running.
-    pub fn deadline(&self) -> Option<SimTime> {
+    pub(crate) fn deadline(&self) -> Option<SimTime> {
         self.started_at.map(|s| s + self.request.walltime)
     }
 }
@@ -171,14 +142,15 @@ mod tests {
 
     #[test]
     fn request_builders() {
-        let r = JobRequest::single_node(8, SimDuration::from_hours(2), "llama-70b")
-            .with_priority(JobPriority::High)
-            .with_user("gateway");
+        let r = JobRequest::single_node(8, SimDuration::from_hours(2)).with_user("gateway");
         assert_eq!(r.nodes, 1);
         assert_eq!(r.total_gpus(), 8);
-        assert_eq!(r.priority, JobPriority::High);
+        assert_eq!(r.priority, JobPriority::Normal);
         assert_eq!(r.user, "gateway");
-        let m = JobRequest::multi_node(3, 8, SimDuration::from_hours(4), "llama-405b");
+        let m = JobRequest {
+            nodes: 3,
+            ..JobRequest::single_node(8, SimDuration::from_hours(4))
+        };
         assert_eq!(m.total_gpus(), 24);
     }
 
@@ -195,7 +167,7 @@ mod tests {
     fn record_timings() {
         let rec = JobRecord {
             id: JobId(1),
-            request: JobRequest::single_node(4, SimDuration::from_hours(1), "m"),
+            request: JobRequest::single_node(4, SimDuration::from_hours(1)),
             state: JobState::Running,
             submitted_at: SimTime::from_secs(10),
             started_at: Some(SimTime::from_secs(70)),
@@ -212,6 +184,5 @@ mod tests {
     #[test]
     fn priority_ordering() {
         assert!(JobPriority::High > JobPriority::Normal);
-        assert!(JobPriority::Normal > JobPriority::Low);
     }
 }

@@ -16,6 +16,6 @@ pub mod node;
 pub mod scheduler;
 
 pub use cluster::{Cluster, ClusterStatus};
-pub use job::{Allocation, JobId, JobPriority, JobRecord, JobRequest, JobState};
-pub use node::{GpuDevice, GpuModel, Node, NodeId};
-pub use scheduler::{BatchScheduler, SchedulerEvent, SchedulerEventKind, SchedulerStats};
+pub use job::{JobId, JobPriority, JobRequest, JobState};
+pub use node::{GpuModel, NodeId};
+pub use scheduler::{BatchScheduler, SchedulerEventKind};

@@ -4,10 +4,8 @@
 //! (8 × A100, mostly 40 GB with two 80 GB nodes, 15 TB local SSD) and the
 //! other accelerator types FIRST supports (H100, AMD MI250).
 
-use serde::{Deserialize, Serialize};
-
 /// GPU accelerator model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuModel {
     /// NVIDIA A100, 40 GB HBM2e.
     A100_40,
@@ -53,43 +51,36 @@ impl GpuModel {
 }
 
 /// A single GPU device within a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GpuDevice {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct GpuDevice {
     /// Index within the node (0-based).
-    pub index: u32,
+    pub(crate) index: u32,
     /// Hardware model.
-    pub model: GpuModel,
+    pub(crate) model: GpuModel,
     /// Whether the device is currently allocated to a job.
-    pub allocated: bool,
+    pub(crate) allocated: bool,
 }
 
 /// Unique node identifier within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// A compute node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Node identifier.
-    pub id: NodeId,
-    /// Hostname-style label.
-    pub name: String,
+    pub(crate) id: NodeId,
     /// GPUs installed in the node.
-    pub gpus: Vec<GpuDevice>,
-    /// CPU core count (2 × AMD Rome on Sophia).
-    pub cpu_cores: u32,
-    /// Node-local SSD capacity in terabytes.
-    pub local_ssd_tb: f64,
+    pub(crate) gpus: Vec<GpuDevice>,
     /// Whether the node is drained / offline for maintenance.
     pub offline: bool,
 }
 
 impl Node {
     /// Create a node with `gpu_count` GPUs of the given model.
-    pub fn new(id: NodeId, name: impl Into<String>, model: GpuModel, gpu_count: u32) -> Self {
+    pub(crate) fn new(id: NodeId, model: GpuModel, gpu_count: u32) -> Self {
         Node {
             id,
-            name: name.into(),
             gpus: (0..gpu_count)
                 .map(|index| GpuDevice {
                     index,
@@ -97,19 +88,17 @@ impl Node {
                     allocated: false,
                 })
                 .collect(),
-            cpu_cores: 128,
-            local_ssd_tb: 15.0,
             offline: false,
         }
     }
 
     /// Total number of GPUs.
-    pub fn gpu_count(&self) -> u32 {
+    pub(crate) fn gpu_count(&self) -> u32 {
         self.gpus.len() as u32
     }
 
     /// Number of GPUs not currently allocated (zero when offline).
-    pub fn free_gpus(&self) -> u32 {
+    pub(crate) fn free_gpus(&self) -> u32 {
         if self.offline {
             return 0;
         }
@@ -122,18 +111,13 @@ impl Node {
     }
 
     /// Whether the node is fully idle.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.allocated_gpus() == 0
-    }
-
-    /// Total VRAM across all GPUs in gigabytes.
-    pub fn total_vram_gb(&self) -> f64 {
-        self.gpus.iter().map(|g| g.model.vram_gb()).sum()
     }
 
     /// Allocate `count` free GPUs; returns the allocated device indices or
     /// `None` (leaving the node untouched) if not enough are free.
-    pub fn allocate_gpus(&mut self, count: u32) -> Option<Vec<u32>> {
+    pub(crate) fn allocate_gpus(&mut self, count: u32) -> Option<Vec<u32>> {
         if self.free_gpus() < count {
             return None;
         }
@@ -151,7 +135,7 @@ impl Node {
     }
 
     /// Release previously allocated GPU indices.
-    pub fn release_gpus(&mut self, indices: &[u32]) {
+    pub(crate) fn release_gpus(&mut self, indices: &[u32]) {
         for &i in indices {
             if let Some(gpu) = self.gpus.iter_mut().find(|g| g.index == i) {
                 gpu.allocated = false;
@@ -174,7 +158,7 @@ mod tests {
 
     #[test]
     fn node_allocation_and_release() {
-        let mut node = Node::new(NodeId(0), "sophia-gpu-00", GpuModel::A100_40, 8);
+        let mut node = Node::new(NodeId(0), GpuModel::A100_40, 8);
         assert_eq!(node.free_gpus(), 8);
         let six = node.allocate_gpus(6).unwrap();
         assert_eq!(six.len(), 6);
@@ -191,7 +175,7 @@ mod tests {
 
     #[test]
     fn failed_allocation_leaves_node_untouched() {
-        let mut node = Node::new(NodeId(1), "n1", GpuModel::A100_40, 4);
+        let mut node = Node::new(NodeId(1), GpuModel::A100_40, 4);
         node.allocate_gpus(3).unwrap();
         assert!(node.allocate_gpus(2).is_none());
         assert_eq!(node.free_gpus(), 1);
@@ -199,7 +183,7 @@ mod tests {
 
     #[test]
     fn offline_node_has_no_free_gpus() {
-        let mut node = Node::new(NodeId(2), "n2", GpuModel::A100_80, 8);
+        let mut node = Node::new(NodeId(2), GpuModel::A100_80, 8);
         node.offline = true;
         assert_eq!(node.free_gpus(), 0);
         assert!(node.allocate_gpus(1).is_none());
@@ -207,7 +191,8 @@ mod tests {
 
     #[test]
     fn vram_totals() {
-        let node = Node::new(NodeId(3), "n3", GpuModel::A100_40, 8);
-        assert_eq!(node.total_vram_gb(), 320.0);
+        let node = Node::new(NodeId(3), GpuModel::A100_40, 8);
+        let vram_gb: f64 = node.gpus.iter().map(|g| g.model.vram_gb()).sum();
+        assert_eq!(vram_gb, 320.0);
     }
 }

@@ -10,11 +10,10 @@ use crate::cluster::{Cluster, ClusterStatus};
 use crate::job::{Allocation, JobId, JobRecord, JobRequest, JobState};
 use crate::node::NodeId;
 use first_desim::{SimProcess, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Events emitted by the scheduler as jobs change state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerEvent {
     /// When the transition happened.
     pub time: SimTime,
@@ -25,7 +24,7 @@ pub struct SchedulerEvent {
 }
 
 /// The kind of job state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerEventKind {
     /// Resources granted; job processes launched.
     Started,
@@ -38,18 +37,18 @@ pub enum SchedulerEventKind {
 }
 
 /// Aggregate scheduler statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SchedulerStats {
     /// Jobs submitted.
     pub submitted: u64,
     /// Jobs started.
     pub started: u64,
     /// Jobs completed normally.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Jobs killed at walltime.
-    pub timed_out: u64,
+    pub(crate) timed_out: u64,
     /// Jobs cancelled.
-    pub cancelled: u64,
+    pub(crate) cancelled: u64,
     /// Sum of queue-wait seconds over started jobs (for mean wait).
     pub total_queue_wait_secs: f64,
 }
@@ -119,11 +118,6 @@ impl BatchScheduler {
     /// Number of jobs waiting in the queue.
     pub fn queued_count(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Number of currently running jobs.
-    pub fn running_count(&self) -> usize {
-        self.running.len()
     }
 
     /// The earliest walltime deadline among running jobs.
@@ -368,11 +362,11 @@ mod tests {
     fn job_starts_immediately_when_resources_free() {
         let mut s = scheduler(2, 8);
         let id = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(2), "llama-70b"),
+            JobRequest::single_node(8, SimDuration::from_hours(2)),
             SimTime::ZERO,
         );
         assert_eq!(s.job(id).unwrap().state, JobState::Running);
-        assert_eq!(s.running_count(), 1);
+        assert_eq!(s.running.len(), 1);
         assert_eq!(s.cluster_status().idle_nodes, 1);
         let events = s.take_events();
         assert_eq!(events.len(), 1);
@@ -383,11 +377,11 @@ mod tests {
     fn job_queues_when_cluster_full_and_starts_on_release() {
         let mut s = scheduler(1, 8);
         let a = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(2), "a"),
+            JobRequest::single_node(8, SimDuration::from_hours(2)),
             SimTime::ZERO,
         );
         let b = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(2), "b"),
+            JobRequest::single_node(8, SimDuration::from_hours(2)),
             SimTime::from_secs(10),
         );
         assert_eq!(s.job(b).unwrap().state, JobState::Queued);
@@ -406,15 +400,15 @@ mod tests {
         // 70B on 6 GPUs plus 8B and 7B on one GPU each — the §3.2.2 example.
         let mut s = scheduler(1, 8);
         let a = s.submit(
-            JobRequest::single_node(6, SimDuration::from_hours(2), "llama-70b"),
+            JobRequest::single_node(6, SimDuration::from_hours(2)),
             SimTime::ZERO,
         );
         let b = s.submit(
-            JobRequest::single_node(1, SimDuration::from_hours(2), "llama-8b"),
+            JobRequest::single_node(1, SimDuration::from_hours(2)),
             SimTime::ZERO,
         );
         let c = s.submit(
-            JobRequest::single_node(1, SimDuration::from_hours(2), "mistral-7b"),
+            JobRequest::single_node(1, SimDuration::from_hours(2)),
             SimTime::ZERO,
         );
         for id in [a, b, c] {
@@ -428,17 +422,20 @@ mod tests {
         let mut s = scheduler(2, 8);
         // Fill one node.
         s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(4), "big0"),
+            JobRequest::single_node(8, SimDuration::from_hours(4)),
             SimTime::ZERO,
         );
         // Needs two whole nodes -> cannot start.
         let blocked = s.submit(
-            JobRequest::multi_node(2, 8, SimDuration::from_hours(4), "blocked"),
+            JobRequest {
+                nodes: 2,
+                ..JobRequest::single_node(8, SimDuration::from_hours(4))
+            },
             SimTime::ZERO,
         );
         // Small job fits on the second node and should backfill past it.
         let small = s.submit(
-            JobRequest::single_node(2, SimDuration::from_hours(1), "small"),
+            JobRequest::single_node(2, SimDuration::from_hours(1)),
             SimTime::from_secs(1),
         );
         assert_eq!(s.job(blocked).unwrap().state, JobState::Queued);
@@ -449,7 +446,7 @@ mod tests {
     fn walltime_enforcement_frees_resources() {
         let mut s = scheduler(1, 8);
         let id = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(2), "a"),
+            JobRequest::single_node(8, SimDuration::from_hours(2)),
             SimTime::ZERO,
         );
         assert_eq!(
@@ -466,11 +463,11 @@ mod tests {
     fn walltime_expiry_lets_queued_job_start() {
         let mut s = scheduler(1, 8);
         s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(1), "a"),
+            JobRequest::single_node(8, SimDuration::from_hours(1)),
             SimTime::ZERO,
         );
         let b = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(1), "b"),
+            JobRequest::single_node(8, SimDuration::from_hours(1)),
             SimTime::ZERO,
         );
         s.advance(SimTime::from_secs(3600));
@@ -482,11 +479,11 @@ mod tests {
     fn cancel_queued_and_running_jobs() {
         let mut s = scheduler(1, 4);
         let a = s.submit(
-            JobRequest::single_node(4, SimDuration::from_hours(1), "a"),
+            JobRequest::single_node(4, SimDuration::from_hours(1)),
             SimTime::ZERO,
         );
         let b = s.submit(
-            JobRequest::single_node(4, SimDuration::from_hours(1), "b"),
+            JobRequest::single_node(4, SimDuration::from_hours(1)),
             SimTime::ZERO,
         );
         assert!(s.cancel(b, SimTime::from_secs(5)));
@@ -501,16 +498,18 @@ mod tests {
     fn high_priority_jobs_start_first() {
         let mut s = scheduler(1, 8);
         let running = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(1), "running"),
+            JobRequest::single_node(8, SimDuration::from_hours(1)),
             SimTime::ZERO,
         );
         let normal = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(1), "normal"),
+            JobRequest::single_node(8, SimDuration::from_hours(1)),
             SimTime::from_secs(1),
         );
         let urgent = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(1), "urgent")
-                .with_priority(JobPriority::High),
+            JobRequest {
+                priority: JobPriority::High,
+                ..JobRequest::single_node(8, SimDuration::from_hours(1))
+            },
             SimTime::from_secs(2),
         );
         s.complete(running, SimTime::from_secs(100));
@@ -522,7 +521,10 @@ mod tests {
     fn multi_node_allocation_for_large_models() {
         let mut s = scheduler(4, 8);
         let id = s.submit(
-            JobRequest::multi_node(3, 8, SimDuration::from_hours(2), "llama-405b"),
+            JobRequest {
+                nodes: 3,
+                ..JobRequest::single_node(8, SimDuration::from_hours(2))
+            },
             SimTime::ZERO,
         );
         let rec = s.job(id).unwrap();
@@ -535,7 +537,7 @@ mod tests {
     fn whole_node_requests_require_idle_nodes() {
         let mut s = scheduler(2, 8);
         s.submit(
-            JobRequest::single_node(1, SimDuration::from_hours(1), "tiny"),
+            JobRequest::single_node(1, SimDuration::from_hours(1)),
             SimTime::ZERO,
         );
         // gpus_per_node == 0 means "whole node": only one node is fully idle.
@@ -545,7 +547,6 @@ mod tests {
             walltime: SimDuration::from_hours(1),
             priority: JobPriority::Normal,
             user: "u".into(),
-            tag: "whole".into(),
         };
         let id = s.submit(whole, SimTime::ZERO);
         assert_eq!(s.job(id).unwrap().state, JobState::Queued);
@@ -555,11 +556,11 @@ mod tests {
     fn stats_track_queue_waits() {
         let mut s = scheduler(1, 8);
         let a = s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(1), "a"),
+            JobRequest::single_node(8, SimDuration::from_hours(1)),
             SimTime::ZERO,
         );
         s.submit(
-            JobRequest::single_node(8, SimDuration::from_hours(1), "b"),
+            JobRequest::single_node(8, SimDuration::from_hours(1)),
             SimTime::ZERO,
         );
         s.complete(a, SimTime::from_secs(100));
@@ -611,7 +612,7 @@ mod tests {
                     match op {
                         Op::Submit { gpus, walltime_mins } => {
                             let walltime = SimDuration::from_mins(walltime_mins);
-                            s.submit(JobRequest::single_node(gpus, walltime, "prop"), now);
+                            s.submit(JobRequest::single_node(gpus, walltime), now);
                         }
                         Op::Complete(k) => {
                             if let Some(&id) = active.get(k) {
@@ -634,7 +635,7 @@ mod tests {
                         .map(|j| (j.id, j.deadline().expect("running jobs have started")))
                         .collect();
                     prop_assert_eq!(&s.running, &scan);
-                    prop_assert_eq!(s.running_count(), scan.len());
+                    prop_assert_eq!(s.running.len(), scan.len());
                     prop_assert_eq!(
                         SimProcess::next_event_time(&s),
                         scan.iter().map(|&(_, d)| d).min()

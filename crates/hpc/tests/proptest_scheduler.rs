@@ -37,7 +37,7 @@ proptest! {
             match op {
                 Op::Submit { gpus, walltime_mins } => {
                     sched.submit(
-                        JobRequest::single_node(gpus, SimDuration::from_mins(walltime_mins), "prop"),
+                        JobRequest::single_node(gpus, SimDuration::from_mins(walltime_mins)),
                         now,
                     );
                 }
@@ -88,7 +88,7 @@ proptest! {
         let mut now = SimTime::ZERO;
         for &g in &gpu_sizes {
             sched.submit(
-                JobRequest::single_node(g, SimDuration::from_hours(10), "drain"),
+                JobRequest::single_node(g, SimDuration::from_hours(10)),
                 now,
             );
         }

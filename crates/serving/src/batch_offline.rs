@@ -10,17 +10,12 @@
 use crate::engine::{run_to_completion, EngineConfig};
 use crate::request::InferenceRequest;
 use first_desim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Result summary of one offline batch run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchRunReport {
-    /// Model name.
-    pub model: String,
     /// Number of requests in the batch.
     pub requests: usize,
-    /// Total prompt tokens processed.
-    pub prompt_tokens: u64,
     /// Total output tokens generated.
     pub output_tokens: u64,
     /// Cold-start (weight load + engine start) time.
@@ -46,19 +41,15 @@ impl BatchRunReport {
 
 /// Execute a batch of requests as a dedicated offline job (cold engine).
 pub fn run_offline_batch(config: EngineConfig, requests: Vec<InferenceRequest>) -> BatchRunReport {
-    let model = config.model.name.clone();
     let load_time = config.cold_start_time();
     let n = requests.len();
-    let prompt_tokens: u64 = requests.iter().map(|r| r.prompt_tokens as u64).sum();
     let (completions, makespan, stats) = run_to_completion(config, requests, true);
     debug_assert_eq!(completions.len(), n);
     let output_tokens = stats.output_tokens;
     let total = makespan;
     let steady = total.saturating_sub(load_time);
     BatchRunReport {
-        model,
         requests: n,
-        prompt_tokens,
         output_tokens,
         load_time,
         total_duration: total,

@@ -6,30 +6,25 @@
 //! throughput-bound on prefill, so the model here is a work-conserving batch
 //! server with a token-rate capacity.
 
-use crate::model::ModelSpec;
 use crate::request::{InferenceCompletion, InferenceRequest};
 use first_desim::{SimDuration, SimProcess, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Embedding engine configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EmbeddingConfig {
-    /// Model served (an embedding-kind catalog entry).
-    pub model: ModelSpec,
     /// Sustained token throughput in tokens/second.
-    pub tokens_per_sec: f64,
+    pub(crate) tokens_per_sec: f64,
     /// Fixed per-request overhead (tokenisation, pooling, response).
-    pub per_request_overhead: SimDuration,
+    pub(crate) per_request_overhead: SimDuration,
     /// Maximum requests processed concurrently in one micro-batch.
-    pub max_batch: usize,
+    pub(crate) max_batch: usize,
 }
 
 impl EmbeddingConfig {
     /// Default configuration for NV-Embed-v2 on a single A100.
-    pub fn nv_embed(model: ModelSpec) -> Self {
+    pub fn nv_embed() -> Self {
         EmbeddingConfig {
-            model,
             tokens_per_sec: 60_000.0,
             per_request_overhead: SimDuration::from_millis(8),
             max_batch: 64,
@@ -38,14 +33,14 @@ impl EmbeddingConfig {
 }
 
 /// Aggregate statistics.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct EmbeddingStats {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EmbeddingStats {
     /// Requests completed.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Prompt tokens embedded.
-    pub tokens: u64,
+    pub(crate) tokens: u64,
     /// Micro-batches executed.
-    pub batches: u64,
+    pub(crate) batches: u64,
 }
 
 /// The embedding engine.
@@ -70,16 +65,6 @@ impl EmbeddingEngine {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &EmbeddingConfig {
-        &self.config
-    }
-
-    /// Run statistics.
-    pub fn stats(&self) -> &EmbeddingStats {
-        &self.stats
-    }
-
     /// Submit an embedding request.
     pub fn submit(&mut self, req: InferenceRequest, now: SimTime) {
         self.queue.push_back((req, now));
@@ -92,11 +77,6 @@ impl EmbeddingEngine {
     /// Drain finished completions.
     pub fn take_completions(&mut self) -> Vec<InferenceCompletion> {
         std::mem::take(&mut self.completions)
-    }
-
-    /// Whether all submitted requests have completed.
-    pub fn is_drained(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Execute one micro-batch starting no earlier than `now`.
@@ -156,12 +136,9 @@ impl SimProcess for EmbeddingEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::find_model;
 
     fn engine() -> EmbeddingEngine {
-        EmbeddingEngine::new(EmbeddingConfig::nv_embed(
-            find_model("nv-embed-v2").unwrap(),
-        ))
+        EmbeddingEngine::new(EmbeddingConfig::nv_embed())
     }
 
     fn drain(e: &mut EmbeddingEngine, horizon: SimTime) {
@@ -191,9 +168,9 @@ mod tests {
             e.submit(InferenceRequest::embedding(i, 256), SimTime::ZERO);
         }
         drain(&mut e, SimTime::from_secs(60));
-        assert_eq!(e.stats().completed, 200);
-        assert!(e.stats().batches > (200 / 64) as u64);
-        assert_eq!(e.stats().tokens, 200 * 256);
+        assert_eq!(e.stats.completed, 200);
+        assert!(e.stats.batches > (200 / 64) as u64);
+        assert_eq!(e.stats.tokens, 200 * 256);
     }
 
     #[test]

@@ -21,12 +21,11 @@ use crate::perf::PerfModel;
 use crate::request::{InferenceCompletion, InferenceRequest};
 use first_desim::{SimDuration, SimProcess, SimTime};
 use first_hpc::GpuModel;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Engine instance configuration (the knobs an administrator sets when
 /// registering a model on an endpoint).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Model being served.
     pub model: ModelSpec,
@@ -77,36 +76,34 @@ impl EngineConfig {
 }
 
 /// Lifecycle state of an engine instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineState {
     /// Weights are loading; no requests are served yet.
     Loading,
     /// Serving.
     Ready,
-    /// Shut down (released by its endpoint); accepts nothing.
-    Stopped,
 }
 
 /// Aggregate engine statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineStats {
     /// Requests accepted into the waiting queue.
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Requests rejected (e.g. longer than the KV pool can ever hold).
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Requests completed.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Output tokens generated.
-    pub output_tokens: u64,
+    pub(crate) output_tokens: u64,
     /// Prompt tokens prefilled.
-    pub prompt_tokens: u64,
+    pub(crate) prompt_tokens: u64,
     /// Decode steps executed.
-    pub decode_steps: u64,
+    pub(crate) decode_steps: u64,
     /// Total time the engine spent executing steps (exact: summed in
     /// integer microseconds, so a block of steps adds what its steps would).
-    pub busy: SimDuration,
+    pub(crate) busy: SimDuration,
     /// Maximum concurrent batch size observed.
-    pub peak_batch: usize,
+    pub(crate) peak_batch: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -208,12 +205,6 @@ impl VllmEngine {
         self.ready_at
     }
 
-    /// Whether the engine is ready to serve at `now`.
-    pub fn is_ready(&self, now: SimTime) -> bool {
-        self.state == EngineState::Ready
-            || (self.state == EngineState::Loading && now >= self.ready_at)
-    }
-
     /// Stall the engine from `now` until `until` (fault injection: NCCL
     /// hang, storage stall). No decode step executes inside the window;
     /// queued and running work resumes afterwards from where it stopped.
@@ -291,24 +282,9 @@ impl VllmEngine {
         self.run_window_before(at + SimDuration::from_micros(1));
     }
 
-    /// Stop the engine (hot-node release). Outstanding work is dropped.
-    pub fn stop(&mut self) {
-        self.state = EngineState::Stopped;
-        self.waiting.clear();
-        self.running.clear();
-        self.progress.clear();
-        self.next_step_at = None;
-        self.window = None;
-    }
-
     /// Aggregate statistics.
-    pub fn stats(&self) -> &EngineStats {
+    pub(crate) fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// Requests waiting for admission.
-    pub fn queue_depth(&self) -> usize {
-        self.waiting.len()
     }
 
     /// Currently running sequences (the continuous-batching batch size).
@@ -317,13 +293,8 @@ impl VllmEngine {
     }
 
     /// Whether the engine has no queued or running work.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.waiting.is_empty() && self.running.is_empty()
-    }
-
-    /// KV block pool utilization (0.0–1.0).
-    pub fn kv_utilization(&self) -> f64 {
-        self.kv.utilization()
     }
 
     /// Drain accumulated completions.
@@ -332,12 +303,8 @@ impl VllmEngine {
     }
 
     /// Enqueue a request. Returns `false` (and drops the request) if the
-    /// engine is stopped or the request can never fit in the KV pool.
+    /// request can never fit in the KV pool.
     pub fn enqueue(&mut self, req: InferenceRequest, now: SimTime) -> bool {
-        if self.state == EngineState::Stopped {
-            self.stats.rejected += 1;
-            return false;
-        }
         if self.kv.blocks_for_tokens(req.total_tokens()) > self.kv.total_blocks() {
             self.stats.rejected += 1;
             return false;
@@ -506,7 +473,6 @@ impl VllmEngine {
     /// admit or complete a sequence.
     fn next_internal_time(&self) -> Option<SimTime> {
         match self.state {
-            EngineState::Stopped => None,
             // A drained engine still becomes ready so hot-node tracking
             // sees the transition.
             EngineState::Loading => Some(self.ready_at),
@@ -530,7 +496,6 @@ impl SimProcess for VllmEngine {
     fn advance(&mut self, now: SimTime) {
         loop {
             match self.state {
-                EngineState::Stopped => return,
                 EngineState::Loading => {
                     if now >= self.ready_at {
                         self.state = EngineState::Ready;
@@ -611,13 +576,13 @@ mod tests {
     #[test]
     fn single_request_latency_matches_single_stream_rate() {
         let cfg = config70();
-        let expected_rate = cfg
+        let step = cfg
             .perf
-            .single_stream_rate(&cfg.model, cfg.gpu, cfg.tensor_parallel);
+            .decode_step_time(&cfg.model, cfg.gpu, cfg.tensor_parallel, 1);
         let (completions, makespan, _) = run_to_completion(cfg, requests(1, 220, 200), false);
         assert_eq!(completions.len(), 1);
         let latency = completions[0].engine_latency().as_secs_f64();
-        let expected = 200.0 / expected_rate;
+        let expected = 200.0 * step.as_secs_f64();
         assert!(
             (latency - expected).abs() / expected < 0.2,
             "latency {latency} expected ~{expected}"
@@ -685,14 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn stopped_engine_rejects_requests() {
-        let mut engine = VllmEngine::hot(config8(), SimTime::ZERO);
-        engine.stop();
-        assert!(!engine.enqueue(InferenceRequest::chat(1, 100, 10), SimTime::ZERO));
-        assert_eq!(engine.stats().rejected, 1);
-    }
-
-    #[test]
     fn oversized_request_is_rejected() {
         let mut cfg = config8();
         cfg.gpu_memory_utilization = 0.5; // shrink the pool
@@ -709,7 +666,7 @@ mod tests {
         for c in completions {
             assert!(c.first_token_at <= c.finished_at);
             assert!(c.first_token_at >= c.accepted_at);
-            assert!(c.ttft().as_secs_f64() < c.engine_latency().as_secs_f64());
+            assert!(c.first_token_at < c.finished_at);
         }
     }
 
@@ -933,7 +890,7 @@ mod tests {
                 fused.stall(now, until);
                 reference.stall(now, until);
             }
-            prop_assert_eq!(fused.queue_depth(), reference.queue_depth());
+            prop_assert_eq!(fused.waiting.len(), reference.waiting.len());
             prop_assert_eq!(fused.running_count(), reference.running_count());
         }
         run_before(&mut fused, None, false, &mut fused_log);
@@ -1001,7 +958,7 @@ mod tests {
                 dense.stall(at, until);
                 sparse.stall(at, until);
             }
-            prop_assert_eq!(dense.queue_depth(), sparse.queue_depth());
+            prop_assert_eq!(dense.waiting.len(), sparse.waiting.len());
             prop_assert_eq!(dense.running_count(), sparse.running_count());
             now = at;
         }

@@ -13,16 +13,15 @@
 use crate::engine::VllmEngine;
 use crate::request::{InferenceCompletion, InferenceRequest, RequestId};
 use first_desim::{SimDuration, SimProcess, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Frontend cost model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrontendConfig {
     /// Serial CPU time to parse/validate/enqueue one incoming request.
-    pub ingest_cost: SimDuration,
+    pub(crate) ingest_cost: SimDuration,
     /// Serial CPU time to collect and marshal one response.
-    pub respond_cost: SimDuration,
+    pub(crate) respond_cost: SimDuration,
 }
 
 impl Default for FrontendConfig {
@@ -37,16 +36,16 @@ impl Default for FrontendConfig {
 }
 
 /// A request as observed at the client side of the server (arrival → response).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServedRequest {
     /// Request identifier.
-    pub id: RequestId,
+    pub(crate) id: RequestId,
     /// When the client sent the request.
-    pub arrived_at: SimTime,
+    pub(crate) arrived_at: SimTime,
     /// When the complete response left the server.
     pub finished_at: SimTime,
     /// Prompt tokens.
-    pub prompt_tokens: u32,
+    pub(crate) prompt_tokens: u32,
     /// Output tokens.
     pub output_tokens: u32,
 }
@@ -88,11 +87,6 @@ impl DirectServer {
             arrivals: HashMap::new(),
             served: Vec::new(),
         }
-    }
-
-    /// Borrow the wrapped engine.
-    pub fn engine(&self) -> &VllmEngine {
-        &self.engine
     }
 
     /// Client submits a request at `now`.

@@ -6,10 +6,8 @@
 //! sequences can run concurrently, which is what bounds batch size — and
 //! therefore throughput — for long-context workloads.
 
-use serde::{Deserialize, Serialize};
-
 /// Tokens stored per KV block (vLLM default).
-pub const DEFAULT_BLOCK_TOKENS: u32 = 16;
+pub(crate) const DEFAULT_BLOCK_TOKENS: u32 = 16;
 
 /// A pool of KV-cache blocks shared by all sequences on one engine instance.
 ///
@@ -17,17 +15,17 @@ pub const DEFAULT_BLOCK_TOKENS: u32 = 16;
 /// count [`BlockPool::reserve`] handed it and gives that count back through
 /// [`BlockPool::release`], so a reservation and a release each cost one
 /// subtraction and no lookup.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BlockPool {
+#[derive(Debug, Clone)]
+pub(crate) struct BlockPool {
     /// Tokens per block.
-    pub block_tokens: u32,
+    pub(crate) block_tokens: u32,
     total_blocks: u64,
     free_blocks: u64,
 }
 
 impl BlockPool {
     /// Create a pool with the given number of blocks.
-    pub fn new(total_blocks: u64, block_tokens: u32) -> Self {
+    pub(crate) fn new(total_blocks: u64, block_tokens: u32) -> Self {
         BlockPool {
             block_tokens: block_tokens.max(1),
             total_blocks,
@@ -37,14 +35,14 @@ impl BlockPool {
 
     /// Size the pool from available memory: `free_gb` of GPU memory divided by
     /// the per-token KV footprint of the model.
-    pub fn from_memory(free_gb: f64, kv_mb_per_token: f64, block_tokens: u32) -> Self {
+    pub(crate) fn from_memory(free_gb: f64, kv_mb_per_token: f64, block_tokens: u32) -> Self {
         let tokens = (free_gb.max(0.0) * 1024.0) / kv_mb_per_token.max(1e-6);
         let blocks = (tokens / block_tokens.max(1) as f64).floor() as u64;
         Self::new(blocks, block_tokens)
     }
 
     /// Total blocks in the pool.
-    pub fn total_blocks(&self) -> u64 {
+    pub(crate) fn total_blocks(&self) -> u64 {
         self.total_blocks
     }
 
@@ -54,12 +52,12 @@ impl BlockPool {
     }
 
     /// Blocks needed to hold `tokens` tokens.
-    pub fn blocks_for_tokens(&self, tokens: u32) -> u64 {
+    pub(crate) fn blocks_for_tokens(&self, tokens: u32) -> u64 {
         (tokens as u64).div_ceil(self.block_tokens as u64)
     }
 
     /// Whether a sequence of `tokens` total length could be admitted now.
-    pub fn can_admit(&self, tokens: u32) -> bool {
+    pub(crate) fn can_admit(&self, tokens: u32) -> bool {
         self.blocks_for_tokens(tokens) <= self.free_blocks
     }
 
@@ -67,7 +65,7 @@ impl BlockPool {
     /// number of blocks reserved, which the sequence keeps and hands back to
     /// [`BlockPool::release`], or `None` (reserving nothing) if the pool
     /// lacks space.
-    pub fn reserve(&mut self, tokens: u32) -> Option<u64> {
+    pub(crate) fn reserve(&mut self, tokens: u32) -> Option<u64> {
         let need = self.blocks_for_tokens(tokens);
         if need > self.free_blocks {
             return None;
@@ -77,22 +75,13 @@ impl BlockPool {
     }
 
     /// Return a finished sequence's `blocks` (its reservation) to the pool.
-    pub fn release(&mut self, blocks: u64) {
+    pub(crate) fn release(&mut self, blocks: u64) {
         assert!(
             blocks <= self.used_blocks(),
             "released {blocks} blocks with only {} held",
             self.used_blocks()
         );
         self.free_blocks += blocks;
-    }
-
-    /// Fraction of the pool currently in use (0.0–1.0).
-    pub fn utilization(&self) -> f64 {
-        if self.total_blocks == 0 {
-            0.0
-        } else {
-            self.used_blocks() as f64 / self.total_blocks as f64
-        }
     }
 }
 
@@ -138,10 +127,10 @@ mod tests {
     #[test]
     fn utilization_tracks_usage() {
         let mut pool = BlockPool::new(100, 16);
-        assert_eq!(pool.utilization(), 0.0);
+        assert_eq!(pool.used_blocks(), 0);
         let held = pool.reserve(16 * 50).expect("half the pool fits");
-        assert!((pool.utilization() - 0.5).abs() < 1e-12);
+        assert_eq!(pool.used_blocks(), 50);
         pool.release(held);
-        assert_eq!(pool.utilization(), 0.0);
+        assert_eq!(pool.used_blocks(), 0);
     }
 }

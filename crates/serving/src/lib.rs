@@ -22,11 +22,10 @@ pub mod perf;
 pub mod request;
 
 pub use batch_offline::{run_offline_batch, BatchRunReport};
-pub use embedding::{EmbeddingConfig, EmbeddingEngine, EmbeddingStats};
-pub use engine::{run_to_completion, EngineConfig, EngineState, EngineStats, VllmEngine};
-pub use frontend::{DirectServer, FrontendConfig, ServedRequest};
-pub use kvcache::{BlockPool, DEFAULT_BLOCK_TOKENS};
+pub use embedding::{EmbeddingConfig, EmbeddingEngine};
+pub use engine::{run_to_completion, EngineConfig, EngineState, VllmEngine};
+pub use frontend::{DirectServer, FrontendConfig};
 pub use model::{catalog, find_model, ModelKind, ModelSpec};
-pub use openai_cloud::{CloudApi, CloudApiConfig, CloudApiStats};
+pub use openai_cloud::{CloudApi, CloudApiConfig};
 pub use perf::PerfModel;
 pub use request::{InferenceCompletion, InferenceRequest, RequestId, RequestKind};

@@ -9,18 +9,17 @@
 
 use crate::request::{InferenceCompletion, InferenceRequest};
 use first_desim::{SimDuration, SimProcess, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Cloud API behaviour parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CloudApiConfig {
     /// Requests-per-minute limit enforced service-side.
-    pub rpm_limit: f64,
+    pub(crate) rpm_limit: f64,
     /// Fixed per-request latency (network + scheduling + prefill).
-    pub base_latency: SimDuration,
+    pub(crate) base_latency: SimDuration,
     /// Additional time per generated output token (streaming generation).
-    pub per_output_token: SimDuration,
+    pub(crate) per_output_token: SimDuration,
 }
 
 impl Default for CloudApiConfig {
@@ -36,16 +35,16 @@ impl Default for CloudApiConfig {
 }
 
 /// Statistics for a cloud API run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CloudApiStats {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CloudApiStats {
     /// Requests accepted (all of them — the limiter delays, it does not drop).
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Requests completed.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Output tokens generated.
-    pub output_tokens: u64,
+    pub(crate) output_tokens: u64,
     /// Requests that were delayed by the rate limiter.
-    pub throttled: u64,
+    pub(crate) throttled: u64,
 }
 
 /// The external cloud API endpoint.
@@ -71,16 +70,6 @@ impl CloudApi {
             completions: Vec::new(),
             stats: CloudApiStats::default(),
         }
-    }
-
-    /// The behaviour parameters.
-    pub fn config(&self) -> &CloudApiConfig {
-        &self.config
-    }
-
-    /// Run statistics.
-    pub fn stats(&self) -> &CloudApiStats {
-        &self.stats
     }
 
     /// Submit a request at `now`.
@@ -216,7 +205,7 @@ mod tests {
         let rps = 1000.0 / makespan;
         // 400 RPM ≈ 6.7 req/s.
         assert!(rps > 6.0 && rps < 7.2, "rps {rps}");
-        assert!(api.stats().throttled > 900);
+        assert!(api.stats.throttled > 900);
     }
 
     #[test]
@@ -245,7 +234,7 @@ mod tests {
         let mut api = CloudApi::new(CloudApiConfig::default());
         api.submit(InferenceRequest::chat(1, 100, 50), SimTime::from_secs(10));
         run_all(&mut api, SimTime::from_secs(60));
-        assert_eq!(api.stats().throttled, 0);
-        assert_eq!(api.stats().completed, 1);
+        assert_eq!(api.stats.throttled, 0);
+        assert_eq!(api.stats.completed, 1);
     }
 }

@@ -9,25 +9,24 @@
 use crate::model::ModelSpec;
 use first_desim::SimDuration;
 use first_hpc::GpuModel;
-use serde::{Deserialize, Serialize};
 
 /// Tunable coefficients of the serving performance model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfModel {
     /// Per-decode-step base time coefficient, seconds × (TP × rel-throughput)
     /// per billion parameters. Sets the single-stream generation rate.
-    pub decode_base_coeff: f64,
+    pub(crate) decode_base_coeff: f64,
     /// Per-decode-step incremental time per running sequence, same units.
     /// Sets the saturated aggregate token throughput (1/k).
-    pub decode_incr_coeff: f64,
+    pub(crate) decode_incr_coeff: f64,
     /// Prefill throughput coefficient: tokens/s × billion-params /
     /// (TP × rel-throughput).
-    pub prefill_coeff: f64,
+    pub(crate) prefill_coeff: f64,
     /// Fixed serving-engine startup time (process launch, CUDA graphs,
     /// scheduler init) independent of model size.
-    pub engine_startup: SimDuration,
+    pub(crate) engine_startup: SimDuration,
     /// Additional coordination time per extra node for multi-node models.
-    pub per_node_coordination: SimDuration,
+    pub(crate) per_node_coordination: SimDuration,
 }
 
 impl Default for PerfModel {
@@ -78,15 +77,10 @@ impl PerfModel {
         SimDuration::from_secs_f64(prompt_tokens as f64 / tps.max(1.0))
     }
 
-    /// Single-stream decode rate in tokens/s (batch of one).
-    pub fn single_stream_rate(&self, model: &ModelSpec, gpu: GpuModel, tp: u32) -> f64 {
-        1.0 / self.decode_step_time(model, gpu, tp, 1).as_secs_f64()
-    }
-
     /// Cold-start weight-load time: read the weights from node-local storage
     /// into GPU memory across the tensor-parallel group, plus engine startup
     /// and multi-node coordination (§4.3).
-    pub fn weight_load_time(
+    pub(crate) fn weight_load_time(
         &self,
         model: &ModelSpec,
         gpu: GpuModel,
@@ -140,9 +134,14 @@ mod tests {
     #[test]
     fn single_stream_rates_are_plausible() {
         let perf = PerfModel::default();
-        let r70 = perf.single_stream_rate(&model70(), GpuModel::A100_40, 8);
+        let rate = |model: &ModelSpec, tp| {
+            1.0 / perf
+                .decode_step_time(model, GpuModel::A100_40, tp, 1)
+                .as_secs_f64()
+        };
+        let r70 = rate(&model70(), 8);
         assert!(r70 > 40.0 && r70 < 120.0, "r70 was {r70}");
-        let r8 = perf.single_stream_rate(&model8(), GpuModel::A100_40, 4);
+        let r8 = rate(&model8(), 4);
         assert!(r8 > r70);
     }
 

@@ -19,18 +19,16 @@ impl std::fmt::Display for RequestId {
 }
 
 /// What kind of inference is requested.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
     /// Chat completion (messages in, assistant message out).
     Chat,
-    /// Plain text completion.
-    Completion,
     /// Embedding generation.
     Embedding,
 }
 
 /// An inference request at the serving layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceRequest {
     /// Request identifier.
     pub id: RequestId,
@@ -66,7 +64,7 @@ impl InferenceRequest {
     }
 
     /// Total tokens processed for this request.
-    pub fn total_tokens(&self) -> u32 {
+    pub(crate) fn total_tokens(&self) -> u32 {
         self.prompt_tokens + self.output_tokens
     }
 }
@@ -83,7 +81,7 @@ pub struct InferenceCompletion {
     /// When the full response was ready.
     pub finished_at: SimTime,
     /// Prompt tokens processed.
-    pub prompt_tokens: u32,
+    pub(crate) prompt_tokens: u32,
     /// Output tokens generated.
     pub output_tokens: u32,
 }
@@ -92,11 +90,6 @@ impl InferenceCompletion {
     /// Engine-side latency (accept → finish).
     pub fn engine_latency(&self) -> SimDuration {
         self.finished_at - self.accepted_at
-    }
-
-    /// Time to first token.
-    pub fn ttft(&self) -> SimDuration {
-        self.first_token_at - self.accepted_at
     }
 }
 
@@ -125,6 +118,5 @@ mod tests {
             output_tokens: 50,
         };
         assert_eq!(c.engine_latency(), SimDuration::from_secs(5));
-        assert_eq!(c.ttft(), SimDuration::from_secs(1));
     }
 }

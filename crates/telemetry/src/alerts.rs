@@ -10,10 +10,9 @@
 use crate::metric::LabelSet;
 use crate::registry::MetricRegistry;
 use first_desim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// How urgent a fired alert is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AlertSeverity {
     /// Informational — shown on the dashboard only.
     Info,
@@ -23,32 +22,21 @@ pub enum AlertSeverity {
     Critical,
 }
 
-/// The comparison a rule applies to the observed value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Comparison {
-    /// Fire when the value is strictly greater than the threshold.
-    GreaterThan,
-    /// Fire when the value is strictly less than the threshold.
-    LessThan,
-}
-
 /// A declarative alert rule over one gauge or counter series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlertRule {
     /// Rule name, e.g. `queue_backlog_high`.
-    pub name: String,
+    pub(crate) name: String,
     /// Metric family the rule watches.
-    pub metric: String,
+    pub(crate) metric: String,
     /// Label set selecting the series.
-    pub labels: LabelSet,
-    /// Comparison direction.
-    pub comparison: Comparison,
-    /// Threshold value.
-    pub threshold: f64,
+    pub(crate) labels: LabelSet,
+    /// The rule fires while the value is strictly above this threshold.
+    pub(crate) threshold: f64,
     /// The condition must hold continuously for this long before firing.
-    pub hold_for: SimDuration,
+    pub(crate) hold_for: SimDuration,
     /// Severity attached to the fired alert.
-    pub severity: AlertSeverity,
+    pub(crate) severity: AlertSeverity,
 }
 
 impl AlertRule {
@@ -65,27 +53,6 @@ impl AlertRule {
             name: name.into(),
             metric: metric.into(),
             labels,
-            comparison: Comparison::GreaterThan,
-            threshold,
-            hold_for,
-            severity,
-        }
-    }
-
-    /// Convenience constructor for a "value below threshold" rule.
-    pub fn below(
-        name: impl Into<String>,
-        metric: impl Into<String>,
-        labels: LabelSet,
-        threshold: f64,
-        hold_for: SimDuration,
-        severity: AlertSeverity,
-    ) -> Self {
-        AlertRule {
-            name: name.into(),
-            metric: metric.into(),
-            labels,
-            comparison: Comparison::LessThan,
             threshold,
             hold_for,
             severity,
@@ -93,16 +60,13 @@ impl AlertRule {
     }
 
     fn condition_holds(&self, value: f64) -> bool {
-        match self.comparison {
-            Comparison::GreaterThan => value > self.threshold,
-            Comparison::LessThan => value < self.threshold,
-        }
+        value > self.threshold
     }
 }
 
 /// The lifecycle state of one rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AlertState {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AlertState {
     /// Condition not met.
     Ok,
     /// Condition met but not yet for `hold_for`.
@@ -112,7 +76,7 @@ pub enum AlertState {
 }
 
 /// A fired alert, as delivered to the operator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FiredAlert {
     /// Rule name.
     pub rule: String,
@@ -135,7 +99,6 @@ struct RuleRuntime {
 #[derive(Debug, Clone, Default)]
 pub struct Alerting {
     rules: Vec<RuleRuntime>,
-    fired: Vec<FiredAlert>,
 }
 
 impl Alerting {
@@ -156,19 +119,6 @@ impl Alerting {
     /// Number of configured rules.
     pub fn rule_count(&self) -> usize {
         self.rules.len()
-    }
-
-    /// The current state of a rule by name.
-    pub fn state(&self, rule: &str) -> Option<AlertState> {
-        self.rules
-            .iter()
-            .find(|r| r.rule.name == rule)
-            .map(|r| r.state)
-    }
-
-    /// Alerts fired so far (in firing order).
-    pub fn fired(&self) -> &[FiredAlert] {
-        &self.fired
     }
 
     /// Evaluate every rule against the registry at virtual time `now`.
@@ -195,7 +145,6 @@ impl Alerting {
                             value,
                             fired_at: now,
                         };
-                        self.fired.push(alert.clone());
                         newly_fired.push(alert);
                     }
                     runtime.state = AlertState::Firing;
@@ -214,7 +163,7 @@ impl Alerting {
 fn lookup(registry: &MetricRegistry, rule: &AlertRule) -> Option<f64> {
     // Gauges first (the common case), then counters; a missing series is
     // treated as "no data" rather than zero so a not-yet-created metric does
-    // not spuriously fire a LessThan rule.
+    // not spuriously fire.
     let snapshot = registry.snapshot();
     snapshot.find(&rule.metric, &rule.labels).map(|s| match s {
         crate::registry::MetricSnapshot::Counter { value, .. } => *value as f64,
@@ -232,6 +181,16 @@ fn lookup(registry: &MetricRegistry, rule: &AlertRule) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Alerting {
+        /// The current state of a rule by name.
+        fn state(&self, rule: &str) -> Option<AlertState> {
+            self.rules
+                .iter()
+                .find(|r| r.rule.name == rule)
+                .map(|r| r.state)
+        }
+    }
 
     fn queue_rule(hold_secs: u64) -> AlertRule {
         AlertRule::above(
@@ -251,6 +210,9 @@ mod tests {
         let mut alerting = Alerting::new();
         alerting.add_rule(queue_rule(60));
 
+        // Series absent: no data, no alert.
+        assert!(alerting.evaluate(&reg, SimTime::ZERO).is_empty());
+        assert_eq!(alerting.state("queue_backlog_high"), Some(AlertState::Ok));
         reg.set_gauge("first_queued_tasks", labels.clone(), 5000.0);
         assert!(alerting.evaluate(&reg, SimTime::from_secs(0)).is_empty());
         assert_eq!(
@@ -268,7 +230,6 @@ mod tests {
         );
         // Already firing: no duplicate notification.
         assert!(alerting.evaluate(&reg, SimTime::from_secs(120)).is_empty());
-        assert_eq!(alerting.fired().len(), 1);
     }
 
     #[test]
@@ -289,32 +250,6 @@ mod tests {
         assert!(alerting.evaluate(&reg, SimTime::from_secs(40)).is_empty());
         assert!(alerting.evaluate(&reg, SimTime::from_secs(70)).is_empty());
         assert_eq!(alerting.evaluate(&reg, SimTime::from_secs(101)).len(), 1);
-    }
-
-    #[test]
-    fn below_rules_and_missing_series() {
-        let reg = MetricRegistry::new();
-        let mut alerting = Alerting::new();
-        alerting.add_rule(AlertRule::below(
-            "no_hot_nodes",
-            "first_hot_nodes",
-            LabelSet::empty(),
-            1.0,
-            SimDuration::ZERO,
-            AlertSeverity::Critical,
-        ));
-        // Series absent: no data, no alert.
-        assert!(alerting.evaluate(&reg, SimTime::from_secs(0)).is_empty());
-        assert_eq!(alerting.state("no_hot_nodes"), Some(AlertState::Ok));
-        // Zero hot nodes: fires immediately (hold_for = 0).
-        reg.set_gauge("first_hot_nodes", LabelSet::empty(), 0.0);
-        let fired = alerting.evaluate(&reg, SimTime::from_secs(1));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].severity, AlertSeverity::Critical);
-        // Nodes come back: state returns to Ok.
-        reg.set_gauge("first_hot_nodes", LabelSet::empty(), 2.0);
-        alerting.evaluate(&reg, SimTime::from_secs(2));
-        assert_eq!(alerting.state("no_hot_nodes"), Some(AlertState::Ok));
     }
 
     #[test]

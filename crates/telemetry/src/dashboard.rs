@@ -106,27 +106,6 @@ pub struct PhaseLatencyRow {
     pub total_s: f64,
 }
 
-/// One gateway-shard row on the dashboard: the front-tier view of a sharded
-/// federation, one row per peer gateway shard with its routed traffic and
-/// cross-shard spill flow.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ShardRow {
-    /// Shard index.
-    pub shard: u64,
-    /// Requests received by this shard.
-    pub requests: u64,
-    /// Requests completed successfully.
-    pub completed: u64,
-    /// Requests failed or rejected.
-    pub failed: u64,
-    /// Requests received because another shard spilled them here.
-    pub spilled_in: u64,
-    /// Requests diverted away from this shard under the spillover policy.
-    pub spilled_out: u64,
-    /// Live unanswered-request depth (pending + in flight).
-    pub load_depth: u64,
-}
-
 /// The replay-mode banner cell: shown when the dashboard observes a run
 /// that is replaying a recorded cassette rather than live traffic.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -160,11 +139,6 @@ pub struct DashboardSnapshot {
     /// gateway's flight recorder is enabled and has sampled traces).
     #[serde(default)]
     pub phases: Vec<PhaseLatencyRow>,
-    /// Per-shard rows for sharded federations, sorted by shard index (empty
-    /// for single-gateway deployments; `default` keeps old snapshots
-    /// parseable).
-    #[serde(default)]
-    pub shards: Vec<ShardRow>,
     /// Replay-mode banner: present when the observed run is a cassette
     /// replay (absent for live traffic; `default` keeps old snapshots
     /// parseable).
@@ -203,75 +177,6 @@ impl DashboardSnapshot {
         self.clusters.sort_by(|a, b| a.cluster.cmp(&b.cluster));
         self.queues.sort_by(|a, b| a.endpoint.cmp(&b.endpoint));
         self.tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        self.shards.sort_by_key(|s| s.shard);
-    }
-
-    /// Fold another snapshot into this one: totals are summed and the keyed
-    /// sections (models, clusters, queues, tenants) are merged by key, with
-    /// numeric fields summed and latency quantiles taken as the worst of the
-    /// two. This is how a sharded front tier builds its fleet-wide aggregate
-    /// view from per-shard snapshots; the per-shard `shards` section is left
-    /// untouched (the front tier fills it itself).
-    pub fn absorb(&mut self, other: &DashboardSnapshot) {
-        self.at_seconds = self.at_seconds.max(other.at_seconds);
-        for m in &other.models {
-            match self.models.iter_mut().find(|x| x.model == m.model) {
-                Some(row) => {
-                    row.running_instances += m.running_instances;
-                    row.requests += m.requests;
-                    row.output_tokens += m.output_tokens;
-                    row.median_latency_s = row.median_latency_s.max(m.median_latency_s);
-                    row.p95_latency_s = row.p95_latency_s.max(m.p95_latency_s);
-                }
-                None => self.models.push(m.clone()),
-            }
-        }
-        for c in &other.clusters {
-            match self.clusters.iter_mut().find(|x| x.cluster == c.cluster) {
-                Some(row) => {
-                    row.total_nodes += c.total_nodes;
-                    row.busy_nodes += c.busy_nodes;
-                    row.idle_nodes += c.idle_nodes;
-                    row.queued_jobs += c.queued_jobs;
-                }
-                None => self.clusters.push(c.clone()),
-            }
-        }
-        for q in &other.queues {
-            match self.queues.iter_mut().find(|x| x.endpoint == q.endpoint) {
-                Some(row) => {
-                    row.queued_tasks += q.queued_tasks;
-                    row.running_tasks += q.running_tasks;
-                    row.completed_tasks += q.completed_tasks;
-                    if row.health != q.health {
-                        row.health = "mixed".to_string();
-                    }
-                }
-                None => self.queues.push(q.clone()),
-            }
-        }
-        for t in &other.tenants {
-            match self.tenants.iter_mut().find(|x| x.tenant == t.tenant) {
-                Some(row) => {
-                    row.requests += t.requests;
-                    row.failures += t.failures;
-                    row.output_tokens += t.output_tokens;
-                    row.total_tokens += t.total_tokens;
-                }
-                None => self.tenants.push(t.clone()),
-            }
-        }
-        self.total_requests += other.total_requests;
-        self.total_completed += other.total_completed;
-        self.total_failed += other.total_failed;
-        self.total_output_tokens += other.total_output_tokens;
-        self.distinct_users = self.distinct_users.max(other.distinct_users);
-        self.total_retries += other.total_retries;
-        self.total_failovers += other.total_failovers;
-        self.breaker_trips += other.breaker_trips;
-        self.total_hedges += other.total_hedges;
-        self.harness_wall_s = self.harness_wall_s.max(other.harness_wall_s);
-        self.harness_events_per_sec += other.harness_events_per_sec;
     }
 
     /// Overall success ratio (1.0 when nothing has completed or failed yet).
@@ -382,27 +287,6 @@ impl DashboardSnapshot {
                 );
             }
         }
-        if !self.shards.is_empty() {
-            let _ = writeln!(out, "-- shards --");
-            let _ = writeln!(
-                out,
-                "{:<6} {:>9} {:>9} {:>8} {:>9} {:>10} {:>8}",
-                "shard", "reqs", "done", "fail", "spill_in", "spill_out", "depth"
-            );
-            for s in &self.shards {
-                let _ = writeln!(
-                    out,
-                    "{:<6} {:>9} {:>9} {:>8} {:>9} {:>10} {:>8}",
-                    s.shard,
-                    s.requests,
-                    s.completed,
-                    s.failed,
-                    s.spilled_in,
-                    s.spilled_out,
-                    s.load_depth
-                );
-            }
-        }
         if let Some(r) = &self.replay {
             let _ = writeln!(
                 out,
@@ -461,7 +345,6 @@ mod tests {
                 completed_tasks: 42_000,
                 health: "degraded".into(),
             }],
-            shards: Vec::new(),
             tenants: vec![
                 TenantRow {
                     tenant: "chat".into(),
@@ -571,76 +454,6 @@ mod tests {
         let stripped = json.replace("\"phases\":[],", "");
         let back: DashboardSnapshot = serde_json::from_str(&stripped).expect("legacy parses");
         assert!(back.phases.is_empty());
-    }
-
-    #[test]
-    fn shard_rows_render_sorted_and_old_snapshots_still_parse() {
-        let mut snap = snapshot();
-        snap.shards = vec![
-            ShardRow {
-                shard: 1,
-                requests: 400,
-                completed: 390,
-                failed: 10,
-                spilled_in: 25,
-                spilled_out: 0,
-                load_depth: 3,
-            },
-            ShardRow {
-                shard: 0,
-                requests: 600,
-                completed: 560,
-                failed: 40,
-                spilled_in: 0,
-                spilled_out: 25,
-                load_depth: 9,
-            },
-        ];
-        snap.normalise();
-        assert_eq!(snap.shards[0].shard, 0, "normalise sorts by shard index");
-        let text = snap.render_text();
-        assert!(text.contains("-- shards --"));
-        let s0 = text.find("600").expect("shard 0 row rendered");
-        let s1 = text.find("400").expect("shard 1 row rendered");
-        assert!(s0 < s1);
-
-        // Unsharded snapshots omit the section entirely.
-        assert!(!snapshot().render_text().contains("-- shards --"));
-
-        // A pre-sharding snapshot (no `shards` field) deserializes to empty.
-        let json = serde_json::to_string(&snapshot()).unwrap();
-        let stripped = json.replace("\"shards\":[],", "");
-        let back: DashboardSnapshot = serde_json::from_str(&stripped).expect("legacy parses");
-        assert!(back.shards.is_empty());
-    }
-
-    #[test]
-    fn absorb_merges_keyed_sections_and_sums_totals() {
-        let mut a = snapshot();
-        let mut b = snapshot();
-        b.models[0].requests = 11;
-        b.models[1].model = "new-model".into();
-        b.clusters[0].busy_nodes = 2;
-        b.queues[0].health = "healthy".into();
-        b.tenants[0].tenant = "chat".into();
-        a.absorb(&b);
-        // Shared model merged (requests summed), new model appended.
-        let shared = a
-            .models
-            .iter()
-            .find(|m| m.model.contains("70B"))
-            .expect("merged");
-        assert_eq!(shared.requests, 511);
-        assert!(a.models.iter().any(|m| m.model == "new-model"));
-        // Cluster nodes summed; disagreeing health degrades to "mixed".
-        assert_eq!(a.clusters[0].total_nodes, 48);
-        assert_eq!(a.clusters[0].busy_nodes, 8);
-        assert_eq!(a.queues[0].health, "mixed");
-        // Tenant rows merged by name, totals summed.
-        let chat = a.tenants.iter().find(|t| t.tenant == "chat").unwrap();
-        assert_eq!(chat.requests, 1400);
-        assert_eq!(a.total_requests, 2000);
-        assert_eq!(a.total_completed, 1900);
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! a count per bucket, plus total count and sum. Quantiles are estimated by
 //! linear interpolation inside the bucket that crosses the target rank.
 
-use serde::{Deserialize, Serialize};
-
 /// A histogram with fixed, strictly increasing bucket upper bounds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BucketHistogram {
     bounds: Vec<f64>,
     /// `counts[i]` observations fell in `(bounds[i-1], bounds[i]]`;
@@ -52,7 +50,7 @@ impl BucketHistogram {
     }
 
     /// Exponential buckets: `start`, `start*factor`, … (`count` bounds).
-    pub fn exponential(start: f64, factor: f64, count: usize) -> Self {
+    pub(crate) fn exponential(start: f64, factor: f64, count: usize) -> Self {
         assert!(start > 0.0 && factor > 1.0 && count > 0);
         let mut bounds = Vec::with_capacity(count);
         let mut b = start;
@@ -97,15 +95,6 @@ impl BucketHistogram {
         self.sum
     }
 
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum / self.total as f64
-        }
-    }
-
     /// Smallest observation, or 0 when empty.
     pub fn min(&self) -> f64 {
         if self.total == 0 {
@@ -122,17 +111,6 @@ impl BucketHistogram {
         } else {
             self.max
         }
-    }
-
-    /// Bucket upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Cumulative count up to and including bucket `i` (Prometheus `le`
-    /// semantics). `i == bounds.len()` gives the +Inf bucket (== total).
-    pub fn cumulative(&self, i: usize) -> u64 {
-        self.counts.iter().take(i + 1).sum()
     }
 
     /// Estimate the `q`-quantile (0 ≤ q ≤ 1) by linear interpolation within
@@ -171,19 +149,9 @@ impl BucketHistogram {
         self.max
     }
 
-    /// Median estimate.
-    pub fn median(&self) -> f64 {
-        self.quantile(0.5)
-    }
-
     /// 95th-percentile estimate.
     pub fn p95(&self) -> f64 {
         self.quantile(0.95)
-    }
-
-    /// 99th-percentile estimate.
-    pub fn p99(&self) -> f64 {
-        self.quantile(0.99)
     }
 
     /// Merge another histogram with identical bounds into this one.
@@ -235,10 +203,9 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.cumulative(0), 2); // ≤1.0 : 0.5, 1.0
-        assert_eq!(h.cumulative(1), 3); // ≤2.0 : +1.5
-        assert_eq!(h.cumulative(2), 4); // ≤4.0 : +3.0
-        assert_eq!(h.cumulative(3), 5); // +Inf : +100.0
+        let cumulative: Vec<u64> = h.cumulative_buckets().iter().map(|r| r.1).collect();
+        // ≤1.0: 0.5, 1.0; ≤2.0: +1.5; ≤4.0: +3.0; +Inf: +100.0.
+        assert_eq!(cumulative, [2, 3, 4, 5]);
         assert!((h.sum() - 106.0).abs() < 1e-9);
         assert_eq!(h.min(), 0.5);
         assert_eq!(h.max(), 100.0);
@@ -251,9 +218,9 @@ mod tests {
             h.observe(i as f64 / 100.0); // 0.01 .. 10.0 s
         }
         let q10 = h.quantile(0.10);
-        let q50 = h.median();
+        let q50 = h.quantile(0.5);
         let q95 = h.p95();
-        let q99 = h.p99();
+        let q99 = h.quantile(0.99);
         assert!(q10 <= q50 && q50 <= q95 && q95 <= q99);
         assert!(q10 >= h.min() && q99 <= h.max());
         // Median of a uniform 0.01..10 sample should land in the right decade.
@@ -264,8 +231,8 @@ mod tests {
     fn empty_histogram_reports_zeros() {
         let h = BucketHistogram::latency_seconds();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.median(), 0.0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.quantile(0.5), 0.0);
+        assert_eq!(h.sum(), 0.0);
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
     }
@@ -288,7 +255,7 @@ mod tests {
     #[test]
     fn exponential_constructor_builds_increasing_bounds() {
         let h = BucketHistogram::exponential(0.5, 3.0, 4);
-        assert_eq!(h.bounds(), &[0.5, 1.5, 4.5, 13.5]);
+        assert_eq!(h.bounds, [0.5, 1.5, 4.5, 13.5]);
         let rows = h.cumulative_buckets();
         assert_eq!(rows.len(), 5);
         assert!(rows.last().unwrap().0.is_infinite());

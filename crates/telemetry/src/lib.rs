@@ -36,17 +36,14 @@ pub mod metric;
 pub mod registry;
 pub mod trace;
 
-pub use alerts::{AlertRule, AlertSeverity, AlertState, Alerting, FiredAlert};
-pub use counter::{Counter, Gauge};
+pub use alerts::{AlertRule, AlertSeverity, Alerting};
 pub use dashboard::{
-    ClusterRow, DashboardSnapshot, ModelRow, PhaseLatencyRow, QueueRow, ReplayCell, ShardRow,
-    TenantRow,
+    ClusterRow, DashboardSnapshot, ModelRow, PhaseLatencyRow, QueueRow, ReplayCell, TenantRow,
 };
 pub use exposition::render_prometheus;
 pub use histogram::BucketHistogram;
-pub use metric::{LabelSet, MetricId, MetricKind};
-pub use registry::{MetricRegistry, MetricSnapshot, RegistrySnapshot};
+pub use metric::LabelSet;
+pub use registry::MetricRegistry;
 pub use trace::{
-    chrome_trace_json, CriticalPathEntry, FlightRecorder, GroupPhases, Phase, PhaseBreakdown,
-    PhaseStats, Span, SpanTree, TraceConfig,
+    chrome_trace_json, FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, TraceConfig,
 };

@@ -5,11 +5,10 @@
 //! Label sets are kept sorted so two logically identical label sets always
 //! compare and hash equal regardless of insertion order.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A sorted set of `key=value` labels attached to a metric.
-#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelSet {
     labels: Vec<(String, String)>,
 }
@@ -41,36 +40,13 @@ impl LabelSet {
     }
 
     /// Insert or overwrite a label, keeping the set sorted by key.
-    pub fn insert(&mut self, key: impl Into<String>, value: impl Into<String>) {
+    pub(crate) fn insert(&mut self, key: impl Into<String>, value: impl Into<String>) {
         let key = key.into();
         let value = value.into();
         match self.labels.binary_search_by(|(k, _)| k.cmp(&key)) {
             Ok(idx) => self.labels[idx].1 = value,
             Err(idx) => self.labels.insert(idx, (key, value)),
         }
-    }
-
-    /// Look up a label value.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.labels
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|idx| self.labels[idx].1.as_str())
-    }
-
-    /// Number of labels.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Whether the set has no labels.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// Iterate over `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 }
 
@@ -91,8 +67,8 @@ impl fmt::Display for LabelSet {
 }
 
 /// What kind of metric a name refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum MetricKind {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub(crate) enum MetricKind {
     /// Monotonically increasing counter (requests served, tokens generated).
     Counter,
     /// Point-in-time value that can go up and down (queue depth, hot nodes).
@@ -103,7 +79,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// The Prometheus `# TYPE` keyword for this kind.
-    pub fn type_keyword(self) -> &'static str {
+    pub(crate) fn type_keyword(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -113,26 +89,21 @@ impl MetricKind {
 }
 
 /// Full identity of one metric series: name plus label set.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricId {
     /// Metric family name, e.g. `first_requests_total`.
-    pub name: String,
+    pub(crate) name: String,
     /// Label set distinguishing this series within the family.
-    pub labels: LabelSet,
+    pub(crate) labels: LabelSet,
 }
 
 impl MetricId {
     /// Build a metric id.
-    pub fn new(name: impl Into<String>, labels: LabelSet) -> Self {
+    pub(crate) fn new(name: impl Into<String>, labels: LabelSet) -> Self {
         MetricId {
             name: name.into(),
             labels,
         }
-    }
-
-    /// A series with no labels.
-    pub fn plain(name: impl Into<String>) -> Self {
-        Self::new(name, LabelSet::empty())
     }
 }
 
@@ -144,7 +115,7 @@ impl fmt::Display for MetricId {
 
 /// Whether a metric family name is valid: Prometheus-compatible
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn is_valid_metric_name(name: &str) -> bool {
+pub(crate) fn is_valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
@@ -162,18 +133,14 @@ mod tests {
         let a = LabelSet::from_pairs([("model", "llama-70b"), ("cluster", "sophia")]);
         let b = LabelSet::from_pairs([("cluster", "sophia"), ("model", "llama-70b")]);
         assert_eq!(a, b);
-        assert_eq!(a.get("model"), Some("llama-70b"));
-        assert_eq!(a.get("cluster"), Some("sophia"));
-        assert_eq!(a.get("missing"), None);
-        assert_eq!(a.len(), 2);
+        assert_eq!(a.to_string(), "{cluster=\"sophia\",model=\"llama-70b\"}");
     }
 
     #[test]
     fn label_insert_overwrites_existing_key() {
         let mut set = LabelSet::single("state", "queued");
         set.insert("state", "running");
-        assert_eq!(set.len(), 1);
-        assert_eq!(set.get("state"), Some("running"));
+        assert_eq!(set.to_string(), "{state=\"running\"}");
     }
 
     #[test]
@@ -187,7 +154,7 @@ mod tests {
     fn metric_id_display_concatenates_name_and_labels() {
         let id = MetricId::new("first_requests_total", LabelSet::single("op", "chat"));
         assert_eq!(id.to_string(), "first_requests_total{op=\"chat\"}");
-        assert_eq!(MetricId::plain("up").to_string(), "up");
+        assert_eq!(MetricId::new("up", LabelSet::empty()).to_string(), "up");
     }
 
     #[test]

@@ -12,12 +12,11 @@ use crate::counter::{Counter, Gauge};
 use crate::histogram::BucketHistogram;
 use crate::metric::{is_valid_metric_name, LabelSet, MetricId, MetricKind};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One exported sample in a snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricSnapshot {
     /// Counter value.
     Counter {
@@ -50,7 +49,7 @@ pub enum MetricSnapshot {
 
 impl MetricSnapshot {
     /// The series identity of this sample.
-    pub fn id(&self) -> &MetricId {
+    pub(crate) fn id(&self) -> &MetricId {
         match self {
             MetricSnapshot::Counter { id, .. }
             | MetricSnapshot::Gauge { id, .. }
@@ -59,7 +58,7 @@ impl MetricSnapshot {
     }
 
     /// The metric kind of this sample.
-    pub fn kind(&self) -> MetricKind {
+    pub(crate) fn kind(&self) -> MetricKind {
         match self {
             MetricSnapshot::Counter { .. } => MetricKind::Counter,
             MetricSnapshot::Gauge { .. } => MetricKind::Gauge,
@@ -69,10 +68,10 @@ impl MetricSnapshot {
 }
 
 /// A point-in-time copy of every series in the registry, ordered by id.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
     /// All samples, sorted by metric id.
-    pub samples: Vec<MetricSnapshot>,
+    pub(crate) samples: Vec<MetricSnapshot>,
 }
 
 impl RegistrySnapshot {
@@ -185,16 +184,6 @@ impl MetricRegistry {
             .observe(value);
     }
 
-    /// Current value of a counter series (0 when absent).
-    pub fn counter_value(&self, name: &str, labels: &LabelSet) -> u64 {
-        let inner = self.inner.lock();
-        inner
-            .counters
-            .get(&MetricId::new(name, labels.clone()))
-            .map(|c| c.get())
-            .unwrap_or(0)
-    }
-
     /// Take a point-in-time snapshot of every series.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let inner = self.inner.lock();
@@ -224,15 +213,6 @@ impl MetricRegistry {
         samples.sort_by(|a, b| a.id().cmp(b.id()));
         RegistrySnapshot { samples }
     }
-
-    /// Remove every series (used between benchmark repetitions).
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.counters.clear();
-        inner.gauges.clear();
-        inner.histograms.clear();
-        inner.kinds.clear();
-    }
 }
 
 #[cfg(test)]
@@ -259,11 +239,13 @@ mod tests {
         reg.observe("first_latency_seconds", model_labels("llama-70b"), 46.9);
 
         assert_eq!(
-            reg.counter_value("first_requests_total", &model_labels("llama-70b")),
+            reg.snapshot()
+                .counter_value("first_requests_total", &model_labels("llama-70b")),
             5
         );
         assert_eq!(
-            reg.counter_value("first_requests_total", &model_labels("llama-8b")),
+            reg.snapshot()
+                .counter_value("first_requests_total", &model_labels("llama-8b")),
             2
         );
 
@@ -298,7 +280,11 @@ mod tests {
         let reg = MetricRegistry::new();
         let clone = reg.clone();
         clone.inc_counter("shared_total", LabelSet::empty());
-        assert_eq!(reg.counter_value("shared_total", &LabelSet::empty()), 1);
+        assert_eq!(
+            reg.snapshot()
+                .counter_value("shared_total", &LabelSet::empty()),
+            1
+        );
     }
 
     #[test]
@@ -316,7 +302,8 @@ mod tests {
             }
         });
         assert_eq!(
-            reg.counter_value("first_requests_total", &LabelSet::single("op", "chat")),
+            reg.snapshot()
+                .counter_value("first_requests_total", &LabelSet::single("op", "chat")),
             8000
         );
         let snap = reg.snapshot();
@@ -332,19 +319,5 @@ mod tests {
         let reg = MetricRegistry::new();
         reg.inc_counter("first_requests_total", LabelSet::empty());
         reg.set_gauge("first_requests_total", LabelSet::empty(), 1.0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let reg = MetricRegistry::new();
-        reg.inc_counter("c", LabelSet::empty());
-        reg.reset();
-        assert!(reg.snapshot().samples.is_empty());
-        // After reset the name can be reused with another kind.
-        reg.set_gauge("c", LabelSet::empty(), 2.0);
-        assert!(matches!(
-            reg.snapshot().find("c", &LabelSet::empty()),
-            Some(MetricSnapshot::Gauge { value, .. }) if *value == 2.0
-        ));
     }
 }

@@ -109,7 +109,7 @@ impl Phase {
 }
 
 /// One timed interval within a request's lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Span {
     /// Which lifecycle phase this interval covers.
     pub phase: Phase,
@@ -137,7 +137,7 @@ impl Span {
 /// The complete span tree for one sampled request: a root
 /// [`Phase::Request`] span plus one child span per lifecycle phase the
 /// request passed through.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanTree {
     /// Gateway request id.
     pub request_id: u64,
@@ -291,16 +291,6 @@ impl FlightRecorder {
         }
     }
 
-    /// The configuration the recorder was built with.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
-    }
-
-    /// Whether any request will ever be sampled.
-    pub fn enabled(&self) -> bool {
-        self.config.enabled()
-    }
-
     /// Deterministic sampling decision for the next accepted request.
     /// Call exactly once per request; returns `true` for every
     /// `sample_every`-th call starting with the first.
@@ -329,11 +319,6 @@ impl FlightRecorder {
     /// Iterate retained trees, oldest first.
     pub fn trees(&self) -> impl Iterator<Item = &SpanTree> {
         self.ring.iter()
-    }
-
-    /// Number of trees currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
     }
 
     /// True when nothing has been retained.
@@ -384,10 +369,10 @@ pub struct PhaseStats {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GroupPhases {
     /// Group key: the tenant name or endpoint name.
-    pub name: String,
+    pub(crate) name: String,
     /// Stats for each phase the group's requests passed through, in
     /// lifecycle order. Phases never observed are omitted.
-    pub by_phase: Vec<PhaseStats>,
+    pub(crate) by_phase: Vec<PhaseStats>,
 }
 
 /// Critical-path attribution: how often each phase dominated a request.
@@ -425,7 +410,7 @@ pub struct PhaseBreakdown {
     /// never reached an endpoint (cache hits, early failures) are grouped
     /// under an empty name and omitted here.
     #[serde(default)]
-    pub by_endpoint: Vec<GroupPhases>,
+    pub(crate) by_endpoint: Vec<GroupPhases>,
     /// Which phase dominated each request, sorted by request count
     /// descending then lifecycle order.
     #[serde(default)]
@@ -569,11 +554,6 @@ impl PhaseBreakdown {
             critical_path,
         }
     }
-
-    /// True when no spans were aggregated.
-    pub fn is_empty(&self) -> bool {
-        self.by_phase.is_empty()
-    }
 }
 
 fn escape_json(s: &str, out: &mut String) {
@@ -676,7 +656,7 @@ mod tests {
     #[test]
     fn default_config_is_off_and_samples_nothing() {
         let mut rec = FlightRecorder::new(TraceConfig::default());
-        assert!(!rec.enabled());
+        assert!(!rec.config.enabled());
         for _ in 0..100 {
             assert!(!rec.should_sample());
         }
@@ -703,7 +683,7 @@ mod tests {
         for id in 0..5 {
             rec.record(tree(id, "a", "e", &[(Phase::Decode, 0, 10)]));
         }
-        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.trees().count(), 2);
         assert_eq!(rec.sampled(), 5);
         assert_eq!(rec.dropped(), 3);
         let ids: Vec<u64> = rec.trees().map(|t| t.request_id).collect();
@@ -794,7 +774,7 @@ mod tests {
     #[test]
     fn empty_breakdown_is_empty() {
         let bd = PhaseBreakdown::from_trees(std::iter::empty(), 0, 0);
-        assert!(bd.is_empty());
+        assert!(bd.by_phase.is_empty());
         assert!(bd.critical_path.is_empty());
     }
 }

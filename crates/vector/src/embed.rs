@@ -6,22 +6,21 @@
 //! pipeline stays dependency-free and reproducible.
 
 use first_desim::fnv1a_64 as fnv1a;
-use serde::{Deserialize, Serialize};
 
 /// Default embedding dimensionality (NV-Embed-v2 produces 4096-d vectors;
 /// 256 keeps the examples fast while preserving behaviour).
-pub const DEFAULT_DIM: usize = 256;
+pub(crate) const DEFAULT_DIM: usize = 256;
 
 /// A dense embedding vector.
-pub type Embedding = Vec<f32>;
+pub(crate) type Embedding = Vec<f32>;
 
 /// Feature-hashing embedder configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Embedder {
     /// Output dimensionality.
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// Character n-gram size.
-    pub ngram: usize,
+    pub(crate) ngram: usize,
 }
 
 impl Default for Embedder {
@@ -64,7 +63,7 @@ impl Embedder {
 }
 
 /// Normalise a vector to unit L2 norm (no-op for the zero vector).
-pub fn normalize(v: &mut [f32]) {
+pub(crate) fn normalize(v: &mut [f32]) {
     let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
     if norm > 1e-12 {
         for x in v.iter_mut() {
@@ -74,7 +73,7 @@ pub fn normalize(v: &mut [f32]) {
 }
 
 /// Cosine similarity between two equal-length vectors.
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn cosine(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut dot = 0.0f32;
     let mut na = 0.0f32;
@@ -92,7 +91,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Squared Euclidean distance between two equal-length vectors.
-pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 

@@ -2,10 +2,9 @@
 //! flat index, the FAISS usage pattern in the paper's HPC assistant.
 
 use crate::embed::{cosine, l2_sq, Embedding};
-use serde::{Deserialize, Serialize};
 
 /// Similarity metric used by the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Cosine similarity (higher is closer).
     Cosine,
@@ -24,16 +23,16 @@ impl Metric {
 }
 
 /// A search hit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchHit {
     /// Identifier supplied at insertion time.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Similarity score (higher is better, metric-normalised).
-    pub score: f32,
+    pub(crate) score: f32,
 }
 
 /// Exact (brute-force) index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlatIndex {
     metric: Metric,
     ids: Vec<u64>,
@@ -48,16 +47,6 @@ impl FlatIndex {
             ids: Vec::new(),
             vectors: Vec::new(),
         }
-    }
-
-    /// Number of indexed vectors.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
     }
 
     /// Add a vector with an id.

@@ -12,6 +12,6 @@ pub mod embed;
 pub mod index;
 pub mod rag;
 
-pub use embed::{cosine, l2_sq, normalize, Embedder, Embedding, DEFAULT_DIM};
-pub use index::{FlatIndex, Metric, SearchHit};
-pub use rag::{chunk_document, Chunk, ChunkingConfig, Document, RagPipeline, RetrievedPassage};
+pub use embed::Embedder;
+pub use index::{FlatIndex, Metric};
+pub use rag::{Document, RagPipeline};

@@ -8,13 +8,12 @@
 
 use crate::embed::Embedder;
 use crate::index::{FlatIndex, Metric, SearchHit};
-use serde::{Deserialize, Serialize};
 
 /// A source document (e.g. one page of HPC documentation).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// Document identifier (e.g. file path or URL).
-    pub source: String,
+    pub(crate) source: String,
     /// Full text.
     pub text: String,
 }
@@ -30,18 +29,18 @@ impl Document {
 }
 
 /// A chunk of a document, the retrieval unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Chunk {
     /// Chunk identifier within the corpus.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Source document.
     pub source: String,
     /// Chunk text.
-    pub text: String,
+    pub(crate) text: String,
 }
 
 /// A retrieved passage with its relevance score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetrievedPassage {
     /// The chunk.
     pub chunk: Chunk,
@@ -50,12 +49,12 @@ pub struct RetrievedPassage {
 }
 
 /// Chunking configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChunkingConfig {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ChunkingConfig {
     /// Maximum words per chunk.
-    pub max_words: usize,
+    pub(crate) max_words: usize,
     /// Overlapping words between consecutive chunks.
-    pub overlap_words: usize,
+    pub(crate) overlap_words: usize,
 }
 
 impl Default for ChunkingConfig {
@@ -68,7 +67,7 @@ impl Default for ChunkingConfig {
 }
 
 /// Split a document into overlapping word-window chunks.
-pub fn chunk_document(doc: &Document, config: ChunkingConfig, first_id: u64) -> Vec<Chunk> {
+pub(crate) fn chunk_document(doc: &Document, config: ChunkingConfig, first_id: u64) -> Vec<Chunk> {
     let words: Vec<&str> = doc.text.split_whitespace().collect();
     if words.is_empty() {
         return Vec::new();
@@ -120,18 +119,8 @@ impl RagPipeline {
         }
     }
 
-    /// Number of indexed chunks.
-    pub fn len(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Whether the knowledge base is empty.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-
     /// Ingest a document: chunk, embed and index it.
-    pub fn ingest(&mut self, doc: &Document) -> usize {
+    pub(crate) fn ingest(&mut self, doc: &Document) -> usize {
         let new_chunks = chunk_document(doc, self.chunking, self.chunks.len() as u64);
         for chunk in &new_chunks {
             self.index.add(chunk.id, self.embedder.embed(&chunk.text));
@@ -252,7 +241,7 @@ mod tests {
         let mut rag = RagPipeline::new();
         let docs = hpc_docs();
         let added = rag.ingest_all(&docs);
-        assert_eq!(added, rag.len());
+        assert_eq!(added, rag.chunks.len());
         let hits = rag.retrieve("how do I fix a GPU out of memory error", 2);
         assert!(!hits.is_empty());
         assert_eq!(hits[0].chunk.source, "docs/gpu.md");
@@ -274,6 +263,6 @@ mod tests {
     fn retrieve_on_empty_pipeline_is_empty() {
         let rag = RagPipeline::new();
         assert!(rag.retrieve("anything", 3).is_empty());
-        assert!(rag.is_empty());
+        assert!(rag.chunks.is_empty());
     }
 }

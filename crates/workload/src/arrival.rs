@@ -314,12 +314,12 @@ impl ArrivalCursor {
 
 /// A sustained open-loop load test: `rate` req/s for `duration` (the
 /// Artillery configuration from Optimization 3 in §5.3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SustainedLoad {
     /// Offered request rate, requests/second.
     pub rate: f64,
     /// Length of the load phase.
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
 }
 
 impl SustainedLoad {
@@ -334,11 +334,6 @@ impl SustainedLoad {
     /// Total number of requests offered.
     pub fn total_requests(&self) -> usize {
         (self.rate * self.duration.as_secs_f64()).round() as usize
-    }
-
-    /// Generate the arrival times.
-    pub fn arrivals(&self, rng: &mut SimRng) -> Vec<SimTime> {
-        ArrivalProcess::Poisson(self.rate).arrivals(self.total_requests(), SimTime::ZERO, rng)
     }
 }
 
@@ -387,9 +382,6 @@ mod tests {
     fn artillery_profile_matches_optimization_3() {
         let load = SustainedLoad::artillery();
         assert_eq!(load.total_requests(), 30_000);
-        let mut rng = SimRng::seed_from_u64(3);
-        let arr = load.arrivals(&mut rng);
-        assert_eq!(arr.len(), 30_000);
     }
 
     #[test]

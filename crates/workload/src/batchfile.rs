@@ -13,11 +13,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchLine {
     /// Caller-chosen identifier echoed back in the output file.
-    pub custom_id: String,
+    pub(crate) custom_id: String,
     /// HTTP method (always POST for inference).
-    pub method: String,
+    pub(crate) method: String,
     /// Target endpoint path.
-    pub url: String,
+    pub(crate) url: String,
     /// Request body.
     pub body: BatchBody,
 }
@@ -26,21 +26,21 @@ pub struct BatchLine {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchBody {
     /// Target model.
-    pub model: String,
+    pub(crate) model: String,
     /// Chat messages.
     pub messages: Vec<ChatMessage>,
     /// Maximum tokens to generate.
     pub max_tokens: u32,
     /// Sampling temperature.
     #[serde(default)]
-    pub temperature: f64,
+    pub(crate) temperature: f64,
 }
 
 /// A chat message.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChatMessage {
     /// Role: "system", "user" or "assistant".
-    pub role: String,
+    pub(crate) role: String,
     /// Message content.
     pub content: String,
 }
@@ -53,26 +53,10 @@ impl ChatMessage {
             content: content.into(),
         }
     }
-
-    /// A system-role message.
-    pub fn system(content: impl Into<String>) -> Self {
-        ChatMessage {
-            role: "system".to_string(),
-            content: content.into(),
-        }
-    }
-
-    /// An assistant-role message.
-    pub fn assistant(content: impl Into<String>) -> Self {
-        ChatMessage {
-            role: "assistant".to_string(),
-            content: content.into(),
-        }
-    }
 }
 
 /// An in-memory batch input file.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchInputFile {
     /// The request lines.
     pub lines: Vec<BatchLine>,
@@ -211,8 +195,6 @@ mod tests {
 
     #[test]
     fn message_roles() {
-        assert_eq!(ChatMessage::system("s").role, "system");
         assert_eq!(ChatMessage::user("u").role, "user");
-        assert_eq!(ChatMessage::assistant("a").role, "assistant");
     }
 }

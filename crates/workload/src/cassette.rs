@@ -29,7 +29,7 @@ use std::path::Path;
 
 /// Format version stamped into every cassette. Bump when a field changes
 /// meaning or is removed; adding fields is backward compatible.
-pub const CASSETTE_FORMAT_VERSION: u32 = 1;
+pub(crate) const CASSETTE_FORMAT_VERSION: u32 = 1;
 
 /// Typed failure modes of the cassette subsystem. An empty cassette is *not*
 /// an error — it replays to a clean, empty report — but a cassette that
@@ -103,9 +103,9 @@ pub struct CassetteTenant {
     /// Tenant-class name (also the auth user the replay enrolls).
     pub name: String,
     /// Scheduling priority (merge tie-break, higher first).
-    pub priority: u8,
+    pub(crate) priority: u8,
     /// SLO targets reported against.
-    pub slo: SloTarget,
+    pub(crate) slo: SloTarget,
 }
 
 /// One request of the recorded merged stream, plus its observed outcome.
@@ -123,18 +123,18 @@ pub struct CassetteEntry {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Cassette {
     /// Format version ([`CASSETTE_FORMAT_VERSION`] at record time).
-    pub format_version: u32,
+    pub(crate) format_version: u32,
     /// Scenario name the recording ran (kept by the replayed spec so the
     /// replayed report matches byte-for-byte).
     pub scenario: String,
     /// One-line description (from the spec).
-    pub description: String,
+    pub(crate) description: String,
     /// Deployment the recording ran against.
-    pub deployment: crate::scenario::DeploymentRef,
+    pub(crate) deployment: crate::scenario::DeploymentRef,
     /// Prewarm level of the recording.
-    pub prewarm: u32,
+    pub(crate) prewarm: u32,
     /// Whether the recording ran the production resilience profile.
-    pub resilience: bool,
+    pub(crate) resilience: bool,
     /// Simulation horizon of the recording, seconds.
     pub horizon_s: f64,
     /// Seed the recording used (replays must reuse it to reproduce the

@@ -27,16 +27,12 @@ pub mod sharegpt;
 pub mod trace;
 
 pub use arrival::{ArrivalProcess, ReplayEntry, ReplayTrack, SustainedLoad};
-pub use batchfile::{BatchBody, BatchInputFile, BatchLine, ChatMessage};
-pub use cassette::{
-    Cassette, CassetteEntry, CassetteError, CassetteTenant, RequestOutcome, CASSETTE_FORMAT_VERSION,
-};
+pub use batchfile::{BatchInputFile, ChatMessage};
+pub use cassette::{Cassette, CassetteError, RequestOutcome};
 pub use scenario::{
-    catalog, CompiledScenario, DeploymentRef, ModelShare, ScenarioArrival, ScenarioArrivals,
-    ScenarioRequest, ScenarioSpec, SloTarget, TenantClass, TenantWorkload,
+    catalog, DeploymentRef, ModelShare, ScenarioArrival, ScenarioRequest, ScenarioSpec, SloTarget,
+    TenantClass, TenantWorkload,
 };
-pub use sessions::{generate_sessions, SessionPlan, SessionWorkloadConfig};
+pub use sessions::{generate_sessions, SessionWorkloadConfig};
 pub use sharegpt::{ConversationSample, ShareGptGenerator, ShareGptProfile};
-pub use trace::{
-    generate_trace, DeploymentTrace, DeploymentTraceConfig, TraceEntry, TraceEntryKind,
-};
+pub use trace::{generate_trace, DeploymentTraceConfig, TraceEntryKind};

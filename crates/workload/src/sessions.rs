@@ -49,14 +49,12 @@ impl SessionWorkloadConfig {
 /// One simulated WebUI session.
 #[derive(Debug, Clone)]
 pub struct SessionPlan {
-    /// Session index.
-    pub session_id: usize,
     /// When the session connects and sends its first message.
     pub start_at: SimTime,
     /// Pre-drawn conversation turns (lengths) the session will send in order.
     pub turns: Vec<ConversationSample>,
     /// Pre-drawn think times between turns.
-    pub think_times: Vec<SimDuration>,
+    pub(crate) think_times: Vec<SimDuration>,
 }
 
 impl SessionPlan {
@@ -97,7 +95,6 @@ pub fn generate_sessions(config: &SessionWorkloadConfig, seed: u64) -> Vec<Sessi
                 })
                 .collect();
             SessionPlan {
-                session_id,
                 start_at: SimTime::ZERO + offset,
                 turns,
                 think_times,
@@ -115,9 +112,7 @@ mod tests {
         let cfg = SessionWorkloadConfig::table1("llama-8b", 300, 60);
         let sessions = generate_sessions(&cfg, 1);
         assert_eq!(sessions.len(), 300);
-        // Session ids are unique and ordered.
-        for (i, s) in sessions.iter().enumerate() {
-            assert_eq!(s.session_id, i);
+        for s in &sessions {
             assert!(!s.turns.is_empty());
             assert_eq!(s.turns.len(), s.think_times.len());
         }

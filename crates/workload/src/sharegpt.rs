@@ -15,20 +15,20 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShareGptProfile {
     /// Mean prompt length in tokens.
-    pub prompt_mean: f64,
+    pub(crate) prompt_mean: f64,
     /// Coefficient of variation of prompt lengths.
-    pub prompt_cv: f64,
+    pub(crate) prompt_cv: f64,
     /// Mean output length in tokens.
-    pub output_mean: f64,
+    pub(crate) output_mean: f64,
     /// Coefficient of variation of output lengths.
-    pub output_cv: f64,
+    pub(crate) output_cv: f64,
     /// Minimum tokens per side.
-    pub min_tokens: u32,
+    pub(crate) min_tokens: u32,
     /// Maximum prompt tokens (long conversations are truncated by the
     /// benchmark script).
-    pub max_prompt_tokens: u32,
+    pub(crate) max_prompt_tokens: u32,
     /// Maximum output tokens.
-    pub max_output_tokens: u32,
+    pub(crate) max_output_tokens: u32,
 }
 
 impl Default for ShareGptProfile {
@@ -47,7 +47,7 @@ impl Default for ShareGptProfile {
 
 /// One synthetic conversation turn: prompt and target output lengths plus a
 /// deterministic text rendering of the prompt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConversationSample {
     /// Prompt length in tokens.
     pub prompt_tokens: u32,
@@ -125,11 +125,6 @@ impl ShareGptGenerator {
     pub fn with_text(mut self) -> Self {
         self.with_text = true;
         self
-    }
-
-    /// The active profile.
-    pub fn profile(&self) -> &ShareGptProfile {
-        &self.profile
     }
 
     fn clamp(&self, x: f64, max: u32) -> u32 {

@@ -12,7 +12,7 @@ use first_desim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Kind of trace entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEntryKind {
     /// A single interactive API request.
     Interactive,
@@ -21,7 +21,7 @@ pub enum TraceEntryKind {
 }
 
 /// One request in the deployment trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceEntry {
     /// Arrival time (relative to the start of the trace).
     pub at: SimTime,
@@ -35,8 +35,6 @@ pub struct TraceEntry {
     pub output_tokens: u32,
     /// Interactive or batch-member.
     pub kind: TraceEntryKind,
-    /// Batch job index for batch members.
-    pub batch_id: Option<u32>,
 }
 
 /// Configuration of the scaled deployment trace.
@@ -73,7 +71,7 @@ impl Default for DeploymentTraceConfig {
 }
 
 /// The generated trace plus summary counters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeploymentTrace {
     /// All entries sorted by arrival time.
     pub entries: Vec<TraceEntry>,
@@ -83,8 +81,6 @@ pub struct DeploymentTrace {
     pub batch_members: u64,
     /// Number of distinct batch jobs present.
     pub batch_jobs: u32,
-    /// Total tokens (prompt + output) across the trace.
-    pub total_tokens: u64,
 }
 
 /// Generate a scaled deployment trace.
@@ -109,14 +105,13 @@ pub fn generate_trace(config: &DeploymentTraceConfig, seed: u64) -> DeploymentTr
             prompt_tokens: s.prompt_tokens,
             output_tokens: s.output_tokens,
             kind: TraceEntryKind::Interactive,
-            batch_id: None,
         });
     }
 
     // Batch jobs: each batch arrives at one instant and contributes many
     // members with longer outputs (synthetic-data generation style).
     let per_batch = (n_batch / config.batch_jobs.max(1) as u64).max(1);
-    for b in 0..config.batch_jobs {
+    for _ in 0..config.batch_jobs {
         let at = SimTime::from_secs_f64(rng.uniform(0.0, window_secs));
         let user = rng.zipf(config.users as usize, 1.1) as u32;
         let model_index = rng.weighted_index(&config.model_weights);
@@ -129,7 +124,6 @@ pub fn generate_trace(config: &DeploymentTraceConfig, seed: u64) -> DeploymentTr
                 prompt_tokens: s.prompt_tokens,
                 output_tokens: s.output_tokens.saturating_mul(4).min(2048),
                 kind: TraceEntryKind::BatchMember,
-                batch_id: Some(b),
             });
         }
     }
@@ -140,15 +134,10 @@ pub fn generate_trace(config: &DeploymentTraceConfig, seed: u64) -> DeploymentTr
         .filter(|e| e.kind == TraceEntryKind::Interactive)
         .count() as u64;
     let batch_members = entries.len() as u64 - interactive;
-    let total_tokens = entries
-        .iter()
-        .map(|e| e.prompt_tokens as u64 + e.output_tokens as u64)
-        .sum();
     DeploymentTrace {
         interactive,
         batch_members,
         batch_jobs: config.batch_jobs,
-        total_tokens,
         entries,
     }
 }
@@ -200,19 +189,20 @@ mod tests {
 
     #[test]
     fn batch_members_share_arrival_and_model() {
-        let trace = generate_trace(&DeploymentTraceConfig::default(), 4);
-        for b in 0..3u32 {
-            let members: Vec<_> = trace
-                .entries
-                .iter()
-                .filter(|e| e.batch_id == Some(b))
-                .collect();
-            assert!(!members.is_empty());
-            assert!(members.iter().all(|e| e.at == members[0].at));
-            assert!(members
-                .iter()
-                .all(|e| e.model_index == members[0].model_index));
+        let config = DeploymentTraceConfig::default();
+        let trace = generate_trace(&config, 4);
+        // Each batch job's members arrive at one instant with one model.
+        let mut model_at = std::collections::BTreeMap::new();
+        for e in &trace.entries {
+            if e.kind == TraceEntryKind::BatchMember {
+                assert_eq!(
+                    *model_at.entry(e.at).or_insert(e.model_index),
+                    e.model_index
+                );
+            }
         }
+        assert!(!model_at.is_empty());
+        assert!(model_at.len() <= config.batch_jobs as usize);
     }
 
     #[test]

@@ -78,10 +78,9 @@ fn main() {
             .unwrap();
         let nodes = sophia.cluster_status().total_nodes;
         for _ in 0..nodes {
-            sophia.scheduler_mut().submit(
-                JobRequest::single_node(8, SimDuration::from_hours(12), "background-campaign"),
-                t3,
-            );
+            sophia
+                .scheduler_mut()
+                .submit(JobRequest::single_node(8, SimDuration::from_hours(12)), t3);
         }
     }
     gateway

@@ -35,7 +35,7 @@ fn federated_deployment_fails_over_when_primary_cluster_is_full() {
         let nodes = sophia.cluster_status().total_nodes;
         for _ in 0..nodes {
             sophia.scheduler_mut().submit(
-                JobRequest::single_node(8, SimDuration::from_hours(24), "campaign"),
+                JobRequest::single_node(8, SimDuration::from_hours(24)),
                 SimTime::ZERO,
             );
         }

@@ -1,37 +1,42 @@
 //! A name scan for public items that nothing reaches.
 //!
-//! It lists every `pub fn`, `pub const fn`, `pub struct`, `pub enum`,
-//! `pub type`, `pub trait`, `pub static` and `pub const` under
-//! `crates/*/src` whose name appears nowhere else: not in any other `.rs`
-//! file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`,
-//! and not elsewhere in its own file's text before the file's first
-//! `#[cfg(test)]`. An item that only its own unit tests use is therefore
-//! listed. Comments are not stripped, so a doc comment that names an item
-//! counts as a use.
+//! Items that are not `pub` are guarded by rustc: its `dead_code` lint
+//! reports every `pub(crate)` or private function, field and variant that
+//! nothing uses, so an item that no other crate names is `pub(crate)`. This
+//! test covers what stays `pub`, with two rules.
+//!
+//! - It lists every `pub fn`, `pub const fn`, `pub struct`, `pub enum`,
+//!   `pub type`, `pub trait`, `pub static` and `pub const` under
+//!   `crates/*/src` whose name appears nowhere else: not in any other `.rs`
+//!   file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`,
+//!   and not elsewhere in its own file's text before the file's first
+//!   `#[cfg(test)]`. An item that only its own unit tests use is therefore
+//!   listed.
+//! - It lists every `pub fn` and `pub const fn` in a crate's `src/` whose
+//!   name appears in no file outside that crate's own `src/`. The crate's
+//!   `src/bin`, `tests/` and `benches/` count as outside: they are other
+//!   compilation units. Such a function should be `pub(crate)`.
+//!
+//! Comments are not stripped, so a doc comment that names an item counts
+//! as a use.
 //!
 //! The list must equal [`SURVIVORS`], each entry with a reason. A new
 //! unreached item fails the test, and so does a survivor that gains a use
-//! or is deleted: either delete the item or give it a use, or add it to the
-//! table with the reason it stays.
+//! or is deleted: either delete the item or give it a use, make it
+//! `pub(crate)`, or add it to the table with the reason it stays.
 //!
 //! The match is by name, not by resolved path. A common name such as `inc`
 //! or `new` that some other item also uses anywhere in the tree hides an
 //! unreached item, and an `impl` block in the item's own file counts as a
 //! use of a type, so the scan can miss code; it never lists code that has a
-//! use. Enum variants and fields are not scanned. An item used only inside
-//! its own file should not be `pub`: rustc's `dead_code` lint guards
-//! private items.
+//! use. Enum variants and fields of `pub` types are not scanned.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// `(file, item, why it stays)` for each listed item kept on purpose.
-const SURVIVORS: &[(&str, &str, &str)] = &[(
-    "crates/serving/src/engine.rs",
-    "kv_utilization",
-    "the planned sim-time KV-use timeline (ROADMAP item 8) reads it",
-)];
+const SURVIVORS: &[(&str, &str, &str)] = &[];
 
 /// Directories whose `.rs` files count as callers.
 const CALLER_DIRS: &[&str] = &["crates", "src", "tests", "examples", "perfbench/src"];
@@ -67,10 +72,10 @@ fn own_text(text: &str) -> &str {
     text.find("#[cfg(test)]").map_or(text, |i| &text[..i])
 }
 
-/// `(line, name)` of each public item declared in `own` (a `pub const fn`
-/// is found by `"pub const "`, as `fn`, and again by `"pub const fn "`; the
-/// `fn` hit is dropped).
-fn pub_items(own: &str) -> Vec<(usize, &str)> {
+/// `(line, name, is_fn)` of each public item declared in `own` (a `pub
+/// const fn` is found by `"pub const "`, as `fn`, and again by `"pub const
+/// fn "`; the `fn` hit is dropped).
+fn pub_items(own: &str) -> Vec<(usize, &str, bool)> {
     let mut out = Vec::new();
     for marker in [
         "pub fn ",
@@ -94,7 +99,8 @@ fn pub_items(own: &str) -> Vec<(usize, &str)> {
                 .position(|b| !is_ident_byte(b))
                 .unwrap_or(rest.len());
             if end > 0 && &rest[..end] != "fn" {
-                out.push((own[..at].matches('\n').count() + 1, &rest[..end]));
+                let is_fn = marker.ends_with("fn ");
+                out.push((own[..at].matches('\n').count() + 1, &rest[..end], is_fn));
             }
         }
     }
@@ -134,11 +140,16 @@ fn every_unreached_pub_fn_is_a_listed_survivor() {
         if !in_crate_src {
             continue;
         }
+        // `crates/<name>/src/`: the crate's own library sources.
+        let src_dir = &file[..file.match_indices('/').nth(2).expect("under src/").0 + 1];
+        let bin_dir = format!("{src_dir}bin/");
+        let outside_crate = |f: &str| !f.starts_with(src_dir) || f.starts_with(&bin_dir);
         let own = own_text(text);
-        for (line, name) in pub_items(own) {
+        for (line, name, is_fn) in pub_items(own) {
             let elsewhere = mentioned_in[name].iter().any(|f| f != file);
             let own_uses = words(own).filter(|w| *w == name).count();
-            if !elsewhere && own_uses < 2 {
+            let other_crate = mentioned_in[name].iter().any(|f| outside_crate(f));
+            if (!elsewhere && own_uses < 2) || (is_fn && !other_crate) {
                 unreached.insert((file.clone(), name.to_string()), line);
             }
         }
