@@ -46,7 +46,7 @@ fn main() {
     let futures_cfg = GatewayConfig::default();
     let polling_cfg = GatewayConfig {
         client: ClientConfig {
-            result_mode: first_fabric::ResultMode::polling_2s(),
+            result_mode: first_fabric::ResultMode::Polling,
             ..ClientConfig::default()
         },
         ..GatewayConfig::default()

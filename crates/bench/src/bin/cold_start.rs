@@ -29,7 +29,7 @@ fn main() {
         let cold = cfg.cold_start_time().as_secs_f64();
         println!(
             "{:<44} {:>8} {:>6} {:>14.1}",
-            spec.name, cfg.gpus_total, cfg.nodes, cold
+            spec.name, cfg.tensor_parallel, cfg.nodes, cold
         );
         let short = name.rsplit('/').next().unwrap_or(name);
         artifact = artifact.with_metric(GateMetric::lower(

@@ -7,7 +7,6 @@ use first_bench::{
 };
 use first_core::{run_openai_openloop, ScenarioReport, ScenarioRun};
 use first_desim::{SimMeter, SimTime};
-use first_serving::CloudApiConfig;
 use first_workload::{ArrivalProcess, DeploymentRef, ScenarioSpec};
 
 const MODEL: &str = "meta-llama/Meta-Llama-3.1-8B-Instruct";
@@ -30,7 +29,7 @@ fn main() {
     let out = ScenarioRun::new(&spec).execute().expect("unrecorded run");
     let first = ScenarioReport::from_run("FIRST (Llama 3.1 8B)", "inf", &out.report, out.latencies);
 
-    let mut openai = run_openai_openloop(CloudApiConfig::default(), &samples, &arr, "inf", horizon);
+    let mut openai = run_openai_openloop(&samples, &arr, "inf", horizon);
     openai.label = "OpenAI (GPT-4o-mini)".to_string();
     let sim = meter.finish(SimTime::from_secs_f64(first.duration_s + openai.duration_s));
 

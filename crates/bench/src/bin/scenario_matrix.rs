@@ -13,7 +13,9 @@
 //! `FIRST_BENCH_THREADS` picks the worker count, and `FIRST_BENCH_SHARDS`
 //! (comma-separated, default `1,2`) adds gateway shard count as a matrix
 //! axis — every scenario runs once per shard count, with per-shard rollups
-//! in the sharded reports. Reports carry no wall-clock measurement, so the
+//! in the sharded reports. A point whose shard count lacks a shard its
+//! spec's fault plan names is skipped and printed as skipped (the 1-shard
+//! `shard-outage` point). Reports carry no wall-clock measurement, so the
 //! artifact is byte-identical across thread counts (the `sim.wall_time_s`
 //! harness reading aside), which CI enforces — and across shard-determinism
 //! reruns at a fixed shard list.
@@ -24,7 +26,7 @@ use first_bench::{
 };
 use first_core::{GatewayReport, ScenarioRun, ShardingConfig};
 use first_desim::SimTime;
-use first_workload::catalog;
+use first_workload::{catalog, CassetteError};
 
 /// Shard counts to sweep, from `FIRST_BENCH_SHARDS` (comma-separated,
 /// default `1,2`). `1` keeps the pre-federation single-gateway point.
@@ -77,16 +79,28 @@ fn main() {
 
     let harness = std::time::Instant::now();
     let runs = executor.run(points, |_, (spec, shards)| {
-        let report = ScenarioRun::new(&spec)
+        let run = ScenarioRun::new(&spec)
             .seed(seed)
             .sharding(ShardingConfig::with_shards(shards))
-            .execute()
-            .expect("matrix point runs")
-            .report;
-        (report, shards)
+            .execute();
+        (run.map(|out| out.report), shards)
     });
-    let stats: Vec<_> = runs.iter().map(|r| r.stats).collect();
-    let reports: Vec<(GatewayReport, usize)> = runs.into_iter().map(|r| r.result).collect();
+    // A point whose shard count lacks a shard its spec's fault plan names
+    // (the 1-shard `shard-outage`) is skipped, not run without its faults.
+    let mut stats = Vec::new();
+    let mut reports: Vec<(GatewayReport, usize)> = Vec::new();
+    for run in runs {
+        match run.result {
+            (Ok(report), shards) => {
+                stats.push(run.stats);
+                reports.push((report, shards));
+            }
+            (Err(e @ CassetteError::MissingShard { .. }), shards) => {
+                println!("skipped ({shards} shard(s)): {e}");
+            }
+            (Err(e), _) => panic!("matrix point failed: {e}"),
+        }
+    }
 
     for (report, shards) in &reports {
         println!("\n== {} ({} shard(s)) ==", report.scenario, shards);

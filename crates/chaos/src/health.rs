@@ -94,30 +94,18 @@ impl RetryPolicy {
     }
 }
 
-/// Circuit-breaker tuning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CircuitBreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub(crate) failure_threshold: u32,
-    /// How long the breaker stays open before allowing a half-open probe.
-    pub(crate) open_for: SimDuration,
-    /// How long past the breaker's open window an endpoint is still reported
-    /// [`HealthState::Degraded`]: after its last failure an endpoint spends
-    /// up to `open_for` unavailable, then stays degraded until
-    /// `open_for + degraded_window` has elapsed since that failure, after
-    /// which it optimistically returns to full rotation.
-    pub(crate) degraded_window: SimDuration,
-}
+/// Consecutive failures that trip a circuit breaker open.
+const FAILURE_THRESHOLD: u32 = 3;
 
-impl Default for CircuitBreakerConfig {
-    fn default() -> Self {
-        CircuitBreakerConfig {
-            failure_threshold: 3,
-            open_for: SimDuration::from_secs(60),
-            degraded_window: SimDuration::from_secs(120),
-        }
-    }
-}
+/// How long a breaker stays open before allowing a half-open probe.
+const OPEN_FOR: SimDuration = SimDuration::from_secs(60);
+
+/// How long past the breaker's open window an endpoint is still reported
+/// [`HealthState::Degraded`]: after its last failure an endpoint spends up to
+/// `OPEN_FOR` unavailable, then stays degraded until `OPEN_FOR +
+/// DEGRADED_WINDOW` has elapsed since that failure, after which it
+/// optimistically returns to full rotation.
+const DEGRADED_WINDOW: SimDuration = SimDuration::from_secs(120);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BreakerState {
@@ -129,17 +117,15 @@ enum BreakerState {
 /// A per-endpoint circuit breaker (closed → open → half-open → closed).
 #[derive(Debug, Clone)]
 pub(crate) struct CircuitBreaker {
-    config: CircuitBreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     trips: u64,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with the given tuning.
-    pub(crate) fn new(config: CircuitBreakerConfig) -> Self {
+    /// A closed breaker.
+    pub(crate) fn new() -> Self {
         CircuitBreaker {
-            config,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             trips: 0,
@@ -177,14 +163,14 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Open(until) if now >= until => {
                 // Half-open probe failed: reopen for another window.
-                self.state = BreakerState::Open(now + self.config.open_for);
+                self.state = BreakerState::Open(now + OPEN_FOR);
                 self.trips += 1;
                 true
             }
             BreakerState::Open(_) => false,
             BreakerState::Closed => {
-                if self.consecutive_failures >= self.config.failure_threshold {
-                    self.state = BreakerState::Open(now + self.config.open_for);
+                if self.consecutive_failures >= FAILURE_THRESHOLD {
+                    self.state = BreakerState::Open(now + OPEN_FOR);
                     self.trips += 1;
                     true
                 } else {
@@ -205,9 +191,9 @@ struct EndpointHealth {
 }
 
 impl EndpointHealth {
-    fn new(config: CircuitBreakerConfig) -> Self {
+    fn new() -> Self {
         EndpointHealth {
-            breaker: CircuitBreaker::new(config),
+            breaker: CircuitBreaker::new(),
             successes: 0,
             failures: 0,
             last_failure_at: None,
@@ -221,34 +207,21 @@ impl EndpointHealth {
 /// around unavailable endpoints), by the gateway's retry logic (pick a
 /// different site), and by the telemetry layer (the `first_endpoint_health`
 /// gauge and the sustained-unavailability alert).
-#[derive(Debug, Clone)]
+///
+/// [`HealthTracker::default`] tracks no endpoint yet; every endpoint gets
+/// the same breaker tuning.
+#[derive(Debug, Clone, Default)]
 pub struct HealthTracker {
-    config: CircuitBreakerConfig,
     endpoints: BTreeMap<String, EndpointHealth>,
 }
 
-impl Default for HealthTracker {
-    fn default() -> Self {
-        Self::new(CircuitBreakerConfig::default())
-    }
-}
-
 impl HealthTracker {
-    /// A tracker applying the given breaker tuning to every endpoint.
-    pub fn new(config: CircuitBreakerConfig) -> Self {
-        HealthTracker {
-            config,
-            endpoints: BTreeMap::new(),
-        }
-    }
-
     /// The endpoint's record, created on first use; an endpoint already
     /// tracked costs a lookup, not a name allocation.
     fn entry(&mut self, endpoint: &str) -> &mut EndpointHealth {
         if !self.endpoints.contains_key(endpoint) {
-            let config = self.config.clone();
             self.endpoints
-                .insert(endpoint.to_string(), EndpointHealth::new(config));
+                .insert(endpoint.to_string(), EndpointHealth::new());
         }
         self.endpoints.get_mut(endpoint).expect("inserted above")
     }
@@ -282,9 +255,9 @@ impl HealthTracker {
         // full rotation (a healthy-preferred router would otherwise never
         // probe it again). A failure during the aged-out phase reopens the
         // breaker immediately, so the optimism is bounded.
-        let recently_failed = e.last_failure_at.map(|at| {
-            now.saturating_since(at) < self.config.open_for + self.config.degraded_window
-        });
+        let recently_failed = e
+            .last_failure_at
+            .map(|at| now.saturating_since(at) < OPEN_FOR + DEGRADED_WINDOW);
         match recently_failed {
             Some(true) => HealthState::Degraded,
             _ => HealthState::Healthy,
@@ -320,8 +293,6 @@ pub struct ResilienceConfig {
     pub enabled: bool,
     /// Retry policy for idempotent requests that failed at an endpoint.
     pub retry: RetryPolicy,
-    /// Circuit-breaker tuning applied per endpoint.
-    pub breaker: CircuitBreakerConfig,
     /// Hedge a request still unanswered after this long by duplicating it to
     /// another endpoint (first response wins). `None` disables hedging.
     pub hedge_after: Option<SimDuration>,
@@ -334,7 +305,6 @@ impl ResilienceConfig {
         ResilienceConfig {
             enabled: true,
             retry: RetryPolicy::default(),
-            breaker: CircuitBreakerConfig::default(),
             hedge_after: Some(SimDuration::from_secs(60)),
         }
     }
@@ -357,7 +327,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_threshold_and_recovers_via_half_open() {
-        let mut b = CircuitBreaker::new(CircuitBreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         let t0 = SimTime::ZERO;
         assert!(!b.on_failure(t0));
         assert!(!b.on_failure(t0));
@@ -379,7 +349,7 @@ mod tests {
 
     #[test]
     fn failed_half_open_probe_reopens_the_breaker() {
-        let mut b = CircuitBreaker::new(CircuitBreakerConfig::default());
+        let mut b = CircuitBreaker::new();
         for _ in 0..3 {
             b.on_failure(SimTime::ZERO);
         }

@@ -27,4 +27,4 @@ pub mod fault;
 pub mod health;
 
 pub use fault::{FaultInjector, FaultKind, FaultPlan, ShardFaultKind, ShardFaultPlan};
-pub use health::{CircuitBreakerConfig, HealthState, HealthTracker, ResilienceConfig, RetryPolicy};
+pub use health::{HealthState, HealthTracker, ResilienceConfig, RetryPolicy};

@@ -159,7 +159,7 @@ impl BatchManager {
             let hpc_job = ep.scheduler_mut().submit(
                 JobRequest {
                     nodes: engine_config.nodes,
-                    gpus_per_node: engine_config.gpus_total.min(8),
+                    gpus_per_node: engine_config.tensor_parallel.min(8),
                     walltime: report.total_duration + SimDuration::from_mins(30),
                     priority: first_hpc::JobPriority::Normal,
                     user: user.to_string(),

@@ -9,12 +9,16 @@
 use crate::gateway::{Gateway, GatewayConfig};
 use crate::registry::{ModelRegistry, RoutingPolicy};
 use first_auth::{AccessPolicy, AuthService, Identity, ResourceRule, Scope, TokenString, UserId};
-use first_desim::{SimDuration, SimTime};
+use first_desim::SimTime;
 use first_fabric::{
     ComputeEndpoint, ComputeService, EndpointConfig, FabricLatencyModel, ModelHostingConfig,
 };
 use first_hpc::{Cluster, GpuModel};
 use first_serving::{find_model, ModelSpec};
+
+/// Seed of every deployment's auth service, which salts the bearer tokens
+/// it mints.
+const AUTH_SEED: u64 = 20_250_613;
 
 /// Bearer tokens for the standard test users.
 #[derive(Debug, Clone)]
@@ -32,8 +36,6 @@ pub struct HostedModel {
     pub(crate) spec: ModelSpec,
     /// Auto-scaling ceiling.
     pub(crate) max_instances: u32,
-    /// Per-instance parallel task limit.
-    pub(crate) max_parallel_tasks: usize,
 }
 
 impl HostedModel {
@@ -42,7 +44,6 @@ impl HostedModel {
         HostedModel {
             spec: find_model(name).unwrap_or_else(|| panic!("unknown model '{name}'")),
             max_instances: 1,
-            max_parallel_tasks: 200,
         }
     }
 
@@ -107,7 +108,6 @@ pub struct DeploymentBuilder {
     gateway_config: GatewayConfig,
     prewarm_instances: u32,
     routing_policy: RoutingPolicy,
-    seed: u64,
 }
 
 impl DeploymentBuilder {
@@ -118,7 +118,6 @@ impl DeploymentBuilder {
             gateway_config: GatewayConfig::default(),
             prewarm_instances: 0,
             routing_policy: RoutingPolicy::default(),
-            seed: 20_250_613,
         }
     }
 
@@ -233,7 +232,7 @@ impl DeploymentBuilder {
         ] {
             policy.set_model_rule(name, ResourceRule::restricted(&["aurora-early-access"]));
         }
-        AuthService::new(policy, self.seed)
+        AuthService::new(policy, AUTH_SEED)
     }
 
     /// Build the gateway (auth users must then be enrolled by the caller, or
@@ -254,9 +253,7 @@ impl DeploymentBuilder {
             for hosted in &site.models {
                 ep_config = ep_config.host(
                     ModelHostingConfig::for_node_size(hosted.spec.clone(), site.gpu, gpus_per_node)
-                        .with_max_instances(hosted.max_instances)
-                        .with_max_parallel_tasks(hosted.max_parallel_tasks)
-                        .with_idle_timeout(SimDuration::from_hours(2)),
+                        .with_max_instances(hosted.max_instances),
                 );
                 registry.register(&hosted.spec.name, &site.endpoint_name);
             }

@@ -26,6 +26,12 @@ use first_telemetry::{FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, Tra
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+/// Expected output length of a chat request whose caller gives no hint.
+const DEFAULT_OUTPUT_TOKENS: u32 = 180;
+
+/// CPU the gateway spends marshalling each response back to the client.
+const RESPONSE_CPU: SimDuration = SimDuration::from_millis(5);
+
 /// Gateway configuration: the knobs the paper's optimization study varies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GatewayConfig {
@@ -37,12 +43,6 @@ pub struct GatewayConfig {
     pub auth_cache: bool,
     /// Per-user request limit per minute (`u32::MAX` disables limiting).
     pub rate_limit_per_minute: u32,
-    /// Whether identical (model, prompt) requests may be served from cache.
-    pub response_cache: bool,
-    /// Default expected output length when the caller gives no hint.
-    pub default_output_tokens: u32,
-    /// CPU spent marshalling each response back to the client.
-    pub response_cpu: SimDuration,
     /// Resilience layer: failover-aware routing, retries, hedging and the
     /// per-endpoint circuit breaker. Disabled by default (the paper's
     /// proof-of-concept behaviour); [`first_chaos::ResilienceConfig::production`]
@@ -63,9 +63,6 @@ impl Default for GatewayConfig {
             client: ClientConfig::default(),
             auth_cache: true,
             rate_limit_per_minute: u32::MAX,
-            response_cache: true,
-            default_output_tokens: 180,
-            response_cpu: SimDuration::from_millis(5),
             resilience: ResilienceConfig::default(),
             trace: TraceConfig::default(),
         }
@@ -340,7 +337,7 @@ impl Gateway {
         } else {
             AuthMiddleware::without_cache()
         };
-        let health = HealthTracker::new(config.resilience.breaker.clone());
+        let health = HealthTracker::default();
         let recorder = FlightRecorder::new(config.trace);
         Gateway {
             health,
@@ -726,9 +723,11 @@ impl Gateway {
         }
         // Response cache: only textual prompts are cacheable.
         let key = match request.messages.first() {
-            Some(m) if self.config.response_cache && !m.content.is_empty() => Some(
-                ResponseCache::key(&request.model, &m.content, request.max_tokens),
-            ),
+            Some(m) if !m.content.is_empty() => Some(ResponseCache::key(
+                &request.model,
+                &m.content,
+                request.max_tokens,
+            )),
             _ => None,
         };
         let prompt = PromptRef {
@@ -772,14 +771,13 @@ impl Gateway {
             }
         };
         let model_id = self.registry.model_id(model);
-        let cache_key = prompt.key.filter(|_| self.config.response_cache);
-        let hit = cache_key.and_then(|key| self.response_cache.get(key, now));
+        let hit = prompt.key.and_then(|key| self.response_cache.get(key, now));
         // A cached answer implies the model was routed before, so it has an
         // id; a key collision with an unknown model falls through to routing.
         if let (Some(hit), Some(model_id)) = (hit, model_id) {
             let request_id = self.next_request_id;
             self.next_request_id += 1;
-            let finished = now + self.config.response_cpu;
+            let finished = now + RESPONSE_CPU;
             let usage = Usage::new(prompt.tokens, hit.completion_tokens);
             self.metrics
                 .on_completed(model, finished - now, hit.completion_tokens);
@@ -832,7 +830,7 @@ impl Gateway {
                 return Err(e);
             }
         };
-        let output = expected_output_tokens.unwrap_or(self.config.default_output_tokens);
+        let output = expected_output_tokens.unwrap_or(DEFAULT_OUTPUT_TOKENS);
         let request = RequestHandle {
             inference: chat_to_inference(self.next_request_id, prompt.tokens, max_tokens, output),
             user,
@@ -844,7 +842,7 @@ impl Gateway {
             self.inference_fn,
             operation,
             auth_latency,
-            cache_key,
+            prompt.key,
             now,
         ))
     }
@@ -1295,7 +1293,7 @@ impl Gateway {
                 .config
                 .client
                 .observe_result_at(copy.submit_at, available);
-            let deliver_at = observed + self.config.response_cpu;
+            let deliver_at = observed + RESPONSE_CPU;
             let completion_tokens = result
                 .completion
                 .as_ref()
@@ -1846,7 +1844,6 @@ mod tests {
             enabled: true,
             retry: RetryPolicy::disabled(),
             hedge_after: Some(SimDuration::from_secs(60)),
-            ..ResilienceConfig::production()
         };
         let (mut gw, tokens) = DeploymentBuilder::federated_sophia_polaris()
             .prewarm(1)

@@ -511,10 +511,12 @@ impl<'c> ScenarioRun<'c> {
 
     /// Execute the configured run.
     ///
-    /// Infallible unless the run was [`ScenarioRun::recorded`] (sharded
-    /// configurations, shard fault plans and replaced deployments are
-    /// [`CassetteError::Unrecordable`]) or is a [`ScenarioRun::replay`]
-    /// (divergence is [`CassetteError::ReplayMismatch`]).
+    /// Infallible unless the spec's shard fault plan names a shard the run
+    /// does not have ([`CassetteError::MissingShard`]), the run was
+    /// [`ScenarioRun::recorded`] (sharded configurations, shard fault plans
+    /// and replaced deployments are [`CassetteError::Unrecordable`]) or is a
+    /// [`ScenarioRun::replay`] (divergence is
+    /// [`CassetteError::ReplayMismatch`]).
     pub fn execute(mut self) -> Result<RunOutput, CassetteError> {
         if self.record {
             if self.deployment.is_some() {
@@ -541,6 +543,25 @@ impl<'c> ScenarioRun<'c> {
                     self.spec.name
                 )));
             }
+        }
+        let shards = self.sharding.shards.max(1);
+        let named = self
+            .spec
+            .shard_faults
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                ShardFaultKind::ShardCrash { shard }
+                | ShardFaultKind::ShardRestart { shard }
+                | ShardFaultKind::FrontTierPartition { shard, .. } => Some(shard),
+                ShardFaultKind::FanInLatencySpike { .. } => None,
+            });
+        if let Some(shard) = named.max().filter(|&shard| shard >= shards) {
+            return Err(CassetteError::MissingShard {
+                scenario: self.spec.name.clone(),
+                shard,
+                shards,
+            });
         }
         let builder = self.deployment.take();
         let builder = builder.unwrap_or_else(|| builder_for(self.spec.deployment));
@@ -2225,6 +2246,30 @@ mod tests {
         let json = serde_json::to_string(&failover).unwrap();
         let thawed: FailoverSection = serde_json::from_str(&json).unwrap();
         assert_eq!(failover, thawed);
+    }
+
+    #[test]
+    fn a_fault_on_a_missing_shard_is_a_typed_error() {
+        let spec = first_workload::catalog(40)
+            .into_iter()
+            .find(|s| s.name == "shard-outage")
+            .expect("in catalog");
+        match ScenarioRun::new(&spec).seed(1).execute() {
+            Err(CassetteError::MissingShard {
+                scenario,
+                shard,
+                shards,
+            }) => assert_eq!((scenario.as_str(), shard, shards), ("shard-outage", 1, 1)),
+            other => panic!("expected MissingShard, got {other:?}"),
+        }
+        // Two shards have the shard the plan crashes.
+        let report = ScenarioRun::new(&spec)
+            .seed(1)
+            .sharding(ShardingConfig::with_shards(2))
+            .execute()
+            .unwrap()
+            .report;
+        assert_eq!(report.failover.unwrap().crashes, 1);
     }
 
     #[test]

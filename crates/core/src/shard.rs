@@ -34,7 +34,7 @@
 
 use crate::deploy::DeploymentBuilder;
 use crate::gateway::{CompletedRequest, Gateway};
-use first_chaos::{CircuitBreakerConfig, HealthTracker, RetryPolicy};
+use first_chaos::{HealthTracker, RetryPolicy};
 use first_desim::{fnv1a_64, SimDuration, SimProcess, SimTime};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
@@ -424,7 +424,7 @@ impl ShardedGateway {
             peak_load: vec![0; n],
             live: vec![true; n],
             reachable: vec![true; n],
-            health: HealthTracker::new(CircuitBreakerConfig::default()),
+            health: HealthTracker::default(),
             crashes: 0,
             restarts: 0,
         }

@@ -23,10 +23,7 @@ use crate::invariants::{check_run_invariants, RunLedger};
 use crate::scenario::GatewayReport;
 use first_auth::TokenString;
 use first_desim::{Histogram, SimDuration, SimProcess, SimTime};
-use first_serving::{
-    CloudApi, CloudApiConfig, DirectServer, EngineConfig, FrontendConfig, InferenceRequest,
-    VllmEngine,
-};
+use first_serving::{CloudApi, DirectServer, EngineConfig, InferenceRequest, VllmEngine};
 use first_workload::{ConversationSample, SessionWorkloadConfig};
 use serde::{Deserialize, Serialize};
 
@@ -252,10 +249,7 @@ pub fn run_direct_openloop(
     horizon: SimTime,
 ) -> ScenarioReport {
     assert_eq!(samples.len(), arrivals.len());
-    let mut server = DirectServer::new(
-        VllmEngine::hot(engine_config, SimTime::ZERO),
-        FrontendConfig::default(),
-    );
+    let mut server = DirectServer::new(VllmEngine::hot(engine_config, SimTime::ZERO));
     let mut tally = Tally::new(arrivals.len());
     drive_openloop(
         &mut server,
@@ -275,7 +269,6 @@ pub fn run_direct_openloop(
 
 /// Replay `samples` against the external cloud API (Figure 5 comparator).
 pub fn run_openai_openloop(
-    config: CloudApiConfig,
     samples: &[ConversationSample],
     arrivals: &[SimTime],
     rate_label: &str,
@@ -284,7 +277,7 @@ pub fn run_openai_openloop(
     assert_eq!(samples.len(), arrivals.len());
     let mut tally = Tally::new(arrivals.len());
     drive_openloop(
-        &mut CloudApi::new(config),
+        &mut CloudApi::default(),
         arrivals.iter().copied(),
         |&at| at,
         horizon,
@@ -565,13 +558,7 @@ mod tests {
         let samples = samples(100);
         let mut rng = SimRng::seed_from_u64(4);
         let inf = ArrivalProcess::Infinite.arrivals(100, SimTime::ZERO, &mut rng);
-        let report = run_openai_openloop(
-            CloudApiConfig::default(),
-            &samples,
-            &inf,
-            "inf",
-            SimTime::from_secs(3600),
-        );
+        let report = run_openai_openloop(&samples, &inf, "inf", SimTime::from_secs(3600));
         assert_eq!(report.completed, 100);
         assert!(report.request_throughput < 8.0);
         assert!(report.median_latency_s < 15.0);
@@ -580,7 +567,9 @@ mod tests {
     /// The kernel counts a direct-server and a cloud-API run record, pinned
     /// exactly: one event per advance of the process, plus whatever its
     /// own queues record, and the direct frontend's backlog as the peak
-    /// depth. Nothing else gates these two runners' counts.
+    /// depth. Both baseline rows are pinned bit for bit too, so the
+    /// frontend's and the cloud API's cost constants cannot drift. Nothing
+    /// else gates these two runners.
     #[test]
     fn direct_and_cloud_kernel_counts_are_pinned() {
         use first_desim::stats::kernel;
@@ -598,10 +587,27 @@ mod tests {
             "direct server"
         );
         kernel::reset();
-        let cloud =
-            run_openai_openloop(CloudApiConfig::default(), &samples, &arrivals, "6", horizon);
+        let cloud = run_openai_openloop(&samples, &arrivals, "6", horizon);
         assert_eq!(cloud.completed, 24);
         assert_eq!(kernel::events_processed(), 67, "cloud API");
+        let row = |r: &ScenarioReport| {
+            (
+                r.completed,
+                r.median_latency_s,
+                r.request_throughput,
+                r.output_token_throughput,
+            )
+        };
+        assert_eq!(
+            row(&direct),
+            (24, 2.84999, 2.8506196890876616, 386.8528469732714),
+            "direct server row"
+        );
+        assert_eq!(
+            row(&cloud),
+            (24, 1.684555, 3.9916893028714218, 541.7055024771759),
+            "cloud API row"
+        );
     }
 
     #[test]

@@ -29,15 +29,17 @@ pub struct StreamChunk {
     pub at: SimTime,
 }
 
+/// GPU backing the instance, which sets the prefill estimate.
+const GPU: GpuModel = GpuModel::A100_40;
+
+/// Gateway + fabric overhead before the prompt reaches the engine.
+const DISPATCH_OVERHEAD: SimDuration = SimDuration::from_millis(500);
+
 /// Configuration of the streaming reconstruction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
-    /// GPU backing the instance (sets the prefill estimate).
-    pub(crate) gpu: GpuModel,
     /// Tensor-parallel degree of the instance.
     pub(crate) tensor_parallel: u32,
-    /// Gateway + fabric overhead before the prompt reaches the engine.
-    pub(crate) dispatch_overhead: SimDuration,
     /// Output tokens coalesced into one SSE chunk (Open WebUI uses 1).
     pub(crate) tokens_per_chunk: u32,
 }
@@ -46,9 +48,7 @@ impl StreamingConfig {
     /// Defaults for a model served at its recommended TP on A100-40 GPUs.
     pub fn for_model(spec: &ModelSpec) -> Self {
         StreamingConfig {
-            gpu: GpuModel::A100_40,
             tensor_parallel: spec.recommended_tp,
-            dispatch_overhead: SimDuration::from_millis(500),
             tokens_per_chunk: 1,
         }
     }
@@ -116,14 +116,14 @@ pub fn stream_response(
 
     let prefill = perf.prefill_time(
         spec,
-        config.gpu,
+        GPU,
         config.tensor_parallel,
         completed.usage.prompt_tokens,
     );
     // TTFT estimate, never later than 90% of the measured latency so even
     // heavily queued requests keep a non-degenerate decode phase.
     let ttft_cap = latency.mul_f64(0.9);
-    let mut ttft = config.dispatch_overhead + prefill;
+    let mut ttft = DISPATCH_OVERHEAD + prefill;
     if ttft > ttft_cap {
         ttft = ttft_cap;
     }

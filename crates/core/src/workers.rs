@@ -74,7 +74,6 @@ pub(crate) struct WorkerPool {
     /// `SimTime::MAX` until released make heap bookkeeping messier than the
     /// nine-slot walk it would replace).
     free_heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, usize)>>,
-    admitted: u64,
 }
 
 /// The admission decision for one request.
@@ -104,7 +103,6 @@ impl WorkerPool {
             waiting: std::collections::VecDeque::new(),
             free_heap,
             config,
-            admitted: 0,
         }
     }
 
@@ -151,7 +149,6 @@ impl WorkerPool {
             // in the future so they are not picked again.
             WorkerMode::Sync => SimTime::MAX,
         };
-        self.admitted += 1;
         Admission {
             started_at,
             dispatch_ready_at,
@@ -180,17 +177,19 @@ mod tests {
     fn async_pool_admits_large_bursts_with_small_delay() {
         let mut pool = WorkerPool::new(WorkerPoolConfig::async_production());
         let mut worst = SimDuration::ZERO;
+        let mut used = vec![false; pool.free_at.len()];
         for _ in 0..1000 {
             let a = pool.admit(SimTime::ZERO).expect("async pools never queue");
+            used[a.worker] = true;
             let delay = a.dispatch_ready_at - SimTime::ZERO;
             if delay > worst {
                 worst = delay;
             }
         }
         // 1000 requests over 260 async slots at 15 ms each: worst-case wait
-        // stays well under a second.
+        // stays well under a second, and the burst spreads over every slot.
         assert!(worst.as_secs_f64() < 0.2, "worst delay {worst}");
-        assert_eq!(pool.admitted, 1000);
+        assert!(used.iter().all(|&u| u));
     }
 
     #[test]
@@ -221,7 +220,6 @@ mod tests {
             .admit(SimTime::from_secs(45))
             .expect("a worker is free");
         assert_eq!(twelfth.started_at, SimTime::from_secs(45));
-        assert_eq!(pool.admitted, 12);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Construct from whole seconds.
-    pub fn from_secs(secs: u64) -> Self {
+    pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs * 1_000_000)
     }
 
@@ -78,22 +78,22 @@ impl SimDuration {
     }
 
     /// Construct from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000)
     }
 
     /// Construct from microseconds.
-    pub fn from_micros(us: u64) -> Self {
+    pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
     }
 
     /// Construct from whole minutes.
-    pub fn from_mins(mins: u64) -> Self {
+    pub const fn from_mins(mins: u64) -> Self {
         SimDuration(mins * 60 * 1_000_000)
     }
 
     /// Construct from whole hours.
-    pub fn from_hours(hours: u64) -> Self {
+    pub const fn from_hours(hours: u64) -> Self {
         SimDuration(hours * 3600 * 1_000_000)
     }
 

@@ -15,25 +15,20 @@
 use first_desim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// Interval at which a polling client asks the service for a result,
+/// measured from submission (the pre-optimization gateway's 2 s).
+const POLL_INTERVAL: SimDuration = SimDuration::from_secs(2);
+
+/// Cost of establishing a fresh endpoint connection when none is cached.
+const CONNECTION_SETUP: SimDuration = SimDuration::from_millis(1100);
+
 /// How the client learns that a task's result is ready.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ResultMode {
     /// Future-based: delivered as soon as the service relays it.
     Futures,
-    /// Poll the service at a fixed interval measured from submission.
-    Polling {
-        /// Poll interval.
-        interval: SimDuration,
-    },
-}
-
-impl ResultMode {
-    /// The pre-optimization default: poll every 2 seconds.
-    pub fn polling_2s() -> Self {
-        ResultMode::Polling {
-            interval: SimDuration::from_secs(2),
-        }
-    }
+    /// Poll the service every 2 s, measured from submission.
+    Polling,
 }
 
 /// Client-side configuration of the Compute SDK as used by the gateway.
@@ -43,8 +38,6 @@ pub struct ClientConfig {
     pub result_mode: ResultMode,
     /// Whether endpoint connections are cached across requests (Optimization 2).
     pub connection_cache: bool,
-    /// Cost of establishing a fresh endpoint connection when not cached.
-    pub connection_setup: SimDuration,
 }
 
 impl Default for ClientConfig {
@@ -53,7 +46,6 @@ impl Default for ClientConfig {
         ClientConfig {
             result_mode: ResultMode::Futures,
             connection_cache: true,
-            connection_setup: SimDuration::from_millis(1100),
         }
     }
 }
@@ -63,9 +55,8 @@ impl ClientConfig {
     /// no connection caching.
     pub fn unoptimized() -> Self {
         ClientConfig {
-            result_mode: ResultMode::polling_2s(),
+            result_mode: ResultMode::Polling,
             connection_cache: false,
-            connection_setup: SimDuration::from_millis(1100),
         }
     }
 
@@ -74,12 +65,9 @@ impl ClientConfig {
     pub fn submit_overhead(&self, first_request_to_endpoint: bool) -> SimDuration {
         if self.connection_cache && !first_request_to_endpoint {
             SimDuration::ZERO
-        } else if self.connection_cache {
-            // Cache miss (first request): pay the setup once.
-            self.connection_setup
         } else {
-            // No caching: pay it every time.
-            self.connection_setup
+            // A cache miss pays the setup once; no caching pays it every time.
+            CONNECTION_SETUP
         }
     }
 
@@ -88,8 +76,8 @@ impl ClientConfig {
     pub fn observe_result_at(&self, submitted: SimTime, available: SimTime) -> SimTime {
         match self.result_mode {
             ResultMode::Futures => available,
-            ResultMode::Polling { interval } => {
-                let interval_us = interval.as_micros().max(1);
+            ResultMode::Polling => {
+                let interval_us = POLL_INTERVAL.as_micros();
                 let waited = available.saturating_since(submitted).as_micros();
                 let polls = waited.div_ceil(interval_us);
                 submitted + SimDuration::from_micros(polls * interval_us)

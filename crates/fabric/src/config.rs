@@ -2,8 +2,9 @@
 //!
 //! Each Globus Compute endpoint is configured independently by the facility
 //! administrators: which models it hosts, how many GPUs each instance uses,
-//! how far each model may auto-scale, how many inference tasks may run in
-//! parallel on one instance, and how long warm nodes are retained.
+//! how far each model may auto-scale and how many inference tasks may run in
+//! parallel on one instance. Every deployment here retains warm nodes for
+//! the paper's two hours, so that retention is a constant of the endpoint.
 
 use first_desim::SimDuration;
 use first_hpc::GpuModel;
@@ -22,12 +23,6 @@ pub struct ModelHostingConfig {
     pub(crate) max_instances: u32,
     /// Maximum parallel inference tasks per instance (§3.2.2 "Auto-scaling").
     pub(crate) max_parallel_tasks: usize,
-    /// In-flight tasks per instance beyond which another instance is launched.
-    pub(crate) scale_up_threshold: usize,
-    /// Walltime requested for each instance's batch job.
-    pub(crate) job_walltime: SimDuration,
-    /// Idle period after which a warm instance is released (§3.2.2: 2 hours).
-    pub(crate) idle_timeout: SimDuration,
 }
 
 impl ModelHostingConfig {
@@ -52,9 +47,6 @@ impl ModelHostingConfig {
             nodes_per_instance: nodes,
             max_instances: 1,
             max_parallel_tasks: 200,
-            scale_up_threshold: 220,
-            job_walltime: SimDuration::from_hours(12),
-            idle_timeout: SimDuration::from_hours(2),
             model,
         }
     }
@@ -65,19 +57,11 @@ impl ModelHostingConfig {
         self
     }
 
-    /// Set the per-instance parallel task limit. The scale-up threshold is
-    /// kept slightly above the limit so another instance is launched once the
-    /// backlog exceeds what the existing instances can absorb.
-    pub fn with_max_parallel_tasks(mut self, n: usize) -> Self {
-        self.max_parallel_tasks = n.max(1);
-        self.scale_up_threshold = self.max_parallel_tasks + self.max_parallel_tasks / 10 + 1;
-        self
-    }
-
-    /// Set the warm-node idle timeout.
-    pub fn with_idle_timeout(mut self, d: SimDuration) -> Self {
-        self.idle_timeout = d;
-        self
+    /// In-flight tasks per instance beyond which another instance is
+    /// launched: slightly above the parallel task limit, so the model scales
+    /// out once the backlog exceeds what the existing instances can absorb.
+    pub(crate) fn scale_up_threshold(&self) -> usize {
+        self.max_parallel_tasks + self.max_parallel_tasks / 10 + 1
     }
 
     /// Whether this hosting entry serves an embedding model.
@@ -91,7 +75,6 @@ impl ModelHostingConfig {
             model: self.model.clone(),
             gpu,
             tensor_parallel: self.gpus_per_instance * self.nodes_per_instance,
-            gpus_total: self.gpus_per_instance * self.nodes_per_instance,
             nodes: self.nodes_per_instance,
             max_num_seqs: 256,
             gpu_memory_utilization: 0.90,
@@ -141,9 +124,6 @@ pub struct EndpointConfig {
     pub gpu: GpuModel,
     /// Models hosted by this endpoint.
     pub(crate) models: Vec<ModelHostingConfig>,
-    /// Whether failed instances are automatically restarted (§3.2.2 "Fault
-    /// Tolerance").
-    pub(crate) auto_restart: bool,
 }
 
 impl EndpointConfig {
@@ -154,7 +134,6 @@ impl EndpointConfig {
             cluster: cluster.to_string(),
             gpu,
             models: Vec::new(),
-            auto_restart: true,
         }
     }
 
@@ -177,12 +156,22 @@ mod tests {
     use super::*;
     use first_serving::find_model;
 
+    impl ModelHostingConfig {
+        /// Set the per-instance parallel task limit (every deployment runs
+        /// at the default 200; tests check the limit at smaller values).
+        pub(crate) fn with_max_parallel_tasks(mut self, n: usize) -> Self {
+            self.max_parallel_tasks = n.max(1);
+            self
+        }
+    }
+
     #[test]
     fn defaults_match_paper_settings() {
         let cfg = ModelHostingConfig::new(find_model("llama-70b").unwrap(), GpuModel::A100_40);
         assert_eq!(cfg.gpus_per_instance, 8);
         assert_eq!(cfg.nodes_per_instance, 1);
-        assert_eq!(cfg.idle_timeout, SimDuration::from_hours(2));
+        assert_eq!(cfg.max_parallel_tasks, 200);
+        assert_eq!(cfg.scale_up_threshold(), 221);
         let cfg8 = ModelHostingConfig::new(find_model("llama-8b").unwrap(), GpuModel::A100_40);
         assert_eq!(cfg8.gpus_per_instance, 4);
     }
@@ -192,7 +181,7 @@ mod tests {
         let cfg = ModelHostingConfig::new(find_model("llama-405b").unwrap(), GpuModel::A100_40);
         assert!(cfg.nodes_per_instance >= 2);
         let engine = cfg.engine_config(GpuModel::A100_40);
-        assert!(engine.gpus_total >= 16);
+        assert!(engine.tensor_parallel >= 16);
     }
 
     #[test]
@@ -220,8 +209,8 @@ mod tests {
         // Total TP degree (and therefore the engine configuration) is the
         // same either way.
         assert_eq!(
-            sophia.engine_config(GpuModel::A100_40).gpus_total,
-            polaris.engine_config(GpuModel::A100_40).gpus_total
+            sophia.engine_config(GpuModel::A100_40).tensor_parallel,
+            polaris.engine_config(GpuModel::A100_40).tensor_parallel
         );
     }
 
@@ -229,12 +218,10 @@ mod tests {
     fn builders_adjust_scaling_knobs() {
         let cfg = ModelHostingConfig::new(find_model("llama-70b").unwrap(), GpuModel::A100_40)
             .with_max_instances(4)
-            .with_max_parallel_tasks(64)
-            .with_idle_timeout(SimDuration::from_mins(30));
+            .with_max_parallel_tasks(64);
         assert_eq!(cfg.max_instances, 4);
         assert_eq!(cfg.max_parallel_tasks, 64);
-        assert!(cfg.scale_up_threshold > 64);
-        assert_eq!(cfg.idle_timeout, SimDuration::from_mins(30));
+        assert_eq!(cfg.scale_up_threshold(), 71);
     }
 
     #[test]

@@ -9,15 +9,20 @@
 
 use crate::config::{EndpointConfig, ModelHostingConfig};
 use crate::task::{TaskId, TaskResult};
-use first_desim::{SimProcess, SimTime};
+use first_desim::{SimDuration, SimProcess, SimTime};
 use first_hpc::{
     BatchScheduler, Cluster, ClusterStatus, JobId, JobPriority, JobRequest, JobState, NodeId,
 };
 use first_serving::{
-    EmbeddingConfig, EmbeddingEngine, EngineState, InferenceCompletion, InferenceRequest,
-    RequestId, VllmEngine,
+    EmbeddingEngine, EngineState, InferenceCompletion, InferenceRequest, RequestId, VllmEngine,
 };
 use std::collections::VecDeque;
+
+/// Walltime requested for each instance's batch job.
+const JOB_WALLTIME: SimDuration = SimDuration::from_hours(12);
+
+/// Idle period after which a warm instance is released (§3.2.2: 2 hours).
+const IDLE_TIMEOUT: SimDuration = SimDuration::from_hours(2);
 
 /// Serving backend held by an instance.
 #[derive(Debug, Clone)]
@@ -434,11 +439,11 @@ impl ComputeEndpoint {
             self.fail_task(task, "instance failure", now);
         }
         self.scheduler.complete(job, now);
-        if self.config.auto_restart {
-            let hosting = self.config.models[hosting_idx].clone();
-            self.launch_instance(hosting_idx, &hosting, now, false);
-            self.stats.restarts += 1;
-        }
+        // Failed instances are restarted automatically (§3.2.2 "Fault
+        // Tolerance").
+        let hosting = self.config.models[hosting_idx].clone();
+        self.launch_instance(hosting_idx, &hosting, now, false);
+        self.stats.restarts += 1;
         true
     }
 
@@ -588,7 +593,7 @@ impl ComputeEndpoint {
         let request = JobRequest {
             nodes: hosting.nodes_per_instance,
             gpus_per_node: hosting.gpus_per_instance,
-            walltime: hosting.job_walltime,
+            walltime: JOB_WALLTIME,
             priority: JobPriority::High,
             user: "first-service".to_string(),
         }
@@ -625,9 +630,7 @@ impl ComputeEndpoint {
         hot: bool,
     ) {
         if hosting.is_embedding() {
-            instance.backend = Some(InstanceBackend::Embedding(EmbeddingEngine::new(
-                EmbeddingConfig::nv_embed(),
-            )));
+            instance.backend = Some(InstanceBackend::Embedding(EmbeddingEngine::default()));
             instance.state = InstanceState::Ready;
         } else {
             let engine_config = hosting.engine_config(config.gpu);
@@ -829,7 +832,7 @@ impl ComputeEndpoint {
             let demand = backlog + in_flight;
             let need_first = active == 0 && demand > 0;
             let saturated =
-                active > 0 && demand > hosting.scale_up_threshold * active && backlog > 0;
+                active > 0 && demand > hosting.scale_up_threshold() * active && backlog > 0;
             if (need_first || saturated) && active < hosting.max_instances as usize {
                 let hosting = self.config.models[idx].clone();
                 self.launch_instance(idx, &hosting, now, false);
@@ -844,15 +847,9 @@ impl ComputeEndpoint {
                 if inst.state != InstanceState::Ready || !inst.in_flight.is_empty() {
                     (false, inst.job)
                 } else {
-                    let timeout = self
-                        .config
-                        .models
-                        .get(inst.hosting)
-                        .map(|h| h.idle_timeout)
-                        .unwrap_or_default();
                     let backlog = !self.waiting[inst.hosting].is_empty();
                     (
-                        !backlog && now.saturating_since(inst.last_active) >= timeout,
+                        !backlog && now.saturating_since(inst.last_active) >= IDLE_TIMEOUT,
                         inst.job,
                     )
                 }
@@ -895,12 +892,7 @@ impl ComputeEndpoint {
         self.instances
             .iter()
             .filter(|i| i.state == InstanceState::Ready && i.in_flight.is_empty())
-            .filter_map(|i| {
-                self.config
-                    .models
-                    .get(i.hosting)
-                    .map(|h| i.last_active + h.idle_timeout)
-            })
+            .map(|i| i.last_active + IDLE_TIMEOUT)
             .min()
     }
 }

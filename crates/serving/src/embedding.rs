@@ -10,61 +10,26 @@ use crate::request::{InferenceCompletion, InferenceRequest};
 use first_desim::{SimDuration, SimProcess, SimTime};
 use std::collections::VecDeque;
 
-/// Embedding engine configuration.
-#[derive(Debug, Clone)]
-pub struct EmbeddingConfig {
-    /// Sustained token throughput in tokens/second.
-    pub(crate) tokens_per_sec: f64,
-    /// Fixed per-request overhead (tokenisation, pooling, response).
-    pub(crate) per_request_overhead: SimDuration,
-    /// Maximum requests processed concurrently in one micro-batch.
-    pub(crate) max_batch: usize,
-}
+// NV-Embed-v2 on a single A100.
 
-impl EmbeddingConfig {
-    /// Default configuration for NV-Embed-v2 on a single A100.
-    pub fn nv_embed() -> Self {
-        EmbeddingConfig {
-            tokens_per_sec: 60_000.0,
-            per_request_overhead: SimDuration::from_millis(8),
-            max_batch: 64,
-        }
-    }
-}
+/// Sustained token throughput in tokens/second.
+const TOKENS_PER_SEC: f64 = 60_000.0;
 
-/// Aggregate statistics.
+/// Fixed per-request overhead (tokenisation, pooling, response).
+const PER_REQUEST_OVERHEAD: SimDuration = SimDuration::from_millis(8);
+
+/// Maximum requests processed concurrently in one micro-batch.
+const MAX_BATCH: usize = 64;
+
+/// The embedding engine; [`EmbeddingEngine::default`] is an idle one.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct EmbeddingStats {
-    /// Requests completed.
-    pub(crate) completed: u64,
-    /// Prompt tokens embedded.
-    pub(crate) tokens: u64,
-    /// Micro-batches executed.
-    pub(crate) batches: u64,
-}
-
-/// The embedding engine.
-#[derive(Debug, Clone)]
 pub struct EmbeddingEngine {
-    config: EmbeddingConfig,
     queue: VecDeque<(InferenceRequest, SimTime)>,
     busy_until: SimTime,
     completions: Vec<InferenceCompletion>,
-    stats: EmbeddingStats,
 }
 
 impl EmbeddingEngine {
-    /// Create an idle engine.
-    pub fn new(config: EmbeddingConfig) -> Self {
-        EmbeddingEngine {
-            config,
-            queue: VecDeque::new(),
-            busy_until: SimTime::ZERO,
-            completions: Vec::new(),
-            stats: EmbeddingStats::default(),
-        }
-    }
-
     /// Submit an embedding request.
     pub fn submit(&mut self, req: InferenceRequest, now: SimTime) {
         self.queue.push_back((req, now));
@@ -85,7 +50,7 @@ impl EmbeddingEngine {
             return;
         }
         let start = self.busy_until.max(now);
-        let take = self.queue.len().min(self.config.max_batch);
+        let take = self.queue.len().min(MAX_BATCH);
         let mut batch_tokens = 0u64;
         let mut members = Vec::with_capacity(take);
         for _ in 0..take {
@@ -93,18 +58,11 @@ impl EmbeddingEngine {
             batch_tokens += req.prompt_tokens as u64;
             members.push((req, arrival));
         }
-        let compute =
-            SimDuration::from_secs_f64(batch_tokens as f64 / self.config.tokens_per_sec.max(1.0))
-                + self
-                    .config
-                    .per_request_overhead
-                    .mul_f64(members.len() as f64);
+        let compute = SimDuration::from_secs_f64(batch_tokens as f64 / TOKENS_PER_SEC)
+            + PER_REQUEST_OVERHEAD.mul_f64(members.len() as f64);
         let finish = start + compute;
         self.busy_until = finish;
-        self.stats.batches += 1;
         for (req, arrival) in members {
-            self.stats.completed += 1;
-            self.stats.tokens += req.prompt_tokens as u64;
             self.completions.push(InferenceCompletion {
                 id: req.id,
                 accepted_at: arrival,
@@ -138,7 +96,7 @@ mod tests {
     use super::*;
 
     fn engine() -> EmbeddingEngine {
-        EmbeddingEngine::new(EmbeddingConfig::nv_embed())
+        EmbeddingEngine::default()
     }
 
     fn drain(e: &mut EmbeddingEngine, horizon: SimTime) {
@@ -168,9 +126,20 @@ mod tests {
             e.submit(InferenceRequest::embedding(i, 256), SimTime::ZERO);
         }
         drain(&mut e, SimTime::from_secs(60));
-        assert_eq!(e.stats.completed, 200);
-        assert!(e.stats.batches > (200 / 64) as u64);
-        assert_eq!(e.stats.tokens, 200 * 256);
+        let completions = e.take_completions();
+        assert_eq!(completions.len(), 200);
+        let tokens: u64 = completions.iter().map(|c| c.prompt_tokens as u64).sum();
+        assert_eq!(tokens, 200 * 256);
+        // Every member of a micro-batch finishes at the batch's instant, so
+        // the distinct instants count the batches: 64 + 64 + 64 + 8.
+        let mut batch_sizes = std::collections::BTreeMap::new();
+        for c in &completions {
+            *batch_sizes.entry(c.finished_at).or_insert(0usize) += 1;
+        }
+        assert_eq!(
+            batch_sizes.into_values().collect::<Vec<_>>(),
+            vec![64, 64, 64, 8]
+        );
     }
 
     #[test]

@@ -31,10 +31,9 @@ pub struct EngineConfig {
     pub model: ModelSpec,
     /// GPU type of the hosting node(s).
     pub gpu: GpuModel,
-    /// Tensor-parallel degree (GPUs participating in each forward pass).
+    /// Tensor-parallel degree: the GPUs allocated to the instance, all of
+    /// which take part in each forward pass.
     pub tensor_parallel: u32,
-    /// Total GPUs allocated to this instance (usually equals `tensor_parallel`).
-    pub gpus_total: u32,
     /// Nodes spanned by the instance.
     pub nodes: u32,
     /// Maximum concurrently running sequences (vLLM `max_num_seqs`).
@@ -50,7 +49,6 @@ impl EngineConfig {
     pub fn for_model(model: ModelSpec, gpu: GpuModel) -> Self {
         let tp = model.recommended_tp.max(1);
         EngineConfig {
-            gpus_total: tp,
             nodes: tp.div_ceil(8).max(1),
             tensor_parallel: tp,
             model,
@@ -63,7 +61,7 @@ impl EngineConfig {
 
     /// Size the KV block pool from the memory left after the weights.
     fn kv_pool(&self) -> BlockPool {
-        let total_vram = self.gpu.vram_gb() * self.gpus_total as f64;
+        let total_vram = self.gpu.vram_gb() * self.tensor_parallel as f64;
         let free = (total_vram * self.gpu_memory_utilization - self.model.weight_gb()).max(2.0);
         BlockPool::from_memory(free, self.model.kv_mb_per_token(), DEFAULT_BLOCK_TOKENS)
     }

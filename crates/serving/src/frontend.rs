@@ -15,25 +15,15 @@ use crate::request::{InferenceCompletion, InferenceRequest, RequestId};
 use first_desim::{SimDuration, SimProcess, SimTime};
 use std::collections::{HashMap, VecDeque};
 
-/// Frontend cost model.
-#[derive(Debug, Clone)]
-pub struct FrontendConfig {
-    /// Serial CPU time to parse/validate/enqueue one incoming request.
-    pub(crate) ingest_cost: SimDuration,
-    /// Serial CPU time to collect and marshal one response.
-    pub(crate) respond_cost: SimDuration,
-}
+// The frontend's cost model: ≈170 ms of serial work per request end to
+// end, which caps the direct path at roughly 6 req/s, matching the paper's
+// 5.8 req/s peak.
 
-impl Default for FrontendConfig {
-    fn default() -> Self {
-        FrontendConfig {
-            // ≈170 ms of serial work per request end-to-end: caps the direct
-            // path at roughly 6 req/s, matching the paper's 5.8 req/s peak.
-            ingest_cost: SimDuration::from_millis(80),
-            respond_cost: SimDuration::from_millis(90),
-        }
-    }
-}
+/// Serial CPU time to parse, validate and enqueue one incoming request.
+const INGEST_COST: SimDuration = SimDuration::from_millis(80);
+
+/// Serial CPU time to collect and marshal one response.
+const RESPOND_COST: SimDuration = SimDuration::from_millis(90);
 
 /// A request as observed at the client side of the server (arrival → response).
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +57,6 @@ enum FrontendOp {
 #[derive(Debug, Clone)]
 pub struct DirectServer {
     engine: VllmEngine,
-    config: FrontendConfig,
     ingest_queue: VecDeque<InferenceRequest>,
     respond_queue: VecDeque<InferenceCompletion>,
     current_op: Option<(SimTime, FrontendOp)>,
@@ -77,10 +66,9 @@ pub struct DirectServer {
 
 impl DirectServer {
     /// Wrap an engine with the single-threaded frontend.
-    pub fn new(engine: VllmEngine, config: FrontendConfig) -> Self {
+    pub fn new(engine: VllmEngine) -> Self {
         DirectServer {
             engine,
-            config,
             ingest_queue: VecDeque::new(),
             respond_queue: VecDeque::new(),
             current_op: None,
@@ -121,10 +109,10 @@ impl DirectServer {
         // Responses are drained before new ingests, mirroring a server that
         // prioritises finishing in-flight work over accepting new work.
         if let Some(c) = self.respond_queue.pop_front() {
-            let done = now + self.config.respond_cost;
+            let done = now + RESPOND_COST;
             self.current_op = Some((done, FrontendOp::Respond(c)));
         } else if let Some(r) = self.ingest_queue.pop_front() {
-            let done = now + self.config.ingest_cost;
+            let done = now + INGEST_COST;
             self.current_op = Some((done, FrontendOp::Ingest(r)));
         }
     }
@@ -193,10 +181,7 @@ mod tests {
 
     fn server() -> DirectServer {
         let cfg = EngineConfig::for_model(find_model("llama-70b").unwrap(), GpuModel::A100_40);
-        DirectServer::new(
-            VllmEngine::hot(cfg, SimTime::ZERO),
-            FrontendConfig::default(),
-        )
+        DirectServer::new(VllmEngine::hot(cfg, SimTime::ZERO))
     }
 
     fn drain(server: &mut DirectServer, horizon: SimTime) -> SimTime {

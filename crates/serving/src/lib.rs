@@ -22,10 +22,10 @@ pub mod perf;
 pub mod request;
 
 pub use batch_offline::{run_offline_batch, BatchRunReport};
-pub use embedding::{EmbeddingConfig, EmbeddingEngine};
+pub use embedding::EmbeddingEngine;
 pub use engine::{run_to_completion, EngineConfig, EngineState, VllmEngine};
-pub use frontend::{DirectServer, FrontendConfig};
+pub use frontend::DirectServer;
 pub use model::{catalog, find_model, ModelKind, ModelSpec};
-pub use openai_cloud::{CloudApi, CloudApiConfig};
+pub use openai_cloud::CloudApi;
 pub use perf::PerfModel;
 pub use request::{InferenceCompletion, InferenceRequest, RequestId, RequestKind};

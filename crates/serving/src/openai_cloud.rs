@@ -11,70 +11,34 @@ use crate::request::{InferenceCompletion, InferenceRequest};
 use first_desim::{SimDuration, SimProcess, SimTime};
 use std::collections::VecDeque;
 
-/// Cloud API behaviour parameters.
-#[derive(Debug, Clone)]
-pub struct CloudApiConfig {
-    /// Requests-per-minute limit enforced service-side.
-    pub(crate) rpm_limit: f64,
-    /// Fixed per-request latency (network + scheduling + prefill).
-    pub(crate) base_latency: SimDuration,
-    /// Additional time per generated output token (streaming generation).
-    pub(crate) per_output_token: SimDuration,
-}
+// The operating point reported in §5.3.3: ≈6.7 req/s sustained and ≈2 s
+// median latency for ShareGPT-length outputs.
 
-impl Default for CloudApiConfig {
-    fn default() -> Self {
-        CloudApiConfig {
-            // ≈6.7 req/s sustained, ≈2 s median latency for ShareGPT-length
-            // outputs — the operating point reported in §5.3.3.
-            rpm_limit: 400.0,
-            base_latency: SimDuration::from_millis(600),
-            per_output_token: SimDuration::from_micros(7_700),
-        }
-    }
-}
+/// Requests-per-minute limit enforced service-side.
+const RPM_LIMIT: u64 = 400;
 
-/// Statistics for a cloud API run.
+/// Interval between admissions implied by the RPM limit.
+const ADMISSION_INTERVAL: SimDuration = SimDuration::from_micros(60_000_000 / RPM_LIMIT);
+
+/// Fixed per-request latency (network + scheduling + prefill).
+const BASE_LATENCY: SimDuration = SimDuration::from_millis(600);
+
+/// Additional time per generated output token (streaming generation).
+const PER_OUTPUT_TOKEN: SimDuration = SimDuration::from_micros(7_700);
+
+/// The external cloud API endpoint; [`CloudApi::default`] is an idle one.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CloudApiStats {
-    /// Requests accepted (all of them — the limiter delays, it does not drop).
-    pub(crate) accepted: u64,
-    /// Requests completed.
-    pub(crate) completed: u64,
-    /// Output tokens generated.
-    pub(crate) output_tokens: u64,
-    /// Requests that were delayed by the rate limiter.
-    pub(crate) throttled: u64,
-}
-
-/// The external cloud API endpoint.
-#[derive(Debug, Clone)]
 pub struct CloudApi {
-    config: CloudApiConfig,
     /// Earliest time the next request may be admitted (token-bucket cursor).
     next_admission: SimTime,
     pending: VecDeque<(InferenceRequest, SimTime)>,
     in_flight: Vec<(SimTime, InferenceRequest, SimTime)>,
     completions: Vec<InferenceCompletion>,
-    stats: CloudApiStats,
 }
 
 impl CloudApi {
-    /// Create a cloud API with the given behaviour.
-    pub fn new(config: CloudApiConfig) -> Self {
-        CloudApi {
-            config,
-            next_admission: SimTime::ZERO,
-            pending: VecDeque::new(),
-            in_flight: Vec::new(),
-            completions: Vec::new(),
-            stats: CloudApiStats::default(),
-        }
-    }
-
     /// Submit a request at `now`.
     pub fn submit(&mut self, req: InferenceRequest, now: SimTime) {
-        self.stats.accepted += 1;
         self.pending.push_back((req, now));
         self.pump(now);
     }
@@ -89,11 +53,6 @@ impl CloudApi {
         self.pending.is_empty() && self.in_flight.is_empty()
     }
 
-    /// Interval between admissions implied by the RPM limit.
-    fn admission_interval(&self) -> SimDuration {
-        SimDuration::from_secs_f64(60.0 / self.config.rpm_limit.max(1e-6))
-    }
-
     /// Admit as many pending requests as the rate limiter allows at `now`.
     fn pump(&mut self, now: SimTime) {
         while let Some((_, _arrival)) = self.pending.front() {
@@ -102,17 +61,10 @@ impl CloudApi {
                 break;
             }
             let (req, arrival) = self.pending.pop_front().expect("front exists");
-            if admit_at > arrival {
-                self.stats.throttled += 1;
-            }
-            let finish = admit_at
-                + self.config.base_latency
-                + self
-                    .config
-                    .per_output_token
-                    .mul_f64(req.output_tokens as f64);
+            let finish =
+                admit_at + BASE_LATENCY + PER_OUTPUT_TOKEN.mul_f64(req.output_tokens as f64);
             self.in_flight.push((finish, req, arrival));
-            self.next_admission = admit_at + self.admission_interval();
+            self.next_admission = admit_at + ADMISSION_INTERVAL;
         }
     }
 
@@ -121,12 +73,10 @@ impl CloudApi {
         while i < self.in_flight.len() {
             if self.in_flight[i].0 <= now {
                 let (finish, req, arrival) = self.in_flight.swap_remove(i);
-                self.stats.completed += 1;
-                self.stats.output_tokens += req.output_tokens as u64;
                 self.completions.push(InferenceCompletion {
                     id: req.id,
                     accepted_at: arrival,
-                    first_token_at: arrival + self.config.base_latency,
+                    first_token_at: arrival + BASE_LATENCY,
                     finished_at: finish,
                     prompt_tokens: req.prompt_tokens,
                     output_tokens: req.output_tokens,
@@ -180,7 +130,7 @@ mod tests {
 
     #[test]
     fn single_request_has_low_latency() {
-        let mut api = CloudApi::new(CloudApiConfig::default());
+        let mut api = CloudApi::default();
         api.submit(InferenceRequest::chat(1, 220, 180), SimTime::ZERO);
         run_all(&mut api, SimTime::from_secs(60));
         let c = api.take_completions();
@@ -191,7 +141,7 @@ mod tests {
 
     #[test]
     fn sustained_throughput_is_rate_limited() {
-        let mut api = CloudApi::new(CloudApiConfig::default());
+        let mut api = CloudApi::default();
         for i in 0..1000 {
             api.submit(InferenceRequest::chat(i, 220, 180), SimTime::ZERO);
         }
@@ -205,12 +155,18 @@ mod tests {
         let rps = 1000.0 / makespan;
         // 400 RPM ≈ 6.7 req/s.
         assert!(rps > 6.0 && rps < 7.2, "rps {rps}");
-        assert!(api.stats.throttled > 900);
+        // Equal-length requests finish exactly one admission interval
+        // apart: the limiter delayed every request after the first.
+        let mut finishes: Vec<SimTime> = completions.iter().map(|c| c.finished_at).collect();
+        finishes.sort_unstable();
+        assert!(finishes
+            .windows(2)
+            .all(|w| w[1] - w[0] == SimDuration::from_millis(150)));
     }
 
     #[test]
     fn token_throughput_tracks_rate_limit() {
-        let mut api = CloudApi::new(CloudApiConfig::default());
+        let mut api = CloudApi::default();
         for i in 0..600 {
             api.submit(InferenceRequest::chat(i, 220, 180), SimTime::ZERO);
         }
@@ -231,10 +187,13 @@ mod tests {
 
     #[test]
     fn unthrottled_request_is_not_counted_as_throttled() {
-        let mut api = CloudApi::new(CloudApiConfig::default());
+        let mut api = CloudApi::default();
         api.submit(InferenceRequest::chat(1, 100, 50), SimTime::from_secs(10));
         run_all(&mut api, SimTime::from_secs(60));
-        assert_eq!(api.stats.throttled, 0);
-        assert_eq!(api.stats.completed, 1);
+        // Admitted on arrival: the latency is the service's own, 0.6 s plus
+        // 50 tokens at 7.7 ms.
+        let c = api.take_completions();
+        assert_eq!(c.len(), 1);
+        assert_eq!(c[0].finished_at, SimTime::from_micros(10_985_000));
     }
 }

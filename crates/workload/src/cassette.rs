@@ -59,6 +59,16 @@ pub enum CassetteError {
     /// A replay produced a run that disagrees with the cassette (offered
     /// count, scenario name or seed mismatch).
     ReplayMismatch(String),
+    /// The spec's shard fault plan names a shard the run's front tier does
+    /// not have (say, a plan that crashes shard 1 on one shard).
+    MissingShard {
+        /// Scenario name.
+        scenario: String,
+        /// The highest shard index the plan names.
+        shard: usize,
+        /// Shards the run has.
+        shards: usize,
+    },
 }
 
 impl std::fmt::Display for CassetteError {
@@ -73,6 +83,14 @@ impl std::fmt::Display for CassetteError {
             CassetteError::Corrupt(e) => write!(f, "corrupt cassette: {e}"),
             CassetteError::Unrecordable(e) => write!(f, "unrecordable scenario: {e}"),
             CassetteError::ReplayMismatch(e) => write!(f, "replay mismatch: {e}"),
+            CassetteError::MissingShard {
+                scenario,
+                shard,
+                shards,
+            } => write!(
+                f,
+                "scenario '{scenario}' faults shard {shard}, but the run has {shards} shard(s)"
+            ),
         }
     }
 }

@@ -9,6 +9,9 @@
 use crate::sharegpt::{ConversationSample, ShareGptGenerator, ShareGptProfile};
 use first_desim::{SimDuration, SimRng, SimTime};
 
+/// Interval over which a cell's sessions start (staggered logins).
+const RAMP_UP: SimDuration = SimDuration::from_secs(5);
+
 /// Configuration of one WebUI concurrency benchmark cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionWorkloadConfig {
@@ -20,8 +23,6 @@ pub struct SessionWorkloadConfig {
     pub duration: SimDuration,
     /// Mean user think time between a response and the next message.
     pub mean_think_time: SimDuration,
-    /// Ramp-up interval over which sessions start (staggered logins).
-    pub ramp_up: SimDuration,
     /// Conversation length profile.
     pub profile: ShareGptProfile,
 }
@@ -34,7 +35,6 @@ impl SessionWorkloadConfig {
             concurrency,
             duration: SimDuration::from_secs(duration_secs),
             mean_think_time: SimDuration::from_secs(3),
-            ramp_up: SimDuration::from_secs(5),
             profile: ShareGptProfile {
                 // Chat turns through the WebUI are shorter than full ShareGPT
                 // conversations.
@@ -82,9 +82,7 @@ pub fn generate_sessions(config: &SessionWorkloadConfig, seed: u64) -> Vec<Sessi
             let offset = if config.concurrency <= 1 {
                 SimDuration::ZERO
             } else {
-                config
-                    .ramp_up
-                    .mul_f64(session_id as f64 / config.concurrency as f64)
+                RAMP_UP.mul_f64(session_id as f64 / config.concurrency as f64)
             };
             let turns = gen.samples(max_turns_per_session);
             let think_times = (0..max_turns_per_session)
@@ -124,7 +122,7 @@ mod tests {
         let sessions = generate_sessions(&cfg, 2);
         assert_eq!(sessions[0].start_at, SimTime::ZERO);
         let last = sessions.last().unwrap().start_at;
-        assert!(last <= SimTime::ZERO + cfg.ramp_up);
+        assert!(last <= SimTime::ZERO + RAMP_UP);
         assert!(last > SimTime::ZERO);
     }
 

@@ -16,6 +16,9 @@
 //!   name appears in no file outside that crate's own `src/`. The crate's
 //!   `src/bin`, `tests/` and `benches/` count as outside: they are other
 //!   compilation units. Such a function should be `pub(crate)`.
+//! - It lists every variant of a `pub enum` under `crates/*/src` whose name
+//!   appears nowhere but on its own declaration line, in any scanned file,
+//!   tests included. Nothing builds or matches such a variant.
 //!
 //! Comments are not stripped, so a doc comment that names an item counts
 //! as a use.
@@ -29,7 +32,7 @@
 //! or `new` that some other item also uses anywhere in the tree hides an
 //! unreached item, and an `impl` block in the item's own file counts as a
 //! use of a type, so the scan can miss code; it never lists code that has a
-//! use. Enum variants and fields of `pub` types are not scanned.
+//! use. Fields of `pub` types are not scanned.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -108,6 +111,47 @@ fn pub_items(own: &str) -> Vec<(usize, &str, bool)> {
     out
 }
 
+/// `(line, name)` of each variant of every `pub enum` declared in `own`: the
+/// first word of each line at the top level of the enum's body. Comments
+/// are cut off each line first, and attribute lines start with no word.
+fn pub_enum_variants(own: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(at) = own[from..].find("pub enum ").map(|i| from + i) {
+        from = at + 1;
+        if at > 0 && is_ident_byte(own.as_bytes()[at - 1]) {
+            continue;
+        }
+        let Some(open) = own[at..].find('{').map(|i| at + i) else {
+            break;
+        };
+        let first_line = own[..open].matches('\n').count() + 1;
+        let mut depth = 1i32;
+        for (k, line) in own[open + 1..].lines().enumerate() {
+            let code = line.split("//").next().unwrap_or("");
+            let trimmed = code.trim_start();
+            let end = trimmed
+                .bytes()
+                .position(|b| !is_ident_byte(b))
+                .unwrap_or(trimmed.len());
+            if depth == 1 && end > 0 {
+                out.push((first_line + k, &trimmed[..end]));
+            }
+            for b in code.bytes() {
+                match b {
+                    b'{' | b'(' | b'[' => depth += 1,
+                    b'}' | b')' | b']' => depth -= 1,
+                    _ => {}
+                }
+            }
+            if depth <= 0 {
+                break;
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn every_unreached_pub_fn_is_a_listed_survivor() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -125,11 +169,13 @@ fn every_unreached_pub_fn_is_a_listed_survivor() {
         // The survivor table names its items; it is not a use.
         .filter(|(rel, _)| rel != file!())
         .collect();
-    // Which files mention each word anywhere.
+    // Which files mention each word anywhere, and how often in all.
     let mut mentioned_in: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut mentions: BTreeMap<&str, usize> = BTreeMap::new();
     for (file, text) in &texts {
         for word in words(text) {
             mentioned_in.entry(word).or_default().insert(file);
+            *mentions.entry(word).or_default() += 1;
         }
     }
 
@@ -150,6 +196,13 @@ fn every_unreached_pub_fn_is_a_listed_survivor() {
             let own_uses = words(own).filter(|w| *w == name).count();
             let other_crate = mentioned_in[name].iter().any(|f| outside_crate(f));
             if (!elsewhere && own_uses < 2) || (is_fn && !other_crate) {
+                unreached.insert((file.clone(), name.to_string()), line);
+            }
+        }
+        let lines: Vec<&str> = own.lines().collect();
+        for (line, name) in pub_enum_variants(own) {
+            let on_its_line = words(lines[line - 1]).filter(|w| *w == name).count();
+            if mentions[name] == on_its_line {
                 unreached.insert((file.clone(), name.to_string()), line);
             }
         }
