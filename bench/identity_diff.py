@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Byte-identity check for behaviour-preserving changes.
 
-Builds PARENT_REV and the working tree, runs the same bench binaries in
-both at a pinned small size, and diffs what they print and the JSON
-artifacts they write, with wall-clock fields stripped. Exits 0 when every
-binary agrees, 1 on any difference (the first lines of each diff are
-printed), 2 on a build or run failure.
+Builds PARENT_REV and the working tree, runs the same bench binaries and
+examples in both at a pinned small size, and diffs what they print and the
+JSON artifacts they write, with wall-clock fields stripped. Exits 0 when
+every program agrees, 1 on any difference (the first lines of each diff
+are printed), 2 on a build or run failure.
 
     python3 bench/identity_diff.py PARENT_REV [--workdir DIR]
 
@@ -15,7 +15,10 @@ working tree builds into its usual target directory. Both trees run the CI
 smoke list of bench binaries plus `scale_sweep` and `scenario_matrix` at
 FIRST_BENCH_REQUESTS=50, FIRST_BENCH_SEED=42, FIRST_BENCH_THREADS=1, each
 writing its artifacts into a directory of its own under DIR, so the
-working tree's `bench/out` is left alone. Two release builds make this too
+working tree's `bench/out` is left alone. They then run the CI smoke list
+of examples (the monitoring dashboard twice, the second time with its
+fault plan) under the same environment, and their stdout is diffed the
+same way. Two release builds make this too
 slow for a CI step; run it by hand before claiming a refactor changes no
 behaviour.
 """
@@ -46,6 +49,19 @@ BINARIES = [
     "scenario_matrix",
 ]
 
+# The examples CI's smoke step runs, each with its extra environment.
+EXAMPLES = [
+    ("quickstart", {}),
+    ("failover_demo", {}),
+    ("federated_routing", {}),
+    ("monitoring_dashboard", {}),
+    ("model_evaluation", {}),
+    ("rag_assistant", {}),
+    ("streaming_chat", {}),
+    ("synthetic_data_batch", {}),
+    ("monitoring_dashboard", {"FIRST_DEMO_FAULTS": "1"}),
+]
+
 BENCH_ENV = {
     "FIRST_BENCH_REQUESTS": "50",
     "FIRST_BENCH_SEED": "42",
@@ -58,6 +74,12 @@ WALL_PATTERNS = [
     (re.compile(r"[0-9.]+ ?m?s wall"), "<wall> wall"),
     (re.compile(r"[0-9.]+x real time"), "<x> real time"),
     (re.compile(r"[0-9.]+ events/s"), "<rate> events/s"),
+    # The dashboard's harness line and the exported harness gauges.
+    (re.compile(r"wall=[0-9.]+s events_per_sec=[0-9]+"), "wall=<wall> events_per_sec=<rate>"),
+    (
+        re.compile(r"^(first_sim_(?:wall_clock_seconds|events_per_second)) \S+$", re.M),
+        r"\1 <wall>",
+    ),
 ]
 
 
@@ -101,6 +123,11 @@ def build(tree, target_dir):
         cwd=tree,
         env=env,
     )
+    run(
+        ["cargo", "build", "--release", "--offline", "--quiet", "-p", "first", "--examples"],
+        cwd=tree,
+        env=env,
+    )
 
 
 def run_binaries(tree, target_dir, out_root):
@@ -122,6 +149,26 @@ def run_binaries(tree, target_dir, out_root):
             for path in sorted(out_dir.glob("*.json"))
         }
         outputs[binary] = (normalize_stdout(result.stdout, out_dir), artifacts)
+    return outputs
+
+
+def example_label(name, extra_env):
+    return " ".join([f"{k}={v}" for k, v in extra_env.items()] + [name])
+
+
+def run_examples(tree, target_dir, out_root):
+    """Run every example in `tree`; returns {label: stdout}."""
+    outputs = {}
+    for name, extra_env in EXAMPLES:
+        env = dict(os.environ, **BENCH_ENV, **extra_env)
+        result = run(
+            [str(target_dir / "release" / "examples" / name)],
+            cwd=tree,
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        outputs[example_label(name, extra_env)] = normalize_stdout(result.stdout, out_root)
     return outputs
 
 
@@ -156,11 +203,13 @@ def main():
     change_target = Path(os.environ.get("CARGO_TARGET_DIR", repo / "target")).resolve()
     sides = {"parent": (parent_tree, parent_tree / "target"), "change": (repo, change_target)}
     outputs = {}
+    example_outputs = {}
     for side, (tree, target_dir) in sides.items():
         print(f"building {side} in {tree}", flush=True)
         build(tree, target_dir)
-        print(f"running {len(BINARIES)} binaries ({side})", flush=True)
+        print(f"running {len(BINARIES)} binaries and {len(EXAMPLES)} examples ({side})", flush=True)
         outputs[side] = run_binaries(tree, target_dir, workdir / "out" / side)
+        example_outputs[side] = run_examples(tree, target_dir, workdir / "out" / side)
 
     differences = 0
     for binary in BINARIES:
@@ -175,13 +224,18 @@ def main():
             if parent_json != change_json:
                 differences += 1
                 show_diff(f"{binary} {name}", parent_json, change_json)
+    for label, parent_stdout in example_outputs["parent"].items():
+        change_stdout = example_outputs["change"][label]
+        if parent_stdout != change_stdout:
+            differences += 1
+            show_diff(f"example {label} stdout", parent_stdout, change_stdout)
     artifacts = sum(len(files) for _, files in outputs["change"].values())
     if differences:
         print(f"{differences} difference(s) against {args.parent_rev}")
         return 1
     print(
-        f"identical: {len(BINARIES)} binaries, {artifacts} artifacts, "
-        f"stdout and JSON with wall-clock fields stripped, against {args.parent_rev}"
+        f"identical: {len(BINARIES)} binaries, {len(EXAMPLES)} example runs, {artifacts} "
+        f"artifacts, stdout and JSON with wall-clock fields stripped, against {args.parent_rev}"
     )
     return 0
 

@@ -264,6 +264,10 @@ pub enum ApiOperation {
 }
 
 impl ApiOperation {
+    /// Every operation, in name order (the order the metrics export uses).
+    pub(crate) const ALL: [ApiOperation; 2] =
+        [ApiOperation::ChatCompletions, ApiOperation::Embeddings];
+
     /// The operation's name in logs and metrics (`"chat_completions"`, ...).
     pub(crate) fn as_str(self) -> &'static str {
         match self {

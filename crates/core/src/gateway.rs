@@ -462,11 +462,6 @@ impl Gateway {
         &self.metrics
     }
 
-    /// Gateway metrics.
-    pub fn metrics_mut(&mut self) -> &mut GatewayMetrics {
-        &mut self.metrics
-    }
-
     /// The flight recorder holding the sampled request span trees.
     pub(crate) fn recorder(&self) -> &FlightRecorder {
         &self.recorder
@@ -716,8 +711,7 @@ impl Gateway {
         now: SimTime,
     ) -> Result<u64, GatewayError> {
         if let Err(e) = request.validate() {
-            self.metrics
-                .on_received(ApiOperation::ChatCompletions.as_str());
+            self.metrics.on_received(ApiOperation::ChatCompletions);
             self.metrics.on_rejected();
             return Err(e);
         }
@@ -760,7 +754,7 @@ impl Gateway {
         now: SimTime,
     ) -> Result<u64, GatewayError> {
         let operation = ApiOperation::ChatCompletions;
-        self.metrics.on_received(operation.as_str());
+        self.metrics.on_received(operation);
         let admitted = ChatCompletionRequest::validate_target(model, max_tokens)
             .and_then(|()| self.authorize(token, model, now));
         let (user, auth_latency) = match admitted {
@@ -779,8 +773,6 @@ impl Gateway {
             self.next_request_id += 1;
             let finished = now + RESPONSE_CPU;
             let usage = Usage::new(prompt.tokens, hit.completion_tokens);
-            self.metrics
-                .on_completed(model, finished - now, hit.completion_tokens);
             self.record_log(
                 request_id, user, model_id, None, operation, now, finished, usage, true,
             );
@@ -855,7 +847,7 @@ impl Gateway {
         now: SimTime,
     ) -> Result<u64, GatewayError> {
         let operation = ApiOperation::Embeddings;
-        self.metrics.on_received(operation.as_str());
+        self.metrics.on_received(operation);
         if request.input.is_empty() {
             self.metrics.on_rejected();
             return Err(GatewayError::InvalidRequest(
@@ -1136,11 +1128,6 @@ impl Gateway {
         let request = copy.request;
         let usage = Usage::new(request.inference.prompt_tokens, completion_tokens);
         if success {
-            self.metrics.on_completed(
-                self.registry.model_name(request.model),
-                at - copy.arrived_at,
-                completion_tokens,
-            );
             if let Some(key) = copy.prompt_text_key {
                 self.response_cache.put(
                     key,
@@ -1151,8 +1138,6 @@ impl Gateway {
                     at,
                 );
             }
-        } else {
-            self.metrics.on_failed();
         }
         self.record_log(
             copy.request_id,
@@ -1750,7 +1735,7 @@ mod tests {
         let responses = gw.take_responses();
         assert_eq!(responses.len(), 1);
         assert!(!responses[0].success);
-        assert_eq!(gw.metrics_mut().retries, 0);
+        assert_eq!(gw.metrics().retries, 0);
     }
 
     #[test]
@@ -1777,8 +1762,8 @@ mod tests {
             gw.service().endpoint_name(responses[0].endpoint.unwrap()),
             Some("polaris-endpoint")
         );
-        assert!(gw.metrics_mut().retries >= 1);
-        assert!(gw.metrics_mut().failovers >= 1);
+        assert!(gw.metrics().retries >= 1);
+        assert!(gw.metrics().failovers >= 1);
         // The request log records the final (successful) outcome once.
         assert_eq!(gw.log().len(), 1);
         assert!(gw.log().entries()[0].success);
@@ -1806,7 +1791,7 @@ mod tests {
         let responses = gw.take_responses();
         assert_eq!(responses.len(), 4);
         assert!(responses.iter().all(|r| r.success));
-        assert!(gw.metrics_mut().breaker_trips >= 1);
+        assert!(gw.metrics().breaker_trips >= 1);
         let now = gw.last_advance();
         assert_eq!(
             gw.health().state("sophia-endpoint", now),
@@ -1823,7 +1808,7 @@ mod tests {
         assert_eq!(entry.endpoint_health[idx], "unavailable");
         // Once the breaker is open, a fresh request routes straight to
         // Polaris without burning a retry on Sophia.
-        let before = gw.metrics_mut().retries;
+        let before = gw.metrics().retries;
         let req = ChatCompletionRequest::simple(MODEL, "post-trip request", 80);
         gw.chat_completions(&req, &tokens.alice, Some(80), now)
             .unwrap();
@@ -1835,7 +1820,7 @@ mod tests {
             gw.service().endpoint_name(responses[0].endpoint.unwrap()),
             Some("polaris-endpoint")
         );
-        assert_eq!(gw.metrics_mut().retries, before);
+        assert_eq!(gw.metrics().retries, before);
     }
 
     #[test]
@@ -1866,7 +1851,7 @@ mod tests {
             gw.service().endpoint_name(responses[0].endpoint.unwrap()),
             Some("polaris-endpoint")
         );
-        assert!(gw.metrics_mut().hedges >= 1);
+        assert!(gw.metrics().hedges >= 1);
         // Well under the hour the stall would have cost.
         assert!(responses[0].latency().as_secs_f64() < 120.0);
     }

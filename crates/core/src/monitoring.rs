@@ -7,7 +7,14 @@
 //! a full [`MetricRegistry`] (ready for Prometheus-style exposition), and
 //! ships a default alert pack for the conditions administrators care about
 //! (deep task backlogs, no hot capacity, rising failure rates).
+//!
+//! The request log is the one record of answered requests: the snapshot
+//! and the export fold completions, failures, output tokens and per-model
+//! latencies from it on every read. The metrics layer
+//! ([`crate::storage::GatewayMetrics`]) adds only what the log cannot give:
+//! arrivals per operation, rejections and the resilience counters.
 
+use crate::api::ApiOperation;
 use crate::gateway::Gateway;
 use first_desim::SimTime;
 use first_telemetry::{
@@ -20,26 +27,29 @@ impl Gateway {
     /// Build the operations dashboard for the current state of the deployment.
     ///
     /// The snapshot combines the `/jobs` view (model states and instance
-    /// counts), the request log (per-model usage), the metrics layer
-    /// (latency summaries) and the fabric/cluster state (node occupancy and
+    /// counts), the request log (per-model usage and latency summaries,
+    /// deployment totals), the metrics layer (arrivals, rejections and the
+    /// resilience counters) and the fabric/cluster state (node occupancy and
     /// task queues).
     ///
     /// Takes `&self`, exactly like [`Gateway::export_metrics`]: both scrape
-    /// paths are read-only and idempotent. The invariant is that a scrape
-    /// never mutates gateway state — the per-model latency quantiles come
-    /// from [`first_desim::Histogram::quantile`], the `&self` percentile that
-    /// reads through (or rebuilds a temporary copy of) the sorted cache
-    /// without touching it, so scraping twice in a row yields identical
-    /// snapshots and never perturbs report equality.
+    /// paths are read-only and idempotent, and every log-derived value is
+    /// folded afresh on each call, so scraping twice in a row yields
+    /// identical snapshots and never perturbs report equality.
     pub fn dashboard_snapshot(&self, now: SimTime) -> DashboardSnapshot {
         let jobs = self.jobs_status();
         let usage = self.usage_by_model();
+        let answered = self.log().answered_totals();
         let distinct_users = self.log().distinct_users() as u64;
 
         let mut models = Vec::with_capacity(jobs.len());
         for entry in &jobs {
             let summary = usage.get(&entry.model).cloned().unwrap_or_default();
-            let (median, p95) = match self.metrics().latency_by_model.get(&entry.model) {
+            let latency = self
+                .registry()
+                .model_id(&entry.model)
+                .and_then(|id| answered.latency_by_model.get(&id));
+            let (median, p95) = match latency {
                 Some(h) => (h.quantile(50.0), h.quantile(95.0)),
                 None => (0.0, 0.0),
             };
@@ -131,9 +141,9 @@ impl Gateway {
             phases,
             replay: None,
             total_requests: metrics.total_received(),
-            total_completed: metrics.completed,
-            total_failed: metrics.failed + metrics.rejected,
-            total_output_tokens: metrics.output_tokens,
+            total_completed: answered.completed,
+            total_failed: answered.failed + metrics.rejected,
+            total_output_tokens: answered.output_tokens,
             distinct_users,
             total_retries: metrics.retries,
             total_failovers: metrics.failovers,
@@ -156,56 +166,31 @@ impl Gateway {
     pub fn export_metrics(&self, now: SimTime) -> MetricRegistry {
         let registry = MetricRegistry::new();
 
-        // Gateway request counters by operation.
-        for (op, count) in &self.metrics().received {
-            registry.add_counter(
-                "first_gateway_requests_received_total",
-                LabelSet::single("operation", op.clone()),
-                *count,
-            );
+        // Gateway request counters: arrivals by operation (those seen at
+        // least once), outcomes folded from the request log.
+        let metrics = self.metrics();
+        for op in ApiOperation::ALL {
+            let count = metrics.received(op);
+            if count > 0 {
+                registry.add_counter(
+                    "first_gateway_requests_received_total",
+                    LabelSet::single("operation", op.as_str().to_string()),
+                    count,
+                );
+            }
         }
-        {
-            let metrics = self.metrics();
-            registry.add_counter(
-                "first_gateway_requests_completed_total",
-                LabelSet::empty(),
-                metrics.completed,
-            );
-            registry.add_counter(
-                "first_gateway_requests_failed_total",
-                LabelSet::empty(),
-                metrics.failed,
-            );
-            registry.add_counter(
-                "first_gateway_requests_rejected_total",
-                LabelSet::empty(),
-                metrics.rejected,
-            );
-            registry.add_counter(
-                "first_gateway_output_tokens_total",
-                LabelSet::empty(),
-                metrics.output_tokens,
-            );
-            registry.add_counter(
-                "first_gateway_retries_total",
-                LabelSet::empty(),
-                metrics.retries,
-            );
-            registry.add_counter(
-                "first_gateway_failovers_total",
-                LabelSet::empty(),
-                metrics.failovers,
-            );
-            registry.add_counter(
-                "first_gateway_breaker_trips_total",
-                LabelSet::empty(),
-                metrics.breaker_trips,
-            );
-            registry.add_counter(
-                "first_gateway_hedged_requests_total",
-                LabelSet::empty(),
-                metrics.hedges,
-            );
+        let answered = self.log().answered_totals();
+        for (name, total) in [
+            ("first_gateway_requests_completed_total", answered.completed),
+            ("first_gateway_requests_failed_total", answered.failed),
+            ("first_gateway_requests_rejected_total", metrics.rejected),
+            ("first_gateway_output_tokens_total", answered.output_tokens),
+            ("first_gateway_retries_total", metrics.retries),
+            ("first_gateway_failovers_total", metrics.failovers),
+            ("first_gateway_breaker_trips_total", metrics.breaker_trips),
+            ("first_gateway_hedged_requests_total", metrics.hedges),
+        ] {
+            registry.add_counter(name, LabelSet::empty(), total);
         }
 
         // Per-request latency histogram, replayed from the request log so the
@@ -472,32 +457,36 @@ impl Gateway {
 mod tests {
     use super::*;
     use crate::api::ChatCompletionRequest;
-    use crate::deploy::DeploymentBuilder;
+    use crate::deploy::{DeploymentBuilder, TestTokens};
     use first_desim::SimProcess;
     use first_telemetry::render_prometheus;
 
     const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
 
     fn run_some_traffic() -> Gateway {
-        run_traffic(DeploymentBuilder::single_cluster_test().prewarm(1))
+        run_traffic(DeploymentBuilder::single_cluster_test().prewarm(1)).0
     }
 
-    fn run_traffic(builder: DeploymentBuilder) -> Gateway {
+    fn run_traffic(builder: DeploymentBuilder) -> (Gateway, TestTokens) {
         let (mut gw, tokens) = builder.build_with_tokens();
         for i in 0..5 {
             let req = ChatCompletionRequest::simple(MODEL, &format!("prompt {i}"), 200);
             gw.chat_completions(&req, &tokens.alice, Some(120), SimTime::from_secs(i))
                 .unwrap();
         }
+        drain(&mut gw);
+        (gw, tokens)
+    }
+
+    fn drain(gw: &mut Gateway) {
         let mut now = SimTime::ZERO;
-        while let Some(t) = SimProcess::next_event_time(&gw) {
+        while let Some(t) = SimProcess::next_event_time(gw) {
             now = now.max(t);
             gw.advance(now);
             if gw.is_drained() {
                 break;
             }
         }
-        gw
     }
 
     #[test]
@@ -572,7 +561,7 @@ mod tests {
     #[test]
     fn traced_traffic_exports_phase_metrics_and_dashboard_rows() {
         use first_telemetry::TraceConfig;
-        let gw = run_traffic(
+        let (gw, _) = run_traffic(
             DeploymentBuilder::single_cluster_test()
                 .prewarm(1)
                 .trace(TraceConfig::every_request(64)),
@@ -602,18 +591,158 @@ mod tests {
         assert!(!text.contains("first_phase_seconds"));
     }
 
+    /// A federated run with two chat models, an embedding, a request failed
+    /// by an offline endpoint (resilience off), a response-cache hit and a
+    /// rejection.
+    fn run_mixed_traffic() -> Gateway {
+        const SMALL: &str = "meta-llama/Meta-Llama-3.1-8B-Instruct";
+        let (mut gw, tokens) = DeploymentBuilder::federated_sophia_polaris()
+            .prewarm(1)
+            .build_with_tokens();
+        gw.service_mut()
+            .endpoint_mut("sophia-endpoint")
+            .unwrap()
+            .set_offline_until(SimTime::from_secs(5));
+        let doomed = ChatCompletionRequest::simple(MODEL, "sophia is dark", 100);
+        gw.chat_completions(&doomed, &tokens.alice, Some(100), SimTime::ZERO)
+            .unwrap();
+        let drive = |gw: &mut Gateway, until: SimTime| {
+            let mut now = SimTime::ZERO;
+            while let Some(t) = SimProcess::next_event_time(gw) {
+                if t > until {
+                    break;
+                }
+                now = now.max(t);
+                gw.advance(now);
+                if gw.is_drained() {
+                    break;
+                }
+            }
+            gw.advance(until);
+        };
+        drive(&mut gw, SimTime::from_secs(10));
+        for (i, (model, prompt, out)) in [
+            (MODEL, "first question", 150),
+            (SMALL, "second question", 90),
+            (MODEL, "third question", 210),
+            (SMALL, "fourth question", 60),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let req = ChatCompletionRequest::simple(model, prompt, 256);
+            let at = SimTime::from_secs(10 + i as u64);
+            gw.chat_completions(&req, &tokens.alice, Some(out), at)
+                .unwrap();
+        }
+        let embed = crate::api::EmbeddingRequest {
+            model: "nvidia/NV-Embed-v2".to_string(),
+            input: vec!["embed these words".to_string()],
+        };
+        gw.embeddings(&embed, &tokens.bob, SimTime::from_secs(12))
+            .unwrap();
+        drive(&mut gw, SimTime::from_secs(300));
+        // The same body again: answered from the response cache.
+        let again = ChatCompletionRequest::simple(MODEL, "first question", 256);
+        gw.chat_completions(&again, &tokens.bob, Some(150), SimTime::from_secs(300))
+            .unwrap();
+        // Bob is not in the AuroraGPT early-access group.
+        let restricted =
+            ChatCompletionRequest::simple("argonne-private/AuroraGPT-7B", "let me in", 50);
+        assert!(gw
+            .chat_completions(&restricted, &tokens.bob, Some(50), SimTime::from_secs(301))
+            .is_err());
+        drive(&mut gw, SimTime::from_secs(600));
+        gw
+    }
+
+    #[test]
+    fn dashboard_and_export_totals_and_latency_quantiles_are_pinned() {
+        let gw = run_mixed_traffic();
+        let snap = gw.dashboard_snapshot(SimTime::from_secs(600));
+        // (model, requests, median bits, p95 bits): latencies are in seconds.
+        let rows: Vec<(&str, u64, u64, u64)> = snap
+            .models
+            .iter()
+            .map(|r| {
+                (
+                    r.model.as_str(),
+                    r.requests,
+                    r.median_latency_s.to_bits(),
+                    r.p95_latency_s.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("Qwen/Qwen2.5-32B-Instruct", 0, 0, 0),
+                ("argonne-private/AuroraGPT-7B", 0, 0, 0),
+                ("google/gemma-2-27b-it", 0, 0, 0),
+                (MODEL, 4, 0x401c_dc67_dfe3_2a06, 0x4020_2915_379f_a97e),
+                (
+                    "meta-llama/Meta-Llama-3.1-8B-Instruct",
+                    2,
+                    0x4015_6b58_d152_6d8b,
+                    0x4015_6b58_d152_6d8b
+                ),
+                ("mistralai/Mixtral-8x22B-Instruct-v0.1", 0, 0, 0),
+                (
+                    "nvidia/NV-Embed-v2",
+                    1,
+                    0x4017_df48_7fcb_923a,
+                    0x4017_df48_7fcb_923a
+                ),
+            ]
+        );
+        assert_eq!(snap.total_requests, 8);
+        assert_eq!(snap.total_completed, 6);
+        // One request failed at the offline endpoint, one was rejected.
+        assert_eq!(snap.total_failed, 2);
+        assert_eq!(snap.total_output_tokens, 660);
+
+        let text = render_prometheus(&gw.export_metrics(SimTime::from_secs(600)).snapshot());
+        let gateway_lines: Vec<&str> = text
+            .lines()
+            .filter(|l| {
+                l.starts_with("first_gateway_requests_")
+                    || l.starts_with("first_gateway_output_tokens_total")
+            })
+            .collect();
+        assert_eq!(
+            gateway_lines,
+            [
+                "first_gateway_output_tokens_total 660",
+                "first_gateway_requests_completed_total 6",
+                "first_gateway_requests_failed_total 1",
+                "first_gateway_requests_received_total{operation=\"chat_completions\"} 7",
+                "first_gateway_requests_received_total{operation=\"embeddings\"} 1",
+                "first_gateway_requests_rejected_total 1",
+            ]
+        );
+    }
+
     #[test]
     fn default_alerts_stay_quiet_on_a_healthy_deployment_and_fire_on_failures() {
-        let mut gw = run_some_traffic();
+        let (mut gw, tokens) = run_traffic(DeploymentBuilder::single_cluster_test().prewarm(1));
         let registry = gw.export_metrics(SimTime::from_secs(600));
         let mut alerting = Gateway::default_alerting();
         assert_eq!(alerting.rule_count(), 3);
         let fired = alerting.evaluate(&registry, SimTime::from_secs(600));
         assert!(fired.is_empty(), "unexpected alerts: {fired:?}");
 
-        // Inject failures into the metrics layer and re-export: the failure
-        // alert fires immediately (hold_for is zero).
-        gw.metrics_mut().on_failed();
+        // The endpoint goes dark and, with resilience off, the next request's
+        // failure reaches the client: the failure alert fires immediately
+        // (hold_for is zero).
+        gw.service_mut()
+            .endpoint_mut("sophia-endpoint")
+            .unwrap()
+            .set_offline_until(SimTime::from_secs(3600));
+        let req = ChatCompletionRequest::simple(MODEL, "into the dark", 100);
+        gw.chat_completions(&req, &tokens.alice, Some(100), SimTime::from_secs(600))
+            .unwrap();
+        drain(&mut gw);
+        assert!(!gw.take_responses().last().unwrap().success);
         let registry = gw.export_metrics(SimTime::from_secs(700));
         let fired = alerting.evaluate(&registry, SimTime::from_secs(700));
         assert_eq!(fired.len(), 1);

@@ -1027,7 +1027,8 @@ impl<'a> FrontTier<'a> {
                 }
             }
             ShardFaultKind::ShardRestart { shard } => {
-                if shard >= self.fleet.shard_count() || self.fleet.is_live(shard) {
+                // `ScenarioRun::execute` has rejected shards the run lacks.
+                if self.fleet.is_live(shard) {
                     return;
                 }
                 // A fresh replica from the same deployment builder: cold

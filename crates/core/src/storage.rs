@@ -3,8 +3,8 @@
 //! The production gateway logs every user activity in PostgreSQL and exposes
 //! real-time and summary metrics through a dashboard. Here the log is an
 //! in-memory append-only store with the query patterns the dashboard needs
-//! (per-user, per-model, deployment totals), and the metrics layer keeps the
-//! counters and latency histograms the benchmark reports read.
+//! (per-user, per-model, deployment totals, per-model latencies), and the
+//! metrics layer keeps the counters the log cannot give.
 //!
 //! A log row holds ids, not names. The log owns the user interner the
 //! gateway interns authenticated users into; model and endpoint names stay
@@ -73,6 +73,21 @@ pub struct UsageSummary {
     pub(crate) completion_tokens: u64,
     /// Failed requests.
     pub(crate) failures: u64,
+}
+
+/// What the request log says about the requests the gateway answered: the
+/// metrics layer's outcome counters and per-model latencies, derived on
+/// read rather than kept beside the log.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AnsweredTotals {
+    /// Requests answered successfully (cache hits included).
+    pub(crate) completed: u64,
+    /// Requests answered with a failure.
+    pub(crate) failed: u64,
+    /// Completion tokens returned by successful requests.
+    pub(crate) output_tokens: u64,
+    /// End-to-end latency (seconds) of each model's successful requests.
+    pub(crate) latency_by_model: BTreeMap<ModelId, Histogram>,
 }
 
 /// Append-only request log (PostgreSQL substitute).
@@ -173,21 +188,38 @@ impl RequestLog {
         let batch = self.entries.iter().filter(|e| e.batch).count() as u64;
         (self.entries.len() as u64 - batch, batch)
     }
+
+    /// Fold the log into the metrics layer's totals.
+    pub(crate) fn answered_totals(&self) -> AnsweredTotals {
+        let mut totals = AnsweredTotals::default();
+        for e in &self.entries {
+            if !e.success {
+                totals.failed += 1;
+                continue;
+            }
+            totals.completed += 1;
+            totals.output_tokens += e.completion_tokens as u64;
+            totals
+                .latency_by_model
+                .entry(e.model)
+                .or_default()
+                .record(e.latency().as_secs_f64());
+        }
+        totals
+    }
 }
 
-/// Live metrics the gateway exposes (§3.1.1 "metrics layer").
+/// Live counters the gateway exposes (§3.1.1 "metrics layer") that the
+/// request log cannot give: the log holds one row per answered request, so
+/// arrivals, rejections and the resilience layer's extra copies are counted
+/// here. Completions, failures, output tokens and latencies are folded
+/// from the [`RequestLog`] when they are read.
 #[derive(Debug, Clone, Default)]
 pub struct GatewayMetrics {
-    /// Requests received, keyed by operation.
-    pub(crate) received: BTreeMap<String, u64>,
-    /// Requests completed successfully.
-    pub(crate) completed: u64,
-    /// Requests failed (any stage).
-    pub(crate) failed: u64,
+    /// Requests received, indexed by [`ApiOperation`].
+    received: [u64; ApiOperation::ALL.len()],
     /// Requests rejected before dispatch (auth, rate limit, validation).
     pub(crate) rejected: u64,
-    /// Output tokens returned to users.
-    pub(crate) output_tokens: u64,
     /// Retries of failed idempotent requests (resilience layer).
     pub retries: u64,
     /// Requests failed over to a different endpoint than the one that
@@ -197,8 +229,6 @@ pub struct GatewayMetrics {
     pub breaker_trips: u64,
     /// Hedged (duplicated) requests issued for slow in-flight calls.
     pub hedges: u64,
-    /// End-to-end latency histogram (seconds), per model.
-    pub latency_by_model: BTreeMap<String, Histogram>,
 }
 
 impl GatewayMetrics {
@@ -208,42 +238,18 @@ impl GatewayMetrics {
     }
 
     /// Count a received request for an operation.
-    ///
-    /// Runs once per request on the gateway's hottest path: the existing-key
-    /// fast path avoids allocating the operation name (the map only ever
-    /// holds a handful of operations, all inserted on their first request).
-    pub(crate) fn on_received(&mut self, operation: &str) {
-        if let Some(count) = self.received.get_mut(operation) {
-            *count += 1;
-        } else {
-            self.received.insert(operation.to_string(), 1);
-        }
+    pub(crate) fn on_received(&mut self, operation: ApiOperation) {
+        self.received[operation as usize] += 1;
+    }
+
+    /// Requests received for an operation.
+    pub(crate) fn received(&self, operation: ApiOperation) -> u64 {
+        self.received[operation as usize]
     }
 
     /// Count a rejection.
     pub(crate) fn on_rejected(&mut self) {
         self.rejected += 1;
-    }
-
-    /// Count a completion and record its latency.
-    ///
-    /// Same fast-path shape as [`GatewayMetrics::on_received`]: the model
-    /// name is only allocated the first time a model completes a request.
-    pub(crate) fn on_completed(&mut self, model: &str, latency: SimDuration, output_tokens: u32) {
-        self.completed += 1;
-        self.output_tokens += output_tokens as u64;
-        if let Some(h) = self.latency_by_model.get_mut(model) {
-            h.record(latency.as_secs_f64());
-        } else {
-            let mut h = Histogram::new();
-            h.record(latency.as_secs_f64());
-            self.latency_by_model.insert(model.to_string(), h);
-        }
-    }
-
-    /// Count a failure.
-    pub(crate) fn on_failed(&mut self) {
-        self.failed += 1;
     }
 
     /// Count a retry of a failed idempotent request.
@@ -268,35 +274,7 @@ impl GatewayMetrics {
 
     /// Total requests received across operations.
     pub(crate) fn total_received(&self) -> u64 {
-        self.received.values().sum()
-    }
-
-    /// Render the dashboard summary as a plain-text table.
-    pub fn dashboard_summary(&mut self) -> String {
-        let mut out =
-            String::from("model                                    reqs    median_s   p95_s\n");
-        let models: Vec<String> = self.latency_by_model.keys().cloned().collect();
-        for model in models {
-            let h = self
-                .latency_by_model
-                .get_mut(&model)
-                .expect("model present");
-            out.push_str(&format!(
-                "{model:<40} {:>6} {:>10.2} {:>7.2}\n",
-                h.count(),
-                h.median(),
-                h.p95()
-            ));
-        }
-        out.push_str(&format!(
-            "totals: received={} completed={} failed={} rejected={} output_tokens={}\n",
-            self.total_received(),
-            self.completed,
-            self.failed,
-            self.rejected,
-            self.output_tokens
-        ));
-        out
+        self.received.iter().sum()
     }
 }
 
@@ -360,32 +338,36 @@ mod tests {
     }
 
     #[test]
-    fn metrics_track_lifecycle() {
-        let mut m = GatewayMetrics::new();
-        m.on_received("chat");
-        m.on_received("chat");
-        m.on_received("embeddings");
-        m.on_rejected();
-        m.on_completed("llama-70b", SimDuration::from_secs(5), 150);
-        m.on_completed("llama-70b", SimDuration::from_secs(7), 180);
-        m.on_failed();
-        assert_eq!(m.total_received(), 3);
-        assert_eq!(m.completed, 2);
-        assert_eq!(m.output_tokens, 330);
-        let median = m.latency_by_model.get_mut("llama-70b").unwrap().median();
-        assert!((5.0..=7.0).contains(&median));
-        assert!(!m.latency_by_model.contains_key("unknown"));
+    fn answered_totals_fold_the_log() {
+        let (llama_70b, llama_8b) = (SymbolId(0), SymbolId(1));
+        let mut log = RequestLog::new();
+        let alice = log.intern_user("alice");
+        log.record(entry(alice, llama_70b, 150, true, false));
+        log.record(RequestLogEntry {
+            finished_at: SimTime::from_secs(8),
+            ..entry(alice, llama_70b, 180, true, false)
+        });
+        log.record(entry(alice, llama_8b, 0, false, false));
+        let totals = log.answered_totals();
+        assert_eq!((totals.completed, totals.failed), (2, 1));
+        assert_eq!(totals.output_tokens, 330);
+        // Only successful requests carry a latency.
+        let latency = &totals.latency_by_model[&llama_70b];
+        assert_eq!(latency.count(), 2);
+        assert_eq!((latency.quantile(0.0), latency.quantile(100.0)), (3.0, 7.0));
+        assert!(!totals.latency_by_model.contains_key(&llama_8b));
     }
 
     #[test]
-    fn dashboard_renders_all_models() {
+    fn metrics_track_lifecycle() {
         let mut m = GatewayMetrics::new();
-        m.on_received("chat");
-        m.on_completed("llama-70b", SimDuration::from_secs(2), 10);
-        m.on_completed("llama-8b", SimDuration::from_secs(1), 10);
-        let dash = m.dashboard_summary();
-        assert!(dash.contains("llama-70b"));
-        assert!(dash.contains("llama-8b"));
-        assert!(dash.contains("output_tokens=20"));
+        m.on_received(ApiOperation::ChatCompletions);
+        m.on_received(ApiOperation::ChatCompletions);
+        m.on_received(ApiOperation::Embeddings);
+        m.on_rejected();
+        assert_eq!(m.received(ApiOperation::ChatCompletions), 2);
+        assert_eq!(m.received(ApiOperation::Embeddings), 1);
+        assert_eq!(m.total_received(), 3);
+        assert_eq!(m.rejected, 1);
     }
 }

@@ -35,20 +35,19 @@ const GPU: GpuModel = GpuModel::A100_40;
 /// Gateway + fabric overhead before the prompt reaches the engine.
 const DISPATCH_OVERHEAD: SimDuration = SimDuration::from_millis(500);
 
-/// Configuration of the streaming reconstruction.
+/// Configuration of the streaming reconstruction. The instance serves the
+/// model at its recommended tensor-parallel degree
+/// ([`ModelSpec::recommended_tp`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
-    /// Tensor-parallel degree of the instance.
-    pub(crate) tensor_parallel: u32,
     /// Output tokens coalesced into one SSE chunk (Open WebUI uses 1).
     pub(crate) tokens_per_chunk: u32,
 }
 
-impl StreamingConfig {
-    /// Defaults for a model served at its recommended TP on A100-40 GPUs.
-    pub fn for_model(spec: &ModelSpec) -> Self {
+impl Default for StreamingConfig {
+    /// One token per chunk, as Open WebUI streams.
+    fn default() -> Self {
         StreamingConfig {
-            tensor_parallel: spec.recommended_tp,
             tokens_per_chunk: 1,
         }
     }
@@ -117,7 +116,7 @@ pub fn stream_response(
     let prefill = perf.prefill_time(
         spec,
         GPU,
-        config.tensor_parallel,
+        spec.recommended_tp,
         completed.usage.prompt_tokens,
     );
     // TTFT estimate, never later than 90% of the measured latency so even
@@ -253,7 +252,7 @@ mod tests {
     #[test]
     fn stream_conserves_tokens_and_ends_at_the_des_completion() {
         let req = completed(12, 220, 200);
-        let cfg = StreamingConfig::for_model(&spec());
+        let cfg = StreamingConfig::default();
         let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
         assert_eq!(stream.output_tokens(), 200);
         assert_eq!(stream.chunks.len(), 200);
@@ -275,7 +274,6 @@ mod tests {
         let req = completed(20, 300, 50);
         let cfg = StreamingConfig {
             tokens_per_chunk: 8,
-            ..StreamingConfig::for_model(&spec())
         };
         let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
         assert_eq!(stream.output_tokens(), 50);
@@ -288,7 +286,7 @@ mod tests {
     fn heavily_queued_requests_keep_a_valid_schedule() {
         // A 600 s latency (deep queue) with a tiny 5-token answer.
         let req = completed(600, 100, 5);
-        let cfg = StreamingConfig::for_model(&spec());
+        let cfg = StreamingConfig::default();
         let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
         assert_eq!(stream.output_tokens(), 5);
         // TTFT stays capped below the full latency and the decode phase is
@@ -300,7 +298,7 @@ mod tests {
     #[test]
     fn single_token_responses_have_zero_itl() {
         let req = completed(3, 50, 1);
-        let cfg = StreamingConfig::for_model(&spec());
+        let cfg = StreamingConfig::default();
         let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
         assert_eq!(stream.chunks.len(), 1);
         assert_eq!(stream.mean_inter_token_latency(), 0.0);
@@ -309,7 +307,7 @@ mod tests {
 
     #[test]
     fn stream_stats_aggregate_many_responses() {
-        let cfg = StreamingConfig::for_model(&spec());
+        let cfg = StreamingConfig::default();
         let perf = PerfModel::default();
         let mut stats = StreamStats::new();
         for latency in [8, 10, 12, 15, 20] {

@@ -196,17 +196,19 @@ proptest! {
                 })
                 .collect();
             let metric_models: Vec<String> = gateway
-                .metrics_mut()
-                .latency_by_model
-                .keys()
-                .cloned()
+                .dashboard_snapshot(SimTime::ZERO)
+                .models
+                .into_iter()
+                .filter(|row| row.requests > 0)
+                .map(|row| row.model)
                 .collect();
             (serde_json::to_string(&report).unwrap(), log, metric_models)
         };
         let a = run();
         let b = run();
         prop_assert_eq!(&a, &b);
-        // Metric keys are real model names (ids resolved at the boundary).
+        // The log-derived dashboard rows that served traffic name real
+        // models (ids resolved at the boundary).
         for key in &a.2 {
             prop_assert!(MODELS.contains(&key.as_str()), "unexpected metric key {key}");
         }

@@ -52,5 +52,5 @@ fn main() {
 
     // 5. The gateway logged the activity for the dashboard.
     println!("\n== metrics dashboard ==");
-    println!("{}", gateway.metrics_mut().dashboard_summary());
+    print!("{}", gateway.dashboard_snapshot(now).render_text());
 }

@@ -60,7 +60,7 @@ fn main() {
     // Reconstruct the streaming delivery of every response.
     let spec = find_model("llama-70b").expect("catalog model");
     let perf = PerfModel::default();
-    let config = StreamingConfig::for_model(&spec);
+    let config = StreamingConfig::default();
     let mut stats = StreamStats::new();
 
     println!("== streamed responses ==");

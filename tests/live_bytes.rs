@@ -81,7 +81,7 @@ static GLOBAL: LiveBytes = LiveBytes;
 
 /// Most bytes one more request may add to the peak heap, end to end (for
 /// a replayed request, above its caller's spec).
-const BUDGET_BYTES_PER_REQUEST: f64 = 160.0;
+const BUDGET_BYTES_PER_REQUEST: f64 = 152.0;
 
 /// The two tests share the byte counters, so they measure one at a time.
 static SERIAL: Mutex<()> = Mutex::new(());

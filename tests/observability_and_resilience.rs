@@ -219,7 +219,7 @@ fn streaming_reconstruction_is_consistent_with_end_to_end_results() {
 
     let spec = find_model("llama-70b").unwrap();
     let perf = PerfModel::default();
-    let config = StreamingConfig::for_model(&spec);
+    let config = StreamingConfig::default();
     let mut stats = StreamStats::new();
     let responses = gateway.take_responses();
     assert_eq!(responses.len(), 8);
