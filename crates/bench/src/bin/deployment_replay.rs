@@ -48,8 +48,10 @@ fn main() {
         });
     }
 
-    let (interactive, batch) = log.interactive_batch_split();
-    let users = log.distinct_users();
+    let summary = log.summary();
+    let batch = summary.batch;
+    let interactive = log.len() as u64 - batch;
+    let mut by_user = summary.users();
     let tokens = log.entries().iter().map(|e| e.total_tokens()).sum::<u64>();
     let trace_span = trace
         .entries
@@ -73,7 +75,7 @@ fn main() {
             4.6,
             (batch as f64 * scale) / 1e6,
         ),
-        Comparison::new("distinct users", 76.0, users as f64),
+        Comparison::new("distinct users", 76.0, by_user.len() as f64),
         Comparison::new(
             "total tokens (billions)",
             10.0,
@@ -84,22 +86,19 @@ fn main() {
     print_comparisons("Deployment totals", &totals);
 
     println!("\ntop models by requests:");
-    let mut by_model: Vec<_> = log
-        .usage_by_model(|m| &models[m.index()].name)
-        .into_iter()
-        .collect();
-    by_model.sort_by_key(|(_, s)| std::cmp::Reverse(s.requests));
-    for (model, summary) in by_model.into_iter().take(8) {
+    // Stable sorts over name-ordered rows: ties stay in name order.
+    let mut by_model = summary.models(|m| &models[m.index()].name);
+    by_model.sort_by_key(|(_, row)| std::cmp::Reverse(row.usage.requests));
+    for (model, row) in by_model.into_iter().take(8) {
         println!(
             "  {:<44} {:>8} requests {:>12} tokens",
-            model, summary.requests, summary.total_tokens
+            model, row.usage.requests, row.usage.total_tokens
         );
     }
     println!("\ntop users by requests:");
-    let mut by_user: Vec<_> = log.usage_by_user().into_iter().collect();
     by_user.sort_by_key(|(_, s)| std::cmp::Reverse(s.requests));
-    for (user, summary) in by_user.into_iter().take(5) {
-        println!("  {:<12} {:>8} requests", user, summary.requests);
+    for (user, usage) in by_user.into_iter().take(5) {
+        println!("  {:<12} {:>8} requests", user, usage.requests);
     }
 
     let sim = meter.finish(SimTime::from_secs_f64(trace_span));

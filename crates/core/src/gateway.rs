@@ -13,7 +13,7 @@ use crate::api::{
 };
 use crate::middleware::{AuthMiddleware, CachedResponse, RateLimiter, ResponseCache};
 use crate::registry::{FederationRouter, ModelId, ModelRegistry, RoutedTarget, RoutingPolicy};
-use crate::storage::{GatewayMetrics, RequestLog, RequestLogEntry, UsageSummary, UserSym};
+use crate::storage::{GatewayMetrics, RequestLog, RequestLogEntry, UserSym};
 use crate::workers::{Admission, WorkerPool, WorkerPoolConfig};
 use first_auth::{AuthService, TokenString};
 use first_chaos::{HealthTracker, ResilienceConfig};
@@ -24,7 +24,7 @@ use first_fabric::{ClientConfig, ComputeService, EndpointId, FunctionId, TaskId}
 use first_serving::InferenceRequest;
 use first_telemetry::{FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, TraceConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Expected output length of a chat request whose caller gives no hint.
 const DEFAULT_OUTPUT_TOKENS: u32 = 180;
@@ -409,12 +409,6 @@ impl Gateway {
         endpoint
             .and_then(|id| self.service.endpoint_name(id))
             .unwrap_or("")
-    }
-
-    /// The request log's per-model usage, keyed by registered model name.
-    pub fn usage_by_model(&self) -> BTreeMap<String, UsageSummary> {
-        self.log
-            .usage_by_model(|model| self.registry.model_name(model))
     }
 
     /// Switch the federation router to a different endpoint-selection policy

@@ -8,14 +8,16 @@
 //! ships a default alert pack for the conditions administrators care about
 //! (deep task backlogs, no hot capacity, rising failure rates).
 //!
-//! The request log is the one record of answered requests: the snapshot
-//! and the export fold completions, failures, output tokens and per-model
-//! latencies from it on every read. The metrics layer
+//! The request log is the one record of answered requests: the snapshot and
+//! the export each fold it in one pass ([`crate::RequestLog::summary`]),
+//! allocating per label set (model, token kind, tenant), not per row, but
+//! still linear in the length of the log. The metrics layer
 //! ([`crate::storage::GatewayMetrics`]) adds only what the log cannot give:
 //! arrivals per operation, rejections and the resilience counters.
 
 use crate::api::ApiOperation;
 use crate::gateway::Gateway;
+use crate::storage::ModelUsage;
 use first_desim::SimTime;
 use first_telemetry::{
     AlertRule, AlertSeverity, Alerting, ClusterRow, DashboardSnapshot, LabelSet, MetricRegistry,
@@ -35,32 +37,29 @@ impl Gateway {
     /// Takes `&self`, exactly like [`Gateway::export_metrics`]: both scrape
     /// paths are read-only and idempotent, and every log-derived value is
     /// folded afresh on each call, so scraping twice in a row yields
-    /// identical snapshots and never perturbs report equality.
+    /// identical snapshots and never perturbs report equality. Each model's
+    /// median and p95 are exact over its successful requests, so a bound on
+    /// the log's length must keep those rows or make this reader inexact.
     pub fn dashboard_snapshot(&self, now: SimTime) -> DashboardSnapshot {
         let jobs = self.jobs_status();
-        let usage = self.usage_by_model();
-        let answered = self.log().answered_totals();
-        let distinct_users = self.log().distinct_users() as u64;
+        let mut summary = self.log().summary();
 
         let mut models = Vec::with_capacity(jobs.len());
+        let mut unlogged = ModelUsage::default();
         for entry in &jobs {
-            let summary = usage.get(&entry.model).cloned().unwrap_or_default();
-            let latency = self
+            let row = self
                 .registry()
                 .model_id(&entry.model)
-                .and_then(|id| answered.latency_by_model.get(&id));
-            let (median, p95) = match latency {
-                Some(h) => (h.quantile(50.0), h.quantile(95.0)),
-                None => (0.0, 0.0),
-            };
+                .and_then(|id| summary.models.get_mut(id.index()))
+                .unwrap_or(&mut unlogged);
             models.push(ModelRow {
                 model: entry.model.clone(),
                 state: entry.state.clone(),
                 running_instances: entry.running_instances,
-                requests: summary.requests,
-                output_tokens: summary.completion_tokens,
-                median_latency_s: median,
-                p95_latency_s: p95,
+                requests: row.usage.requests,
+                output_tokens: row.usage.completion_tokens,
+                median_latency_s: row.latency.median(),
+                p95_latency_s: row.latency.p95(),
             });
         }
 
@@ -99,12 +98,11 @@ impl Gateway {
         // Tenant rows: the per-user partition of the request log. Scenario
         // runs enroll one auth user per tenant class, so this is exactly the
         // per-tenant view the scenario matrix reports on.
-        let tenants: Vec<TenantRow> = self
-            .log()
-            .usage_by_user()
+        let tenants: Vec<TenantRow> = summary
+            .users()
             .into_iter()
             .map(|(tenant, usage)| TenantRow {
-                tenant,
+                tenant: tenant.to_string(),
                 requests: usage.requests,
                 failures: usage.failures,
                 output_tokens: usage.completion_tokens,
@@ -137,14 +135,14 @@ impl Gateway {
             models,
             clusters: clusters.into_values().collect(),
             queues,
+            distinct_users: tenants.len() as u64,
             tenants,
             phases,
             replay: None,
             total_requests: metrics.total_received(),
-            total_completed: answered.completed,
-            total_failed: answered.failed + metrics.rejected,
-            total_output_tokens: answered.output_tokens,
-            distinct_users,
+            total_completed: summary.completed,
+            total_failed: summary.failed + metrics.rejected,
+            total_output_tokens: summary.output_tokens,
             total_retries: metrics.retries,
             total_failovers: metrics.failovers,
             breaker_trips: metrics.breaker_trips,
@@ -163,6 +161,10 @@ impl Gateway {
     /// totals since the deployment started), which keeps the export
     /// idempotent: scraping twice does not double-count anything. Exposition
     /// is read-only (`&self`): a scrape never mutates gateway state.
+    ///
+    /// Each model's latency buckets (failed requests included) are filled in
+    /// the log fold and merged into the registry whole: one label set per
+    /// model, token kind and tenant, none per logged request.
     pub fn export_metrics(&self, now: SimTime) -> MetricRegistry {
         let registry = MetricRegistry::new();
 
@@ -179,12 +181,12 @@ impl Gateway {
                 );
             }
         }
-        let answered = self.log().answered_totals();
+        let summary = self.log().summary();
         for (name, total) in [
-            ("first_gateway_requests_completed_total", answered.completed),
-            ("first_gateway_requests_failed_total", answered.failed),
+            ("first_gateway_requests_completed_total", summary.completed),
+            ("first_gateway_requests_failed_total", summary.failed),
             ("first_gateway_requests_rejected_total", metrics.rejected),
-            ("first_gateway_output_tokens_total", answered.output_tokens),
+            ("first_gateway_output_tokens_total", summary.output_tokens),
             ("first_gateway_retries_total", metrics.retries),
             ("first_gateway_failovers_total", metrics.failovers),
             ("first_gateway_breaker_trips_total", metrics.breaker_trips),
@@ -193,48 +195,38 @@ impl Gateway {
             registry.add_counter(name, LabelSet::empty(), total);
         }
 
-        // Per-request latency histogram, replayed from the request log so the
-        // exported buckets match the canonical record of every request.
-        for entry in self.log().entries() {
-            let model = self.registry().model_name(entry.model);
-            registry.observe(
+        // Per-model request latency (every logged request, failed ones
+        // included) and token counters, one label set per model.
+        for (model, row) in summary.models(|m| self.registry().model_name(m)) {
+            registry.merge_histogram(
                 "first_request_latency_seconds",
-                LabelSet::single("model", model.to_string()),
-                entry.latency().as_secs_f64(),
+                LabelSet::single("model", model),
+                &row.latency_buckets,
             );
-            registry.add_counter(
-                "first_request_tokens_total",
-                LabelSet::from_pairs([
-                    ("model", model.to_string()),
-                    ("kind", "completion".to_string()),
-                ]),
-                entry.completion_tokens as u64,
-            );
-            registry.add_counter(
-                "first_request_tokens_total",
-                LabelSet::from_pairs([
-                    ("model", model.to_string()),
-                    ("kind", "prompt".to_string()),
-                ]),
-                entry.prompt_tokens as u64,
-            );
+            let usage = &row.usage;
+            for (kind, tokens) in [
+                ("completion", usage.completion_tokens),
+                ("prompt", usage.total_tokens - usage.completion_tokens),
+            ] {
+                registry.add_counter(
+                    "first_request_tokens_total",
+                    LabelSet::from_pairs([("model", model), ("kind", kind)]),
+                    tokens,
+                );
+            }
         }
 
         // Per-tenant (auth-user) partitions of the request log, the labelled
         // counters the scenario-matrix dashboards consume.
-        for (tenant, usage) in self.log().usage_by_user() {
+        for (tenant, usage) in summary.users() {
             let labels = LabelSet::single("tenant", tenant);
-            registry.add_counter(
-                "first_tenant_requests_total",
-                labels.clone(),
-                usage.requests,
-            );
-            registry.add_counter("first_tenant_failed_total", labels.clone(), usage.failures);
-            registry.add_counter(
-                "first_tenant_output_tokens_total",
-                labels,
-                usage.completion_tokens,
-            );
+            for (name, value) in [
+                ("first_tenant_requests_total", usage.requests),
+                ("first_tenant_failed_total", usage.failures),
+                ("first_tenant_output_tokens_total", usage.completion_tokens),
+            ] {
+                registry.add_counter(name, labels.clone(), value);
+            }
         }
 
         // Per-phase latency histograms from the flight recorder (tracing must
@@ -719,6 +711,53 @@ mod tests {
                 "first_gateway_requests_received_total{operation=\"embeddings\"} 1",
                 "first_gateway_requests_rejected_total 1",
             ]
+        );
+    }
+
+    /// The Prometheus exposition and the dashboard text of `gw` at `now`,
+    /// with the wall-clock readings (the harness line and the two
+    /// wall-derived harness gauges) stripped.
+    fn scrape_text(gw: &Gateway, now: SimTime) -> String {
+        let exposition = render_prometheus(&gw.export_metrics(now).snapshot());
+        let dashboard = gw.dashboard_snapshot(now).render_text();
+        exposition
+            .lines()
+            .chain(dashboard.lines())
+            .filter(|l| {
+                !l.starts_with("-- harness --")
+                    && !l.starts_with("first_sim_wall_clock_seconds ")
+                    && !l.starts_with("first_sim_events_per_second ")
+            })
+            .fold(String::new(), |out, l| out + l + "\n")
+    }
+
+    #[test]
+    fn scrape_text_is_pinned_on_mixed_traffic_and_on_a_tenant_tie() {
+        let mixed = run_mixed_traffic();
+        assert_eq!(
+            scrape_text(&mixed, SimTime::from_secs(600)),
+            include_str!("../tests/pinned/scrape_mixed.txt")
+        );
+
+        // Alice and Bob send three requests each: their tenant rows tie on
+        // request count.
+        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
+            .prewarm(1)
+            .build_with_tokens();
+        for i in 0..6u64 {
+            let token = if i % 2 == 0 {
+                &tokens.bob
+            } else {
+                &tokens.alice
+            };
+            let req = ChatCompletionRequest::simple(MODEL, &format!("tie {i}"), 200);
+            gw.chat_completions(&req, token, Some(40 + 30 * i as u32), SimTime::from_secs(i))
+                .unwrap();
+        }
+        drain(&mut gw);
+        assert_eq!(
+            scrape_text(&gw, SimTime::from_secs(600)),
+            include_str!("../tests/pinned/scrape_tie.txt")
         );
     }
 

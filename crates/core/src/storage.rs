@@ -2,21 +2,23 @@
 //!
 //! The production gateway logs every user activity in PostgreSQL and exposes
 //! real-time and summary metrics through a dashboard. Here the log is an
-//! in-memory append-only store with the query patterns the dashboard needs
-//! (per-user, per-model, deployment totals, per-model latencies), and the
-//! metrics layer keeps the counters the log cannot give.
+//! in-memory append-only store, and the metrics layer keeps the counters the
+//! log cannot give. Recording is one push; every read is one pass,
+//! [`RequestLog::summary`], that allocates per model and per user, not per
+//! row, but is still linear in the length of the log.
 //!
-//! A log row holds ids, not names. The log owns the user interner the
-//! gateway interns authenticated users into; model and endpoint names stay
-//! with the registry and the compute service, and the gateway resolves them
-//! when a report is read ([`crate::Gateway::usage_by_model`],
-//! [`crate::Gateway::endpoint_name`]).
+//! A log row holds ids, not names, and the summary's rows sit in `Vec`s
+//! indexed by them. The log owns the user interner the gateway interns
+//! authenticated users into; model and endpoint names stay with the registry
+//! and the compute service. A name is resolved when a reader asks for rows
+//! in name order ([`LogSummary::users`], [`LogSummary::models`]) or for a
+//! row's endpoint ([`crate::Gateway::endpoint_name`]).
 
 use crate::api::ApiOperation;
 use crate::registry::ModelId;
 use first_desim::{Histogram, Interner, SimDuration, SimTime, SymbolId};
 use first_fabric::EndpointId;
-use std::collections::BTreeMap;
+use first_telemetry::BucketHistogram;
 
 /// Dense id of a submitting user (a tenant, in scenario runs), interned by
 /// the gateway into its [`RequestLog`] when the request is authenticated.
@@ -75,19 +77,69 @@ pub struct UsageSummary {
     pub(crate) failures: u64,
 }
 
-/// What the request log says about the requests the gateway answered: the
-/// metrics layer's outcome counters and per-model latencies, derived on
-/// read rather than kept beside the log.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AnsweredTotals {
+/// One model's rows of the request log, folded.
+#[derive(Debug, Default)]
+pub struct ModelUsage {
+    /// Requests, tokens and failures.
+    pub usage: UsageSummary,
+    /// Exact latencies (seconds) of the successful requests.
+    pub(crate) latency: Histogram,
+    /// Latencies (seconds) of every request, failed ones included, observed
+    /// in log order into the exported buckets.
+    pub(crate) latency_buckets: BucketHistogram,
+}
+
+/// Everything the monitoring readers take from the request log, folded in
+/// one pass ([`RequestLog::summary`]). Rows are indexed by the dense model
+/// id (a [`SymbolId`]) and [`UserSym`]; a row no log entry names has no
+/// requests. Names are resolved when a reader asks for rows in name order.
+#[derive(Debug)]
+pub struct LogSummary<'a> {
+    log: &'a RequestLog,
     /// Requests answered successfully (cache hits included).
     pub(crate) completed: u64,
     /// Requests answered with a failure.
     pub(crate) failed: u64,
     /// Completion tokens returned by successful requests.
     pub(crate) output_tokens: u64,
-    /// End-to-end latency (seconds) of each model's successful requests.
-    pub(crate) latency_by_model: BTreeMap<ModelId, Histogram>,
+    /// Requests that were part of a batch job.
+    pub batch: u64,
+    pub(crate) models: Vec<ModelUsage>,
+    users: Vec<UsageSummary>,
+}
+
+impl<'a> LogSummary<'a> {
+    /// Per-model rows in the order of the names `model_name` gives each
+    /// model id (the registry's, for a gateway's log).
+    pub fn models<'n>(
+        &self,
+        model_name: impl Fn(ModelId) -> &'n str,
+    ) -> Vec<(&'n str, &ModelUsage)> {
+        in_name_order(&self.models, |m| &m.usage, model_name)
+    }
+
+    /// Per-user usage in user-name order.
+    pub fn users(&self) -> Vec<(&'a str, &UsageSummary)> {
+        in_name_order(&self.users, |u| u, |id| self.log.user_name(id))
+    }
+}
+
+/// The id-indexed rows some log entry names, with their names, sorted by
+/// name (names are unique within an id space).
+fn in_name_order<'r, 'n, T>(
+    rows: &'r [T],
+    usage: impl Fn(&T) -> &UsageSummary,
+    name: impl Fn(SymbolId) -> &'n str,
+) -> Vec<(&'n str, &'r T)> {
+    let logged = rows
+        .iter()
+        .enumerate()
+        .filter(|(_, row)| usage(row).requests > 0);
+    let mut named: Vec<_> = logged
+        .map(|(i, row)| (name(SymbolId(i as u32)), row))
+        .collect();
+    named.sort_unstable_by_key(|&(name, _)| name);
+    named
 }
 
 /// Append-only request log (PostgreSQL substitute).
@@ -138,74 +190,40 @@ impl RequestLog {
         &self.entries
     }
 
-    /// Number of distinct users seen.
-    pub fn distinct_users(&self) -> usize {
-        let mut users: Vec<UserSym> = self.entries.iter().map(|e| e.user).collect();
-        users.sort_unstable();
-        users.dedup();
-        users.len()
-    }
-
-    /// Per-user usage aggregates.
-    pub fn usage_by_user(&self) -> BTreeMap<String, UsageSummary> {
-        let mut out: BTreeMap<String, UsageSummary> = BTreeMap::new();
+    /// Fold the log into its [`LogSummary`], one pass over the rows.
+    pub fn summary(&self) -> LogSummary<'_> {
+        let mut summary = LogSummary {
+            log: self,
+            completed: 0,
+            failed: 0,
+            output_tokens: 0,
+            batch: 0,
+            models: Vec::new(),
+            users: vec![UsageSummary::default(); self.users.len()],
+        };
         for e in &self.entries {
-            let s = out.entry(self.user_name(e.user).to_string()).or_default();
-            s.requests += 1;
-            s.total_tokens += e.total_tokens();
-            s.completion_tokens += e.completion_tokens as u64;
-            if !e.success {
-                s.failures += 1;
+            let latency = e.latency().as_secs_f64();
+            let model = e.model.index();
+            if model >= summary.models.len() {
+                summary.models.resize_with(model + 1, ModelUsage::default);
+            }
+            let model = &mut summary.models[model];
+            model.latency_buckets.observe(latency);
+            for usage in [&mut model.usage, &mut summary.users[e.user.index()]] {
+                usage.requests += 1;
+                usage.total_tokens += e.total_tokens();
+                usage.completion_tokens += e.completion_tokens as u64;
+                usage.failures += u64::from(!e.success);
+            }
+            summary.failed += u64::from(!e.success);
+            summary.batch += u64::from(e.batch);
+            if e.success {
+                summary.completed += 1;
+                summary.output_tokens += e.completion_tokens as u64;
+                model.latency.record(latency);
             }
         }
-        out
-    }
-
-    /// Per-model usage aggregates, keyed by the name `model_name` gives each
-    /// model id (the registry's, for a gateway's log).
-    pub fn usage_by_model<'n>(
-        &self,
-        model_name: impl Fn(ModelId) -> &'n str,
-    ) -> BTreeMap<String, UsageSummary> {
-        let mut by_id: BTreeMap<ModelId, UsageSummary> = BTreeMap::new();
-        for e in &self.entries {
-            let s = by_id.entry(e.model).or_default();
-            s.requests += 1;
-            s.total_tokens += e.total_tokens();
-            s.completion_tokens += e.completion_tokens as u64;
-            if !e.success {
-                s.failures += 1;
-            }
-        }
-        by_id
-            .into_iter()
-            .map(|(id, usage)| (model_name(id).to_string(), usage))
-            .collect()
-    }
-
-    /// Interactive vs batch request counts.
-    pub fn interactive_batch_split(&self) -> (u64, u64) {
-        let batch = self.entries.iter().filter(|e| e.batch).count() as u64;
-        (self.entries.len() as u64 - batch, batch)
-    }
-
-    /// Fold the log into the metrics layer's totals.
-    pub(crate) fn answered_totals(&self) -> AnsweredTotals {
-        let mut totals = AnsweredTotals::default();
-        for e in &self.entries {
-            if !e.success {
-                totals.failed += 1;
-                continue;
-            }
-            totals.completed += 1;
-            totals.output_tokens += e.completion_tokens as u64;
-            totals
-                .latency_by_model
-                .entry(e.model)
-                .or_default()
-                .record(e.latency().as_secs_f64());
-        }
-        totals
+        summary
     }
 }
 
@@ -309,32 +327,47 @@ mod tests {
         const MODELS: [&str; 2] = ["llama-70b", "llama-8b"];
         let (llama_70b, llama_8b) = (SymbolId(0), SymbolId(1));
         let mut log = RequestLog::new();
-        let alice = log.intern_user("alice");
         let bob = log.intern_user("bob");
-        log.record(entry(alice, llama_70b, 200, true, false));
-        log.record(entry(alice, llama_8b, 100, true, false));
-        log.record(entry(bob, llama_70b, 50, false, true));
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.distinct_users(), 2);
-        let by_user = log.usage_by_user();
-        assert_eq!(by_user["alice"].requests, 2);
-        assert_eq!(by_user["alice"].completion_tokens, 300);
-        assert_eq!(by_user["bob"].failures, 1);
-        let by_model = log.usage_by_model(|m| MODELS[m.index()]);
-        assert_eq!(by_model["llama-70b"].requests, 2);
-        assert_eq!(by_model["llama-70b"].failures, 1);
-        assert_eq!(by_model["llama-8b"].requests, 1);
-        assert_eq!(log.interactive_batch_split(), (2, 1));
+        let alice = log.intern_user("alice");
+        // Carol authenticates but logs no request.
+        log.intern_user("carol");
+        log.record(entry(alice, llama_70b, 150, true, false));
+        log.record(RequestLogEntry {
+            finished_at: SimTime::from_secs(8),
+            ..entry(alice, llama_70b, 180, true, false)
+        });
+        log.record(entry(alice, llama_8b, 0, false, false));
+        log.record(entry(bob, llama_70b, 0, false, true));
+        assert_eq!(log.len(), 4);
+        let summary = log.summary();
+        assert_eq!((summary.completed, summary.failed), (2, 2));
+        assert_eq!(summary.output_tokens, 330);
+        assert_eq!(summary.batch, 1);
+        // Users come out in name order, carol left out.
+        let users = summary.users();
+        let names: Vec<&str> = users.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["alice", "bob"]);
+        assert_eq!(users[0].1.requests, 3);
+        assert_eq!(users[0].1.completion_tokens, 330);
+        assert_eq!(users[0].1.total_tokens, 630);
+        assert_eq!(users[1].1.failures, 1);
+        let models = summary.models(|m| MODELS[m.index()]);
+        let (name, row) = models[0];
+        assert_eq!(name, "llama-70b");
+        assert_eq!((row.usage.requests, row.usage.failures), (3, 1));
+        // Only successful requests carry an exact latency; the exported
+        // buckets see every row.
+        assert_eq!(row.latency.samples(), [3.0, 7.0]);
+        assert_eq!(row.latency_buckets.count(), 3);
+        let (name, row) = models[1];
+        assert_eq!(
+            (name, row.usage.requests, row.latency.count()),
+            ("llama-8b", 1, 0)
+        );
+        assert_eq!(models.len(), 2);
         // Interning is idempotent, and ids resolve back to their names.
         assert_eq!(log.intern_user("alice"), alice);
-        assert_eq!(log.user_name(log.entries()[2].user), "bob");
-    }
-
-    #[test]
-    fn log_entry_latency() {
-        let e = entry(SymbolId(0), SymbolId(0), 10, true, false);
-        assert_eq!(e.latency(), SimDuration::from_secs(3));
-        assert_eq!(e.total_tokens(), 110);
+        assert_eq!(log.user_name(log.entries()[3].user), "bob");
     }
 
     #[test]
@@ -348,14 +381,21 @@ mod tests {
             ..entry(alice, llama_70b, 180, true, false)
         });
         log.record(entry(alice, llama_8b, 0, false, false));
-        let totals = log.answered_totals();
+        let totals = log.summary();
         assert_eq!((totals.completed, totals.failed), (2, 1));
         assert_eq!(totals.output_tokens, 330);
         // Only successful requests carry a latency.
-        let latency = &totals.latency_by_model[&llama_70b];
+        let latency = &totals.models[llama_70b.index()].latency;
         assert_eq!(latency.count(), 2);
-        assert_eq!((latency.quantile(0.0), latency.quantile(100.0)), (3.0, 7.0));
-        assert!(!totals.latency_by_model.contains_key(&llama_8b));
+        assert_eq!(latency.samples(), [3.0, 7.0]);
+        assert_eq!(totals.models[llama_8b.index()].latency.count(), 0);
+    }
+
+    #[test]
+    fn log_entry_latency() {
+        let e = entry(SymbolId(0), SymbolId(0), 10, true, false);
+        assert_eq!(e.latency(), SimDuration::from_secs(3));
+        assert_eq!(e.total_tokens(), 110);
     }
 
     #[test]

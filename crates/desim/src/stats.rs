@@ -312,29 +312,6 @@ impl Histogram {
         }
     }
 
-    /// Read-only percentile in `[0, 100]`: the `&self` counterpart of
-    /// [`Histogram::percentile`], computing the same rounded linear rank
-    /// `round(p/100 · (n−1))` (see there for how this differs from
-    /// nearest-rank), for scrape paths that must not mutate the
-    /// histogram. Uses the sorted cache when it is fresh; otherwise sorts a
-    /// temporary copy of the samples and leaves the cache untouched, so the
-    /// call is idempotent and never perturbs equality or serialization of
-    /// the histogram it reads.
-    pub fn quantile(&self, p: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * (self.samples.len() as f64 - 1.0)).round() as usize;
-        let rank = rank.min(self.samples.len() - 1);
-        if self.sorted {
-            return self.samples[rank];
-        }
-        let mut copy = self.samples.clone();
-        copy.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        copy[rank]
-    }
-
     /// Merge another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
         self.samples.extend_from_slice(&other.samples);
@@ -411,7 +388,6 @@ mod tests {
         one.record(7.5);
         for p in [0.0, 50.0, 100.0] {
             assert_eq!(one.percentile(p), 7.5);
-            assert_eq!(one.quantile(p), 7.5);
         }
         // p=0 is the minimum, p=100 the maximum, out-of-range p clamps.
         let mut h = Histogram::new();
@@ -425,7 +401,6 @@ mod tests {
         // Rounded linear rank, not nearest-rank: round(0.5 * 3) = 2 → the
         // third sorted sample. (Nearest-rank would give the second, 2.0.)
         assert_eq!(h.percentile(50.0), 3.0);
-        assert_eq!(h.quantile(50.0), 3.0);
         // NaN samples must not poison the sort: the `partial_cmp` fallback
         // to `Equal` keeps the comparator total, so the call is panic-free,
         // no sample is lost, and the answer is always a recorded sample

@@ -1,12 +1,10 @@
 //! The metric registry: named counter/gauge/histogram families with labels.
 //!
-//! The registry is the single sink every layer of the deployment reports
-//! into — the gateway's request path, the compute fabric's endpoint events
-//! and the HPC scheduler's node accounting — and the single source the
-//! dashboard, the Prometheus exposition and the alert evaluator read from.
-//! It is shared behind `parking_lot::Mutex` because the benchmark harness
-//! fans parameter sweeps out across threads and each sweep owns a clone of
-//! the deployment but may report into one shared registry.
+//! A registry is what a scrape produces: the gateway's `export_metrics`
+//! builds a fresh one per call, and the Prometheus exposition and the alert
+//! evaluator read it. Nothing on the request path reports into one, and no
+//! caller keeps one between scrapes or shares one between threads, although
+//! the store sits behind `Arc<parking_lot::Mutex>` so that clones could.
 
 use crate::counter::{Counter, Gauge};
 use crate::histogram::BucketHistogram;
@@ -123,6 +121,13 @@ impl RegistryInner {
             }
         }
     }
+
+    fn histogram(&mut self, name: &str, labels: LabelSet) -> &mut BucketHistogram {
+        self.check_kind(name, MetricKind::Histogram);
+        self.histograms
+            .entry(MetricId::new(name, labels))
+            .or_insert_with(BucketHistogram::latency_seconds)
+    }
 }
 
 /// Thread-safe metric registry. Cloning shares the underlying store.
@@ -167,21 +172,14 @@ impl MetricRegistry {
     /// Observe a value into a labelled histogram, creating it with
     /// [`BucketHistogram::latency_seconds`] buckets when absent.
     pub fn observe(&self, name: &str, labels: LabelSet, value: f64) {
-        self.observe_with(name, labels, value, BucketHistogram::latency_seconds);
+        self.inner.lock().histogram(name, labels).observe(value);
     }
 
-    /// Observe a value, creating the histogram with custom buckets when absent.
-    fn observe_with<F>(&self, name: &str, labels: LabelSet, value: f64, make: F)
-    where
-        F: FnOnce() -> BucketHistogram,
-    {
-        let mut inner = self.inner.lock();
-        inner.check_kind(name, MetricKind::Histogram);
-        inner
-            .histograms
-            .entry(MetricId::new(name, labels))
-            .or_insert_with(make)
-            .observe(value);
+    /// Merge a whole histogram into a labelled histogram, created as in
+    /// [`MetricRegistry::observe`]. Panics if the bucket bounds differ.
+    pub fn merge_histogram(&self, name: &str, labels: LabelSet, histogram: &BucketHistogram) {
+        let merged = self.inner.lock().histogram(name, labels).merge(histogram);
+        assert!(merged, "histogram {name:?} merged with other bucket bounds");
     }
 
     /// Take a point-in-time snapshot of every series.
@@ -260,6 +258,26 @@ mod tests {
             snap.find("first_hot_nodes", &LabelSet::single("cluster", "sophia")),
             Some(MetricSnapshot::Gauge { value, .. }) if *value == 3.0
         ));
+    }
+
+    #[test]
+    fn a_merged_histogram_matches_the_same_observations() {
+        let (observed, merged) = (MetricRegistry::new(), MetricRegistry::new());
+        let mut whole = BucketHistogram::latency_seconds();
+        for v in [0.3, 9.2, 46.9, 0.004] {
+            observed.observe("first_latency_seconds", model_labels("llama-70b"), v);
+            whole.observe(v);
+        }
+        merged.merge_histogram("first_latency_seconds", model_labels("llama-70b"), &whole);
+        assert_eq!(observed.snapshot(), merged.snapshot());
+        merged.merge_histogram("first_latency_seconds", model_labels("llama-70b"), &whole);
+        match merged
+            .snapshot()
+            .find("first_latency_seconds", &model_labels("llama-70b"))
+        {
+            Some(MetricSnapshot::Histogram { count, .. }) => assert_eq!(*count, 8),
+            other => panic!("unexpected sample {other:?}"),
+        }
     }
 
     #[test]

@@ -91,10 +91,11 @@ fn main() {
     }
 
     println!("\n== per-model usage recorded by the gateway ==");
-    for (model, summary) in gateway.usage_by_model() {
+    let registry = gateway.registry();
+    for (model, row) in gateway.log().summary().models(|m| registry.model_name(m)) {
         println!(
             "  {:<46} {:>6} requests {:>10} tokens",
-            model, summary.requests, summary.total_tokens
+            model, row.usage.requests, row.usage.total_tokens
         );
     }
     println!(

@@ -88,9 +88,11 @@ fn many_concurrent_users_share_the_deployment() {
     assert_eq!(responses.len(), expected);
     assert!(responses.iter().all(|r| r.success));
     // Both users appear in the request log, which feeds the dashboard.
-    assert_eq!(gateway.log().distinct_users(), 2);
-    let by_user = gateway.log().usage_by_user();
-    assert!(by_user["alice"].requests > 0 && by_user["bob"].requests > 0);
+    let summary = gateway.log().summary();
+    let by_user = summary.users();
+    assert_eq!(by_user.len(), 2);
+    assert_eq!((by_user[0].0, by_user[1].0), ("alice", "bob"));
+    assert!(by_user.iter().all(|(_, usage)| usage.requests > 0));
     // The run also satisfies the scenario-matrix invariants: conservation
     // and an empty task slab after draining.
     let ledger = RunLedger {
