@@ -234,9 +234,9 @@ impl FaultPlan {
 
 /// One kind of shard-scoped fault. Unlike [`FaultKind`], which perturbs the
 /// compute substrate *inside* one shard, these strike the federation tier
-/// itself: whole-shard death and recovery, front-tier reachability, and the
-/// shared fan-in path. They are applied by the scenario driver at the
-/// `ShardedGateway` level, not by the per-shard [`FaultInjector`].
+/// itself: whole-shard death and recovery. They are applied by the scenario
+/// driver at the `ShardedGateway` level, not by the per-shard
+/// [`FaultInjector`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ShardFaultKind {
     /// The shard process dies: every in-flight request on it is lost, its
@@ -251,23 +251,6 @@ pub enum ShardFaultKind {
     ShardRestart {
         /// Index of the shard that restarts.
         shard: usize,
-    },
-    /// The front tier loses reachability to a healthy shard for `duration`:
-    /// the shard keeps draining its queue, but no new requests route to it
-    /// and responses it produces are only collected once the partition heals.
-    FrontTierPartition {
-        /// Index of the shard cut off from the front tier.
-        shard: usize,
-        /// How long the partition lasts.
-        duration: SimDuration,
-    },
-    /// The shared DNS/LB fan-in path degrades: every submission pays `extra`
-    /// on top of the configured fan-in latency until the spike ends.
-    FanInLatencySpike {
-        /// Extra fan-in latency added.
-        extra: SimDuration,
-        /// Spike duration.
-        duration: SimDuration,
     },
 }
 
@@ -331,11 +314,6 @@ impl ShardFaultPlan {
         Self::none()
             .with(at, ShardFaultKind::ShardCrash { shard })
             .with(at + down_for, ShardFaultKind::ShardRestart { shard })
-    }
-
-    /// A front-tier partition of `shard` at `at` lasting `duration`.
-    pub fn partition(shard: usize, at: SimTime, duration: SimDuration) -> Self {
-        Self::none().with(at, ShardFaultKind::FrontTierPartition { shard, duration })
     }
 }
 
@@ -620,10 +598,7 @@ mod tests {
             )
             .with(
                 SimTime::from_secs(20),
-                ShardFaultKind::FanInLatencySpike {
-                    extra: SimDuration::from_millis(250),
-                    duration: SimDuration::from_secs(15),
-                },
+                ShardFaultKind::ShardCrash { shard: 0 },
             );
         assert_eq!(plan.len(), 3);
         assert!(plan.events().windows(2).all(|w| w[0].at <= w[1].at));
@@ -631,10 +606,10 @@ mod tests {
             plan.events()[0].kind,
             ShardFaultKind::ShardCrash { shard: 1 }
         );
-        assert!(matches!(
+        assert_eq!(
             plan.events()[1].kind,
-            ShardFaultKind::FanInLatencySpike { .. }
-        ));
+            ShardFaultKind::ShardCrash { shard: 0 }
+        );
         let json = serde_json::to_string(&plan).unwrap();
         let back: ShardFaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
@@ -656,12 +631,6 @@ mod tests {
             ShardFaultKind::ShardRestart { shard: 2 }
         );
         assert_eq!(plan.events()[1].at, SimTime::from_secs(40));
-        assert!(matches!(
-            ShardFaultPlan::partition(0, SimTime::from_secs(5), SimDuration::from_secs(9)).events()
-                [0]
-            .kind,
-            ShardFaultKind::FrontTierPartition { shard: 0, .. }
-        ));
     }
 
     #[test]

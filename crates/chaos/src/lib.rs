@@ -11,8 +11,8 @@
 //!   latency spikes (`first-fabric`), engine stalls (`first-serving`). The
 //!   same seed always produces the same failure scenario. Shard-scoped plans
 //!   ([`ShardFaultPlan`]) schedule federation-tier faults — whole-shard
-//!   crashes and restarts, front-tier partitions, fan-in latency spikes —
-//!   that the sharded scenario driver applies above the per-shard injectors.
+//!   crashes and restarts — that the sharded scenario driver applies above
+//!   the per-shard injectors.
 //! * [`health`] — the resilience machinery the gateway consumes: per-endpoint
 //!   [`HealthState`]s, an exponential-backoff [`RetryPolicy`], hedged-request
 //!   support, a `CircuitBreaker`, and the [`ResilienceConfig`] bundle.

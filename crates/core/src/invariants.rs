@@ -20,7 +20,7 @@
 //! `check_front_tier_invariants`, in every build, and panics on a
 //! violation: each shard passes the single-gateway checks, and the per-shard
 //! ledgers reconcile with the whole-run ledger through the front tier's
-//! retries, hedges, sheds, crash losses and spills. Table 1's closed loop,
+//! retries, sheds, crash losses, stale answers and spills. Table 1's closed loop,
 //! [`crate::run_webui_closed_loop`], closes its run with
 //! [`check_run_invariants`] and panics too; its window cuts turns off in
 //! flight, so its ledger never claims a drained gateway. Integration tests
@@ -190,12 +190,12 @@ pub fn check_run_invariants(gateway: &Gateway, ledger: &RunLedger) -> Result<(),
 /// crashed never reports drained, since the copies it lost were purged, not
 /// answered).
 ///
-/// The two reconcile through the front tier's `counters`: retries and
-/// hedges add physical submissions, typed sheds resolve a client request
-/// without one, a give-up fails it without a physical answer, a crash loses
-/// copies in flight, and a duplicate answer is dropped as stale. So, with
-/// `R = retries + hedges`, `total.accepted ≤ Σ accepted ≤ total.accepted +
-/// R`, `total.completed ≤ Σ completed ≤ total.completed + stale`, and
+/// The two reconcile through the front tier's `counters`: retries add
+/// physical submissions, typed sheds resolve a client request without one,
+/// a give-up fails it without a physical answer, a crash loses copies in
+/// flight, and a duplicate answer is dropped as stale. So, with `R` the
+/// retries dispatched, `total.accepted ≤ Σ accepted ≤ total.accepted + R`,
+/// `total.completed ≤ Σ completed ≤ total.completed + stale`, and
 /// `total.failed − gave_up ≤ Σ failed ≤ total.failed − gave_up + stale`.
 /// When nothing was re-dispatched, shed or dropped, the bounds collapse to
 /// exact per-field sums. Every spill leaving one shard must also arrive at
@@ -229,7 +229,7 @@ pub(crate) fn check_front_tier_invariants(
 
     let c = counters;
     let sum = |f: fn(&RunLedger) -> usize| shard_ledgers.iter().map(f).sum::<usize>();
-    let redispatched = c.retries_dispatched + c.hedges_dispatched;
+    let redispatched = c.retries_dispatched;
     let gave_up = c.shed_retries_exhausted;
     let stale = c.stale_responses;
     let phys_offered = sum(|l| l.offered);
@@ -237,17 +237,12 @@ pub(crate) fn check_front_tier_invariants(
     let phys_completed = sum(|l| l.completed);
     let phys_failed = sum(|l| l.failed);
     // Physical dispatch flow: every client request the front tier did not
-    // shed pre-submit, plus every retry and hedge, hit exactly one shard.
-    if phys_offered + c.shed_overload + c.shed_no_live_shard != total.offered + redispatched {
+    // shed pre-submit, plus every retry, hit exactly one shard.
+    if phys_offered + c.shed_no_live_shard != total.offered + redispatched {
         violations.push(format!(
-            "physical dispatch flow does not reconcile: shards saw {} submissions + shed \
-             ({} + {}) != offered {} + retries {} + hedges {}",
-            phys_offered,
-            c.shed_overload,
-            c.shed_no_live_shard,
-            total.offered,
-            c.retries_dispatched,
-            c.hedges_dispatched
+            "physical dispatch flow does not reconcile: shards saw {} submissions + shed {} \
+             != offered {} + retries {}",
+            phys_offered, c.shed_no_live_shard, total.offered, redispatched
         ));
     }
     let failed_low = total.failed.saturating_sub(gave_up);
@@ -284,10 +279,10 @@ pub(crate) fn check_front_tier_invariants(
             ));
         }
     }
-    if c.retried_to_completion + c.hedge_wins > redispatched {
+    if c.retried_to_completion > redispatched {
         violations.push(format!(
-            "more retry/hedge wins ({} + {}) than dispatches ({} + {})",
-            c.retried_to_completion, c.hedge_wins, c.retries_dispatched, c.hedges_dispatched
+            "more retry wins ({}) than retries dispatched ({redispatched})",
+            c.retried_to_completion
         ));
     }
     let out: usize = spilled_out.iter().sum();
@@ -507,7 +502,8 @@ mod tests {
 
     /// A hand-built two-shard failover run: shard 1 crashed mid-run with two
     /// copies in flight, one was retried to completion on shard 0, one
-    /// exhausted its retry budget, and one request was shed for overload.
+    /// exhausted its retry budget, and one request was shed before it
+    /// reached any shard.
     fn failover_fixture() -> (Vec<Gateway>, Vec<RunLedger>, RunLedger, FailoverSection) {
         let shards = vec![
             DeploymentBuilder::single_cluster_test().prewarm(1).build(),
@@ -547,7 +543,7 @@ mod tests {
             lost_in_flight: 2,
             retries_dispatched: 1,
             retried_to_completion: 1,
-            shed_overload: 1,
+            shed_no_live_shard: 1,
             shed_retries_exhausted: 1,
             ..FailoverSection::default()
         };
@@ -587,7 +583,7 @@ mod tests {
     #[test]
     fn failover_unshed_dispatch_mismatch_is_reported() {
         let (shards, shard_ledgers, total, mut failover) = failover_fixture();
-        failover.shed_overload = 0;
+        failover.shed_no_live_shard = 0;
         let violations = check_front_tier_invariants(
             &shards,
             &shard_ledgers,
@@ -607,7 +603,7 @@ mod tests {
 
     #[test]
     fn cross_shard_accepted_overcount_is_reported_without_redispatch() {
-        // Nothing retried, hedged, shed or stale, so the accepted bound is
+        // Nothing retried, shed or stale, so the accepted bound is
         // an exact sum. Shard 0 over-counts one acceptance while `offered`
         // still reconciles and both shard ledgers balance on their own: only
         // the cross-shard sum can see it.

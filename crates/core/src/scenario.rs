@@ -18,14 +18,13 @@
 //! front-tier check, so every scenario run also proves request
 //! conservation and task-slab hygiene, or panics.
 //!
-//! Every request goes through one front tier: live-ring routing,
-//! the optional overload shed, fan-in, and first-response-wins delivery. A
-//! single unsharded gateway with the default [`FrontTierPolicy`] is just the
-//! front tier with one shard and nothing to retry, hedge or shed. The front
-//! tier owns the fleet, one fault injector per shard, the shard fault plan
-//! and the retry/timeout/hedge/heal queue, and it is the process the run
-//! hands to `drive_openloop`, the same next-event loop the remaining
-//! runners in [`crate::sim`] step through.
+//! Every request goes through one front tier: live-ring routing, fan-in,
+//! and first-response-wins delivery. A single unsharded gateway with the
+//! default [`FrontTierPolicy`] is just the front tier with one shard and
+//! nothing to retry. The front tier owns the fleet, one fault injector per
+//! shard, the shard fault plan and the retry/timeout queue, and it is the
+//! process the run hands to `drive_openloop`, the same next-event loop the
+//! remaining runners in [`crate::sim`] step through.
 
 use crate::deploy::DeploymentBuilder;
 use crate::gateway::Gateway;
@@ -141,7 +140,7 @@ pub struct ShardSection {
 
 /// The failover rollup of one run under shard-scoped faults or a non-default
 /// front-tier policy: what the chaos plan did to the federation tier and how
-/// the front tier absorbed it — retries, hedges, re-homes, and typed sheds.
+/// the front tier absorbed it — retries, re-homes, and typed sheds.
 /// `None` on the report when the run had neither, so reports from before
 /// shard faults existed keep serializing exactly as they did.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -151,35 +150,24 @@ pub struct FailoverSection {
     /// Shard restarts applied (fresh replica, cold caches, re-enrolled
     /// tenants).
     pub restarts: usize,
-    /// Front-tier partitions applied (shard alive but unroutable).
-    pub(crate) partitions: usize,
-    /// Fan-in latency spikes applied.
-    pub(crate) fanin_spikes: usize,
     /// Physical in-flight copies lost to shard crashes.
     pub lost_in_flight: usize,
     /// Arrivals routed to a surviving peer because their home shard was dead
-    /// or partitioned at arrival time.
+    /// at arrival time.
     pub rehomed_requests: usize,
     /// Front-tier re-dispatches: crash-loss retries under exponential
     /// backoff plus request-timeout re-dispatches.
     pub retries_dispatched: usize,
-    /// Requests that resolved on a non-hedge attempt after more than one
-    /// dispatch.
+    /// Requests that resolved after more than one dispatch.
     pub retried_to_completion: usize,
-    /// Hedged duplicate dispatches issued by the front tier.
-    pub(crate) hedges_dispatched: usize,
-    /// Requests whose hedged duplicate answered first.
-    pub(crate) hedge_wins: usize,
     /// Responses that arrived after their request had already been resolved
-    /// by a duplicate; dropped at the front tier, counted on the shard.
+    /// by another copy (a timeout re-dispatch puts several in flight);
+    /// dropped at the front tier, counted on the shard.
     pub(crate) stale_responses: usize,
-    /// Typed overload sheds: arrivals below the shed policy's priority floor
-    /// rejected while their home shard's queue exceeded the depth bound.
-    pub shed_overload: usize,
-    /// Typed sheds because no shard was routable at arrival time.
+    /// Typed sheds because no shard was live at arrival time.
     pub shed_no_live_shard: usize,
     /// Accepted requests failed back to the client after the retry budget
-    /// ran out, or with no routable shard left to retry on.
+    /// ran out, or with no live shard left to retry on.
     pub(crate) shed_retries_exhausted: usize,
     /// Circuit-breaker trips recorded by the fleet's per-shard health
     /// tracker.
@@ -299,21 +287,16 @@ impl GatewayReport {
         if let Some(fo) = &self.failover {
             let _ = writeln!(
                 out,
-                "failover: {} crashed / {} restarted / {} partitioned / {} fan-in spikes; \
-                 lost {} in flight, rehomed {}, retries {} ({} won), hedges {} ({} won), \
-                 {} stale; shed {} overload + {} no-shard + {} exhausted; {} breaker trips",
+                "failover: {} crashed / {} restarted; lost {} in flight, rehomed {}, \
+                 retries {} ({} won), {} stale; shed {} no-shard + {} exhausted; \
+                 {} breaker trips",
                 fo.crashes,
                 fo.restarts,
-                fo.partitions,
-                fo.fanin_spikes,
                 fo.lost_in_flight,
                 fo.rehomed_requests,
                 fo.retries_dispatched,
                 fo.retried_to_completion,
-                fo.hedges_dispatched,
-                fo.hedge_wins,
                 fo.stale_responses,
-                fo.shed_overload,
                 fo.shed_no_live_shard,
                 fo.shed_retries_exhausted,
                 fo.breaker_trips,
@@ -545,17 +528,10 @@ impl<'c> ScenarioRun<'c> {
             }
         }
         let shards = self.sharding.shards.max(1);
-        let named = self
-            .spec
-            .shard_faults
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                ShardFaultKind::ShardCrash { shard }
-                | ShardFaultKind::ShardRestart { shard }
-                | ShardFaultKind::FrontTierPartition { shard, .. } => Some(shard),
-                ShardFaultKind::FanInLatencySpike { .. } => None,
-            });
+        let plan = self.spec.shard_faults.events();
+        let named = plan.iter().map(|e| match e.kind {
+            ShardFaultKind::ShardCrash { shard } | ShardFaultKind::ShardRestart { shard } => shard,
+        });
         if let Some(shard) = named.max().filter(|&shard| shard >= shards) {
             return Err(CassetteError::MissingShard {
                 scenario: self.spec.name.clone(),
@@ -621,9 +597,9 @@ pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell
     }
 }
 
-/// One shard's in-flight index: shard-local request id → (position in the
-/// request stream, whether the copy is a hedged duplicate). Kept per shard
-/// so a crash drains only the dead shard's window.
+/// One shard's in-flight index: shard-local request id → position in the
+/// request stream. Kept per shard so a crash drains only the dead shard's
+/// window.
 ///
 /// A window, not a hash map, because of how the ids behave: each shard
 /// gateway hands out its request ids from one counter, so the ids a shard
@@ -632,17 +608,7 @@ pub fn replay_dashboard_cell(cassette: &Cassette) -> first_telemetry::ReplayCell
 /// the shard's in-flight set. A restarted shard counts from 1 again, but
 /// its crash drained the window first. Iteration is in ascending id
 /// order, the order a crash retries the lost copies in.
-type InFlightIndex = IdWindow<(usize, bool)>;
-
-#[cfg(test)]
-thread_local! {
-    /// Entries each shard's in-flight index still held when the latest run
-    /// on this thread finished.
-    static LEFT_IN_INDEX: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
-    /// Live requests and window slots the front tier still held when the
-    /// latest run on this thread finished.
-    static LEFT_LIVE: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
-}
+type InFlightIndex = IdWindow<usize>;
 
 /// Front-tier actions scheduled on the failover event queue. Ordering within
 /// one instant follows the queue's insertion sequence.
@@ -652,10 +618,6 @@ enum FrontAction {
     Retry(usize),
     /// Request-timeout check for request `idx`, armed at attempt snapshot.
     Timeout(usize, u32),
-    /// Hedge request `idx` if the attempt snapshot is still current.
-    Hedge(usize, u32),
-    /// A front-tier partition of `shard` heals.
-    Heal(usize),
 }
 
 /// One request the front tier has accepted and not yet resolved.
@@ -665,10 +627,9 @@ struct LiveRequest<'a> {
     request: ScenarioArrival<'a>,
     /// Physical dispatch attempts (initial submit included).
     attempts: u32,
-    /// Physical copies currently in flight.
+    /// Physical copies currently in flight: a timeout re-dispatch leaves
+    /// the earlier copy running.
     outstanding: u32,
-    /// Shard the latest non-hedge attempt went to (hedges go elsewhere).
-    last_shard: usize,
 }
 
 /// One tenant's share of a run, as the front tier tallies it.
@@ -684,9 +645,9 @@ struct TenantTally {
 
 /// The front tier of one open-loop run, and the simulation process
 /// [`drive_openloop`] steps: the fleet, one fault injector per shard, the
-/// shard fault plan, and the retry/timeout/hedge/heal queue. It routes every
-/// arrival (live-ring home, optional shed, fan-in) and collects every
-/// response first-response-wins, keeping the ledgers and per-tenant
+/// shard fault plan, and the retry/timeout queue. It routes every arrival
+/// (live-ring home, fan-in) and collects every response
+/// first-response-wins, keeping the ledgers and per-tenant
 /// tallies the report is built from. A request's own state lives in the
 /// front tier only from its acceptance to its resolution; per-request
 /// outcomes are kept only when the run is recorded. Without shard faults or
@@ -730,8 +691,6 @@ struct FrontTier<'a> {
     queue: TimingWheel<FrontAction>,
     /// Cursor into the spec's shard fault plan.
     cursor: usize,
-    /// Active fan-in latency spikes: `(expires, extra latency)`.
-    spikes: Vec<(SimTime, SimDuration)>,
     /// Shards that crashed at least once; their physical ledgers can never
     /// report drained because the in-flight work they lost is gone.
     ever_crashed: Vec<bool>,
@@ -777,40 +736,15 @@ impl<'a> FrontTier<'a> {
             unresolved: 0,
             queue: TimingWheel::new(),
             cursor: 0,
-            spikes: Vec::new(),
             ever_crashed: vec![false; shards],
             counters: FailoverSection::default(),
         }
     }
 
-    /// Fan-in latency including any active spike at `now`. Expired spikes
-    /// are pruned here — arrivals are non-decreasing, so an entry that has
-    /// lapsed can never contribute again and would otherwise accumulate for
-    /// the whole run (one per injected spike, scanned on every request).
-    fn effective_fanin(&mut self, now: SimTime) -> SimDuration {
-        self.spikes.retain(|&(until, _)| until > now);
-        let extra = self
-            .spikes
-            .iter()
-            .map(|&(_, extra)| extra)
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        self.fanin + extra
-    }
-
-    /// Whether the shed policy turns away an arrival of `priority` whose
-    /// home shard holds `depth` queued requests.
-    fn sheds(&self, priority: u8, depth: usize) -> bool {
-        self.policy
-            .shed
-            .is_some_and(|shed| priority < shed.priority_floor && depth > shed.queue_depth)
-    }
-
     /// Tenant `tenant`'s home on the live ring: its cached full-ring home
-    /// while that shard is routable, else a live-ring lookup, `None` when no
-    /// shard is routable. The two agree: the live ring only deletes the
-    /// points of unroutable shards, so a key whose full-ring shard survives
-    /// keeps it.
+    /// while that shard is live, else a live-ring lookup, `None` when no
+    /// shard is live. The two agree: the live ring only deletes the points
+    /// of dead shards, so a key whose full-ring shard survives keeps it.
     fn routable_home(&self, tenant: usize) -> Option<usize> {
         let home = self.home[tenant];
         if self.fleet.routable(home) {
@@ -830,22 +764,6 @@ impl<'a> FrontTier<'a> {
         self.live
             .get_mut(idx as u64)
             .expect("request is live until resolved")
-    }
-
-    /// Book `shard` as the home of the latest non-hedge attempt of `idx`,
-    /// accepted at `now`, and arm the policy's timeout and hedge against the
-    /// current attempt count.
-    fn arm(&mut self, idx: usize, shard: usize, now: SimTime) {
-        let live = self.live_mut(idx);
-        live.last_shard = shard;
-        let snap = live.attempts;
-        if let Some(timeout) = self.policy.request_timeout {
-            self.queue
-                .push(now + timeout, FrontAction::Timeout(idx, snap));
-        }
-        if let Some(after) = self.policy.hedge_after {
-            self.queue.push(now + after, FrontAction::Hedge(idx, snap));
-        }
     }
 
     /// The retry policy's backoff before the next attempt of a request
@@ -876,38 +794,27 @@ impl<'a> FrontTier<'a> {
         self.first_arrival.get_or_insert(request.at);
         let tenant = request.tenant as usize;
         self.tenants[tenant].offered += 1;
-        // Degraded-mode routing: home on the live ring (dead and
-        // partitioned shards carry no points), shed typed when the
-        // federation cannot take the request at all or the shed policy
-        // says this priority must yield.
-        let routed = match self.routable_home(tenant) {
-            None => Err(&mut self.counters.shed_no_live_shard),
-            Some(home) if self.sheds(request.priority, self.fleet.shard(home).load_depth()) => {
-                Err(&mut self.counters.shed_overload)
-            }
-            Some(home) => Ok(home),
-        };
-        let accepted = match routed {
-            Err(shed_counter) => {
-                *shed_counter += 1;
+        // Degraded-mode routing: home on the live ring (dead shards carry
+        // no points), shed typed when no shard is live at all.
+        let accepted = match self.routable_home(tenant) {
+            None => {
+                self.counters.shed_no_live_shard += 1;
                 false
             }
-            Ok(home) => {
+            Some(home) => {
                 if home != self.home[tenant] {
                     self.counters.rehomed_requests += 1;
                 }
                 let shard = self.fleet.route_home(home).shard;
-                let arrival = request.at + self.effective_fanin(request.at);
                 self.live.insert(
                     idx as u64,
                     LiveRequest {
                         request,
                         attempts: 0,
                         outstanding: 0,
-                        last_shard: 0,
                     },
                 );
-                self.attempt(idx, shard, arrival, false)
+                self.attempt(idx, shard, request.at + self.fanin)
             }
         };
         if let Some(outcomes) = &mut self.outcomes {
@@ -927,9 +834,9 @@ impl<'a> FrontTier<'a> {
 
     /// Send one attempt of live request `idx` to `shard`, reaching it at
     /// `at`: count the attempt and, when the shard accepts, track the copy
-    /// in flight (a non-hedge attempt also re-arms the timeout and hedge).
-    /// Returns whether the shard accepted.
-    fn attempt(&mut self, idx: usize, shard: usize, at: SimTime, hedge: bool) -> bool {
+    /// in flight and arm the policy's timeout against the new attempt
+    /// count. Returns whether the shard accepted.
+    fn attempt(&mut self, idx: usize, shard: usize, at: SimTime) -> bool {
         let live = self.live_mut(idx);
         live.attempts += 1;
         let request = live.request;
@@ -941,47 +848,33 @@ impl<'a> FrontTier<'a> {
         let Ok(id) = result else {
             return false;
         };
-        self.request_index[shard].insert(id, (idx, hedge));
-        self.live_mut(idx).outstanding += 1;
-        if !hedge {
-            self.arm(idx, shard, at);
+        self.request_index[shard].insert(id, idx);
+        let live = self.live_mut(idx);
+        live.outstanding += 1;
+        let snap = live.attempts;
+        if let Some(timeout) = self.policy.request_timeout {
+            self.queue
+                .push(at + timeout, FrontAction::Timeout(idx, snap));
         }
         true
     }
 
-    /// One front-tier re-dispatch of live request `idx` at `now`: a
-    /// crash-loss or timeout retry (`hedge == false`, budgeted by the retry
-    /// policy) or a hedged duplicate to a different shard (`hedge == true`).
+    /// One front-tier re-dispatch of live request `idx` at `now`, after a
+    /// crash lost its copy or a timeout fired, budgeted by the retry policy.
     /// Resolves the request as failed when the budget is exhausted or no
-    /// shard is routable and nothing is in flight.
-    fn dispatch(&mut self, idx: usize, now: SimTime, hedge: bool) {
+    /// shard is live and nothing is in flight.
+    fn dispatch(&mut self, idx: usize, now: SimTime) {
         let budget = 1 + self.policy.retry.max_retries;
         let live = *self.live_mut(idx);
-        if !hedge && live.attempts >= budget {
+        if live.attempts >= budget {
             self.give_up(idx);
             return;
         }
-        let target = if hedge {
-            // Hedge to the least-loaded routable shard other than the one the
-            // primary attempt went to; with nowhere else to go, skip quietly —
-            // the primary is still in flight.
-            (0..self.fleet.shard_count())
-                .filter(|&i| i != live.last_shard && self.fleet.routable(i))
-                .min_by_key(|&i| (self.fleet.shard(i).load_depth(), i))
-        } else {
-            self.routable_home(live.request.tenant as usize)
-        };
-        let Some(shard) = target else {
-            if !hedge {
-                self.give_up(idx);
-            }
+        let Some(shard) = self.routable_home(live.request.tenant as usize) else {
+            self.give_up(idx);
             return;
         };
-        let accepted = self.attempt(idx, shard, now, hedge);
-        if hedge {
-            self.counters.hedges_dispatched += 1;
-            return;
-        }
+        let accepted = self.attempt(idx, shard, now);
         self.counters.retries_dispatched += 1;
         if accepted {
             return;
@@ -1008,7 +901,7 @@ impl<'a> FrontTier<'a> {
                 // Everything in flight on the shard dies with it, retried
                 // in ascending gateway-id order (the window's order).
                 let lost = std::mem::take(&mut self.request_index[shard]);
-                for &(idx, _) in lost.values() {
+                for &idx in lost.values() {
                     self.counters.lost_in_flight += 1;
                     let Some(live) = self.live.get_mut(idx as u64) else {
                         continue;
@@ -1040,28 +933,17 @@ impl<'a> FrontTier<'a> {
                 self.fleet.restore_shard(shard, gw, step);
                 self.tokens[shard] = fresh;
             }
-            ShardFaultKind::FrontTierPartition { shard, duration } => {
-                if self.fleet.partition_shard(shard, step) {
-                    self.counters.partitions += 1;
-                    self.queue.push(step + duration, FrontAction::Heal(shard));
-                }
-            }
-            ShardFaultKind::FanInLatencySpike { extra, duration } => {
-                self.counters.fanin_spikes += 1;
-                self.spikes.push((step + duration, extra));
-            }
         }
     }
 
-    /// Drain every reachable shard's responses into the ledgers, outcomes and
+    /// Drain every live shard's responses into the ledgers, outcomes and
     /// per-tenant tallies. The first response to a logical request wins and
     /// retires its live state — duplicates are counted stale and dropped at
-    /// the front tier — and dead or partitioned shards deliver nothing: a
-    /// crash loses its in-flight copies outright and a partition buffers
-    /// responses until it heals.
+    /// the front tier — and dead shards deliver nothing: a crash loses its
+    /// in-flight copies outright.
     fn collect(&mut self) {
         for shard in 0..self.fleet.shard_count() {
-            if !self.fleet.is_live(shard) || !self.fleet.is_reachable(shard) {
+            if !self.fleet.is_live(shard) {
                 continue;
             }
             for r in self.fleet.take_responses(shard) {
@@ -1069,7 +951,7 @@ impl<'a> FrontTier<'a> {
                 self.shard_ledgers[shard].on_response(r.success);
                 // Each physical copy is answered at most once, so its entry
                 // goes: the index holds the in-flight set, not the whole run.
-                let Some((idx, was_hedge)) = self.request_index[shard].remove(r.request_id) else {
+                let Some(idx) = self.request_index[shard].remove(r.request_id) else {
                     continue;
                 };
                 let Some(live) = self.live.remove(idx as u64) else {
@@ -1079,8 +961,8 @@ impl<'a> FrontTier<'a> {
                 self.unresolved -= 1;
                 self.ledger.on_response(r.success);
                 // Client-observed latency spans from the original arrival, in
-                // exact integer microseconds: the fan-in hop, backoff,
-                // re-dispatch and hedge delay all count against the SLO.
+                // exact integer microseconds: the fan-in hop, backoff and
+                // re-dispatch all count against the SLO.
                 let request = live.request;
                 let observed = r.finished_at.saturating_since(request.at).as_secs_f64();
                 if let Some(o) = self.outcomes.as_mut().map(|o| &mut o[idx]) {
@@ -1090,11 +972,7 @@ impl<'a> FrontTier<'a> {
                     o.completion_tokens = r.usage.completion_tokens;
                 }
                 if live.attempts > 1 {
-                    if was_hedge {
-                        self.counters.hedge_wins += 1;
-                    } else {
-                        self.counters.retried_to_completion += 1;
-                    }
+                    self.counters.retried_to_completion += 1;
                 }
                 let tally = &mut self.tenants[request.tenant as usize];
                 if r.success {
@@ -1155,21 +1033,16 @@ impl SimProcess for FrontTier<'_> {
             self.cursor += 1;
             self.shard_fault(&event.kind, step);
         }
-        // Front-tier events due now: retries, timeouts, hedges, heals. A
-        // timeout or hedge only fires if no later attempt superseded it.
+        // Front-tier events due now: retries and timeouts. A timeout only
+        // fires if no later attempt superseded it.
         while let Some(event) = self.queue.pop_due(step) {
             // A resolved request has nothing left to dispatch.
-            let (idx, hedge) = match event.payload {
-                FrontAction::Heal(shard) => {
-                    self.fleet.heal_shard(shard, step);
-                    continue;
-                }
-                FrontAction::Retry(idx) if self.attempts(idx).is_some() => (idx, false),
-                FrontAction::Timeout(idx, snap) if self.attempts(idx) == Some(snap) => (idx, false),
-                FrontAction::Hedge(idx, snap) if self.attempts(idx) == Some(snap) => (idx, true),
+            let idx = match event.payload {
+                FrontAction::Retry(idx) if self.attempts(idx).is_some() => idx,
+                FrontAction::Timeout(idx, snap) if self.attempts(idx) == Some(snap) => idx,
                 _ => continue,
             };
-            self.dispatch(idx, step, hedge);
+            self.dispatch(idx, step);
         }
     }
 }
@@ -1181,7 +1054,7 @@ impl SimProcess for FrontTier<'_> {
 /// only when the run is recorded).
 ///
 /// The run's [`FrontTier`] is the process [`drive_openloop`] steps, so
-/// arrivals, retries, timeouts and hedges all enter through the front tier,
+/// arrivals, retries and timeouts all enter through the front tier,
 /// and responses leave through one first-response-wins collector. With one
 /// shard, zero fan-in and the default policy the front tier has nothing to
 /// add, so the run is the plain single-gateway replay.
@@ -1211,11 +1084,11 @@ fn run_scenario_impl(
         FrontTier::drained,
     );
     #[cfg(test)]
-    LEFT_IN_INDEX.with(|left| {
+    tests::LEFT_IN_INDEX.with(|left| {
         *left.borrow_mut() = front.request_index.iter().map(IdWindow::len).collect();
     });
     #[cfg(test)]
-    LEFT_LIVE.with(|left| left.set((front.live.len(), front.live.span())));
+    tests::LEFT_LIVE.with(|left| left.set((front.live.len(), front.live.span())));
     let FrontTier {
         mut fleet,
         mut ledger,
@@ -1403,10 +1276,19 @@ fn run_scenario_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::{ConsistentHashRing, ShedPolicy};
+    use crate::shard::ConsistentHashRing;
     use first_workload::{
         scenario::models, ArrivalProcess, DeploymentRef, ScenarioSpec, SloTarget, TenantClass,
     };
+
+    thread_local! {
+        /// Entries each shard's in-flight index still held when the latest
+        /// run on this thread finished.
+        pub(super) static LEFT_IN_INDEX: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+        /// Live requests and window slots the front tier still held when the
+        /// latest run on this thread finished.
+        pub(super) static LEFT_LIVE: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+    }
 
     #[test]
     fn every_deployment_resolves_every_registered_endpoint() {
@@ -1505,16 +1387,16 @@ mod tests {
 
     #[test]
     fn drained_runs_leave_every_in_flight_index_empty() {
-        // A 1 ms hedge puts a second copy of most requests in flight; the
-        // losing copies must leave the index too.
-        let hedged = FrontTierPolicy {
-            hedge_after: Some(SimDuration::from_millis(1)),
+        // A 1 ms timeout re-dispatches most requests while their first copy
+        // is still in flight; the losing copies must leave the index too.
+        let timed_out = FrontTierPolicy {
+            request_timeout: Some(SimDuration::from_millis(1)),
             ..FrontTierPolicy::default()
         };
         for (shards, policy) in [
             (1, FrontTierPolicy::default()),
             (3, FrontTierPolicy::default()),
-            (3, hedged),
+            (3, timed_out),
         ] {
             let out = ScenarioRun::new(&small_spec())
                 .seed(7)
@@ -1568,11 +1450,11 @@ mod tests {
         assert!([0, 2, 3].iter().all(|&idx| f.attempts(idx) == Some(1)));
         // A timeout-style retry re-sends index 0 home as id 5: the ids now
         // run out of stream order.
-        f.dispatch(0, now, false);
+        f.dispatch(0, now);
         let index = &f.request_index[home];
         assert_eq!((index.len(), index.span()), (4, 5));
         assert_eq!(index.get(2), None);
-        assert_eq!(index.get(5), Some(&(0, false)));
+        assert_eq!(index.get(5), Some(&0));
         f.shard_fault(&ShardFaultKind::ShardCrash { shard: home }, now);
         assert_eq!(f.counters.lost_in_flight, 4);
         assert!(f.request_index[home].is_empty());
@@ -2047,161 +1929,37 @@ mod tests {
     }
 
     #[test]
-    fn shed_policy_rejects_low_priority_overload_with_typed_outcome() {
+    fn timed_out_requests_complete_once_and_drop_their_stale_copies() {
         let spec = failover_spec();
-        // Every tenant sits below the floor and any queued work counts as
-        // overload: most of the burst sheds instead of queueing.
+        // A 1 ms timeout re-dispatches every request before its first copy
+        // can answer, so several copies of one request race each other.
         let policy = FrontTierPolicy {
-            shed: Some(ShedPolicy {
-                queue_depth: 0,
-                priority_floor: 200,
-            }),
+            request_timeout: Some(SimDuration::from_millis(1)),
             ..FrontTierPolicy::default()
         };
+        // `execute` ends with `check_front_tier_invariants` and panics on a
+        // violation, so reaching the report means the run conserved.
         let report = ScenarioRun::new(&spec)
             .seed(42)
             .sharding(ShardingConfig::with_shards(2).front(policy))
             .execute()
-            .expect("shedding run")
-            .report;
-        let failover = report.failover.as_ref().expect("failover section");
-        assert!(failover.shed_overload > 0, "overload shed engaged");
-        assert_eq!(
-            report.rejected, failover.shed_overload,
-            "typed sheds are the only rejections"
-        );
-        assert_eq!(report.failed, 0);
-        assert_eq!(
-            report.offered,
-            report.completed + report.rejected,
-            "every request resolves exactly once"
-        );
-    }
-
-    #[test]
-    fn hedged_requests_complete_without_double_counting() {
-        let spec = failover_spec();
-        let policy = FrontTierPolicy {
-            hedge_after: Some(SimDuration::from_millis(1)),
-            ..FrontTierPolicy::default()
-        };
-        let report = ScenarioRun::new(&spec)
-            .seed(42)
-            .sharding(ShardingConfig::with_shards(2).front(policy))
-            .execute()
-            .expect("hedged run")
+            .expect("timed-out run")
             .report;
         assert_eq!(report.offered, 60);
-        assert_eq!(report.completed, 60);
+        assert_eq!(report.accepted, 60);
+        assert_eq!(report.completed, 60, "every request completes");
         assert_eq!(report.failed, 0);
-        let failover = report.failover.as_ref().expect("failover section");
-        assert!(failover.hedges_dispatched > 0, "1ms hedge delay fires");
-        assert_eq!(
-            failover.stale_responses + failover.hedge_wins,
-            failover.hedges_dispatched,
-            "every hedge copy either won or arrived stale"
-        );
-    }
-
-    #[test]
-    fn partitioned_shard_times_out_and_heals_without_losing_requests() {
-        let mut spec = failover_spec();
-        let victim = home_of(&spec, 4, 0);
-        spec.shard_faults = first_chaos::ShardFaultPlan::partition(
-            victim,
-            SimTime::from_secs(3),
-            SimDuration::from_secs(20),
-        );
-        let policy = FrontTierPolicy {
-            request_timeout: Some(SimDuration::from_secs(5)),
-            ..FrontTierPolicy::default()
-        };
-        let report = ScenarioRun::new(&spec)
-            .seed(42)
-            .sharding(ShardingConfig::with_shards(4).front(policy))
-            .execute()
-            .expect("partitioned run")
-            .report;
-        assert_eq!(report.offered, 60);
-        assert_eq!(report.failed, 0);
-        assert_eq!(report.completed, 60);
-        let failover = report.failover.as_ref().expect("failover section");
-        assert_eq!(failover.partitions, 1);
-        assert_eq!(failover.crashes, 0, "a partition is not a crash");
-        assert!(
-            failover.rehomed_requests > 0,
-            "arrivals during the partition route around the unreachable shard"
-        );
-    }
-
-    #[test]
-    fn expired_fanin_spikes_are_pruned_not_accumulated() {
-        let spec = small_spec();
-        let builder = builder_for(spec.deployment);
-        let base = SimDuration::from_millis(5);
-        let sharding = ShardingConfig::single().fanin(base);
-        let mut f = FrontTier::new(&spec, &builder, &sharding, false);
-        for i in 0..1_000u64 {
-            f.spikes
-                .push((SimTime::from_secs(i + 1), SimDuration::from_millis(i)));
+        for t in &report.tenants {
+            assert_eq!(t.completed, t.offered, "{} completes once each", t.tenant);
         }
-        // Once every spike has lapsed, a single query drops the whole
-        // backlog instead of rescanning it on every later request.
-        assert_eq!(f.effective_fanin(SimTime::from_secs(2_000)), base);
-        assert!(f.spikes.is_empty(), "lapsed spikes must not accumulate");
-        // Active spikes survive the prune and the largest extra still wins.
-        f.spikes
-            .push((SimTime::from_secs(3_000), SimDuration::from_millis(40)));
-        f.spikes
-            .push((SimTime::from_secs(3_000), SimDuration::from_millis(70)));
-        f.spikes
-            .push((SimTime::from_secs(2_100), SimDuration::from_millis(90)));
-        assert_eq!(
-            f.effective_fanin(SimTime::from_secs(2_500)),
-            base + SimDuration::from_millis(70)
-        );
-        assert_eq!(f.spikes.len(), 2, "only the lapsed spike is dropped");
-    }
-
-    #[test]
-    fn fanin_spike_fault_inflates_latency_for_its_duration() {
-        let mut spec = failover_spec();
-        spec.shard_faults = first_chaos::ShardFaultPlan::none().with(
-            SimTime::from_secs(2),
-            first_chaos::ShardFaultKind::FanInLatencySpike {
-                extra: SimDuration::from_secs(2),
-                duration: SimDuration::from_secs(10),
-            },
-        );
-        let report = ScenarioRun::new(&spec)
-            .seed(42)
-            .sharding(ShardingConfig::with_shards(2))
-            .execute()
-            .expect("spiked run")
-            .report;
-        assert_eq!(report.completed, 60);
         let failover = report.failover.as_ref().expect("failover section");
-        assert_eq!(failover.fanin_spikes, 1);
-        // The same run without the spike is strictly faster on average.
-        let calm_spec = failover_spec();
-        let calm = ScenarioRun::new(&calm_spec)
-            .seed(42)
-            .sharding(ShardingConfig::with_shards(2).front(FrontTierPolicy {
-                request_timeout: Some(SimDuration::from_secs(3600)),
-                ..FrontTierPolicy::default()
-            }))
-            .execute()
-            .expect("calm run")
-            .report;
-        let mean = |r: &GatewayReport| {
-            r.tenants.iter().map(|t| t.mean_latency_s).sum::<f64>() / r.tenants.len() as f64
-        };
+        assert!(failover.retries_dispatched > 0, "1 ms timeout fires");
         assert!(
-            mean(&report) > mean(&calm) + 0.1,
-            "spike shows in client latency: {} vs {}",
-            mean(&report),
-            mean(&calm)
+            failover.stale_responses > 0,
+            "losing copies answer after their request resolved: {failover:?}"
         );
+        assert!(failover.stale_responses <= failover.retries_dispatched);
+        assert_eq!(LEFT_LIVE.with(std::cell::Cell::get), (0, 0));
     }
 
     /// The shard rollup structures are part of the serialized report format

@@ -17,9 +17,13 @@
 //!   in at the receiver) and surface in telemetry.
 //! * [`ShardedGateway`] — the front tier itself: owns the shard fleet,
 //!   routes submissions, models the fan-in hop with a configurable latency,
-//!   and rolls shard-local telemetry up into the aggregate dashboard. A
+//!   and rolls shard-local telemetry up into the aggregate dashboard. Its
+//!   membership is liveness: a crashed shard leaves the live ring and its
+//!   keys re-home to surviving peers until a restart rejoins it. A
 //!   scenario run's per-shard [`ShardReport`] rows come from its own
 //!   ledgers (`ShardSection`).
+//! * [`FrontTierPolicy`] — how the front tier retries requests a crash lost
+//!   and re-dispatches requests that time out.
 //!
 //! Every shard is a full deployment replica built from the *same*
 //! [`DeploymentBuilder`] configuration, so
@@ -92,27 +96,14 @@ impl SpilloverPolicy {
     }
 }
 
-/// Degraded-mode load shedding at the front tier: when the surviving fleet
-/// cannot absorb a failover wave, requests below `priority_floor` whose home
-/// shard already holds more than `queue_depth` unanswered requests are
-/// rejected with a typed overload outcome instead of joining a collapsing
-/// queue. High-priority work is never shed by this policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShedPolicy {
-    /// Home-shard [`Gateway::load_depth`] above which shedding starts.
-    pub(crate) queue_depth: usize,
-    /// Requests with priority strictly below this value may be shed.
-    pub(crate) priority_floor: u8,
-}
-
 /// How the front tier handles shard failure: the retry/backoff schedule for
-/// requests lost to a dead shard, an optional per-attempt timeout, an
-/// optional hedge delay (duplicate a slow request to a peer and take the
-/// first answer), and an optional degraded-mode [`ShedPolicy`].
+/// requests lost to a dead shard and an optional per-attempt timeout.
+/// Hedged duplicates live one layer down, in the gateway's resilience
+/// layer, not here.
 ///
-/// The default — [`RetryPolicy::default`] backoff, no timeout, no hedging,
-/// no shedding — only ever acts when a shard actually dies, so fault-free
-/// runs are byte-identical with or without it.
+/// The default — [`RetryPolicy::default`] backoff, no timeout — only ever
+/// acts when a shard actually dies, so fault-free runs are byte-identical
+/// with or without it.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FrontTierPolicy {
     /// Backoff schedule for re-dispatching requests lost to a dead shard.
@@ -120,11 +111,6 @@ pub struct FrontTierPolicy {
     /// Per-attempt timeout: when set, an attempt unanswered after this long
     /// is re-dispatched (the original answer still wins if it arrives first).
     pub request_timeout: Option<SimDuration>,
-    /// Hedge delay: when set, an attempt unanswered after this long is
-    /// *duplicated* to the least-loaded routable peer; first answer wins.
-    pub hedge_after: Option<SimDuration>,
-    /// Degraded-mode shedding policy (off by default).
-    pub shed: Option<ShedPolicy>,
 }
 
 /// Front-tier configuration: how many shards, what the fan-in hop costs and
@@ -141,7 +127,7 @@ pub struct ShardingConfig {
     pub fanin_latency: SimDuration,
     /// Cross-shard spillover policy.
     pub(crate) spillover: SpilloverPolicy,
-    /// Shard-failure handling policy (retry/timeout/hedge/shed).
+    /// Shard-failure handling policy (retry/timeout).
     #[serde(default)]
     pub(crate) front_tier: FrontTierPolicy,
 }
@@ -380,8 +366,8 @@ pub struct ShardedGateway {
     /// front tier asks only the shards that moved for their next event.
     wake: Vec<Cell<Wake>>,
     ring: ConsistentHashRing,
-    /// The ring restricted to routable (live *and* reachable) shards;
-    /// identical to `ring` while the whole fleet is healthy.
+    /// The ring restricted to live shards; identical to `ring` while the
+    /// whole fleet is healthy.
     live_ring: ConsistentHashRing,
     config: ShardingConfig,
     routed: Vec<usize>,
@@ -391,9 +377,6 @@ pub struct ShardedGateway {
     /// Whether each shard process is alive (false after a crash, until a
     /// restart replaces it).
     live: Vec<bool>,
-    /// Whether the front tier can reach each shard (false during a
-    /// front-tier partition; the shard itself keeps running).
-    reachable: Vec<bool>,
     /// Per-shard circuit-breaker health, keyed `shard-<index>`.
     health: HealthTracker,
     crashes: usize,
@@ -423,7 +406,6 @@ impl ShardedGateway {
             spilled_out: vec![0; n],
             peak_load: vec![0; n],
             live: vec![true; n],
-            reachable: vec![true; n],
             health: HealthTracker::default(),
             crashes: 0,
             restarts: 0,
@@ -436,10 +418,7 @@ impl ShardedGateway {
     }
 
     fn rebuild_live_ring(&mut self) {
-        let routable: Vec<bool> = (0..self.shards.len())
-            .map(|i| self.live[i] && self.reachable[i])
-            .collect();
-        self.live_ring = self.ring.restricted(&routable);
+        self.live_ring = self.ring.restricted(&self.live);
     }
 
     /// Number of shards in the fleet.
@@ -488,8 +467,7 @@ impl ShardedGateway {
 
     /// The home shard for `key` on the *live* ring: the full ring's
     /// assignment while the fleet is healthy, a surviving peer when `key`'s
-    /// home shard is dead or partitioned, and `None` when no shard is
-    /// routable at all.
+    /// home shard is dead, and `None` when no shard is live at all.
     pub fn routable_home(&self, key: &str) -> Option<usize> {
         self.live_ring.try_shard_for(key)
     }
@@ -499,15 +477,10 @@ impl ShardedGateway {
         self.live.get(index).copied().unwrap_or(false)
     }
 
-    /// Whether the front tier can reach the shard.
-    pub(crate) fn is_reachable(&self, index: usize) -> bool {
-        self.reachable.get(index).copied().unwrap_or(false)
-    }
-
-    /// Whether the front tier may route new work to the shard (live *and*
-    /// reachable).
+    /// Whether the front tier may route new work to the shard: whether it
+    /// is live.
     pub fn routable(&self, index: usize) -> bool {
-        self.is_live(index) && self.is_reachable(index)
+        self.is_live(index)
     }
 
     /// Kill shard `index`: it stops advancing, its in-flight work is lost,
@@ -544,35 +517,8 @@ impl ShardedGateway {
         self.shards[index] = gateway;
         self.wake[index].set(Wake::Stale);
         self.live[index] = true;
-        self.reachable[index] = true;
         self.restarts += 1;
         self.health.on_success(&Self::health_key(index), now);
-        self.rebuild_live_ring();
-        true
-    }
-
-    /// Cut the front tier off from a (healthy) shard: it keeps draining its
-    /// own queue but receives no new work until [`ShardedGateway::heal_shard`].
-    /// Returns whether the partition was effective.
-    pub(crate) fn partition_shard(&mut self, index: usize, now: SimTime) -> bool {
-        if index >= self.shards.len() || !self.live[index] || !self.reachable[index] {
-            return false;
-        }
-        self.reachable[index] = false;
-        self.health.on_failure(&Self::health_key(index), now);
-        self.rebuild_live_ring();
-        true
-    }
-
-    /// Heal a front-tier partition. Returns whether anything changed.
-    pub(crate) fn heal_shard(&mut self, index: usize, now: SimTime) -> bool {
-        if index >= self.shards.len() || self.reachable[index] {
-            return false;
-        }
-        self.reachable[index] = true;
-        if self.live[index] {
-            self.health.on_success(&Self::health_key(index), now);
-        }
         self.rebuild_live_ring();
         true
     }
@@ -615,7 +561,7 @@ impl ShardedGateway {
                     .shards
                     .iter()
                     .enumerate()
-                    .filter(|&(i, _)| i != home && self.live[i] && self.reachable[i])
+                    .filter(|&(i, _)| i != home && self.live[i])
                     .map(|(i, gw)| (i, gw.load_depth()))
                     .min_by_key(|&(i, d)| (d, i));
                 if let Some((best, best_depth)) = best {
@@ -699,8 +645,7 @@ impl SimProcess for ShardedGateway {
 
     /// Advance every live shard with an event due at or before `now`. A
     /// shard whose next event lies after `now` is skipped: advancing it
-    /// would change nothing. Partitioned shards still advance — they are
-    /// running, merely unreachable from the front tier.
+    /// would change nothing.
     fn advance(&mut self, now: SimTime) {
         for i in 0..self.shards.len() {
             if self.shard_wake(i).is_some_and(|at| at <= now) {
@@ -871,7 +816,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_restore_and_partition_drive_routing_and_health() {
+    fn kill_and_restore_drive_routing_and_health() {
         let builder = DeploymentBuilder::single_cluster_test().prewarm(1);
         let mut fleet = ShardedGateway::from_builder(&builder, ShardingConfig::with_shards(3));
         let key = (0..)
@@ -904,14 +849,7 @@ mod tests {
         assert!(fleet.is_live(1));
         assert_eq!(fleet.routable_home(&key), Some(1));
         assert_eq!(fleet.restarts(), 1);
-
-        // Partition: the shard is alive but unroutable until healed.
-        assert!(fleet.partition_shard(1, t2));
-        assert!(fleet.is_live(1));
-        assert!(!fleet.is_reachable(1));
-        assert_ne!(fleet.routable_home(&key), Some(1));
-        assert!(fleet.heal_shard(1, SimTime::from_secs(50)));
-        assert_eq!(fleet.routable_home(&key), Some(1));
+        assert_eq!((0..3).filter(|&i| fleet.routable(i)).count(), 3);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   independently written substrates into one simulation.
 //! * [`SimRng`] — seeded RNG with the distributions the workload and
 //!   performance models need (exponential, log-normal, Zipf, weighted choice).
-//! * [`OnlineStats`] / [`Histogram`] — the measurement primitives behind
-//!   every table and figure reproduction.
+//! * [`Histogram`] — the measurement primitive behind every table and
+//!   figure reproduction.
 //! * [`Interner`] / [`SymbolId`] — deterministic name → dense-id mapping so
 //!   per-request state is keyed by `u32` ids instead of heap `String`s.
 //! * [`IdWindow`] — a dense-id map holding only the span of live ids, so
@@ -29,7 +29,7 @@ pub mod window;
 pub use intern::{fnv1a_64, IdHashBuilder, Interner, SymbolId};
 pub use process::SimProcess;
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, SimMeter, SimRunStats};
+pub use stats::{Histogram, SimMeter, SimRunStats};
 pub use time::{SimDuration, SimTime};
 pub use wheel::{ScheduledEvent, TimingWheel};
 pub use window::IdWindow;

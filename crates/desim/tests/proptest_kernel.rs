@@ -1,6 +1,6 @@
 //! Property-based tests for the DES kernel invariants.
 
-use first_desim::{Histogram, IdWindow, OnlineStats, SimRng, SimTime, TimingWheel};
+use first_desim::{Histogram, IdWindow, SimRng, SimTime, TimingWheel};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -107,31 +107,6 @@ proptest! {
             prop_assert!(v >= prev - 1e-9);
             prev = v;
         }
-    }
-
-    /// Merging OnlineStats in any split matches the unsplit stream.
-    #[test]
-    fn online_stats_merge_is_consistent(
-        samples in proptest::collection::vec(-1e3f64..1e3, 2..300),
-        split in 1usize..200,
-    ) {
-        let split = split.min(samples.len() - 1);
-        let mut whole = OnlineStats::new();
-        for &x in &samples {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &samples[..split] {
-            a.record(x);
-        }
-        for &x in &samples[split..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-3);
     }
 
     /// Zipf and weighted_index always return an in-range index.

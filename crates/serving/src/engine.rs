@@ -477,13 +477,6 @@ impl VllmEngine {
             EngineState::Ready => self.fused_wake().or(self.next_step_at),
         }
     }
-
-    /// Start of the next decode step, pure or not (the differential tests
-    /// step a reference engine through every one of them).
-    #[cfg(test)]
-    fn next_step_at(&self) -> Option<SimTime> {
-        self.next_step_at
-    }
 }
 
 impl SimProcess for VllmEngine {
@@ -557,6 +550,14 @@ pub fn run_to_completion(
 mod tests {
     use super::*;
     use crate::model::find_model;
+
+    impl VllmEngine {
+        /// Start of the next decode step, pure or not (the differential
+        /// tests step a reference engine through every one of them).
+        fn next_step_at(&self) -> Option<SimTime> {
+            self.next_step_at
+        }
+    }
 
     fn config70() -> EngineConfig {
         EngineConfig::for_model(find_model("llama-70b").unwrap(), GpuModel::A100_40)

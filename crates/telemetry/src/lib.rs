@@ -11,7 +11,7 @@
 //! * [`metric`] — label sets and metric identities.
 //! * [`counter`] — monotonic counters and point-in-time gauges.
 //! * [`histogram`] — exponential-bucket histograms with quantile estimation.
-//! * [`registry`] — the thread-safe metric registry and its snapshots.
+//! * [`registry`] — the metric registry a scrape builds, and its snapshots.
 //! * [`exposition`] — Prometheus-style text exposition of a snapshot.
 //! * [`dashboard`] — the operations dashboard model (per-model, per-cluster
 //!   and queue summaries) rendered as plain text.
@@ -19,11 +19,11 @@
 //! * [`trace`] — request-lifecycle spans, the flight recorder ring buffer,
 //!   phase-latency aggregation and the Chrome-trace exporter.
 //!
-//! The registry is intentionally synchronous and lock-based
-//! (`parking_lot::Mutex` around plain maps): metric updates happen on the
-//! gateway's request path at most a handful of times per simulated request,
-//! so contention is negligible, and a deterministic in-memory store keeps the
-//! discrete-event simulation reproducible.
+//! Nothing on the gateway's request path writes a metric: the request log is
+//! the gateway's one record of answered requests, and each scrape
+//! (`Gateway::export_metrics`) folds it once into a fresh registry that the
+//! exposition and the alert evaluator then read. The registry's store is a
+//! set of ordered maps, so a scrape of the same log renders the same text.
 
 #![warn(missing_docs)]
 

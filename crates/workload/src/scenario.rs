@@ -190,8 +190,8 @@ pub struct ScenarioSpec {
     pub tenants: Vec<TenantClass>,
     /// Embedded fault schedule ([`FaultPlan::none`] for fault-free runs).
     pub faults: FaultPlan,
-    /// Shard-scoped fault schedule applied at the federation tier (whole-shard
-    /// crashes/restarts, front-tier partitions, fan-in latency spikes).
+    /// Shard-scoped fault schedule applied at the federation tier
+    /// (whole-shard crashes and restarts).
     /// Defaults to empty so specs recorded before shard faults existed still
     /// deserialize.
     #[serde(default)]
