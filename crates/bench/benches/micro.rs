@@ -100,10 +100,10 @@ fn bench_vector_index(c: &mut Criterion) {
 }
 
 fn bench_telemetry(c: &mut Criterion) {
-    // The metrics layer sits on the gateway's request path; these keep its
-    // per-request cost visible (a handful of counter/histogram updates).
+    // Each scrape folds the request log into a fresh registry; these keep
+    // the cost of its counter and histogram updates visible.
     c.bench_function("metric_registry_request_path_updates", |b| {
-        let registry = MetricRegistry::new();
+        let mut registry = MetricRegistry::new();
         let labels = LabelSet::single("model", "meta-llama/Llama-3.3-70B-Instruct");
         b.iter(|| {
             registry.inc_counter("first_gateway_requests_received_total", labels.clone());

@@ -19,8 +19,6 @@ pub enum GatewayError {
     Forbidden(String),
     /// The requested model is not registered anywhere.
     ModelNotFound(String),
-    /// The user exceeded their request-rate allowance.
-    RateLimited,
     /// The request body failed validation.
     InvalidRequest(String),
 }
@@ -31,7 +29,6 @@ impl std::fmt::Display for GatewayError {
             GatewayError::Unauthorized(m) => write!(f, "unauthorized: {m}"),
             GatewayError::Forbidden(m) => write!(f, "forbidden: {m}"),
             GatewayError::ModelNotFound(m) => write!(f, "model not found: {m}"),
-            GatewayError::RateLimited => write!(f, "rate limit exceeded"),
             GatewayError::InvalidRequest(m) => write!(f, "invalid request: {m}"),
         }
     }

@@ -1,17 +1,16 @@
 //! The FIRST Inference Gateway (§3.1).
 //!
 //! The main entry point for users: an OpenAI-compatible, Globus-Auth-gated
-//! API that validates identities and request bodies, enforces per-user rate
-//! limits, caches token introspections and idempotent responses, converts API
-//! calls into Globus Compute tasks, routes them across federated endpoints
-//! (§4.5), relays results back, and logs every activity for the metrics
-//! dashboard.
+//! API that validates identities and request bodies, caches token
+//! introspections and idempotent responses, converts API calls into Globus
+//! Compute tasks, routes them across federated endpoints (§4.5), relays
+//! results back, and logs every activity for the metrics dashboard.
 
 use crate::api::{
     chat_to_inference, embedding_to_inference, ApiOperation, ChatCompletionRequest,
     EmbeddingRequest, GatewayError, PromptRef, Usage,
 };
-use crate::middleware::{AuthMiddleware, CachedResponse, RateLimiter, ResponseCache};
+use crate::middleware::{AuthMiddleware, CachedResponse, ResponseCache};
 use crate::registry::{FederationRouter, ModelId, ModelRegistry, RoutedTarget, RoutingPolicy};
 use crate::storage::{GatewayMetrics, RequestLog, RequestLogEntry, UserSym};
 use crate::workers::{Admission, WorkerPool, WorkerPoolConfig};
@@ -32,7 +31,8 @@ const DEFAULT_OUTPUT_TOKENS: u32 = 180;
 /// CPU the gateway spends marshalling each response back to the client.
 const RESPONSE_CPU: SimDuration = SimDuration::from_millis(5);
 
-/// Gateway configuration: the knobs the paper's optimization study varies.
+/// Gateway configuration: five knobs. The first three are what the paper's
+/// optimization study varies; resilience and tracing are off by default.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GatewayConfig {
     /// Worker-pool model (Optimization 3: sync legacy vs async production).
@@ -41,8 +41,6 @@ pub struct GatewayConfig {
     pub client: ClientConfig,
     /// Whether token introspections are cached (Optimization 2).
     pub auth_cache: bool,
-    /// Per-user request limit per minute (`u32::MAX` disables limiting).
-    pub rate_limit_per_minute: u32,
     /// Resilience layer: failover-aware routing, retries, hedging and the
     /// per-endpoint circuit breaker. Disabled by default (the paper's
     /// proof-of-concept behaviour); [`first_chaos::ResilienceConfig::production`]
@@ -62,7 +60,6 @@ impl Default for GatewayConfig {
             workers: WorkerPoolConfig::async_production(),
             client: ClientConfig::default(),
             auth_cache: true,
-            rate_limit_per_minute: u32::MAX,
             resilience: ResilienceConfig::default(),
             trace: TraceConfig::default(),
         }
@@ -239,7 +236,6 @@ pub struct Gateway {
     config: GatewayConfig,
     auth: AuthService,
     auth_mw: AuthMiddleware,
-    rate_limiter: RateLimiter,
     response_cache: ResponseCache,
     registry: ModelRegistry,
     router: FederationRouter,
@@ -343,7 +339,6 @@ impl Gateway {
             health,
             recorder,
             trace_pending: HashMap::default(),
-            rate_limiter: RateLimiter::per_minute(config.rate_limit_per_minute),
             response_cache: ResponseCache::new(SimDuration::from_mins(30), 4096),
             workers: WorkerPool::new(config.workers),
             auth_mw,
@@ -577,9 +572,6 @@ impl Gateway {
             .policy()
             .check_model_access(user, model, self.auth.groups())
             .map_err(|e| GatewayError::Forbidden(e.to_string()))?;
-        if !self.rate_limiter.check(&user.0, now) {
-            return Err(GatewayError::RateLimited);
-        }
         Ok((self.log.intern_user(&user.0), outcome.added_latency))
     }
 
@@ -1496,32 +1488,6 @@ mod tests {
         // alice is in the group; her request is accepted (routing succeeds).
         assert!(gw
             .chat_completions(&req, &tokens.alice, None, SimTime::ZERO)
-            .is_ok());
-    }
-
-    #[test]
-    fn rate_limit_rejects_excess_requests() {
-        let (mut gw, tokens) = DeploymentBuilder::single_cluster_test()
-            .prewarm(1)
-            .gateway_config(GatewayConfig {
-                rate_limit_per_minute: 2,
-                ..GatewayConfig::default()
-            })
-            .build_with_tokens();
-        let req = ChatCompletionRequest::simple(MODEL, "hello", 20);
-        assert!(gw
-            .chat_completions(&req, &tokens.alice, None, SimTime::ZERO)
-            .is_ok());
-        assert!(gw
-            .chat_completions(&req, &tokens.alice, None, SimTime::from_secs(1))
-            .is_ok());
-        let err = gw
-            .chat_completions(&req, &tokens.alice, None, SimTime::from_secs(2))
-            .unwrap_err();
-        assert_eq!(err, GatewayError::RateLimited);
-        // A different user is unaffected.
-        assert!(gw
-            .chat_completions(&req, &tokens.bob, None, SimTime::from_secs(2))
             .is_ok());
     }
 

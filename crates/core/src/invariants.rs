@@ -76,8 +76,8 @@ pub struct RunLedger {
     pub offered: usize,
     /// Requests the gateway accepted.
     pub accepted: usize,
-    /// Requests rejected at the API boundary (auth, rate limit, validation,
-    /// no route).
+    /// Requests rejected at the API boundary (auth, access, validation, no
+    /// route).
     pub rejected: usize,
     /// Successful responses collected.
     pub completed: usize,

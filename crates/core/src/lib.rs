@@ -2,12 +2,12 @@
 //!
 //! The paper's primary contribution: an OpenAI-compatible, Globus-Auth-gated
 //! gateway that turns API calls into Globus Compute tasks on federated HPC
-//! clusters and relays the results back, with rate limiting, caching,
+//! clusters and relays the results back, with token and response caching,
 //! federation routing, a batch mode, a `/jobs` status endpoint and metrics.
 //!
 //! * [`api`] — OpenAI-compatible request/response types and errors.
-//! * [`middleware`] — token validation + introspection cache, rate limiter,
-//!   response cache.
+//! * [`middleware`] — token validation + introspection cache and response
+//!   cache.
 //! * [`registry`] — model/endpoint registry and the §4.5 federation router.
 //! * [`workers`] — sync-vs-async worker-pool models (Optimization 3).
 //! * [`gateway`] — the gateway itself (request lifecycle, `/jobs`, logging).
@@ -65,5 +65,5 @@ pub use sim::{
     DEFAULT_WEBUI_OVERHEAD,
 };
 pub use storage::{RequestLog, RequestLogEntry, UserSym};
-pub use streaming::{stream_response, StreamStats, StreamingConfig};
+pub use streaming::{stream_response, StreamStats};
 pub use workers::WorkerPoolConfig;

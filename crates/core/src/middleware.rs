@@ -1,10 +1,9 @@
-//! Gateway middleware: token validation with caching, per-user rate limiting,
-//! and response caching (§3.1.1, §3.1.2, Optimization 2).
+//! Gateway middleware: token validation with an introspection cache, and
+//! response caching (§3.1.1, §3.1.2, Optimization 2).
 
 use crate::api::GatewayError;
 use first_auth::{AuthService, IntrospectionResult, Scope, TokenString};
 use first_desim::{IdHashBuilder, SimDuration, SimTime};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -101,49 +100,6 @@ impl AuthMiddleware {
 impl Default for AuthMiddleware {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Per-user sliding-window rate limiter (requests per minute).
-#[derive(Debug)]
-pub(crate) struct RateLimiter {
-    /// Requests allowed per window per user.
-    pub(crate) limit: u32,
-    /// Window length.
-    pub(crate) window: SimDuration,
-    history: Mutex<HashMap<String, VecDeque<SimTime>>>,
-}
-
-impl RateLimiter {
-    /// A limiter allowing `limit` requests per minute per user.
-    pub(crate) fn per_minute(limit: u32) -> Self {
-        RateLimiter {
-            limit,
-            window: SimDuration::from_secs(60),
-            history: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Record an attempt by `user` at `now`; returns whether it is admitted.
-    pub(crate) fn check(&self, user: &str, now: SimTime) -> bool {
-        if self.limit == u32::MAX {
-            return true;
-        }
-        let mut history = self.history.lock();
-        let entry = history.entry(user.to_string()).or_default();
-        while let Some(&front) = entry.front() {
-            if now.saturating_since(front) >= self.window {
-                entry.pop_front();
-            } else {
-                break;
-            }
-        }
-        if entry.len() as u32 >= self.limit {
-            false
-        } else {
-            entry.push_back(now);
-            true
-        }
     }
 }
 
@@ -395,49 +351,6 @@ mod tests {
             .authenticate(&mut svc, &TokenString::new("bogus"), SimTime::ZERO)
             .unwrap_err();
         assert!(matches!(err, GatewayError::Unauthorized(_)));
-    }
-
-    #[test]
-    fn rate_limiter_enforces_per_user_window() {
-        let rl = RateLimiter::per_minute(3);
-        for i in 0..3 {
-            assert!(rl.check("alice", SimTime::from_secs(i)));
-        }
-        assert!(!rl.check("alice", SimTime::from_secs(3)));
-        // A different user has an independent budget.
-        assert!(rl.check("bob", SimTime::from_secs(3)));
-        // After the window slides, alice is admitted again.
-        assert!(rl.check("alice", SimTime::from_secs(61)));
-    }
-
-    #[test]
-    fn unlimited_limiter_never_blocks() {
-        let rl = RateLimiter::per_minute(u32::MAX);
-        for i in 0..10_000 {
-            assert!(rl.check("alice", SimTime::from_millis(i)));
-        }
-    }
-
-    #[test]
-    fn rate_limiter_is_thread_safe() {
-        use std::sync::Arc;
-        let rl = Arc::new(RateLimiter::per_minute(1000));
-        let mut handles = Vec::new();
-        for t in 0..8 {
-            let rl = Arc::clone(&rl);
-            handles.push(std::thread::spawn(move || {
-                let mut admitted = 0;
-                for i in 0..500 {
-                    if rl.check("shared-user", SimTime::from_millis(t * 1000 + i)) {
-                        admitted += 1;
-                    }
-                }
-                admitted
-            }));
-        }
-        let total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        // Exactly the window limit is admitted across all threads.
-        assert_eq!(total, 1000);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! resources and queue status" plus a summary dashboard, and is scraped by
 //! the facility monitoring stack. This module bridges a live [`Gateway`] into
 //! the `first-telemetry` substrate: it builds [`DashboardSnapshot`]s, exports
-//! a full [`MetricRegistry`] (ready for Prometheus-style exposition), and
-//! ships a default alert pack for the conditions administrators care about
-//! (deep task backlogs, no hot capacity, rising failure rates).
+//! a fresh [`MetricRegistry`] per scrape (ready for Prometheus-style
+//! exposition), and ships a default alert pack for the conditions
+//! administrators care about (deep task backlogs, no hot capacity, rising
+//! failure rates). The export is built on the caller's thread and handed
+//! over whole: the registry owns its maps and holds no lock.
 //!
 //! The request log is the one record of answered requests: the snapshot and
 //! the export each fold it in one pass ([`crate::RequestLog::summary`]),
@@ -166,7 +168,7 @@ impl Gateway {
     /// the log fold and merged into the registry whole: one label set per
     /// model, token kind and tenant, none per logged request.
     pub fn export_metrics(&self, now: SimTime) -> MetricRegistry {
-        let registry = MetricRegistry::new();
+        let mut registry = MetricRegistry::new();
 
         // Gateway request counters: arrivals by operation (those seen at
         // least once), outcomes folded from the request log.

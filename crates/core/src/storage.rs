@@ -236,7 +236,7 @@ impl RequestLog {
 pub struct GatewayMetrics {
     /// Requests received, indexed by [`ApiOperation`].
     received: [u64; ApiOperation::ALL.len()],
-    /// Requests rejected before dispatch (auth, rate limit, validation).
+    /// Requests rejected before dispatch (auth, access, validation).
     pub(crate) rejected: u64,
     /// Retries of failed idempotent requests (resilience layer).
     pub retries: u64,

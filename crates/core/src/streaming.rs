@@ -18,40 +18,25 @@ use first_desim::{Histogram, SimDuration, SimTime};
 use first_hpc::GpuModel;
 use first_serving::{ModelSpec, PerfModel};
 
-/// One server-sent chunk of a streamed response.
+/// One server-sent chunk of a streamed response: one output token, as Open
+/// WebUI streams.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamChunk {
     /// Chunk sequence number (0-based).
     pub index: u32,
-    /// Output tokens carried by this chunk.
+    /// Output tokens carried by this chunk (always 1).
     pub tokens: u32,
     /// Virtual time at which the chunk reaches the client.
     pub at: SimTime,
 }
 
-/// GPU backing the instance, which sets the prefill estimate.
+/// GPU backing the instance, which sets the prefill estimate. The instance
+/// serves the model at its recommended tensor-parallel degree
+/// ([`ModelSpec::recommended_tp`]).
 const GPU: GpuModel = GpuModel::A100_40;
 
 /// Gateway + fabric overhead before the prompt reaches the engine.
 const DISPATCH_OVERHEAD: SimDuration = SimDuration::from_millis(500);
-
-/// Configuration of the streaming reconstruction. The instance serves the
-/// model at its recommended tensor-parallel degree
-/// ([`ModelSpec::recommended_tp`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingConfig {
-    /// Output tokens coalesced into one SSE chunk (Open WebUI uses 1).
-    pub(crate) tokens_per_chunk: u32,
-}
-
-impl Default for StreamingConfig {
-    /// One token per chunk, as Open WebUI streams.
-    fn default() -> Self {
-        StreamingConfig {
-            tokens_per_chunk: 1,
-        }
-    }
-}
 
 /// A completed request re-expressed as a stream of chunks.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,7 +93,6 @@ pub fn stream_response(
     completed: &CompletedRequest,
     spec: &ModelSpec,
     perf: &PerfModel,
-    config: &StreamingConfig,
 ) -> StreamedResponse {
     let latency = completed.finished_at - completed.arrived_at;
     let output_tokens = completed.usage.completion_tokens.max(1);
@@ -135,22 +119,13 @@ pub fn stream_response(
         0.0
     };
 
-    let chunk_tokens = config.tokens_per_chunk.max(1);
-    let chunk_count = output_tokens.div_ceil(chunk_tokens);
-    let mut chunks = Vec::with_capacity(chunk_count as usize);
-    let mut emitted = 0u32;
-    for index in 0..chunk_count {
-        let tokens = chunk_tokens.min(output_tokens - emitted);
-        emitted += tokens;
-        // A chunk is delivered when its *last* token has been generated.
-        let last_token_index = emitted - 1;
-        let at = if last_token_index == 0 {
-            first_token_at
-        } else {
-            first_token_at + SimDuration::from_secs_f64(per_token * last_token_index as f64)
-        };
-        chunks.push(StreamChunk { index, tokens, at });
-    }
+    let mut chunks: Vec<StreamChunk> = (0..output_tokens)
+        .map(|index| StreamChunk {
+            index,
+            tokens: 1,
+            at: first_token_at + SimDuration::from_secs_f64(per_token * index as f64),
+        })
+        .collect();
     // Pin the final chunk to the simulated completion time exactly.
     if let Some(last) = chunks.last_mut() {
         last.at = completed.finished_at;
@@ -252,8 +227,7 @@ mod tests {
     #[test]
     fn stream_conserves_tokens_and_ends_at_the_des_completion() {
         let req = completed(12, 220, 200);
-        let cfg = StreamingConfig::default();
-        let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
+        let stream = stream_response(&req, &spec(), &PerfModel::default());
         assert_eq!(stream.output_tokens(), 200);
         assert_eq!(stream.chunks.len(), 200);
         assert_eq!(stream.chunks.last().unwrap().at, req.finished_at);
@@ -270,24 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn chunking_groups_tokens_without_losing_any() {
-        let req = completed(20, 300, 50);
-        let cfg = StreamingConfig {
-            tokens_per_chunk: 8,
-        };
-        let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
-        assert_eq!(stream.output_tokens(), 50);
-        assert_eq!(stream.chunks.len(), 7); // 6×8 + 1×2
-        assert_eq!(stream.chunks.last().unwrap().tokens, 2);
-        assert_eq!(stream.chunks.last().unwrap().at, req.finished_at);
-    }
-
-    #[test]
     fn heavily_queued_requests_keep_a_valid_schedule() {
         // A 600 s latency (deep queue) with a tiny 5-token answer.
         let req = completed(600, 100, 5);
-        let cfg = StreamingConfig::default();
-        let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
+        let stream = stream_response(&req, &spec(), &PerfModel::default());
         assert_eq!(stream.output_tokens(), 5);
         // TTFT stays capped below the full latency and the decode phase is
         // non-degenerate.
@@ -298,8 +258,7 @@ mod tests {
     #[test]
     fn single_token_responses_have_zero_itl() {
         let req = completed(3, 50, 1);
-        let cfg = StreamingConfig::default();
-        let stream = stream_response(&req, &spec(), &PerfModel::default(), &cfg);
+        let stream = stream_response(&req, &spec(), &PerfModel::default());
         assert_eq!(stream.chunks.len(), 1);
         assert_eq!(stream.mean_inter_token_latency(), 0.0);
         assert_eq!(stream.chunks[0].at, req.finished_at);
@@ -307,12 +266,11 @@ mod tests {
 
     #[test]
     fn stream_stats_aggregate_many_responses() {
-        let cfg = StreamingConfig::default();
         let perf = PerfModel::default();
         let mut stats = StreamStats::new();
         for latency in [8, 10, 12, 15, 20] {
             let req = completed(latency, 200, 150);
-            stats.record(&stream_response(&req, &spec(), &perf, &cfg));
+            stats.record(&stream_response(&req, &spec(), &perf));
         }
         assert_eq!(stats.responses(), 5);
         assert_eq!(stats.tokens, 5 * 150);

@@ -52,9 +52,7 @@ impl Cluster {
     pub fn sophia() -> Self {
         let mut cluster = Cluster::homogeneous("sophia", 24, 8, GpuModel::A100_40);
         for node in cluster.nodes.iter_mut().take(2) {
-            for gpu in node.gpus.iter_mut() {
-                gpu.model = GpuModel::A100_80;
-            }
+            node.model = GpuModel::A100_80;
         }
         cluster
     }
@@ -79,7 +77,7 @@ impl Cluster {
     /// GPUs a single-node allocation can ever obtain here (8 on Sophia's DGX
     /// nodes, 4 on Polaris).
     pub fn max_gpus_per_node(&self) -> u32 {
-        self.nodes.iter().map(|n| n.gpu_count()).max().unwrap_or(0)
+        self.nodes.iter().map(|n| n.gpus).max().unwrap_or(0)
     }
 
     /// Mutably borrow a node by id.
@@ -95,7 +93,7 @@ impl Cluster {
             total_nodes: online.len() as u32,
             idle_nodes: online.iter().filter(|n| n.is_idle()).count() as u32,
             nodes_with_free_gpus: online.iter().filter(|n| n.free_gpus() > 0).count() as u32,
-            total_gpus: online.iter().map(|n| n.gpu_count()).sum(),
+            total_gpus: online.iter().map(|n| n.gpus).sum(),
             free_gpus: online.iter().map(|n| n.free_gpus()).sum(),
             offline_nodes: self.nodes.iter().filter(|n| n.offline).count() as u32,
         }
@@ -115,8 +113,7 @@ mod tests {
         let vram_gb: f64 = sophia
             .nodes
             .iter()
-            .flat_map(|n| &n.gpus)
-            .map(|g| g.model.vram_gb())
+            .map(|n| n.model.vram_gb() * n.gpus as f64)
             .sum();
         assert_eq!(vram_gb, 8320.0);
     }
@@ -142,8 +139,8 @@ mod tests {
         assert_eq!(fresh.idle_nodes, 4);
         assert_eq!(fresh.free_gpus, 32);
 
-        c.node_mut(NodeId(0)).unwrap().allocate_gpus(8).unwrap();
-        c.node_mut(NodeId(1)).unwrap().allocate_gpus(3).unwrap();
+        assert!(c.node_mut(NodeId(0)).unwrap().allocate_gpus(8));
+        assert!(c.node_mut(NodeId(1)).unwrap().allocate_gpus(3));
         let s = c.status();
         assert_eq!(s.idle_nodes, 2);
         assert_eq!(s.nodes_with_free_gpus, 3);

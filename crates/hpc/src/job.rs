@@ -64,8 +64,8 @@ impl JobRequest {
 /// Where a running job's resources live.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Allocation {
-    /// `(node, gpu indices)` pairs granted to the job.
-    pub(crate) placements: Vec<(NodeId, Vec<u32>)>,
+    /// `(node, gpu count)` pairs granted to the job.
+    pub(crate) placements: Vec<(NodeId, u32)>,
 }
 
 impl Allocation {
@@ -76,7 +76,7 @@ impl Allocation {
 
     /// Total GPUs in the allocation.
     pub fn total_gpus(&self) -> u32 {
-        self.placements.iter().map(|(_, g)| g.len() as u32).sum()
+        self.placements.iter().map(|(_, gpus)| gpus).sum()
     }
 }
 

@@ -50,51 +50,35 @@ impl GpuModel {
     }
 }
 
-/// A single GPU device within a node.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct GpuDevice {
-    /// Index within the node (0-based).
-    pub(crate) index: u32,
-    /// Hardware model.
-    pub(crate) model: GpuModel,
-    /// Whether the device is currently allocated to a job.
-    pub(crate) allocated: bool,
-}
-
 /// Unique node identifier within a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// A compute node.
+/// A compute node: a count of identical GPUs, of which some are allocated.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// Node identifier.
     pub(crate) id: NodeId,
+    /// Hardware model of every GPU in the node.
+    pub(crate) model: GpuModel,
     /// GPUs installed in the node.
-    pub(crate) gpus: Vec<GpuDevice>,
+    pub(crate) gpus: u32,
+    /// GPUs currently allocated to jobs.
+    allocated: u32,
     /// Whether the node is drained / offline for maintenance.
     pub offline: bool,
 }
 
 impl Node {
-    /// Create a node with `gpu_count` GPUs of the given model.
-    pub(crate) fn new(id: NodeId, model: GpuModel, gpu_count: u32) -> Self {
+    /// Create a node with `gpus` GPUs of the given model.
+    pub(crate) fn new(id: NodeId, model: GpuModel, gpus: u32) -> Self {
         Node {
             id,
-            gpus: (0..gpu_count)
-                .map(|index| GpuDevice {
-                    index,
-                    model,
-                    allocated: false,
-                })
-                .collect(),
+            model,
+            gpus,
+            allocated: 0,
             offline: false,
         }
-    }
-
-    /// Total number of GPUs.
-    pub(crate) fn gpu_count(&self) -> u32 {
-        self.gpus.len() as u32
     }
 
     /// Number of GPUs not currently allocated (zero when offline).
@@ -102,45 +86,32 @@ impl Node {
         if self.offline {
             return 0;
         }
-        self.gpus.iter().filter(|g| !g.allocated).count() as u32
+        self.gpus - self.allocated
     }
 
     /// Number of GPUs currently allocated.
     pub fn allocated_gpus(&self) -> u32 {
-        self.gpus.iter().filter(|g| g.allocated).count() as u32
+        self.allocated
     }
 
     /// Whether the node is fully idle.
     pub(crate) fn is_idle(&self) -> bool {
-        self.allocated_gpus() == 0
+        self.allocated == 0
     }
 
-    /// Allocate `count` free GPUs; returns the allocated device indices or
-    /// `None` (leaving the node untouched) if not enough are free.
-    pub(crate) fn allocate_gpus(&mut self, count: u32) -> Option<Vec<u32>> {
-        if self.free_gpus() < count {
-            return None;
+    /// Allocate `count` free GPUs; returns whether they were free, leaving
+    /// the node untouched if not.
+    pub(crate) fn allocate_gpus(&mut self, count: u32) -> bool {
+        let free = self.free_gpus() >= count;
+        if free {
+            self.allocated += count;
         }
-        let mut taken = Vec::with_capacity(count as usize);
-        for gpu in self.gpus.iter_mut() {
-            if taken.len() as u32 == count {
-                break;
-            }
-            if !gpu.allocated {
-                gpu.allocated = true;
-                taken.push(gpu.index);
-            }
-        }
-        Some(taken)
+        free
     }
 
-    /// Release previously allocated GPU indices.
-    pub(crate) fn release_gpus(&mut self, indices: &[u32]) {
-        for &i in indices {
-            if let Some(gpu) = self.gpus.iter_mut().find(|g| g.index == i) {
-                gpu.allocated = false;
-            }
-        }
+    /// Release `count` previously allocated GPUs.
+    pub(crate) fn release_gpus(&mut self, count: u32) {
+        self.allocated -= count;
     }
 }
 
@@ -160,24 +131,23 @@ mod tests {
     fn node_allocation_and_release() {
         let mut node = Node::new(NodeId(0), GpuModel::A100_40, 8);
         assert_eq!(node.free_gpus(), 8);
-        let six = node.allocate_gpus(6).unwrap();
-        assert_eq!(six.len(), 6);
+        assert!(node.allocate_gpus(6));
         assert_eq!(node.free_gpus(), 2);
         // Co-location: remaining 2 GPUs can host smaller models (paper §3.2.2).
-        let two = node.allocate_gpus(2).unwrap();
+        assert!(node.allocate_gpus(2));
         assert_eq!(node.free_gpus(), 0);
-        assert!(node.allocate_gpus(1).is_none());
-        node.release_gpus(&six);
+        assert!(!node.allocate_gpus(1));
+        node.release_gpus(6);
         assert_eq!(node.free_gpus(), 6);
-        node.release_gpus(&two);
+        node.release_gpus(2);
         assert!(node.is_idle());
     }
 
     #[test]
     fn failed_allocation_leaves_node_untouched() {
         let mut node = Node::new(NodeId(1), GpuModel::A100_40, 4);
-        node.allocate_gpus(3).unwrap();
-        assert!(node.allocate_gpus(2).is_none());
+        assert!(node.allocate_gpus(3));
+        assert!(!node.allocate_gpus(2));
         assert_eq!(node.free_gpus(), 1);
     }
 
@@ -186,13 +156,13 @@ mod tests {
         let mut node = Node::new(NodeId(2), GpuModel::A100_80, 8);
         node.offline = true;
         assert_eq!(node.free_gpus(), 0);
-        assert!(node.allocate_gpus(1).is_none());
+        assert!(!node.allocate_gpus(1));
     }
 
     #[test]
     fn vram_totals() {
         let node = Node::new(NodeId(3), GpuModel::A100_40, 8);
-        let vram_gb: f64 = node.gpus.iter().map(|g| g.model.vram_gb()).sum();
+        let vram_gb = node.model.vram_gb() * node.gpus as f64;
         assert_eq!(vram_gb, 320.0);
     }
 }

@@ -209,8 +209,8 @@ impl BatchScheduler {
     }
 
     fn release_allocation(cluster: &mut Cluster, alloc: &Allocation) {
-        for (node_id, gpus) in &alloc.placements {
-            if let Some(node) = cluster.node_mut(*node_id) {
+        for &(node_id, gpus) in &alloc.placements {
+            if let Some(node) = cluster.node_mut(node_id) {
                 node.release_gpus(gpus);
             }
         }
@@ -234,8 +234,8 @@ impl BatchScheduler {
             }
             match per_node {
                 None => {
-                    if node.is_idle() && node.gpu_count() > 0 {
-                        chosen.push((node.id, node.gpu_count()));
+                    if node.is_idle() && node.gpus > 0 {
+                        chosen.push((node.id, node.gpus));
                     }
                 }
                 Some(g) => {
@@ -281,19 +281,17 @@ impl BatchScheduler {
                 continue;
             };
             // Perform the allocation.
-            let mut placements = Vec::with_capacity(placement.len());
-            for (node_id, count) in placement {
+            for &(node_id, count) in &placement {
                 let node = self
                     .cluster
                     .node_mut(node_id)
                     .expect("placement referenced a known node");
-                let gpus = node
-                    .allocate_gpus(count)
-                    .expect("placement verified free GPUs");
-                placements.push((node_id, gpus));
+                assert!(node.allocate_gpus(count), "placement verified free GPUs");
             }
             let rec = self.jobs.get_mut(&id).expect("job exists");
-            rec.allocation = Allocation { placements };
+            rec.allocation = Allocation {
+                placements: placement,
+            };
             rec.state = JobState::Running;
             rec.started_at = Some(now);
             let deadline = rec.deadline().expect("a running job has started");

@@ -7,7 +7,7 @@
 //! need: declarative threshold rules evaluated against gauge/counter series,
 //! with a `for`-duration so transient spikes do not page anyone.
 
-use crate::metric::LabelSet;
+use crate::metric::{LabelSet, MetricId};
 use crate::registry::MetricRegistry;
 use first_desim::{SimDuration, SimTime};
 
@@ -27,10 +27,8 @@ pub enum AlertSeverity {
 pub struct AlertRule {
     /// Rule name, e.g. `queue_backlog_high`.
     pub(crate) name: String,
-    /// Metric family the rule watches.
-    pub(crate) metric: String,
-    /// Label set selecting the series.
-    pub(crate) labels: LabelSet,
+    /// The series the rule watches: a metric family and a label set.
+    series: MetricId,
     /// The rule fires while the value is strictly above this threshold.
     pub(crate) threshold: f64,
     /// The condition must hold continuously for this long before firing.
@@ -51,8 +49,7 @@ impl AlertRule {
     ) -> Self {
         AlertRule {
             name: name.into(),
-            metric: metric.into(),
-            labels,
+            series: MetricId::new(metric, labels),
             threshold,
             hold_for,
             severity,
@@ -126,7 +123,9 @@ impl Alerting {
     pub fn evaluate(&mut self, registry: &MetricRegistry, now: SimTime) -> Vec<FiredAlert> {
         let mut newly_fired = Vec::new();
         for runtime in &mut self.rules {
-            let value = match lookup(registry, &runtime.rule) {
+            // A missing series is "no data" rather than zero, so a
+            // not-yet-created metric does not spuriously fire.
+            let value = match registry.value(&runtime.rule.series) {
                 Some(v) => v,
                 None => {
                     runtime.state = AlertState::Ok;
@@ -160,24 +159,6 @@ impl Alerting {
     }
 }
 
-fn lookup(registry: &MetricRegistry, rule: &AlertRule) -> Option<f64> {
-    // Gauges first (the common case), then counters; a missing series is
-    // treated as "no data" rather than zero so a not-yet-created metric does
-    // not spuriously fire.
-    let snapshot = registry.snapshot();
-    snapshot.find(&rule.metric, &rule.labels).map(|s| match s {
-        crate::registry::MetricSnapshot::Counter { value, .. } => *value as f64,
-        crate::registry::MetricSnapshot::Gauge { value, .. } => *value,
-        crate::registry::MetricSnapshot::Histogram { count, sum, .. } => {
-            if *count == 0 {
-                0.0
-            } else {
-                sum / *count as f64
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +186,7 @@ mod tests {
 
     #[test]
     fn alert_fires_only_after_the_hold_duration() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         let labels = LabelSet::single("endpoint", "sophia-endpoint");
         let mut alerting = Alerting::new();
         alerting.add_rule(queue_rule(60));
@@ -234,7 +215,7 @@ mod tests {
 
     #[test]
     fn alert_resets_when_the_condition_clears() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         let labels = LabelSet::single("endpoint", "sophia-endpoint");
         let mut alerting = Alerting::new();
         alerting.add_rule(queue_rule(60));

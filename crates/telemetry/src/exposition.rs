@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn renders_counters_gauges_and_histograms() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         reg.add_counter(
             "first_requests_total",
             LabelSet::from_pairs([("model", "llama-70b"), ("op", "chat")]),
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn type_header_appears_once_per_family() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         reg.inc_counter("first_requests_total", LabelSet::single("model", "a"));
         reg.inc_counter("first_requests_total", LabelSet::single("model", "b"));
         let text = render_prometheus(&reg.snapshot());
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn integer_valued_gauges_render_without_decimal_point() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         reg.set_gauge("nodes", LabelSet::empty(), 24.0);
         reg.set_gauge("fraction", LabelSet::empty(), 0.25);
         let text = render_prometheus(&reg.snapshot());

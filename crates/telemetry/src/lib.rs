@@ -9,9 +9,9 @@
 //! metric pipeline the gateway and the benchmark harness both feed.
 //!
 //! * [`metric`] — label sets and metric identities.
-//! * [`counter`] — monotonic counters and point-in-time gauges.
 //! * [`histogram`] — exponential-bucket histograms with quantile estimation.
-//! * [`registry`] — the metric registry a scrape builds, and its snapshots.
+//! * [`registry`] — the metric registry a scrape builds (counters, gauges
+//!   and histograms by labelled series), and its snapshots.
 //! * [`exposition`] — Prometheus-style text exposition of a snapshot.
 //! * [`dashboard`] — the operations dashboard model (per-model, per-cluster
 //!   and queue summaries) rendered as plain text.
@@ -22,13 +22,13 @@
 //! Nothing on the gateway's request path writes a metric: the request log is
 //! the gateway's one record of answered requests, and each scrape
 //! (`Gateway::export_metrics`) folds it once into a fresh registry that the
-//! exposition and the alert evaluator then read. The registry's store is a
-//! set of ordered maps, so a scrape of the same log renders the same text.
+//! exposition and the alert evaluator then read. The registry owns its store,
+//! a set of ordered maps with no lock, so a scrape of the same log renders
+//! the same text.
 
 #![warn(missing_docs)]
 
 pub mod alerts;
-pub mod counter;
 pub mod dashboard;
 pub mod exposition;
 pub mod histogram;

@@ -3,15 +3,12 @@
 //! A registry is what a scrape produces: the gateway's `export_metrics`
 //! builds a fresh one per call, and the Prometheus exposition and the alert
 //! evaluator read it. Nothing on the request path reports into one, and no
-//! caller keeps one between scrapes or shares one between threads, although
-//! the store sits behind `Arc<parking_lot::Mutex>` so that clones could.
+//! caller keeps one between scrapes, so it owns its store: one ordered map
+//! per metric kind.
 
-use crate::counter::{Counter, Gauge};
 use crate::histogram::BucketHistogram;
 use crate::metric::{is_valid_metric_name, LabelSet, MetricId, MetricKind};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// One exported sample in a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,14 +20,12 @@ pub enum MetricSnapshot {
         /// Current value.
         value: u64,
     },
-    /// Gauge value with its high-water mark.
+    /// Gauge value.
     Gauge {
         /// Series identity.
         id: MetricId,
         /// Current value.
         value: f64,
-        /// Highest value observed.
-        peak: f64,
     },
     /// Histogram summary.
     Histogram {
@@ -100,15 +95,22 @@ impl RegistrySnapshot {
     }
 }
 
+/// A metric registry: each series' current value, in one ordered map per
+/// kind, and the kind each family name was registered with.
 #[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<MetricId, Counter>,
-    gauges: BTreeMap<MetricId, Gauge>,
+pub struct MetricRegistry {
+    counters: BTreeMap<MetricId, u64>,
+    gauges: BTreeMap<MetricId, f64>,
     histograms: BTreeMap<MetricId, BucketHistogram>,
     kinds: BTreeMap<String, MetricKind>,
 }
 
-impl RegistryInner {
+impl MetricRegistry {
+    /// A new, empty registry.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     fn check_kind(&mut self, name: &str, kind: MetricKind) {
         assert!(is_valid_metric_name(name), "invalid metric name {name:?}");
         match self.kinds.get(name) {
@@ -128,79 +130,70 @@ impl RegistryInner {
             .entry(MetricId::new(name, labels))
             .or_insert_with(BucketHistogram::latency_seconds)
     }
-}
-
-/// Thread-safe metric registry. Cloning shares the underlying store.
-#[derive(Debug, Clone, Default)]
-pub struct MetricRegistry {
-    inner: Arc<Mutex<RegistryInner>>,
-}
-
-impl MetricRegistry {
-    /// A new, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
 
     /// Increment a labelled counter by one.
-    pub fn inc_counter(&self, name: &str, labels: LabelSet) {
+    pub fn inc_counter(&mut self, name: &str, labels: LabelSet) {
         self.add_counter(name, labels, 1);
     }
 
     /// Add to a labelled counter.
-    pub fn add_counter(&self, name: &str, labels: LabelSet, delta: u64) {
-        let mut inner = self.inner.lock();
-        inner.check_kind(name, MetricKind::Counter);
-        inner
+    pub fn add_counter(&mut self, name: &str, labels: LabelSet, delta: u64) {
+        self.check_kind(name, MetricKind::Counter);
+        *self
             .counters
             .entry(MetricId::new(name, labels))
-            .or_default()
-            .add(delta);
+            .or_default() += delta;
     }
 
     /// Set a labelled gauge.
-    pub fn set_gauge(&self, name: &str, labels: LabelSet, value: f64) {
-        let mut inner = self.inner.lock();
-        inner.check_kind(name, MetricKind::Gauge);
-        inner
-            .gauges
-            .entry(MetricId::new(name, labels))
-            .or_default()
-            .set(value);
+    pub fn set_gauge(&mut self, name: &str, labels: LabelSet, value: f64) {
+        self.check_kind(name, MetricKind::Gauge);
+        self.gauges.insert(MetricId::new(name, labels), value);
     }
 
     /// Observe a value into a labelled histogram, creating it with
     /// [`BucketHistogram::latency_seconds`] buckets when absent.
-    pub fn observe(&self, name: &str, labels: LabelSet, value: f64) {
-        self.inner.lock().histogram(name, labels).observe(value);
+    pub fn observe(&mut self, name: &str, labels: LabelSet, value: f64) {
+        self.histogram(name, labels).observe(value);
     }
 
     /// Merge a whole histogram into a labelled histogram, created as in
     /// [`MetricRegistry::observe`]. Panics if the bucket bounds differ.
-    pub fn merge_histogram(&self, name: &str, labels: LabelSet, histogram: &BucketHistogram) {
-        let merged = self.inner.lock().histogram(name, labels).merge(histogram);
+    pub fn merge_histogram(&mut self, name: &str, labels: LabelSet, histogram: &BucketHistogram) {
+        let merged = self.histogram(name, labels).merge(histogram);
         assert!(merged, "histogram {name:?} merged with other bucket bounds");
+    }
+
+    /// One series' value: a counter's or gauge's own, a histogram's mean
+    /// (0 when empty), or `None` when the series does not exist.
+    pub(crate) fn value(&self, id: &MetricId) -> Option<f64> {
+        match self.kinds.get(&id.name)? {
+            MetricKind::Counter => self.counters.get(id).map(|&v| v as f64),
+            MetricKind::Gauge => self.gauges.get(id).copied(),
+            MetricKind::Histogram => self.histograms.get(id).map(|h| match h.count() {
+                0 => 0.0,
+                n => h.sum() / n as f64,
+            }),
+        }
     }
 
     /// Take a point-in-time snapshot of every series.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let inner = self.inner.lock();
         let mut samples =
-            Vec::with_capacity(inner.counters.len() + inner.gauges.len() + inner.histograms.len());
-        for (id, c) in &inner.counters {
+            Vec::with_capacity(self.counters.len() + self.gauges.len() + self.histograms.len());
+        for (id, &value) in &self.counters {
             samples.push(MetricSnapshot::Counter {
                 id: id.clone(),
-                value: c.get(),
+                value,
             });
         }
-        for (id, g) in &inner.gauges {
+        for (id, &value) in &self.gauges {
             samples.push(MetricSnapshot::Gauge {
                 id: id.clone(),
-                value: g.get(),
-                peak: g.peak(),
+                value,
             });
         }
-        for (id, h) in &inner.histograms {
+        for (id, h) in &self.histograms {
             samples.push(MetricSnapshot::Histogram {
                 id: id.clone(),
                 count: h.count(),
@@ -216,7 +209,6 @@ impl MetricRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
 
     fn model_labels(model: &str) -> LabelSet {
         LabelSet::single("model", model)
@@ -224,7 +216,7 @@ mod tests {
 
     #[test]
     fn counters_gauges_and_histograms_round_trip() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         reg.inc_counter("first_requests_total", model_labels("llama-70b"));
         reg.add_counter("first_requests_total", model_labels("llama-70b"), 4);
         reg.add_counter("first_requests_total", model_labels("llama-8b"), 2);
@@ -262,7 +254,7 @@ mod tests {
 
     #[test]
     fn a_merged_histogram_matches_the_same_observations() {
-        let (observed, merged) = (MetricRegistry::new(), MetricRegistry::new());
+        let (mut observed, mut merged) = (MetricRegistry::new(), MetricRegistry::new());
         let mut whole = BucketHistogram::latency_seconds();
         for v in [0.3, 9.2, 46.9, 0.004] {
             observed.observe("first_latency_seconds", model_labels("llama-70b"), v);
@@ -282,7 +274,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_stable() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         reg.inc_counter("z_metric", LabelSet::empty());
         reg.inc_counter("a_metric", LabelSet::empty());
         reg.set_gauge("m_metric", LabelSet::empty(), 1.0);
@@ -294,47 +286,9 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_same_store() {
-        let reg = MetricRegistry::new();
-        let clone = reg.clone();
-        clone.inc_counter("shared_total", LabelSet::empty());
-        assert_eq!(
-            reg.snapshot()
-                .counter_value("shared_total", &LabelSet::empty()),
-            1
-        );
-    }
-
-    #[test]
-    fn concurrent_updates_are_not_lost() {
-        let reg = MetricRegistry::new();
-        thread::scope(|s| {
-            for _ in 0..8 {
-                let reg = reg.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        reg.inc_counter("first_requests_total", LabelSet::single("op", "chat"));
-                        reg.observe("first_latency_seconds", LabelSet::empty(), 0.5);
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            reg.snapshot()
-                .counter_value("first_requests_total", &LabelSet::single("op", "chat")),
-            8000
-        );
-        let snap = reg.snapshot();
-        match snap.find("first_latency_seconds", &LabelSet::empty()) {
-            Some(MetricSnapshot::Histogram { count, .. }) => assert_eq!(*count, 8000),
-            other => panic!("unexpected sample {other:?}"),
-        }
-    }
-
-    #[test]
     #[should_panic]
     fn reusing_a_family_name_with_a_different_kind_panics() {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         reg.inc_counter("first_requests_total", LabelSet::empty());
         reg.set_gauge("first_requests_total", LabelSet::empty(), 1.0);
     }

@@ -69,7 +69,7 @@ proptest! {
     /// they are split across label sets.
     #[test]
     fn registry_counter_totals_are_conserved(increments in proptest::collection::vec((0u8..4, 1u64..100), 1..100)) {
-        let reg = MetricRegistry::new();
+        let mut reg = MetricRegistry::new();
         let mut expected = 0u64;
         for &(label, delta) in &increments {
             reg.add_counter(

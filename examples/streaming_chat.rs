@@ -5,9 +5,7 @@
 //!
 //! Run with: `cargo run --release --example streaming_chat`
 
-use first::core::{
-    stream_response, ChatCompletionRequest, DeploymentBuilder, StreamStats, StreamingConfig,
-};
+use first::core::{stream_response, ChatCompletionRequest, DeploymentBuilder, StreamStats};
 use first::desim::{SimProcess, SimTime};
 use first::serving::{find_model, PerfModel};
 
@@ -60,12 +58,11 @@ fn main() {
     // Reconstruct the streaming delivery of every response.
     let spec = find_model("llama-70b").expect("catalog model");
     let perf = PerfModel::default();
-    let config = StreamingConfig::default();
     let mut stats = StreamStats::new();
 
     println!("== streamed responses ==");
     for response in gateway.take_responses() {
-        let stream = stream_response(&response, &spec, &perf, &config);
+        let stream = stream_response(&response, &spec, &perf);
         println!(
             "request {:>2}: {:>3} tokens, TTFT {:>5.2} s, mean ITL {:>5.1} ms, total {:>5.2} s, {} chunks",
             stream.request_id,

@@ -4,7 +4,7 @@
 
 use first::core::{
     stream_response, ChatCompletionRequest, DeploymentBuilder, Gateway, GatewayError,
-    RoutingPolicy, StreamStats, StreamingConfig,
+    RoutingPolicy, StreamStats,
 };
 use first::desim::{SimDuration, SimProcess, SimTime};
 use first::serving::{find_model, PerfModel};
@@ -219,12 +219,11 @@ fn streaming_reconstruction_is_consistent_with_end_to_end_results() {
 
     let spec = find_model("llama-70b").unwrap();
     let perf = PerfModel::default();
-    let config = StreamingConfig::default();
     let mut stats = StreamStats::new();
     let responses = gateway.take_responses();
     assert_eq!(responses.len(), 8);
     for response in &responses {
-        let stream = stream_response(response, &spec, &perf, &config);
+        let stream = stream_response(response, &spec, &perf);
         // Token conservation and timeline consistency with the DES result.
         assert_eq!(stream.output_tokens(), response.usage.completion_tokens);
         assert_eq!(stream.finished_at, response.finished_at);

@@ -9,9 +9,9 @@
 //!   `pub type`, `pub trait`, `pub static` and `pub const` under
 //!   `crates/*/src` whose name appears nowhere else: not in any other `.rs`
 //!   file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`,
-//!   and not elsewhere in its own file's text before the file's first
-//!   `#[cfg(test)]`. An item that only its own unit tests use is therefore
-//!   listed.
+//!   and not elsewhere in its own file's text before its first
+//!   `#[cfg(test)]` at column 0 (the test module). An item that only its
+//!   own unit tests use is therefore listed.
 //! - It lists every `pub fn` and `pub const fn` in a crate's `src/` whose
 //!   name appears in no file outside that crate's own `src/`. The crate's
 //!   `src/bin`, `tests/` and `benches/` count as outside: they are other
@@ -70,9 +70,11 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
         .filter(|w| w.as_bytes().first().is_some_and(|b| !b.is_ascii_digit()))
 }
 
-/// The text before the first `#[cfg(test)]`: the file's own code.
+/// The text before the first `#[cfg(test)]` at column 0 (the test module):
+/// its own code. An indented one (a test hook inside a function) does not
+/// cut it.
 fn own_text(text: &str) -> &str {
-    text.find("#[cfg(test)]").map_or(text, |i| &text[..i])
+    text.find("\n#[cfg(test)]").map_or(text, |i| &text[..i])
 }
 
 /// `(line, name, is_fn)` of each public item declared in `own` (a `pub

@@ -16,6 +16,12 @@
 //! The match is by word, not by resolved path, and comments are not
 //! stripped, so a doc comment that names a crate counts as a use; the scan
 //! can miss an unused dependency but never lists one that is named.
+//!
+//! A second scan lists every library file under `crates/*/src` whose code
+//! before its first `#[cfg(test)]` at column 0 (the test module) names
+//! `Mutex` or `RwLock` (comments cut off each line first). Each simulated
+//! run is single-threaded, so a lock is only needed where whole runs go to
+//! worker threads; the list must equal [`LOCK_HOLDERS`].
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -38,12 +44,33 @@ const SURVIVORS: &[(&str, &str, &str)] = &[
          depends on first-chaos",
     ),
     (
+        "core",
+        "parking_lot",
+        "no source names it since the rate limiter and its lock were \
+         deleted; dropping it rewrites perfbench/Cargo.lock, which depends \
+         on first-core",
+    ),
+    (
         "hpc",
         "serde",
         "no source names it since the serde derives were pruned; dropping it \
          rewrites perfbench/Cargo.lock, which reaches first-hpc",
     ),
+    (
+        "telemetry",
+        "parking_lot",
+        "no source names it since the metric registry came to own its \
+         store; dropping it rewrites perfbench/Cargo.lock, which depends on \
+         first-telemetry",
+    ),
 ];
+
+/// `(file, why it locks)` for each library file allowed a lock.
+const LOCK_HOLDERS: &[(&str, &str)] = &[(
+    "crates/bench/src/executor.rs",
+    "ScenarioExecutor hands whole runs to worker threads, which take points \
+     from and put results into shared slots",
+)];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
@@ -126,5 +153,46 @@ fn every_unused_dependency_is_a_listed_survivor() {
          (drop them, move them to [dev-dependencies], or list them with a \
          reason): {new:#?}\n\
          SURVIVORS entries that are named or gone (drop them): {used:#?}"
+    );
+}
+
+#[test]
+fn only_listed_files_hold_a_lock() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for entry in fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+    {
+        rust_files(&entry.path().join("src"), &mut files);
+    }
+    assert!(!files.is_empty(), "no source found under crates/*/src");
+    let mut holders = BTreeSet::new();
+    for file in &files {
+        let text = fs::read_to_string(file).expect("readable source");
+        let library = text
+            .find("\n#[cfg(test)]")
+            .map_or(&text[..], |i| &text[..i]);
+        let locks = library.lines().any(|line| {
+            let code = line.split("//").next().unwrap_or("");
+            names(code, "Mutex") || names(code, "RwLock")
+        });
+        if locks {
+            let rel = file.strip_prefix(root).expect("under the root");
+            holders.insert(rel.to_string_lossy().replace('\\', "/"));
+        }
+    }
+
+    let allowed: BTreeSet<String> = LOCK_HOLDERS
+        .iter()
+        .map(|(file, _)| file.to_string())
+        .collect();
+    let new: Vec<_> = holders.difference(&allowed).collect();
+    let gone: Vec<_> = allowed.difference(&holders).collect();
+    assert!(
+        new.is_empty() && gone.is_empty(),
+        "library files that name Mutex or RwLock, not in LOCK_HOLDERS (a \
+         simulated run is single-threaded: own the state instead): {new:#?}\n\
+         LOCK_HOLDERS entries that hold no lock or are gone (drop them): {gone:#?}"
     );
 }
