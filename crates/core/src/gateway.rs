@@ -20,7 +20,7 @@ use first_desim::{
     IdHashBuilder, IdWindow, ScheduledEvent, SimDuration, SimProcess, SimTime, TimingWheel,
 };
 use first_fabric::{ClientConfig, ComputeService, EndpointId, FunctionId, TaskId};
-use first_serving::InferenceRequest;
+use first_serving::{InferenceRequest, RequestKind};
 use first_telemetry::{FlightRecorder, Phase, PhaseBreakdown, Span, SpanTree, TraceConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -167,12 +167,17 @@ struct RequestHandle {
     model: ModelId,
 }
 
+/// Dense id of one request copy, assigned as the copy is made (from 1).
+type CopyId = u64;
+
 /// One copy of an admitted request: the original, a retry or a hedge. The
-/// same record waits for its submission instant (or for a sync worker), sits
-/// in the in-flight window once submitted, and rides its result to delivery.
+/// record is stored once, in the gateway's copy slab, from the copy's making
+/// until it resolves; each stage it passes through (waiting for its
+/// submission instant or for a sync worker, in flight, awaiting delivery)
+/// holds only its [`CopyId`].
 #[derive(Debug, Clone, Copy)]
 struct Dispatch {
-    request_id: u64,
+    /// The engine request; its id is the gateway request id.
     request: RequestHandle,
     endpoint: EndpointId,
     /// The model's hosting-entry index on that endpoint, from the router.
@@ -180,12 +185,27 @@ struct Dispatch {
     function: FunctionId,
     /// When the copy is (or was) submitted to the fabric.
     submit_at: SimTime,
-    worker: usize,
+    worker: u32,
     arrived_at: SimTime,
-    operation: ApiOperation,
     prompt_text_key: Option<u64>,
     /// 0 for the first try; incremented per retry.
     attempt: u32,
+}
+
+impl Dispatch {
+    /// The gateway request id this copy answers.
+    #[inline]
+    fn request_id(&self) -> u64 {
+        self.request.inference.id.0
+    }
+
+    /// The API operation that admitted the request, which its kind records.
+    fn operation(&self) -> ApiOperation {
+        match self.request.inference.kind {
+            RequestKind::Chat => ApiOperation::ChatCompletions,
+            RequestKind::Embedding => ApiOperation::Embeddings,
+        }
+    }
 }
 
 /// The copies of one request still pending or in flight, and whether one of
@@ -196,10 +216,11 @@ struct Outstanding {
     answered: bool,
 }
 
+/// A collected copy's outcome, held until its delivery instant (the
+/// `awaiting` wheel's time for the entry).
 #[derive(Debug, Clone)]
 struct AwaitingDelivery {
-    copy: Dispatch,
-    deliver_at: SimTime,
+    copy: CopyId,
     success: bool,
     completion_tokens: u32,
     /// Fabric/engine-side timestamps for sampled requests; `None` when the
@@ -243,30 +264,36 @@ pub struct Gateway {
     workers: WorkerPool,
     log: RequestLog,
     metrics: GatewayMetrics,
-    /// Not-yet-submitted dispatches, bucketed by `submit_at` on a timing
+    /// Every live copy's record, by copy id: the one place a copy's
+    /// [`Dispatch`] is stored. Copies retire roughly in order, so the
+    /// window holds about the span of copies still live.
+    copies: IdWindow<Dispatch>,
+    next_copy_id: CopyId,
+    /// Not-yet-submitted copies, bucketed by `submit_at` on a timing
     /// wheel: `peek_time` makes the per-event due check O(1), and a due
     /// batch is drained without touching the undue backlog — at
     /// million-request scale the old `Vec` rebuild scan dominated the run.
     /// The wheel's insertion sequence doubles as the arrival order the
     /// dispatch loop must preserve (see `submit_due`).
-    pending: TimingWheel<Dispatch>,
-    /// Dispatches waiting for a sync worker, in the pool's FIFO order, with
+    pending: TimingWheel<CopyId>,
+    /// Copies waiting for a sync worker, in the pool's FIFO order, with
     /// their submit overhead and whether they are traced; each starts when a
     /// release frees a worker. Always empty with async workers.
-    waiting: VecDeque<(Dispatch, SimDuration, bool)>,
+    waiting: VecDeque<(CopyId, SimDuration, bool)>,
     /// Completed tasks waiting for their client-observed delivery instant,
     /// bucketed by `deliver_at` (same structure as `pending`).
     awaiting: TimingWheel<AwaitingDelivery>,
     /// Reusable drain buffer for `submit_due` (batch capacity survives
     /// between advances, keeping the due path allocation-free).
-    submit_buf: Vec<ScheduledEvent<Dispatch>>,
+    submit_buf: Vec<ScheduledEvent<CopyId>>,
     /// Reusable drain buffer for `deliver_due`.
     deliver_buf: Vec<ScheduledEvent<AwaitingDelivery>>,
-    /// In-flight tasks by task id (the service assigns task ids densely from
-    /// 1, and this gateway is the service's only client). A window instead
-    /// of a hash map: insertion and removal are a bounds-checked index, and
-    /// the window holds only the span of tasks still in flight.
-    in_flight: IdWindow<Dispatch>,
+    /// The copy each in-flight task runs, by task id (the service assigns
+    /// task ids densely from 1, and this gateway is the service's only
+    /// client). A window instead of a hash map: insertion and removal are a
+    /// bounds-checked index, and the window holds only the span of tasks
+    /// still in flight.
+    in_flight: IdWindow<CopyId>,
     /// Hedge deadlines (`submitted_at + hedge_after`) of submitted copies,
     /// bucketed on a timing wheel; empty unless hedging is on. Hedge copies
     /// file none, and `hedge_due` consumes each deadline once, so a copy is
@@ -349,6 +376,8 @@ impl Gateway {
             service,
             log: RequestLog::new(),
             metrics: GatewayMetrics::new(),
+            copies: IdWindow::new(),
+            next_copy_id: 1,
             pending: TimingWheel::new(),
             waiting: VecDeque::new(),
             awaiting: TimingWheel::new(),
@@ -529,9 +558,10 @@ impl Gateway {
         }
     }
 
-    /// Count one more outstanding copy of `request_id`.
-    #[inline]
-    fn add_copy(&mut self, request_id: u64) {
+    /// Store a new copy of its request in the slab and count it as one
+    /// more outstanding copy of that request; returns its copy id.
+    fn add_copy(&mut self, copy: Dispatch) -> CopyId {
+        let request_id = copy.request_id();
         match self.outstanding.get_mut(request_id) {
             Some(entry) => entry.copies += 1,
             None => {
@@ -542,22 +572,32 @@ impl Gateway {
                 self.outstanding.insert(request_id, first);
             }
         }
+        let id = self.next_copy_id;
+        self.next_copy_id += 1;
+        self.copies.insert(id, copy);
+        id
     }
 
-    /// Mark one outstanding copy of `request_id` as resolved; returns how
-    /// many copies remain pending or in flight and whether a sibling has
-    /// already answered. The id's entry is dropped when no copy remains (a
-    /// retry re-adds it).
-    fn resolve_copy(&mut self, request_id: u64) -> (u32, bool) {
-        let Some(entry) = self.outstanding.get_mut(request_id) else {
-            return (0, false);
+    /// The record of a copy some stage holds.
+    fn copy(&self, id: CopyId) -> &Dispatch {
+        self.copies.get(id).expect("every staged copy has a record")
+    }
+
+    /// Take a resolved copy out of the slab and count it off its request;
+    /// returns its record, how many copies of the request remain pending or
+    /// in flight and whether a sibling has already answered. The request's
+    /// entry is dropped when no copy remains (a retry re-adds it).
+    fn resolve_copy(&mut self, id: CopyId) -> (Dispatch, u32, bool) {
+        let copy = self.copies.remove(id).expect("a resolved copy is live");
+        let Some(entry) = self.outstanding.get_mut(copy.request_id()) else {
+            return (copy, 0, false);
         };
         entry.copies -= 1;
-        let left = (entry.copies, entry.answered);
-        if entry.copies == 0 {
-            self.outstanding.remove(request_id);
+        let (left, answered) = (entry.copies, entry.answered);
+        if left == 0 {
+            self.outstanding.remove(copy.request_id());
         }
-        left
+        (copy, left, answered)
     }
 
     fn authorize(
@@ -613,13 +653,11 @@ impl Gateway {
         self.config.client.submit_overhead(!connected)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn accept(
         &mut self,
         request: RequestHandle,
         target: RoutedTarget,
         function: FunctionId,
-        operation: ApiOperation,
         auth_latency: SimDuration,
         prompt_text_key: Option<u64>,
         now: SimTime,
@@ -629,10 +667,8 @@ impl Gateway {
         let admission = self.workers.admit(now);
         let overhead = auth_latency + self.connection_overhead(target.endpoint);
         let sampled = self.recorder.should_sample();
-        self.add_copy(request_id);
         // `submit_at` and `worker` are set when a worker takes the request.
-        let dispatch = Dispatch {
-            request_id,
+        let copy = self.add_copy(Dispatch {
             request,
             endpoint: target.endpoint,
             hosting: target.hosting,
@@ -640,11 +676,10 @@ impl Gateway {
             submit_at: now,
             worker: 0,
             arrived_at: now,
-            operation,
             prompt_text_key,
             attempt: 0,
-        };
-        let waiting = (dispatch, overhead, sampled);
+        });
+        let waiting = (copy, overhead, sampled);
         match admission {
             Some(admission) => self.start(waiting, admission),
             None => self.waiting.push_back(waiting),
@@ -652,30 +687,33 @@ impl Gateway {
         request_id
     }
 
-    /// Start a dispatch on the worker `admission` gave it: it is submitted
-    /// once the worker's CPU slice and the overhead are spent.
-    fn start(&mut self, waiting: (Dispatch, SimDuration, bool), admission: Admission) {
-        let (mut dispatch, overhead, sampled) = waiting;
-        dispatch.submit_at = admission.dispatch_ready_at + overhead;
-        dispatch.worker = admission.worker;
+    /// Start a copy on the worker `admission` gave it: it is submitted once
+    /// the worker's CPU slice and the overhead are spent.
+    fn start(&mut self, waiting: (CopyId, SimDuration, bool), admission: Admission) {
+        let (id, overhead, sampled) = waiting;
+        let copy = self.copies.get_mut(id).expect("a starting copy is live");
+        copy.submit_at = admission.dispatch_ready_at + overhead;
+        copy.worker = admission.worker as u32;
+        let (submit_at, arrived_at, request_id) =
+            (copy.submit_at, copy.arrived_at, copy.request_id());
         if sampled {
             self.trace_pending.insert(
-                dispatch.request_id,
+                request_id,
                 GatewayTimes {
-                    arrived_at: dispatch.arrived_at,
+                    arrived_at,
                     started_at: admission.started_at,
                     dispatch_ready_at: admission.dispatch_ready_at,
-                    submit_at: dispatch.submit_at,
+                    submit_at,
                 },
             );
         }
-        self.pending.push(dispatch.submit_at, dispatch);
+        self.pending.push(submit_at, id);
     }
 
-    /// Free `worker` at `at`; the oldest dispatch waiting for a sync
-    /// worker starts on it there.
-    fn release_worker(&mut self, worker: usize, at: SimTime) {
-        if let Some(admission) = self.workers.release(worker, at) {
+    /// Free `worker` at `at`; the oldest copy waiting for a sync worker
+    /// starts on it there.
+    fn release_worker(&mut self, worker: u32, at: SimTime) {
+        if let Some(admission) = self.workers.release(worker as usize, at) {
             let waiting = self.waiting.pop_front().expect("pool queue in step");
             self.start(waiting, admission);
         }
@@ -818,7 +856,6 @@ impl Gateway {
             request,
             target,
             self.inference_fn,
-            operation,
             auth_latency,
             prompt.key,
             now,
@@ -860,15 +897,7 @@ impl Gateway {
             user,
             model: model_id,
         };
-        Ok(self.accept(
-            handle,
-            target,
-            self.embedding_fn,
-            operation,
-            auth_latency,
-            None,
-            now,
-        ))
+        Ok(self.accept(handle, target, self.embedding_fn, auth_latency, None, now))
     }
 
     /// The `/jobs` endpoint: per-model status across all federated endpoints.
@@ -1043,23 +1072,24 @@ impl Gateway {
         due.sort_unstable_by_key(|e| e.seq);
         let mut retries = Vec::new();
         for ev in due.drain(..) {
-            let copy = ev.payload;
+            let id = ev.payload;
+            let copy = self.copy(id);
+            let submit_at = copy.submit_at;
             match self.service.submit_to(
                 copy.function,
                 copy.endpoint,
                 copy.hosting,
                 copy.request.inference,
-                copy.submit_at,
+                submit_at,
             ) {
                 Ok(task) => {
                     if let Some(hedge_after) = self.hedge_after() {
-                        self.hedge_deadlines
-                            .push(copy.submit_at + hedge_after, task);
+                        self.hedge_deadlines.push(submit_at + hedge_after, task);
                     }
-                    self.in_flight.insert(task.0, copy);
+                    self.in_flight.insert(task.0, id);
                 }
                 // A refused copy resolves as a failure with no fabric leg.
-                Err(_) => retries.extend(self.resolve(copy, false, 0, None, now)),
+                Err(_) => retries.extend(self.resolve(id, false, 0, None, now)),
             }
         }
         self.submit_buf = due;
@@ -1069,9 +1099,10 @@ impl Gateway {
     /// Queue the retries a batch produced. They re-enter the wheel after the
     /// batch, so they order behind every already-pending dispatch; replay
     /// determinism pins that order.
-    fn requeue(&mut self, retries: Vec<Dispatch>) {
-        for r in retries {
-            self.pending.push(r.submit_at, r);
+    fn requeue(&mut self, retries: Vec<CopyId>) {
+        for id in retries {
+            let submit_at = self.copy(id).submit_at;
+            self.pending.push(submit_at, id);
         }
     }
 
@@ -1085,13 +1116,13 @@ impl Gateway {
     /// - otherwise the copy answers the client.
     fn resolve(
         &mut self,
-        copy: Dispatch,
+        id: CopyId,
         success: bool,
         completion_tokens: u32,
         fabric: Option<&FabricTimes>,
         at: SimTime,
-    ) -> Option<Dispatch> {
-        let (copies_left, answered) = self.resolve_copy(copy.request_id);
+    ) -> Option<CopyId> {
+        let (copy, copies_left, answered) = self.resolve_copy(id);
         if answered {
             return None;
         }
@@ -1107,7 +1138,8 @@ impl Gateway {
         }
         // The id keeps an entry only while sibling copies still race:
         // remember the answer so their eventual results are swallowed.
-        if let Some(entry) = self.outstanding.get_mut(copy.request_id) {
+        let request_id = copy.request_id();
+        if let Some(entry) = self.outstanding.get_mut(request_id) {
             entry.answered = true;
         }
         self.release_worker(copy.worker, at);
@@ -1126,11 +1158,11 @@ impl Gateway {
             }
         }
         self.record_log(
-            copy.request_id,
+            request_id,
             request.user,
             request.model,
             Some(copy.endpoint),
-            copy.operation,
+            copy.operation(),
             copy.arrived_at,
             at,
             usage,
@@ -1138,7 +1170,7 @@ impl Gateway {
         );
         if !self.trace_pending.is_empty() {
             self.record_trace(
-                copy.request_id,
+                request_id,
                 request.user,
                 request.model,
                 copy.endpoint,
@@ -1148,7 +1180,7 @@ impl Gateway {
             );
         }
         self.responses.push(CompletedRequest {
-            request_id: copy.request_id,
+            request_id,
             user: request.user,
             model: request.model,
             endpoint: Some(copy.endpoint),
@@ -1163,7 +1195,7 @@ impl Gateway {
 
     /// Build the retry of a failed copy, routed away from the endpoint that
     /// failed it and delayed by the exponential backoff.
-    fn make_retry(&mut self, failed: &Dispatch, now: SimTime) -> Option<Dispatch> {
+    fn make_retry(&mut self, failed: &Dispatch, now: SimTime) -> Option<CopyId> {
         let target = self.router.route_target_for_retry(
             &self.registry,
             &self.service,
@@ -1177,14 +1209,13 @@ impl Gateway {
             self.metrics.on_failover();
         }
         let backoff = self.config.resilience.retry.backoff(failed.attempt);
-        self.add_copy(failed.request_id);
-        Some(Dispatch {
+        Some(self.add_copy(Dispatch {
             endpoint: target.endpoint,
             hosting: target.hosting,
             submit_at: now + backoff,
             attempt: failed.attempt + 1,
             ..*failed
-        })
+        }))
     }
 
     /// Hedge requests that have been in flight longer than the configured
@@ -1202,9 +1233,10 @@ impl Gateway {
                 .drain(..)
                 .map(|e| e.payload)
                 .filter(|&task| {
-                    self.in_flight.get(task.0).is_some_and(|f| {
+                    self.in_flight.get(task.0).is_some_and(|&id| {
+                        let copy = self.copy(id);
                         self.outstanding
-                            .get(f.request_id)
+                            .get(copy.request_id())
                             .is_none_or(|o| !o.answered)
                     })
                 })
@@ -1212,10 +1244,11 @@ impl Gateway {
             self.hedge_buf = due;
             candidates.sort_unstable();
             for task in candidates {
-                let f = *self
+                let id = *self
                     .in_flight
                     .get(task.0)
                     .expect("hedging never resolves an in-flight copy");
+                let f = *self.copy(id);
                 let Some(target) = self.router.route_target_for_retry(
                     &self.registry,
                     &self.service,
@@ -1245,8 +1278,8 @@ impl Gateway {
                     now,
                 ) {
                     self.metrics.on_hedge();
-                    self.add_copy(hedge.request_id);
-                    self.in_flight.insert(new_task.0, hedge);
+                    let id = self.add_copy(hedge);
+                    self.in_flight.insert(new_task.0, id);
                 }
             }
         }
@@ -1256,14 +1289,13 @@ impl Gateway {
 
     fn collect_results(&mut self, now: SimTime) {
         for (result, record) in self.service.poll_results(now) {
-            let Some(copy) = self.in_flight.remove(result.task.0) else {
+            let Some(id) = self.in_flight.remove(result.task.0) else {
                 continue;
             };
+            let copy = self.copy(id);
+            let (submit_at, request_id) = (copy.submit_at, copy.request_id());
             let available = record.result_available_at.unwrap_or(result.finished_at);
-            let observed = self
-                .config
-                .client
-                .observe_result_at(copy.submit_at, available);
+            let observed = self.config.client.observe_result_at(submit_at, available);
             let deliver_at = observed + RESPONSE_CPU;
             let completion_tokens = result
                 .completion
@@ -1273,27 +1305,25 @@ impl Gateway {
             // Sampled request: capture the fabric/engine timestamps from the
             // task record the poll released (nothing keeps it past this
             // point). `is_empty` keeps the untraced hot path to one branch.
-            let trace = if !self.trace_pending.is_empty()
-                && self.trace_pending.contains_key(&copy.request_id)
-            {
-                Some(Box::new(FabricTimes {
-                    submitted_at: copy.submit_at,
-                    dispatched_at: record.dispatched_at,
-                    delivered_at: record.delivered_at,
-                    accepted_at: result.completion.as_ref().map(|c| c.accepted_at),
-                    first_token_at: result.completion.as_ref().map(|c| c.first_token_at),
-                    finished_at: result.finished_at,
-                    available_at: available,
-                    observed_at: observed,
-                }))
-            } else {
-                None
-            };
+            let trace =
+                if !self.trace_pending.is_empty() && self.trace_pending.contains_key(&request_id) {
+                    Some(Box::new(FabricTimes {
+                        submitted_at: submit_at,
+                        dispatched_at: record.dispatched_at,
+                        delivered_at: record.delivered_at,
+                        accepted_at: result.completion.as_ref().map(|c| c.accepted_at),
+                        first_token_at: result.completion.as_ref().map(|c| c.first_token_at),
+                        finished_at: result.finished_at,
+                        available_at: available,
+                        observed_at: observed,
+                    }))
+                } else {
+                    None
+                };
             self.awaiting.push(
                 deliver_at,
                 AwaitingDelivery {
-                    copy,
-                    deliver_at,
+                    copy: id,
                     success: result.success,
                     completion_tokens,
                     trace,
@@ -1315,15 +1345,16 @@ impl Gateway {
         due.sort_unstable_by_key(|e| e.seq);
         let mut retries = Vec::new();
         for ev in due.drain(..) {
-            let a = ev.payload;
+            let (a, deliver_at) = (ev.payload, ev.time);
             // Every copy's outcome is real signal about its endpoint.
-            self.observe_outcome(a.copy.endpoint, a.success, a.deliver_at);
+            let endpoint = self.copy(a.copy).endpoint;
+            self.observe_outcome(endpoint, a.success, deliver_at);
             retries.extend(self.resolve(
                 a.copy,
                 a.success,
                 a.completion_tokens,
                 a.trace.as_deref(),
-                a.deliver_at,
+                deliver_at,
             ));
         }
         self.deliver_buf = due;
@@ -1372,6 +1403,8 @@ impl SimProcess for Gateway {
         // examples, tests, and the monitoring scrape loop — are measured too.
         first_desim::stats::kernel::record_event();
         first_desim::stats::kernel::record_queue_depth(self.service.queue_depth());
+        #[cfg(test)]
+        self.assert_one_record_per_staged_copy();
     }
 }
 
@@ -1382,6 +1415,29 @@ mod tests {
     use first_chaos::{HealthState, RetryPolicy};
 
     const MODEL: &str = "meta-llama/Llama-3.3-70B-Instruct";
+
+    impl Gateway {
+        /// Every copy some stage holds has exactly one record in the slab,
+        /// and the slab holds no other: the hook `advance` runs in tests.
+        pub(super) fn assert_one_record_per_staged_copy(&self) {
+            let staged = self.pending.len()
+                + self.waiting.len()
+                + self.in_flight.len()
+                + self.awaiting.len();
+            assert_eq!(
+                self.copies.len(),
+                staged,
+                "copy records against copies in pending, waiting, in flight and awaiting"
+            );
+        }
+    }
+
+    #[test]
+    fn copy_records_and_their_queue_entries_keep_their_sizes() {
+        assert_eq!(std::mem::size_of::<Dispatch>(), 88);
+        assert_eq!(std::mem::size_of::<CopyId>(), 8);
+        assert_eq!(std::mem::size_of::<AwaitingDelivery>(), 24);
+    }
 
     fn deployment(prewarm: bool) -> (Gateway, TestTokens) {
         DeploymentBuilder::single_cluster_test()
@@ -1885,6 +1941,60 @@ mod tests {
         assert_eq!(gw.queue_snapshot().hedge_deadlines, 0);
     }
 
+    #[test]
+    fn the_copy_slab_holds_exactly_the_live_copies_under_faults() {
+        // Production resilience over the federation: a stalled Sophia gets
+        // its requests hedged to Polaris, an outage window on Sophia fails
+        // copies that are then retried and failed over, and requests whose
+        // function the service does not know are refused at submission and
+        // retried until their budget runs out. `advance` checks the slab
+        // against the stages after every step; once drained it is empty.
+        let (mut gw, tokens) = DeploymentBuilder::federated_sophia_polaris()
+            .prewarm(1)
+            .resilience(ResilienceConfig::production())
+            .build_with_tokens();
+        gw.service_mut()
+            .endpoint_mut("sophia-endpoint")
+            .unwrap()
+            .stall_engines(SimTime::ZERO, SimTime::from_secs(240));
+        let inference_fn = gw.inference_fn;
+        let mut refused = 0;
+        for i in 0..40u64 {
+            let at = SimTime::from_secs(i * 20);
+            drive(&mut gw, at);
+            if i == 15 {
+                gw.service_mut()
+                    .endpoint_mut("sophia-endpoint")
+                    .unwrap()
+                    .set_offline_until(SimTime::from_secs(600));
+            }
+            if i % 8 == 5 {
+                gw.inference_fn = FunctionId(999);
+                refused += 1;
+            }
+            let req = ChatCompletionRequest::simple(MODEL, &format!("slab {i}"), 80);
+            gw.chat_completions(&req, &tokens.alice, Some(80), at)
+                .unwrap();
+            gw.inference_fn = inference_fn;
+        }
+        drive(&mut gw, SimTime::from_secs(7200));
+        let responses = gw.take_responses();
+        assert_eq!(responses.len(), 40);
+        assert_eq!(responses.iter().filter(|r| !r.success).count(), refused);
+        // Each refused request spends its whole retry budget; the outage
+        // adds retries of its own.
+        let budget = gw.config.resilience.retry.max_retries as usize;
+        let metrics = gw.metrics();
+        assert!(metrics.hedges >= 1, "no hedge");
+        assert!(
+            metrics.retries as usize > refused * budget,
+            "no outage retry"
+        );
+        assert!(metrics.failovers >= 1, "no failover");
+        assert!(gw.is_drained());
+        assert!(gw.copies.is_empty());
+    }
+
     /// The sync pool's nine workers serve a backlog far beyond nine: every
     /// request that found them all held waits its turn and starts when a
     /// response frees a worker, so an infinite-rate burst of 400 completes.
@@ -1913,5 +2023,7 @@ mod tests {
         let gateway = out.fleet.shard(0);
         assert!(gateway.is_drained());
         assert_eq!(gateway.queue_snapshot().pending_dispatches, 0);
+        // Every copy that waited for a worker left the slab when it resolved.
+        assert!(gateway.copies.is_empty());
     }
 }

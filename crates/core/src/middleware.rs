@@ -4,6 +4,7 @@
 use crate::api::GatewayError;
 use first_auth::{AuthService, IntrospectionResult, Scope, TokenString};
 use first_desim::{IdHashBuilder, SimDuration, SimTime};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -258,18 +259,33 @@ impl ResponseCache {
 
     /// Insert a response.
     pub fn put(&mut self, key: u64, response: CachedResponse, now: SimTime) {
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+        let full = self.entries.len() >= self.capacity;
+        let added = match self.entries.entry(key) {
+            Entry::Occupied(mut slot) => {
+                slot.insert((now, response));
+                false
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((now, response));
+                true
+            }
+        };
+        if full && added {
             // Evict the oldest entry (smallest insertion time, then key),
-            // discarding stale pairs whose key was since replaced.
+            // discarding stale pairs whose key was since replaced. Every
+            // pair of the new key is stale: its own pair is not filed yet.
             while let Some((t, oldest)) = self.by_age.pop_front() {
-                let live = self.entries.get(&oldest).is_some_and(|&(at, _)| at == t);
-                if live {
-                    self.entries.remove(&oldest);
-                    break;
+                if oldest == key {
+                    continue;
+                }
+                if let Entry::Occupied(slot) = self.entries.entry(oldest) {
+                    if slot.get().0 == t {
+                        slot.remove();
+                        break;
+                    }
                 }
             }
         }
-        self.entries.insert(key, (now, response));
         // After every pair that sorts at or before the new one.
         let pair = (now, key);
         let at = self.by_age.len() - self.by_age.iter().rev().take_while(|&&p| p > pair).count();

@@ -37,15 +37,14 @@ impl std::fmt::Display for FabricError {
 
 impl std::error::Error for FabricError {}
 
-/// A task between submission and delivery: the request plus where it goes.
-#[derive(Debug, Clone)]
+/// A task between submission and delivery: its id and what only delivery
+/// needs, the request and its model's hosting-entry index on the target
+/// endpoint (`None` when the endpoint does not host it). The task record
+/// holds the rest, and the endpoint keeps the request once delivered.
+#[derive(Debug, Clone, Copy)]
 struct RoutedTask {
     id: TaskId,
     request: InferenceRequest,
-    /// Index of the target endpoint.
-    endpoint: u32,
-    /// Hosting-entry index of the request's model on that endpoint, as the
-    /// submitter resolved it; `None` when the endpoint does not host it.
     hosting: Option<u32>,
 }
 
@@ -303,7 +302,6 @@ impl ComputeService {
         self.tasks.insert(
             id.0,
             TaskRecord {
-                id,
                 function,
                 endpoint,
                 submitted_at: now,
@@ -318,7 +316,6 @@ impl ComputeService {
             RoutedTask {
                 id,
                 request,
-                endpoint: endpoint.0,
                 hosting,
             },
         ));
@@ -402,11 +399,13 @@ impl ComputeService {
         // asserts monotone time) observes them in (time, task) order, the
         // order `in_transit` keeps.
         while let Some((deliver_at, task)) = self.in_transit.pop_front_if(|(t, _)| *t <= now) {
-            if let Some(rec) = self.tasks.get_mut(task.id.0) {
-                rec.state = TaskState::Running;
-                rec.delivered_at = Some(deliver_at);
-            }
-            self.endpoints[task.endpoint as usize].receive_task(
+            let rec = self
+                .tasks
+                .get_mut(task.id.0)
+                .expect("a task in transit is live");
+            rec.state = TaskState::Running;
+            rec.delivered_at = Some(deliver_at);
+            self.endpoints[rec.endpoint.index()].receive_task(
                 task.id,
                 task.hosting,
                 task.request,
@@ -600,6 +599,12 @@ mod tests {
     }
 
     #[test]
+    fn a_queued_task_and_its_record_keep_their_sizes() {
+        assert_eq!(std::mem::size_of::<TaskRecord>(), 72);
+        assert_eq!(std::mem::size_of::<(SimTime, RoutedTask)>(), 48);
+    }
+
+    #[test]
     fn task_round_trip_through_hot_endpoint() {
         let mut svc = service_with_endpoint(1);
         let f = inference_fn(&svc);
@@ -617,7 +622,7 @@ mod tests {
         assert_eq!(results.len(), 1);
         let (result, rec) = &results[0];
         assert!(result.success);
-        assert_eq!(rec.id, id);
+        assert_eq!(result.task, id);
         assert_eq!(rec.state, TaskState::Completed);
         // Latency includes the fabric overhead (~5–6 s) plus engine time.
         let latency = (rec.result_available_at.unwrap() - rec.submitted_at).as_secs_f64();
@@ -752,7 +757,7 @@ mod tests {
         assert_eq!(svc.tracked_tasks(), 1);
         let results = svc.poll_results(SimTime::from_secs(120));
         assert_eq!(results.len(), 1);
-        assert_eq!(results[0].1.id, id);
+        assert_eq!(results[0].0.task, id);
         assert!(svc.task(id).is_none());
         assert_eq!(svc.tracked_tasks(), 0);
     }

@@ -131,11 +131,10 @@ pub struct TaskResult {
 }
 
 /// Task record the compute service keeps from submission until
-/// [`crate::ComputeService::poll_results`] hands it out with the result.
+/// [`crate::ComputeService::poll_results`] hands it out with the result. The
+/// service stores it under its task id, so it does not repeat the id.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskRecord {
-    /// Task identifier.
-    pub(crate) id: TaskId,
     /// Function being invoked.
     pub(crate) function: FunctionId,
     /// Target endpoint (its name is [`crate::ComputeService::endpoint_name`]).

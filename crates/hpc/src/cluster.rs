@@ -80,9 +80,10 @@ impl Cluster {
         self.nodes.iter().map(|n| n.gpus).max().unwrap_or(0)
     }
 
-    /// Mutably borrow a node by id.
+    /// Mutably borrow a node by id. Every constructor gives node `i` the
+    /// id `NodeId(i)`, so the id is the node's index.
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut Node> {
-        self.nodes.iter_mut().find(|n| n.id == id)
+        self.nodes.get_mut(id.0 as usize)
     }
 
     /// Publicly visible status snapshot.
@@ -155,6 +156,20 @@ mod tests {
         assert_eq!(s.total_nodes, 2);
         assert_eq!(s.offline_nodes, 1);
         assert_eq!(s.total_gpus, 8);
+    }
+
+    #[test]
+    fn every_constructor_numbers_its_nodes_by_index() {
+        for c in [
+            Cluster::sophia(),
+            Cluster::polaris(),
+            Cluster::tiny("t", 5, 4),
+            Cluster::homogeneous("h", 3, 2, GpuModel::A100_80),
+        ] {
+            for (i, node) in c.nodes.iter().enumerate() {
+                assert_eq!(node.id, NodeId(i as u32), "{}", c.name);
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,13 @@
 //! the run adds on top of its input: a copy of the spec or a materialised
 //! request stream (each about 80 bytes per request) would show in it.
 //!
-//! The budget holds in debug builds and in release builds, the ones the
+//! A third shape is the batch regime's backlog: one tenant floods one
+//! prewarmed instance with every request at t=0, so every request is
+//! queued somewhere at once. There the slope is the peak bytes each
+//! backlogged request holds across the layers' queues and windows, and it
+//! has its own budget.
+//!
+//! The budgets hold in debug builds and in release builds, the ones the
 //! benchmark measures (CI runs this file under `--release` as well).
 
 use first::core::{ScenarioRun, ShardingConfig, SpilloverPolicy};
@@ -83,6 +89,10 @@ static GLOBAL: LiveBytes = LiveBytes;
 /// a replayed request, above its caller's spec).
 const BUDGET_BYTES_PER_REQUEST: f64 = 152.0;
 
+/// Most peak bytes one more request may add while every request is
+/// backlogged at once (it reads 504).
+const BACKLOG_BUDGET_BYTES_PER_REQUEST: f64 = 510.0;
+
 /// The two tests share the byte counters, so they measure one at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -144,23 +154,48 @@ fn replay_federation_spec(requests: usize) -> ScenarioSpec {
     ))
 }
 
+/// `requests` 70B requests from one tenant, all at t=0, on a prewarmed
+/// single instance: the benchmark's `backlog-flood` shape.
+fn backlog_spec(requests: usize) -> ScenarioSpec {
+    let entries = (0..requests)
+        .map(|i| ReplayEntry {
+            at: SimTime::ZERO,
+            model: LLAMA_70B.to_string(),
+            prompt_tokens: 16 + (i as u32 * 37) % 900,
+            output_tokens: 8 + (i as u32 * 53) % 400,
+        })
+        .collect();
+    let track = ArrivalProcess::Replay(ReplayTrack { entries });
+    let mut spec = with_horizon(ScenarioSpec::new(
+        "live-bytes-backlog",
+        "one 70B tenant floods a prewarmed single instance at t=0",
+        DeploymentRef::SophiaSingleInstance,
+        vec![TenantClass::synthetic("flood", requests, track, LLAMA_70B)],
+    ));
+    spec.prewarm = 1;
+    spec
+}
+
 fn with_horizon(mut spec: ScenarioSpec) -> ScenarioSpec {
     spec.horizon_s = 40.0 * 3600.0;
     spec
 }
 
+/// Four shards with fan-in and bounded spillover.
+fn four_shards() -> ShardingConfig {
+    ShardingConfig::with_shards(4)
+        .fanin(SimDuration::from_millis(5))
+        .spill(SpilloverPolicy::bounded(64, 0.05))
+}
+
 /// Peak live heap bytes during one `ScenarioRun::execute` of `spec`, above
 /// the live bytes before it, and the number of requests it completed.
-fn peak_bytes_of(spec: &ScenarioSpec) -> (usize, usize) {
+fn peak_bytes_of(spec: &ScenarioSpec, sharding: ShardingConfig) -> (usize, usize) {
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
     let report = ScenarioRun::new(spec)
         .seed(7)
-        .sharding(
-            ShardingConfig::with_shards(4)
-                .fanin(SimDuration::from_millis(5))
-                .spill(SpilloverPolicy::bounded(64, 0.05)),
-        )
+        .sharding(sharding)
         .execute()
         .unwrap()
         .report;
@@ -168,15 +203,20 @@ fn peak_bytes_of(spec: &ScenarioSpec) -> (usize, usize) {
 }
 
 /// The peak-heap slope per request between `N` and `4N` requests of the
-/// spec `make` builds, with every request completing.
-fn slope_per_request(make: fn(usize) -> ScenarioSpec, n: usize) -> f64 {
+/// spec `make` builds, run as `sharding` builds, with every request
+/// completing.
+fn slope_per_request(
+    make: fn(usize) -> ScenarioSpec,
+    sharding: fn() -> ShardingConfig,
+    n: usize,
+) -> f64 {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let small = make(n);
     let large = make(4 * n);
     // Warm up thread-locals and lazily built tables outside the measurement.
-    peak_bytes_of(&make(64));
-    let (peak_small, done_small) = peak_bytes_of(&small);
-    let (peak_large, done_large) = peak_bytes_of(&large);
+    peak_bytes_of(&make(64), sharding());
+    let (peak_small, done_small) = peak_bytes_of(&small, sharding());
+    let (peak_large, done_large) = peak_bytes_of(&large, sharding());
     assert_eq!(
         (done_small, done_large),
         (n, 4 * n),
@@ -192,7 +232,7 @@ fn slope_per_request(make: fn(usize) -> ScenarioSpec, n: usize) -> f64 {
 
 #[test]
 fn peak_live_bytes_per_request_stay_within_budget() {
-    let per_request = slope_per_request(federation_spec, 16_000);
+    let per_request = slope_per_request(federation_spec, four_shards, 16_000);
     assert!(
         per_request <= BUDGET_BYTES_PER_REQUEST,
         "{per_request:.0} peak live bytes per request, budget {BUDGET_BYTES_PER_REQUEST}"
@@ -201,9 +241,18 @@ fn peak_live_bytes_per_request_stay_within_budget() {
 
 #[test]
 fn replayed_input_is_not_copied_or_materialised() {
-    let per_request = slope_per_request(replay_federation_spec, 16_000);
+    let per_request = slope_per_request(replay_federation_spec, four_shards, 16_000);
     assert!(
         per_request <= BUDGET_BYTES_PER_REQUEST,
         "{per_request:.0} peak live bytes per replayed request, budget {BUDGET_BYTES_PER_REQUEST}"
+    );
+}
+
+#[test]
+fn backlogged_requests_stay_within_their_budget() {
+    let per_request = slope_per_request(backlog_spec, ShardingConfig::single, 16_000);
+    assert!(
+        per_request <= BACKLOG_BUDGET_BYTES_PER_REQUEST,
+        "{per_request:.0} peak live bytes per backlogged request, budget {BACKLOG_BUDGET_BYTES_PER_REQUEST}"
     );
 }
